@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import (Matrix, SpanBuilder,
+from .linalg import (Echelon, Matrix,
                      solve_linear, Infeasible, DimensionMismatch)
 from .scalars import ONE, ZERO, Scalar
 
@@ -218,10 +218,6 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 class Multiplier:
     """A pair (left action, right action) on an algebra: the concrete
     form of an element of the multiplier algebra M(A)."""
@@ -293,12 +289,6 @@ class Multiplier:
     def __eq__(self, other):
         return isinstance(other, Multiplier) and self.left == other.left \
             and self.right == other.right
-
-    def apply_left(self, x: Element) -> Element:
-        return Element(self.parent, self.left.apply(x.coeffs))
-
-    def apply_right(self, x: Element) -> Element:
-        return Element(self.parent, self.right.apply(x.coeffs))
 
     def as_element(self) -> Optional[Element]:
         """The element of A this multiplier is, if it is embedded."""
@@ -381,34 +371,25 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
         left_rows.extend(lm.data)
     nondeg = True
     deg_witness = None
-    _, ker_r = _matrix_kernel(right_rows, a.dim)
-    if ker_r:
+    if Echelon(Matrix.from_rows(right_rows)).rank < a.dim:
         nondeg = False
         deg_witness = "nonzero x with x*A = 0"
-    else:
-        _, ker_l = _matrix_kernel(left_rows, a.dim)
-        if ker_l:
-            nondeg = False
-            deg_witness = "nonzero x with A*x = 0"
+    elif Echelon(Matrix.from_rows(left_rows)).rank < a.dim:
+        nondeg = False
+        deg_witness = "nonzero x with A*x = 0"
 
-    span = SpanBuilder(a.dim)
+    span = Echelon(Matrix.zero(0, a.dim))
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.mul_basis(i, j)
             if prod:
                 span.insert(sparse_to_vec(prod, a.dim))
-        if span.dim == a.dim:
+        if span.rank == a.dim:
             break
-    idem = span.dim == a.dim
+    idem = span.rank == a.dim
 
     return AlgebraDiagnostics(assoc, witness, nondeg, deg_witness, idem,
                               find_unit_or_local_units(a))
-
-
-def _matrix_kernel(rows, ncols):
-    from .linalg import Echelon, Matrix as _M
-    ech = Echelon(_M.from_rows(rows) if rows else _M.zero(0, ncols))
-    return ech.rank, ech.nullspace()
 
 
 def find_unit_or_local_units(a: Algebra) -> Optional[Element]:
@@ -499,14 +480,6 @@ def multiplier_algebra(a: Algebra) -> List[Multiplier]:
     return out
 
 
-def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
-    return Algebra.tensor(a, b)
-
-
-def opposite(a: Algebra) -> Algebra:
-    return a.opposite()
-
-
 def flip_map(dim: int) -> Matrix:
     """The flip sigma(e_i (x) e_j) = e_j (x) e_i on a dim^2 space."""
     m = Matrix.zero(dim * dim, dim * dim)
@@ -527,9 +500,6 @@ class StarStructure:
 
     def apply(self, x: Element) -> Element:
         return Element(self.parent, self.apply_vec(x.coeffs))
-
-    def tensor_square(self, aa: Algebra) -> "StarStructure":
-        return StarStructure(aa, self.star_matrix.kron(self.star_matrix))
 
 
 @dataclass

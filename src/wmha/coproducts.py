@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec,
                        sparse_add_into, sparse_to_vec, vec_to_sparse)
-from .linalg import (Echelon, Infeasible, Matrix, SpanBuilder, Subspace,
-                     column_space, rank_image_kernel, solve_linear,
-                     subspace_equal, subspace_leq)
+from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
+                     column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, check
 from .scalars import ONE, ZERO, Scalar
 
@@ -95,15 +94,11 @@ class CoproductData:
         self.aa = Algebra.tensor(parent, parent)
         self.n = n
         self.nn = n * n
-        self._t1_ech: Optional[Echelon] = None
-        self._t1_ech_rev: Optional[Echelon] = None
-        self._t2_ech: Optional[Echelon] = None
-        self._t2_ech_rev: Optional[Echelon] = None
+        # (map name, alt) -> solvable Echelon of that map; alt reverses the
+        # column order, so free variables are zeroed from the other end
+        self._echelons: Dict[Tuple[str, bool], Echelon] = {}
         self._psi: Optional[Matrix] = None
-        self._psi_ech: Optional[Echelon] = None
-        self._psi_ech_rev: Optional[Echelon] = None
-        self._mu_decomp: Optional[List[List[Tuple[int, int, Scalar]]]] = None
-        self._mu_decomp_alt: Optional[List[List[Tuple[int, int, Scalar]]]] = None
+        self._mu_decomp: Optional[Dict[Tuple[bool, int], List[Tuple[int, int, Scalar]]]] = None
         self._ran_t1: Optional[Subspace] = None
         self._ran_t2: Optional[Subspace] = None
         self._preimage_cache: Dict = {}
@@ -120,29 +115,26 @@ class CoproductData:
             self._ran_t2 = column_space(self.t2)
         return self._ran_t2
 
-    def t1_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        if self._t1_ech is None:
-            self._t1_ech = Echelon(self.t1)
-            self._t1_ech_rev = Echelon(self.t1, col_order=range(self.nn - 1, -1, -1))
-        key = (alt, tuple(sorted(svec.items())))
-        got = self._preimage_cache.get(key)
-        if got is None and key not in self._preimage_cache:
-            ech = self._t1_ech_rev if alt else self._t1_ech
-            got = ech.solve_sparse(svec, self.t1)
-            self._preimage_cache[key] = got
+    def _preimage(self, name: str, m: Matrix, svec: Dict[int, Scalar],
+                  alt: bool) -> Optional[Dict[int, Scalar]]:
+        """One preimage of svec under the map m called name, with free
+        variables zero, or None when there is none; cached per map."""
+        key = (name, alt, tuple(sorted(svec.items())))
+        if key in self._preimage_cache:
+            return self._preimage_cache[key]
+        ech = self._echelons.get((name, alt))
+        if ech is None:
+            order = range(m.cols - 1, -1, -1) if alt else None
+            ech = self._echelons[name, alt] = Echelon(m, col_order=order, solvable=True)
+        got = ech.solve_sparse(svec, m)
+        self._preimage_cache[key] = got
         return got
 
+    def t1_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
+        return self._preimage("t1", self.t1, svec, alt)
+
     def t2_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        if self._t2_ech is None:
-            self._t2_ech = Echelon(self.t2)
-            self._t2_ech_rev = Echelon(self.t2, col_order=range(self.nn - 1, -1, -1))
-        key = ("t2", alt, tuple(sorted(svec.items())))
-        got = self._preimage_cache.get(key)
-        if got is None and key not in self._preimage_cache:
-            ech = self._t2_ech_rev if alt else self._t2_ech
-            got = ech.solve_sparse(svec, self.t2)
-            self._preimage_cache[key] = got
-        return got
+        return self._preimage("t2", self.t2, svec, alt)
 
     def psi(self) -> Matrix:
         """The map p (x) c (x) d -> coproduct(e_p) (e_c (x) e_d), as a
@@ -165,17 +157,7 @@ class CoproductData:
         return self._psi
 
     def psi_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        if self._psi_ech is None:
-            psi = self.psi()
-            self._psi_ech = Echelon(psi)
-            self._psi_ech_rev = Echelon(psi, col_order=range(psi.cols - 1, -1, -1))
-        key = ("psi", alt, tuple(sorted(svec.items())))
-        got = self._preimage_cache.get(key)
-        if got is None and key not in self._preimage_cache:
-            ech = self._psi_ech_rev if alt else self._psi_ech
-            got = ech.solve_sparse(svec, self.psi())
-            self._preimage_cache[key] = got
-        return got
+        return self._preimage("psi", self.psi(), svec, alt)
 
     def mu_decomposition(self, k: int, alt: bool = False) -> List[Tuple[int, int, Scalar]]:
         """e_k written as a sum of products u * v: list of (u, v, coeff).
@@ -187,28 +169,15 @@ class CoproductData:
                 for j in range(n):
                     for k2, v in self.parent.mul_basis(i, j).items():
                         mu.data[k2][i * n + j] = v
-            ech = Echelon(mu)
-            ech_rev = Echelon(mu, col_order=range(n * n - 1, -1, -1))
-            def decomp(e):
-                out = []
-                for which in (ech, ech_rev):
-                    sol = which.solve(e, mu)
-                    if sol is None:
-                        out.append(None)
-                    else:
-                        out.append([(idx // n, idx % n, v) for idx, v in enumerate(sol) if v])
-                return out
-            prim, alt_ = [], []
+            decomp = {}
             for k2 in range(n):
-                e = [ONE if i == k2 else ZERO for i in range(n)]
-                a, b = decomp(e)
-                if a is None or b is None:
-                    raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
-                prim.append(a)
-                alt_.append(b)
-            self._mu_decomp = prim
-            self._mu_decomp_alt = alt_
-        return (self._mu_decomp_alt if alt else self._mu_decomp)[k]
+                for flag in (False, True):
+                    sol = self._preimage("mu", mu, {k2: ONE}, flag)
+                    if sol is None:
+                        raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
+                    decomp[flag, k2] = [(idx // n, idx % n, v) for idx, v in sorted(sol.items())]
+            self._mu_decomp = decomp
+        return self._mu_decomp[alt, k]
 
     # ---- reconstructed coproduct actions --------------------------------
 
@@ -506,8 +475,8 @@ def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
     """Smallest V with Ran(T1) inside V (x) A, and W with Ran(T2) inside
     A (x) W; the coproduct is full when both are everything."""
     n = c.n
-    vspan = SpanBuilder(n)
-    wspan = SpanBuilder(n)
+    vspan = Echelon(Matrix.zero(0, n))
+    wspan = Echelon(Matrix.zero(0, n))
     for col in range(c.nn):
         slices1: Dict[int, list] = {}
         for row, v in c.t1.col_sparse(col):
@@ -521,8 +490,8 @@ def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
             slices2.setdefault(i, [ZERO] * n)[j] = v
         for vec in slices2.values():
             wspan.insert(vec)
-    v = Subspace.from_vectors(n, vspan.vectors())
-    w = Subspace.from_vectors(n, wspan.vectors())
+    v = Subspace(vspan)
+    w = Subspace(wspan)
     return v, w, (v.dim == n and w.dim == n)
 
 
@@ -621,7 +590,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
             if any(row):
                 rows.append((ti, out_coord, row))
     amat = Matrix.from_rows([row for _, _, row in rows]) if rows else Matrix.zero(0, r)
-    ech = Echelon(amat)
+    ech = Echelon(amat, solvable=True)
     if ech.rank < r:
         raise AmbiguousE(
             f"{'left' if left_side else 'right'} action underdetermined "
@@ -657,8 +626,7 @@ def validate_E(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
     and absorption of the coproduct."""
     out: List[CheckResult] = []
     left, right = e.left, e.right
-    ok_ranges = subspace_equal(column_space(left), c.ran_t1()) and \
-        subspace_equal(column_space(right), c.ran_t2())
+    ok_ranges = column_space(left) == c.ran_t1() and column_space(right) == c.ran_t2()
     fixes = (left * c.t1 == c.t1) and (right * c.t2 == c.t2)
     absorb = None
     for a in range(c.n):
@@ -961,7 +929,7 @@ def solve_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
 
 def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> Matrix:
     n, nn = c.n, c.nn
-    span = SpanBuilder(nn)
+    span = Echelon(Matrix.zero(0, nn))
     xs: List[list] = []
     ys: List[list] = []
     deferred: List[Tuple[Dict[int, Scalar], Dict[int, Scalar]]] = []
@@ -995,19 +963,19 @@ def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> 
                 for k in sorted(set(xparts) | set(yparts)):
                     xv = xparts.get(k, {})
                     yv = yparts.get(k, {})
-                    if span.dim < nn and span.insert(sparse_to_vec(xv, nn)):
+                    if span.rank < nn and span.insert(sparse_to_vec(xv, nn)):
                         xs.append(sparse_to_vec(xv, nn))
                         ys.append(sparse_to_vec(yv, nn))
                     else:
                         deferred.append((xv, yv))
-    if span.dim < nn:
+    if span.rank < nn:
         raise Ambiguous(
             f"defining system for G{1 if first else 2} underdetermined "
-            f"(rank {span.dim} of {nn}); fullness must fail")
-    from .linalg import invert
-    xmat = Matrix.from_cols(xs)
-    xinv = invert(xmat)
-    assert xinv is not None
+            f"(rank {span.rank} of {nn}); fullness must fail")
+    xinv = invert(Matrix.from_cols(xs))
+    if xinv is None:
+        raise InvariantViolation(
+            f"independent columns of the G{1 if first else 2} system are singular")
     g = Matrix.from_cols(ys) * xinv
     for xv, yv in deferred:
         if g.apply_sparse(xv) != yv:
@@ -1212,8 +1180,8 @@ def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:
     _, _, ker2 = rank_image_kernel(c.t2)
     img1 = column_space(Matrix.identity(nn) - g.g1)
     img2 = column_space(Matrix.identity(nn) - g.g2)
-    contain = subspace_leq(img1, ker1) and subspace_leq(img2, ker2)
-    eq = subspace_equal(ker1, img1) and subspace_equal(ker2, img2)
+    contain = img1.leq(ker1) and img2.leq(ker2)
+    eq = ker1 == img1 and ker2 == img2
     out.append(check(
         "kernels-match", eq,
         f"Ker(T1) = Ran(1-G1) (dim {ker1.dim}) and Ker(T2) = Ran(1-G2) (dim {ker2.dim})",

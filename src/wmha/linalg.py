@@ -1,6 +1,7 @@
-"""Exact linear algebra over Q(i): ranks, kernels, solvers, subspaces,
-and generalized inverses of linear maps with prescribed range and
-kernel projections.
+"""Exact linear algebra over Q(i): one incremental reduced-echelon
+engine (Echelon), canonical subspaces as its sorted view, ranks,
+kernels, solvers, and generalized inverses of linear maps with
+prescribed range and kernel projections.
 
 Everything is dense and exact.  Pivoting rules are fixed (first nonzero
 entry in scan order) so repeated runs produce identical witnesses.
@@ -24,6 +25,11 @@ class Infeasible(Exception):
 class BadProjections(Exception):
     """The projection pair handed to generalized_inverse is unusable;
     the message names the violated condition."""
+
+
+class InvariantViolation(Exception):
+    """An identity that exact elimination guarantees came out false: a
+    fault in the engine, never a property of the input."""
 
 
 class Matrix:
@@ -62,14 +68,6 @@ class Matrix:
         for j, c in enumerate(cols):
             for i, v in enumerate(c):
                 m.data[i][j] = v
-        return m
-
-    @staticmethod
-    def from_sparse(rows: int, cols: int, entries: Iterable) -> "Matrix":
-        """entries: iterable of (i, j, Scalar)."""
-        m = Matrix.zero(rows, cols)
-        for i, j, v in entries:
-            m.data[i][j] = v
         return m
 
     @staticmethod
@@ -193,78 +191,82 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(not x for x in v)
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
 class Echelon:
-    """Row-echelon factorization of a matrix, reusable for many
-    right-hand sides.
+    """Incremental reduced row echelon form: the one elimination loop of
+    the package.
 
-    Rows of the input are eliminated in order; pivot columns follow the
-    given column order (identity by default).  Solutions put free
+    Rows are inserted in order.  A row's pivot is its first nonzero entry
+    in the column order (identity by default); the row is scaled to a unit
+    pivot and its pivot column cleared from every other row, so the
+    reduced rows depend only on the span and the column order.  A
+    `solvable` factorisation also records each reduced row as a
+    combination of the input rows, which `solve` needs; solutions put free
     variables to zero, which makes preimage choices canonical.
     """
 
-    def __init__(self, matrix: Matrix, col_order: Optional[Sequence[int]] = None):
+    def __init__(self, matrix: Matrix, col_order: Optional[Sequence[int]] = None,
+                 solvable: bool = False):
         self.ncols = matrix.cols
         self.col_order = list(col_order) if col_order is not None else list(range(matrix.cols))
-        # each entry: (pivot_col, reduced row, reduced rhs-combination rows)
         self.pivot_cols: list = []
-        self.rrows: list = []  # reduced rows (lists), unit pivot, zeros elsewhere in pivot cols
-        self.ops: list = []    # row of left-multiplier T recording combination of input rows
+        self.rrows: list = []  # reduced rows: unit pivot, zeros in the other pivot columns
+        # per reduced row, the input rows it combines (index -> coefficient)
+        self.ops: Optional[list] = [] if solvable else None
         self._nrows_in = 0
         for row in matrix.data:
-            self._insert(list(row))
+            self.insert(row)
 
-    def _insert(self, row):
-        idx = self._nrows_in
-        self._nrows_in += 1
-        op = {idx: ONE}
-        for p, (pc, rrow, rop) in enumerate(zip(self.pivot_cols, self.rrows, self.ops)):
+    def _reduce(self, row: list, op: Optional[dict]) -> None:
+        """Clear the pivot columns of row in place; op, when given, takes
+        the same row operations."""
+        for p, (pc, rrow) in enumerate(zip(self.pivot_cols, self.rrows)):
             c = row[pc]
             if c:
-                for j in range(self.ncols):
-                    if rrow[j]:
-                        row[j] = row[j] - c * rrow[j]
-                for k, v in rop.items():
-                    s = op.get(k, ZERO) - c * v
-                    if s:
-                        op[k] = s
-                    elif k in op:
-                        del op[k]
-        piv = None
-        for j in self.col_order:
-            if row[j]:
-                piv = j
-                break
+                for j, v in enumerate(rrow):
+                    if v:
+                        row[j] = row[j] - c * v
+                if op is not None:
+                    _sub_scaled(op, self.ops[p], c)
+
+    def insert(self, vec: Sequence[Scalar]) -> bool:
+        """Add a row; True when the rank grew."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"row length {len(vec)} vs {self.ncols} columns")
+        row = list(vec)
+        op = None
+        if self.ops is not None:
+            op = {self._nrows_in: ONE}
+            self._nrows_in += 1
+        self._reduce(row, op)
+        piv = next((j for j in self.col_order if row[j]), None)
         if piv is None:
-            return
+            return False
         inv = row[piv]
-        row = [v / inv for v in row]
-        op = {k: v / inv for k, v in op.items()}
-        # back-eliminate the new pivot column from existing rows
-        for p in range(len(self.rrows)):
-            c = self.rrows[p][piv]
+        if inv != ONE:
+            row = [v / inv if v else v for v in row]
+            if op is not None:
+                op = {k: v / inv for k, v in op.items()}
+        for p, rrow in enumerate(self.rrows):
+            c = rrow[piv]
             if c:
-                rr = self.rrows[p]
-                for j in range(self.ncols):
-                    if row[j]:
-                        rr[j] = rr[j] - c * row[j]
-                rop = self.ops[p]
-                for k, v in op.items():
-                    s = rop.get(k, ZERO) - c * v
-                    if s:
-                        rop[k] = s
-                    elif k in rop:
-                        del rop[k]
+                for j, v in enumerate(row):
+                    if v:
+                        rrow[j] = rrow[j] - c * v
+                if op is not None:
+                    _sub_scaled(self.ops[p], op, c)
         self.pivot_cols.append(piv)
         self.rrows.append(row)
-        self.ops.append(op)
+        if op is not None:
+            self.ops.append(op)
+        return True
+
+    def contains(self, vec: Sequence[Scalar]) -> bool:
+        """True when vec lies in the span of the inserted rows."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
+        row = list(vec)
+        self._reduce(row, None)
+        return not any(row)
 
     @property
     def rank(self) -> int:
@@ -285,6 +287,8 @@ class Echelon:
     def solve_sparse(self, rhs: dict, matrix: Matrix) -> Optional[dict]:
         """Sparse variant of solve: rhs and the result are index->Scalar
         maps; None when infeasible."""
+        if self.ops is None:
+            raise TypeError("solving needs an Echelon built with solvable=True")
         x: dict = {}
         for p, op in enumerate(self.ops):
             s = ZERO
@@ -324,116 +328,48 @@ class Echelon:
         return basis
 
 
-class SpanBuilder:
-    """Incrementally grown span with fast membership tests.  Not canonical;
-    use Subspace for comparisons."""
-
-    __slots__ = ("ambient_dim", "_rows", "_pivots")
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self._rows: list = []
-        self._pivots: list = []
-
-    def _reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            if c:
-                for i in range(self.ambient_dim):
-                    if row[i]:
-                        v[i] = v[i] - c * row[i]
-        return v
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True when the rank grew."""
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = v[piv]
-        self._rows.append([x / inv for x in v])
-        self._pivots.append(piv)
-        return True
-
-    def contains(self, vec) -> bool:
-        return vec_is_zero(self._reduce(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def vectors(self) -> list:
-        return [list(r) for r in self._rows]
+def _sub_scaled(target: dict, src: dict, c: Scalar) -> None:
+    """target -= c * src on sparse vectors, dropping entries that cancel."""
+    for k, v in src.items():
+        s = target.get(k, ZERO) - c * v
+        if s:
+            target[k] = s
+        elif k in target:
+            del target[k]
 
 
 class Subspace:
-    """Subspace of Q(i)^n held as a reduced column echelon basis, so equal
-    subspaces have identical representations."""
+    """Subspace of Q(i)^n: the canonical view of an Echelon in the
+    identity column order, its reduced rows sorted by pivot, so equal
+    subspaces have identical representations.  The echelon must not grow
+    after the view is taken."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_ech")
 
-    def __init__(self, ambient_dim: int, basis: list, pivots: list):
-        self.ambient_dim = ambient_dim
-        self.basis = basis      # list of column vectors (lists of Scalar)
-        self._pivots = pivots   # pivot row per basis vector, strictly increasing
+    def __init__(self, ech: Echelon):
+        order = sorted(range(ech.rank), key=ech.pivot_cols.__getitem__)
+        self.ambient_dim = ech.ncols
+        self.basis = [ech.rrows[p] for p in order]   # list of vectors (lists of Scalar)
+        self._pivots = [ech.pivot_cols[p] for p in order]  # strictly increasing
+        self._ech = ech
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        basis: list = []
-        pivots: list = []
-        for raw in vectors:
-            v = list(raw)
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(f"vector length {len(v)} in ambient {ambient_dim}")
-            for b, p in zip(basis, pivots):
-                c = v[p]
-                if c:
-                    for i in range(ambient_dim):
-                        if b[i]:
-                            v[i] = v[i] - c * b[i]
-            piv = next((i for i, x in enumerate(v) if x), None)
-            if piv is None:
-                continue
-            inv = v[piv]
-            v = [x / inv for x in v]
-            for b in basis:
-                c = b[piv]
-                if c:
-                    for i in range(ambient_dim):
-                        if v[i]:
-                            b[i] = b[i] - c * v[i]
-            # keep pivot order sorted for canonical form
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < piv:
-                pos += 1
-            basis.insert(pos, v)
-            pivots.insert(pos, piv)
-        return Subspace(ambient_dim, basis, pivots)
+        ech = Echelon(Matrix.zero(0, ambient_dim))
+        for v in vectors:
+            ech.insert(v)
+        return Subspace(ech)
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace.from_vectors(n, Matrix.identity(n).transpose().data)
-
-    @staticmethod
-    def zero(n: int) -> "Subspace":
-        return Subspace(n, [], [])
+        return Subspace(Echelon(Matrix.identity(n)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        v = list(vec)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("ambient dimension mismatch")
-        for b, p in zip(self.basis, self._pivots):
-            c = v[p]
-            if c:
-                for i in range(self.ambient_dim):
-                    if b[i]:
-                        v[i] = v[i] - c * b[i]
-        return vec_is_zero(v)
+        return self._ech.contains(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -454,26 +390,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def subspace_equal(u: Subspace, v: Subspace) -> bool:
-    return u == v
-
-
-def subspace_leq(u: Subspace, v: Subspace) -> bool:
-    return u.leq(v)
-
-
 def column_space(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
 
 
 def rank_image_kernel(t: Matrix):
     """Rank, column space and null space of t (exact)."""
-    ech = Echelon(t.transpose())  # row space of t^T = column space of t
-    image = Subspace.from_vectors(t.rows, ech.rrows)
-    ech2 = Echelon(t)
-    kernel = Subspace.from_vectors(t.cols, ech2.nullspace())
+    image = Subspace(Echelon(t.transpose()))  # row space of t^T = column space of t
+    ech = Echelon(t)
+    kernel = Subspace.from_vectors(t.cols, ech.nullspace())
     rank = image.dim
-    assert rank == ech2.rank and rank + kernel.dim == t.cols  # rank-nullity
+    if rank != ech.rank or rank + kernel.dim != t.cols:
+        raise InvariantViolation(
+            f"rank-nullity fails: rank {rank} (row rank {ech.rank}), "
+            f"nullity {kernel.dim}, {t.cols} columns")
     return rank, image, kernel
 
 
@@ -493,43 +423,26 @@ def solve_linear(constraints, unknown_dim: int):
     if not rows:
         return [ZERO] * unknown_dim, Subspace.full(unknown_dim)
     a = Matrix.from_rows(rows)
-    ech = Echelon(a)
+    ech = Echelon(a, solvable=True)
     sol = ech.solve(rhs, a)
     if sol is None:
         raise Infeasible("constraint system has no solution")
     return sol, Subspace.from_vectors(unknown_dim, ech.nullspace())
 
 
-def solve_matrix_equation(a: Matrix, rhs_cols: list, col_order=None):
-    """Batch-solve a @ x = rhs for every rhs in rhs_cols.
-
-    Returns (solutions, nullspace_basis); each solution is None when its
-    system is infeasible.  Free variables are set to zero, following
-    col_order for pivot preference.
-    """
-    ech = Echelon(a, col_order=col_order)
-    sols = [ech.solve(r, a) for r in rhs_cols]
-    return sols, ech.nullspace()
-
-
 def invert(m: Matrix) -> Optional[Matrix]:
+    """The inverse of m, or None when m is not invertible."""
     if m.rows != m.cols:
         return None
-    ident = Matrix.identity(m.rows)
-    sols, null = solve_matrix_equation(m, [ident.col(j) for j in range(m.rows)])
-    if null or any(s is None for s in sols):
+    ech = Echelon(m, solvable=True)
+    if ech.rank < m.rows:
         return None
-    return Matrix.from_cols(sols)
-
-
-def _complement_of_kernel(t: Matrix) -> list:
-    """Coordinate vectors on the pivot variables of t: a complement of Ker(t)."""
-    ech = Echelon(t)
-    out = []
-    for pc in sorted(ech.pivot_cols):
-        v = [ZERO] * t.cols
-        v[pc] = ONE
-        out.append(v)
+    # full rank: reduced row p is the unit row of its pivot column, so the
+    # recorded combination of m's rows is that row of the inverse
+    out = Matrix.zero(m.rows, m.rows)
+    for pc, op in zip(ech.pivot_cols, ech.ops):
+        for k, v in op.items():
+            out.data[pc][k] = v
     return out
 
 
@@ -552,16 +465,19 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
     one_minus_f = Matrix.identity(n) - f
     if column_space(one_minus_f) != kernel_t:
         raise BadProjections("image(1-f) differs from kernel(t)")
-    # r is f on vectors t·xi (xi spanning a complement of Ker t) and 0 on Ran(1-e)
-    xis = _complement_of_kernel(t)
-    dom_cols = [t.apply(x) for x in xis]
-    img_cols = [f.apply(x) for x in xis]
+    # r is f on vectors t·xi and 0 on Ran(1-e), where the xi are the unit
+    # vectors on the pivot columns of t: they span a complement of Ker t
+    xis = []
+    for pc in sorted(Echelon(t).pivot_cols):
+        x = [ZERO] * n
+        x[pc] = ONE
+        xis.append(x)
+    basis_cols = [t.apply(x) for x in xis]
+    values = [f.apply(x) for x in xis]
     comp = Matrix.identity(n) - e
-    # extend t-image columns by independent columns of 1-e to a full basis
-    basis_cols = list(dom_cols)
-    values = list(img_cols)
-    span = SpanBuilder(n)
-    for c in dom_cols:
+    # extend the t-image columns by independent columns of 1-e to a full basis
+    span = Echelon(Matrix.zero(0, n))
+    for c in basis_cols:
         span.insert(c)
     for j in range(n):
         c = comp.col(j)
@@ -570,9 +486,9 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
             values.append([ZERO] * n)
     if len(basis_cols) != n:
         raise BadProjections("Ran(t) and Ran(1-e) do not span the space")
-    b = Matrix.from_cols(basis_cols)
-    binv = invert(b)
-    assert binv is not None
+    binv = invert(Matrix.from_cols(basis_cols))
+    if binv is None:
+        raise InvariantViolation("the extended basis of Ran(t) + Ran(1-e) is singular")
     r = Matrix.from_cols(values) * binv
     if t * r != e:
         raise BadProjections("constructed r fails t r = e")

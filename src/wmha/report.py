@@ -146,9 +146,6 @@ class VerificationReport:
         for r in results:
             self.add(r)
 
-    def has_failed(self, check_id: str) -> bool:
-        return any(c.check_id == check_id and c.status == FAIL for c in self.checks)
-
     def status_of(self, check_id: str) -> Optional[str]:
         got = [c.status for c in self.checks if c.check_id == check_id]
         if not got:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wmha.linalg import Matrix, SpanBuilder, rank_image_kernel, invert
+from wmha.linalg import Echelon, Matrix, rank_image_kernel, invert
 from wmha.scalars import ONE, ZERO, Scalar, rational
 
 
@@ -31,13 +31,13 @@ def random_projection_pair(rng, t: Matrix):
     _, image, kernel = rank_image_kernel(t)
 
     def projection_onto(subspace_basis, along_random):
-        span = SpanBuilder(n)
+        span = Echelon(Matrix.zero(0, n))
         cols = [list(b) for b in subspace_basis]
         for b in cols:
             span.insert(b)
         extra = []
         guard = 0
-        while span.dim < n:
+        while span.rank < n:
             guard += 1
             assert guard < 500, "complement search stalled"
             v = [random_scalar(rng) for _ in range(n)]
@@ -52,12 +52,12 @@ def random_projection_pair(rng, t: Matrix):
 
     e = projection_onto(image.basis, rng)
     # f projects onto a random complement of Ker(t) along Ker(t)
-    span = SpanBuilder(n)
+    span = Echelon(Matrix.zero(0, n))
     for b in kernel.basis:
         span.insert(list(b))
     comp = []
     guard = 0
-    while span.dim < n:
+    while span.rank < n:
         guard += 1
         assert guard < 500
         v = [random_scalar(rng) for _ in range(n)]

@@ -2,8 +2,7 @@ import pytest
 
 from wmha.algebras import (Algebra, Multiplier, ParentMismatch,
                            StarStructure, find_unit_or_local_units, flip_map,
-                           multiplier_algebra, opposite, tensor_algebra,
-                           validate_algebra, validate_star)
+                           multiplier_algebra, validate_algebra, validate_star)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix
 from wmha.scalars import ONE, ZERO, rational
@@ -85,15 +84,15 @@ def test_multiplier_algebra_unital_cases():
 
 
 def test_multiplier_algebra_closure_and_ideal():
-    from wmha.linalg import SpanBuilder
+    from wmha.linalg import Echelon
 
     a = convolution_algebra(preset("pair:2")).algebra
     basis = multiplier_algebra(a)
-    span = SpanBuilder(2 * a.dim * a.dim)
+    span = Echelon(Matrix.zero(0, 2 * a.dim * a.dim))
     for m in basis:
         span.insert(m.coords())
     embedded = [Multiplier.embed(a.basis_element(i)) for i in range(a.dim)]
-    emb_span = SpanBuilder(2 * a.dim * a.dim)
+    emb_span = Echelon(Matrix.zero(0, 2 * a.dim * a.dim))
     for m in embedded:
         assert span.contains(m.coords())
         emb_span.insert(m.coords())
@@ -118,7 +117,7 @@ def test_multiplier_embedding_roundtrip():
 def test_tensor_index_round_trip():
     for na in (1, 2, 3, 5):
         for nb in (1, 2, 4):
-            t = tensor_algebra(cyclic_group_algebra(na), cyclic_group_algebra(nb))
+            t = Algebra.tensor(cyclic_group_algebra(na), cyclic_group_algebra(nb))
             assert t.dim == na * nb
             for i in range(na):
                 for j in range(nb):
@@ -129,7 +128,7 @@ def test_tensor_index_round_trip():
 
 def test_tensor_products_are_legwise():
     a = cyclic_group_algebra(2)
-    t = tensor_algebra(a, a)
+    t = Algebra.tensor(a, a)
     for i1 in range(2):
         for j1 in range(2):
             for i2 in range(2):
@@ -140,23 +139,23 @@ def test_tensor_products_are_legwise():
 
 def test_tensor_of_nondegenerate_is_nondegenerate():
     a = convolution_algebra(preset("pair:2")).algebra
-    t = tensor_algebra(a, a)
+    t = Algebra.tensor(a, a)
     assert validate_algebra(t).nondegenerate
 
 
 def test_opposite_abelian_fixed_and_involutive():
     fun = function_algebra(preset("pair:2")).algebra
-    op = opposite(fun)
+    op = fun.opposite()
     for i in range(fun.dim):
         for j in range(fun.dim):
             assert op.mul_basis(i, j) == fun.mul_basis(i, j)
     conv = convolution_algebra(preset("pair:2")).algebra
-    opop = opposite(opposite(conv))
+    opop = conv.opposite().opposite()
     for i in range(conv.dim):
         for j in range(conv.dim):
             assert opop.mul_basis(i, j) == conv.mul_basis(i, j)
     # matrix units reverse: the opposite differs somewhere
-    op1 = opposite(conv)
+    op1 = conv.opposite()
     assert any(op1.mul_basis(i, j) != conv.mul_basis(i, j)
                for i in range(conv.dim) for j in range(conv.dim))
 

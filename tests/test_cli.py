@@ -110,7 +110,8 @@ def test_witnesses_refuses_failing_input(tmp_path, capsys):
 
 
 def test_reports_identical_across_processes(tmp_path):
-    # different interpreter hash seeds must not leak into the report
+    # different interpreter hash seeds must not leak into the report, and
+    # the engine's invariants must not depend on asserts (python -O)
     import os
     import subprocess
     import sys
@@ -123,17 +124,18 @@ def test_reports_identical_across_processes(tmp_path):
     python_path = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     outs = []
-    for seed in ("1", "2"):
-        report_path = tmp_path / f"proc_{seed}.json"
+    for seed, flags in (("1", []), ("2", []), ("1", ["-O"])):
+        report_path = tmp_path / f"proc_{seed}{''.join(flags)}.json"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=python_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "wmha.cli", "verify",
+            [sys.executable, *flags, "-m", "wmha.cli", "verify",
              "--preset", "bundle:cyclic:2:inf", "--model", "convolution",
              "--windows", "2", "--seed", "77", "--report", str(report_path)],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(report_path.read_bytes())
     assert outs[0] == outs[1]
+    assert outs[2] == outs[0]
 
 
 def test_classify_lines(capsys):

@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import (Algebra, Element, Multiplier, SparseVec, flip_map,
                        sparse_add_into, sparse_to_vec, vec_to_sparse,
                        StarStructure)
-from .coproducts import (CanonicalIdempotent, CoproductData, ProjectionMaps,
-                         apply_on_legs12, apply_on_legs13, apply_on_legs23,
-                         extend_delta, check_E_conditions, compute_E,
+from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
+                         IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
+                         ProjectionMaps, apply_on_legs12, apply_on_legs13,
+                         apply_on_legs23, extend_delta, check_E_conditions, compute_E,
                          _lbl, _lbl2, _lbl3, _mult_leg1, _mult_leg1_right,
                          _mult_leg2, _mult_leg2_right)
 from .linalg import (Echelon, Matrix, Subspace, column_space,
@@ -687,7 +688,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
                 if r.status != "pass":
                     cand_bad = r.detail
                     break
-        except Exception as exc:
+        except IllDefinedExtension as exc:
             cand_bad = str(exc)
     out.append(check("thm29-e-conditions", cand_bad is None,
                      "candidate idempotent satisfies the leg conditions",
@@ -871,7 +872,7 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
         e_cop = compute_E(cop)
         if e_cop.left != sigma * e.left * sigma or e_cop.right != sigma * e.right * sigma:
             cop_bad = "flipped-coproduct idempotent differs from sigma E"
-    except Exception as exc:
+    except (NoSuchIdempotent, NotIdempotent, AmbiguousE) as exc:
         cop_bad = f"flipped-coproduct idempotent: {exc}"
     out.append(check("regular-cop-idempotent", cop_bad is None,
                      "flipped-coproduct presentation has canonical idempotent sigma E",

@@ -4,7 +4,8 @@
     wmha witnesses [INPUT] [--preset NAME --model M]
     wmha classify [INPUT] [--preset NAME --model M]
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
+3 internal error: the engine itself failed, so no verdict and no report.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ def main(argv: Optional[list] = None) -> int:
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # an engine fault, not a counterexample: never reported as a verdict
+        import traceback  # only on this path, to keep start-up cheap
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ def matrix_to_sparse_json(m: Matrix) -> list:
         for j in range(m.cols):
             v = m.data[i][j]
             if v:
-                out.append([i, j, str(v.re), str(v.im)])
+                out.append([i, j, *v.to_strings()])
     return out
 
 
@@ -194,7 +194,7 @@ def model_to_document(model: GroupoidModel, with_witnesses: bool = True) -> dict
         "algebra": {
             "dim": alg.dim,
             "basis_labels": list(alg.basis_labels),
-            "structure": [[i, j, k, str(v.re), str(v.im)]
+            "structure": [[i, j, k, *v.to_strings()]
                           for i, j, k, v in alg.structure_entries()],
         },
         "coproduct": {

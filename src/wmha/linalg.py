@@ -396,6 +396,11 @@ def column_space(m: Matrix) -> Subspace:
 
 def rank_image_kernel(t: Matrix):
     """Rank, column space and null space of t (exact)."""
+    return _rank_image_kernel(t)[:3]
+
+
+def _rank_image_kernel(t: Matrix):
+    """rank_image_kernel(t), and the Echelon of t whose null space it took."""
     image = Subspace(Echelon(t.transpose()))  # row space of t^T = column space of t
     ech = Echelon(t)
     kernel = Subspace.from_vectors(t.cols, ech.nullspace())
@@ -404,7 +409,7 @@ def rank_image_kernel(t: Matrix):
         raise InvariantViolation(
             f"rank-nullity fails: rank {rank} (row rank {ech.rank}), "
             f"nullity {kernel.dim}, {t.cols} columns")
-    return rank, image, kernel
+    return rank, image, kernel, ech
 
 
 def solve_linear(constraints, unknown_dim: int):
@@ -459,7 +464,7 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
         raise BadProjections("e is not idempotent")
     if f * f != f:
         raise BadProjections("f is not idempotent")
-    rank, image_t, kernel_t = rank_image_kernel(t)
+    _, image_t, kernel_t, ech_t = _rank_image_kernel(t)
     if column_space(e) != image_t:
         raise BadProjections("image(e) differs from image(t)")
     one_minus_f = Matrix.identity(n) - f
@@ -468,7 +473,7 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
     # r is f on vectors t·xi and 0 on Ran(1-e), where the xi are the unit
     # vectors on the pivot columns of t: they span a complement of Ker t
     xis = []
-    for pc in sorted(Echelon(t).pivot_cols):
+    for pc in sorted(ech_t.pivot_cols):
         x = [ZERO] * n
         x[pc] = ONE
         xis.append(x)

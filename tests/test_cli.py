@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wmha.cli import main
 from wmha.fileio import model_to_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
@@ -184,3 +186,41 @@ def test_weak_hopf_presentation_via_antipode_path(tmp_path, capsys):
     assert blob["classification"]["unital"] is True
     ids = {c["id"] for c in blob["checks"]}
     assert "thm29-identities" in ids and "projections-solve" not in ids
+
+
+# one callee per site that turns a declared mathematical exception into a
+# failed check; an engine fault raised there must not read as a verdict
+ENGINE_FAULT_SITES = [
+    ("wmha.coproducts", "compute_E_from_flips"),     # idempotent-from-flips
+    ("wmha.antipodes", "generalized_inverse"),       # generalized-inverses
+    ("wmha.antipodes", "verify_via_antipode"),       # antipode path
+    ("wmha.antipodes", "check_E_conditions"),        # thm29-e-conditions
+    ("wmha.antipodes", "compute_E"),                 # regular-cop-idempotent
+]
+
+
+@pytest.mark.parametrize("module, name", ENGINE_FAULT_SITES,
+                         ids=[name for _, name in ENGINE_FAULT_SITES])
+def test_engine_fault_exits_three_without_verdict(module, name, monkeypatch,
+                                                  tmp_path, capsys):
+    import importlib
+
+    from wmha.linalg import InvariantViolation
+
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(name)
+        raise InvariantViolation(f"injected fault in {name}")
+
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    report_path = tmp_path / "report.json"
+    code = main(["verify", "--preset", "pair:2", "--model", "convolution",
+                 "--path", "both", "--report", str(report_path)])
+    captured = capsys.readouterr()
+    assert calls, f"{name} was not reached"
+    assert code == 3
+    assert not report_path.exists()
+    assert "fail" not in captured.out and "verdict" not in captured.out
+    assert f"internal error: InvariantViolation: injected fault in {name}" in captured.err
+    assert "Traceback" in captured.err

@@ -124,6 +124,29 @@ class Algebra:
                 sparse_add_into(out, self.mul_basis(i, j), c)
         return out
 
+    def mul_by_basis(self, x: SparseVec, j: int) -> SparseVec:
+        """x e_j"""
+        out: SparseVec = {}
+        for i, xi in x.items():
+            sparse_add_into(out, self.mul_basis(i, j), xi)
+        return out
+
+    def basis_times(self, i: int, y: SparseVec) -> SparseVec:
+        """e_i y"""
+        out: SparseVec = {}
+        for j, yj in y.items():
+            sparse_add_into(out, self.mul_basis(i, j), yj)
+        return out
+
+    def content_key(self) -> tuple:
+        """The multiplication table as a hashable value: equal keys mean
+        equal products.  A tensor product is keyed by its factors' keys."""
+        if self._factors is not None:
+            a, b = self._factors
+            return ("tensor", a.content_key(), b.content_key())
+        return (self.dim, tuple(sorted((ij, tuple(sorted(p.items())))
+                                       for ij, p in self._table.items() if p)))
+
     def element(self, coeffs) -> "Element":
         return Element(self, list(coeffs))
 
@@ -243,27 +266,27 @@ class Multiplier:
         """Violations of the three module laws, by name."""
         a = self.parent
         bad: List[str] = []
-        lcol = lambda j: dict(self.left.col_sparse(j))
-        rcol = lambda j: dict(self.right.col_sparse(j))
+        lcols = [dict(self.left.col_sparse(j)) for j in range(a.dim)]
+        rcols = [dict(self.right.col_sparse(j)) for j in range(a.dim)]
         for i in range(a.dim):
-            li = lcol(i)
-            ri = rcol(i)
+            li = lcols[i]
+            ri = rcols[i]
             for j in range(a.dim):
                 prod = a.mul_basis(i, j)
                 # left(e_i e_j) = left(e_i) e_j
                 lhs: SparseVec = {}
                 for k, v in prod.items():
-                    sparse_add_into(lhs, lcol(k), v)
-                if lhs != a.mul_sparse(li, {j: ONE}):
+                    sparse_add_into(lhs, lcols[k], v)
+                if lhs != a.mul_by_basis(li, j):
                     bad.append(f"left law fails at ({i},{j})")
                 # right(e_i e_j) = e_i right(e_j)
                 lhs2: SparseVec = {}
                 for k, v in prod.items():
-                    sparse_add_into(lhs2, rcol(k), v)
-                if lhs2 != a.mul_sparse({i: ONE}, rcol(j)):
+                    sparse_add_into(lhs2, rcols[k], v)
+                if lhs2 != a.basis_times(i, rcols[j]):
                     bad.append(f"right law fails at ({i},{j})")
                 # e_i left(e_j) = right(e_i) e_j
-                if a.mul_sparse({i: ONE}, lcol(j)) != a.mul_sparse(ri, {j: ONE}):
+                if a.basis_times(i, lcols[j]) != a.mul_by_basis(ri, j):
                     bad.append(f"link law fails at ({i},{j})")
                 if len(bad) >= max_witnesses:
                     return bad

@@ -433,8 +433,8 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
 
     valid_bad = None
     for a in range(n):
-        bad = eps_s[a].compatibility_failures(max_witnesses=1) or \
-            eps_t[a].compatibility_failures(max_witnesses=1)
+        bad = c.cache.multiplier_failures(eps_s[a], max_witnesses=1) or \
+            c.cache.multiplier_failures(eps_t[a], max_witnesses=1)
         if bad:
             valid_bad = f"source/target value at {_lbl(c, a)} is not a multiplier: {bad[0]}"
             break
@@ -676,7 +676,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     if e_left * e_left != e_left or e_right * e_right != e_right:
         cand_bad = "candidate idempotent is not idempotent"
     else:
-        fails = e_mult.compatibility_failures(max_witnesses=1)
+        fails = c.cache.multiplier_failures(e_mult, max_witnesses=1)
         if fails:
             cand_bad = f"candidate E is not a multiplier: {fails[0]}"
     e_obj = None
@@ -822,10 +822,11 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
     # that each pair is a multiplier of the half-opposite tensor square
     cop_alg_1 = Algebra.tensor(c.parent, c.parent.opposite())
     cop_alg_2 = Algebra.tensor(c.parent.opposite(), c.parent)
-    f_ok = f_ok and not Multiplier(cop_alg_1, f1[1], f1[0]).compatibility_failures(1)
-    f_ok = f_ok and not Multiplier(cop_alg_2, f2[0], f2[1]).compatibility_failures(1)
-    f_ok = f_ok and not Multiplier(cop_alg_1, f3[0], f3[1]).compatibility_failures(1)
-    f_ok = f_ok and not Multiplier(cop_alg_2, f4[1], f4[0]).compatibility_failures(1)
+    laws = c.cache.multiplier_failures
+    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f1[1], f1[0]), 1)
+    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f2[0], f2[1]), 1)
+    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f3[0], f3[1]), 1)
+    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f4[1], f4[0]), 1)
     out.append(check("regular-f-formulas", f_ok,
                      "F1..F4 from E are idempotent multipliers of the twisted squares",
                      "an F idempotent fails multiplier laws"))
@@ -868,7 +869,8 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
     # flipped-coproduct presentation: canonical idempotent must be sigma E
     cop_bad = None
     try:
-        cop = CoproductData(c.parent, sigma * t4 * sigma, sigma * t3 * sigma)
+        cop = CoproductData(c.parent, sigma * t4 * sigma, sigma * t3 * sigma,
+                            cache=c.cache)
         e_cop = compute_E(cop)
         if e_cop.left != sigma * e.left * sigma or e_cop.right != sigma * e.right * sigma:
             cop_bad = "flipped-coproduct idempotent differs from sigma E"

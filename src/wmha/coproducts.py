@@ -12,7 +12,7 @@ the kernels of T1/T2, and checks the kernel axiom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec,
                        sparse_add_into, sparse_to_vec, vec_to_sparse)
@@ -76,12 +76,42 @@ def _lbl3(c: "CoproductData", idx: int) -> str:
     return f"({_lbl(c, i)} (x) {_lbl(c, j)} (x) {_lbl(c, k)})"
 
 
+def _matrix_key(m: Matrix) -> tuple:
+    return (m.rows, m.cols, tuple((i, j, v) for i, row in enumerate(m.data)
+                                  for j, v in enumerate(row) if v))
+
+
+class RunCache:
+    """Results one verification run computes more than once, keyed by the
+    content of their inputs, never by object identity: canonical
+    idempotents per (tensor square, Ran T1, Ran T2) and multiplier-law
+    verdicts per (algebra, witness cap, actions).  A hit is the same
+    computation on equal inputs done earlier in the run, so every check
+    still runs and reads the same result.  Exceptions are not stored, and
+    stored matrices are never written."""
+
+    def __init__(self):
+        self.idempotents: Dict[tuple, "CanonicalIdempotent"] = {}
+        self._laws: Dict[tuple, Tuple[str, ...]] = {}
+
+    def multiplier_failures(self, m: Multiplier, max_witnesses: int) -> List[str]:
+        """m.compatibility_failures(max_witnesses), computed once per run."""
+        key = (m.parent.content_key(), max_witnesses,
+               _matrix_key(m.left), _matrix_key(m.right))
+        got = self._laws.get(key)
+        if got is None:
+            got = self._laws[key] = tuple(m.compatibility_failures(max_witnesses))
+        return list(got)
+
+
 class CoproductData:
     """Canonical maps of a coproduct on a validated algebra, plus the
-    caches shared by the whole verification pipeline."""
+    caches shared by the whole verification pipeline; `cache` is shared
+    by every CoproductData of one verification run."""
 
     def __init__(self, parent: Algebra, t1: Matrix, t2: Matrix,
-                 t3: Optional[Matrix] = None, t4: Optional[Matrix] = None):
+                 t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
+                 cache: Optional[RunCache] = None):
         n = parent.dim
         for name, t in (("T1", t1), ("T2", t2), ("T3", t3), ("T4", t4)):
             if t is not None and (t.rows != n * n or t.cols != n * n):
@@ -94,6 +124,7 @@ class CoproductData:
         self.aa = Algebra.tensor(parent, parent)
         self.n = n
         self.nn = n * n
+        self.cache = cache if cache is not None else RunCache()
         # (map name, alt) -> solvable Echelon of that map; alt reverses the
         # column order, so free variables are zeroed from the other end
         self._echelons: Dict[Tuple[str, bool], Echelon] = {}
@@ -549,8 +580,20 @@ def compute_E(c: CoproductData) -> CanonicalIdempotent:
     whose right action does the same for Ran(T2).
 
     Its columns are pinned down by non-degeneracy: E.x is the unique
-    member of Ran(T1) with v.(E.x) = v.x for every v in Ran(T2).
+    member of Ran(T1) with v.(E.x) = v.x for every v in Ran(T2).  It
+    depends on nothing else, so it is solved once per run for each
+    (tensor square, Ran T1, Ran T2) and bound to the caller's square.
     """
+    key = (c.aa.content_key(), tuple(map(tuple, c.ran_t1().basis)),
+           tuple(map(tuple, c.ran_t2().basis)))
+    got = c.cache.idempotents.get(key)
+    if got is None:
+        got = c.cache.idempotents[key] = _solve_E(c)
+    return CanonicalIdempotent(Multiplier(c.aa, got.left, got.right),
+                               got.left_rank, got.right_rank)
+
+
+def _solve_E(c: CoproductData) -> CanonicalIdempotent:
     nn = c.nn
     aa = c.aa
     b1 = c.ran_t1().basis
@@ -565,7 +608,7 @@ def compute_E(c: CoproductData) -> CanonicalIdempotent:
     e = Multiplier(aa, left, right)
     if left * left != left or right * right != right:
         raise NotIdempotent("solved canonical element is not idempotent")
-    bad = e.compatibility_failures(max_witnesses=1)
+    bad = c.cache.multiplier_failures(e, max_witnesses=1)
     if bad:
         raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad[0]}")
     return CanonicalIdempotent(e, c.ran_t1().dim, c.ran_t2().dim)
@@ -654,7 +697,7 @@ def compute_E_from_flips(c: CoproductData) -> Optional[CanonicalIdempotent]:
     """Recompute E from T3/T4 (their ranges prescribe the same element)."""
     if c.t3 is None or c.t4 is None:
         return None
-    flipped = CoproductData(c.parent, c.t4, c.t3)
+    flipped = CoproductData(c.parent, c.t4, c.t3, cache=c.cache)
     flipped.aa = c.aa
     return compute_E(flipped)
 
@@ -769,77 +812,69 @@ def delta13_action_right(c: CoproductData, y: Element, b: Element, a: Element) -
 # ---- extended legs of E and their conditions --------------------------------
 
 
-def _extended_leg_action(c: CoproductData, e: CanonicalIdempotent,
-                         first_leg: bool, x: Dict[int, Scalar],
-                         alt: bool = False) -> Dict[int, Scalar]:
-    """Left action of (coproduct (x) id)(E) (first_leg) or
-    (id (x) coproduct)(E) on a sparse triple-tensor vector.
+def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
+                          first_leg: bool, alt: bool) -> Iterator[SparseVec]:
+    """The columns, basis triple by basis triple, of the left action of
+    (coproduct (x) id)(E) (first_leg) or (id (x) coproduct)(E).
 
-    Recipe: push x through E (x) 1 (resp. 1 (x) E), split off the plain
-    leg, decompose the coproduct-shaped part through psi and the plain
-    leg through products, then apply E inside and reassemble.
+    Composed from four pieces (first leg; the second mirrors each one).
+    E (x) 1 sends e_i (x) e_j (x) e_k to E(e_i (x) e_j) (x) e_k; the psi
+    preimage writes E(e_i (x) e_j) as a sum of triples p (x) c (x) d;
+    the mu decomposition writes e_k as a sum of products u v; and the
+    legs of E turn (k, p (x) c (x) d) into psi(f (x) c (x) d) (x) g v
+    summed over E(e_p (x) e_u) = sum f (x) g.  The (k, p) and
+    (k, triple) pieces are built once and shared by every column.  alt
+    takes the preimages with the other pivot order.
     """
     n, nn = c.n, c.nn
-    if first_leg:
-        y = apply_on_legs12(e.left, x, n)
-    else:
-        y = apply_on_legs23(e.left, x, n)
-    # split: first_leg -> sum w_k (x) e_k (legs (1,2) coproduct-shaped);
-    # else  -> sum e_k (x) w_k (legs (2,3) coproduct-shaped)
-    parts: Dict[int, Dict[int, Scalar]] = {}
-    for idx, coeff in y.items():
+    psi = c.psi()
+    halves: Dict[Tuple[int, int], SparseVec] = {}
+    terms: Dict[Tuple[int, int], SparseVec] = {}
+
+    def half(k: int, p: int) -> SparseVec:
+        # sum over e_k = sum cf u v of E(e_p (x) e_u)(1 (x) v),
+        # or E(e_u (x) e_p)(v (x) 1) on the second leg
+        got = halves.get((k, p))
+        if got is None:
+            got = halves[k, p] = {}
+            for uu, vv, cf in c.mu_decomposition(k, alt=alt):
+                if first_leg:
+                    part = _mult_leg2_right(c, dict(e.left.col_sparse(c.aa.flatten(p, uu))), vv)
+                else:
+                    part = _mult_leg1_right(c, dict(e.left.col_sparse(c.aa.flatten(uu, p))), vv)
+                sparse_add_into(got, part, cf)
+        return got
+
+    def term(k: int, t: int) -> SparseVec:
+        # psi(a (x) c (x) d) (x) b, or a (x) psi(b (x) c (x) d), summed
+        # over a (x) b in half(k, p), for t = p (x) c (x) d
+        got = terms.get((k, t))
+        if got is None:
+            got = terms[k, t] = {}
+            p, cd = divmod(t, nn)
+            for ab, h in half(k, p).items():
+                a, b = divmod(ab, n)
+                if first_leg:
+                    sparse_add_into(got, {r * n + b: v for r, v in psi.col_sparse(a * nn + cd)}, h)
+                else:
+                    sparse_add_into(got, {a * nn + r: v for r, v in psi.col_sparse(b * nn + cd)}, h)
+        return got
+
+    for idx in range(n * nn):
         if first_leg:
             ij, k = divmod(idx, n)
         else:
             k, ij = divmod(idx, nn)
-        parts.setdefault(k, {})[ij] = coeff
-    out: Dict[int, Scalar] = {}
-    for k, w in sorted(parts.items()):
-        zvec = c.psi_preimage(w, alt=alt)
-        if zvec is None:
-            raise IllDefinedExtension(
-                "extended leg action: component escapes the coproduct range")
-        terms = sorted(zvec.items())
-        for uu, vv, cf in c.mu_decomposition(k, alt=alt):
-            for idx, v in terms:
-                p, cd = divmod(idx, nn)
-                cc, dd = divmod(cd, n)
-                coeff = cf * v
-                if first_leg:
-                    ez = dict(e.left.col_sparse(c.aa.flatten(p, uu)))
-                else:
-                    ez = dict(e.left.col_sparse(c.aa.flatten(uu, p)))
-                for fg, w2 in ez.items():
-                    f, g = divmod(fg, n)
-                    if first_leg:
-                        # psi(f (x) c (x) d) (x) (g v)
-                        base = dict(_psi_col_sparse(c, f, cc, dd))
-                        gv = c.parent.mul_basis(g, vv)
-                        for t, tv in base.items():
-                            for q, qv in gv.items():
-                                key = t * n + q
-                                s = out.get(key, ZERO) + coeff * w2 * tv * qv
-                                if s:
-                                    out[key] = s
-                                elif key in out:
-                                    del out[key]
-                    else:
-                        # (f v) (x) psi(g (x) c (x) d)
-                        base = dict(_psi_col_sparse(c, g, cc, dd))
-                        fv = c.parent.mul_basis(f, vv)
-                        for q, qv in fv.items():
-                            for t, tv in base.items():
-                                key = q * nn + t
-                                s = out.get(key, ZERO) + coeff * w2 * qv * tv
-                                if s:
-                                    out[key] = s
-                                elif key in out:
-                                    del out[key]
-    return out
-
-
-def _psi_col_sparse(c: CoproductData, p: int, cc: int, dd: int):
-    return c.psi().col_sparse((p * c.n + cc) * c.n + dd)
+        out: SparseVec = {}
+        w = e.left.col_sparse(ij)
+        if w:
+            zvec = c.psi_preimage(dict(w), alt=alt)
+            if zvec is None:
+                raise IllDefinedExtension(
+                    "extended leg action: component escapes the coproduct range")
+            for t, v in sorted(zvec.items()):
+                sparse_add_into(out, term(k, t), v)
+        yield out
 
 
 def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
@@ -854,14 +889,18 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
     agree_bad = None
     dominated_bad = None
 
-    # columns of both extended legs, with the shifted-pivot recomputation
-    d1cols: List[Dict[int, Scalar]] = []
-    for idx in range(nnn):
-        x = {idx: ONE}
-        d1 = _extended_leg_action(c, e, True, x)
-        if d1 != _extended_leg_action(c, e, True, x, alt=True):
-            raise IllDefinedExtension(f"(coproduct x id)(E) ill-defined at {_lbl3(c, idx)}")
-        d1cols.append(d1)
+    # columns of both extended legs, each equal to its shifted-pivot
+    # recomputation; triple by triple, so the first failure is reported
+    d1cols: List[SparseVec] = []
+    d2cols: List[SparseVec] = []
+    for first_leg, cols, name in ((True, d1cols, "(coproduct x id)(E)"),
+                                  (False, d2cols, "(id x coproduct)(E)")):
+        pairs = zip(_extended_leg_columns(c, e, first_leg, alt=False),
+                    _extended_leg_columns(c, e, first_leg, alt=True))
+        for idx, (col, alt_col) in enumerate(pairs):
+            if col != alt_col:
+                raise IllDefinedExtension(f"{name} ill-defined at {_lbl3(c, idx)}")
+            cols.append(col)
 
     def d1_apply(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
         acc: Dict[int, Scalar] = {}
@@ -878,10 +917,7 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
         if p12 != p21 and commute_bad is None:
             commute_bad = f"(E x 1)(1 x E) != (1 x E)(E x 1) at {_lbl3(c, idx)}"
         d1 = d1cols[idx]
-        d2 = _extended_leg_action(c, e, False, x)
-        if d2 != _extended_leg_action(c, e, False, x, alt=True):
-            raise IllDefinedExtension(f"(id x coproduct)(E) ill-defined at {_lbl3(c, idx)}")
-        if d1 != d2 and agree_bad is None:
+        if d1 != d2cols[idx] and agree_bad is None:
             agree_bad = f"two extended legs of E differ at {_lbl3(c, idx)}"
         if d1 != p12 and formula_bad is None:
             formula_bad = f"(coproduct x id)(E) != (E x 1)(1 x E) at {_lbl3(c, idx)}"

@@ -24,6 +24,11 @@ from .report import digest_of
 from .scalars import Scalar
 
 
+# each canonical map is held as a dense dim^2 x dim^2 matrix: a larger
+# dim would exhaust memory while the document is still being read
+MAX_DIM = 32
+
+
 class ParseError(Exception):
     pass
 
@@ -47,12 +52,26 @@ def _scalar_pair(re, im, where: str) -> Scalar:
     return _scalar({"re": str(re), "im": str(im)}, where)
 
 
+def _int(value, where: str) -> int:
+    """A JSON integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: {value!r} is not an integer")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def sparse_matrix_from_json(entries, rows: int, cols: int, where: str) -> Matrix:
     m = Matrix.zero(rows, cols)
-    for ent in entries:
-        if len(ent) != 4:
+    for ent in _list(entries, where):
+        if not isinstance(ent, list) or len(ent) != 4:
             raise ParseError(f"{where}: entries must be [row, col, re, im]")
         r, c, re, im = ent
+        r, c = _int(r, where), _int(c, where)
         if not (0 <= r < rows and 0 <= c < cols):
             raise ShapeError(f"{where}: entry ({r},{c}) outside {rows}x{cols}")
         m.data[r][c] = _scalar_pair(re, im, where)
@@ -70,6 +89,8 @@ def matrix_to_sparse_json(m: Matrix) -> list:
 
 
 def dense_matrix_from_json(rows, dim: int, where: str) -> Matrix:
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+        raise ParseError(f"{where}: dense matrix must be a list of rows")
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ShapeError(f"{where}: dense matrix must be {dim}x{dim}")
     return Matrix.from_rows(
@@ -81,7 +102,7 @@ def dense_matrix_to_json(m: Matrix) -> list:
 
 
 def vector_from_json(values, dim: int, where: str) -> list:
-    if len(values) != dim:
+    if len(_list(values, where)) != dim:
         raise ShapeError(f"{where}: vector length {len(values)} differs from {dim}")
     return [_scalar(v, where) for v in values]
 
@@ -91,19 +112,25 @@ def vector_to_json(vec) -> list:
 
 
 def algebra_from_json(doc: dict) -> Algebra:
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError("algebra needs an integer \"dim\"") from exc
+    dim = doc.get("dim") if isinstance(doc, dict) else None
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise ParseError("algebra needs a non-negative integer \"dim\"")
+    if dim > MAX_DIM:
+        raise ShapeError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
     labels = doc.get("basis_labels")
-    if labels is not None and len(labels) != dim:
-        raise ShapeError("basis_labels length differs from dim")
+    if labels is not None:
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ParseError("basis_labels must be a list of strings")
+        if len(labels) != dim:
+            raise ShapeError("basis_labels length differs from dim")
     entries = []
-    for ent in doc.get("structure", []):
-        if len(ent) != 5:
+    for ent in _list(doc.get("structure", []), "structure"):
+        if not isinstance(ent, list) or len(ent) != 5:
             raise ParseError("structure entries must be [i, j, k, re, im]")
-        i, j, k, re, im = ent
-        entries.append((int(i), int(j), int(k), _scalar_pair(re, im, "structure")))
+        i, j, k = (_int(x, "structure") for x in ent[:3])
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ShapeError(f"structure: index ({i},{j},{k}) outside dim {dim}")
+        entries.append((i, j, k, _scalar_pair(ent[3], ent[4], "structure")))
     return Algebra.from_structure(dim, labels, entries)
 
 
@@ -149,8 +176,9 @@ def parse_document(doc: dict) -> InputDocument:
     counit = vector_from_json(doc["counit"], n, "counit") if "counit" in doc else None
     star = None
     if "star" in doc:
-        star = StarStructure(alg, dense_matrix_from_json(
-            doc["star"].get("matrix", doc["star"]), n, "star"))
+        ssec = doc["star"]
+        rows = ssec.get("matrix") if isinstance(ssec, dict) else ssec
+        star = StarStructure(alg, dense_matrix_from_json(rows, n, "star"))
     antipode = dense_matrix_from_json(doc["antipode"], n, "antipode") \
         if "antipode" in doc else None
     e_pair = None
@@ -171,7 +199,7 @@ def groupoid_from_json(doc: dict) -> FiniteGroupoid:
         target = {str(k): str(v) for k, v in doc["target"].items()}
         compose = {(str(p), str(q)): str(r) for p, q, r in doc["compose"]}
         inverse = {str(k): str(v) for k, v in doc["inverse"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed groupoid section: {exc}") from exc
     return FiniteGroupoid(morphisms, source, target, compose, inverse)
 

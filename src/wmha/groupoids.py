@@ -66,6 +66,9 @@ def validate_groupoid(g: FiniteGroupoid) -> GroupoidDiagnostics:
             continue
         if g.inverse.get(p) not in mset:
             bad.append(f"inverse of {p} missing")
+    for p, q in g.compose:
+        if p not in mset or q not in mset:
+            bad.append(f"compose({p},{q}) defined on a non-morphism")
     if bad:
         return GroupoidDiagnostics(bad)
 

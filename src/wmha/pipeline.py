@@ -17,7 +17,7 @@ from . import antipodes as ant
 from . import coproducts as cop
 from .algebras import (Algebra, Element, StarStructure,
                        validate_algebra)
-from .coproducts import CanonicalIdempotent, CoproductData, ProjectionMaps
+from .coproducts import CanonicalIdempotent, CoproductData, ProjectionMaps, RunCache
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         build_model, check_duality_pairing, local_unit_for,
                         validate_groupoid)
@@ -60,7 +60,11 @@ class StructureInput:
 
 def verify_structure(inp: StructureInput, path: str = "def114",
                      oracle: Optional[GroupoidModel] = None,
-                     recurse: bool = True) -> Tuple[VerificationReport, RunContext]:
+                     recurse: bool = True,
+                     cache: Optional[RunCache] = None) -> Tuple[VerificationReport, RunContext]:
+    """Run the checks on inp.  A top-level call (cache None) starts a
+    fresh RunCache; the nested opposite-presentation run shares its
+    caller's."""
     report = VerificationReport()
     ctx = RunContext(algebra=inp.algebra)
     blocker: Optional[str] = None
@@ -105,7 +109,7 @@ def verify_structure(inp: StructureInput, path: str = "def114",
         report.classification = _classification(ctx, report, oracle)
         return report, ctx
 
-    c = CoproductData(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4)
+    c = CoproductData(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4, cache=cache)
     ctx.coproduct = c
     for r in cop.validate_coproduct(c):
         block_on(r)
@@ -302,7 +306,8 @@ def _op_round_trip(report, ctx, c, w, t3, t4):
     """Re-verify the opposite presentation; its antipode must invert S,
     and its canonical idempotent must be E with the two actions swapped."""
     op_inp = StructureInput(c.parent.opposite(), t3, t4, c.t1, c.t2)
-    op_report, op_ctx = verify_structure(op_inp, path="def114", recurse=False)
+    op_report, op_ctx = verify_structure(op_inp, path="def114", recurse=False,
+                                         cache=c.cache)
     ok = op_report.verdict == PASS
     detail = ""
     if not ok:

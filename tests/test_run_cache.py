@@ -1,0 +1,106 @@
+"""Scope of the per-run cache: within one verification the multiplier-law
+kernel and the E solve run once per distinct input, and nothing is
+carried from one verification to the next."""
+
+import pytest
+
+from wmha import antipodes, coproducts
+from wmha.algebras import Multiplier, flip_map
+from wmha.coproducts import RunCache
+from wmha.groupoids import convolution_algebra, function_algebra, preset
+from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
+from wmha.report import PASS
+
+
+def _table(algebra):
+    return tuple(algebra.structure_entries())
+
+
+def _dense(m):
+    return tuple(map(tuple, m.data))
+
+
+def _dense_basis(space):
+    return tuple(map(tuple, space.basis))
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Content of every law-kernel run and E solve, and the number of
+    requests that reached the cache."""
+    log = {"laws": [], "solves": [], "law_requests": 0, "e_requests": 0}
+
+    kernel = Multiplier.compatibility_failures
+
+    def counted_kernel(self, max_witnesses=3):
+        log["laws"].append((_table(self.parent), max_witnesses,
+                            _dense(self.left), _dense(self.right)))
+        return kernel(self, max_witnesses)
+
+    solve = coproducts._solve_E
+
+    def counted_solve(c):
+        log["solves"].append((_table(c.aa), _dense_basis(c.ran_t1()),
+                              _dense_basis(c.ran_t2())))
+        return solve(c)
+
+    request = RunCache.multiplier_failures
+
+    def counted_request(self, m, max_witnesses):
+        log["law_requests"] += 1
+        return request(self, m, max_witnesses)
+
+    compute_E = coproducts.compute_E
+
+    def counted_compute_E(c):
+        log["e_requests"] += 1
+        return compute_E(c)
+
+    monkeypatch.setattr(Multiplier, "compatibility_failures", counted_kernel)
+    monkeypatch.setattr(coproducts, "_solve_E", counted_solve)
+    monkeypatch.setattr(RunCache, "multiplier_failures", counted_request)
+    monkeypatch.setattr(coproducts, "compute_E", counted_compute_E)
+    monkeypatch.setattr(antipodes, "compute_E", counted_compute_E)
+    return log
+
+
+@pytest.mark.parametrize("kind", ["convolution", "function"])
+def test_work_runs_once_per_key_and_doubles_across_runs(kind, work):
+    report, _ = verify_groupoid_model(preset("pair:2"), kind, path="both")
+    assert report.verdict == PASS
+    laws, solves = list(work["laws"]), list(work["solves"])
+    # once per distinct key ...
+    assert len(set(laws)) == len(laws)
+    assert len(set(solves)) == len(solves)
+    # ... while the run asked more often than that
+    assert work["law_requests"] > len(laws) > 0
+    assert work["e_requests"] > len(solves) > 0
+
+    first = report.to_json()
+    report, _ = verify_groupoid_model(preset("pair:2"), kind, path="both")
+    assert report.to_json() == first
+    # a second run recomputes everything: no state crossed the runs
+    assert work["laws"] == laws + laws
+    assert work["solves"] == solves + solves
+
+
+@pytest.mark.parametrize("name, kind, candidate, check_id, detail", [
+    ("pair:2", "convolution", "swap", "thm29-e-conditions",
+     "candidate E is not a multiplier: left law fails at (0,1)"),
+    ("pair:2", "function", "flip", "thm29-e-conditions",
+     "extended leg action: component escapes the coproduct range"),
+])
+def test_failing_E_checks_keep_their_detail(name, kind, candidate, check_id, detail):
+    # a wrong candidate idempotent next to the computed one: the run shares
+    # laws and E solves between both paths, and the failure reads as before
+    m = (convolution_algebra if kind == "convolution" else function_algebra)(preset(name))
+    sigma = flip_map(m.algebra.dim)
+    e_pair = {"swap": (m.oracle_e_right, m.oracle_e_left),
+              "flip": (sigma * m.oracle_e_left * sigma,
+                       sigma * m.oracle_e_right * sigma)}[candidate]
+    inp = StructureInput(m.algebra, m.t1, m.t2, m.t3, m.t4,
+                         antipode=m.oracle_s, e_pair=e_pair)
+    report, _ = verify_structure(inp, path="both")
+    fails = [(r.check_id, r.detail) for r in report.checks if r.status == "fail"]
+    assert fails == [("thm29-e-ranges", "T R differs from the candidate idempotent action"),
+                     (check_id, detail)]

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (Echelon, Matrix,
                      solve_linear, Infeasible, DimensionMismatch)
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
 
 
 class ParentMismatch(Exception):
@@ -35,15 +35,6 @@ def sparse_to_vec(s: SparseVec, n: int) -> list:
     for i, v in s.items():
         out[i] = v
     return out
-
-
-def sparse_add_into(acc: SparseVec, s: SparseVec, coeff: Scalar = ONE) -> None:
-    for i, v in s.items():
-        t = acc.get(i, ZERO) + coeff * v
-        if t:
-            acc[i] = t
-        elif i in acc:
-            del acc[i]
 
 
 class Algebra:
@@ -115,28 +106,26 @@ class Algebra:
                     yield i, j, k, v
 
     def mul_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        out: SparseVec = {}
+        acc: dict = {}
+        mul_basis = self.mul_basis
         for i, xi in x.items():
             for j, yj in y.items():
-                c = xi * yj
-                if not c:
-                    continue
-                sparse_add_into(out, self.mul_basis(i, j), c)
-        return out
+                _accumulate(acc, mul_basis(i, j).items(), xi, yj)
+        return _settle(acc)
 
     def mul_by_basis(self, x: SparseVec, j: int) -> SparseVec:
         """x e_j"""
-        out: SparseVec = {}
+        acc: dict = {}
         for i, xi in x.items():
-            sparse_add_into(out, self.mul_basis(i, j), xi)
-        return out
+            _accumulate(acc, self.mul_basis(i, j).items(), xi)
+        return _settle(acc)
 
     def basis_times(self, i: int, y: SparseVec) -> SparseVec:
         """e_i y"""
-        out: SparseVec = {}
+        acc: dict = {}
         for j, yj in y.items():
-            sparse_add_into(out, self.mul_basis(i, j), yj)
-        return out
+            _accumulate(acc, self.mul_basis(i, j).items(), yj)
+        return _settle(acc)
 
     def content_key(self) -> tuple:
         """The multiplication table as a hashable value: equal keys mean
@@ -160,25 +149,15 @@ class Algebra:
 
     def mult_operator_left(self, x: "Element") -> Matrix:
         """Matrix of a -> x*a."""
-        m = Matrix.zero(self.dim, self.dim)
-        for i, xi in enumerate(x.coeffs):
-            if not xi:
-                continue
-            for j in range(self.dim):
-                for k, v in self.mul_basis(i, j).items():
-                    m.data[k][j] = m.data[k][j] + xi * v
-        return m
+        xs = vec_to_sparse(x.coeffs)
+        return Matrix.from_cols([sparse_to_vec(self.mul_by_basis(xs, j), self.dim)
+                                 for j in range(self.dim)], rows=self.dim)
 
     def mult_operator_right(self, x: "Element") -> Matrix:
         """Matrix of a -> a*x."""
-        m = Matrix.zero(self.dim, self.dim)
-        for j, xj in enumerate(x.coeffs):
-            if not xj:
-                continue
-            for i in range(self.dim):
-                for k, v in self.mul_basis(i, j).items():
-                    m.data[k][i] = m.data[k][i] + xj * v
-        return m
+        xs = vec_to_sparse(x.coeffs)
+        return Matrix.from_cols([sparse_to_vec(self.basis_times(i, xs), self.dim)
+                                 for i in range(self.dim)], rows=self.dim)
 
     def left_mult_matrix_basis(self, i: int) -> Matrix:
         return self.mult_operator_left(self.basis_element(i))
@@ -274,16 +253,10 @@ class Multiplier:
             for j in range(a.dim):
                 prod = a.mul_basis(i, j)
                 # left(e_i e_j) = left(e_i) e_j
-                lhs: SparseVec = {}
-                for k, v in prod.items():
-                    sparse_add_into(lhs, lcols[k], v)
-                if lhs != a.mul_by_basis(li, j):
+                if self.left.apply_sparse(prod) != a.mul_by_basis(li, j):
                     bad.append(f"left law fails at ({i},{j})")
                 # right(e_i e_j) = e_i right(e_j)
-                lhs2: SparseVec = {}
-                for k, v in prod.items():
-                    sparse_add_into(lhs2, rcols[k], v)
-                if lhs2 != a.basis_times(i, rcols[j]):
+                if self.right.apply_sparse(prod) != a.basis_times(i, rcols[j]):
                     bad.append(f"right law fails at ({i},{j})")
                 # e_i left(e_j) = right(e_i) e_j
                 if a.basis_times(i, lcols[j]) != a.mul_by_basis(ri, j):
@@ -369,13 +342,7 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
         for j in range(a.dim):
             ij = a.mul_basis(i, j)
             for k in range(a.dim):
-                lhs: SparseVec = {}
-                for p, v in ij.items():
-                    sparse_add_into(lhs, a.mul_basis(p, k), v)
-                rhs: SparseVec = {}
-                for q, v in a.mul_basis(j, k).items():
-                    sparse_add_into(rhs, a.mul_basis(i, q), v)
-                if lhs != rhs:
+                if a.mul_by_basis(ij, k) != a.basis_times(i, a.mul_basis(j, k)):
                     assoc = False
                     witness = (i, j, k)
                     break
@@ -451,45 +418,31 @@ def multiplier_algebra(a: Algebra) -> List[Multiplier]:
     def ridx(r, c):
         return n * n + c * n + r
 
+    def law(plus, minus):
+        """The constraint row Σ plus − Σ minus over (unknown, value) pairs."""
+        acc: dict = {}
+        _accumulate(acc, plus)
+        _accumulate(acc, minus, -ONE)
+        return sparse_to_vec(_settle(acc), nun), ZERO
+
     constraints = []
     for i in range(n):
         for j in range(n):
             prod = a.mul_basis(i, j)
-            # L(e_i e_j) = L(e_i) e_j   rows over output coordinate k
             rm_j = a.right_mult_matrix_basis(j)
-            for k in range(n):
-                row = [ZERO] * nun
-                for p, v in prod.items():
-                    row[lidx(k, p)] = row[lidx(k, p)] + v
-                for q in range(n):
-                    c = rm_j.data[k][q]
-                    if c:
-                        row[lidx(q, i)] = row[lidx(q, i)] - c
-                constraints.append((row, ZERO))
-            # R(e_i e_j) = e_i R(e_j)
             lm_i = a.left_mult_matrix_basis(i)
+            # L(e_i e_j) = L(e_i) e_j   rows over output coordinate k
             for k in range(n):
-                row = [ZERO] * nun
-                for p, v in prod.items():
-                    row[ridx(k, p)] = row[ridx(k, p)] + v
-                for q in range(n):
-                    c = lm_i.data[k][q]
-                    if c:
-                        row[ridx(q, j)] = row[ridx(q, j)] - c
-                constraints.append((row, ZERO))
+                constraints.append(law([(lidx(k, p), v) for p, v in prod.items()],
+                                       [(lidx(q, i), c) for q, c in enumerate(rm_j.data[k])]))
+            # R(e_i e_j) = e_i R(e_j)
+            for k in range(n):
+                constraints.append(law([(ridx(k, p), v) for p, v in prod.items()],
+                                       [(ridx(q, j), c) for q, c in enumerate(lm_i.data[k])]))
             # e_i L(e_j) = R(e_i) e_j
-            rm_j2 = a.right_mult_matrix_basis(j)
             for k in range(n):
-                row = [ZERO] * nun
-                for q in range(n):
-                    c = lm_i.data[k][q]
-                    if c:
-                        row[lidx(q, j)] = row[lidx(q, j)] + c
-                for q in range(n):
-                    c = rm_j2.data[k][q]
-                    if c:
-                        row[ridx(q, i)] = row[ridx(q, i)] - c
-                constraints.append((row, ZERO))
+                constraints.append(law([(lidx(q, j), c) for q, c in enumerate(lm_i.data[k])],
+                                       [(ridx(q, i), c) for q, c in enumerate(rm_j.data[k])]))
     _, space = solve_linear(constraints, nun)
     out = []
     for vec in space.basis:

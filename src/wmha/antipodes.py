@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec, flip_map,
-                       sparse_add_into, sparse_to_vec, vec_to_sparse,
-                       StarStructure)
+                       sparse_to_vec, vec_to_sparse, StarStructure)
 from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
                          ProjectionMaps, apply_on_legs12, apply_on_legs13,
-                         apply_on_legs23, extend_delta, check_E_conditions, compute_E,
+                         apply_on_legs23, extend_delta, compute_E,
                          _lbl, _lbl2, _lbl3, _mult_leg1, _mult_leg1_right,
                          _mult_leg2, _mult_leg2_right)
-from .linalg import (Echelon, Matrix, Subspace, column_space,
+from .linalg import (Echelon, Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
 from .report import CheckResult, check, failed, passed, skipped
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle, _sum_products
 
 
 class AntipodesDisagree(Exception):
@@ -78,14 +77,12 @@ def _r_module_witness(c: CoproductData, r1: Matrix, r2: Matrix) -> Optional[str]
             col1 = dict(r1.col_sparse(a * n + b))
             col2 = dict(r2.col_sparse(a * n + b))
             for x in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(b, x).items():
-                    sparse_add_into(lhs, dict(r1.col_sparse(a * n + k)), v)
+                lhs = r1.apply_sparse({a * n + k: v
+                                       for k, v in c.parent.mul_basis(b, x).items()})
                 if lhs != _mult_leg2_right(c, col1, x):
                     return f"R1 module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, x)})"
-                lhs2: SparseVec = {}
-                for k, v in c.parent.mul_basis(x, a).items():
-                    sparse_add_into(lhs2, dict(r2.col_sparse(k * n + b)), v)
+                lhs2 = r2.apply_sparse({k * n + b: v
+                                        for k, v in c.parent.mul_basis(x, a).items()})
                 if lhs2 != _mult_leg1(c, x, col2):
                     return f"R2 module law fails at ({_lbl(c, x)}, {_lbl(c, a)}, {_lbl(c, b)})"
     return None
@@ -105,15 +102,27 @@ class AntipodeWitness:
 
     def s_mult(self, parent: Algebra, coeffs) -> Multiplier:
         """S applied to an element, as a multiplier (linear extension)."""
-        n = parent.dim
-        left = Matrix.zero(n, n)
-        right = Matrix.zero(n, n)
-        for a, ca in enumerate(coeffs):
-            if not ca:
-                continue
-            left = left + self.s_left[a].scale(ca)
-            right = right + self.s_right[a].scale(ca)
-        return Multiplier(parent, left, right)
+        return _combine_multipliers(parent, self.s_left, self.s_right,
+                                    vec_to_sparse(coeffs))
+
+
+def _combine_multipliers(parent: Algebra, lefts: List[Matrix], rights: List[Matrix],
+                         coeffs: SparseVec) -> Multiplier:
+    """Σ_k coeffs[k]·(lefts[k], rights[k]) as a multiplier."""
+    n = parent.dim
+    return Multiplier(parent,
+                      _combination(((v, lefts[k]) for k, v in coeffs.items()), n, n),
+                      _combination(((v, rights[k]) for k, v in coeffs.items()), n, n))
+
+
+def _multiply_legs(c: CoproductData, x) -> SparseVec:
+    """The product map m(p (x) q) = pq applied to the (index, value)
+    pairs of a tensor-square vector."""
+    n = c.n
+    acc: dict = {}
+    for row, v in x:
+        _accumulate(acc, c.parent.mul_basis(row // n, row % n).items(), v)
+    return _settle(acc)
 
     @property
     def regular(self) -> bool:
@@ -133,14 +142,12 @@ def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
         left = Matrix.zero(n, n)
         right = Matrix.zero(n, n)
         for b in range(n):
-            for row, v in r1.col_sparse(a * n + b):
-                i, j = divmod(row, n)
-                if counit[i]:
-                    left.data[j][b] = left.data[j][b] + counit[i] * v
-            for row, v in r2.col_sparse(b * n + a):
-                i, j = divmod(row, n)
-                if counit[j]:
-                    right.data[i][b] = right.data[i][b] + counit[j] * v
+            for j, v in _sum_products((row % n, counit[row // n], v)
+                                      for row, v in r1.col_sparse(a * n + b)).items():
+                left.data[j][b] = v
+            for i, v in _sum_products((row // n, counit[row % n], v)
+                                      for row, v in r2.col_sparse(b * n + a)).items():
+                right.data[i][b] = v
         s_left.append(left)
         s_right.append(right)
 
@@ -150,16 +157,12 @@ def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
         for i in range(n):
             li = dict(s_left[a].col_sparse(i))
             for j in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(i, j).items():
-                    sparse_add_into(lhs, dict(s_left[a].col_sparse(k)), v)
-                if lhs != c.parent.mul_sparse(li, {j: ONE}):
+                prod = c.parent.mul_basis(i, j)
+                if s_left[a].apply_sparse(prod) != c.parent.mul_sparse(li, {j: ONE}):
                     law_bad = f"S1({_lbl(c, a)}) is not a left multiplier at ({_lbl(c, i)},{_lbl(c, j)})"
                     break
-                rhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(i, j).items():
-                    sparse_add_into(rhs, dict(s_right[a].col_sparse(k)), v)
-                if rhs != c.parent.mul_sparse({i: ONE}, dict(s_right[a].col_sparse(j))):
+                if s_right[a].apply_sparse(prod) != \
+                        c.parent.mul_sparse({i: ONE}, dict(s_right[a].col_sparse(j))):
                     law_bad = f"S2({_lbl(c, a)}) is not a right multiplier at ({_lbl(c, i)},{_lbl(c, j)})"
                     break
             if law_bad:
@@ -214,37 +217,28 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
     def mulv(x: SparseVec, y: SparseVec) -> SparseVec:
         return c.parent.mul_sparse(x, y)
 
-    def contract_pairs(col) -> SparseVec:
-        acc: SparseVec = {}
-        for row, v in col:
-            i, j = divmod(row, n)
-            sparse_add_into(acc, c.parent.mul_basis(i, j), v)
-        return acc
-
     # both counit-style identities, in left- and right-contracted form;
     # the source/target values enter through their G-contraction form
     bad = None
     for a in range(n):
         for b in range(n):
-            if contract_pairs(g.g1.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
+            if _multiply_legs(c, g.g1.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
                 bad = f"sum a1 S(a2) a3 = a fails against ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
-            if contract_pairs(g.g2.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
+            if _multiply_legs(c, g.g2.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
                 bad = f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
             # sum S(a1) a2 S(a3) = S(a)
-            acc: SparseVec = {}
+            acc: dict = {}
             for row, v in w.r1.col_sparse(a * n + b):
-                p, q = divmod(row, n)
-                sparse_add_into(acc, _epsi_g1(c, g, counit, p, q), v)
-            if acc != dict(w.s_left[a].col_sparse(b)):
+                _accumulate(acc, _epsi_g1(c, g, counit, row // n, row % n).items(), v)
+            if _settle(acc) != dict(w.s_left[a].col_sparse(b)):
                 bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
-            acc2: SparseVec = {}
+            acc = {}
             for row, v in w.r2.col_sparse(b * n + a):
-                u, vv = divmod(row, n)
-                sparse_add_into(acc2, _ieps_g2(c, g, counit, u, vv), v)
-            if acc2 != dict(w.s_right[a].col_sparse(b)):
+                _accumulate(acc, _ieps_g2(c, g, counit, row // n, row % n).items(), v)
+            if _settle(acc) != dict(w.s_right[a].col_sparse(b)):
                 bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
         if bad:
@@ -259,11 +253,11 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
         for a in range(n):
             for p in range(n):
                 lhs1 = mulv(_ieps_g2(c, g, counit, s, a), {p: ONE})
-                rhs1 = mulv({s: ONE}, contract_pairs(w.r1.col_sparse(a * n + p)))
+                rhs1 = mulv({s: ONE}, _multiply_legs(c, w.r1.col_sparse(a * n + p)))
                 if lhs1 != rhs1:
                     rem_bad = f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
                     break
-                lhs2 = mulv(contract_pairs(w.r2.col_sparse(s * n + a)), {p: ONE})
+                lhs2 = mulv(_multiply_legs(c, w.r2.col_sparse(s * n + a)), {p: ONE})
                 rhs2 = mulv({s: ONE}, _epsi_g1(c, g, counit, a, p))
                 if lhs2 != rhs2:
                     rem_bad = f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
@@ -280,13 +274,8 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
     anti_bad = None
     for a in range(n):
         for b in range(n):
-            prod = c.parent.mul_basis(a, b)
-            left = Matrix.zero(n, n)
-            right = Matrix.zero(n, n)
-            for k, v in prod.items():
-                left = left + w.s_left[k].scale(v)
-                right = right + w.s_right[k].scale(v)
-            if left != w.s_left[b] * w.s_left[a] or right != w.s_right[a] * w.s_right[b]:
+            sab = _combine_multipliers(c.parent, w.s_left, w.s_right, c.parent.mul_basis(a, b))
+            if sab.left != w.s_left[b] * w.s_left[a] or sab.right != w.s_right[a] * w.s_right[b]:
                 anti_bad = f"S({_lbl(c, a)} {_lbl(c, b)}) != S({_lbl(c, b)})S({_lbl(c, a)})"
                 break
         if anti_bad:
@@ -320,32 +309,16 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
 
 def _ieps_g2(c: CoproductData, g: ProjectionMaps, counit, s: int, a: int) -> SparseVec:
     """(id (x) eps)(G2(e_s (x) e_a))"""
-    acc: SparseVec = {}
     n = c.n
-    for row, v in g.g2.col_sparse(s * n + a):
-        i, j = divmod(row, n)
-        if counit[j]:
-            t = acc.get(i, ZERO) + v * counit[j]
-            if t:
-                acc[i] = t
-            elif i in acc:
-                del acc[i]
-    return acc
+    return _sum_products((row // n, v, counit[row % n])
+                         for row, v in g.g2.col_sparse(s * n + a))
 
 
 def _epsi_g1(c: CoproductData, g: ProjectionMaps, counit, a: int, p: int) -> SparseVec:
     """(eps (x) id)(G1(e_a (x) e_p))"""
-    acc: SparseVec = {}
     n = c.n
-    for row, v in g.g1.col_sparse(a * n + p):
-        i, j = divmod(row, n)
-        if counit[i]:
-            t = acc.get(j, ZERO) + v * counit[i]
-            if t:
-                acc[j] = t
-            elif j in acc:
-                del acc[j]
-    return acc
+    return _sum_products((row % n, v, counit[row // n])
+                         for row, v in g.g1.col_sparse(a * n + p))
 
 
 def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multiplier:
@@ -356,31 +329,21 @@ def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multi
     for cc in range(n):
         for b in range(n):
             # left action on (cc (x) b): sum S(a1) cc (x) S(a2) b, then flip input/output
-            acc: SparseVec = {}
+            acc: dict = {}
             for row, v in w.r1.col_sparse(a * n + b):
                 i, j = divmod(row, n)
-                for k, u in dict(w.s_left[i].col_sparse(cc)).items():
-                    key = k * n + j
-                    t = acc.get(key, ZERO) + v * u
-                    if t:
-                        acc[key] = t
-                    elif key in acc:
-                        del acc[key]
+                _accumulate(acc, w.s_left[i].col_sparse(cc), v, base=j, stride=n)
+            acc = _settle(acc)
             # acc = (S x S)coproduct(a) . (cc (x) b); flip to get sigma-conjugation
             col = b * n + cc  # input flipped
             for key, v in acc.items():
                 k1, k2 = divmod(key, n)
                 left.data[k2 * n + k1][col] = v
-            acc2: SparseVec = {}
+            acc2: dict = {}
             for row, v in w.r2.col_sparse(cc * n + a):
                 u_, v_ = divmod(row, n)
-                for k, u2 in dict(w.s_right[v_].col_sparse(b)).items():
-                    key = u_ * n + k
-                    t = acc2.get(key, ZERO) + v * u2
-                    if t:
-                        acc2[key] = t
-                    elif key in acc2:
-                        del acc2[key]
+                _accumulate(acc2, w.s_right[v_].col_sparse(b), v, base=u_ * n)
+            acc2 = _settle(acc2)
             col = b * n + cc
             for key, v in acc2.items():
                 k1, k2 = divmod(key, n)
@@ -414,17 +377,9 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
         for b in range(n):
             for k, v in _epsi_g1(c, g, counit, a, b).items():
                 sl.data[k][b] = v
-            acc: SparseVec = {}
-            for row, v in w.r2.col_sparse(b * n + a):
-                i, j = divmod(row, n)
-                sparse_add_into(acc, c.parent.mul_basis(i, j), v)
-            for k, v in acc.items():
+            for k, v in _multiply_legs(c, w.r2.col_sparse(b * n + a)).items():
                 sr.data[k][b] = v
-            acc2: SparseVec = {}
-            for row, v in w.r1.col_sparse(a * n + b):
-                i, j = divmod(row, n)
-                sparse_add_into(acc2, c.parent.mul_basis(i, j), v)
-            for k, v in acc2.items():
+            for k, v in _multiply_legs(c, w.r1.col_sparse(a * n + b)).items():
                 tl.data[k][b] = v
             for k, v in _ieps_g2(c, g, counit, b, a).items():
                 tr.data[k][b] = v
@@ -581,38 +536,34 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     r1 = Matrix.zero(nn, nn)
     r2 = Matrix.zero(nn, nn)
     range_bad = None
+    mul_basis = c.parent.mul_basis
     for a in range(n):
         for b in range(n):
-            rhs1 = [ZERO] * (n * nn)
+            acc: dict = {}
             for cc in range(n):
                 for row, v in c.t2.col_sparse(cc * n + a):
                     u, vv = divmod(row, n)
                     for k, sv in s_cols[vv].items():
-                        for k2, pv in c.parent.mul_basis(k, b).items():
-                            rhs1[cc * nn + (u * n + k2)] = \
-                                rhs1[cc * nn + (u * n + k2)] + v * sv * pv
-            sol = ech1.solve(rhs1, stack1)
+                        _accumulate(acc, mul_basis(k, b).items(), v, sv, base=cc * nn + u * n)
+            sol = ech1.solve_sparse(_settle(acc), stack1)
             if sol is None:
                 range_bad = f"R1({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
                 break
-            for i, v in enumerate(sol):
-                if v:
-                    r1.data[i][a * n + b] = v
-            rhs2 = [ZERO] * (n * nn)
+            for i, v in sol.items():
+                r1.data[i][a * n + b] = v
+            acc = {}
             for dd in range(n):
                 for row, v in c.t1.col_sparse(b * n + dd):
                     u, vv = divmod(row, n)
                     for k, sv in s_cols[u].items():
-                        for k2, pv in c.parent.mul_basis(a, k).items():
-                            rhs2[dd * nn + (k2 * n + vv)] = \
-                                rhs2[dd * nn + (k2 * n + vv)] + v * sv * pv
-            sol = ech2.solve(rhs2, stack2)
+                        _accumulate(acc, mul_basis(a, k).items(), v, sv, base=dd * nn + vv,
+                                    stride=n)
+            sol = ech2.solve_sparse(_settle(acc), stack2)
             if sol is None:
                 range_bad = f"R2({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
                 break
-            for i, v in enumerate(sol):
-                if v:
-                    r2.data[i][a * n + b] = v
+            for i, v in sol.items():
+                r2.data[i][a * n + b] = v
         if range_bad:
             break
     out.append(check("thm29-r-ranges", range_bad is None,
@@ -626,38 +577,28 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     for a in range(n):
         sa = s_cols[a]
         for b in range(n):
-            acc: SparseVec = {}
-            for row, v in (vec_to_sparse(r1.apply(c.t1.col(a * n + b)))).items():
-                i, j = divmod(row, n)
-                sparse_add_into(acc, c.parent.mul_basis(i, j), v)
-            if acc != c.parent.mul_basis(a, b):
+            t1ab = r1.apply_sparse(dict(c.t1.col_sparse(a * n + b)))
+            if _multiply_legs(c, t1ab.items()) != c.parent.mul_basis(a, b):
                 id_bad = f"sum a1 S(a2) a3 = a fails at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
-            acc = {}
-            for row, v in (vec_to_sparse(r2.apply(c.t2.col(b * n + a)))).items():
-                i, j = divmod(row, n)
-                sparse_add_into(acc, c.parent.mul_basis(i, j), v)
-            if acc != c.parent.mul_basis(b, a):
+            t2ba = r2.apply_sparse(dict(c.t2.col_sparse(b * n + a)))
+            if _multiply_legs(c, t2ba.items()) != c.parent.mul_basis(b, a):
                 id_bad = f"contracted first identity fails at ({_lbl(c, b)}, {_lbl(c, a)})"
                 break
             acc = {}
             for row, v in r1.col_sparse(a * n + b):
-                p, q = divmod(row, n)
-                for row2, v2 in c.t1.col_sparse(p * n + q):
-                    u, vv = divmod(row2, n)
-                    for k, sv in s_cols[u].items():
-                        sparse_add_into(acc, c.parent.mul_basis(k, vv), v * v2 * sv)
-            if acc != c.parent.mul_sparse(sa, {b: ONE}):
+                for row2, v2 in c.t1.col_sparse(row):
+                    for k, sv in s_cols[row2 // n].items():
+                        _accumulate(acc, mul_basis(k, row2 % n).items(), v * v2, sv)
+            if _settle(acc) != c.parent.mul_sparse(sa, {b: ONE}):
                 id_bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
             acc = {}
             for row, v in r2.col_sparse(b * n + a):
-                u, vv = divmod(row, n)
-                for row2, v2 in c.t2.col_sparse(u * n + vv):
-                    r_, s_ = divmod(row2, n)
-                    for k, sv in s_cols[s_].items():
-                        sparse_add_into(acc, c.parent.mul_basis(r_, k), v * v2 * sv)
-            if acc != c.parent.mul_sparse({b: ONE}, sa):
+                for row2, v2 in c.t2.col_sparse(row):
+                    for k, sv in s_cols[row2 % n].items():
+                        _accumulate(acc, mul_basis(row2 // n, k).items(), v * v2, sv)
+            if _settle(acc) != c.parent.mul_sparse({b: ONE}, sa):
                 id_bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
         if id_bad:
@@ -684,7 +625,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
         e_obj = CanonicalIdempotent(e_mult, column_space(e_left).dim,
                                     column_space(e_right).dim)
         try:
-            for r in check_E_conditions(c, e_obj):
+            for r in c.cache.e_conditions(c, e_obj):
                 if r.status != "pass":
                     cand_bad = r.detail
                     break
@@ -902,20 +843,12 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         return out, flags
 
     def eps_of(vec: SparseVec) -> Scalar:
-        s = ZERO
-        for k, v in vec.items():
-            if counit[k]:
-                s = s + counit[k] * v
-        return s
+        return _dot((counit[k], v) for k, v in vec.items())
 
     # coproduct of each basis element as an honest tensor (unital case)
-    delta = []
-    for b in range(n):
-        acc: SparseVec = {}
-        for j, uj in enumerate(unit.coeffs):
-            if uj:
-                sparse_add_into(acc, dict(c.t1.col_sparse(b * n + j)), uj)
-        delta.append(acc)
+    unit_sp = vec_to_sparse(unit.coeffs)
+    delta = [c.t1.apply_sparse({b * n + j: uj for j, uj in unit_sp.items()})
+             for b in range(n)]
 
     bad1 = None
     bad2 = None
@@ -923,14 +856,12 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         for b in range(n):
             for cc in range(n):
                 lhs = eps_of(c.parent.mul_sparse(c.parent.mul_basis(a, b), {cc: ONE}))
-                rhs1 = ZERO
-                rhs2 = ZERO
-                for key, v in delta[b].items():
-                    u, vv = divmod(key, n)
-                    rhs1 = rhs1 + v * eps_of(c.parent.mul_sparse({a: ONE}, {vv: ONE})) * \
-                        eps_of(c.parent.mul_sparse({u: ONE}, {cc: ONE}))
-                    rhs2 = rhs2 + v * eps_of(c.parent.mul_sparse({a: ONE}, {u: ONE})) * \
-                        eps_of(c.parent.mul_sparse({vv: ONE}, {cc: ONE}))
+                rhs1 = _dot((v * eps_of(c.parent.mul_basis(a, key % n)),
+                             eps_of(c.parent.mul_basis(key // n, cc)))
+                            for key, v in delta[b].items())
+                rhs2 = _dot((v * eps_of(c.parent.mul_basis(a, key // n)),
+                             eps_of(c.parent.mul_basis(key % n, cc)))
+                            for key, v in delta[b].items())
                 if lhs != rhs1 and bad1 is None:
                     bad1 = f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
                 if lhs != rhs2 and bad2 is None:
@@ -949,35 +880,21 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         out.append(check("weak-hopf-counit-op", bad2 is None,
                          "counit is weakly multiplicative (second form)", bad2 or ""))
 
-    unit_sp = vec_to_sparse(unit.coeffs)
-    e_elem: SparseVec = {}
+    acc: dict = {}
     for i, ui in unit_sp.items():
         for j, uj in unit_sp.items():
-            sparse_add_into(e_elem, dict(e.left.col_sparse(i * n + j)), ui * uj)
+            _accumulate(acc, e.left.col_sparse(i * n + j), ui, uj)
+    e_elem = _settle(acc)
     sbad = None
     for a in range(n):
-        lhs: SparseVec = {}
-        for key, v in _mult_leg1_right(c, e_elem, a).items():
-            i, j = divmod(key, n)
-            if counit[i]:
-                t = lhs.get(j, ZERO) + v * counit[i]
-                if t:
-                    lhs[j] = t
-                elif j in lhs:
-                    del lhs[j]
-        if lhs != vec_to_sparse(st.eps_t[a].left.apply(unit.coeffs)):
+        lhs = _sum_products((key % n, v, counit[key // n])
+                            for key, v in _mult_leg1_right(c, e_elem, a).items())
+        if lhs != st.eps_t[a].left.apply_sparse(unit_sp):
             sbad = f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"
             break
-        rhs: SparseVec = {}
-        for key, v in _mult_leg2(c, a, e_elem).items():
-            i, j = divmod(key, n)
-            if counit[j]:
-                t = rhs.get(i, ZERO) + v * counit[j]
-                if t:
-                    rhs[i] = t
-                elif i in rhs:
-                    del rhs[i]
-        if rhs != vec_to_sparse(st.eps_s[a].left.apply(unit.coeffs)):
+        rhs = _sum_products((key // n, v, counit[key % n])
+                            for key, v in _mult_leg2(c, a, e_elem).items())
+        if rhs != st.eps_s[a].left.apply_sparse(unit_sp):
             sbad = f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})"
             break
     out.append(check("weak-hopf-antipode-formulas", sbad is None,
@@ -1098,18 +1015,16 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
     bad = None
     for a in range(n):
         for b in range(n):
-            acc: SparseVec = {}
-            for row, v in (dict(e.left.col_sparse(a * n + b))).items():
-                u, vv = divmod(row, n)
-                sparse_add_into(acc, dict(w.s_left[u].col_sparse(vv)), v)
-            if acc != dict(w.s_left[a].col_sparse(b)):
+            acc: dict = {}
+            for row, v in e.left.col_sparse(a * n + b):
+                _accumulate(acc, w.s_left[row // n].col_sparse(row % n), v)
+            if _settle(acc) != dict(w.s_left[a].col_sparse(b)):
                 bad = f"m(S x id)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
             acc = {}
-            for row, v in (dict(e.right.col_sparse(a * n + b))).items():
-                u, vv = divmod(row, n)
-                sparse_add_into(acc, dict(w.s_right[vv].col_sparse(u)), v)
-            if acc != dict(w.s_right[b].col_sparse(a)):
+            for row, v in e.right.col_sparse(a * n + b):
+                _accumulate(acc, w.s_right[row % n].col_sparse(row // n), v)
+            if _settle(acc) != dict(w.s_right[b].col_sparse(a)):
                 bad = f"m(id x S)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
                 break
         if bad:
@@ -1130,13 +1045,8 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
                           w.s_matrix * m.left * w.s_matrix_inv)
 
     def lin_mult(ms: List[Multiplier], coeffs) -> Multiplier:
-        left = Matrix.zero(n, n)
-        right = Matrix.zero(n, n)
-        for k, v in enumerate(coeffs):
-            if v:
-                left = left + ms[k].left.scale(v)
-                right = right + ms[k].right.scale(v)
-        return Multiplier(c.parent, left, right)
+        return _combine_multipliers(c.parent, [m.left for m in ms], [m.right for m in ms],
+                                    vec_to_sparse(coeffs))
 
     swap_bad = None
     for a in range(n):
@@ -1237,23 +1147,23 @@ def _f_action(c: CoproductData, table, contract: Matrix, post: Matrix,
     square from a sandwich table, a contraction through S (or its
     inverse) on one input leg and a post-composition on one output leg."""
     n, nn = c.n, c.nn
-    out = Matrix.zero(nn, nn)
+    cols = []
     for i in range(n):
         for j in range(n):
-            col = i * n + j
-            acc: SparseVec = {}
+            acc: dict = {}
             if contract_first:
-                for k, v in vec_to_sparse(contract.col(i)).items():
-                    sparse_add_into(acc, table[k][j], v)
+                for k, v in contract.col_sparse(i):
+                    _accumulate(acc, table[k][j].items(), v)
             else:
-                for k, v in vec_to_sparse(contract.col(j)).items():
-                    sparse_add_into(acc, table[i][k], v)
-            for key, v in acc.items():
+                for k, v in contract.col_sparse(j):
+                    _accumulate(acc, table[i][k].items(), v)
+            # the post-composition on the first (contract_first) or second leg
+            col: dict = {}
+            for key, v in _settle(acc).items():
                 u1, u2 = divmod(key, n)
                 if contract_first:
-                    for k2, pv in vec_to_sparse(post.col(u1)).items():
-                        out.data[k2 * n + u2][col] = out.data[k2 * n + u2][col] + v * pv
+                    _accumulate(col, post.col_sparse(u1), v, base=u2, stride=n)
                 else:
-                    for k2, pv in vec_to_sparse(post.col(u2)).items():
-                        out.data[u1 * n + k2][col] = out.data[u1 * n + k2][col] + v * pv
-    return out
+                    _accumulate(col, post.col_sparse(u2), v, base=u1 * n)
+            cols.append(sparse_to_vec(_settle(col), nn))
+    return Matrix.from_cols(cols, rows=nn)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec,
-                       sparse_add_into, sparse_to_vec, vec_to_sparse)
+                       sparse_to_vec, vec_to_sparse)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, check
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _accumulate, _settle, _sum_products
 
 
 class NoCounit(Exception):
@@ -84,15 +84,17 @@ def _matrix_key(m: Matrix) -> tuple:
 class RunCache:
     """Results one verification run computes more than once, keyed by the
     content of their inputs, never by object identity: canonical
-    idempotents per (tensor square, Ran T1, Ran T2) and multiplier-law
-    verdicts per (algebra, witness cap, actions).  A hit is the same
-    computation on equal inputs done earlier in the run, so every check
-    still runs and reads the same result.  Exceptions are not stored, and
-    stored matrices are never written."""
+    idempotents per (tensor square, Ran T1, Ran T2), multiplier-law
+    verdicts per (algebra, witness cap, actions) and E's leg conditions
+    per (algebra and its labels, T1, E).  A hit is the same computation
+    on equal inputs done earlier in the run, so every check still runs
+    and reads the same result.  Exceptions are not stored, and stored
+    matrices are never written."""
 
     def __init__(self):
         self.idempotents: Dict[tuple, "CanonicalIdempotent"] = {}
         self._laws: Dict[tuple, Tuple[str, ...]] = {}
+        self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
 
     def multiplier_failures(self, m: Multiplier, max_witnesses: int) -> List[str]:
         """m.compatibility_failures(max_witnesses), computed once per run."""
@@ -101,6 +103,18 @@ class RunCache:
         got = self._laws.get(key)
         if got is None:
             got = self._laws[key] = tuple(m.compatibility_failures(max_witnesses))
+        return list(got)
+
+    def e_conditions(self, c: "CoproductData", e: "CanonicalIdempotent") -> List[CheckResult]:
+        """check_E_conditions(c, e), computed once per run.  The leg maps
+        are built from the algebra and from the coproduct that T1 carries,
+        and failures name basis labels, so all three key the result next
+        to E; an IllDefinedExtension is raised again on every request."""
+        key = (c.parent.content_key(), tuple(c.parent.basis_labels), _matrix_key(c.t1),
+               _matrix_key(e.left), _matrix_key(e.right))
+        got = self._e_conditions.get(key)
+        if got is None:
+            got = self._e_conditions[key] = tuple(check_E_conditions(c, e))
         return list(got)
 
 
@@ -173,17 +187,19 @@ class CoproductData:
         range is the range of T1 when the algebra is idempotent."""
         if self._psi is None:
             n, nn = self.n, self.nn
+            mul_basis = self.parent.mul_basis
             m = Matrix.zero(nn, n * nn)
             for p in range(n):
                 for d in range(n):
                     t1col = self.t1.col_sparse(p * n + d)
                     for c in range(n):
-                        col = (p * n + c) * n + d
+                        acc: dict = {}
                         for row, v in t1col:
                             a1, a2 = divmod(row, n)
-                            for k, w in self.parent.mul_basis(a1, c).items():
-                                idx = k * n + a2
-                                m.data[idx][col] = m.data[idx][col] + v * w
+                            _accumulate(acc, mul_basis(a1, c).items(), v, base=a2, stride=n)
+                        col = (p * n + c) * n + d
+                        for idx, v in _settle(acc).items():
+                            m.data[idx][col] = v
             self._psi = m
         return self._psi
 
@@ -214,37 +230,25 @@ class CoproductData:
 
     def delta_left(self, a: int, x: SparseVec) -> SparseVec:
         """coproduct(e_a) . x for x in the tensor square."""
-        out: SparseVec = {}
+        acc: dict = {}
         n = self.n
         for idx, coeff in x.items():
             x1, x2 = divmod(idx, n)
             for row, v in self.t1.col_sparse(a * n + x2):
                 p, q = divmod(row, n)
-                for k, w in self.parent.mul_basis(p, x1).items():
-                    key = k * n + q
-                    s = out.get(key, ZERO) + coeff * v * w
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return out
+                _accumulate(acc, self.parent.mul_basis(p, x1).items(), coeff, v, base=q, stride=n)
+        return _settle(acc)
 
     def delta_right(self, a: int, x: SparseVec) -> SparseVec:
         """x . coproduct(e_a)."""
-        out: SparseVec = {}
+        acc: dict = {}
         n = self.n
         for idx, coeff in x.items():
             x1, x2 = divmod(idx, n)
             for row, v in self.t2.col_sparse(x1 * n + a):
                 p, q = divmod(row, n)
-                for k, w in self.parent.mul_basis(x2, q).items():
-                    key = p * n + k
-                    s = out.get(key, ZERO) + coeff * v * w
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return out
+                _accumulate(acc, self.parent.mul_basis(x2, q).items(), coeff, v, base=p * n)
+        return _settle(acc)
 
 
 # ---- validation ----------------------------------------------------------
@@ -281,9 +285,7 @@ def validate_coproduct(c: CoproductData) -> List[CheckResult]:
         for a2 in range(n):
             prod = c.parent.mul_basis(a, a2)
             for b in range(n):
-                lhs: SparseVec = {}
-                for k, v in prod.items():
-                    sparse_add_into(lhs, dict(c.t1.col_sparse(k * n + b)), v)
+                lhs = c.t1.apply_sparse({k * n + b: v for k, v in prod.items()})
                 rhs = c.delta_left(a, dict(c.t1.col_sparse(a2 * n + b)))
                 if lhs != rhs:
                     hom = f"T1({_lbl(c, a)}{_lbl(c, a2)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, a)}).T1({_lbl(c, a2)} (x) {_lbl(c, b)})"
@@ -297,9 +299,7 @@ def validate_coproduct(c: CoproductData) -> List[CheckResult]:
             for b2 in range(n):
                 prod = c.parent.mul_basis(b, b2)
                 for a in range(n):
-                    lhs = {}
-                    for k, v in prod.items():
-                        sparse_add_into(lhs, dict(c.t2.col_sparse(a * n + k)), v)
+                    lhs = c.t2.apply_sparse({a * n + k: v for k, v in prod.items()})
                     rhs = c.delta_right(b2, dict(c.t2.col_sparse(a * n + b)))
                     if lhs != rhs:
                         hom = f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, b2)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, b2)})"
@@ -330,9 +330,8 @@ def _module_law_t1(c: CoproductData) -> Optional[str]:
         for b in range(n):
             col = dict(c.t1.col_sparse(a * n + b))
             for b2 in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(b, b2).items():
-                    sparse_add_into(lhs, dict(c.t1.col_sparse(a * n + k)), v)
+                lhs = c.t1.apply_sparse({a * n + k: v
+                                         for k, v in c.parent.mul_basis(b, b2).items()})
                 if lhs != _mult_leg2_right(c, col, b2):
                     return f"T1 right-module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, b2)})"
     return None
@@ -344,9 +343,8 @@ def _module_law_t2(c: CoproductData) -> Optional[str]:
         for b in range(n):
             col = dict(c.t2.col_sparse(a * n + b))
             for a2 in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(a2, a).items():
-                    sparse_add_into(lhs, dict(c.t2.col_sparse(k * n + b)), v)
+                lhs = c.t2.apply_sparse({k * n + b: v
+                                         for k, v in c.parent.mul_basis(a2, a).items()})
                 if lhs != _mult_leg1(c, a2, col):
                     return f"T2 left-module law fails at ({_lbl(c, a2)}, {_lbl(c, a)}, {_lbl(c, b)})"
     return None
@@ -354,113 +352,69 @@ def _module_law_t2(c: CoproductData) -> Optional[str]:
 
 def _mult_leg1(c: CoproductData, a: int, x: SparseVec) -> SparseVec:
     """(e_a (x) 1) . x"""
-    out: SparseVec = {}
     n = c.n
+    acc: dict = {}
     for idx, coeff in x.items():
         x1, x2 = divmod(idx, n)
-        for k, v in c.parent.mul_basis(a, x1).items():
-            key = k * n + x2
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, c.parent.mul_basis(a, x1).items(), coeff, base=x2, stride=n)
+    return _settle(acc)
 
 
 def _mult_leg2_right(c: CoproductData, x: SparseVec, b: int) -> SparseVec:
     """x . (1 (x) e_b)"""
-    out: SparseVec = {}
     n = c.n
+    acc: dict = {}
     for idx, coeff in x.items():
         x1, x2 = divmod(idx, n)
-        for k, v in c.parent.mul_basis(x2, b).items():
-            key = x1 * n + k
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, c.parent.mul_basis(x2, b).items(), coeff, base=x1 * n)
+    return _settle(acc)
 
 
 def _mult_leg1_right(c: CoproductData, x: SparseVec, a: int) -> SparseVec:
     """x . (e_a (x) 1)"""
-    out: SparseVec = {}
     n = c.n
+    acc: dict = {}
     for idx, coeff in x.items():
         x1, x2 = divmod(idx, n)
-        for k, v in c.parent.mul_basis(x1, a).items():
-            key = k * n + x2
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, c.parent.mul_basis(x1, a).items(), coeff, base=x2, stride=n)
+    return _settle(acc)
 
 
 def _mult_leg2(c: CoproductData, b: int, x: SparseVec) -> SparseVec:
     """(1 (x) e_b) . x"""
-    out: SparseVec = {}
     n = c.n
+    acc: dict = {}
     for idx, coeff in x.items():
         x1, x2 = divmod(idx, n)
-        for k, v in c.parent.mul_basis(b, x2).items():
-            key = x1 * n + k
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, c.parent.mul_basis(b, x2).items(), coeff, base=x1 * n)
+    return _settle(acc)
 
 
 def apply_on_legs12(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
     """Apply an operator on the tensor square to legs (1,2) of a sparse
     triple-tensor vector."""
-    out: Dict[int, Scalar] = {}
+    acc: dict = {}
     for idx, coeff in x.items():
         ij, k = divmod(idx, n)
-        for row, v in m.col_sparse(ij):
-            key = row * n + k
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, m.col_sparse(ij), coeff, base=k, stride=n)
+    return _settle(acc)
 
 
 def apply_on_legs23(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
-    out: Dict[int, Scalar] = {}
     nn = n * n
+    acc: dict = {}
     for idx, coeff in x.items():
         i, jk = divmod(idx, nn)
-        for row, v in m.col_sparse(jk):
-            key = i * nn + row
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        _accumulate(acc, m.col_sparse(jk), coeff, base=i * nn)
+    return _settle(acc)
 
 
 def apply_on_legs13(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
-    out: Dict[int, Scalar] = {}
-    for idx, coeff in x.items():
-        ij, k = divmod(idx, n)
-        i, j = divmod(ij, n)
-        for row, v in m.col_sparse(i * n + k):
-            r1, r2 = divmod(row, n)
-            key = (r1 * n + j) * n + r2
-            s = out.get(key, ZERO) + coeff * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    # i (x) j (x) k goes to sum r1 (x) j (x) r2 over m(e_i (x) e_k) = sum r1 (x) r2
+    nn = n * n
+    return _sum_products(((row - row % n + idx // n % n) * n + row % n, coeff, v)
+                         for idx, coeff in x.items()
+                         for row, v in m.col_sparse(idx // nn * n + idx % n))
 
 
 def _coassociativity_witness(c: CoproductData) -> Optional[str]:
@@ -623,10 +577,10 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
     # products of every test vector with every unknown-basis / input-basis vector
     rows = []        # (test index, output coord, constraint row)
     test_sparse = [vec_to_sparse(v) for v in test_basis]
+    fix_sparse = [vec_to_sparse(w) for w in fix_basis]
     for ti, vs in enumerate(test_sparse):
         cols = []
-        for w in fix_basis:
-            ws = vec_to_sparse(w)
+        for ws in fix_sparse:
             cols.append(aa.mul_sparse(vs, ws) if left_side else aa.mul_sparse(ws, vs))
         for out_coord in range(nn):
             row = [col.get(out_coord, ZERO) for col in cols]
@@ -653,14 +607,12 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
         if sol is None:
             side = "E(A (x) A) = Ran(T1)" if left_side else "(A (x) A)E = Ran(T2)"
             raise NoSuchIdempotent(
-                f"no multiplier action with {side}: column {_lbl(c, x)} infeasible")
-        col = [ZERO] * nn
-        for coeff, w in zip(sol, fix_basis):
+                f"no multiplier action with {side}: column {_lbl2(c, x)} infeasible")
+        acc: dict = {}
+        for coeff, ws in zip(sol, fix_sparse):
             if coeff:
-                for i, wv in enumerate(w):
-                    if wv:
-                        col[i] = col[i] + coeff * wv
-        cols_out.append(col)
+                _accumulate(acc, ws.items(), coeff)
+        cols_out.append(sparse_to_vec(_settle(acc), nn))
     return Matrix.from_cols(cols_out, rows=nn)
 
 
@@ -744,69 +696,50 @@ def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Mul
 
 def _t1_after_left_action(c: CoproductData, m: Multiplier, z: SparseVec) -> SparseVec:
     n = c.n
-    out: SparseVec = {}
+    acc: dict = {}
     for idx, coeff in z.items():
         a, b = divmod(idx, n)
         for k, v in m.left.col_sparse(a):
-            sparse_add_into(out, dict(c.t1.col_sparse(k * n + b)), coeff * v)
-    return out
+            _accumulate(acc, c.t1.col_sparse(k * n + b), coeff, v)
+    return _settle(acc)
 
 
 def _t2_after_right_action(c: CoproductData, m: Multiplier, z: SparseVec) -> SparseVec:
     n = c.n
-    out: SparseVec = {}
+    acc: dict = {}
     for idx, coeff in z.items():
         a, b = divmod(idx, n)
         for k, v in m.right.col_sparse(b):
-            sparse_add_into(out, dict(c.t2.col_sparse(a * n + k)), coeff * v)
-    return out
+            _accumulate(acc, c.t2.col_sparse(a * n + k), coeff, v)
+    return _settle(acc)
 
 
 def delta13_action(c: CoproductData, a: Element, b: Element, x: Element) -> Dict[int, Scalar]:
     """coproduct_13(a) (1 (x) b (x) x): first coproduct leg in slot 1,
     second in slot 3, b passive in slot 2."""
+    return _delta13(c, c.t1, vec_to_sparse(a.coeffs), vec_to_sparse(x.coeffs), b)
+
+
+def _delta13(c: CoproductData, t: Matrix, xs: SparseVec, ys: SparseVec,
+             b: Element) -> Dict[int, Scalar]:
+    """Σ x_i y_j · t(e_i (x) e_j) with b placed in the middle leg: the
+    common form of delta13_action (t = T1) and delta13_action_right
+    (t = T2)."""
     n = c.n
-    out: Dict[int, Scalar] = {}
-    for ia, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for ix, cx in enumerate(x.coeffs):
-            if not cx:
-                continue
-            for row, v in c.t1.col_sparse(ia * n + ix):
+    bs = vec_to_sparse(b.coeffs)
+    acc: dict = {}
+    for i, ci in xs.items():
+        for j, cj in ys.items():
+            cij = ci * cj
+            for row, v in t.col_sparse(i * n + j):
                 u, w = divmod(row, n)
-                for ib, cb in enumerate(b.coeffs):
-                    if cb:
-                        key = (u * n + ib) * n + w
-                        s = out.get(key, ZERO) + ca * cx * v * cb
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
-    return out
+                _accumulate(acc, bs.items(), cij, v, base=u * n * n + w, stride=n)
+    return _settle(acc)
 
 
 def delta13_action_right(c: CoproductData, y: Element, b: Element, a: Element) -> Dict[int, Scalar]:
     """(y (x) b (x) 1) coproduct_13(a)."""
-    n = c.n
-    out: Dict[int, Scalar] = {}
-    for ia, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for iy, cy in enumerate(y.coeffs):
-            if not cy:
-                continue
-            for row, v in c.t2.col_sparse(iy * n + ia):
-                u, w = divmod(row, n)
-                for ib, cb in enumerate(b.coeffs):
-                    if cb:
-                        key = (u * n + ib) * n + w
-                        s = out.get(key, ZERO) + ca * cy * v * cb
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
-    return out
+    return _delta13(c, c.t2, vec_to_sparse(y.coeffs), vec_to_sparse(a.coeffs), b)
 
 
 # ---- extended legs of E and their conditions --------------------------------
@@ -836,13 +769,14 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
         # or E(e_u (x) e_p)(v (x) 1) on the second leg
         got = halves.get((k, p))
         if got is None:
-            got = halves[k, p] = {}
+            acc: dict = {}
             for uu, vv, cf in c.mu_decomposition(k, alt=alt):
                 if first_leg:
                     part = _mult_leg2_right(c, dict(e.left.col_sparse(c.aa.flatten(p, uu))), vv)
                 else:
                     part = _mult_leg1_right(c, dict(e.left.col_sparse(c.aa.flatten(uu, p))), vv)
-                sparse_add_into(got, part, cf)
+                _accumulate(acc, part.items(), cf)
+            got = halves[k, p] = _settle(acc)
         return got
 
     def term(k: int, t: int) -> SparseVec:
@@ -850,14 +784,15 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
         # over a (x) b in half(k, p), for t = p (x) c (x) d
         got = terms.get((k, t))
         if got is None:
-            got = terms[k, t] = {}
             p, cd = divmod(t, nn)
+            acc: dict = {}
             for ab, h in half(k, p).items():
                 a, b = divmod(ab, n)
                 if first_leg:
-                    sparse_add_into(got, {r * n + b: v for r, v in psi.col_sparse(a * nn + cd)}, h)
+                    _accumulate(acc, psi.col_sparse(a * nn + cd), h, base=b, stride=n)
                 else:
-                    sparse_add_into(got, {a * nn + r: v for r, v in psi.col_sparse(b * nn + cd)}, h)
+                    _accumulate(acc, psi.col_sparse(b * nn + cd), h, base=a * nn)
+            got = terms[k, t] = _settle(acc)
         return got
 
     for idx in range(n * nn):
@@ -865,7 +800,7 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
             ij, k = divmod(idx, n)
         else:
             k, ij = divmod(idx, nn)
-        out: SparseVec = {}
+        acc: dict = {}
         w = e.left.col_sparse(ij)
         if w:
             zvec = c.psi_preimage(dict(w), alt=alt)
@@ -873,8 +808,8 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
                 raise IllDefinedExtension(
                     "extended leg action: component escapes the coproduct range")
             for t, v in sorted(zvec.items()):
-                sparse_add_into(out, term(k, t), v)
-        yield out
+                _accumulate(acc, term(k, t).items(), v)
+        yield _settle(acc)
 
 
 def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
@@ -903,10 +838,10 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
             cols.append(col)
 
     def d1_apply(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        acc: Dict[int, Scalar] = {}
+        acc: dict = {}
         for idx, coeff in x.items():
-            sparse_add_into(acc, d1cols[idx], coeff)
-        return acc
+            _accumulate(acc, d1cols[idx].items(), coeff)
+        return _settle(acc)
 
     for idx in range(nnn):
         x = {idx: ONE}
@@ -1024,38 +959,18 @@ def _delta13_e_right(c: CoproductData, e: CanonicalIdempotent,
                      a: int, b: int, cc: int) -> Dict[int, Scalar]:
     """coproduct_13(e_a) (1 (x) E) (1 (x) e_b (x) e_cc)"""
     n = c.n
-    ebc = dict(e.left.col_sparse(b * n + cc))
-    out: Dict[int, Scalar] = {}
-    for bc, v in ebc.items():
-        b2, c2 = divmod(bc, n)
-        for row, w in c.t1.col_sparse(a * n + c2):
-            u, t = divmod(row, n)
-            key = (u * n + b2) * n + t
-            s = out.get(key, ZERO) + v * w
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    return _sum_products(((row - row % n + bc // n) * n + row % n, v, w)
+                         for bc, v in e.left.col_sparse(b * n + cc)
+                         for row, w in c.t1.col_sparse(a * n + bc % n))
 
 
 def _e_delta13_left(c: CoproductData, e: CanonicalIdempotent,
                     a: int, b: int, cc: int) -> Dict[int, Scalar]:
     """(e_a (x) e_b (x) 1) (E (x) 1) coproduct_13(e_cc)"""
     n = c.n
-    eab = dict(e.right.col_sparse(a * n + b))
-    out: Dict[int, Scalar] = {}
-    for ab, v in eab.items():
-        a2, b2 = divmod(ab, n)
-        for row, w in c.t2.col_sparse(a2 * n + cc):
-            u, t = divmod(row, n)
-            key = (u * n + b2) * n + t
-            s = out.get(key, ZERO) + v * w
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    return _sum_products(((row - row % n + ab % n) * n + row % n, v, w)
+                         for ab, v in e.right.col_sparse(a * n + b)
+                         for row, w in c.t2.col_sparse(ab // n * n + cc))
 
 
 def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
@@ -1092,14 +1007,12 @@ def _g_module_law_witness(c: CoproductData, g: ProjectionMaps) -> Optional[str]:
             col1 = dict(g.g1.col_sparse(a * n + b))
             col2 = dict(g.g2.col_sparse(a * n + b))
             for x in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(b, x).items():
-                    sparse_add_into(lhs, dict(g.g1.col_sparse(a * n + k)), v)
+                lhs = g.g1.apply_sparse({a * n + k: v
+                                         for k, v in c.parent.mul_basis(b, x).items()})
                 if lhs != _mult_leg2_right(c, col1, x):
                     return f"G1 module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, x)})"
-                lhs2: SparseVec = {}
-                for k, v in c.parent.mul_basis(x, a).items():
-                    sparse_add_into(lhs2, dict(g.g2.col_sparse(k * n + b)), v)
+                lhs2 = g.g2.apply_sparse({k * n + b: v
+                                          for k, v in c.parent.mul_basis(x, a).items()})
                 if lhs2 != _mult_leg1(c, x, col2):
                     return f"G2 module law fails at ({_lbl(c, x)}, {_lbl(c, a)}, {_lbl(c, b)})"
     return None
@@ -1115,41 +1028,20 @@ def _g_crosscheck_witness(c: CoproductData, e: CanonicalIdempotent,
     psi2: List[List[SparseVec]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            col = dict(e.right.col_sparse(i * n + j))
-            acc: SparseVec = {}
-            for idx, v in col.items():
-                u, w = divmod(idx, n)
-                s = acc.get(u, ZERO) + v * counit[w]
-                if s:
-                    acc[u] = s
-                elif u in acc:
-                    del acc[u]
-            phi[i][j] = acc
-            col2 = dict(e.left.col_sparse(i * n + j))
-            acc2: SparseVec = {}
-            for idx, v in col2.items():
-                u, w = divmod(idx, n)
-                s = acc2.get(w, ZERO) + v * counit[u]
-                if s:
-                    acc2[w] = s
-                elif w in acc2:
-                    del acc2[w]
-            psi2[i][j] = acc2
+            phi[i][j] = _sum_products((idx // n, v, counit[idx % n])
+                                      for idx, v in e.right.col_sparse(i * n + j))
+            psi2[i][j] = _sum_products((idx % n, v, counit[idx // n])
+                                       for idx, v in e.left.col_sparse(i * n + j))
     for b in range(n):
         for a in range(n):
             t2col = c.t2.col_sparse(b * n + a)
             for cc in range(n):
                 # Gamma = (e_b (x) e_cc) G(e_a) = sum u (x) phi[cc][v]
-                gamma: SparseVec = {}
+                acc: dict = {}
                 for row, v in t2col:
                     u, vv = divmod(row, n)
-                    for k, w in phi[cc][vv].items():
-                        key = u * n + k
-                        s = gamma.get(key, ZERO) + v * w
-                        if s:
-                            gamma[key] = s
-                        elif key in gamma:
-                            del gamma[key]
+                    _accumulate(acc, phi[cc][vv].items(), v, base=u * n)
+                gamma = _settle(acc)
                 for q in range(n):
                     # (b (x) cc) G1(a (x) q) = Gamma . (1 (x) e_q)
                     lhs = c.aa.mul_sparse({b * n + cc: ONE},
@@ -1163,17 +1055,11 @@ def _g_crosscheck_witness(c: CoproductData, e: CanonicalIdempotent,
         for a in range(n):
             for b in range(n):
                 for cc in range(n):
-                    t1col = c.t1.col_sparse(a * n + cc)
-                    eta: SparseVec = {}
-                    for row, v in t1col:
+                    acc = {}
+                    for row, v in c.t1.col_sparse(a * n + cc):
                         u, vv = divmod(row, n)
-                        for k, w in psi2[u][b].items():
-                            key = k * n + vv
-                            s = eta.get(key, ZERO) + v * w
-                            if s:
-                                eta[key] = s
-                            elif key in eta:
-                                del eta[key]
+                        _accumulate(acc, psi2[u][b].items(), v, base=vv, stride=n)
+                    eta = _settle(acc)
                     lhs = c.aa.mul_sparse(dict(g.g2.col_sparse(q * n + a)),
                                           {b * n + cc: ONE})
                     rhs = _mult_leg1(c, q, eta)
@@ -1191,18 +1077,15 @@ def _g_factorization_witness(c: CoproductData, g: ProjectionMaps) -> Optional[st
         for a in range(n):
             prod = c.parent.mul_basis(r, a)
             for b in range(n):
-                lhs: SparseVec = {}
-                for k, v in prod.items():
-                    sparse_add_into(lhs, dict(g.g1.col_sparse(k * n + b)), v)
+                lhs = g.g1.apply_sparse({k * n + b: v for k, v in prod.items()})
                 if lhs != _mult_leg1(c, r, dict(g.g1.col_sparse(a * n + b))):
                     return f"G1 has no left-leg multiplier at ({_lbl(c, r)}, {_lbl(c, a)}, {_lbl(c, b)})"
     for a in range(n):
         for b in range(n):
             col = dict(g.g2.col_sparse(a * n + b))
             for s in range(n):
-                lhs: SparseVec = {}
-                for k, v in c.parent.mul_basis(b, s).items():
-                    sparse_add_into(lhs, dict(g.g2.col_sparse(a * n + k)), v)
+                lhs = g.g2.apply_sparse({a * n + k: v
+                                         for k, v in c.parent.mul_basis(b, s).items()})
                 if lhs != _mult_leg2_right(c, col, s):
                     return f"G2 has no right-leg multiplier at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, s)})"
     return None

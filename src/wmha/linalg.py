@@ -3,15 +3,19 @@ engine (Echelon), canonical subspaces as its sorted view, ranks,
 kernels, solvers, and generalized inverses of linear maps with
 prescribed range and kernel projections.
 
-Everything is dense and exact.  Pivoting rules are fixed (first nonzero
-entry in scan order) so repeated runs produce identical witnesses.
+Matrices and echelon rows are held densely; every sum of products
+(products, applications, row reductions, back-substitution) is one
+accumulation in the `scalars` kernel, reduced once per output entry.
+Everything is exact.  Pivoting rules are fixed (first nonzero entry in
+scan order) so repeated runs produce identical witnesses.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import (ONE, ZERO, Scalar, _accumulate, _dot, _settle,
+                      _sub_mul)
 
 
 class DimensionMismatch(Exception):
@@ -83,14 +87,19 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def col_sparse(self, j: int) -> list:
-        if self._colcache is None:
-            self._colcache = [None] * self.cols
-        cached = self._colcache[j]
-        if cached is None:
-            cached = [(i, row[j]) for i, row in enumerate(self.data)
-                      if row[j] is not ZERO and row[j]]
-            self._colcache[j] = cached
-        return cached
+        """The nonzero (row, value) pairs of column j."""
+        cols = self._colcache
+        if cols is None:
+            cols = self._sparse_cols()
+        return cols[j]
+
+    def _sparse_cols(self) -> list:
+        """col_sparse(j) for every column j, built in one pass and cached."""
+        cols = self._colcache
+        if cols is None:
+            cols = self._colcache = [_nonzeros(col) for col in zip(*self.data)] \
+                if self.rows else [[] for _ in range(self.cols)]
+        return cols
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -129,45 +138,33 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        # column j of the product is Σ_k other[k][j]·(column k of self),
+        # over the nonzeros of both, held in their column caches; the
+        # product's own column cache comes out on the way
         out = Matrix.zero(self.rows, other.cols)
         odata = out.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = odata[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a is ZERO or not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b is not ZERO and b:
-                        orow[j] = orow[j] + a * b
+        acols = self._sparse_cols()
+        ocols = out._colcache = []
+        for j, bcol in enumerate(other._sparse_cols()):
+            acc: dict = {}
+            for k, b in bcol:
+                _accumulate(acc, acols[k], b)
+            col = sorted(_settle(acc).items()) if acc else []
+            for i, v in col:
+                odata[i][j] = v
+            ocols.append(col)
         return out
 
     def apply(self, vec: Sequence[Scalar]) -> list:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        out = [ZERO] * self.rows
-        for j, x in enumerate(vec):
-            if x is ZERO or not x:
-                continue
-            for i, v in self.col_sparse(j):
-                out[i] = out[i] + v * x
-        return out
+        return _dense(self.apply_sparse(dict(_nonzeros(vec))), self.rows)
 
     def apply_sparse(self, vec: dict) -> dict:
-        out: dict = {}
+        acc: dict = {}
         for j, x in vec.items():
-            if not x:
-                continue
-            for i, v in self.col_sparse(j):
-                s = out.get(i, ZERO) + v * x
-                if s:
-                    out[i] = s
-                elif i in out:
-                    del out[i]
-        return out
+            _accumulate(acc, self.col_sparse(j), x)
+        return _settle(acc)
 
     def is_zero(self) -> bool:
         return all(v is ZERO or not v for row in self.data for v in row)
@@ -191,6 +188,30 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def _nonzeros(row: Sequence[Scalar]) -> list:
+    """The (index, value) pairs of the nonzero entries of a dense row."""
+    return [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
+
+
+def _dense(sparse: dict, n: int) -> list:
+    out = [ZERO] * n
+    for i, v in sparse.items():
+        out[i] = v
+    return out
+
+
+def _combination(terms, rows: int, cols: int) -> Matrix:
+    """Σ c·M over the (c, M) pairs of terms, one kernel sum per entry."""
+    acc: dict = {}
+    for c, m in terms:
+        _accumulate(acc, ((i * cols + j, v) for i, row in enumerate(m.data)
+                          for j, v in _nonzeros(row)), c)
+    out = Matrix.zero(rows, cols)
+    for k, v in _settle(acc).items():
+        out.data[k // cols][k % cols] = v
+    return out
+
+
 class Echelon:
     """Incremental reduced row echelon form: the one elimination loop of
     the package.
@@ -202,6 +223,10 @@ class Echelon:
     `solvable` factorisation also records each reduced row as a
     combination of the input rows, which `solve` needs; solutions put free
     variables to zero, which makes preimage choices canonical.
+
+    Because every reduced row is zero in the other pivot columns, an
+    incoming row's pivot-column entries are the coefficients of its whole
+    reduction, which is therefore one kernel sum.
     """
 
     def __init__(self, matrix: Matrix, col_order: Optional[Sequence[int]] = None,
@@ -210,52 +235,62 @@ class Echelon:
         self.col_order = list(col_order) if col_order is not None else list(range(matrix.cols))
         self.pivot_cols: list = []
         self.rrows: list = []  # reduced rows: unit pivot, zeros in the other pivot columns
+        self._rnz: list = []   # the nonzero (column, value) pairs of each reduced row
         # per reduced row, the input rows it combines (index -> coefficient)
         self.ops: Optional[list] = [] if solvable else None
         self._nrows_in = 0
         for row in matrix.data:
             self.insert(row)
 
-    def _reduce(self, row: list, op: Optional[dict]) -> None:
-        """Clear the pivot columns of row in place; op, when given, takes
-        the same row operations."""
-        for p, (pc, rrow) in enumerate(zip(self.pivot_cols, self.rrows)):
-            c = row[pc]
-            if c:
-                for j, v in enumerate(rrow):
-                    if v:
-                        row[j] = row[j] - c * v
-                if op is not None:
-                    _sub_scaled(op, self.ops[p], c)
+    def _reduce(self, vec: Sequence[Scalar], op: Optional[dict]):
+        """vec − Σ_p vec[pc_p]·rrow_p, which is zero in every pivot column,
+        as a new dense row, and op − Σ_p vec[pc_p]·ops_p when op is given."""
+        hits = [(p, -vec[pc]) for p, pc in enumerate(self.pivot_cols)
+                if vec[pc] is not ZERO and vec[pc]]
+        if not hits:
+            return list(vec), op
+        acc: dict = {}
+        _accumulate(acc, _nonzeros(vec))
+        for p, c in hits:
+            _accumulate(acc, self._rnz[p], c)
+        if op is not None:
+            oacc: dict = {}
+            _accumulate(oacc, op.items())
+            for p, c in hits:
+                _accumulate(oacc, self.ops[p].items(), c)
+            op = _settle(oacc)
+        return _dense(_settle(acc), self.ncols), op
 
     def insert(self, vec: Sequence[Scalar]) -> bool:
         """Add a row; True when the rank grew."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"row length {len(vec)} vs {self.ncols} columns")
-        row = list(vec)
         op = None
         if self.ops is not None:
             op = {self._nrows_in: ONE}
             self._nrows_in += 1
-        self._reduce(row, op)
-        piv = next((j for j in self.col_order if row[j]), None)
+        row, op = self._reduce(vec, op)
+        piv = next((j for j in self.col_order if row[j] is not ZERO and row[j]), None)
         if piv is None:
             return False
+        nz = _nonzeros(row)
         inv = row[piv]
         if inv != ONE:
-            row = [v / inv if v else v for v in row]
+            nz = [(j, v / inv) for j, v in nz]
+            row = _dense(dict(nz), self.ncols)
             if op is not None:
                 op = {k: v / inv for k, v in op.items()}
         for p, rrow in enumerate(self.rrows):
             c = rrow[piv]
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        rrow[j] = rrow[j] - c * v
+            if c is not ZERO and c:
+                for j, v in nz:
+                    rrow[j] = _sub_mul(rrow[j], c, v)
+                self._rnz[p] = _nonzeros(rrow)
                 if op is not None:
-                    _sub_scaled(self.ops[p], op, c)
+                    self.ops[p] = _sub_scaled(self.ops[p], op, c)
         self.pivot_cols.append(piv)
         self.rrows.append(row)
+        self._rnz.append(nz)
         if op is not None:
             self.ops.append(op)
         return True
@@ -264,9 +299,7 @@ class Echelon:
         """True when vec lies in the span of the inserted rows."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        row = list(vec)
-        self._reduce(row, None)
-        return not any(row)
+        return not any(self._reduce(vec, None)[0])
 
     @property
     def rank(self) -> int:
@@ -291,23 +324,13 @@ class Echelon:
             raise TypeError("solving needs an Echelon built with solvable=True")
         x: dict = {}
         for p, op in enumerate(self.ops):
-            s = ZERO
-            for k, v in op.items():
-                r = rhs.get(k)
-                if r is not None:
-                    s = s + v * r
-            if s:
-                x[self.pivot_cols[p]] = s
+            pairs = [(v, rhs[k]) for k, v in op.items() if k in rhs]
+            if pairs:
+                s = _dot(pairs)
+                if s:
+                    x[self.pivot_cols[p]] = s
         # feasibility: matrix @ x must reproduce rhs exactly
-        chk: dict = {}
-        for j, xv in x.items():
-            for i, v in matrix.col_sparse(j):
-                t = chk.get(i, ZERO) + v * xv
-                if t:
-                    chk[i] = t
-                elif i in chk:
-                    del chk[i]
-        if chk != rhs:
+        if matrix.apply_sparse(x) != rhs:
             return None
         return x
 
@@ -328,14 +351,12 @@ class Echelon:
         return basis
 
 
-def _sub_scaled(target: dict, src: dict, c: Scalar) -> None:
-    """target -= c * src on sparse vectors, dropping entries that cancel."""
-    for k, v in src.items():
-        s = target.get(k, ZERO) - c * v
-        if s:
-            target[k] = s
-        elif k in target:
-            del target[k]
+def _sub_scaled(target: dict, src: dict, c: Scalar) -> dict:
+    """target − c·src on sparse vectors, without the entries that cancel."""
+    acc: dict = {}
+    _accumulate(acc, target.items())
+    _accumulate(acc, src.items(), -c)
+    return _settle(acc)
 
 
 class Subspace:

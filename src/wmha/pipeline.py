@@ -160,7 +160,7 @@ def verify_structure(inp: StructureInput, path: str = "def114",
             except (cop.NoSuchIdempotent, cop.NotIdempotent, cop.AmbiguousE) as exc:
                 report.add(failed("idempotent-from-flips", str(exc)))
         try:
-            for r in cop.check_E_conditions(c, ctx.e):
+            for r in c.cache.e_conditions(c, ctx.e):
                 block_on(r)
         except cop.IllDefinedExtension as exc:
             block_on(failed("e-coassociativity", str(exc)))

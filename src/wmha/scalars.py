@@ -8,6 +8,19 @@ its gcd, and only in this module.
 
 All arithmetic in the engine runs over this field.  No floats, no
 tolerances: every comparison downstream is literal equality.
+
+Sums of products go through one accumulation kernel instead of a
+`Scalar` per term.  An accumulator is a plain dict from output key to a
+mutable [a, b, d]: Gaussian-integer numerators a + b·i over a positive
+denominator d that is not kept reduced.  `_accumulate` adds c·c2·v for
+every (key, v) of an iterable, with integer arithmetic only, and
+`_settle` turns each entry into its canonical `Scalar` with one gcd,
+dropping the entries that cancel to zero.  `_sum_products` sums x·y
+per key, `_dot` is its single-entry form and `_sub_mul` the fused
+x − c·v.  Unit and integer coefficients (d = 1, b = 0) skip the
+Gaussian and denominator arithmetic, and a key that has received one
+term with a unit coefficient holds that term's own `Scalar`, which
+settles as it is; the path taken depends only on the operand values.
 """
 
 from __future__ import annotations
@@ -28,7 +41,10 @@ def _make(a: int, b: int, d: int) -> "Scalar":
 
 
 def _reduce(a: int, b: int, d: int) -> "Scalar":
-    """The scalar (a + b·i)/d for any d > 0, divided through by gcd(a, b, d)."""
+    """The scalar (a + b·i)/d for any d > 0, divided through by gcd(a, b, d);
+    zero is ZERO itself."""
+    if b == 0 and a == 0:
+        return ZERO
     g = gcd(a, b, d)
     if g != 1:
         return _make(a // g, b // g, d // g)
@@ -187,3 +203,166 @@ def rational(p: int, q: int = 1) -> Scalar:
     if q < 0:
         p, q = -p, -q
     return _reduce(p, 0, q)
+
+
+# ---- the accumulation kernel ----------------------------------------------
+
+
+def _merge(e: list, ta: int, tb: int, td: int) -> None:
+    """Add (ta + tb·i)/td to the entry e = [a, b, d], over the least
+    common denominator of d and td."""
+    d = e[2]
+    if d == td:
+        e[0] += ta
+        e[1] += tb
+        return
+    g = gcd(d, td)
+    if g != 1:
+        td //= g
+        e[0] = e[0] * td + ta * (d // g)
+        e[1] = e[1] * td + tb * (d // g)
+    else:
+        e[0] = e[0] * td + ta * d
+        e[1] = e[1] * td + tb * d
+    e[2] = d * td
+
+
+def _accumulate(acc: dict, items, c: "Scalar" = None, c2: "Scalar" = None,
+                base: int = 0, stride: int = 1) -> None:
+    """acc[base + stride·k] += c·c2·v for every (k, v) in items, in the
+    numerators of acc; an omitted coefficient is one.  The affine key
+    map places the items of one tensor leg in a larger index space."""
+    if c is None:
+        ca, cb, cd = 1, 0, 1
+    else:
+        ca, cb, cd = c._a, c._b, c._d
+    if c2 is not None:
+        a2, b2 = c2._a, c2._b
+        if cb == 0 and b2 == 0:
+            ca *= a2
+        else:
+            ca, cb = ca * a2 - cb * b2, ca * b2 + cb * a2
+        cd *= c2._d
+    get = acc.get
+    # one loop per coefficient kind, so no term pays for a test of the
+    # coefficient; each adds the term (ta + tb·i)/td to its key's entry,
+    # first turning an entry that is still a lone unit term into numerators
+    if cb == 0 and cd == 1:
+        if ca == 1:
+            for k, v in items:
+                k = base + stride * k
+                e = get(k)
+                if e is None:
+                    acc[k] = v
+                    continue
+                if e.__class__ is not list:
+                    e = acc[k] = [e._a, e._b, e._d]
+                ta = v._a
+                tb = v._b
+                td = v._d
+                if e[2] == td:
+                    e[0] += ta
+                    e[1] += tb
+                else:
+                    _merge(e, ta, tb, td)
+        else:
+            for k, v in items:
+                ta = ca * v._a
+                tb = ca * v._b
+                td = v._d
+                k = base + stride * k
+                e = get(k)
+                if e is None:
+                    acc[k] = [ta, tb, td]
+                    continue
+                if e.__class__ is not list:
+                    e = acc[k] = [e._a, e._b, e._d]
+                if e[2] == td:
+                    e[0] += ta
+                    e[1] += tb
+                else:
+                    _merge(e, ta, tb, td)
+    else:
+        for k, v in items:
+            va = v._a
+            vb = v._b
+            if vb == 0:
+                ta = ca * va
+                tb = cb * va
+            else:
+                ta = ca * va - cb * vb
+                tb = ca * vb + cb * va
+            td = cd * v._d
+            k = base + stride * k
+            e = get(k)
+            if e is None:
+                acc[k] = [ta, tb, td]
+                continue
+            if e.__class__ is not list:
+                e = acc[k] = [e._a, e._b, e._d]
+            if e[2] == td:
+                e[0] += ta
+                e[1] += tb
+            else:
+                _merge(e, ta, tb, td)
+
+
+def _settle(acc: dict) -> dict:
+    """The canonical value of every entry of acc that is not zero, in the
+    order the keys entered acc."""
+    out = {}
+    for k, e in acc.items():
+        if e.__class__ is not list:     # one unit-coefficient term, as given
+            if e._a or e._b:
+                out[k] = e
+            continue
+        a, b, d = e
+        if a or b:
+            out[k] = _reduce(a, b, d) if d != 1 else _make(a, b, 1)
+    return out
+
+
+def _sum_products(triples) -> dict:
+    """The settled sums Σ x·y per key over the (key, x, y) triples."""
+    acc: dict = {}
+    get = acc.get
+    for k, x, y in triples:
+        xa = x._a
+        xb = x._b
+        ya = y._a
+        yb = y._b
+        if xb == 0 and yb == 0:
+            ta = xa * ya
+            tb = 0
+        else:
+            ta = xa * ya - xb * yb
+            tb = xa * yb + xb * ya
+        td = x._d * y._d
+        e = get(k)
+        if e is None:
+            acc[k] = [ta, tb, td]
+        elif e[2] == td:
+            e[0] += ta
+            e[1] += tb
+        else:
+            _merge(e, ta, tb, td)
+    return _settle(acc) if acc else acc
+
+
+def _dot(pairs) -> "Scalar":
+    """Σ x·y over the (x, y) pairs, reduced once."""
+    return _sum_products((0, x, y) for x, y in pairs).get(0, ZERO)
+
+
+def _sub_mul(x: "Scalar", c: "Scalar", v: "Scalar") -> "Scalar":
+    """x − c·v, reduced once."""
+    ca, cb, va, vb = c._a, c._b, v._a, v._b
+    if cb == 0 and vb == 0:
+        pa = ca * va
+        pb = 0
+    else:
+        pa = ca * va - cb * vb
+        pb = ca * vb + cb * va
+    e = [x._a, x._b, x._d]
+    _merge(e, -pa, -pb, c._d * v._d)
+    return _reduce(*e)

@@ -194,7 +194,8 @@ ENGINE_FAULT_SITES = [
     ("wmha.coproducts", "compute_E_from_flips"),     # idempotent-from-flips
     ("wmha.antipodes", "generalized_inverse"),       # generalized-inverses
     ("wmha.antipodes", "verify_via_antipode"),       # antipode path
-    ("wmha.antipodes", "check_E_conditions"),        # thm29-e-conditions
+    # e-coassociativity and thm29-e-conditions, both through RunCache.e_conditions
+    ("wmha.coproducts", "check_E_conditions"),
     ("wmha.antipodes", "compute_E"),                 # regular-cop-idempotent
 ]
 

@@ -1,8 +1,11 @@
+import random
+import re
+
 import pytest
 
 from wmha.algebras import Multiplier
-from wmha.coproducts import (Ambiguous, CanonicalIdempotent, CoproductData,
-                             NoCounit, NonUniqueCounit,
+from wmha.coproducts import (Ambiguous, AmbiguousE, CanonicalIdempotent, CoproductData,
+                             NoCounit, NoSuchIdempotent, NonUniqueCounit, NotIdempotent,
                              ProjectionMaps, check_E_conditions, check_fullness,
                              check_kernels, compute_E, compute_E_from_flips,
                              delta13_action, extend_delta, solve_G_maps,
@@ -96,6 +99,33 @@ def test_E_is_identity_for_hopf_case():
     _, c = make("group:cyclic:4", "convolution")
     e = compute_E(c)
     assert e.left == Matrix.identity(16) and e.right == Matrix.identity(16)
+
+
+def test_infeasible_E_column_is_named_by_its_tensor_square_label():
+    # random sparse +-1 maps on the tensor square of group:cyclic:2: an
+    # infeasible column of E is a tensor-square index, so it must be named
+    # "(a (x) b)" and must never index the two single labels out of range
+    m = function_algebra(preset("group:cyclic:2"))
+
+    def random_map(rng):
+        return Matrix.from_rows([[rng.choice([ONE, -ONE]) if rng.random() < 0.3 else ZERO
+                                  for _ in range(4)] for _ in range(4)])
+
+    infeasible = {}
+    for seed in range(40):
+        rng = random.Random(seed)
+        c = CoproductData(m.algebra, random_map(rng), random_map(rng))
+        try:
+            compute_E(c)
+        except (NoSuchIdempotent, AmbiguousE, NotIdempotent) as exc:
+            if "infeasible" in str(exc):
+                infeasible[seed] = str(exc)
+    assert infeasible
+    for text in infeasible.values():
+        assert re.search(r"column \(g\^[01] \(x\) g\^[01]\) infeasible$", text), text
+    # column 2 = g^1 (x) g^0, past the two single labels
+    assert infeasible[20] == ("no multiplier action with E(A (x) A) = Ran(T1): "
+                              "column (g^1 (x) g^0) infeasible")
 
 
 def test_E_from_flips_agrees():

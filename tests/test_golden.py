@@ -3,6 +3,12 @@
 of the lazy `pair:inf` preset in both models.  A change to the scalar or
 linear-algebra layers must leave every one of these bytes unchanged.
 
+Documents built here from fixed seeds add the inputs that stress the
+exact arithmetic and the failure paths: two presets conjugated by a dense
+change of basis P (one rational, one Gaussian), and the twenty
+single-entry mutations of acceptance criterion 9, whose failing reports
+pin the first failure and every detail message.
+
 Re-record only in a change whose purpose is to alter certificates:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,14 +16,19 @@ Re-record only in a change whose purpose is to alter certificates:
 
 import hashlib
 import io
+import json
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from wmha.cli import main
+from wmha.fileio import model_to_document
+from wmha.groupoids import build_model, preset
 
 PRESETS = ("pair:1", "pair:2", "group:cyclic:2", "group:cyclic:3",
            "bundle:cyclic:2:2", "union:pair:1+group:cyclic:2")
@@ -148,6 +159,213 @@ GOLDEN = {
 }
 
 
+# ---- documents built from fixed seeds -------------------------------------
+
+_Z = (Fraction(0), Fraction(0))
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _neg(x):
+    return (-x[0], -x[1])
+
+
+def _matmul(a, b):
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            s = _Z
+            for k, x in enumerate(row):
+                s = _gadd(s, _gmul(x, b[k][j]))
+            new.append(s)
+        out.append(new)
+    return out
+
+
+def _kron(a, b):
+    return [[_gmul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _inverse2(p):
+    (a, b), (c, d) = p
+    det = _gadd(_gmul(a, d), _neg(_gmul(b, c)))
+    norm = det[0] ** 2 + det[1] ** 2
+    if not norm:
+        return None
+    inv = (det[0] / norm, -det[1] / norm)
+    return [[_gmul(inv, d), _gmul(inv, _neg(b))], [_gmul(inv, _neg(c)), _gmul(inv, a)]]
+
+
+def _basis_change(seed, gaussian):
+    """An invertible 2x2 P by the recipe of the conjugated-presentation
+    tests: real parts k/1 or k/2 with |k| <= 2, imaginary parts in -1..1."""
+    rng = random.Random(seed)
+    while True:
+        p = [[(Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
+               Fraction(rng.randint(-1, 1)) if gaussian and rng.random() < 0.4
+               else Fraction(0))
+              for _ in range(2)] for _ in range(2)]
+        pinv = _inverse2(p)
+        if pinv is not None:
+            return p, pinv
+
+
+def _sparse(m):
+    return [[r, c, str(v[0]), str(v[1])]
+            for r, row in enumerate(m) for c, v in enumerate(row) if v != _Z]
+
+
+def conjugated_document(preset_name, seed, gaussian):
+    """The convolution model of a dimension-2 preset in the basis given by
+    the columns of a seeded P: dense structure constants and canonical
+    maps Q^-1 T Q with Q = P (x) P, computed here with Fractions."""
+    doc = model_to_document(build_model(preset(preset_name), "convolution"),
+                            with_witnesses=False)
+    n = doc["algebra"]["dim"]
+    nn = n * n
+    p, pinv = _basis_change(seed, gaussian)
+    table = {}
+    for i, j, k, re, im in doc["algebra"]["structure"]:
+        table.setdefault((i, j), []).append((k, (Fraction(re), Fraction(im))))
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            prod = [[_Z] for _ in range(n)]   # p.col(i) p.col(j), old basis
+            for a in range(n):
+                for b in range(n):
+                    coeff = _gmul(p[a][i], p[b][j])
+                    for k, v in table.get((a, b), ()):
+                        prod[k][0] = _gadd(prod[k][0], _gmul(coeff, v))
+            entries += [[i, j, k, re, im]
+                        for k, _, re, im in _sparse(_matmul(pinv, prod))]
+    q, qinv = _kron(p, p), _kron(pinv, pinv)
+    cop = {}
+    for name, sparse in doc["coproduct"].items():
+        t = [[_Z] * nn for _ in range(nn)]
+        for r, c, re, im in sparse:
+            t[r][c] = (Fraction(re), Fraction(im))
+        cop[name] = _sparse(_matmul(_matmul(qinv, t), q))
+    return {"algebra": {"dim": n, "structure": entries}, "coproduct": cop}
+
+
+def mutation_documents():
+    """The twenty single-entry mutations of acceptance criterion 9 (seed
+    424242), in its order; every one must fail."""
+    rng = random.Random(424242)
+    total = 0
+    for kind in ("function", "convolution"):
+        base = json.dumps(model_to_document(build_model(preset("pair:2"), kind),
+                                            with_witnesses=True), sort_keys=True)
+        for slot in ("structure", "T1", "E", "S"):
+            for _ in range(3 if slot in ("structure", "T1") else 2):
+                doc = json.loads(base)
+                if slot == "structure":
+                    entries = doc["algebra"]["structure"]
+                    ent = entries[rng.randrange(len(entries))]
+                    ent[3] = str(int(ent[3]) + rng.randint(1, 2))
+                elif slot == "T1":
+                    entries = doc["coproduct"]["T1"]
+                    ent = entries[rng.randrange(len(entries))]
+                    ent[2] = str(int(ent[2]) + 1)
+                elif slot == "E":
+                    entries = doc["E"]["left"]
+                    ent = entries[rng.randrange(len(entries))]
+                    ent[2] = str(int(ent[2]) + 3)
+                else:
+                    rowcol = rng.randrange(4)
+                    cell = doc["antipode"][rowcol][rowcol]
+                    cell["re"] = str(int(cell["re"]) + 1)
+                total += 1
+                yield f"mutation {total} pair:2 {kind} {slot}", doc
+
+
+# job name -> (path argument, document)
+DOCS = {
+    "bundle:cyclic:1:2 dense rational P": (
+        "def114", conjugated_document("bundle:cyclic:1:2", 4, gaussian=False)),
+    "group:cyclic:2 Gaussian P": (
+        "def114", conjugated_document("group:cyclic:2", 0, gaussian=True)),
+}
+DOCS.update((name, ("both", doc)) for name, doc in mutation_documents())
+
+# job name -> (exit code, sha256 of the report, sha256 of stdout)
+GOLDEN_DOCS = {
+    "bundle:cyclic:1:2 dense rational P":
+        (0, "fd904482916fa80e4eb85dbeb32321bfdbdfd9ee1033aeb5e6d888aecb58fb31",
+            "9de9483d9574d3cc74d9007a9f0ec4e100e0480a35b99c978a54b04cb2841736"),
+    "group:cyclic:2 Gaussian P":
+        (0, "9234f44a042eeae4e15908777de591c8b26205fbdb1663c141fd6ebfe52bbda2",
+            "f40b83b6604abc74eec28a2c056d8eff9c9837e524a64ccdf6b3cbd5f5a5e502"),
+    "mutation 1 pair:2 function structure":
+        (1, "3ec5322574aa5b1d40f8443d14faa9c1636ac77f80cb24d47a9d1b1ec1745413",
+            "94ec15b04c0af6c21314e2297c5a3928e7997a20fe10718767c3f02a82874c8c"),
+    "mutation 2 pair:2 function structure":
+        (1, "f22aaa2e68b28935630f426bc56047c86189d8c60ae3d0722ccd27f5297136a0",
+            "14e9719856929a6c31096ce1f2463d8449a5dc18f2533ae64e337a65168d90e4"),
+    "mutation 3 pair:2 function structure":
+        (1, "f22aaa2e68b28935630f426bc56047c86189d8c60ae3d0722ccd27f5297136a0",
+            "14e9719856929a6c31096ce1f2463d8449a5dc18f2533ae64e337a65168d90e4"),
+    "mutation 4 pair:2 function T1":
+        (1, "73d523d29de48be05026978c8ad56b6c607bd97d85ffc17d929daddd46f04c2e",
+            "dc9f4fb8b1c3fc1494afd26669ef1c77d21d80ce2209facc635cec4de8da0beb"),
+    "mutation 5 pair:2 function T1":
+        (1, "239d75f404bef7498ba7633f053e58eec49150e0f9584168231aaf78932a6c87",
+            "46b78dafe409aa9b7f491159793b86283bdb230dada08c40e0cda26604fa509d"),
+    "mutation 6 pair:2 function T1":
+        (1, "e1aff1f8730aac1f1e1d1356a55516fcb16c535ab36f2a56ccc13f19a0f990f7",
+            "40b342b6b26531dc37b5d72d041c80bf2d25f98a3e81ed6968efa17933d42a6c"),
+    "mutation 7 pair:2 function E":
+        (1, "53c01ff70ad4001e4e2fc8aa82bf750221f200d3542d3d9d45ec46d646b97c22",
+            "bfc54c539af08847509a6b8e713524706175923fc953094391459a5c5f63265f"),
+    "mutation 8 pair:2 function E":
+        (1, "a7c15a2a284f1c7a05e4a8a76b4e5916e4e585ce2077546e7f7c34be761802b0",
+            "bfc54c539af08847509a6b8e713524706175923fc953094391459a5c5f63265f"),
+    "mutation 9 pair:2 function S":
+        (1, "551495f7bfd219a02fa5243f4b363bec293538e85c9b9f97cacfcea1932cc34d",
+            "388cd36c4bc26dd7a64008d50bfdd7a0518bd8f2df32b11e57570b411f2bfdc3"),
+    "mutation 10 pair:2 function S":
+        (1, "551495f7bfd219a02fa5243f4b363bec293538e85c9b9f97cacfcea1932cc34d",
+            "388cd36c4bc26dd7a64008d50bfdd7a0518bd8f2df32b11e57570b411f2bfdc3"),
+    "mutation 11 pair:2 convolution structure":
+        (1, "72faec21bdcc21ade8836ade5b862b2ea3fc291d466f4968697c9f65478c4ee4",
+            "2041e4daa4eb6ccf275cad9ecbde9833bc5a48af5756d42321e8a6400f638c9c"),
+    "mutation 12 pair:2 convolution structure":
+        (1, "84d9514dc2b703fefbbd57d2422581fab68a73772595929a6ab19fdbf6e41972",
+            "f32d81cfb0d8393d54c659e52a1484dd16abbea2b724eaf37d8b0bb898f8dab1"),
+    "mutation 13 pair:2 convolution structure":
+        (1, "62c56d89c58efeeeffea5e29442ac3a407739bcd1b175852437a0153ae086582",
+            "4c12da9890d589e97d9c34bf0f6e862ff36e7a40a4c54893943c5135e95d3ece"),
+    "mutation 14 pair:2 convolution T1":
+        (1, "8c32caca2313129e8f4411637a873fac19c593f21789c33e1cd626b01992a3f1",
+            "ce2e758adcb8fdbd27525cc5b052accd3d550ce20af3aeaecd7f035c1821a789"),
+    "mutation 15 pair:2 convolution T1":
+        (1, "52b4f930549630ce9e91896198514967690f1cfe2e5fb0524dc18b78ced7a4a7",
+            "ec9ef900a1d4dc2a814c161a061c33b5d268fd6c3919750e6aa81042f7c2bde0"),
+    "mutation 16 pair:2 convolution T1":
+        (1, "0f4e838d1ef21638912f1e2fd8b10653ea3b45c1f00acd0e2046db8d7d3a5034",
+            "83bcca5b95d664a7165193d0c9b7f0e120c5025cb5f2b5ad6dc238472846ff6d"),
+    "mutation 17 pair:2 convolution E":
+        (1, "3b4b676caa8db7c6055d41c558774384fa962df8abd46f83c829538eead45708",
+            "bfc54c539af08847509a6b8e713524706175923fc953094391459a5c5f63265f"),
+    "mutation 18 pair:2 convolution E":
+        (1, "fbd50d89817c70d27db7af2f6072c280a3472114ccdf8e6e697787f7ff39ab9b",
+            "bfc54c539af08847509a6b8e713524706175923fc953094391459a5c5f63265f"),
+    "mutation 19 pair:2 convolution S":
+        (1, "ca71d4e999c0e3d40b1360354fc5b4e5854880c55e6814a268f0cae1db9f1887",
+            "43d9e5039d98f89329f25b54228f240134b2fa7bab6f02df90ed33bd0622a20d"),
+    "mutation 20 pair:2 convolution S":
+        (1, "e113043999ed96fd2f65639774fa256504ef1f2b036c80f620ab16257dfe806d",
+            "b9d17691beb05aedd36b9550f93de81969339a3b5567671b5635f6a4ad82780e"),
+}
+
+
 def fingerprint(argv, workdir: Path):
     report = workdir / "report.json"
     out = io.StringIO()
@@ -158,11 +376,23 @@ def fingerprint(argv, workdir: Path):
             hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
 
 
+def doc_fingerprint(name, workdir: Path):
+    path_arg, doc = DOCS[name]
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return fingerprint(["verify", str(path), "--path", path_arg], workdir)
+
+
 @pytest.mark.parametrize("argv", JOBS, ids=[" ".join(j[2:]) for j in JOBS])
 def test_certificate_bytes_unchanged(argv, tmp_path):
     code, report_sha, stdout_sha = fingerprint(argv, tmp_path)
     assert code == 0
     assert (report_sha, stdout_sha) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("name", list(DOCS))
+def test_document_certificate_bytes_unchanged(name, tmp_path):
+    assert doc_fingerprint(name, tmp_path) == GOLDEN_DOCS[name]
 
 
 if __name__ == "__main__":
@@ -173,3 +403,8 @@ if __name__ == "__main__":
                 sys.exit(f"{' '.join(argv)} exited {code}")
             print(f'    "{" ".join(argv)}":\n        ("{report_sha}",\n'
                   f'         "{stdout_sha}"),')
+        print()
+        for name in DOCS:
+            code, report_sha, stdout_sha = doc_fingerprint(name, Path(tmp))
+            print(f'    "{name}":\n        ({code}, "{report_sha}",\n'
+                  f'            "{stdout_sha}"),')

@@ -104,3 +104,29 @@ def test_failing_E_checks_keep_their_detail(name, kind, candidate, check_id, det
     fails = [(r.check_id, r.detail) for r in report.checks if r.status == "fail"]
     assert fails == [("thm29-e-ranges", "T R differs from the candidate idempotent action"),
                      (check_id, detail)]
+
+
+@pytest.mark.parametrize("kind", ["convolution", "function"])
+def test_leg_conditions_run_once_per_algebra_and_E(kind, monkeypatch):
+    # the axiom path and the antipode path check the leg conditions of the
+    # same E; the second request must read the first one's result
+    runs, requests = [], []
+    leg_conditions = coproducts.check_E_conditions
+
+    def counted(c, e):
+        runs.append((_table(c.parent), _dense(c.t1), _dense(e.left), _dense(e.right)))
+        return leg_conditions(c, e)
+
+    request = RunCache.e_conditions
+
+    def counted_request(self, c, e):
+        requests.append(1)
+        return request(self, c, e)
+
+    monkeypatch.setattr(coproducts, "check_E_conditions", counted)
+    monkeypatch.setattr(RunCache, "e_conditions", counted_request)
+    report, _ = verify_groupoid_model(preset("pair:2"), kind, path="both")
+    assert report.verdict == PASS
+    assert report.status_of("thm29-e-conditions") == PASS
+    assert len(set(runs)) == len(runs) > 0
+    assert len(requests) > len(runs)

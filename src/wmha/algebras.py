@@ -37,6 +37,33 @@ def sparse_to_vec(s: SparseVec, n: int) -> list:
     return out
 
 
+def _on_legs(cols: list, rows: int, x, s: int = 1) -> SparseVec:
+    """Apply an operator to one block of adjacent legs of a sparse tensor
+    vector, given as its (index, value) pairs x.  The operator is the list
+    cols of its sparse columns, one iterable of (row, value) pairs per
+    input index, with `rows` output indices.
+
+    Tensor vectors use the row-major index of Algebra.tensor: the index of
+    e_i (x) e_j (x) e_k in A (x) B (x) C is (i·dim B + j)·dim C + k.  Write
+    an index as (hi·m_in + mid)·s + lo with m_in = len(cols), where mid
+    indexes the acted-on block and s is the product of the dimensions of
+    the legs after it; the operator sends it to the sum of
+    cols[mid][row]·((hi·rows + row)·s + lo).  So on A (x) A, s = dim A
+    acts on the first leg and s = 1 on the second."""
+    m_in = len(cols)
+    acc: dict = {}
+    if s == 1:                  # the last legs: lo is always 0
+        for idx, coeff in x:
+            hi, mid = divmod(idx, m_in)
+            _accumulate(acc, cols[mid], coeff, None, hi * rows)
+    else:
+        for idx, coeff in x:
+            hm, lo = divmod(idx, s)
+            hi, mid = divmod(hm, m_in)
+            _accumulate(acc, cols[mid], coeff, None, hi * rows * s + lo, s)
+    return _settle(acc)
+
+
 class Algebra:
     """Associative algebra with basis e_0..e_{n-1} and products
     e_i e_j = sum_k m[i][j][k] e_k."""
@@ -46,6 +73,7 @@ class Algebra:
         self.basis_labels = basis_labels
         self._table: Dict[Tuple[int, int], SparseVec] = {}
         self._factors: Optional[Tuple["Algebra", "Algebra"]] = None
+        self._cols: Dict[tuple, list] = {}
 
     @staticmethod
     def from_structure(dim: int, basis_labels: Optional[List[str]], entries) -> "Algebra":
@@ -87,6 +115,28 @@ class Algebra:
                         out[k1 * db + k2] = w
         self._table[(i, j)] = out
         return out
+
+    def _left_cols(self, a: int) -> list:
+        """The sparse columns of x -> e_a x, for _on_legs; cached."""
+        got = self._cols.get(("L", a))
+        if got is None:
+            got = self._cols["L", a] = [self.mul_basis(a, j).items() for j in range(self.dim)]
+        return got
+
+    def _right_cols(self, a: int) -> list:
+        """The sparse columns of x -> x e_a, for _on_legs; cached."""
+        got = self._cols.get(("R", a))
+        if got is None:
+            got = self._cols["R", a] = [self.mul_basis(j, a).items() for j in range(self.dim)]
+        return got
+
+    def _product_cols(self) -> list:
+        """The sparse columns of the product map e_i (x) e_j -> e_i e_j."""
+        got = self._cols.get("m")
+        if got is None:
+            got = self._cols["m"] = [self.mul_basis(i, j).items()
+                                     for i in range(self.dim) for j in range(self.dim)]
+        return got
 
     def unflatten(self, idx: int) -> Tuple[int, int]:
         if self._factors is None:

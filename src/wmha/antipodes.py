@@ -10,20 +10,20 @@ identities and the flipped-E identity suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (Algebra, Element, Multiplier, SparseVec, flip_map,
+from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs, flip_map,
                        sparse_to_vec, vec_to_sparse, StarStructure)
 from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
-                         ProjectionMaps, apply_on_legs12, apply_on_legs13,
-                         apply_on_legs23, extend_delta, compute_E,
-                         _lbl, _lbl2, _lbl3, _mult_leg1, _mult_leg1_right,
-                         _mult_leg2, _mult_leg2_right)
+                         ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
+                         _commute, _counit_cols, _lbl, _lbl2, _lbl3,
+                         _module_law_witness)
 from .linalg import (Echelon, Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
 from .report import CheckResult, check, failed, passed, skipped
-from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle, _sum_products
+from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
 
 
 class AntipodesDisagree(Exception):
@@ -43,7 +43,8 @@ def build_generalized_inverses(c: CoproductData, e: CanonicalIdempotent,
     r1 = generalized_inverse(c.t1, e.left, g.g1)
     r2 = generalized_inverse(c.t2, e.right, g.g2)
 
-    bad = _r_module_witness(c, r1, r2)
+    bad = _module_law_witness(c, [(r1, 2, "R1 module law fails"),
+                                  (r2, 1, "R2 module law fails")])
     lemma = (c.t1 * r1 * c.t1 == c.t1) and (r1 * c.t1 * r1 == r1) and \
         (c.t2 * r2 * c.t2 == c.t2) and (r2 * c.t2 * r2 == r2)
     out.append(check("generalized-inverses", bad is None and lemma,
@@ -53,39 +54,16 @@ def build_generalized_inverses(c: CoproductData, e: CanonicalIdempotent,
     comm_bad = None
     n = c.n
     for idx in range(n ** 3):
-        x = {idx: ONE}
-        lhs = apply_on_legs23(r1, apply_on_legs12(c.t2, x, n), n)
-        rhs = apply_on_legs12(c.t2, apply_on_legs23(r1, x, n), n)
-        if lhs != rhs:
+        if not _commute(c.t2, r1, idx, n):
             comm_bad = f"(T2 x id)(id x R1) != (id x R1)(T2 x id) at {_lbl3(c, idx)}"
             break
-        lhs = apply_on_legs12(r2, apply_on_legs23(c.t1, x, n), n)
-        rhs = apply_on_legs23(c.t1, apply_on_legs12(r2, x, n), n)
-        if lhs != rhs:
+        if not _commute(r2, c.t1, idx, n):
             comm_bad = f"(id x T1)(R2 x id) != (R2 x id)(id x T1) at {_lbl3(c, idx)}"
             break
     out.append(check("r-commutation", comm_bad is None,
                      "R maps commute with the opposite-side canonical maps",
                      comm_bad or ""))
     return r1, r2, out
-
-
-def _r_module_witness(c: CoproductData, r1: Matrix, r2: Matrix) -> Optional[str]:
-    n = c.n
-    for a in range(n):
-        for b in range(n):
-            col1 = dict(r1.col_sparse(a * n + b))
-            col2 = dict(r2.col_sparse(a * n + b))
-            for x in range(n):
-                lhs = r1.apply_sparse({a * n + k: v
-                                       for k, v in c.parent.mul_basis(b, x).items()})
-                if lhs != _mult_leg2_right(c, col1, x):
-                    return f"R1 module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, x)})"
-                lhs2 = r2.apply_sparse({k * n + b: v
-                                        for k, v in c.parent.mul_basis(x, a).items()})
-                if lhs2 != _mult_leg1(c, x, col2):
-                    return f"R2 module law fails at ({_lbl(c, x)}, {_lbl(c, a)}, {_lbl(c, b)})"
-    return None
 
 
 # ---------------------------------------------------------------- antipode
@@ -115,18 +93,21 @@ def _combine_multipliers(parent: Algebra, lefts: List[Matrix], rights: List[Matr
                       _combination(((v, rights[k]) for k, v in coeffs.items()), n, n))
 
 
-def _multiply_legs(c: CoproductData, x) -> SparseVec:
-    """The product map m(p (x) q) = pq applied to the (index, value)
-    pairs of a tensor-square vector."""
-    n = c.n
-    acc: dict = {}
-    for row, v in x:
-        _accumulate(acc, c.parent.mul_basis(row // n, row % n).items(), v)
-    return _settle(acc)
+def _vectors_matrix(vecs: List[SparseVec], rows: int) -> Matrix:
+    """The matrix whose columns are the sparse vectors vecs."""
+    return Matrix.from_cols([sparse_to_vec(v, rows) for v in vecs], rows=rows)
 
-    @property
-    def regular(self) -> bool:
-        return self.s_matrix_inv is not None
+
+def _contractions(c: CoproductData, g: ProjectionMaps, w: "AntipodeWitness",
+                  counit: list) -> Tuple[list, list, list, list]:
+    """Per basis vector of the tensor square: (eps (x) id) G1, (id (x) eps) G2,
+    and the products m R1 and m R2."""
+    n, nn = c.n, c.nn
+    eps, prod = _counit_cols(counit), c.parent._product_cols()
+    return ([_on_legs(eps, 1, g.g1.col_sparse(j), n) for j in range(nn)],
+            [_on_legs(eps, 1, g.g2.col_sparse(j)) for j in range(nn)],
+            [_on_legs(prod, n, w.r1.col_sparse(j)) for j in range(nn)],
+            [_on_legs(prod, n, w.r2.col_sparse(j)) for j in range(nn)])
 
 
 def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
@@ -136,20 +117,11 @@ def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
     every value lies in the embedded copy of the algebra."""
     n = c.n
     out: List[CheckResult] = []
-    s_left = []
-    s_right = []
-    for a in range(n):
-        left = Matrix.zero(n, n)
-        right = Matrix.zero(n, n)
-        for b in range(n):
-            for j, v in _sum_products((row % n, counit[row // n], v)
-                                      for row, v in r1.col_sparse(a * n + b)).items():
-                left.data[j][b] = v
-            for i, v in _sum_products((row // n, counit[row % n], v)
-                                      for row, v in r2.col_sparse(b * n + a)).items():
-                right.data[i][b] = v
-        s_left.append(left)
-        s_right.append(right)
+    eps = _counit_cols(counit)
+    s_left = [_vectors_matrix([_on_legs(eps, 1, r1.col_sparse(a * n + b), n)
+                               for b in range(n)], n) for a in range(n)]
+    s_right = [_vectors_matrix([_on_legs(eps, 1, r2.col_sparse(b * n + a))
+                                for b in range(n)], n) for a in range(n)]
 
     # left/right multiplier laws for each S value
     law_bad = None
@@ -213,35 +185,30 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
                               counit: list) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = c.n
-
-    def mulv(x: SparseVec, y: SparseVec) -> SparseVec:
-        return c.parent.mul_sparse(x, y)
+    alg = c.parent
+    prod = alg._product_cols()
+    eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
+    eps_g1_cols = [v.items() for v in eps_g1]
+    g2_eps_cols = [v.items() for v in g2_eps]
 
     # both counit-style identities, in left- and right-contracted form;
     # the source/target values enter through their G-contraction form
     bad = None
-    for a in range(n):
-        for b in range(n):
-            if _multiply_legs(c, g.g1.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
-                bad = f"sum a1 S(a2) a3 = a fails against ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            if _multiply_legs(c, g.g2.col_sparse(a * n + b)) != c.parent.mul_basis(a, b):
-                bad = f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            # sum S(a1) a2 S(a3) = S(a)
-            acc: dict = {}
-            for row, v in w.r1.col_sparse(a * n + b):
-                _accumulate(acc, _epsi_g1(c, g, counit, row // n, row % n).items(), v)
-            if _settle(acc) != dict(w.s_left[a].col_sparse(b)):
-                bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            acc = {}
-            for row, v in w.r2.col_sparse(b * n + a):
-                _accumulate(acc, _ieps_g2(c, g, counit, row // n, row % n).items(), v)
-            if _settle(acc) != dict(w.s_right[a].col_sparse(b)):
-                bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-        if bad:
+    for a, b in product(range(n), repeat=2):
+        if _on_legs(prod, n, g.g1.col_sparse(a * n + b)) != alg.mul_basis(a, b):
+            bad = f"sum a1 S(a2) a3 = a fails against ({_lbl(c, a)}, {_lbl(c, b)})"
+            break
+        if _on_legs(prod, n, g.g2.col_sparse(a * n + b)) != alg.mul_basis(a, b):
+            bad = f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
+            break
+        # sum S(a1) a2 S(a3) = S(a)
+        if _on_legs(eps_g1_cols, n, w.r1.col_sparse(a * n + b)) != \
+                dict(w.s_left[a].col_sparse(b)):
+            bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
+            break
+        if _on_legs(g2_eps_cols, n, w.r2.col_sparse(b * n + a)) != \
+                dict(w.s_right[a].col_sparse(b)):
+            bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
             break
     out.append(check("antipode-counit-identities", bad is None,
                      "both antipode identities hold as one-sided multiplier equalities",
@@ -249,22 +216,12 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
 
     # the contracted equalities behind S1 = S2
     rem_bad = None
-    for s in range(n):
-        for a in range(n):
-            for p in range(n):
-                lhs1 = mulv(_ieps_g2(c, g, counit, s, a), {p: ONE})
-                rhs1 = mulv({s: ONE}, _multiply_legs(c, w.r1.col_sparse(a * n + p)))
-                if lhs1 != rhs1:
-                    rem_bad = f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-                    break
-                lhs2 = mulv(_multiply_legs(c, w.r2.col_sparse(s * n + a)), {p: ONE})
-                rhs2 = mulv({s: ONE}, _epsi_g1(c, g, counit, a, p))
-                if lhs2 != rhs2:
-                    rem_bad = f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-                    break
-            if rem_bad:
-                break
-        if rem_bad:
+    for s, a, p in product(range(n), repeat=3):
+        if alg.mul_by_basis(g2_eps[s * n + a], p) != alg.basis_times(s, m_r1[a * n + p]):
+            rem_bad = f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
+            break
+        if alg.mul_by_basis(m_r2[s * n + a], p) != alg.basis_times(s, eps_g1[a * n + p]):
+            rem_bad = f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
             break
     out.append(check("antipode-remark-equalities", rem_bad is None,
                      "contracted one-sided antipode sums agree (equivalent to S1 = S2)",
@@ -307,47 +264,24 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
     return out
 
 
-def _ieps_g2(c: CoproductData, g: ProjectionMaps, counit, s: int, a: int) -> SparseVec:
-    """(id (x) eps)(G2(e_s (x) e_a))"""
-    n = c.n
-    return _sum_products((row // n, v, counit[row % n])
-                         for row, v in g.g2.col_sparse(s * n + a))
-
-
-def _epsi_g1(c: CoproductData, g: ProjectionMaps, counit, a: int, p: int) -> SparseVec:
-    """(eps (x) id)(G1(e_a (x) e_p))"""
-    n = c.n
-    return _sum_products((row % n, v, counit[row // n])
-                         for row, v in g.g1.col_sparse(a * n + p))
-
-
 def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multiplier:
     """sigma (S x S) coproduct(e_a) as a multiplier of the tensor square."""
     n, nn = c.n, c.nn
     left = Matrix.zero(nn, nn)
     right = Matrix.zero(nn, nn)
+    # the maps e_i -> S1(e_i) e_j and e_i -> e_j S2(e_i), per j
+    s1 = [[x.col_sparse(j) for x in w.s_left] for j in range(n)]
+    s2 = [[x.col_sparse(j) for x in w.s_right] for j in range(n)]
     for cc in range(n):
         for b in range(n):
-            # left action on (cc (x) b): sum S(a1) cc (x) S(a2) b, then flip input/output
-            acc: dict = {}
-            for row, v in w.r1.col_sparse(a * n + b):
-                i, j = divmod(row, n)
-                _accumulate(acc, w.s_left[i].col_sparse(cc), v, base=j, stride=n)
-            acc = _settle(acc)
-            # acc = (S x S)coproduct(a) . (cc (x) b); flip to get sigma-conjugation
-            col = b * n + cc  # input flipped
-            for key, v in acc.items():
-                k1, k2 = divmod(key, n)
-                left.data[k2 * n + k1][col] = v
-            acc2: dict = {}
-            for row, v in w.r2.col_sparse(cc * n + a):
-                u_, v_ = divmod(row, n)
-                _accumulate(acc2, w.s_right[v_].col_sparse(b), v, base=u_ * n)
-            acc2 = _settle(acc2)
-            col = b * n + cc
-            for key, v in acc2.items():
-                k1, k2 = divmod(key, n)
-                right.data[k2 * n + k1][col] = v
+            # (S x S)coproduct(a) acting on cc (x) b: e_i -> S1(e_i) e_cc on
+            # leg 1 of R1(a (x) b), and e_j -> e_b S2(e_j) on leg 2 of
+            # R2(cc (x) a); then flip input and output
+            for m, vec in ((left, _on_legs(s1[cc], n, w.r1.col_sparse(a * n + b), n)),
+                           (right, _on_legs(s2[b], n, w.r2.col_sparse(cc * n + a)))):
+                for key, v in vec.items():
+                    k1, k2 = divmod(key, n)
+                    m.data[k2 * n + k1][b * n + cc] = v
     return Multiplier(c.aa, left, right)
 
 
@@ -367,24 +301,11 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
                           counit: list) -> Tuple[SourceTargetWitness, List[CheckResult]]:
     out: List[CheckResult] = []
     n = c.n
-    eps_s: List[Multiplier] = []
-    eps_t: List[Multiplier] = []
-    for a in range(n):
-        sl = Matrix.zero(n, n)
-        sr = Matrix.zero(n, n)
-        tl = Matrix.zero(n, n)
-        tr = Matrix.zero(n, n)
-        for b in range(n):
-            for k, v in _epsi_g1(c, g, counit, a, b).items():
-                sl.data[k][b] = v
-            for k, v in _multiply_legs(c, w.r2.col_sparse(b * n + a)).items():
-                sr.data[k][b] = v
-            for k, v in _multiply_legs(c, w.r1.col_sparse(a * n + b)).items():
-                tl.data[k][b] = v
-            for k, v in _ieps_g2(c, g, counit, b, a).items():
-                tr.data[k][b] = v
-        eps_s.append(Multiplier(c.parent, sl, sr))
-        eps_t.append(Multiplier(c.parent, tl, tr))
+    eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
+    eps_s = [Multiplier(c.parent, _vectors_matrix(eps_g1[a * n:a * n + n], n),
+                        _vectors_matrix(m_r2[a::n], n)) for a in range(n)]
+    eps_t = [Multiplier(c.parent, _vectors_matrix(m_r1[a * n:a * n + n], n),
+                        _vectors_matrix(g2_eps[a::n], n)) for a in range(n)]
 
     valid_bad = None
     for a in range(n):
@@ -469,41 +390,26 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
 def _e_leg_multipliers(c: CoproductData, e: CanonicalIdempotent):
     """Leg elements of E as multiplier coordinate vectors: functional
     slices of (c (x) 1) E (a (x) .) on the right leg (target side) and of
-    (1 (x) a) E (. (x) c) on the left leg (source side)."""
+    (1 (x) a) E (. (x) c) on the left leg (source side).  On the leg
+    multiplied (1 for the target side), E's left action at the column with
+    q there and b on the other leg is multiplied by e_p from the left, and
+    its right action at the column with p there by e_q from the right; the
+    slice index k is the output's index on that leg."""
     n = c.n
-    legs_s = []
-    legs_t = []
-    for a in range(n):
-        for cc in range(n):
-            # target side
-            mats_l = [Matrix.zero(n, n) for _ in range(n)]
-            mats_r = [Matrix.zero(n, n) for _ in range(n)]
+    alg = c.parent
+    legs: Dict[int, list] = {1: [], 2: []}
+    for a, cc in product(range(n), repeat=2):
+        for leg in (1, 2):
+            p, q = (cc, a) if leg == 1 else (a, cc)
+            s, other = (n, 1) if leg == 1 else (1, n)
+            mats = [(Matrix.zero(n, n), Matrix.zero(n, n)) for _ in range(n)]
             for b in range(n):
-                vecl = _mult_leg1(c, cc, dict(e.left.col_sparse(a * n + b)))
-                for key, v in vecl.items():
-                    k, j = divmod(key, n)
-                    mats_l[k].data[j][b] = v
-                vecr = _mult_leg1_right(c, dict(e.right.col_sparse(cc * n + b)), a)
-                for key, v in vecr.items():
-                    k, j = divmod(key, n)
-                    mats_r[k].data[j][b] = v
-            for k in range(n):
-                legs_t.append(Multiplier(c.parent, mats_l[k], mats_r[k]).coords())
-            # source side
-            mats_l2 = [Matrix.zero(n, n) for _ in range(n)]
-            mats_r2 = [Matrix.zero(n, n) for _ in range(n)]
-            for b in range(n):
-                vecl = _mult_leg2(c, a, dict(e.left.col_sparse(b * n + cc)))
-                for key, v in vecl.items():
-                    j, k = divmod(key, n)
-                    mats_l2[k].data[j][b] = v
-                vecr = _mult_leg2_right(c, dict(e.right.col_sparse(b * n + a)), cc)
-                for key, v in vecr.items():
-                    j, k = divmod(key, n)
-                    mats_r2[k].data[j][b] = v
-            for k in range(n):
-                legs_s.append(Multiplier(c.parent, mats_l2[k], mats_r2[k]).coords())
-    return legs_s, legs_t
+                for side, act, mult, u in ((0, e.left, alg._left_cols(p), q),
+                                           (1, e.right, alg._right_cols(q), p)):
+                    for key, v in _on_legs(mult, n, act.col_sparse(u * s + b * other), s).items():
+                        mats[key // s % n][side].data[key // other % n][b] = v
+            legs[leg].extend(Multiplier(alg, ml, mr).coords() for ml, mr in mats)
+    return legs[2], legs[1]
 
 
 # ------------------------------------------------- antipode-first path
@@ -518,17 +424,12 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     identities, the E range identities and the E leg conditions."""
     out: List[CheckResult] = []
     n, nn = c.n, c.nn
+    alg = c.parent
     s_cols = [vec_to_sparse(s_mat.col(a)) for a in range(n)]
 
-    # strip (c (x) 1) products to recover R1; (1 (x) d) right products for R2
-    stack1 = Matrix.zero(n * nn, nn)
-    for cc in range(n):
-        for col in range(nn):
-            for key, v in _mult_leg1(c, cc, {col: ONE}).items():
-                stack1.data[cc * nn + key][col] = v
-    ech1 = Echelon(stack1, solvable=True)
-    stack2, ech2 = _strip_echelon(c, leg=2)
-    if ech1.rank < nn or ech2.rank < nn:
+    # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
+    strips = (_strip_echelon(c, alg._left_cols, n), _strip_echelon(c, alg._right_cols, 1))
+    if any(ech.rank < nn for _, ech in strips):
         out.append(failed("thm29-r-ranges",
                           "product is too degenerate to recover the R maps"))
         return out, None, None
@@ -536,34 +437,22 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     r1 = Matrix.zero(nn, nn)
     r2 = Matrix.zero(nn, nn)
     range_bad = None
-    mul_basis = c.parent.mul_basis
-    for a in range(n):
-        for b in range(n):
-            acc: dict = {}
-            for cc in range(n):
-                for row, v in c.t2.col_sparse(cc * n + a):
-                    u, vv = divmod(row, n)
-                    for k, sv in s_cols[vv].items():
-                        _accumulate(acc, mul_basis(k, b).items(), v, sv, base=cc * nn + u * n)
-            sol = ech1.solve_sparse(_settle(acc), stack1)
+    # the maps e_v -> S(e_v) e_b and e_u -> e_a S(e_u), per b and per a
+    s_times = [[alg.mul_by_basis(sv, b).items() for sv in s_cols] for b in range(n)]
+    times_s = [[alg.basis_times(a, sv).items() for sv in s_cols] for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        # stacked over the stripped index y: S(e_v) e_b on the last leg of
+        # T2(e_y (x) e_a), and e_a S(e_u) on the middle leg of T1(e_b (x) e_y)
+        halves = (("R1", r1, strips[0], c.t2, a, n, s_times[b], 1),
+                  ("R2", r2, strips[1], c.t1, b * n, 1, times_s[a], n))
+        for name, r, (stack, ech), t, col0, step, op, s in halves:
+            x = [(y * nn + row, v) for y in range(n) for row, v in t.col_sparse(col0 + y * step)]
+            sol = ech.solve_sparse(_on_legs(op, n, x, s), stack)
             if sol is None:
-                range_bad = f"R1({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
+                range_bad = f"{name}({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
                 break
             for i, v in sol.items():
-                r1.data[i][a * n + b] = v
-            acc = {}
-            for dd in range(n):
-                for row, v in c.t1.col_sparse(b * n + dd):
-                    u, vv = divmod(row, n)
-                    for k, sv in s_cols[u].items():
-                        _accumulate(acc, mul_basis(a, k).items(), v, sv, base=dd * nn + vv,
-                                    stride=n)
-            sol = ech2.solve_sparse(_settle(acc), stack2)
-            if sol is None:
-                range_bad = f"R2({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
-                break
-            for i, v in sol.items():
-                r2.data[i][a * n + b] = v
+                r.data[i][a * n + b] = v
         if range_bad:
             break
     out.append(check("thm29-r-ranges", range_bad is None,
@@ -572,34 +461,25 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     if range_bad:
         return out, None, None
 
-    # the two identities (as contracted one-sided equalities)
+    # the two identities (as contracted one-sided equalities): with
+    # (R, T, col) = (R1, T1, a (x) b) and (R2, T2, b (x) a), and S on the
+    # leg of a, m R T = m and m S T R = m S at col
+    prod, s_op = alg._product_cols(), s_mat._sparse_cols()
     id_bad = None
-    for a in range(n):
-        sa = s_cols[a]
-        for b in range(n):
-            t1ab = r1.apply_sparse(dict(c.t1.col_sparse(a * n + b)))
-            if _multiply_legs(c, t1ab.items()) != c.parent.mul_basis(a, b):
-                id_bad = f"sum a1 S(a2) a3 = a fails at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            t2ba = r2.apply_sparse(dict(c.t2.col_sparse(b * n + a)))
-            if _multiply_legs(c, t2ba.items()) != c.parent.mul_basis(b, a):
-                id_bad = f"contracted first identity fails at ({_lbl(c, b)}, {_lbl(c, a)})"
-                break
-            acc = {}
-            for row, v in r1.col_sparse(a * n + b):
-                for row2, v2 in c.t1.col_sparse(row):
-                    for k, sv in s_cols[row2 // n].items():
-                        _accumulate(acc, mul_basis(k, row2 % n).items(), v * v2, sv)
-            if _settle(acc) != c.parent.mul_sparse(sa, {b: ONE}):
-                id_bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            acc = {}
-            for row, v in r2.col_sparse(b * n + a):
-                for row2, v2 in c.t2.col_sparse(row):
-                    for k, sv in s_cols[row2 % n].items():
-                        _accumulate(acc, mul_basis(row2 // n, k).items(), v * v2, sv)
-            if _settle(acc) != c.parent.mul_sparse({b: ONE}, sa):
-                id_bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
+    for a, b in product(range(n), repeat=2):
+        halves = ((r1, c.t1, a * n + b, n), (r2, c.t2, b * n + a, 1))
+        failing = [_on_legs(prod, n, r.apply_sparse(dict(t.col_sparse(col))).items())
+                   != alg.mul_basis(col // n, col % n) for r, t, col, _ in halves]
+        failing += [_on_legs(prod, n, _on_legs(s_op, n, t.apply_sparse(dict(r.col_sparse(col))).items(), s).items())
+                    != _on_legs(prod, n, _on_legs(s_op, n, [(col, ONE)], s).items())
+                    for r, t, col, s in halves]
+        for bad, msg in zip(failing, (
+                f"sum a1 S(a2) a3 = a fails at ({_lbl(c, a)}, {_lbl(c, b)})",
+                f"contracted first identity fails at ({_lbl(c, b)}, {_lbl(c, a)})",
+                f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})",
+                f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})")):
+            if bad:
+                id_bad = msg
                 break
         if id_bad:
             break
@@ -678,13 +558,27 @@ def derive_flip_maps(c: CoproductData, w: AntipodeWitness) -> Tuple[Optional[Mat
     available once the antipode is a bijective matrix."""
     if w.s_matrix is None or w.s_matrix_inv is None:
         return None, None
-    n = c.n
-    ident = Matrix.identity(n)
-    i_s = ident.kron(w.s_matrix)
-    i_si = ident.kron(w.s_matrix_inv)
-    s_i = w.s_matrix.kron(ident)
-    si_i = w.s_matrix_inv.kron(ident)
+    i_s, i_si, s_i, si_i = _s_conjugators(w)
     return i_si * w.r1 * i_s, si_i * w.r2 * s_i
+
+
+def _s_conjugators(w: AntipodeWitness) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """1 (x) S, 1 (x) S^-1, S (x) 1 and S^-1 (x) 1 on the tensor square, for
+    a bijective antipode matrix."""
+    ident = Matrix.identity(w.s_matrix.rows)
+    return (ident.kron(w.s_matrix), ident.kron(w.s_matrix_inv),
+            w.s_matrix.kron(ident), w.s_matrix_inv.kron(ident))
+
+
+def _f_actions(conj: tuple, x: Matrix, y: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """One action of each of F1..F4, the conjugates of E's actions by S on
+    one leg: F1 = (1 (x) S) x (1 (x) S^-1), F2 = (S (x) 1) y (S^-1 (x) 1),
+    F3 = (1 (x) S^-1) y (1 (x) S) and F4 = (S^-1 (x) 1) x (S (x) 1).  With
+    (x, y) = (E's right, E's left action) these are the first actions, the
+    ones a certificate records; with (x, y) swapped, the second.  conj
+    holds the _s_conjugators of the antipode."""
+    i_s, i_si, s_i, si_i = conj
+    return i_s * x * i_si, s_i * y * si_i, i_si * y * i_s, si_i * x * s_i
 
 
 def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
@@ -733,7 +627,6 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
                      "flipped-side map ranges differ from the E-prescribed ones"
                      if not ran_ok else "supplied T3/T4 differ from the antipode-derived maps"))
 
-    ident = Matrix.identity(n)
     sigma = flip_map(n)
     ss = w.s_matrix.kron(w.s_matrix)
     ssi = w.s_matrix_inv.kron(w.s_matrix_inv)
@@ -744,14 +637,8 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
                      "(S x S)E = sigma E as multipliers",
                      "(S x S)E differs from sigma E"))
 
-    i_s = ident.kron(w.s_matrix)
-    i_si = ident.kron(w.s_matrix_inv)
-    s_i = w.s_matrix.kron(ident)
-    si_i = w.s_matrix_inv.kron(ident)
-    f1 = (i_s * e.right * i_si, i_s * e.left * i_si)      # (rho, lambda) in twisted square
-    f2 = (s_i * e.left * si_i, s_i * e.right * si_i)      # (lambda, rho)
-    f3 = (i_si * e.left * i_s, i_si * e.right * i_s)
-    f4 = (si_i * e.right * s_i, si_i * e.left * s_i)
+    conj = _s_conjugators(w)
+    f1, f2, f3, f4 = zip(_f_actions(conj, e.right, e.left), _f_actions(conj, e.left, e.right))
 
     fact_ok = (g.g1 == f1[0]) and (g.g2 == f2[0])
     out.append(check("regular-f-factorization", fact_ok,
@@ -786,22 +673,29 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
         f3_lam = _f_action(c, sand_a, smat, sinv, contract_first=False)
         f2_lam = _f_action(c, sand_b, sinv, smat, contract_first=True)
         f4_rho = _f_action(c, sand_a, smat, sinv, contract_first=True)
+
+        def on12(m: Matrix, v: SparseVec) -> SparseVec:
+            return _on_legs(m._sparse_cols(), nn, v.items(), n)
+
+        def on23(m: Matrix, v: SparseVec) -> SparseVec:
+            return _on_legs(m._sparse_cols(), nn, v.items())
+
         for idx in range(n ** 3):
             x = {idx: ONE}
-            lhs1 = apply_on_legs13(e.left, apply_on_legs12(f1_lam, x, n), n)
-            rhs1 = apply_on_legs13(e.left, apply_on_legs23(e.left, x, n), n)
+            lhs1 = apply_on_legs13(e.left, on12(f1_lam, x), n)
+            rhs1 = apply_on_legs13(e.left, on23(e.left, x), n)
             if lhs1 != rhs1:
                 rel_bad = f"E13(F1 x 1) != E13(1 x E) at {_lbl3(c, idx)}"
                 break
             w13l = apply_on_legs13(e.left, x, n)
-            if apply_on_legs12(f3_lam, w13l, n) != apply_on_legs23(e.left, w13l, n):
+            if on12(f3_lam, w13l) != on23(e.left, w13l):
                 rel_bad = f"(F3 x 1)E13 != (1 x E)E13 at {_lbl3(c, idx)}"
                 break
-            if apply_on_legs23(f2_lam, w13l, n) != apply_on_legs12(e.left, w13l, n):
+            if on23(f2_lam, w13l) != on12(e.left, w13l):
                 rel_bad = f"(1 x F2)E13 != (E x 1)E13 at {_lbl3(c, idx)}"
                 break
             w13r = apply_on_legs13(e.right, x, n)
-            if apply_on_legs23(f4_rho, w13r, n) != apply_on_legs12(e.right, w13r, n):
+            if on23(f4_rho, w13r) != on12(e.right, w13r):
                 rel_bad = f"E13(1 x F4) != E13(E x 1) at {_lbl3(c, idx)}"
                 break
     out.append(check("regular-f-relations", rel_bad is None,
@@ -842,8 +736,11 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
                                "not applicable: algebra has no unit"))
         return out, flags
 
+    alg = c.parent
+    eps = _counit_cols(counit)
+
     def eps_of(vec: SparseVec) -> Scalar:
-        return _dot((counit[k], v) for k, v in vec.items())
+        return _on_legs(eps, 1, vec.items()).get(0, ZERO)
 
     # coproduct of each basis element as an honest tensor (unital case)
     unit_sp = vec_to_sparse(unit.coeffs)
@@ -880,22 +777,20 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         out.append(check("weak-hopf-counit-op", bad2 is None,
                          "counit is weakly multiplicative (second form)", bad2 or ""))
 
-    acc: dict = {}
-    for i, ui in unit_sp.items():
-        for j, uj in unit_sp.items():
-            _accumulate(acc, e.left.col_sparse(i * n + j), ui, uj)
-    e_elem = _settle(acc)
+    e_elem = e.left.apply_sparse({i * n + j: ui * uj for i, ui in unit_sp.items()
+                                  for j, uj in unit_sp.items()}).items()
     sbad = None
     for a in range(n):
-        lhs = _sum_products((key % n, v, counit[key // n])
-                            for key, v in _mult_leg1_right(c, e_elem, a).items())
-        if lhs != st.eps_t[a].left.apply_sparse(unit_sp):
-            sbad = f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"
-            break
-        rhs = _sum_products((key // n, v, counit[key % n])
-                            for key, v in _mult_leg2(c, a, e_elem).items())
-        if rhs != st.eps_s[a].left.apply_sparse(unit_sp):
-            sbad = f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})"
+        # eps contracted off the leg that e_a multiplies: E(a x 1) on leg 1,
+        # (1 x a)E on leg 2
+        for s, mult, value, what in (
+                (n, alg._right_cols(a), st.eps_t[a], f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"),
+                (1, alg._left_cols(a), st.eps_s[a], f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})")):
+            if _on_legs(eps, 1, _on_legs(mult, n, e_elem, s).items(), s) != \
+                    value.left.apply_sparse(unit_sp):
+                sbad = what
+                break
+        if sbad:
             break
     out.append(check("weak-hopf-antipode-formulas", sbad is None,
                      "counit contractions of E reproduce source/target values",
@@ -970,30 +865,18 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
 
     # F1* = F3 and F2* = F4
     if bad is None and w.s_matrix is not None and w.s_matrix_inv is not None:
-        ident = Matrix.identity(n)
-        i_s = ident.kron(w.s_matrix)
-        i_si = ident.kron(w.s_matrix_inv)
-        s_i = w.s_matrix.kron(ident)
-        si_i = w.s_matrix_inv.kron(ident)
-        phi1 = i_s * e.right * i_si      # rho action of F1
-        lam1 = i_s * e.left * i_si       # lambda action of F1
-        phi3l = i_si * e.left * i_s
-        phi3r = i_si * e.right * i_s
-        phi2l = s_i * e.left * si_i
-        phi2r = s_i * e.right * si_i
-        phi4r = si_i * e.right * s_i
-        phi4l = si_i * e.left * s_i
+        conj = _s_conjugators(w)
+        f1, f2, f3, f4 = zip(_f_actions(conj, e.right, e.left), _f_actions(conj, e.left, e.right))
         for x in range(nn):
             basis = [ZERO] * nn
             basis[x] = ONE
             sx = star_vec(basis)
-            if star_vec(phi1.apply(sx)) != phi3l.col(x) or \
-               star_vec(lam1.apply(sx)) != phi3r.col(x):
-                bad = f"F1* != F3 at {_lbl2(c, x)}"
-                break
-            if star_vec(phi2r.apply(sx)) != phi4l.col(x) or \
-               star_vec(phi2l.apply(sx)) != phi4r.col(x):
-                bad = f"F2* != F4 at {_lbl2(c, x)}"
+            # each action of F1 (F2) against the matching action of F3 (F4)
+            for fa, fb, what in ((f1, f3, "F1* != F3"), (f2, f4, "F2* != F4")):
+                if any(star_vec(p.apply(sx)) != q.col(x) for p, q in zip(fa, fb)):
+                    bad = f"{what} at {_lbl2(c, x)}"
+                    break
+            if bad:
                 break
     out.append(check("star-compatible", bad is None,
                      "coproduct is a star-homomorphism; E* = E; S twisted-involutive; F1* = F3, F2* = F4",
@@ -1010,24 +893,19 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
     multiplication of S across E, the source/target exchange under S, the
     absorption of source/target values across the legs of E, and E' = E."""
     out: List[CheckResult] = []
-    n, nn = c.n, c.nn
+    n = c.n
 
+    # the maps m(S x id) and m(id x S) on the tensor square, for E's left
+    # and right actions
+    m_s1 = [w.s_left[i].col_sparse(j) for i in range(n) for j in range(n)]
+    m_s2 = [w.s_right[j].col_sparse(i) for i in range(n) for j in range(n)]
     bad = None
-    for a in range(n):
-        for b in range(n):
-            acc: dict = {}
-            for row, v in e.left.col_sparse(a * n + b):
-                _accumulate(acc, w.s_left[row // n].col_sparse(row % n), v)
-            if _settle(acc) != dict(w.s_left[a].col_sparse(b)):
-                bad = f"m(S x id)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-            acc = {}
-            for row, v in e.right.col_sparse(a * n + b):
-                _accumulate(acc, w.s_right[row % n].col_sparse(row // n), v)
-            if _settle(acc) != dict(w.s_right[b].col_sparse(a)):
-                bad = f"m(id x S)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
-                break
-        if bad:
+    for a, b in product(range(n), repeat=2):
+        if _on_legs(m_s1, n, e.left.col_sparse(a * n + b)) != dict(w.s_left[a].col_sparse(b)):
+            bad = f"m(S x id)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
+            break
+        if _on_legs(m_s2, n, e.right.col_sparse(a * n + b)) != dict(w.s_right[b].col_sparse(a)):
+            bad = f"m(id x S)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
             break
     out.append(check("appendix-inverse-unit", bad is None,
                      "multiplying S across the legs of E collapses to S itself",
@@ -1094,17 +972,17 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
 # ------------------------------------------------- sandwich actions of E
 
 
-def _strip_echelon(c: CoproductData, leg: int) -> Tuple[Matrix, Echelon]:
-    """Stacked right-multiplications x -> x (1 (x) e_y) (leg 2) or
-    x -> x (e_y (x) 1) (leg 1); stripping through them is injective for a
-    non-degenerate product."""
+def _strip_echelon(c: CoproductData, mult_cols, s: int) -> Tuple[Matrix, Echelon]:
+    """The maps x -> (multiplication by e_y on one leg)(x) stacked over y,
+    and their solvable echelon; stripping through them is injective for a
+    non-degenerate product.  mult_cols(y) gives the multiplication's
+    columns (Algebra._left_cols or _right_cols), s the leg's stride."""
     n, nn = c.n, c.nn
     stack = Matrix.zero(n * nn, nn)
     for y in range(n):
+        cols = mult_cols(y)
         for col in range(nn):
-            vals = _mult_leg2_right(c, {col: ONE}, y) if leg == 2 \
-                else _mult_leg1_right(c, {col: ONE}, y)
-            for key, v in vals.items():
+            for key, v in _on_legs(cols, n, [(col, ONE)], s).items():
                 stack.data[y * nn + key][col] = v
     return stack, Echelon(stack, solvable=True)
 
@@ -1112,33 +990,28 @@ def _strip_echelon(c: CoproductData, leg: int) -> Tuple[Matrix, Echelon]:
 def _sandwich_tables(c: CoproductData, e: CanonicalIdempotent):
     """sand_a[p][q] = (1 (x) e_q) E (e_p (x) 1) and
     sand_b[p][q] = (e_p (x) 1) E (1 (x) e_q), as sparse vectors; None when
-    a sandwich escapes the tensor square."""
+    a sandwich escapes the tensor square.  Each is recovered from its
+    products with e_y on the other side of the leg that e_p (e_q) covers:
+    (1 (x) e_q) E(e_p (x) e_y) stripped of x -> x (1 (x) e_y), and
+    (e_p (x) 1) E(e_y (x) e_q) stripped of x -> x (e_y (x) 1)."""
     n, nn = c.n, c.nn
-    stack2, ech2 = _strip_echelon(c, leg=2)
-    stack1, ech1 = _strip_echelon(c, leg=1)
-    if ech1.rank < nn or ech2.rank < nn:
-        return None
-    sand_a: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
-    sand_b: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            rhs = [ZERO] * (n * nn)
-            for y in range(n):
-                for key, v in _mult_leg2(c, q, dict(e.left.col_sparse(p * n + y))).items():
-                    rhs[y * nn + key] = v
-            sol = ech2.solve(rhs, stack2)
+    alg = c.parent
+    tables = []
+    for s in (1, n):
+        stack, ech = _strip_echelon(c, alg._right_cols, s)
+        if ech.rank < nn:
+            return None
+        table: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
+        for p, q in product(range(n), repeat=2):
+            mult, cols = (alg._left_cols(q), [p * n + y for y in range(n)]) if s == 1 else \
+                (alg._left_cols(p), [y * n + q for y in range(n)])
+            x = [(y * nn + row, v) for y, col in enumerate(cols) for row, v in e.left.col_sparse(col)]
+            sol = ech.solve_sparse(_on_legs(mult, n, x, s), stack)
             if sol is None:
                 return None
-            sand_a[p][q] = vec_to_sparse(sol)
-            rhs = [ZERO] * (n * nn)
-            for y in range(n):
-                for key, v in _mult_leg1(c, p, dict(e.left.col_sparse(y * n + q))).items():
-                    rhs[y * nn + key] = v
-            sol = ech1.solve(rhs, stack1)
-            if sol is None:
-                return None
-            sand_b[p][q] = vec_to_sparse(sol)
-    return sand_a, sand_b
+            table[p][q] = sol
+        tables.append(table)
+    return tables
 
 
 def _f_action(c: CoproductData, table, contract: Matrix, post: Matrix,
@@ -1158,12 +1031,6 @@ def _f_action(c: CoproductData, table, contract: Matrix, post: Matrix,
                 for k, v in contract.col_sparse(j):
                     _accumulate(acc, table[i][k].items(), v)
             # the post-composition on the first (contract_first) or second leg
-            col: dict = {}
-            for key, v in _settle(acc).items():
-                u1, u2 = divmod(key, n)
-                if contract_first:
-                    _accumulate(col, post.col_sparse(u1), v, base=u2, stride=n)
-                else:
-                    _accumulate(col, post.col_sparse(u2), v, base=u1 * n)
-            cols.append(sparse_to_vec(_settle(col), nn))
+            col = _on_legs(post._sparse_cols(), n, _settle(acc).items(), n if contract_first else 1)
+            cols.append(sparse_to_vec(col, nn))
     return Matrix.from_cols(cols, rows=nn)

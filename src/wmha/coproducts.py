@@ -12,9 +12,10 @@ the kernels of T1/T2, and checks the kernel axiom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import (Algebra, Element, Multiplier, SparseVec,
+from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs,
                        sparse_to_vec, vec_to_sparse)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
@@ -74,6 +75,43 @@ def _lbl3(c: "CoproductData", idx: int) -> str:
     ij, k = divmod(idx, n)
     i, j = divmod(ij, n)
     return f"({_lbl(c, i)} (x) {_lbl(c, j)} (x) {_lbl(c, k)})"
+
+
+def _lbl_at(c: "CoproductData", leg: int, a: int, b: int, x: int) -> str:
+    """The labels of e_a (x) e_b multiplied by e_x on one leg, in the order
+    of the product: (x, a, b) on leg 1, (a, b, x) on leg 2."""
+    return f"({', '.join(_lbl(c, i) for i in ((x, a, b) if leg == 1 else (a, b, x)))})"
+
+
+def _leg_mult(c: "CoproductData", leg: int, x: int, inner: bool = False) -> Tuple[list, int]:
+    """The columns of multiplication by e_x on one leg of the tensor square,
+    with that leg's stride for _on_legs.  The product is taken from outside
+    (left on leg 1, right on leg 2), or from inside with inner."""
+    if (leg == 1) != inner:
+        return c.parent._left_cols(x), (c.n if leg == 1 else 1)
+    return c.parent._right_cols(x), (c.n if leg == 1 else 1)
+
+
+def _leg_blocks(m: Matrix, leg: int, n: int) -> list:
+    """The sparse columns of m, a map on the tensor square, grouped along
+    one leg: block j lists k -> m(e_k (x) e_j) on leg 1 and
+    k -> m(e_j (x) e_k) on leg 2, so _on_legs(block j, ...) applies m
+    after an operator on that leg, in one pass."""
+    cols = m._sparse_cols()
+    return [cols[j::n] for j in range(n)] if leg == 1 else [cols[j * n:j * n + n] for j in range(n)]
+
+
+def _counit_cols(counit: list) -> list:
+    """The counit as the sparse columns of a 1 x n operator, for _on_legs."""
+    return [[(0, v)] if v else [] for v in counit]
+
+
+def _commute(p12: Matrix, q23: Matrix, idx: int, n: int) -> bool:
+    """Whether the operators p on legs (1,2) and q on legs (2,3) of the
+    triple tensor power commute on its basis vector idx."""
+    pc, qc, nn, x = p12._sparse_cols(), q23._sparse_cols(), n * n, [(idx, ONE)]
+    return _on_legs(qc, nn, _on_legs(pc, nn, x, n).items()) == \
+        _on_legs(pc, nn, _on_legs(qc, nn, x).items(), n)
 
 
 def _matrix_key(m: Matrix) -> tuple:
@@ -187,19 +225,14 @@ class CoproductData:
         range is the range of T1 when the algebra is idempotent."""
         if self._psi is None:
             n, nn = self.n, self.nn
-            mul_basis = self.parent.mul_basis
             m = Matrix.zero(nn, n * nn)
             for p in range(n):
                 for d in range(n):
                     t1col = self.t1.col_sparse(p * n + d)
                     for c in range(n):
-                        acc: dict = {}
-                        for row, v in t1col:
-                            a1, a2 = divmod(row, n)
-                            _accumulate(acc, mul_basis(a1, c).items(), v, base=a2, stride=n)
-                        col = (p * n + c) * n + d
-                        for idx, v in _settle(acc).items():
-                            m.data[idx][col] = v
+                        # (e_c on the right of leg 1) T1(e_p (x) e_d)
+                        for idx, v in _on_legs(self.parent._right_cols(c), n, t1col, n).items():
+                            m.data[idx][(p * n + c) * n + d] = v
             self._psi = m
         return self._psi
 
@@ -259,55 +292,38 @@ def validate_coproduct(c: CoproductData) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = c.n
 
-    bad = _module_law_t1(c) or _module_law_t2(c)
+    bad = _module_law_witness(c, [(c.t1, 2, "T1 right-module law fails")]) or \
+        _module_law_witness(c, [(c.t2, 1, "T2 left-module law fails")])
     out.append(check("coproduct-module-laws", bad is None,
                      "one-sided module laws hold for T1 and T2",
                      bad or ""))
 
     mixed = None
-    for a2 in range(n):
-        for a in range(n):
-            for b in range(n):
-                lhs = _mult_leg1(c, a2, dict(c.t1.col_sparse(a * n + b)))
-                rhs = _mult_leg2_right(c, dict(c.t2.col_sparse(a2 * n + a)), b)
-                if lhs != rhs:
-                    mixed = f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
-                    break
-            if mixed:
-                break
-        if mixed:
+    for a2, a, b in product(range(n), repeat=3):
+        if _on_legs(c.parent._left_cols(a2), n, c.t1.col_sparse(a * n + b), n) != \
+                _on_legs(c.parent._right_cols(b), n, c.t2.col_sparse(a2 * n + a)):
+            mixed = f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
             break
     out.append(check("coproduct-mixed-law", mixed is None,
                      "T1 and T2 compute the same two-sided products", mixed or ""))
 
+    # T1(xa (x) b) = coproduct(x).T1(a (x) b) over (x, a, b), then
+    # T2(a (x) bx) = T2(a (x) b).coproduct(x) over (b, x, a)
     hom = None
-    for a in range(n):
-        for a2 in range(n):
-            prod = c.parent.mul_basis(a, a2)
-            for b in range(n):
-                lhs = c.t1.apply_sparse({k * n + b: v for k, v in prod.items()})
-                rhs = c.delta_left(a, dict(c.t1.col_sparse(a2 * n + b)))
-                if lhs != rhs:
-                    hom = f"T1({_lbl(c, a)}{_lbl(c, a2)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, a)}).T1({_lbl(c, a2)} (x) {_lbl(c, b)})"
-                    break
-            if hom:
+    for t, leg, delta in ((c.t1, 1, c.delta_left), (c.t2, 2, c.delta_right)):
+        mults = [_leg_mult(c, leg, x)[0] for x in range(n)]
+        blocks = _leg_blocks(t, leg, n)
+        for p, q, r in product(range(n), repeat=3):
+            x, a, b = (p, q, r) if leg == 1 else (q, r, p)
+            lhs = _on_legs(blocks[b], c.nn, mults[x][a]) if leg == 1 else \
+                _on_legs(blocks[a], c.nn, mults[x][b])
+            if lhs != delta(x, dict(t.col_sparse(a * n + b))):
+                hom = (f"T1({_lbl(c, x)}{_lbl(c, a)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, x)}).T1({_lbl(c, a)} (x) {_lbl(c, b)})"
+                       if leg == 1 else
+                       f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, x)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, x)})")
                 break
         if hom:
             break
-    if hom is None:
-        for b in range(n):
-            for b2 in range(n):
-                prod = c.parent.mul_basis(b, b2)
-                for a in range(n):
-                    lhs = c.t2.apply_sparse({a * n + k: v for k, v in prod.items()})
-                    rhs = c.delta_right(b2, dict(c.t2.col_sparse(a * n + b)))
-                    if lhs != rhs:
-                        hom = f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, b2)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, b2)})"
-                        break
-                if hom:
-                    break
-            if hom:
-                break
     out.append(check("coproduct-homomorphism", hom is None,
                      "reconstructed coproduct is multiplicative against T1 and T2",
                      hom or ""))
@@ -324,92 +340,31 @@ def validate_coproduct(c: CoproductData) -> List[CheckResult]:
     return out
 
 
-def _module_law_t1(c: CoproductData) -> Optional[str]:
+def _module_law_witness(c: CoproductData, laws, triples=None) -> Optional[str]:
+    """The first failing one-sided module law.  Walks the basis triples
+    (a, b, x) in the order given (x innermost by default) and tests each
+    law (m, leg, what) in turn: m commutes with multiplication by e_x from
+    outside on that leg, at e_a (x) e_b, i.e.
+    m((e_x (x) 1)(e_a (x) e_b)) = (e_x (x) 1) m(e_a (x) e_b) on leg 1 and
+    m((e_a (x) e_b)(1 (x) e_x)) = m(e_a (x) e_b)(1 (x) e_x) on leg 2.  A
+    failure reads "<what> at (x, a, b)" or "<what> at (a, b, x)"."""
     n = c.n
-    for a in range(n):
-        for b in range(n):
-            col = dict(c.t1.col_sparse(a * n + b))
-            for b2 in range(n):
-                lhs = c.t1.apply_sparse({a * n + k: v
-                                         for k, v in c.parent.mul_basis(b, b2).items()})
-                if lhs != _mult_leg2_right(c, col, b2):
-                    return f"T1 right-module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, b2)})"
+    mults = {leg: [_leg_mult(c, leg, x) for x in range(n)] for _, leg, _ in laws}
+    laws = [(m, leg, what, _leg_blocks(m, leg, n)) for m, leg, what in laws]
+    for a, b, x in triples or product(range(n), repeat=3):
+        for m, leg, what, blocks in laws:
+            cols, s = mults[leg][x]
+            # m after the product on the leg, and the product after m
+            lhs = _on_legs(blocks[b], m.rows, cols[a]) if leg == 1 else \
+                _on_legs(blocks[a], m.rows, cols[b])
+            if lhs != _on_legs(cols, n, m.col_sparse(a * n + b), s):
+                return f"{what} at {_lbl_at(c, leg, a, b, x)}"
     return None
-
-
-def _module_law_t2(c: CoproductData) -> Optional[str]:
-    n = c.n
-    for a in range(n):
-        for b in range(n):
-            col = dict(c.t2.col_sparse(a * n + b))
-            for a2 in range(n):
-                lhs = c.t2.apply_sparse({k * n + b: v
-                                         for k, v in c.parent.mul_basis(a2, a).items()})
-                if lhs != _mult_leg1(c, a2, col):
-                    return f"T2 left-module law fails at ({_lbl(c, a2)}, {_lbl(c, a)}, {_lbl(c, b)})"
-    return None
-
-
-def _mult_leg1(c: CoproductData, a: int, x: SparseVec) -> SparseVec:
-    """(e_a (x) 1) . x"""
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in x.items():
-        x1, x2 = divmod(idx, n)
-        _accumulate(acc, c.parent.mul_basis(a, x1).items(), coeff, base=x2, stride=n)
-    return _settle(acc)
-
-
-def _mult_leg2_right(c: CoproductData, x: SparseVec, b: int) -> SparseVec:
-    """x . (1 (x) e_b)"""
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in x.items():
-        x1, x2 = divmod(idx, n)
-        _accumulate(acc, c.parent.mul_basis(x2, b).items(), coeff, base=x1 * n)
-    return _settle(acc)
-
-
-def _mult_leg1_right(c: CoproductData, x: SparseVec, a: int) -> SparseVec:
-    """x . (e_a (x) 1)"""
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in x.items():
-        x1, x2 = divmod(idx, n)
-        _accumulate(acc, c.parent.mul_basis(x1, a).items(), coeff, base=x2, stride=n)
-    return _settle(acc)
-
-
-def _mult_leg2(c: CoproductData, b: int, x: SparseVec) -> SparseVec:
-    """(1 (x) e_b) . x"""
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in x.items():
-        x1, x2 = divmod(idx, n)
-        _accumulate(acc, c.parent.mul_basis(b, x2).items(), coeff, base=x1 * n)
-    return _settle(acc)
-
-
-def apply_on_legs12(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
-    """Apply an operator on the tensor square to legs (1,2) of a sparse
-    triple-tensor vector."""
-    acc: dict = {}
-    for idx, coeff in x.items():
-        ij, k = divmod(idx, n)
-        _accumulate(acc, m.col_sparse(ij), coeff, base=k, stride=n)
-    return _settle(acc)
-
-
-def apply_on_legs23(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
-    nn = n * n
-    acc: dict = {}
-    for idx, coeff in x.items():
-        i, jk = divmod(idx, nn)
-        _accumulate(acc, m.col_sparse(jk), coeff, base=i * nn)
-    return _settle(acc)
 
 
 def apply_on_legs13(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
+    """Apply an operator on the tensor square to legs (1,3) of a sparse
+    triple-tensor vector, the one leg pair that is not adjacent."""
     # i (x) j (x) k goes to sum r1 (x) j (x) r2 over m(e_i (x) e_k) = sum r1 (x) r2
     nn = n * n
     return _sum_products(((row - row % n + idx // n % n) * n + row % n, coeff, v)
@@ -419,37 +374,32 @@ def apply_on_legs13(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar
 
 def _coassociativity_witness(c: CoproductData) -> Optional[str]:
     n = c.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x = {(i * n + j) * n + k: ONE}
-                lhs = apply_on_legs23(c.t1, apply_on_legs12(c.t2, x, n), n)
-                rhs = apply_on_legs12(c.t2, apply_on_legs23(c.t1, x, n), n)
-                if lhs != rhs:
-                    return f"coassociativity fails at basis triple ({_lbl(c, i)}, {_lbl(c, j)}, {_lbl(c, k)})"
+    for idx in range(n ** 3):
+        if not _commute(c.t2, c.t1, idx, n):
+            i, j, k = idx // (n * n), idx // n % n, idx % n
+            return f"coassociativity fails at basis triple ({_lbl(c, i)}, {_lbl(c, j)}, {_lbl(c, k)})"
     return None
 
 
 def _regular_maps_witness(c: CoproductData) -> Optional[str]:
+    """T3 against T1 on leg 2, (1 (x) e_b) T1(a (x) x) = T3(a (x) b)(1 (x) e_x),
+    then T4 against T2 on leg 1, (e_x (x) 1) T4(a (x) b) = T2(x (x) b)(e_a (x) 1):
+    the leg's index u of T3/T4's column multiplies from inside, and e_x
+    takes its place in the column of T1/T2."""
     n = c.n
-    if c.t3 is not None:
-        for a in range(n):
-            for b in range(n):
-                col3 = dict(c.t3.col_sparse(a * n + b))
-                for b2 in range(n):
-                    lhs = _mult_leg2(c, b, dict(c.t1.col_sparse(a * n + b2)))
-                    rhs = _mult_leg2_right(c, col3, b2)
-                    if lhs != rhs:
-                        return f"T3 inconsistent with T1 at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, b2)})"
-    if c.t4 is not None:
-        for a in range(n):
-            for b in range(n):
-                col4 = dict(c.t4.col_sparse(a * n + b))
-                for a2 in range(n):
-                    lhs = _mult_leg1(c, a2, col4)
-                    rhs = _mult_leg1_right(c, dict(c.t2.col_sparse(a2 * n + b)), a)
-                    if lhs != rhs:
-                        return f"T4 inconsistent with T2 at ({_lbl(c, a2)}, {_lbl(c, a)}, {_lbl(c, b)})"
+    for t, leg, base, what in ((c.t3, 2, c.t1, "T3 inconsistent with T1"),
+                               (c.t4, 1, c.t2, "T4 inconsistent with T2")):
+        if t is None:
+            continue
+        outer = [_leg_mult(c, leg, x) for x in range(n)]
+        inner = [_leg_mult(c, leg, u, inner=True) for u in range(n)]
+        for a, b, x in product(range(n), repeat=3):
+            j = a * n + b
+            cols, s = outer[x]
+            u = j // s % n
+            if _on_legs(cols, n, t.col_sparse(j), s) != \
+                    _on_legs(inner[u][0], n, base.col_sparse(j + (x - u) * s), s):
+                return f"{what} at {_lbl_at(c, leg, a, b, x)}"
     return None
 
 
@@ -460,24 +410,26 @@ def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
     """Smallest V with Ran(T1) inside V (x) A, and W with Ran(T2) inside
     A (x) W; the coproduct is full when both are everything."""
     n = c.n
-    vspan = Echelon(Matrix.zero(0, n))
-    wspan = Echelon(Matrix.zero(0, n))
-    for col in range(c.nn):
-        slices1: Dict[int, list] = {}
-        for row, v in c.t1.col_sparse(col):
-            i, j = divmod(row, n)
-            slices1.setdefault(j, [ZERO] * n)[i] = v
-        for vec in slices1.values():
-            vspan.insert(vec)
-        slices2: Dict[int, list] = {}
-        for row, v in c.t2.col_sparse(col):
-            i, j = divmod(row, n)
-            slices2.setdefault(i, [ZERO] * n)[j] = v
-        for vec in slices2.values():
-            wspan.insert(vec)
-    v = Subspace(vspan)
-    w = Subspace(wspan)
+    spans = []
+    for t, leg in ((c.t1, 1), (c.t2, 2)):
+        span = Echelon(Matrix.zero(0, n))
+        for col in range(c.nn):
+            for vec in _leg_slices(t, col, leg, n).values():
+                span.insert(vec)
+        spans.append(Subspace(span))
+    v, w = spans
     return v, w, (v.dim == n and w.dim == n)
+
+
+def _leg_slices(t: Matrix, col: int, leg: int, n: int) -> Dict[int, list]:
+    """Column col of t, a vector of the tensor square, as dense vectors over
+    one leg keyed by the index on the other leg."""
+    out: Dict[int, list] = {}
+    for row, v in t.col_sparse(col):
+        i, j = divmod(row, n)
+        k, pos = (j, i) if leg == 1 else (i, j)
+        out.setdefault(k, [ZERO] * n)[pos] = v
+    return out
 
 
 def solve_counit(c: CoproductData) -> list:
@@ -488,18 +440,10 @@ def solve_counit(c: CoproductData) -> list:
     for a in range(n):
         for b in range(n):
             prod = c.parent.mul_basis(a, b)
-            rows1: Dict[int, list] = {}
-            for row, v in c.t1.col_sparse(a * n + b):
-                i, k = divmod(row, n)
-                rows1.setdefault(k, [ZERO] * n)[i] = v
-            for k in set(rows1) | set(prod):
-                constraints.append((rows1.get(k, [ZERO] * n), prod.get(k, ZERO)))
-            rows2: Dict[int, list] = {}
-            for row, v in c.t2.col_sparse(a * n + b):
-                k, j = divmod(row, n)
-                rows2.setdefault(k, [ZERO] * n)[j] = v
-            for k in set(rows2) | set(prod):
-                constraints.append((rows2.get(k, [ZERO] * n), prod.get(k, ZERO)))
+            for t, leg in ((c.t1, 1), (c.t2, 2)):
+                rows = _leg_slices(t, a * n + b, leg, n)
+                for k in set(rows) | set(prod):
+                    constraints.append((rows.get(k, [ZERO] * n), prod.get(k, ZERO)))
     try:
         sol, space = solve_linear(constraints, n)
     except Infeasible as exc:
@@ -666,80 +610,38 @@ def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Mul
     recomputing with a second preimage from a shifted pivot choice.
     """
     n, nn = c.n, c.nn
-    left_cols = []
-    right_cols = []
+    t1, t2 = _leg_blocks(c.t1, 1, n), _leg_blocks(c.t2, 2, n)
+    ml, mr = m.left._sparse_cols(), m.right._sparse_cols()
+    # the columns of T1 (m (x) 1) and of T2 (1 (x) m)
+    sides = (("left", e.left, c.t1_preimage, [],
+              [_on_legs(t1[b], nn, ml[a]).items() for a in range(n) for b in range(n)]),
+             ("right", e.right, c.t2_preimage, [],
+              [_on_legs(t2[a], nn, mr[b]).items() for a in range(n) for b in range(n)]))
     for x in range(nn):
-        ex = dict(e.left.col_sparse(x))
-        z = c.t1_preimage(ex)
-        if z is None:
-            raise IllDefinedExtension(f"E.{_lbl(c, x)} is outside Ran(T1)")
-        z2 = c.t1_preimage(ex, alt=True)
-        col = _t1_after_left_action(c, m, z)
-        if col != _t1_after_left_action(c, m, z2):
-            raise IllDefinedExtension(
-                f"extension left action at {_lbl2(c, x)} depends on the preimage")
-        left_cols.append(sparse_to_vec(col, nn))
-
-        xe = dict(e.right.col_sparse(x))
-        z = c.t2_preimage(xe)
-        if z is None:
-            raise IllDefinedExtension(f"{_lbl(c, x)}.E is outside Ran(T2)")
-        z2 = c.t2_preimage(xe, alt=True)
-        col = _t2_after_right_action(c, m, z)
-        if col != _t2_after_right_action(c, m, z2):
-            raise IllDefinedExtension(
-                f"extension right action at {_lbl2(c, x)} depends on the preimage")
-        right_cols.append(sparse_to_vec(col, nn))
-    return Multiplier(c.aa, Matrix.from_cols(left_cols, rows=nn),
-                      Matrix.from_cols(right_cols, rows=nn))
-
-
-def _t1_after_left_action(c: CoproductData, m: Multiplier, z: SparseVec) -> SparseVec:
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in z.items():
-        a, b = divmod(idx, n)
-        for k, v in m.left.col_sparse(a):
-            _accumulate(acc, c.t1.col_sparse(k * n + b), coeff, v)
-    return _settle(acc)
-
-
-def _t2_after_right_action(c: CoproductData, m: Multiplier, z: SparseVec) -> SparseVec:
-    n = c.n
-    acc: dict = {}
-    for idx, coeff in z.items():
-        a, b = divmod(idx, n)
-        for k, v in m.right.col_sparse(b):
-            _accumulate(acc, c.t2.col_sparse(a * n + k), coeff, v)
-    return _settle(acc)
+        for side, act, preimage, cols, composed in sides:
+            ex = dict(act.col_sparse(x))
+            z = preimage(ex)
+            if z is None:
+                raise IllDefinedExtension(f"E.{_lbl2(c, x)} is outside Ran(T1)" if side == "left"
+                                          else f"{_lbl2(c, x)}.E is outside Ran(T2)")
+            col = _on_legs(composed, nn, z.items())
+            if col != _on_legs(composed, nn, preimage(ex, alt=True).items()):
+                raise IllDefinedExtension(
+                    f"extension {side} action at {_lbl2(c, x)} depends on the preimage")
+            cols.append(sparse_to_vec(col, nn))
+    return Multiplier(c.aa, Matrix.from_cols(sides[0][3], rows=nn),
+                      Matrix.from_cols(sides[1][3], rows=nn))
 
 
 def delta13_action(c: CoproductData, a: Element, b: Element, x: Element) -> Dict[int, Scalar]:
     """coproduct_13(a) (1 (x) b (x) x): first coproduct leg in slot 1,
     second in slot 3, b passive in slot 2."""
-    return _delta13(c, c.t1, vec_to_sparse(a.coeffs), vec_to_sparse(x.coeffs), b)
-
-
-def _delta13(c: CoproductData, t: Matrix, xs: SparseVec, ys: SparseVec,
-             b: Element) -> Dict[int, Scalar]:
-    """Σ x_i y_j · t(e_i (x) e_j) with b placed in the middle leg: the
-    common form of delta13_action (t = T1) and delta13_action_right
-    (t = T2)."""
     n = c.n
-    bs = vec_to_sparse(b.coeffs)
-    acc: dict = {}
-    for i, ci in xs.items():
-        for j, cj in ys.items():
-            cij = ci * cj
-            for row, v in t.col_sparse(i * n + j):
-                u, w = divmod(row, n)
-                _accumulate(acc, bs.items(), cij, v, base=u * n * n + w, stride=n)
-    return _settle(acc)
-
-
-def delta13_action_right(c: CoproductData, y: Element, b: Element, a: Element) -> Dict[int, Scalar]:
-    """(y (x) b (x) 1) coproduct_13(a)."""
-    return _delta13(c, c.t2, vec_to_sparse(y.coeffs), vec_to_sparse(a.coeffs), b)
+    abx = {(i * n + j) * n + k: u * v * w
+           for i, u in vec_to_sparse(a.coeffs).items()
+           for j, v in vec_to_sparse(b.coeffs).items()
+           for k, w in vec_to_sparse(x.coeffs).items()}
+    return apply_on_legs13(c.t1, abx, n)
 
 
 # ---- extended legs of E and their conditions --------------------------------
@@ -750,49 +652,42 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
     """The columns, basis triple by basis triple, of the left action of
     (coproduct (x) id)(E) (first_leg) or (id (x) coproduct)(E).
 
-    Composed from four pieces (first leg; the second mirrors each one).
-    E (x) 1 sends e_i (x) e_j (x) e_k to E(e_i (x) e_j) (x) e_k; the psi
-    preimage writes E(e_i (x) e_j) as a sum of triples p (x) c (x) d;
-    the mu decomposition writes e_k as a sum of products u v; and the
-    legs of E turn (k, p (x) c (x) d) into psi(f (x) c (x) d) (x) g v
-    summed over E(e_p (x) e_u) = sum f (x) g.  The (k, p) and
-    (k, triple) pieces are built once and shared by every column.  alt
-    takes the preimages with the other pivot order.
+    Composed from four pieces, said here for the first leg; the second
+    leg is the same with the two legs of E exchanged.  E (x) 1 sends
+    e_i (x) e_j (x) e_k to E(e_i (x) e_j) (x) e_k; the psi preimage writes
+    E(e_i (x) e_j) as a sum of triples p (x) c (x) d; the mu decomposition
+    writes e_k as a sum of products u v; and the legs of E turn
+    (k, p (x) c (x) d) into psi(f (x) c (x) d) (x) g v summed over
+    E(e_p (x) e_u) = sum f (x) g.  The (k, p) and (k, triple) pieces are
+    built once and shared by every column.  alt takes the preimages with
+    the other pivot order.
     """
     n, nn = c.n, c.nn
-    psi = c.psi()
+    psi_cols = c.psi()._sparse_cols()
+    # strides of the leg that E's leg multiplies and of the leg psi expands
+    s_plain, s_psi = (1, n) if first_leg else (n, 1)
     halves: Dict[Tuple[int, int], SparseVec] = {}
     terms: Dict[Tuple[int, int], SparseVec] = {}
 
     def half(k: int, p: int) -> SparseVec:
-        # sum over e_k = sum cf u v of E(e_p (x) e_u)(1 (x) v),
-        # or E(e_u (x) e_p)(v (x) 1) on the second leg
+        # sum over e_k = sum cf u v of E(e_p (x) e_u)(1 (x) v)
         got = halves.get((k, p))
         if got is None:
             acc: dict = {}
             for uu, vv, cf in c.mu_decomposition(k, alt=alt):
-                if first_leg:
-                    part = _mult_leg2_right(c, dict(e.left.col_sparse(c.aa.flatten(p, uu))), vv)
-                else:
-                    part = _mult_leg1_right(c, dict(e.left.col_sparse(c.aa.flatten(uu, p))), vv)
+                col = p * n + uu if first_leg else uu * n + p
+                part = _on_legs(c.parent._right_cols(vv), n, e.left.col_sparse(col), s_plain)
                 _accumulate(acc, part.items(), cf)
             got = halves[k, p] = _settle(acc)
         return got
 
     def term(k: int, t: int) -> SparseVec:
-        # psi(a (x) c (x) d) (x) b, or a (x) psi(b (x) c (x) d), summed
-        # over a (x) b in half(k, p), for t = p (x) c (x) d
+        # psi(a (x) c (x) d) (x) b summed over a (x) b in half(k, p),
+        # for t = p (x) c (x) d
         got = terms.get((k, t))
         if got is None:
             p, cd = divmod(t, nn)
-            acc: dict = {}
-            for ab, h in half(k, p).items():
-                a, b = divmod(ab, n)
-                if first_leg:
-                    _accumulate(acc, psi.col_sparse(a * nn + cd), h, base=b, stride=n)
-                else:
-                    _accumulate(acc, psi.col_sparse(b * nn + cd), h, base=a * nn)
-            got = terms[k, t] = _settle(acc)
+            got = terms[k, t] = _on_legs(psi_cols[cd::nn], nn, half(k, p).items(), s_psi)
         return got
 
     for idx in range(n * nn):
@@ -816,8 +711,8 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
     """The leg conditions: both extended coproduct legs of E agree, equal
     the product (E x 1)(1 x E), the two lifted idempotents commute, and
     the extended leg is dominated by both liftings."""
-    n = c.n
-    nnn = n * n * n
+    n, nn = c.n, c.nn
+    nnn = n * nn
     out: List[CheckResult] = []
     commute_bad = None
     formula_bad = None
@@ -837,18 +732,21 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
                 raise IllDefinedExtension(f"{name} ill-defined at {_lbl3(c, idx)}")
             cols.append(col)
 
-    def d1_apply(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        acc: dict = {}
-        for idx, coeff in x.items():
-            _accumulate(acc, d1cols[idx].items(), coeff)
-        return _settle(acc)
+    ecols = e.left._sparse_cols()
+    d1items = [col.items() for col in d1cols]
+
+    def e12(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        return _on_legs(ecols, nn, x.items(), n)
+
+    def e23(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        return _on_legs(ecols, nn, x.items())
 
     for idx in range(nnn):
         x = {idx: ONE}
-        e1x = apply_on_legs12(e.left, x, n)
-        e2x = apply_on_legs23(e.left, x, n)
-        p12 = apply_on_legs12(e.left, e2x, n)
-        p21 = apply_on_legs23(e.left, e1x, n)
+        e1x = e12(x)
+        e2x = e23(x)
+        p12 = e12(e2x)
+        p21 = e23(e1x)
         if p12 != p21 and commute_bad is None:
             commute_bad = f"(E x 1)(1 x E) != (1 x E)(E x 1) at {_lbl3(c, idx)}"
         d1 = d1cols[idx]
@@ -857,9 +755,9 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
         if d1 != p12 and formula_bad is None:
             formula_bad = f"(coproduct x id)(E) != (E x 1)(1 x E) at {_lbl3(c, idx)}"
         if dominated_bad is None:
-            if apply_on_legs12(e.left, d1, n) != d1 or \
-               apply_on_legs23(e.left, d1, n) != d1 or \
-               d1_apply(e1x) != d1 or d1_apply(e2x) != d1:
+            if e12(d1) != d1 or e23(d1) != d1 or \
+               _on_legs(d1items, nnn, e1x.items()) != d1 or \
+               _on_legs(d1items, nnn, e2x.items()) != d1:
                 dominated_bad = f"extended leg of E not dominated at {_lbl3(c, idx)}"
     out.append(check("e-legs-commute", commute_bad is None,
                      "the two liftings of E commute", commute_bad or ""))
@@ -899,46 +797,33 @@ def solve_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
 
 
 def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> Matrix:
+    """G1 from coproduct_13(e_a)(1 (x) E)(1 (x) e_b (x) e_c) against
+    coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and E's left action on
+    legs (2,3), expanded over leg 3; G2 (not first) from
+    (e_a (x) e_b (x) 1)(E (x) 1) coproduct_13(e_c), with T2 and E's right
+    action on legs (1,2), expanded over leg 1."""
     n, nn = c.n, c.nn
+    t, ecols, s = (c.t1, e.left._sparse_cols(), 1) if first else (c.t2, e.right._sparse_cols(), n)
     span = Echelon(Matrix.zero(0, nn))
     xs: List[list] = []
     ys: List[list] = []
     deferred: List[Tuple[Dict[int, Scalar], Dict[int, Scalar]]] = []
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                if first:
-                    x3 = delta13_action(c, c.parent.basis_element(a),
-                                        c.parent.basis_element(b), c.parent.basis_element(cc))
-                    y3 = _delta13_e_right(c, e, a, b, cc)
-                    slot = 2  # G1 acts on legs (1,2); expand over leg 3
-                else:
-                    x3 = delta13_action_right(c, c.parent.basis_element(a),
-                                              c.parent.basis_element(b), c.parent.basis_element(cc))
-                    y3 = _e_delta13_left(c, e, a, b, cc)
-                    slot = 0  # G2 acts on legs (2,3); expand over leg 1
-                xparts: Dict[int, Dict[int, Scalar]] = {}
-                yparts: Dict[int, Dict[int, Scalar]] = {}
-                for idx, v in x3.items():
-                    if slot == 2:
-                        ij, k = divmod(idx, n)
-                    else:
-                        k, ij = divmod(idx, nn)
-                    xparts.setdefault(k, {})[ij] = v
-                for idx, v in y3.items():
-                    if slot == 2:
-                        ij, k = divmod(idx, n)
-                    else:
-                        k, ij = divmod(idx, nn)
-                    yparts.setdefault(k, {})[ij] = v
-                for k in sorted(set(xparts) | set(yparts)):
-                    xv = xparts.get(k, {})
-                    yv = yparts.get(k, {})
-                    if span.rank < nn and span.insert(sparse_to_vec(xv, nn)):
-                        xs.append(sparse_to_vec(xv, nn))
-                        ys.append(sparse_to_vec(yv, nn))
-                    else:
-                        deferred.append((xv, yv))
+    for idx in range(n ** 3):
+        xparts: Dict[int, Dict[int, Scalar]] = {}
+        yparts: Dict[int, Dict[int, Scalar]] = {}
+        for parts, v3 in ((xparts, apply_on_legs13(t, {idx: ONE}, n)),
+                          (yparts, apply_on_legs13(t, _on_legs(ecols, nn, [(idx, ONE)], s), n))):
+            for i, v in v3.items():
+                k, ij = (i % n, i // n) if first else divmod(i, nn)
+                parts.setdefault(k, {})[ij] = v
+        for k in sorted(set(xparts) | set(yparts)):
+            xv = xparts.get(k, {})
+            yv = yparts.get(k, {})
+            if span.rank < nn and span.insert(sparse_to_vec(xv, nn)):
+                xs.append(sparse_to_vec(xv, nn))
+                ys.append(sparse_to_vec(yv, nn))
+            else:
+                deferred.append((xv, yv))
     if span.rank < nn:
         raise Ambiguous(
             f"defining system for G{1 if first else 2} underdetermined "
@@ -955,24 +840,6 @@ def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> 
     return g
 
 
-def _delta13_e_right(c: CoproductData, e: CanonicalIdempotent,
-                     a: int, b: int, cc: int) -> Dict[int, Scalar]:
-    """coproduct_13(e_a) (1 (x) E) (1 (x) e_b (x) e_cc)"""
-    n = c.n
-    return _sum_products(((row - row % n + bc // n) * n + row % n, v, w)
-                         for bc, v in e.left.col_sparse(b * n + cc)
-                         for row, w in c.t1.col_sparse(a * n + bc % n))
-
-
-def _e_delta13_left(c: CoproductData, e: CanonicalIdempotent,
-                    a: int, b: int, cc: int) -> Dict[int, Scalar]:
-    """(e_a (x) e_b (x) 1) (E (x) 1) coproduct_13(e_cc)"""
-    n = c.n
-    return _sum_products(((row - row % n + ab % n) * n + row % n, v, w)
-                         for ab, v in e.right.col_sparse(a * n + b)
-                         for row, w in c.t2.col_sparse(ab // n * n + cc))
-
-
 def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
                     g: ProjectionMaps) -> List[CheckResult]:
     out: List[CheckResult] = []
@@ -981,7 +848,8 @@ def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
     idem = (g.g1 * g.g1 == g.g1) and (g.g2 * g.g2 == g.g2)
     ranges_in_kernels = (c.t1 * (Matrix.identity(nn) - g.g1)).is_zero() and \
         (c.t2 * (Matrix.identity(nn) - g.g2)).is_zero()
-    module_bad = _g_module_law_witness(c, g)
+    module_bad = _module_law_witness(c, [(g.g1, 2, "G1 module law fails"),
+                                         (g.g2, 1, "G2 module law fails")])
     out.append(check("projections-idempotent",
                      idem and ranges_in_kernels and module_bad is None,
                      "G1/G2 idempotent, module laws hold, 1-G lands in kernels",
@@ -992,7 +860,12 @@ def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
                      "counit-contraction construction reproduces G1/G2",
                      cross_bad or ""))
 
-    factor_bad = _g_factorization_witness(c, g)
+    # two-sided multiplier factorization: the leg-1 (resp. leg-2) module
+    # law that the defining equalities do not grant automatically
+    factor_bad = _module_law_witness(
+        c, [(g.g1, 1, "G1 has no left-leg multiplier")],
+        ((a, b, x) for x, a, b in product(range(n), repeat=3))) or \
+        _module_law_witness(c, [(g.g2, 2, "G2 has no right-leg multiplier")])
     out.append(check("projections-factor", factor_bad is None,
                      "G1/G2 factor through two-sided idempotent multipliers",
                      (factor_bad or "") + (" (informational in the non-regular case)"
@@ -1000,94 +873,37 @@ def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
     return out
 
 
-def _g_module_law_witness(c: CoproductData, g: ProjectionMaps) -> Optional[str]:
-    n = c.n
-    for a in range(n):
-        for b in range(n):
-            col1 = dict(g.g1.col_sparse(a * n + b))
-            col2 = dict(g.g2.col_sparse(a * n + b))
-            for x in range(n):
-                lhs = g.g1.apply_sparse({a * n + k: v
-                                         for k, v in c.parent.mul_basis(b, x).items()})
-                if lhs != _mult_leg2_right(c, col1, x):
-                    return f"G1 module law fails at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, x)})"
-                lhs2 = g.g2.apply_sparse({k * n + b: v
-                                          for k, v in c.parent.mul_basis(x, a).items()})
-                if lhs2 != _mult_leg1(c, x, col2):
-                    return f"G2 module law fails at ({_lbl(c, x)}, {_lbl(c, a)}, {_lbl(c, b)})"
-    return None
-
-
 def _g_crosscheck_witness(c: CoproductData, e: CanonicalIdempotent,
                           counit: list, g: ProjectionMaps) -> Optional[str]:
-    """The proof-side construction: (b (x) c) G(a) contracts the counit
-    against E.  Checked fully stripped, on all basis quadruples."""
-    n = c.n
-    # phi[c][v] = (id (x) eps)((e_c (x) e_v) E),  psi2[b][u] = (eps (x) id)(E (e_u (x) e_b))
-    phi: List[List[SparseVec]] = [[None] * n for _ in range(n)]
-    psi2: List[List[SparseVec]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            phi[i][j] = _sum_products((idx // n, v, counit[idx % n])
-                                      for idx, v in e.right.col_sparse(i * n + j))
-            psi2[i][j] = _sum_products((idx % n, v, counit[idx // n])
-                                       for idx, v in e.left.col_sparse(i * n + j))
-    for b in range(n):
-        for a in range(n):
-            t2col = c.t2.col_sparse(b * n + a)
-            for cc in range(n):
-                # Gamma = (e_b (x) e_cc) G(e_a) = sum u (x) phi[cc][v]
-                acc: dict = {}
-                for row, v in t2col:
-                    u, vv = divmod(row, n)
-                    _accumulate(acc, phi[cc][vv].items(), v, base=u * n)
-                gamma = _settle(acc)
-                for q in range(n):
-                    # (b (x) cc) G1(a (x) q) = Gamma . (1 (x) e_q)
-                    lhs = c.aa.mul_sparse({b * n + cc: ONE},
-                                          dict(g.g1.col_sparse(a * n + q)))
-                    rhs = _mult_leg2_right(c, gamma, q)
-                    if lhs != rhs:
-                        return (f"G1 cross-check fails at "
-                                f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
-    # mirrored G2 check, separate loop
-    for q in range(n):
-        for a in range(n):
-            for b in range(n):
-                for cc in range(n):
-                    acc = {}
-                    for row, v in c.t1.col_sparse(a * n + cc):
-                        u, vv = divmod(row, n)
-                        _accumulate(acc, psi2[u][b].items(), v, base=vv, stride=n)
-                    eta = _settle(acc)
-                    lhs = c.aa.mul_sparse(dict(g.g2.col_sparse(q * n + a)),
-                                          {b * n + cc: ONE})
-                    rhs = _mult_leg1(c, q, eta)
-                    if lhs != rhs:
-                        return (f"G2 cross-check fails at "
-                                f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
-    return None
-
-
-def _g_factorization_witness(c: CoproductData, g: ProjectionMaps) -> Optional[str]:
-    """Two-sided multiplier factorization: the leg-1 (resp. leg-2) module
-    law that the defining equalities do not grant automatically."""
-    n = c.n
-    for r in range(n):
-        for a in range(n):
-            prod = c.parent.mul_basis(r, a)
-            for b in range(n):
-                lhs = g.g1.apply_sparse({k * n + b: v for k, v in prod.items()})
-                if lhs != _mult_leg1(c, r, dict(g.g1.col_sparse(a * n + b))):
-                    return f"G1 has no left-leg multiplier at ({_lbl(c, r)}, {_lbl(c, a)}, {_lbl(c, b)})"
-    for a in range(n):
-        for b in range(n):
-            col = dict(g.g2.col_sparse(a * n + b))
-            for s in range(n):
-                lhs = g.g2.apply_sparse({a * n + k: v
-                                         for k, v in c.parent.mul_basis(b, s).items()})
-                if lhs != _mult_leg2_right(c, col, s):
-                    return f"G2 has no right-leg multiplier at ({_lbl(c, a)}, {_lbl(c, b)}, {_lbl(c, s)})"
+    """The proof-side construction, checked fully stripped on all basis
+    quadruples: (b (x) c) G1(a (x) q) = Gamma (1 (x) q), where
+    Gamma = (b (x) c) G(a) is the sum of u (x) (id (x) eps)((e_c (x) e_v) E)
+    over T2(b (x) a) = sum u (x) v; and G2(q (x) a)(b (x) c) = (q (x) 1) Eta,
+    where Eta is the sum of (eps (x) id)(E (e_u (x) e_b)) (x) v over
+    T1(a (x) c) = sum u (x) v."""
+    n, nn = c.n, c.nn
+    eps = _counit_cols(counit)
+    for leg, gm, t, act in ((2, g.g1, c.t2, e.right), (1, g.g2, c.t1, e.left)):
+        s = 1 if leg == 2 else n
+        # the counit contracted off E on the leg: index c*n + v, or u*n + b
+        con = [_on_legs(eps, 1, act.col_sparse(i), s).items() for i in range(nn)]
+        by_bc = c.aa._left_cols if leg == 2 else c.aa._right_cols
+        by_q = [_leg_mult(c, leg, q)[0] for q in range(n)]
+        parts: Dict[Tuple[int, int, int], list] = {}
+        for quad in product(range(n), repeat=4):
+            b, a, cc, q = quad if leg == 2 else (quad[2], quad[1], quad[3], quad[0])
+            part = parts.get((a, b, cc))
+            if part is None:
+                part = parts[a, b, cc] = (
+                    _on_legs(con[cc * n:cc * n + n], n, t.col_sparse(b * n + a)) if leg == 2
+                    else _on_legs(con[b::n], n, t.col_sparse(a * n + cc), n)).items()
+            col = a * n + q if leg == 2 else q * n + a
+            if _on_legs(by_bc(b * n + cc), nn, gm.col_sparse(col)) != _on_legs(by_q[q], n, part, s):
+                if leg == 2:
+                    return (f"G1 cross-check fails at "
+                            f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
+                return (f"G2 cross-check fails at "
+                        f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
     return None
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .algebras import Algebra, StarStructure
+from .antipodes import _f_actions, _s_conjugators
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset)
 from .linalg import Matrix
 from .pipeline import StructureInput
@@ -262,16 +263,8 @@ def witnesses_to_json(ctx) -> dict:
             out["S_left"] = [matrix_to_sparse_json(m) for m in w.s_left]
             out["S_right"] = [matrix_to_sparse_json(m) for m in w.s_right]
         if w.s_matrix_inv is not None and ctx.e is not None:
-            n = ctx.algebra.dim
-            ident = Matrix.identity(n)
-            i_s = ident.kron(w.s_matrix)
-            i_si = ident.kron(w.s_matrix_inv)
-            s_i = w.s_matrix.kron(ident)
-            si_i = w.s_matrix_inv.kron(ident)
-            out["F1"] = matrix_to_sparse_json(i_s * ctx.e.right * i_si)
-            out["F2"] = matrix_to_sparse_json(s_i * ctx.e.left * si_i)
-            out["F3"] = matrix_to_sparse_json(i_si * ctx.e.left * i_s)
-            out["F4"] = matrix_to_sparse_json(si_i * ctx.e.right * s_i)
+            for k, f in enumerate(_f_actions(_s_conjugators(w), ctx.e.right, ctx.e.left), 1):
+                out[f"F{k}"] = matrix_to_sparse_json(f)
     st = ctx.source_target
     if st is not None:
         out["eps_s_image"] = [vector_to_json(b) for b in st.image_s.basis]

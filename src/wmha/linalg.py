@@ -162,8 +162,9 @@ class Matrix:
 
     def apply_sparse(self, vec: dict) -> dict:
         acc: dict = {}
+        cols = self._sparse_cols()
         for j, x in vec.items():
-            _accumulate(acc, self.col_sparse(j), x)
+            _accumulate(acc, cols[j], x)
         return _settle(acc)
 
     def is_zero(self) -> bool:

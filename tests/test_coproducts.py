@@ -274,6 +274,27 @@ def test_extend_delta_rejects_wrong_idempotent():
         extend_delta(c, fake, Multiplier.unit(m.algebra))
 
 
+def test_extension_failures_name_the_tensor_square_column():
+    from wmha.coproducts import CanonicalIdempotent, IllDefinedExtension, _lbl2
+
+    m, c = make("pair:2", "function")
+    e = compute_E(c)
+    unit = Multiplier.unit(c.aa)
+
+    def first_outside(ran):
+        return next(x for x in range(c.nn)
+                    if not ran.contains([ONE if i == x else ZERO for i in range(c.nn)]))
+
+    for fake, want in (
+            (CanonicalIdempotent(unit, 16, 16),
+             f"E.{_lbl2(c, first_outside(c.ran_t1()))} is outside Ran(T1)"),
+            (CanonicalIdempotent(Multiplier(c.aa, e.left, unit.right), 16, 16),
+             f"{_lbl2(c, first_outside(c.ran_t2()))}.E is outside Ran(T2)")):
+        with pytest.raises(IllDefinedExtension) as exc:
+            extend_delta(c, fake, Multiplier.unit(m.algebra))
+        assert str(exc.value) == want
+
+
 def test_G_cross_check_mode():
     from wmha.coproducts import CrossCheckMismatch
 
@@ -294,3 +315,48 @@ def test_ambiguous_G_without_fullness():
         Multiplier(zero.aa, Matrix.zero(16, 16), Matrix.zero(16, 16)), 0, 0)
     with pytest.raises(Ambiguous):
         solve_G_maps(zero, e, [ZERO] * 4)
+
+
+def _module_law_reference(c, laws, triples):
+    """The first failing module law by dense operators: m must commute with
+    L_x (x) 1 on leg 1 and with 1 (x) R_x on leg 2 at column a (x) b."""
+    n = c.n
+    ident = Matrix.identity(n)
+    for a, b, x in triples:
+        for mm, leg, what in laws:
+            op = (c.parent.left_mult_matrix_basis(x).kron(ident) if leg == 1
+                  else ident.kron(c.parent.right_mult_matrix_basis(x)))
+            if (mm * op).col(a * n + b) != (op * mm).col(a * n + b):
+                at = (x, a, b) if leg == 1 else (a, b, x)
+                return f"{what} at ({', '.join(c.parent.basis_labels[i] for i in at)})"
+    return None
+
+
+def test_module_law_failures_follow_the_walk_order():
+    m, c = make("pair:2", "convolution")
+    eps = solve_counit(c)
+    e = compute_E(c)
+    gm = solve_G_maps(c, e, eps)
+    n = c.n
+    x_inner = [(a, b, x) for a in range(n) for b in range(n) for x in range(n)]
+    x_outer = [(a, b, x) for x in range(n) for a in range(n) for b in range(n)]
+    rng = random.Random(11)
+    orders_differ = False
+    for _ in range(6):
+        data = [list(row) for row in gm.g1.data]
+        for _ in range(3):
+            data[rng.randrange(c.nn)][rng.randrange(c.nn)] += ONE
+        g1 = Matrix(c.nn, c.nn, data)
+        got = {r.check_id: r.detail
+               for r in validate_G_maps(c, e, eps, ProjectionMaps(g1, gm.g2))}
+        factor = _module_law_reference(c, [(g1, 1, "G1 has no left-leg multiplier")], x_outer) or \
+            _module_law_reference(c, [(gm.g2, 2, "G2 has no right-leg multiplier")], x_inner)
+        assert got["projections-factor"] == \
+            (f"{factor} (informational in the non-regular case)" if factor else "")
+        module = _module_law_reference(c, [(g1, 2, "G1 module law fails"),
+                                           (gm.g2, 1, "G2 module law fails")], x_inner)
+        assert got["projections-idempotent"] == \
+            (module or "G idempotency or kernel containment fails")
+        orders_differ |= factor != _module_law_reference(
+            c, [(g1, 1, "G1 has no left-leg multiplier")], x_inner)
+    assert orders_differ

@@ -6,8 +6,9 @@ linear-algebra layers must leave every one of these bytes unchanged.
 Documents built here from fixed seeds add the inputs that stress the
 exact arithmetic and the failure paths: two presets conjugated by a dense
 change of basis P (one rational, one Gaussian), and the twenty
-single-entry mutations of acceptance criterion 9, whose failing reports
-pin the first failure and every detail message.
+single-entry mutations of acceptance criterion 9 and twelve mutations of
+the mirrored maps T2, T3 and T4, whose failing reports pin the first
+failure and every detail message.
 
 Re-record only in a change whose purpose is to alter certificates:
 
@@ -286,6 +287,25 @@ def mutation_documents():
                 yield f"mutation {total} pair:2 {kind} {slot}", doc
 
 
+def mirrored_mutation_documents():
+    """Single-entry mutations of the mirrored maps T2, T3 and T4 of pair:2
+    (seed 5), two per map and model; every one must fail, and together
+    they reach the right-handed and flipped-side failure messages."""
+    rng = random.Random(5)
+    total = 0
+    for kind in ("function", "convolution"):
+        base = json.dumps(model_to_document(build_model(preset("pair:2"), kind),
+                                            with_witnesses=True), sort_keys=True)
+        for slot in ("T2", "T3", "T4"):
+            for _ in range(2):
+                doc = json.loads(base)
+                entries = doc["coproduct"][slot]
+                ent = entries[rng.randrange(len(entries))]
+                ent[2] = str(int(ent[2]) + 1)
+                total += 1
+                yield f"mirrored {total} pair:2 {kind} {slot}", doc
+
+
 # job name -> (path argument, document)
 DOCS = {
     "bundle:cyclic:1:2 dense rational P": (
@@ -294,6 +314,7 @@ DOCS = {
         "def114", conjugated_document("group:cyclic:2", 0, gaussian=True)),
 }
 DOCS.update((name, ("both", doc)) for name, doc in mutation_documents())
+DOCS.update((name, ("both", doc)) for name, doc in mirrored_mutation_documents())
 
 # job name -> (exit code, sha256 of the report, sha256 of stdout)
 GOLDEN_DOCS = {
@@ -363,6 +384,42 @@ GOLDEN_DOCS = {
     "mutation 20 pair:2 convolution S":
         (1, "e113043999ed96fd2f65639774fa256504ef1f2b036c80f620ab16257dfe806d",
             "b9d17691beb05aedd36b9550f93de81969339a3b5567671b5635f6a4ad82780e"),
+    "mirrored 1 pair:2 function T2":
+        (1, "b273dfea7677a53e76516305f4f4c438f7b95a5e86cceb909eae7ca4dcb5466f",
+            "3bf024d993947b197e37b652541d908bb526b11858db03dc6b1deb496fab02de"),
+    "mirrored 2 pair:2 function T2":
+        (1, "bdb59b3aa85bb51f306e25ea4c2fe2107905e82213314a961466ec25a7e8ada5",
+            "6237ae12c3e715fa7325dafec54432f35e0157745d2ce6a92d3a6dcdffcf3971"),
+    "mirrored 3 pair:2 function T3":
+        (1, "a52a1f43265b1818612ba9d0f5d5fa4b7d55e64117a9ad6663a087e80cd1d12f",
+            "312e4eeb082a4fed0ec59dec18f7b00c667e2b776afa1f6cdb4b276dc0f21206"),
+    "mirrored 4 pair:2 function T3":
+        (1, "1c9ac8f9d524507a291dcc18d3111378f0bfcfcc1a406fd5acae88fc9470ec1d",
+            "74f23139eddd7c305c05077b22ef579849a3ad57a03134272d8ccc716c101b06"),
+    "mirrored 5 pair:2 function T4":
+        (1, "05e0db3ae06fe39d0cc3766dd7b1bab3ccfc106f89bb4529fe2614dfcfb608f0",
+            "2c4dafcf600bd91412abfedc06705f9d0e0a7ac101bb9f04d8f20d76153f3a6c"),
+    "mirrored 6 pair:2 function T4":
+        (1, "7f0dddc94e060aa54d356e689d2e8909d9a91299e7b51153ce577eab824aa263",
+            "d9e78b1a8a2141fa02f4a8c7839abee5737e0c1de3b83a87a9cc3c3521cafcd5"),
+    "mirrored 7 pair:2 convolution T2":
+        (1, "241fbb21d586a653813df9560f8e911049d03488e645b05ac7b3d996691c31a5",
+            "ded7926e9a9c4aac7ff8cee14b68427273a3098427ba40016c98b0e387fc838d"),
+    "mirrored 8 pair:2 convolution T2":
+        (1, "3f8212fce287b42b7d2557f89564ba0b384ad05d58b98e0fed696b089aa650d6",
+            "cdf41df38904a540db7362e6757af53d9248a985452f978897c0a4fba8dcae54"),
+    "mirrored 9 pair:2 convolution T3":
+        (1, "a8024f4a4d8469daf5781f6ed91f17748970a690427ed905e270c6298bae350d",
+            "163f20637d21540f886afc98201bd8ccd04a092ec8e943c40f277d95526397a0"),
+    "mirrored 10 pair:2 convolution T3":
+        (1, "911d20e5ca8a0ab417feb47bd1f135761fe8d13c02230691836cb5a4531625c7",
+            "9890a1ac9f5899fb738c16e186ec35e79c39a2fabfb2c810b523ab7890eb650b"),
+    "mirrored 11 pair:2 convolution T4":
+        (1, "cc68cf96e66510d4d131c09ec88b89dc74f991b8b4dbe132f9da29c0f7773592",
+            "5706faa67cc70b2d436c125d63aa78ce7d97017e6c9ea76da5f41221d4b334e5"),
+    "mirrored 12 pair:2 convolution T4":
+        (1, "e0e18cf3243f610ceb53aeae7e9b6fd12c1371a37ccb2667b53e63ef12a69c95",
+            "ebdf8bb267bef732fd7413d7d8381e6158d4776562357a2834e2af1e6a6032d8"),
 }
 
 

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from wmha.algebras import Algebra, Multiplier
+from wmha.algebras import Algebra, Multiplier, _on_legs
 from wmha.coproducts import (CanonicalIdempotent, CoproductData, IllDefinedExtension,
-                             _extended_leg_columns, _lbl3, apply_on_legs12,
-                             apply_on_legs23, check_E_conditions, compute_E)
+                             _extended_leg_columns, _lbl3, check_E_conditions, compute_E)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
 from wmha.scalars import ONE, ZERO, Scalar, rational
@@ -21,7 +20,7 @@ def reference_leg_action(c, e, first_leg, x, alt=False):
     through psi and the plain leg through products, apply E inside and
     reassemble."""
     n, nn = c.n, c.nn
-    y = apply_on_legs12(e.left, x, n) if first_leg else apply_on_legs23(e.left, x, n)
+    y = _on_legs(e.left._sparse_cols(), nn, x.items(), n if first_leg else 1)
     parts = {}
     for idx, coeff in y.items():
         if first_leg:

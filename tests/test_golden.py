@@ -6,9 +6,9 @@ linear-algebra layers must leave every one of these bytes unchanged.
 Documents built here from fixed seeds add the inputs that stress the
 exact arithmetic and the failure paths: two presets conjugated by a dense
 change of basis P (one rational, one Gaussian), and the twenty
-single-entry mutations of acceptance criterion 9 and twelve mutations of
-the mirrored maps T2, T3 and T4, whose failing reports pin the first
-failure and every detail message.
+single-entry mutations of acceptance criterion 9, twelve mutations of
+the mirrored maps T2, T3 and T4 and two wrong candidate idempotents E,
+whose failing reports pin the first failure and every detail message.
 
 Re-record only in a change whose purpose is to alter certificates:
 
@@ -27,8 +27,9 @@ from pathlib import Path
 
 import pytest
 
+from wmha.algebras import flip_map
 from wmha.cli import main
-from wmha.fileio import model_to_document
+from wmha.fileio import dense_matrix_to_json, matrix_to_sparse_json, model_to_document
 from wmha.groupoids import build_model, preset
 
 PRESETS = ("pair:1", "pair:2", "group:cyclic:2", "group:cyclic:3",
@@ -306,6 +307,23 @@ def mirrored_mutation_documents():
                 yield f"mirrored {total} pair:2 {kind} {slot}", doc
 
 
+def wrong_e_documents():
+    """pair:2 structure documents with the oracle antipode and a wrong
+    candidate E: the two actions swapped (convolution) or conjugated by the
+    flip σ (function); each must fail the E checks."""
+    for candidate, kind in (("swap", "convolution"), ("flip", "function")):
+        model = build_model(preset("pair:2"), kind)
+        doc = model_to_document(model, with_witnesses=False)
+        sigma = flip_map(model.algebra.dim)
+        left, right = {"swap": (model.oracle_e_right, model.oracle_e_left),
+                       "flip": (sigma * model.oracle_e_left * sigma,
+                                sigma * model.oracle_e_right * sigma)}[candidate]
+        doc["antipode"] = dense_matrix_to_json(model.oracle_s)
+        doc["E"] = {"left": matrix_to_sparse_json(left),
+                    "right": matrix_to_sparse_json(right)}
+        yield f"wrong E {candidate} pair:2 {kind}", doc
+
+
 # job name -> (path argument, document)
 DOCS = {
     "bundle:cyclic:1:2 dense rational P": (
@@ -315,6 +333,7 @@ DOCS = {
 }
 DOCS.update((name, ("both", doc)) for name, doc in mutation_documents())
 DOCS.update((name, ("both", doc)) for name, doc in mirrored_mutation_documents())
+DOCS.update((name, ("both", doc)) for name, doc in wrong_e_documents())
 
 # job name -> (exit code, sha256 of the report, sha256 of stdout)
 GOLDEN_DOCS = {
@@ -420,6 +439,12 @@ GOLDEN_DOCS = {
     "mirrored 12 pair:2 convolution T4":
         (1, "e0e18cf3243f610ceb53aeae7e9b6fd12c1371a37ccb2667b53e63ef12a69c95",
             "ebdf8bb267bef732fd7413d7d8381e6158d4776562357a2834e2af1e6a6032d8"),
+    "wrong E swap pair:2 convolution":
+        (1, "18bf0cdbe06264a51dd5641470363561da431be182c70d9722cfc9b762ee4dcf",
+            "513c287171cc191f44baea2f0254efc06de4f42f0ecb012d23fc0a7e288fadf6"),
+    "wrong E flip pair:2 function":
+        (1, "1637de97ae6649d22b992126eda0440129cda8b3eef7bfba9d3fd83ed356c8c2",
+            "d96dd6019d97e1a0e1a8964dfef5dde74a3b702eda2e54f24e303e55c448af45"),
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import (Echelon, Matrix,
+from .linalg import (Echelon, Matrix, Subspace,
                      solve_linear, Infeasible, DimensionMismatch)
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
 
@@ -200,14 +200,14 @@ class Algebra:
     def mult_operator_left(self, x: "Element") -> Matrix:
         """Matrix of a -> x*a."""
         xs = vec_to_sparse(x.coeffs)
-        return Matrix.from_cols([sparse_to_vec(self.mul_by_basis(xs, j), self.dim)
-                                 for j in range(self.dim)], rows=self.dim)
+        return Matrix.from_sparse_cols(self.dim, [self.mul_by_basis(xs, j)
+                                                  for j in range(self.dim)])
 
     def mult_operator_right(self, x: "Element") -> Matrix:
         """Matrix of a -> a*x."""
         xs = vec_to_sparse(x.coeffs)
-        return Matrix.from_cols([sparse_to_vec(self.basis_times(i, xs), self.dim)
-                                 for i in range(self.dim)], rows=self.dim)
+        return Matrix.from_sparse_cols(self.dim, [self.basis_times(i, xs)
+                                                  for i in range(self.dim)])
 
     def left_mult_matrix_basis(self, i: int) -> Matrix:
         return self.mult_operator_left(self.basis_element(i))
@@ -341,14 +341,12 @@ class Multiplier:
         a = self.parent
         n = a.dim
         constraints = []
-        for j in range(n):
-            col_l = self.left.col(j)
-            col_r = self.right.col(j)
+        for j, (right, left) in enumerate(_product_rows(a)):
+            col_l = dict(self.left.col_sparse(j))
+            col_r = dict(self.right.col_sparse(j))
             for k in range(n):
-                row = [a.mul_basis(i, j).get(k, ZERO) for i in range(n)]
-                constraints.append((row, col_l[k]))
-                row2 = [a.mul_basis(j, i).get(k, ZERO) for i in range(n)]
-                constraints.append((row2, col_r[k]))
+                constraints.append((right[k], col_l.get(k, ZERO)))
+                constraints.append((left[k], col_r.get(k, ZERO)))
         try:
             sol, space = solve_linear(constraints, n)
         except Infeasible:
@@ -357,13 +355,14 @@ class Multiplier:
             return None  # only happens for degenerate products
         return Element(a, sol)
 
-    def coords(self) -> list:
-        """Flat coordinates (left columns then right columns), for spans."""
-        out = []
-        for j in range(self.left.cols):
-            out.extend(self.left.col(j))
-        for j in range(self.right.cols):
-            out.extend(self.right.col(j))
+    def coords(self) -> SparseVec:
+        """Flat coordinates (left columns then right columns), for spans,
+        as a sparse vector."""
+        out: SparseVec = {}
+        for m, base in ((self.left, 0), (self.right, self.left.rows * self.left.cols)):
+            for j, col in enumerate(m._sparse_cols()):
+                for i, v in col:
+                    out[base + j * m.rows + i] = v
         return out
 
     def __repr__(self):
@@ -401,20 +400,15 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
         if not assoc:
             break
 
-    # x with x*A = 0: kernel of stacked right-multiplication operators
-    right_rows = []
-    left_rows = []
-    for j in range(a.dim):
-        rm = a.right_mult_matrix_basis(j)
-        lm = a.left_mult_matrix_basis(j)
-        right_rows.extend(rm.data)
-        left_rows.extend(lm.data)
+    # x with x*A = 0: kernel of the stacked right-multiplication operators
+    # (rows of x -> x e_j over j), then x with A*x = 0 likewise
+    prows = _product_rows(a)
     nondeg = True
     deg_witness = None
-    if Echelon(Matrix.from_rows(right_rows)).rank < a.dim:
+    if Subspace.from_vectors(a.dim, (r for right, _ in prows for r in right)).dim < a.dim:
         nondeg = False
         deg_witness = "nonzero x with x*A = 0"
-    elif Echelon(Matrix.from_rows(left_rows)).rank < a.dim:
+    elif Subspace.from_vectors(a.dim, (r for _, left in prows for r in left)).dim < a.dim:
         nondeg = False
         deg_witness = "nonzero x with A*x = 0"
 
@@ -423,7 +417,7 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
         for j in range(a.dim):
             prod = a.mul_basis(i, j)
             if prod:
-                span.insert(sparse_to_vec(prod, a.dim))
+                span.insert(prod)
         if span.rank == a.dim:
             break
     idem = span.rank == a.dim
@@ -432,17 +426,27 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
                               find_unit_or_local_units(a))
 
 
+def _product_rows(a: Algebra) -> list:
+    """Per basis index j, the rows of the maps x -> x e_j and x -> e_j x:
+    row k of each is the sparse vector i -> the e_k coefficient of e_i e_j
+    (of e_j e_i)."""
+    n = a.dim
+    out = [([{} for _ in range(n)], [{} for _ in range(n)]) for _ in range(n)]
+    for i, j, k, v in a.structure_entries():
+        out[j][0][k][i] = v
+        out[i][1][k][j] = v
+    return out
+
+
 def find_unit_or_local_units(a: Algebra) -> Optional[Element]:
     """The unit element when one exists.  For finite-dimensional algebras
     local units for the whole basis amount to a unit, so this single
     solve settles both questions."""
     constraints = []
-    for j in range(a.dim):
+    for j, (right, left) in enumerate(_product_rows(a)):
         for k in range(a.dim):
-            row = [a.mul_basis(i, j).get(k, ZERO) for i in range(a.dim)]
-            constraints.append((row, ONE if j == k else ZERO))
-            row2 = [a.mul_basis(j, i).get(k, ZERO) for i in range(a.dim)]
-            constraints.append((row2, ONE if j == k else ZERO))
+            constraints.append((right[k], ONE if j == k else ZERO))
+            constraints.append((left[k], ONE if j == k else ZERO))
     try:
         sol, _ = solve_linear(constraints, a.dim)
     except Infeasible:
@@ -473,46 +477,42 @@ def multiplier_algebra(a: Algebra) -> List[Multiplier]:
         acc: dict = {}
         _accumulate(acc, plus)
         _accumulate(acc, minus, -ONE)
-        return sparse_to_vec(_settle(acc), nun), ZERO
+        return _settle(acc), ZERO
 
+    prows = _product_rows(a)
     constraints = []
     for i in range(n):
         for j in range(n):
             prod = a.mul_basis(i, j)
-            rm_j = a.right_mult_matrix_basis(j)
-            lm_i = a.left_mult_matrix_basis(i)
+            rm_j, lm_i = prows[j][0], prows[i][1]
             # L(e_i e_j) = L(e_i) e_j   rows over output coordinate k
             for k in range(n):
                 constraints.append(law([(lidx(k, p), v) for p, v in prod.items()],
-                                       [(lidx(q, i), c) for q, c in enumerate(rm_j.data[k])]))
+                                       [(lidx(q, i), c) for q, c in rm_j[k].items()]))
             # R(e_i e_j) = e_i R(e_j)
             for k in range(n):
                 constraints.append(law([(ridx(k, p), v) for p, v in prod.items()],
-                                       [(ridx(q, j), c) for q, c in enumerate(lm_i.data[k])]))
+                                       [(ridx(q, j), c) for q, c in lm_i[k].items()]))
             # e_i L(e_j) = R(e_i) e_j
             for k in range(n):
-                constraints.append(law([(lidx(q, j), c) for q, c in enumerate(lm_i.data[k])],
-                                       [(ridx(q, i), c) for q, c in enumerate(rm_j.data[k])]))
+                constraints.append(law([(lidx(q, j), c) for q, c in lm_i[k].items()],
+                                       [(ridx(q, i), c) for q, c in rm_j[k].items()]))
     _, space = solve_linear(constraints, nun)
     out = []
-    for vec in space.basis:
-        left = Matrix.zero(n, n)
-        right = Matrix.zero(n, n)
-        for c in range(n):
-            for r in range(n):
-                left.data[r][c] = vec[lidx(r, c)]
-                right.data[r][c] = vec[ridx(r, c)]
-        out.append(Multiplier(a, left, right))
+    for vec in space.rows:
+        # unknown c·n + r is entry (r, c) of L, n·n + c·n + r of R
+        sides = ({}, {})
+        for key, v in vec.items():
+            side, rc = divmod(key, n * n)
+            sides[side][rc % n, rc // n] = v
+        out.append(Multiplier(a, Matrix.from_entries(n, n, sides[0]),
+                              Matrix.from_entries(n, n, sides[1])))
     return out
 
 
 def flip_map(dim: int) -> Matrix:
     """The flip sigma(e_i (x) e_j) = e_j (x) e_i on a dim^2 space."""
-    m = Matrix.zero(dim * dim, dim * dim)
-    for i in range(dim):
-        for j in range(dim):
-            m.data[j * dim + i][i * dim + j] = ONE
-    return m
+    return Matrix.permutation([j * dim + i for i in range(dim) for j in range(dim)])
 
 
 @dataclass

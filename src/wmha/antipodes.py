@@ -9,12 +9,12 @@ identities and the flipped-E identity suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs, flip_map,
-                       sparse_to_vec, vec_to_sparse, StarStructure)
+                       vec_to_sparse, StarStructure)
 from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
@@ -77,11 +77,16 @@ class AntipodeWitness:
     s_right: List[Matrix]      # S2(e_a) as right-multiplier matrices
     s_matrix: Optional[Matrix]  # present when S maps A into A
     s_matrix_inv: Optional[Matrix] = None
+    # name -> (input objects, value) of what is derived from this witness
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def s_mult(self, parent: Algebra, coeffs) -> Multiplier:
-        """S applied to an element, as a multiplier (linear extension)."""
-        return _combine_multipliers(parent, self.s_left, self.s_right,
-                                    vec_to_sparse(coeffs))
+    def _once(self, name, inputs: tuple, build):
+        """build(), computed once per witness for the same input objects,
+        so the suites and the certificate share one copy."""
+        got = self._memo.get(name)
+        if got is None or any(a is not b for a, b in zip(got[0], inputs)):
+            got = self._memo[name] = (inputs, build())
+        return got[1]
 
 
 def _combine_multipliers(parent: Algebra, lefts: List[Matrix], rights: List[Matrix],
@@ -93,21 +98,19 @@ def _combine_multipliers(parent: Algebra, lefts: List[Matrix], rights: List[Matr
                       _combination(((v, rights[k]) for k, v in coeffs.items()), n, n))
 
 
-def _vectors_matrix(vecs: List[SparseVec], rows: int) -> Matrix:
-    """The matrix whose columns are the sparse vectors vecs."""
-    return Matrix.from_cols([sparse_to_vec(v, rows) for v in vecs], rows=rows)
-
-
 def _contractions(c: CoproductData, g: ProjectionMaps, w: "AntipodeWitness",
                   counit: list) -> Tuple[list, list, list, list]:
     """Per basis vector of the tensor square: (eps (x) id) G1, (id (x) eps) G2,
-    and the products m R1 and m R2."""
+    and the products m R1 and m R2; built once per witness."""
     n, nn = c.n, c.nn
-    eps, prod = _counit_cols(counit), c.parent._product_cols()
-    return ([_on_legs(eps, 1, g.g1.col_sparse(j), n) for j in range(nn)],
-            [_on_legs(eps, 1, g.g2.col_sparse(j)) for j in range(nn)],
-            [_on_legs(prod, n, w.r1.col_sparse(j)) for j in range(nn)],
-            [_on_legs(prod, n, w.r2.col_sparse(j)) for j in range(nn)])
+
+    def build():
+        eps, prod = _counit_cols(counit), c.parent._product_cols()
+        return ([_on_legs(eps, 1, g.g1.col_sparse(j), n) for j in range(nn)],
+                [_on_legs(eps, 1, g.g2.col_sparse(j)) for j in range(nn)],
+                [_on_legs(prod, n, w.r1.col_sparse(j)) for j in range(nn)],
+                [_on_legs(prod, n, w.r2.col_sparse(j)) for j in range(nn)])
+    return w._once("contractions", (c, g, counit), build)
 
 
 def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
@@ -118,10 +121,10 @@ def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
     n = c.n
     out: List[CheckResult] = []
     eps = _counit_cols(counit)
-    s_left = [_vectors_matrix([_on_legs(eps, 1, r1.col_sparse(a * n + b), n)
-                               for b in range(n)], n) for a in range(n)]
-    s_right = [_vectors_matrix([_on_legs(eps, 1, r2.col_sparse(b * n + a))
-                                for b in range(n)], n) for a in range(n)]
+    s_left = [Matrix.from_sparse_cols(n, [_on_legs(eps, 1, r1.col_sparse(a * n + b), n)
+                                          for b in range(n)]) for a in range(n)]
+    s_right = [Matrix.from_sparse_cols(n, [_on_legs(eps, 1, r2.col_sparse(b * n + a))
+                                           for b in range(n)]) for a in range(n)]
 
     # left/right multiplier laws for each S value
     law_bad = None
@@ -242,8 +245,8 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
 
     # A S(A) = A and S(A) A = A, spanned by the e_a S(e_b) and the S(e_b) e_a
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    span_r = Subspace.from_vectors(n, (w.s_right[b].col(a) for a, b in pairs))
-    span_l = Subspace.from_vectors(n, (w.s_left[b].col(a) for a, b in pairs))
+    span_r = Subspace.from_vectors(n, (dict(w.s_right[b].col_sparse(a)) for a, b in pairs))
+    span_l = Subspace.from_vectors(n, (dict(w.s_left[b].col_sparse(a)) for a, b in pairs))
     out.append(check("antipode-spans", span_r.dim == n and span_l.dim == n,
                      "A S(A) and S(A) A span the algebra",
                      f"spans have dims {span_r.dim} and {span_l.dim} of {n}"))
@@ -251,7 +254,7 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
     # anti-coalgebra identity with E on both sides
     anti_cop_bad = None
     for a in range(n):
-        sa = w.s_mult(c.parent, [ONE if i == a else ZERO for i in range(n)])
+        sa = _combine_multipliers(c.parent, w.s_left, w.s_right, {a: ONE})
         lhs = extend_delta(c, e, sa)
         theta = _flipped_ss_coproduct(c, w, a)
         e_mult = e.multiplier
@@ -267,8 +270,8 @@ def check_antipode_identities(c: CoproductData, e: CanonicalIdempotent,
 def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multiplier:
     """sigma (S x S) coproduct(e_a) as a multiplier of the tensor square."""
     n, nn = c.n, c.nn
-    left = Matrix.zero(nn, nn)
-    right = Matrix.zero(nn, nn)
+    left: List[SparseVec] = [{} for _ in range(nn)]
+    right: List[SparseVec] = [{} for _ in range(nn)]
     # the maps e_i -> S1(e_i) e_j and e_i -> e_j S2(e_i), per j
     s1 = [[x.col_sparse(j) for x in w.s_left] for j in range(n)]
     s2 = [[x.col_sparse(j) for x in w.s_right] for j in range(n)]
@@ -277,12 +280,10 @@ def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multi
             # (S x S)coproduct(a) acting on cc (x) b: e_i -> S1(e_i) e_cc on
             # leg 1 of R1(a (x) b), and e_j -> e_b S2(e_j) on leg 2 of
             # R2(cc (x) a); then flip input and output
-            for m, vec in ((left, _on_legs(s1[cc], n, w.r1.col_sparse(a * n + b), n)),
-                           (right, _on_legs(s2[b], n, w.r2.col_sparse(cc * n + a)))):
-                for key, v in vec.items():
-                    k1, k2 = divmod(key, n)
-                    m.data[k2 * n + k1][b * n + cc] = v
-    return Multiplier(c.aa, left, right)
+            for cols, vec in ((left, _on_legs(s1[cc], n, w.r1.col_sparse(a * n + b), n)),
+                              (right, _on_legs(s2[b], n, w.r2.col_sparse(cc * n + a)))):
+                cols[b * n + cc] = {key % n * n + key // n: v for key, v in vec.items()}
+    return Multiplier(c.aa, Matrix.from_sparse_cols(nn, left), Matrix.from_sparse_cols(nn, right))
 
 
 # ------------------------------------------------- source and target maps
@@ -302,10 +303,10 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
     out: List[CheckResult] = []
     n = c.n
     eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
-    eps_s = [Multiplier(c.parent, _vectors_matrix(eps_g1[a * n:a * n + n], n),
-                        _vectors_matrix(m_r2[a::n], n)) for a in range(n)]
-    eps_t = [Multiplier(c.parent, _vectors_matrix(m_r1[a * n:a * n + n], n),
-                        _vectors_matrix(g2_eps[a::n], n)) for a in range(n)]
+    eps_s = [Multiplier(c.parent, Matrix.from_sparse_cols(n, eps_g1[a * n:a * n + n]),
+                        Matrix.from_sparse_cols(n, m_r2[a::n])) for a in range(n)]
+    eps_t = [Multiplier(c.parent, Matrix.from_sparse_cols(n, m_r1[a * n:a * n + n]),
+                        Matrix.from_sparse_cols(n, g2_eps[a::n])) for a in range(n)]
 
     valid_bad = None
     for a in range(n):
@@ -365,16 +366,14 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
 
     incl_bad = None
     for a in range(n):
-        right_ideal = Subspace.from_vectors(
-            n, [sparse_to_vec(c.parent.mul_basis(a, j), n) for j in range(n)])
-        left_ideal = Subspace.from_vectors(
-            n, [sparse_to_vec(c.parent.mul_basis(j, a), n) for j in range(n)])
+        right_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(a, j) for j in range(n)])
+        left_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(j, a) for j in range(n)])
         for m, tag in [(eps_s, "eps_s"), (eps_t, "eps_t")]:
             for x in range(n):
-                if not right_ideal.contains(m[x].right.col(a)):
+                if not right_ideal.contains(dict(m[x].right.col_sparse(a))):
                     incl_bad = f"{_lbl(c, a)} {tag}(A) escapes {_lbl(c, a)} A"
                     break
-                if not left_ideal.contains(m[x].left.col(a)):
+                if not left_ideal.contains(dict(m[x].left.col_sparse(a))):
                     incl_bad = f"{tag}(A) {_lbl(c, a)} escapes A {_lbl(c, a)}"
                     break
             if incl_bad:
@@ -395,20 +394,22 @@ def _e_leg_multipliers(c: CoproductData, e: CanonicalIdempotent):
     q there and b on the other leg is multiplied by e_p from the left, and
     its right action at the column with p there by e_q from the right; the
     slice index k is the output's index on that leg."""
-    n = c.n
+    n, nn = c.n, c.nn
     alg = c.parent
     legs: Dict[int, list] = {1: [], 2: []}
     for a, cc in product(range(n), repeat=2):
         for leg in (1, 2):
             p, q = (cc, a) if leg == 1 else (a, cc)
             s, other = (n, 1) if leg == 1 else (1, n)
-            mats = [(Matrix.zero(n, n), Matrix.zero(n, n)) for _ in range(n)]
+            # per slice k, the coordinates of Multiplier.coords: entry
+            # (r, b) of the left (right) action at b·n + r (nn + b·n + r)
+            coords: List[SparseVec] = [{} for _ in range(n)]
             for b in range(n):
                 for side, act, mult, u in ((0, e.left, alg._left_cols(p), q),
-                                           (1, e.right, alg._right_cols(q), p)):
+                                           (nn, e.right, alg._right_cols(q), p)):
                     for key, v in _on_legs(mult, n, act.col_sparse(u * s + b * other), s).items():
-                        mats[key // s % n][side].data[key // other % n][b] = v
-            legs[leg].extend(Multiplier(alg, ml, mr).coords() for ml, mr in mats)
+                        coords[key // s % n][side + b * n + key // other % n] = v
+            legs[leg].extend(coords)
     return legs[2], legs[1]
 
 
@@ -425,7 +426,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     out: List[CheckResult] = []
     n, nn = c.n, c.nn
     alg = c.parent
-    s_cols = [vec_to_sparse(s_mat.col(a)) for a in range(n)]
+    s_cols = [dict(s_mat.col_sparse(a)) for a in range(n)]
 
     # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
     strips = (_strip_echelon(c, alg._left_cols, n), _strip_echelon(c, alg._right_cols, 1))
@@ -434,8 +435,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
                           "product is too degenerate to recover the R maps"))
         return out, None, None
 
-    r1 = Matrix.zero(nn, nn)
-    r2 = Matrix.zero(nn, nn)
+    r_cols: Dict[str, List[SparseVec]] = {"R1": [], "R2": []}
     range_bad = None
     # the maps e_v -> S(e_v) e_b and e_u -> e_a S(e_u), per b and per a
     s_times = [[alg.mul_by_basis(sv, b).items() for sv in s_cols] for b in range(n)]
@@ -443,16 +443,15 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     for a, b in product(range(n), repeat=2):
         # stacked over the stripped index y: S(e_v) e_b on the last leg of
         # T2(e_y (x) e_a), and e_a S(e_u) on the middle leg of T1(e_b (x) e_y)
-        halves = (("R1", r1, strips[0], c.t2, a, n, s_times[b], 1),
-                  ("R2", r2, strips[1], c.t1, b * n, 1, times_s[a], n))
-        for name, r, (stack, ech), t, col0, step, op, s in halves:
+        halves = (("R1", strips[0], c.t2, a, n, s_times[b], 1),
+                  ("R2", strips[1], c.t1, b * n, 1, times_s[a], n))
+        for name, (stack, ech), t, col0, step, op, s in halves:
             x = [(y * nn + row, v) for y in range(n) for row, v in t.col_sparse(col0 + y * step)]
             sol = ech.solve_sparse(_on_legs(op, n, x, s), stack)
             if sol is None:
                 range_bad = f"{name}({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
                 break
-            for i, v in sol.items():
-                r.data[i][a * n + b] = v
+            r_cols[name].append(sol)
         if range_bad:
             break
     out.append(check("thm29-r-ranges", range_bad is None,
@@ -460,6 +459,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
                      range_bad or ""))
     if range_bad:
         return out, None, None
+    r1, r2 = (Matrix.from_sparse_cols(nn, r_cols[name]) for name in ("R1", "R2"))
 
     # the two identities (as contracted one-sided equalities): with
     # (R, T, col) = (R1, T1, a (x) b) and (R2, T2, b (x) a), and S on the
@@ -564,21 +564,28 @@ def derive_flip_maps(c: CoproductData, w: AntipodeWitness) -> Tuple[Optional[Mat
 
 def _s_conjugators(w: AntipodeWitness) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     """1 (x) S, 1 (x) S^-1, S (x) 1 and S^-1 (x) 1 on the tensor square, for
-    a bijective antipode matrix."""
-    ident = Matrix.identity(w.s_matrix.rows)
-    return (ident.kron(w.s_matrix), ident.kron(w.s_matrix_inv),
-            w.s_matrix.kron(ident), w.s_matrix_inv.kron(ident))
+    a bijective antipode matrix; built once per witness."""
+    def build():
+        ident = Matrix.identity(w.s_matrix.rows)
+        return (ident.kron(w.s_matrix), ident.kron(w.s_matrix_inv),
+                w.s_matrix.kron(ident), w.s_matrix_inv.kron(ident))
+    return w._once("conjugators", (), build)
 
 
-def _f_actions(conj: tuple, x: Matrix, y: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+def _f_actions(w: AntipodeWitness, e: CanonicalIdempotent,
+               first: bool = True) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     """One action of each of F1..F4, the conjugates of E's actions by S on
     one leg: F1 = (1 (x) S) x (1 (x) S^-1), F2 = (S (x) 1) y (S^-1 (x) 1),
-    F3 = (1 (x) S^-1) y (1 (x) S) and F4 = (S^-1 (x) 1) x (S (x) 1).  With
-    (x, y) = (E's right, E's left action) these are the first actions, the
-    ones a certificate records; with (x, y) swapped, the second.  conj
-    holds the _s_conjugators of the antipode."""
-    i_s, i_si, s_i, si_i = conj
-    return i_s * x * i_si, s_i * y * si_i, i_si * y * i_s, si_i * x * s_i
+    F3 = (1 (x) S^-1) y (1 (x) S) and F4 = (S^-1 (x) 1) x (S (x) 1).  The
+    first actions, the ones a certificate records, take (x, y) = (E's
+    right, E's left action); the second ones the two swapped.  Built once
+    per witness and E."""
+    x, y = (e.right, e.left) if first else (e.left, e.right)
+
+    def build():
+        i_s, i_si, s_i, si_i = _s_conjugators(w)
+        return i_s * x * i_si, s_i * y * si_i, i_si * y * i_s, si_i * x * s_i
+    return w._once(("F", first), (e,), build)
 
 
 def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
@@ -637,8 +644,7 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
                      "(S x S)E = sigma E as multipliers",
                      "(S x S)E differs from sigma E"))
 
-    conj = _s_conjugators(w)
-    f1, f2, f3, f4 = zip(_f_actions(conj, e.right, e.left), _f_actions(conj, e.left, e.right))
+    f1, f2, f3, f4 = zip(_f_actions(w, e), _f_actions(w, e, first=False))
 
     fact_ok = (g.g1 == f1[0]) and (g.g2 == f2[0])
     out.append(check("regular-f-factorization", fact_ok,
@@ -809,10 +815,12 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
                t4: Optional[Matrix]) -> List[CheckResult]:
     out: List[CheckResult] = []
     n, nn = c.n, c.nn
-    jj = star.star_matrix.kron(star.star_matrix)
+    jmat = star.star_matrix
+    jj = jmat.kron(jmat)
 
-    def star_vec(vec: list) -> list:
-        return jj.apply([v.conj() for v in vec])
+    def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
+        # x* = J conj(x), with j the star matrix J on A or J (x) J
+        return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
     bad = None
     if t3 is None or t4 is None:
@@ -824,19 +832,13 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
 
     # coproduct is a star-homomorphism: T3(a* (x) b*) = T1(a (x) b)*
     for a in range(n):
-        sa = star.apply_vec([ONE if i == a else ZERO for i in range(n)])
+        sa = jmat.col_sparse(a)     # e_a* = J e_a
         for b in range(n):
-            sb = star.apply_vec([ONE if i == b else ZERO for i in range(n)])
-            arg = [ZERO] * nn
-            for i, vi in enumerate(sa):
-                if vi:
-                    for j, vj in enumerate(sb):
-                        if vj:
-                            arg[i * n + j] = vi * vj
-            if t3.apply(arg) != star_vec(c.t1.col(a * n + b)):
+            arg = {i * n + j: vi * vj for i, vi in sa for j, vj in jmat.col_sparse(b)}
+            if t3.apply_sparse(arg) != star_on(jj, dict(c.t1.col_sparse(a * n + b))):
                 bad = f"T3(a* (x) b*) != T1(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
                 break
-            if t4.apply(arg) != star_vec(c.t2.col(a * n + b)):
+            if t4.apply_sparse(arg) != star_on(jj, dict(c.t2.col_sparse(a * n + b))):
                 bad = f"T4(a* (x) b*) != T2(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
                 break
         if bad:
@@ -848,32 +850,28 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
             bad = "star structure present but the antipode is not a matrix"
         else:
             for a in range(n):
-                v = star.apply_vec(w.s_matrix.col(a))
-                v = star.apply_vec(w.s_matrix.apply(v))
-                if vec_to_sparse(v) != {a: ONE}:
+                v = star_on(jmat, dict(w.s_matrix.col_sparse(a)))
+                v = star_on(jmat, w.s_matrix.apply_sparse(v))
+                if v != {a: ONE}:
                     bad = f"S(S({_lbl(c, a)})*)* != {_lbl(c, a)}"
                     break
 
     # E* = E
     if bad is None:
         for x in range(nn):
-            basis = [ZERO] * nn
-            basis[x] = ONE
-            if star_vec(e.right.apply(star_vec(basis))) != e.left.col(x):
+            if star_on(jj, e.right.apply_sparse(star_on(jj, {x: ONE}))) != dict(e.left.col_sparse(x)):
                 bad = f"E* != E at {_lbl2(c, x)}"
                 break
 
     # F1* = F3 and F2* = F4
     if bad is None and w.s_matrix is not None and w.s_matrix_inv is not None:
-        conj = _s_conjugators(w)
-        f1, f2, f3, f4 = zip(_f_actions(conj, e.right, e.left), _f_actions(conj, e.left, e.right))
+        f1, f2, f3, f4 = zip(_f_actions(w, e), _f_actions(w, e, first=False))
         for x in range(nn):
-            basis = [ZERO] * nn
-            basis[x] = ONE
-            sx = star_vec(basis)
+            sx = star_on(jj, {x: ONE})
             # each action of F1 (F2) against the matching action of F3 (F4)
             for fa, fb, what in ((f1, f3, "F1* != F3"), (f2, f4, "F2* != F4")):
-                if any(star_vec(p.apply(sx)) != q.col(x) for p, q in zip(fa, fb)):
+                if any(star_on(jj, p.apply_sparse(sx)) != dict(q.col_sparse(x))
+                       for p, q in zip(fa, fb)):
                     bad = f"{what} at {_lbl2(c, x)}"
                     break
             if bad:
@@ -922,13 +920,12 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
                           w.s_matrix * m.right * w.s_matrix_inv,
                           w.s_matrix * m.left * w.s_matrix_inv)
 
-    def lin_mult(ms: List[Multiplier], coeffs) -> Multiplier:
-        return _combine_multipliers(c.parent, [m.left for m in ms], [m.right for m in ms],
-                                    vec_to_sparse(coeffs))
+    def lin_mult(ms: List[Multiplier], coeffs: SparseVec) -> Multiplier:
+        return _combine_multipliers(c.parent, [m.left for m in ms], [m.right for m in ms], coeffs)
 
     swap_bad = None
     for a in range(n):
-        sa = w.s_matrix.col(a)
+        sa = dict(w.s_matrix.col_sparse(a))
         if s_of_mult(st.eps_t[a]) != lin_mult(st.eps_s, sa):
             swap_bad = f"S(eps_t({_lbl(c, a)})) != eps_s(S({_lbl(c, a)}))"
             break
@@ -978,12 +975,10 @@ def _strip_echelon(c: CoproductData, mult_cols, s: int) -> Tuple[Matrix, Echelon
     non-degenerate product.  mult_cols(y) gives the multiplication's
     columns (Algebra._left_cols or _right_cols), s the leg's stride."""
     n, nn = c.n, c.nn
-    stack = Matrix.zero(n * nn, nn)
-    for y in range(n):
-        cols = mult_cols(y)
-        for col in range(nn):
-            for key, v in _on_legs(cols, n, [(col, ONE)], s).items():
-                stack.data[y * nn + key][col] = v
+    stack = Matrix.from_sparse_cols(n * nn, [
+        {y * nn + key: v for y in range(n)
+         for key, v in _on_legs(mult_cols(y), n, [(col, ONE)], s).items()}
+        for col in range(nn)])
     return stack, Echelon(stack, solvable=True)
 
 
@@ -1031,6 +1026,6 @@ def _f_action(c: CoproductData, table, contract: Matrix, post: Matrix,
                 for k, v in contract.col_sparse(j):
                     _accumulate(acc, table[i][k].items(), v)
             # the post-composition on the first (contract_first) or second leg
-            col = _on_legs(post._sparse_cols(), n, _settle(acc).items(), n if contract_first else 1)
-            cols.append(sparse_to_vec(col, nn))
-    return Matrix.from_cols(cols, rows=nn)
+            cols.append(_on_legs(post._sparse_cols(), n, _settle(acc).items(),
+                                 n if contract_first else 1))
+    return Matrix.from_sparse_cols(nn, cols)

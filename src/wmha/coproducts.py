@@ -16,7 +16,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs,
-                       sparse_to_vec, vec_to_sparse)
+                       vec_to_sparse)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, check
@@ -115,8 +115,7 @@ def _commute(p12: Matrix, q23: Matrix, idx: int, n: int) -> bool:
 
 
 def _matrix_key(m: Matrix) -> tuple:
-    return (m.rows, m.cols, tuple((i, j, v) for i, row in enumerate(m.data)
-                                  for j, v in enumerate(row) if v))
+    return (m.rows, m.cols, tuple(map(tuple, m._sparse_cols())))
 
 
 class RunCache:
@@ -224,16 +223,11 @@ class CoproductData:
         matrix from the triple tensor power to the tensor square.  Its
         range is the range of T1 when the algebra is idempotent."""
         if self._psi is None:
-            n, nn = self.n, self.nn
-            m = Matrix.zero(nn, n * nn)
-            for p in range(n):
-                for d in range(n):
-                    t1col = self.t1.col_sparse(p * n + d)
-                    for c in range(n):
-                        # (e_c on the right of leg 1) T1(e_p (x) e_d)
-                        for idx, v in _on_legs(self.parent._right_cols(c), n, t1col, n).items():
-                            m.data[idx][(p * n + c) * n + d] = v
-            self._psi = m
+            n = self.n
+            # column (p·n + c)·n + d: e_c on the right of leg 1 of T1(e_p (x) e_d)
+            self._psi = Matrix.from_sparse_cols(self.nn, [
+                _on_legs(self.parent._right_cols(c), n, self.t1.col_sparse(p * n + d), n)
+                for p in range(n) for c in range(n) for d in range(n)])
         return self._psi
 
     def psi_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
@@ -244,11 +238,8 @@ class CoproductData:
         Exists because the algebra is idempotent."""
         if self._mu_decomp is None:
             n = self.n
-            mu = Matrix.zero(n, n * n)
-            for i in range(n):
-                for j in range(n):
-                    for k2, v in self.parent.mul_basis(i, j).items():
-                        mu.data[k2][i * n + j] = v
+            mu = Matrix.from_sparse_cols(n, [self.parent.mul_basis(i, j)
+                                             for i in range(n) for j in range(n)])
             decomp = {}
             for k2 in range(n):
                 for flag in (False, True):
@@ -421,14 +412,14 @@ def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
     return v, w, (v.dim == n and w.dim == n)
 
 
-def _leg_slices(t: Matrix, col: int, leg: int, n: int) -> Dict[int, list]:
-    """Column col of t, a vector of the tensor square, as dense vectors over
-    one leg keyed by the index on the other leg."""
-    out: Dict[int, list] = {}
+def _leg_slices(t: Matrix, col: int, leg: int, n: int) -> Dict[int, SparseVec]:
+    """Column col of t, a vector of the tensor square, as sparse vectors
+    over one leg keyed by the index on the other leg."""
+    out: Dict[int, SparseVec] = {}
     for row, v in t.col_sparse(col):
         i, j = divmod(row, n)
         k, pos = (j, i) if leg == 1 else (i, j)
-        out.setdefault(k, [ZERO] * n)[pos] = v
+        out.setdefault(k, {})[pos] = v
     return out
 
 
@@ -443,7 +434,7 @@ def solve_counit(c: CoproductData) -> list:
             for t, leg in ((c.t1, 1), (c.t2, 2)):
                 rows = _leg_slices(t, a * n + b, leg, n)
                 for k in set(rows) | set(prod):
-                    constraints.append((rows.get(k, [ZERO] * n), prod.get(k, ZERO)))
+                    constraints.append((rows.get(k, {}), prod.get(k, ZERO)))
     try:
         sol, space = solve_linear(constraints, n)
     except Infeasible as exc:
@@ -482,8 +473,8 @@ def compute_E(c: CoproductData) -> CanonicalIdempotent:
     depends on nothing else, so it is solved once per run for each
     (tensor square, Ran T1, Ran T2) and bound to the caller's square.
     """
-    key = (c.aa.content_key(), tuple(map(tuple, c.ran_t1().basis)),
-           tuple(map(tuple, c.ran_t2().basis)))
+    key = (c.aa.content_key(),) + tuple(tuple(tuple(sorted(r.items())) for r in space.rows)
+                                        for space in (c.ran_t1(), c.ran_t2()))
     got = c.cache.idempotents.get(key)
     if got is None:
         got = c.cache.idempotents[key] = _solve_E(c)
@@ -494,8 +485,8 @@ def compute_E(c: CoproductData) -> CanonicalIdempotent:
 def _solve_E(c: CoproductData) -> CanonicalIdempotent:
     nn = c.nn
     aa = c.aa
-    b1 = c.ran_t1().basis
-    b2 = c.ran_t2().basis
+    b1 = c.ran_t1().rows
+    b2 = c.ran_t2().rows
     if not b1 or not b2:
         # zero coproduct: E = 0 multiplier, degenerate but report-level callers
         # will already have failed fullness
@@ -514,23 +505,22 @@ def _solve_E(c: CoproductData) -> CanonicalIdempotent:
 
 def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> Matrix:
     """Solve one action of E columnwise: w in span(fix_basis) with
-    v.w = v.x (left side; w.v = x.v on the right side) for all v."""
+    v.w = v.x (left side; w.v = x.v on the right side) for all v; both
+    bases are sparse vectors."""
     nn = c.nn
     aa = c.aa
     r = len(fix_basis)
     # products of every test vector with every unknown-basis / input-basis vector
     rows = []        # (test index, output coord, constraint row)
-    test_sparse = [vec_to_sparse(v) for v in test_basis]
-    fix_sparse = [vec_to_sparse(w) for w in fix_basis]
-    for ti, vs in enumerate(test_sparse):
-        cols = []
-        for ws in fix_sparse:
-            cols.append(aa.mul_sparse(vs, ws) if left_side else aa.mul_sparse(ws, vs))
-        for out_coord in range(nn):
-            row = [col.get(out_coord, ZERO) for col in cols]
-            if any(row):
-                rows.append((ti, out_coord, row))
-    amat = Matrix.from_rows([row for _, _, row in rows]) if rows else Matrix.zero(0, r)
+    for ti, vs in enumerate(test_basis):
+        by_coord: Dict[int, SparseVec] = {}
+        for wi, ws in enumerate(fix_basis):
+            prod = aa.mul_sparse(vs, ws) if left_side else aa.mul_sparse(ws, vs)
+            for out_coord, v in prod.items():
+                by_coord.setdefault(out_coord, {})[wi] = v
+        rows.extend((ti, out_coord, by_coord[out_coord]) for out_coord in sorted(by_coord))
+    # the constraint rows are the columns of the transpose
+    amat = Matrix.from_sparse_cols(r, [row for _, _, row in rows]).transpose()
     ech = Echelon(amat, solvable=True)
     if ech.rank < r:
         raise AmbiguousE(
@@ -538,7 +528,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
             f"({r - ech.rank} free directions)")
     # v . e_x  (or e_x . v) for every test vector and basis column
     prods = []
-    for vs in test_sparse:
+    for vs in test_basis:
         per_x = []
         for x in range(nn):
             xs = {x: ONE}
@@ -546,18 +536,18 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
         prods.append(per_x)
     cols_out = []
     for x in range(nn):
-        rhs = [prods[ti][x].get(out_coord, ZERO) for ti, out_coord, _ in rows]
-        sol = ech.solve(rhs, amat)
+        rhs = {i: prods[ti][x][out_coord] for i, (ti, out_coord, _) in enumerate(rows)
+               if out_coord in prods[ti][x]}
+        sol = ech.solve_sparse(rhs, amat)
         if sol is None:
             side = "E(A (x) A) = Ran(T1)" if left_side else "(A (x) A)E = Ran(T2)"
             raise NoSuchIdempotent(
                 f"no multiplier action with {side}: column {_lbl2(c, x)} infeasible")
         acc: dict = {}
-        for coeff, ws in zip(sol, fix_sparse):
-            if coeff:
-                _accumulate(acc, ws.items(), coeff)
-        cols_out.append(sparse_to_vec(_settle(acc), nn))
-    return Matrix.from_cols(cols_out, rows=nn)
+        for wi, coeff in sol.items():
+            _accumulate(acc, fix_basis[wi].items(), coeff)
+        cols_out.append(_settle(acc))
+    return Matrix.from_sparse_cols(nn, cols_out)
 
 
 def validate_E(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
@@ -572,11 +562,11 @@ def validate_E(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
         for x in range(c.nn):
             xs = {x: ONE}
             da = c.delta_left(a, xs)
-            if vec_to_sparse(left.apply(sparse_to_vec(da, c.nn))) != da:
+            if left.apply_sparse(da) != da:
                 absorb = f"E.coproduct({_lbl(c, a)}) != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
                 break
             db = c.delta_right(a, xs)
-            if vec_to_sparse(right.apply(sparse_to_vec(db, c.nn))) != db:
+            if right.apply_sparse(db) != db:
                 absorb = f"coproduct({_lbl(c, a)}).E != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
                 break
         if absorb:
@@ -628,9 +618,9 @@ def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Mul
             if col != _on_legs(composed, nn, preimage(ex, alt=True).items()):
                 raise IllDefinedExtension(
                     f"extension {side} action at {_lbl2(c, x)} depends on the preimage")
-            cols.append(sparse_to_vec(col, nn))
-    return Multiplier(c.aa, Matrix.from_cols(sides[0][3], rows=nn),
-                      Matrix.from_cols(sides[1][3], rows=nn))
+            cols.append(col)
+    return Multiplier(c.aa, Matrix.from_sparse_cols(nn, sides[0][3]),
+                      Matrix.from_sparse_cols(nn, sides[1][3]))
 
 
 def delta13_action(c: CoproductData, a: Element, b: Element, x: Element) -> Dict[int, Scalar]:
@@ -805,8 +795,8 @@ def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> 
     n, nn = c.n, c.nn
     t, ecols, s = (c.t1, e.left._sparse_cols(), 1) if first else (c.t2, e.right._sparse_cols(), n)
     span = Echelon(Matrix.zero(0, nn))
-    xs: List[list] = []
-    ys: List[list] = []
+    xs: List[SparseVec] = []
+    ys: List[SparseVec] = []
     deferred: List[Tuple[Dict[int, Scalar], Dict[int, Scalar]]] = []
     for idx in range(n ** 3):
         xparts: Dict[int, Dict[int, Scalar]] = {}
@@ -819,20 +809,20 @@ def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> 
         for k in sorted(set(xparts) | set(yparts)):
             xv = xparts.get(k, {})
             yv = yparts.get(k, {})
-            if span.rank < nn and span.insert(sparse_to_vec(xv, nn)):
-                xs.append(sparse_to_vec(xv, nn))
-                ys.append(sparse_to_vec(yv, nn))
+            if span.rank < nn and span.insert(xv):
+                xs.append(xv)
+                ys.append(yv)
             else:
                 deferred.append((xv, yv))
     if span.rank < nn:
         raise Ambiguous(
             f"defining system for G{1 if first else 2} underdetermined "
             f"(rank {span.rank} of {nn}); fullness must fail")
-    xinv = invert(Matrix.from_cols(xs))
+    xinv = invert(Matrix.from_sparse_cols(nn, xs))
     if xinv is None:
         raise InvariantViolation(
             f"independent columns of the G{1 if first else 2} system are singular")
-    g = Matrix.from_cols(ys) * xinv
+    g = Matrix.from_sparse_cols(nn, ys) * xinv
     for xv, yv in deferred:
         if g.apply_sparse(xv) != yv:
             raise NoSolution(

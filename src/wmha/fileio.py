@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .algebras import Algebra, StarStructure
-from .antipodes import _f_actions, _s_conjugators
+from .antipodes import _f_actions
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset)
 from .linalg import Matrix
 from .pipeline import StructureInput
@@ -25,8 +25,8 @@ from .report import digest_of
 from .scalars import Scalar
 
 
-# each canonical map is held as a dense dim^2 x dim^2 matrix: a larger
-# dim would exhaust memory while the document is still being read
+# the canonical maps are dim^2 x dim^2 and the checks walk every basis
+# triple and quadruple: a larger dim could not finish
 MAX_DIM = 32
 
 
@@ -67,7 +67,7 @@ def _list(value, where: str) -> list:
 
 
 def sparse_matrix_from_json(entries, rows: int, cols: int, where: str) -> Matrix:
-    m = Matrix.zero(rows, cols)
+    values = {}
     for ent in _list(entries, where):
         if not isinstance(ent, list) or len(ent) != 4:
             raise ParseError(f"{where}: entries must be [row, col, re, im]")
@@ -75,18 +75,16 @@ def sparse_matrix_from_json(entries, rows: int, cols: int, where: str) -> Matrix
         r, c = _int(r, where), _int(c, where)
         if not (0 <= r < rows and 0 <= c < cols):
             raise ShapeError(f"{where}: entry ({r},{c}) outside {rows}x{cols}")
-        m.data[r][c] = _scalar_pair(re, im, where)
-    return m
+        if (r, c) in values:
+            raise ShapeError(f"{where}: entry ({r},{c}) is listed twice")
+        values[r, c] = _scalar_pair(re, im, where)
+    return Matrix.from_entries(rows, cols, values)
 
 
 def matrix_to_sparse_json(m: Matrix) -> list:
-    out = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.data[i][j]
-            if v:
-                out.append([i, j, *v.to_strings()])
-    return out
+    """The nonzero entries [row, col, re, im] in row-major order."""
+    return [[i, j, *v.to_strings()] for i, row in enumerate(m._sparse_rows())
+            for j, v in row.items()]
 
 
 def dense_matrix_from_json(rows, dim: int, where: str) -> Matrix:
@@ -99,7 +97,7 @@ def dense_matrix_from_json(rows, dim: int, where: str) -> Matrix:
 
 
 def dense_matrix_to_json(m: Matrix) -> list:
-    return [[v.to_json() for v in row] for row in m.data]
+    return [[v.to_json() for v in row] for row in m.dense_rows()]
 
 
 def vector_from_json(values, dim: int, where: str) -> list:
@@ -124,15 +122,17 @@ def algebra_from_json(doc: dict) -> Algebra:
             raise ParseError("basis_labels must be a list of strings")
         if len(labels) != dim:
             raise ShapeError("basis_labels length differs from dim")
-    entries = []
+    entries = {}
     for ent in _list(doc.get("structure", []), "structure"):
         if not isinstance(ent, list) or len(ent) != 5:
             raise ParseError("structure entries must be [i, j, k, re, im]")
         i, j, k = (_int(x, "structure") for x in ent[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ShapeError(f"structure: index ({i},{j},{k}) outside dim {dim}")
-        entries.append((i, j, k, _scalar_pair(ent[3], ent[4], "structure")))
-    return Algebra.from_structure(dim, labels, entries)
+        if (i, j, k) in entries:
+            raise ShapeError(f"structure: index ({i},{j},{k}) is listed twice")
+        entries[i, j, k] = _scalar_pair(ent[3], ent[4], "structure")
+    return Algebra.from_structure(dim, labels, [(*ijk, v) for ijk, v in entries.items()])
 
 
 @dataclass
@@ -263,7 +263,7 @@ def witnesses_to_json(ctx) -> dict:
             out["S_left"] = [matrix_to_sparse_json(m) for m in w.s_left]
             out["S_right"] = [matrix_to_sparse_json(m) for m in w.s_right]
         if w.s_matrix_inv is not None and ctx.e is not None:
-            for k, f in enumerate(_f_actions(_s_conjugators(w), ctx.e.right, ctx.e.left), 1):
+            for k, f in enumerate(_f_actions(w, ctx.e), 1):
                 out[f"F{k}"] = matrix_to_sparse_json(f)
     st = ctx.source_target
     if st is not None:

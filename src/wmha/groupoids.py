@@ -10,6 +10,7 @@ reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebras import Algebra, Element
@@ -260,15 +261,9 @@ class GroupoidModel:
 
 
 def _indicator_diag(g: FiniteGroupoid, pred) -> Matrix:
-    idx = g.index()
     n = len(g.morphisms)
-    m = Matrix.zero(n * n, n * n)
-    for p in g.morphisms:
-        for q in g.morphisms:
-            if pred(p, q):
-                k = idx[p] * n + idx[q]
-                m.data[k][k] = ONE
-    return m
+    return Matrix.from_sparse_cols(n * n, [{k: ONE} if pred(p, q) else {} for k, (p, q)
+                                           in enumerate(product(g.morphisms, repeat=2))])
 
 
 def function_algebra(g: FiniteGroupoid) -> GroupoidModel:
@@ -280,19 +275,19 @@ def function_algebra(g: FiniteGroupoid) -> GroupoidModel:
         n, list(g.morphisms),
         [(i, i, i, ONE) for i in range(n)])
 
-    t1 = Matrix.zero(n * n, n * n)
-    t2 = Matrix.zero(n * n, n * n)
+    t1, t2 = {}, {}
     for p in g.morphisms:
         for q in g.morphisms:
             col = idx[p] * n + idx[q]
             # T1 column at delta_p (x) delta_q: delta_{p q^-1} (x) delta_q
             if g.source[p] == g.source[q]:
                 r = g.compose[(p, g.inverse[q])]
-                t1.data[idx[r] * n + idx[q]][col] = ONE
+                t1[idx[r] * n + idx[q], col] = ONE
             # T2 column: delta_p (x) delta_{p^-1 q}
             if g.target[p] == g.target[q]:
                 s = g.compose[(g.inverse[p], q)]
-                t2.data[idx[p] * n + idx[s]][col] = ONE
+                t2[idx[p] * n + idx[s], col] = ONE
+    t1, t2 = (Matrix.from_entries(n * n, n * n, t) for t in (t1, t2))
     # pointwise algebra is abelian, so the flipped-side maps coincide
     t3, t4 = t1, t2
 
@@ -318,21 +313,19 @@ def convolution_algebra(g: FiniteGroupoid) -> GroupoidModel:
         entries.append((idx[p], idx[q], idx[r], ONE))
     alg = Algebra.from_structure(n, [f"L[{m}]" for m in g.morphisms], entries)
 
-    t1 = Matrix.zero(n * n, n * n)
-    t2 = Matrix.zero(n * n, n * n)
-    t3 = Matrix.zero(n * n, n * n)
-    t4 = Matrix.zero(n * n, n * n)
+    t1, t2, t3, t4 = {}, {}, {}, {}
     for p in g.morphisms:
         for q in g.morphisms:
             col = idx[p] * n + idx[q]
             if g.composable(p, q):
                 pq = g.compose[(p, q)]
-                t1.data[idx[p] * n + idx[pq]][col] = ONE   # lam_p (x) lam_p lam_q
-                t2.data[idx[pq] * n + idx[q]][col] = ONE   # lam_p lam_q (x) lam_q
+                t1[idx[p] * n + idx[pq], col] = ONE   # lam_p (x) lam_p lam_q
+                t2[idx[pq] * n + idx[q], col] = ONE   # lam_p lam_q (x) lam_q
             if g.composable(q, p):
                 qp = g.compose[(q, p)]
-                t3.data[idx[p] * n + idx[qp]][col] = ONE   # lam_p (x) lam_q lam_p
-                t4.data[idx[qp] * n + idx[q]][col] = ONE   # lam_q lam_p (x) lam_q
+                t3[idx[p] * n + idx[qp], col] = ONE   # lam_p (x) lam_q lam_p
+                t4[idx[qp] * n + idx[q], col] = ONE   # lam_q lam_p (x) lam_q
+    t1, t2, t3, t4 = (Matrix.from_entries(n * n, n * n, t) for t in (t1, t2, t3, t4))
     counit = [ONE] * n
     s_mat = Matrix.permutation([idx[g.inverse[m]] for m in g.morphisms])
     e_left = _indicator_diag(g, lambda p, q: g.target[p] == g.target[q])

@@ -3,19 +3,23 @@ engine (Echelon), canonical subspaces as its sorted view, ranks,
 kernels, solvers, and generalized inverses of linear maps with
 prescribed range and kernel projections.
 
-Matrices and echelon rows are held densely; every sum of products
+Only nonzeros are stored.  A Matrix is its list of columns, each the
+row-sorted (row, value) pairs of its nonzero entries; echelon rows and
+subspace bases are dicts from column to nonzero value.  Dense rows and
+vectors exist only at the boundaries: a dense input is scanned once for
+its nonzeros, and `col`, `dense_rows`, `apply`, `solve` and
+`Subspace.basis` hand out fresh dense copies.  Every sum of products
 (products, applications, row reductions, back-substitution) is one
 accumulation in the `scalars` kernel, reduced once per output entry.
-Everything is exact.  Pivoting rules are fixed (first nonzero entry in
-scan order) so repeated runs produce identical witnesses.
+Everything is exact.  Pivoting rules are fixed (the nonzero entry first
+in the column order) so repeated runs produce identical witnesses.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .scalars import (ONE, ZERO, Scalar, _accumulate, _dot, _settle,
-                      _sub_mul)
+from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
 
 
 class DimensionMismatch(Exception):
@@ -36,154 +40,178 @@ class InvariantViolation(Exception):
     fault in the engine, never a property of the input."""
 
 
+_MINUS_ONE = -ONE
+
+
 class Matrix:
-    """Dense matrix of Scalars.  Treated as immutable once built."""
+    """Sparse matrix of Scalars: its shape and its columns, column j the
+    list of (row, value) pairs of its nonzero entries in row order (Gustavson's
+    column-oriented storage).  Immutable once built, so columns are shared
+    between matrices freely; every operation reads the columns only."""
 
-    __slots__ = ("rows", "cols", "data", "_colcache")
+    __slots__ = ("rows", "cols", "_columns")
 
-    def __init__(self, rows: int, cols: int, data):
+    def __init__(self, rows: int, cols: int, columns: list):
         self.rows = rows
         self.cols = cols
-        self.data = data  # list of row lists
-        self._colcache = None
+        self._columns = columns
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return Matrix(rows, cols, [[] for _ in range(cols)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        return Matrix(len(rows), len(rows[0]) if rows else 0, rows)
-
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
-        if not cols:
-            return Matrix.zero(rows or 0, 0)
-        n = len(cols[0])
-        m = Matrix.zero(n, len(cols))
-        for j, c in enumerate(cols):
-            for i, v in enumerate(c):
-                m.data[i][j] = v
-        return m
+        return Matrix(n, n, [[(i, ONE)] for i in range(n)])
 
     @staticmethod
     def permutation(perm: Sequence[int]) -> "Matrix":
         """Matrix sending basis vector j to basis vector perm[j]."""
-        n = len(perm)
-        m = Matrix.zero(n, n)
-        for j, i in enumerate(perm):
-            m.data[i][j] = ONE
-        return m
+        return Matrix(len(perm), len(perm), [[(i, ONE)] for i in perm])
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
+        """From dense rows, all of one length."""
+        rows = list(rows)
+        ncols = len(rows[0]) if rows else 0
+        columns: list = [[] for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise DimensionMismatch(f"row {i} has length {len(row)}, row 0 has {ncols}")
+            for j, v in _nonzeros(row):
+                columns[j].append((i, v))
+        return Matrix(len(rows), ncols, columns)
+
+    @staticmethod
+    def from_cols(cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
+        """From dense columns, all of length rows (by default the first
+        column's length)."""
+        if rows is None:
+            rows = len(cols[0]) if cols else 0
+        for j, c in enumerate(cols):
+            if len(c) != rows:
+                raise DimensionMismatch(f"column {j} has length {len(c)}, not {rows}")
+        return Matrix(rows, len(cols), [_nonzeros(c) for c in cols])
+
+    @staticmethod
+    def from_sparse_cols(rows: int, cols: Sequence[dict]) -> "Matrix":
+        """From sparse columns, each a dict row -> value without zeros."""
+        return Matrix(rows, len(cols), [sorted(c.items()) for c in cols])
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: dict) -> "Matrix":
+        """From a dict (row, col) -> value of entries; zeros are dropped."""
+        columns: list = [[] for _ in range(cols)]
+        for (i, j), v in sorted(entries.items()):
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
+            if v:
+                columns[j].append((i, v))
+        return Matrix(rows, cols, columns)
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        """Column j as a fresh dense list."""
+        return _dense(self._columns[j], self.rows)
 
     def col_sparse(self, j: int) -> list:
-        """The nonzero (row, value) pairs of column j."""
-        cols = self._colcache
-        if cols is None:
-            cols = self._sparse_cols()
-        return cols[j]
+        """The nonzero (row, value) pairs of column j, in row order."""
+        return self._columns[j]
 
     def _sparse_cols(self) -> list:
-        """col_sparse(j) for every column j, built in one pass and cached."""
-        cols = self._colcache
-        if cols is None:
-            cols = self._colcache = [_nonzeros(col) for col in zip(*self.data)] \
-                if self.rows else [[] for _ in range(self.cols)]
-        return cols
+        """col_sparse(j) for every column j."""
+        return self._columns
+
+    def _sparse_rows(self) -> list:
+        """Every row as a fresh dict column -> value of its nonzeros, in
+        column order."""
+        rows: list = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col:
+                rows[i][j] = v
+        return rows
+
+    def dense_rows(self) -> list:
+        """The rows as fresh dense lists."""
+        return [_dense(r.items(), self.cols) for r in self._sparse_rows()]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix(self.cols, self.rows, [list(r.items()) for r in self._sparse_rows()])
 
     def conj(self) -> "Matrix":
         return Matrix(self.rows, self.cols,
-                      [[v.conj() for v in row] for row in self.data])
+                      [[(i, v.conj()) for i, v in col] for col in self._columns])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) \
-            and self.data == other.data
+            and self._columns == other._columns
 
     def __hash__(self):
         raise TypeError("Matrix is not hashable")
 
     def __add__(self, other):
-        self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return self._plus(other, None)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return self._plus(other, _MINUS_ONE)
 
-    def _check_shape(self, other):
+    def _plus(self, other: "Matrix", c: Optional[Scalar]) -> "Matrix":
+        """self + c·other, column by column."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = []
+        for ca, cb in zip(self._columns, other._columns):
+            if not cb or not ca and c is None:
+                out.append(ca or cb)
+                continue
+            acc: dict = {}
+            _accumulate(acc, ca)
+            _accumulate(acc, cb, c)
+            out.append(sorted(_settle(acc).items()))
+        return Matrix(self.rows, self.cols, out)
 
     def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[s * v for v in row] for row in self.data])
+        if not s:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix(self.rows, self.cols,
+                      [[(i, s * v) for i, v in col] for col in self._columns])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # column j of the product is Σ_k other[k][j]·(column k of self),
-        # over the nonzeros of both, held in their column caches; the
-        # product's own column cache comes out on the way
-        out = Matrix.zero(self.rows, other.cols)
-        odata = out.data
-        acols = self._sparse_cols()
-        ocols = out._colcache = []
-        for j, bcol in enumerate(other._sparse_cols()):
+        # column j of the product is Σ_k other[k][j]·(column k of self)
+        acols = self._columns
+        out = []
+        for bcol in other._columns:
             acc: dict = {}
             for k, b in bcol:
                 _accumulate(acc, acols[k], b)
-            col = sorted(_settle(acc).items()) if acc else []
-            for i, v in col:
-                odata[i][j] = v
-            ocols.append(col)
-        return out
+            out.append(sorted(_settle(acc).items()) if acc else [])
+        return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[Scalar]) -> list:
+        """The product with a dense vector, as a dense list."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        return _dense(self.apply_sparse(dict(_nonzeros(vec))), self.rows)
+        return _dense(self.apply_sparse(dict(_nonzeros(vec))).items(), self.rows)
 
     def apply_sparse(self, vec: dict) -> dict:
         acc: dict = {}
-        cols = self._sparse_cols()
+        cols = self._columns
         for j, x in vec.items():
             _accumulate(acc, cols[j], x)
         return _settle(acc)
 
     def is_zero(self) -> bool:
-        return all(v is ZERO or not v for row in self.data for v in row)
+        return not any(self._columns)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor (Kronecker) product, row-major index convention."""
-        out = Matrix.zero(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if not a:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        b = other.data[k][l]
-                        if b:
-                            out.data[i * other.rows + k][j * other.cols + l] = a * b
-        return out
+        m = other.rows
+        return Matrix(self.rows * m, self.cols * other.cols,
+                      [[(i * m + k, a * b) for i, a in ca for k, b in cb]
+                       for ca in self._columns for cb in other._columns])
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -194,36 +222,47 @@ def _nonzeros(row: Sequence[Scalar]) -> list:
     return [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
 
 
-def _dense(sparse: dict, n: int) -> list:
+def _dense(pairs, n: int) -> list:
+    """The dense vector of length n with the given (index, value) pairs."""
     out = [ZERO] * n
-    for i, v in sparse.items():
+    for i, v in pairs:
         out[i] = v
     return out
 
 
+def _sparse(vec, n: int) -> dict:
+    """vec as a dict index -> nonzero value: a dict is taken as it is, a
+    dense sequence, which must have length n, is scanned once."""
+    if isinstance(vec, dict):
+        return vec
+    if len(vec) != n:
+        raise DimensionMismatch(f"vector length {len(vec)} vs {n} columns")
+    return dict(_nonzeros(vec))
+
+
 def _combination(terms, rows: int, cols: int) -> Matrix:
     """Σ c·M over the (c, M) pairs of terms, one kernel sum per entry."""
-    acc: dict = {}
+    accs: list = [{} for _ in range(cols)]
     for c, m in terms:
-        _accumulate(acc, ((i * cols + j, v) for i, row in enumerate(m.data)
-                          for j, v in _nonzeros(row)), c)
-    out = Matrix.zero(rows, cols)
-    for k, v in _settle(acc).items():
-        out.data[k // cols][k % cols] = v
-    return out
+        for acc, col in zip(accs, m._columns):
+            if col:
+                _accumulate(acc, col, c)
+    return Matrix(rows, cols, [sorted(_settle(acc).items()) for acc in accs])
 
 
 class Echelon:
     """Incremental reduced row echelon form: the one elimination loop of
     the package.
 
-    Rows are inserted in order.  A row's pivot is its first nonzero entry
-    in the column order (identity by default); the row is scaled to a unit
-    pivot and its pivot column cleared from every other row, so the
-    reduced rows depend only on the span and the column order.  A
-    `solvable` factorisation also records each reduced row as a
-    combination of the input rows, which `solve` needs; solutions put free
-    variables to zero, which makes preimage choices canonical.
+    Rows are inserted in order, as dicts column -> value or as dense
+    sequences, and reduced rows are held as dicts.  A row's pivot is its
+    nonzero column first in the column order (a permutation of the
+    columns, identity by default); the row is scaled to a unit pivot and
+    its pivot column cleared from every other row, so the reduced rows
+    depend only on the span and the column order.  A `solvable`
+    factorisation also records each reduced row as a combination of the
+    input rows, which `solve` needs; solutions put free variables to zero,
+    which makes preimage choices canonical.
 
     Because every reduced row is zero in the other pivot columns, an
     incoming row's pivot-column entries are the coefficients of its whole
@@ -233,74 +272,70 @@ class Echelon:
     def __init__(self, matrix: Matrix, col_order: Optional[Sequence[int]] = None,
                  solvable: bool = False):
         self.ncols = matrix.cols
-        self.col_order = list(col_order) if col_order is not None else list(range(matrix.cols))
+        # position of each column in the order; None for the identity order
+        self._pos = None if col_order is None else {j: p for p, j in enumerate(col_order)}
         self.pivot_cols: list = []
-        self.rrows: list = []  # reduced rows: unit pivot, zeros in the other pivot columns
-        self._rnz: list = []   # the nonzero (column, value) pairs of each reduced row
+        self._pivot_of: dict = {}  # pivot column -> index of its reduced row
+        self.rrows: list = []      # reduced rows: unit pivot, zeros in the other pivot columns
         # per reduced row, the input rows it combines (index -> coefficient)
         self.ops: Optional[list] = [] if solvable else None
         self._nrows_in = 0
-        for row in matrix.data:
+        for row in matrix._sparse_rows():
             self.insert(row)
 
-    def _reduce(self, vec: Sequence[Scalar], op: Optional[dict]):
+    def _reduce(self, vec: dict, op: Optional[dict]):
         """vec − Σ_p vec[pc_p]·rrow_p, which is zero in every pivot column,
-        as a new dense row, and op − Σ_p vec[pc_p]·ops_p when op is given."""
-        hits = [(p, -vec[pc]) for p, pc in enumerate(self.pivot_cols)
-                if vec[pc] is not ZERO and vec[pc]]
+        and op − Σ_p vec[pc_p]·ops_p when op is given."""
+        pivot_of = self._pivot_of
+        hits = [(pivot_of[j], -v) for j, v in vec.items() if j in pivot_of]
         if not hits:
-            return list(vec), op
+            return vec, op
         acc: dict = {}
-        _accumulate(acc, _nonzeros(vec))
+        _accumulate(acc, vec.items())
         for p, c in hits:
-            _accumulate(acc, self._rnz[p], c)
+            _accumulate(acc, self.rrows[p].items(), c)
         if op is not None:
             oacc: dict = {}
             _accumulate(oacc, op.items())
             for p, c in hits:
                 _accumulate(oacc, self.ops[p].items(), c)
             op = _settle(oacc)
-        return _dense(_settle(acc), self.ncols), op
+        return _settle(acc), op
 
-    def insert(self, vec: Sequence[Scalar]) -> bool:
+    def insert(self, vec) -> bool:
         """Add a row; True when the rank grew."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"row length {len(vec)} vs {self.ncols} columns")
+        vec = _sparse(vec, self.ncols)
         op = None
         if self.ops is not None:
             op = {self._nrows_in: ONE}
             self._nrows_in += 1
         row, op = self._reduce(vec, op)
-        piv = next((j for j in self.col_order if row[j] is not ZERO and row[j]), None)
-        if piv is None:
+        if not row:
             return False
-        nz = _nonzeros(row)
+        piv = min(row) if self._pos is None else min(row, key=self._pos.__getitem__)
         inv = row[piv]
         if inv != ONE:
-            nz = [(j, v / inv) for j, v in nz]
-            row = _dense(dict(nz), self.ncols)
+            row = {j: v / inv for j, v in row.items()}
             if op is not None:
                 op = {k: v / inv for k, v in op.items()}
+        elif row is vec:
+            row = dict(row)     # never hold the caller's dict
         for p, rrow in enumerate(self.rrows):
-            c = rrow[piv]
-            if c is not ZERO and c:
-                for j, v in nz:
-                    rrow[j] = _sub_mul(rrow[j], c, v)
-                self._rnz[p] = _nonzeros(rrow)
+            c = rrow.get(piv)
+            if c is not None:
+                self.rrows[p] = _sub_scaled(rrow, row, c)
                 if op is not None:
                     self.ops[p] = _sub_scaled(self.ops[p], op, c)
+        self._pivot_of[piv] = len(self.pivot_cols)
         self.pivot_cols.append(piv)
         self.rrows.append(row)
-        self._rnz.append(nz)
         if op is not None:
             self.ops.append(op)
         return True
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
+    def contains(self, vec) -> bool:
         """True when vec lies in the span of the inserted rows."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        return not any(self._reduce(vec, None)[0])
+        return not self._reduce(_sparse(vec, self.ncols), None)[0]
 
     @property
     def rank(self) -> int:
@@ -309,14 +344,8 @@ class Echelon:
     def solve(self, rhs: Sequence[Scalar], matrix: Matrix) -> Optional[list]:
         """One solution of matrix @ x = rhs with free variables zero, or
         None when infeasible.  `matrix` must be the factored matrix."""
-        sparse = {i: v for i, v in enumerate(rhs) if v is not ZERO and v}
-        sol = self.solve_sparse(sparse, matrix)
-        if sol is None:
-            return None
-        out = [ZERO] * self.ncols
-        for i, v in sol.items():
-            out[i] = v
-        return out
+        sol = self.solve_sparse(dict(_nonzeros(rhs)), matrix)
+        return None if sol is None else _dense(sol.items(), self.ncols)
 
     def solve_sparse(self, rhs: dict, matrix: Matrix) -> Optional[dict]:
         """Sparse variant of solve: rhs and the result are index->Scalar
@@ -336,20 +365,14 @@ class Echelon:
         return x
 
     def nullspace(self) -> list:
-        """Basis of the kernel, one vector per free column."""
-        pivset = set(self.pivot_cols)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            v = [ZERO] * self.ncols
-            v[j] = ONE
-            for p, pc in enumerate(self.pivot_cols):
-                c = self.rrows[p][j]
-                if c:
-                    v[pc] = ZERO - c
-            basis.append(v)
-        return basis
+        """Basis of the kernel as sparse vectors, one per free column."""
+        pivot_of = self._pivot_of
+        free: dict = {j: {j: ONE} for j in range(self.ncols) if j not in pivot_of}
+        for pc, rrow in zip(self.pivot_cols, self.rrows):
+            for j, c in rrow.items():
+                if j != pc:
+                    free[j][pc] = -c
+        return list(free.values())
 
 
 def _sub_scaled(target: dict, src: dict, c: Scalar) -> dict:
@@ -366,17 +389,24 @@ class Subspace:
     subspaces have identical representations.  The echelon must not grow
     after the view is taken."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots", "_ech")
+    __slots__ = ("ambient_dim", "rows", "_pivots", "_ech")
 
     def __init__(self, ech: Echelon):
         order = sorted(range(ech.rank), key=ech.pivot_cols.__getitem__)
         self.ambient_dim = ech.ncols
-        self.basis = [ech.rrows[p] for p in order]   # list of vectors (lists of Scalar)
+        self.rows = [ech.rrows[p] for p in order]   # sparse basis vectors (dicts)
         self._pivots = [ech.pivot_cols[p] for p in order]  # strictly increasing
         self._ech = ech
 
+    @property
+    def basis(self) -> list:
+        """The basis vectors as fresh dense lists."""
+        return [_dense(r.items(), self.ambient_dim) for r in self.rows]
+
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
+    def from_vectors(ambient_dim: int, vectors: Iterable) -> "Subspace":
+        """The span of vectors, each a dict index -> value or a dense
+        sequence."""
         ech = Echelon(Matrix.zero(0, ambient_dim))
         for v in vectors:
             ech.insert(v)
@@ -388,9 +418,9 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
+    def contains(self, vec) -> bool:
         return self._ech.contains(vec)
 
     def __eq__(self, other):
@@ -398,7 +428,7 @@ class Subspace:
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("comparing subspaces of different ambients")
-        return self._pivots == other._pivots and self.basis == other.basis
+        return self._pivots == other._pivots and self.rows == other.rows
 
     def __hash__(self):
         raise TypeError("Subspace is not hashable")
@@ -406,14 +436,14 @@ class Subspace:
     def leq(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("comparing subspaces of different ambients")
-        return all(other.contains(b) for b in self.basis)
+        return all(other.contains(r) for r in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
+    return Subspace.from_vectors(m.rows, map(dict, m._sparse_cols()))
 
 
 def rank_image_kernel(t: Matrix):
@@ -435,26 +465,26 @@ def _rank_image_kernel(t: Matrix):
 
 
 def solve_linear(constraints, unknown_dim: int):
-    """Solve a list of (row, rhs Scalar) constraints exactly.
+    """Solve a list of (row, rhs Scalar) constraints exactly; a row is a
+    dict index -> value or a dense sequence of length unknown_dim.
 
-    Returns (particular solution, solution Subspace).  Raises Infeasible
-    when the constraints contradict each other.
+    Returns (particular solution as a dense list, solution Subspace).
+    Raises Infeasible when the constraints contradict each other.
     """
     rows = []
-    rhs = []
-    for row, b in constraints:
-        if len(row) != unknown_dim:
-            raise DimensionMismatch(f"constraint row length {len(row)} vs {unknown_dim}")
-        rows.append(list(row))
-        rhs.append(b)
+    rhs = {}
+    for i, (row, b) in enumerate(constraints):
+        rows.append(_sparse(row, unknown_dim))
+        if b:
+            rhs[i] = b
     if not rows:
         return [ZERO] * unknown_dim, Subspace.full(unknown_dim)
-    a = Matrix.from_rows(rows)
+    a = Matrix.from_sparse_cols(unknown_dim, rows).transpose()
     ech = Echelon(a, solvable=True)
-    sol = ech.solve(rhs, a)
+    sol = ech.solve_sparse(rhs, a)
     if sol is None:
         raise Infeasible("constraint system has no solution")
-    return sol, Subspace.from_vectors(unknown_dim, ech.nullspace())
+    return _dense(sol.items(), unknown_dim), Subspace.from_vectors(unknown_dim, ech.nullspace())
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
@@ -466,11 +496,8 @@ def invert(m: Matrix) -> Optional[Matrix]:
         return None
     # full rank: reduced row p is the unit row of its pivot column, so the
     # recorded combination of m's rows is that row of the inverse
-    out = Matrix.zero(m.rows, m.rows)
-    for pc, op in zip(ech.pivot_cols, ech.ops):
-        for k, v in op.items():
-            out.data[pc][k] = v
-    return out
+    return Matrix.from_entries(m.rows, m.rows, {(pc, k): v for pc, op in zip(ech.pivot_cols, ech.ops)
+                                                for k, v in op.items()})
 
 
 def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
@@ -493,30 +520,25 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
     if column_space(one_minus_f) != kernel_t:
         raise BadProjections("image(1-f) differs from kernel(t)")
     # r is f on vectors t·xi and 0 on Ran(1-e), where the xi are the unit
-    # vectors on the pivot columns of t: they span a complement of Ker t
-    xis = []
-    for pc in sorted(ech_t.pivot_cols):
-        x = [ZERO] * n
-        x[pc] = ONE
-        xis.append(x)
-    basis_cols = [t.apply(x) for x in xis]
-    values = [f.apply(x) for x in xis]
-    comp = Matrix.identity(n) - e
+    # vectors on the pivot columns of t: they span a complement of Ker t,
+    # and t·xi, f·xi are the columns of t and f there
+    pivots = sorted(ech_t.pivot_cols)
+    basis_cols = [t.col_sparse(pc) for pc in pivots]
+    values = [f.col_sparse(pc) for pc in pivots]
     # extend the t-image columns by independent columns of 1-e to a full basis
     span = Echelon(Matrix.zero(0, n))
     for c in basis_cols:
-        span.insert(c)
-    for j in range(n):
-        c = comp.col(j)
-        if span.insert(c):
+        span.insert(dict(c))
+    for c in (Matrix.identity(n) - e)._sparse_cols():
+        if span.insert(dict(c)):
             basis_cols.append(c)
-            values.append([ZERO] * n)
+            values.append([])
     if len(basis_cols) != n:
         raise BadProjections("Ran(t) and Ran(1-e) do not span the space")
-    binv = invert(Matrix.from_cols(basis_cols))
+    binv = invert(Matrix(n, n, basis_cols))
     if binv is None:
         raise InvariantViolation("the extended basis of Ran(t) + Ran(1-e) is singular")
-    r = Matrix.from_cols(values) * binv
+    r = Matrix(n, n, values) * binv
     if t * r != e:
         raise BadProjections("constructed r fails t r = e")
     if r * t != f:

@@ -521,14 +521,11 @@ def _window_consistency(lazy, kind, contexts, k_max) -> Optional[str]:
                 return f"counit of window {k + 1} does not restrict to window {k}"
         # antipode restricts (columns supported inside the window)
         for i, ib in enumerate(embed):
-            col_b = big.antipode.s_matrix.col(ib)
-            col_s = small.antipode.s_matrix.col(i)
-            for rb, v in enumerate(col_b):
-                if v and rb not in embed:
-                    return f"antipode of window {k + 1} leaves window {k}"
-            for rs, ib2 in enumerate(embed):
-                if col_s[rs] != col_b[ib2]:
-                    return f"antipode restriction mismatch between windows {k} and {k + 1}"
+            col_b = dict(big.antipode.s_matrix.col_sparse(ib))
+            if any(rb not in embed for rb in col_b):
+                return f"antipode of window {k + 1} leaves window {k}"
+            if {embed[rs]: v for rs, v in small.antipode.s_matrix.col_sparse(i)} != col_b:
+                return f"antipode restriction mismatch between windows {k} and {k + 1}"
         # E and G actions restrict on embedded tensor pairs
         pair_embed = {i1 * ns + i2: e1 * nb + e2
                       for i1, e1 in enumerate(embed) for i2, e2 in enumerate(embed)}

@@ -16,12 +16,12 @@ def random_scalar(rng, allow_imaginary=True):
 
 
 def random_matrix(rng, rows, cols, density=0.6, allow_imaginary=True):
-    m = Matrix.zero(rows, cols)
+    entries = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                m.data[i][j] = random_scalar(rng, allow_imaginary)
-    return m
+                entries[i, j] = random_scalar(rng, allow_imaginary)
+    return Matrix.from_entries(rows, cols, entries)
 
 
 def random_projection_pair(rng, t: Matrix):
@@ -45,9 +45,7 @@ def random_projection_pair(rng, t: Matrix):
                 extra.append(v)
         basis = Matrix.from_cols(cols + extra)
         binv = invert(basis)
-        sel = Matrix.zero(n, n)
-        for i in range(len(cols)):
-            sel.data[i][i] = ONE
+        sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(cols))})
         return basis * sel * binv
 
     e = projection_onto(image.basis, rng)
@@ -65,9 +63,7 @@ def random_projection_pair(rng, t: Matrix):
             comp.append(v)
     basis = Matrix.from_cols(comp + [list(b) for b in kernel.basis])
     binv = invert(basis)
-    sel = Matrix.zero(n, n)
-    for i in range(len(comp)):
-        sel.data[i][i] = ONE
+    sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(comp))})
     f = basis * sel * binv
     return e, f
 
@@ -78,17 +74,18 @@ def solve_geninv_by_constraints(t, e, f):
     from wmha.linalg import solve_linear
 
     n = t.rows
-    comp = Matrix.identity(n) - e
+    comp = (Matrix.identity(n) - e).dense_rows()
+    t, f = t.dense_rows(), f.dense_rows()
     constraints = []
     for i in range(n):
         for j in range(n):
             row = [ZERO] * (n * n)
             for k in range(n):
-                row[i * n + k] = t.data[k][j]
-            constraints.append((row, f.data[i][j]))
+                row[i * n + k] = t[k][j]
+            constraints.append((row, f[i][j]))
             row2 = [ZERO] * (n * n)
             for k in range(n):
-                row2[i * n + k] = comp.data[k][j]
+                row2[i * n + k] = comp[k][j]
             constraints.append((row2, ZERO))
     sol, space = solve_linear(constraints, n * n)
     assert space.dim == 0, "generalized inverse must be unique"

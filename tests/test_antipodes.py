@@ -73,10 +73,8 @@ def test_source_target_values_function_model():
     for p in g.morphisms:
         val = st.eps_s[idx[p]]
         if g.source[p] == g.target[p] == p:
-            expect = Matrix.zero(n, n)
-            for q in g.morphisms:
-                if g.source[q] == p:
-                    expect.data[idx[q]][idx[q]] = ONE
+            expect = Matrix.from_entries(n, n, {(idx[q], idx[q]): ONE for q in g.morphisms
+                                                if g.source[q] == p})
             assert val.left == expect
         else:
             assert val.left.is_zero()
@@ -172,29 +170,31 @@ def test_generalized_inverses_match_pointwise_formulas():
         n = len(g0.morphisms)
 
         m, c, eps, e, gm, w, _ = build_all(name, "function")
-        r1_expect = Matrix.zero(n * n, n * n)
-        r2_expect = Matrix.zero(n * n, n * n)
+        r1_entries, r2_entries = {}, {}
         for a in g0.morphisms:
             for b in g0.morphisms:
                 col = idx[a] * n + idx[b]
                 if g0.composable(a, b):
                     ab = g0.compose[(a, b)]
-                    r1_expect.data[idx[ab] * n + idx[b]][col] = ONE
-                    r2_expect.data[idx[a] * n + idx[ab]][col] = ONE
+                    r1_entries[idx[ab] * n + idx[b], col] = ONE
+                    r2_entries[idx[a] * n + idx[ab], col] = ONE
+        r1_expect = Matrix.from_entries(n * n, n * n, r1_entries)
+        r2_expect = Matrix.from_entries(n * n, n * n, r2_entries)
         assert w.r1 == r1_expect and w.r2 == r2_expect
 
         m, c, eps, e, gm, w, _ = build_all(name, "convolution")
-        r1_expect = Matrix.zero(n * n, n * n)
-        r2_expect = Matrix.zero(n * n, n * n)
+        r1_entries, r2_entries = {}, {}
         for a in g0.morphisms:
             for b in g0.morphisms:
                 col = idx[a] * n + idx[b]
                 if g0.target[a] == g0.target[b]:
                     ainv_b = g0.compose[(g0.inverse[a], b)]
-                    r1_expect.data[idx[a] * n + idx[ainv_b]][col] = ONE
+                    r1_entries[idx[a] * n + idx[ainv_b], col] = ONE
                 if g0.source[a] == g0.source[b]:
                     a_binv = g0.compose[(a, g0.inverse[b])]
-                    r2_expect.data[idx[a_binv] * n + idx[b]][col] = ONE
+                    r2_entries[idx[a_binv] * n + idx[b], col] = ONE
+        r1_expect = Matrix.from_entries(n * n, n * n, r1_entries)
+        r2_expect = Matrix.from_entries(n * n, n * n, r2_entries)
         assert w.r1 == r1_expect and w.r2 == r2_expect
 
 
@@ -208,14 +208,15 @@ def test_source_target_pointwise_on_larger_groupoid():
     st, _ = compute_source_target(c, e, gm, w, eps)
     units = set(g0.units)
     for a in g0.morphisms:
-        expect_s = Matrix.zero(n, n)
-        expect_t = Matrix.zero(n, n)
+        s_entries, t_entries = {}, {}
         if a in units:
             for q in g0.morphisms:
                 if g0.source[q] == a:
-                    expect_s.data[idx[q]][idx[q]] = ONE
+                    s_entries[idx[q], idx[q]] = ONE
                 if g0.target[q] == a:
-                    expect_t.data[idx[q]][idx[q]] = ONE
+                    t_entries[idx[q], idx[q]] = ONE
+        expect_s = Matrix.from_entries(n, n, s_entries)
+        expect_t = Matrix.from_entries(n, n, t_entries)
         assert st.eps_s[idx[a]].left == expect_s
         assert st.eps_t[idx[a]].left == expect_t
 

@@ -86,6 +86,23 @@ def test_shape_error_on_bad_dimensions(tmp_path):
     assert main(["verify", write_doc(tmp_path, doc)]) == 2
 
 
+def test_repeated_entries_exit_two(tmp_path, capsys):
+    # a T1 entry listed again as 0 once read as a failing T1 (exit 1), a
+    # repeated structure entry as its first nonzero value
+    m = convolution_algebra(preset("pair:2"))
+    doc = model_to_document(m, with_witnesses=False)
+    r, c, _, _ = doc["coproduct"]["T1"][0]
+    doc["coproduct"]["T1"].append([r, c, "0", "0"])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"input error: T1: entry ({r},{c}) is listed twice\n"
+    doc = model_to_document(m, with_witnesses=False)
+    i, j, k, _, _ = doc["algebra"]["structure"][0]
+    doc["algebra"]["structure"].append([i, j, k, "2", "0"])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: structure: index ({i},{j},{k}) is listed twice\n"
+
+
 def test_bad_rational_literals_exit_two(tmp_path):
     m = convolution_algebra(preset("pair:2"))
     for bad in ("1/0", "a/b", ""):

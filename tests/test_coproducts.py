@@ -36,8 +36,9 @@ def test_validate_coproduct_on_models():
 
 def test_mutated_t1_fails_with_named_check():
     m, _ = make("pair:2", "function")
-    t1 = Matrix.from_rows([row[:] for row in m.t1.data])
-    t1.data[0][5] = t1.data[0][5] + ONE
+    data = m.t1.dense_rows()
+    data[0][5] = data[0][5] + ONE
+    t1 = Matrix.from_rows(data)
     c = CoproductData(m.algebra, t1, m.t2)
     results = validate_coproduct(c)
     failing = [r for r in results if r.status == "fail"]
@@ -343,10 +344,10 @@ def test_module_law_failures_follow_the_walk_order():
     rng = random.Random(11)
     orders_differ = False
     for _ in range(6):
-        data = [list(row) for row in gm.g1.data]
+        data = gm.g1.dense_rows()
         for _ in range(3):
             data[rng.randrange(c.nn)][rng.randrange(c.nn)] += ONE
-        g1 = Matrix(c.nn, c.nn, data)
+        g1 = Matrix.from_rows(data)
         got = {r.check_id: r.detail
                for r in validate_G_maps(c, e, eps, ProjectionMaps(g1, gm.g2))}
         factor = _module_law_reference(c, [(g1, 1, "G1 has no left-leg multiplier")], x_outer) or \

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmha.cli import main
-from wmha.fileio import groupoid_to_json, model_to_document
+from wmha.fileio import (ShapeError, algebra_from_json, groupoid_to_json, model_to_document,
+                         sparse_matrix_from_json)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
+from wmha.scalars import ONE, ZERO
 
 
 def run_cli(doc, *args):
@@ -59,10 +61,13 @@ MALFORMED = {
     "structure-entry-int": _with(("algebra", "structure"), [5]),
     "structure-index-float": _with(("algebra", "structure"), [[0, 0.0, 0, "1", "0"]]),
     "structure-index-range": _with(("algebra", "structure"), [[0, 0, 7, "1", "0"]]),
+    "structure-entry-repeated": _with(("algebra", "structure"),
+                                      [[0, 0, 0, "1", "0"], [0, 0, 0, "0", "0"]]),
     "labels-int": _with(("algebra", "basis_labels"), 3),
     "t2-int": _with(("coproduct", "T2"), 5),
     "matrix-index-float": _with(("coproduct", "T1"), [[0.5, 0, "1", "0"]]),
     "matrix-entry-dict": _with(("coproduct", "T1"), [{"r": 0, "c": 0, "re": "1", "im": "0"}]),
+    "matrix-entry-repeated": _with(("coproduct", "T1"), [[0, 0, "1", "0"], [0, 0, "0", "0"]]),
     "counit-int": _with(("counit",), 1),
     "star-string": _with(("star",), "J"),
     "groupoid-source-list": {"groupoid": dict(groupoid_to_json(preset("pair:1")), source=[]),
@@ -76,6 +81,17 @@ def test_malformed_document_exits_two(name):
     assert code == 2, err
     assert err.startswith("input error: ") and "Traceback" not in err
     assert out == ""
+
+
+def test_repeated_entries_are_refused_by_index():
+    # read last-wins (a matrix) or first-nonzero-wins (the structure), a
+    # repeated entry would turn into a mathematical verdict
+    with pytest.raises(ShapeError, match=r"^T1: entry \(0,1\) is listed twice$"):
+        sparse_matrix_from_json([[0, 1, "1", "0"], [0, 1, "0", "0"]], 2, 2, "T1")
+    with pytest.raises(ShapeError, match=r"^structure: index \(1,0,1\) is listed twice$"):
+        algebra_from_json({"dim": 2, "structure": [[1, 0, 1, "0", "0"], [1, 0, 1, "2", "0"]]})
+    m = sparse_matrix_from_json([[0, 1, "1", "0"], [1, 1, "0", "0"]], 2, 2, "T1")
+    assert m.dense_rows() == [[ZERO, ONE], [ZERO, ZERO]]
 
 
 def test_composition_of_undeclared_morphisms_fails_the_axioms():

@@ -1,6 +1,7 @@
 """The Q(i) accumulation kernel of `wmha.scalars` against term-by-term
-`Scalar` arithmetic, and the kernel-based `Echelon` against a copy of the
-elimination it replaced, which did every row operation with `Scalar`s."""
+`Scalar` arithmetic, and the sparse, kernel-based `Echelon` against a copy
+of the dense elimination it replaced, which did every row operation with
+`Scalar`s."""
 
 from fractions import Fraction
 from math import gcd
@@ -131,7 +132,7 @@ class ScalarEchelon:
         self.rrows: list = []
         self.ops: Optional[list] = [] if solvable else None
         self._nrows_in = 0
-        for row in matrix.data:
+        for row in matrix.dense_rows():
             self.insert(row)
 
     def _reduce(self, row, op):
@@ -173,6 +174,45 @@ class ScalarEchelon:
             self.ops.append(op)
         return True
 
+    def contains(self, vec) -> bool:
+        row = list(vec)
+        self._reduce(row, None)
+        return not any(row)
+
+    def nullspace(self) -> list:
+        """Per free column j: 1 at j and minus column j of each reduced row
+        at that row's pivot."""
+        out = []
+        for j in range(self.ncols):
+            if j not in self.pivot_cols:
+                v = [ZERO] * self.ncols
+                v[j] = ONE
+                for pc, rrow in zip(self.pivot_cols, self.rrows):
+                    if rrow[j]:
+                        v[pc] = -rrow[j]
+                out.append(v)
+        return out
+
+    def solve(self, rhs, rows) -> Optional[list]:
+        """x with free variables zero and x[pivot] = Σ op[k]·rhs[k], or None
+        when rows·x differs from rhs."""
+        x = [ZERO] * self.ncols
+        for pc, op in zip(self.pivot_cols, self.ops):
+            for k, v in op.items():
+                x[pc] = x[pc] + v * rhs[k]
+        image = [ZERO] * len(rows)
+        for i, row in enumerate(rows):
+            for a, b in zip(row, x):
+                image[i] = image[i] + a * b
+        return x if image == list(rhs) else None
+
+
+def _dense_vec(vec: dict, n: int) -> list:
+    out = [ZERO] * n
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
 
 def _scalar_sub_scaled(target: dict, src: dict, c) -> None:
     for k, v in src.items():
@@ -197,23 +237,40 @@ def eliminations(draw):
         a, b = draw(scalars), draw(scalars)
         data.append([a * x + b * y for x, y in zip(data[0], data[1])])
     order = draw(st.one_of(st.none(), st.permutations(range(cols))))
-    return Matrix(len(data), cols, data), order, draw(st.booleans())
+    matrix = Matrix.from_rows(data) if data else Matrix.zero(0, cols)
+    # one right-hand side drawn freely, one in the column space
+    x = [draw(entries) for _ in range(cols)]
+    rhs = [[draw(entries) for _ in data],
+           [sum((a * b for a, b in zip(row, x)), ZERO) for row in data]]
+    return matrix, order, draw(st.booleans()), rhs
 
 
 @settings(deadline=None, max_examples=150)
 @given(eliminations())
 def test_echelon_matches_the_scalar_elimination(case):
-    matrix, order, solvable = case
+    matrix, order, solvable, rhs = case
+    n = matrix.cols
     got = Echelon(matrix, col_order=order, solvable=solvable)
     ref = ScalarEchelon(matrix, col_order=order, solvable=solvable)
     assert got.pivot_cols == ref.pivot_cols
-    assert got.rrows == ref.rrows
+    assert [_dense_vec(row, n) for row in got.rrows] == ref.rrows
     assert got.ops == ref.ops
     for row in got.rrows:
-        for v in row:
+        assert all(row.values())
+        for v in row.values():
             assert_canonical(v)
-    for vec in matrix.data:
+    assert [_dense_vec(v, n) for v in got.nullspace()] == ref.nullspace()
+    dense = matrix.dense_rows()
+    for vec in dense:
         assert got.contains(vec)
+    # the unit vectors, some outside the span unless the rank is full
+    for j in range(n):
+        assert got.contains({j: ONE}) == ref.contains(_dense_vec({j: ONE}, n))
+    assert got.rank == n or not all(got.contains({j: ONE}) for j in range(n))
+    if solvable:
+        for b in rhs:
+            sol = got.solve_sparse({i: v for i, v in enumerate(b) if v}, matrix)
+            assert (None if sol is None else _dense_vec(sol, n)) == ref.solve(b, dense)
 
 
 def test_echelon_examples_with_fractions():
@@ -221,4 +278,5 @@ def test_echelon_examples_with_fractions():
     m = Matrix.from_rows([[half, ONE, ZERO], [ONE, half, Scalar(0, 1)], [ZERO, ONE, ONE]])
     got = Echelon(m, col_order=[2, 0, 1], solvable=True)
     ref = ScalarEchelon(m, col_order=[2, 0, 1], solvable=True)
-    assert (got.pivot_cols, got.rrows, got.ops) == (ref.pivot_cols, ref.rrows, ref.ops)
+    assert (got.pivot_cols, [_dense_vec(r, 3) for r in got.rrows], got.ops) == \
+        (ref.pivot_cols, ref.rrows, ref.ops)

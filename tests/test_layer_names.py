@@ -1,0 +1,46 @@
+"""The per-layer trace of `bench/layers.py` wraps engine callables by their
+dotted names from outside the engine, so a rename silently drops a callable
+from the trace.  Every `linalg` and `algebras` name it lists must resolve."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+# stale before this guard existed; the trace moving inside the engine
+# (ROADMAP item 4) retires them
+STALE = {"linalg.solve_matrix_equation", "algebras.sparse_add_into"}
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_names():
+    layers = _layers()
+    tables = [*layers.TIMED.values(), *layers.COUNTED.values(), layers.HOT, layers.PREIMAGES]
+    return sorted({name for table in tables for name in table
+                   if name.split(".")[0] in ("linalg", "algebras")})
+
+
+def _resolve(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"wmha.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_traced_engine_names_resolve(name):
+    if name in STALE:
+        with pytest.raises(AttributeError):
+            _resolve(name)
+    else:
+        assert callable(_resolve(name))

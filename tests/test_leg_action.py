@@ -21,21 +21,13 @@ def sparse_vectors(size: int):
 
 def matrices(rows: int, cols: int):
     """Sparse-ish rows x cols matrices: up to 16 nonzero entries."""
-    def build(entries):
-        m = Matrix.zero(rows, cols)
-        for (i, j), v in entries.items():
-            m.data[i][j] = v
-        return m
     return st.dictionaries(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
-                           scalars, max_size=16).map(build)
+                           scalars, max_size=16).map(
+        lambda entries: Matrix.from_entries(rows, cols, entries))
 
 
 def cols_matrix(cols: list, rows: int) -> Matrix:
-    m = Matrix.zero(rows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col:
-            m.data[i][j] = v
-    return m
+    return Matrix.from_sparse_cols(rows, [dict(col) for col in cols])
 
 
 def random_algebra(draw, n: int) -> Algebra:

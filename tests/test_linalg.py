@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmha.linalg import (BadProjections, Echelon, Infeasible, Matrix, Subspace,
-                         column_space, generalized_inverse, invert,
+from wmha.linalg import (BadProjections, DimensionMismatch, Echelon, Infeasible, Matrix,
+                         Subspace, column_space, generalized_inverse, invert,
                          rank_image_kernel, solve_linear)
 from wmha.scalars import ONE, ZERO, Scalar, rational
 
@@ -147,7 +147,7 @@ def _combination(rng, vectors, dim):
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 5))
 def test_subspace_basis_is_canonical(seed, count, dim):
     rng = random.Random(seed)
-    vectors = random_matrix(rng, count, dim, density=0.5).data
+    vectors = random_matrix(rng, count, dim, density=0.5).dense_rows()
     base = Subspace.from_vectors(dim, vectors)
     permuted = list(vectors)
     rng.shuffle(permuted)
@@ -177,7 +177,7 @@ def test_echelon_insert_grows_exactly_outside_the_span(seed, count, dim):
         if seen and rng.random() < 0.4:
             v = _combination(rng, seen, dim)
         else:
-            v = random_matrix(rng, 1, dim, density=0.5).data[0]
+            v = random_matrix(rng, 1, dim, density=0.5).dense_rows()[0]
         was_inside = ech.contains(v)
         rank = ech.rank
         assert ech.insert(v) is (not was_inside)
@@ -197,3 +197,84 @@ def test_invert_is_an_inverse(seed, dim):
     else:
         assert inv * m == Matrix.identity(dim)
         assert m * inv == Matrix.identity(dim)
+
+
+def test_matrix_constructors_refuse_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([[ONE, ZERO], [ONE]], rows=2)      # ragged columns
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([[ONE, ZERO], [ONE]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([[ONE, ZERO]], rows=3)             # rows disagrees
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([[ONE, ONE], [ONE]])               # ragged rows
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_entries(2, 2, {(2, 0): ONE})
+    assert Matrix.from_cols([], rows=3) == Matrix.zero(3, 0)
+
+
+# ---- sparse Matrix against a dense list-of-rows reference -----------------
+
+entries = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE),
+                    st.builds(rational, st.integers(-3, 3), st.integers(1, 3)),
+                    st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2)))
+
+
+def dense(draw, rows, cols):
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def ref_mul(a, b, inner):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), ZERO) for j in range(len(b[0]))]
+            for row in a]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def assert_canonical_columns(m):
+    """Each column row-sorted, without zeros, inside the shape."""
+    assert len(m._sparse_cols()) == m.cols
+    for col in m._sparse_cols():
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < m.rows for i in rows)
+        assert all(v for _, v in col)
+
+
+@st.composite
+def matrix_cases(draw):
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return dense(draw, r, k), dense(draw, r, k), dense(draw, k, c), dense(draw, 2, 3), \
+        draw(entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_cases())
+def test_sparse_matrix_matches_dense_reference(case):
+    a, a2, b, small, s = case
+    r, k, c = len(a), len(a[0]), len(b[0])
+    m = Matrix.from_rows(a)
+    # the three constructors agree and round-trip
+    cols = [[row[j] for row in a] for j in range(k)]
+    assert Matrix.from_cols(cols) == m == Matrix.from_cols(cols, rows=r)
+    assert Matrix.from_entries(r, k, {(i, j): v for i, row in enumerate(a)
+                                      for j, v in enumerate(row)}) == m
+    assert m.dense_rows() == a and [m.col(j) for j in range(k)] == cols
+    assert (m == Matrix.from_rows(a2)) == (a == a2)
+    results = {
+        "mul": (m * Matrix.from_rows(b), ref_mul(a, b, k)),
+        "add": (m + Matrix.from_rows(a2), [[x + y for x, y in zip(p, q)] for p, q in zip(a, a2)]),
+        "sub": (m - Matrix.from_rows(a2), [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)]),
+        "scale": (m.scale(s), [[s * x for x in row] for row in a]),
+        "kron": (m.kron(Matrix.from_rows(small)), ref_kron(a, small)),
+        "transpose": (m.transpose(), cols),
+        "conj": (m.conj(), [[x.conj() for x in row] for row in a]),
+    }
+    for name, (got, want) in results.items():
+        assert got.dense_rows() == want, name
+        assert (got.rows, got.cols) == (len(want), len(want[0])), name
+        assert_canonical_columns(got)
+        assert got.is_zero() == (not any(any(row) for row in want)), name
+    x = [row[0] for row in b]
+    assert m.apply(x) == [sum((p * q for p, q in zip(row, x)), ZERO) for row in a]

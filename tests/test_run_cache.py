@@ -7,6 +7,7 @@ import pytest
 from wmha import antipodes, coproducts
 from wmha.algebras import Multiplier, flip_map
 from wmha.coproducts import RunCache
+from wmha.fileio import witnesses_to_json
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
 from wmha.report import PASS
@@ -17,7 +18,7 @@ def _table(algebra):
 
 
 def _dense(m):
-    return tuple(map(tuple, m.data))
+    return tuple(map(tuple, m.dense_rows()))
 
 
 def _dense_basis(space):
@@ -130,3 +131,28 @@ def test_leg_conditions_run_once_per_algebra_and_E(kind, monkeypatch):
     assert report.status_of("thm29-e-conditions") == PASS
     assert len(set(runs)) == len(runs) > 0
     assert len(requests) > len(runs)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "function"])
+def test_witness_derived_maps_are_built_once(kind, monkeypatch):
+    # F1..F4 serve the regular suite, the star suite and the certificate,
+    # the counit and product contractions the source/target maps and the
+    # antipode identities: each is built once per antipode witness
+    built = []
+    once = antipodes.AntipodeWitness._once
+
+    def logged(self, name, inputs, build):
+        def counted_build():
+            built.append((self, name))
+            return build()
+        return once(self, name, inputs, counted_build)
+
+    monkeypatch.setattr(antipodes.AntipodeWitness, "_once", logged)
+    report, ctx = verify_groupoid_model(preset("pair:2"), kind, path="both")
+    assert report.verdict == PASS and report.status_of("star-compatible") == PASS
+    witnesses_to_json(ctx)
+    names = [name for w, name in built if w is ctx.antipode]
+    assert sorted(map(str, names)) == sorted(map(str, ["contractions", "conjugators",
+                                                       ("F", True), ("F", False)]))
+    per_witness = [(id(w), str(name)) for w, name in built]
+    assert len(set(per_witness)) == len(per_witness)

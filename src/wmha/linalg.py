@@ -192,9 +192,7 @@ class Matrix:
 
     def apply(self, vec: Sequence[Scalar]) -> list:
         """The product with a dense vector, as a dense list."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        return _dense(self.apply_sparse(dict(_nonzeros(vec))).items(), self.rows)
+        return _dense(self.apply_sparse(_sparse(vec, self.cols)).items(), self.rows)
 
     def apply_sparse(self, vec: dict) -> dict:
         acc: dict = {}
@@ -208,9 +206,9 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor (Kronecker) product, row-major index convention."""
-        m = other.rows
-        return Matrix(self.rows * m, self.cols * other.cols,
-                      [[(i * m + k, a * b) for i, a in ca for k, b in cb]
+        r = other.rows
+        return Matrix(self.rows * r, self.cols * other.cols,
+                      [[(i * r + k, a * b) for i, a in ca for k, b in cb]
                        for ca in self._columns for cb in other._columns])
 
     def __repr__(self):

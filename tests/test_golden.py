@@ -9,6 +9,9 @@ change of basis P (one rational, one Gaussian), and the twenty
 single-entry mutations of acceptance criterion 9, twelve mutations of
 the mirrored maps T2, T3 and T4 and two wrong candidate idempotents E,
 whose failing reports pin the first failure and every detail message.
+Zero canonical maps on pair:2 (every path) and pair:2 with its antipode
+forced non-bijective pin the checks that a blocked or non-regular run
+reports as skipped, and the classification's reasons.
 
 Re-record only in a change whose purpose is to alter certificates:
 
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from wmha import antipodes
 from wmha.algebras import flip_map
 from wmha.cli import main
 from wmha.fileio import dense_matrix_to_json, matrix_to_sparse_json, model_to_document
@@ -41,6 +45,9 @@ JOBS = [("verify", "--preset", p, "--model", m, "--path", x)
         for p in PRESETS for m in MODELS for x in PATHS]
 JOBS += [("verify", "--preset", "pair:inf", "--model", m, "--windows", "2")
          for m in MODELS]
+# run with the antipode forced non-bijective (see nonregular_fingerprint)
+NONREGULAR_JOBS = [("verify", "--preset", "pair:2", "--model", m, "--path", x)
+                   for m in MODELS for x in ("def114", "both")]
 
 # job (argv joined by spaces) -> (sha256 of the report, sha256 of stdout)
 GOLDEN = {
@@ -324,6 +331,18 @@ def wrong_e_documents():
         yield f"wrong E {candidate} pair:2 {kind}", doc
 
 
+def zero_coproduct_documents():
+    """pair:2 documents carrying every witness but zero canonical maps
+    T1..T4: the coproduct is not full and no counit exists, so every
+    axiom-path check and every antipode-path check is reported skipped."""
+    for kind in MODELS:
+        doc = model_to_document(build_model(preset("pair:2"), kind),
+                                with_witnesses=True)
+        doc["coproduct"] = {name: [] for name in doc["coproduct"]}
+        for path_arg in PATHS:
+            yield f"zero coproduct pair:2 {kind} {path_arg}", (path_arg, doc)
+
+
 # job name -> (path argument, document)
 DOCS = {
     "bundle:cyclic:1:2 dense rational P": (
@@ -334,6 +353,7 @@ DOCS = {
 DOCS.update((name, ("both", doc)) for name, doc in mutation_documents())
 DOCS.update((name, ("both", doc)) for name, doc in mirrored_mutation_documents())
 DOCS.update((name, ("both", doc)) for name, doc in wrong_e_documents())
+DOCS.update(zero_coproduct_documents())
 
 # job name -> (exit code, sha256 of the report, sha256 of stdout)
 GOLDEN_DOCS = {
@@ -445,6 +465,40 @@ GOLDEN_DOCS = {
     "wrong E flip pair:2 function":
         (1, "1637de97ae6649d22b992126eda0440129cda8b3eef7bfba9d3fd83ed356c8c2",
             "d96dd6019d97e1a0e1a8964dfef5dde74a3b702eda2e54f24e303e55c448af45"),
+    "zero coproduct pair:2 function def114":
+        (1, "2b0a978eed41c8c975eea2fb70b3b66ced7b07ae4d8027e3366cf3d51a8cf245",
+            "fdd5aa2eb9e0d7f078fad411ccebce4348e1d2d7e2acbc3686ce29c1d925f3af"),
+    "zero coproduct pair:2 function thm29":
+        (1, "2077e918983e5e0d6a3ed5a2dd3e51744be66e969ea22cf466b76c56e1a98168",
+            "e205d58e591a5f539388998a306285ad29d43096ceab4d15e166c6fcbe18de52"),
+    "zero coproduct pair:2 function both":
+        (1, "e0d06cc47a057d242b77ca8f390588886c3b4a6eef9108565add05c18c285245",
+            "d6c803bd56a5cad402adb22bd2755245099ff88801f1939cc1df9c2306cca7e5"),
+    "zero coproduct pair:2 convolution def114":
+        (1, "530b6bf5092eb1a920167562e21132827c0e10a52a1c441ee8c3db01b02a0c32",
+            "fdd5aa2eb9e0d7f078fad411ccebce4348e1d2d7e2acbc3686ce29c1d925f3af"),
+    "zero coproduct pair:2 convolution thm29":
+        (1, "3338acce9bc0a2fea5853541427d010ecbd8f0eb8cfea4a77af4b8776298edb0",
+            "e205d58e591a5f539388998a306285ad29d43096ceab4d15e166c6fcbe18de52"),
+    "zero coproduct pair:2 convolution both":
+        (1, "3f74bd4261b8681b1bc58be73c282b37c6ab542f1267b66590fb7c685d591818",
+            "d6c803bd56a5cad402adb22bd2755245099ff88801f1939cc1df9c2306cca7e5"),
+}
+
+# job (argv joined by spaces) -> (exit code, sha256 of the report, sha256 of stdout)
+GOLDEN_NONREGULAR = {
+    "verify --preset pair:2 --model function --path def114":
+        (0, "23e1984594d555a2fda6f4466eb436c91c884580a490538b8ebc45dfffbd2622",
+            "1747bf217370f154dc2b34ae80f861156d456741a8c714ea870e163ac0f56aaa"),
+    "verify --preset pair:2 --model function --path both":
+        (0, "e5a5c79453ad681473a73c68bfb93bbbd34f6849fb81815476992309c7b4eeeb",
+            "a82dca429126abe9bcc055e929fb7b0759a30453cab590fd0dff3c783099581d"),
+    "verify --preset pair:2 --model convolution --path def114":
+        (0, "0a99d1e46afc977fa0b9fa02f5834675df0c554b8c8cb29fd7bb4417405027a2",
+            "1747bf217370f154dc2b34ae80f861156d456741a8c714ea870e163ac0f56aaa"),
+    "verify --preset pair:2 --model convolution --path both":
+        (0, "6e61af32f9a824b2f431fbb6ece23f0c35742b6160e924ad85beaf652cb05bb1",
+            "a82dca429126abe9bcc055e929fb7b0759a30453cab590fd0dff3c783099581d"),
 }
 
 
@@ -465,6 +519,17 @@ def doc_fingerprint(name, workdir: Path):
     return fingerprint(["verify", str(path), "--path", path_arg], workdir)
 
 
+def nonregular_fingerprint(argv, workdir: Path):
+    """fingerprint with every antipode inversion refused, so the run finds
+    the antipode not bijective and skips the regular-case checks."""
+    saved = antipodes.invert
+    antipodes.invert = lambda m: None
+    try:
+        return fingerprint(argv, workdir)
+    finally:
+        antipodes.invert = saved
+
+
 @pytest.mark.parametrize("argv", JOBS, ids=[" ".join(j[2:]) for j in JOBS])
 def test_certificate_bytes_unchanged(argv, tmp_path):
     code, report_sha, stdout_sha = fingerprint(argv, tmp_path)
@@ -475,6 +540,12 @@ def test_certificate_bytes_unchanged(argv, tmp_path):
 @pytest.mark.parametrize("name", list(DOCS))
 def test_document_certificate_bytes_unchanged(name, tmp_path):
     assert doc_fingerprint(name, tmp_path) == GOLDEN_DOCS[name]
+
+
+@pytest.mark.parametrize("argv", NONREGULAR_JOBS,
+                         ids=[" ".join(j[2:]) for j in NONREGULAR_JOBS])
+def test_nonregular_certificate_bytes_unchanged(argv, tmp_path):
+    assert nonregular_fingerprint(argv, tmp_path) == GOLDEN_NONREGULAR[" ".join(argv)]
 
 
 if __name__ == "__main__":
@@ -489,4 +560,9 @@ if __name__ == "__main__":
         for name in DOCS:
             code, report_sha, stdout_sha = doc_fingerprint(name, Path(tmp))
             print(f'    "{name}":\n        ({code}, "{report_sha}",\n'
+                  f'            "{stdout_sha}"),')
+        print()
+        for argv in NONREGULAR_JOBS:
+            code, report_sha, stdout_sha = nonregular_fingerprint(argv, Path(tmp))
+            print(f'    "{" ".join(argv)}":\n        ({code}, "{report_sha}",\n'
                   f'            "{stdout_sha}"),')

@@ -521,11 +521,11 @@ class StarStructure:
     parent: Algebra
     star_matrix: Matrix
 
-    def apply_vec(self, coeffs) -> list:
-        return self.star_matrix.apply([c.conj() for c in coeffs])
 
-    def apply(self, x: Element) -> Element:
-        return Element(self.parent, self.apply_vec(x.coeffs))
+def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
+    """x* = J conj(x) for a sparse vector x, with j the star matrix J on the
+    algebra or J (x) J on its tensor square."""
+    return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
 
 @dataclass
@@ -547,13 +547,10 @@ def validate_star(s: StarStructure, a: Algebra) -> StarDiagnostics:
     anti = True
     witness = None
     for p in range(a.dim):
-        sp = s.apply_vec([ONE if i == p else ZERO for i in range(a.dim)])
+        sp = star_on(j, {p: ONE})
         for q in range(a.dim):
-            sq = s.apply_vec([ONE if i == q else ZERO for i in range(a.dim)])
-            prod = a.mul_basis(p, q)
-            lhs = s.apply_vec(sparse_to_vec(prod, a.dim))
-            rhs = a.mul_sparse(vec_to_sparse(sq), vec_to_sparse(sp))
-            if vec_to_sparse(lhs) != rhs:
+            sq = star_on(j, {q: ONE})
+            if star_on(j, a.mul_basis(p, q)) != a.mul_sparse(sq, sp):
                 anti = False
                 witness = f"(e{p} e{q})* != e{q}* e{p}*"
                 break

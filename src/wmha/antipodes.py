@@ -14,7 +14,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs, flip_map,
-                       vec_to_sparse, StarStructure)
+                       star_on, vec_to_sparse, StarStructure)
 from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
@@ -22,7 +22,7 @@ from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          _module_law_witness)
 from .linalg import (Echelon, Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
-from .report import CheckResult, check, failed, passed, skipped
+from .report import CheckResult, check, failed, passed
 from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
 
 
@@ -79,6 +79,16 @@ class AntipodeWitness:
     s_matrix_inv: Optional[Matrix] = None
     # name -> (input objects, value) of what is derived from this witness
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def not_regular(self) -> Optional[str]:
+        """Why S is not a bijection of the algebra onto itself, the
+        regularity of Thm. 4.10, or None when it is one."""
+        if self.s_matrix is None:
+            return "antipode does not map the algebra into itself"
+        if self.s_matrix_inv is None:
+            return "antipode matrix is not invertible"
+        return None
 
     def _once(self, name, inputs: tuple, build):
         """build(), computed once per witness for the same input objects,
@@ -530,29 +540,6 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
 # ------------------------------------------------- regularity suite
 
 
-@dataclass
-class Classification:
-    regular: bool = False
-    star_compatible: Optional[bool] = None
-    weak_hopf: bool = False
-    hopf: bool = False
-    unital: bool = False
-    reasons: Dict[str, str] = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "wmha": None,  # filled by the pipeline
-            "regular": self.regular,
-            "star": self.star_compatible,
-            "weak_hopf": self.weak_hopf,
-            "hopf": self.hopf,
-            "unital": self.unital,
-        }
-        if self.reasons:
-            out["reasons"] = self.reasons
-        return out
-
-
 def derive_flip_maps(c: CoproductData, w: AntipodeWitness) -> Tuple[Optional[Matrix], Optional[Matrix]]:
     """T3 = (id (x) S^-1) R1 (id (x) S), T4 = (S^-1 (x) id) R2 (S (x) id),
     available once the antipode is a bijective matrix."""
@@ -589,35 +576,17 @@ def _f_actions(w: AntipodeWitness, e: CanonicalIdempotent,
 
 
 def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
-                  w: AntipodeWitness) -> Tuple[List[CheckResult], Classification,
-                                               Optional[Matrix], Optional[Matrix]]:
+                  w: AntipodeWitness) -> Tuple[List[CheckResult], Optional[Matrix],
+                                               Optional[Matrix]]:
     """Everything in the regular case that does not need a re-entrant
     pipeline run: flip-map ranges, (S x S)E = sigma E, the F idempotents
     with their factorizations and leg-13 relations, and the
-    flipped-coproduct canonical idempotent."""
-    out: List[CheckResult] = []
-    cls = Classification(reasons={})
+    flipped-coproduct canonical idempotent.  A non-regular antipode is a
+    finding, reported by a passing "regular" check alone."""
     n, nn = c.n, c.nn
-
-    regular = w.s_matrix is not None and w.s_matrix_inv is not None
-    cls.regular = regular
-    if w.s_matrix is None:
-        cls.reasons["regular"] = "antipode does not map the algebra into itself"
-    elif w.s_matrix_inv is None:
-        cls.reasons["regular"] = "antipode matrix is not invertible"
-    out.append(check("regular", regular,
-                     "antipode is a bijective matrix on the algebra",
-                     cls.reasons.get("regular", "")))
-    if not regular:
-        # a non-regular finding is reported, not failed; the dependent
-        # identities are recorded as skipped
-        out[-1] = passed("regular", "not regular: "
-                         + cls.reasons.get("regular", "antipode not bijective"))
-        for cid in ("regular-flip-ranges", "regular-ss-flip",
-                    "regular-f-factorization", "regular-f-formulas",
-                    "regular-f-relations", "regular-cop-idempotent"):
-            out.append(skipped(cid, "regular"))
-        return out, cls, c.t3, c.t4
+    if w.not_regular:
+        return [passed("regular", "not regular: " + w.not_regular)], c.t3, c.t4
+    out = [passed("regular", "antipode is a bijective matrix on the algebra")]
 
     t3 = c.t3
     t4 = c.t4
@@ -637,12 +606,14 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
     sigma = flip_map(n)
     ss = w.s_matrix.kron(w.s_matrix)
     ssi = w.s_matrix_inv.kron(w.s_matrix_inv)
-    lam_ss_e = ss * e.right * ssi
-    rho_ss_e = ss * e.left * ssi
-    flip_ok = (lam_ss_e == sigma * e.left * sigma) and (rho_ss_e == sigma * e.right * sigma)
+    flip_ok = (ss * e.right * ssi == sigma * e.left * sigma) and \
+        (ss * e.left * ssi == sigma * e.right * sigma)
     out.append(check("regular-ss-flip", flip_ok,
                      "(S x S)E = sigma E as multipliers",
                      "(S x S)E differs from sigma E"))
+    # sigma is an involution, so the same equality is the appendix's E' = E
+    out.append(check("appendix-e-flip", flip_ok,
+                     "sigma (S x S) E equals E", "sigma (S x S) E differs from E"))
 
     f1, f2, f3, f4 = zip(_f_actions(w, e), _f_actions(w, e, first=False))
 
@@ -720,7 +691,7 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
     out.append(check("regular-cop-idempotent", cop_bad is None,
                      "flipped-coproduct presentation has canonical idempotent sigma E",
                      cop_bad or ""))
-    return out, cls, t3, t4
+    return out, t3, t4
 
 
 # ------------------------------------------------- weak Hopf suite
@@ -729,9 +700,8 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
 def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
                     w: AntipodeWitness, st: SourceTargetWitness,
                     counit: list, unit: Optional[Element],
-                    regular: bool = True) -> Tuple[List[CheckResult], dict]:
+                    regular: bool = True) -> List[CheckResult]:
     out: List[CheckResult] = []
-    flags = {"unital": unit is not None, "weak_hopf": False, "hopf": False}
     n = c.n
     if unit is None:
         out.append(CheckResult("weak-hopf-counit", "skip",
@@ -740,7 +710,7 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
                                "not applicable: algebra has no unit"))
         out.append(CheckResult("weak-hopf-antipode-formulas", "skip",
                                "not applicable: algebra has no unit"))
-        return out, flags
+        return out
 
     alg = c.parent
     eps = _counit_cols(counit)
@@ -801,10 +771,7 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
     out.append(check("weak-hopf-antipode-formulas", sbad is None,
                      "counit contractions of E reproduce source/target values",
                      sbad or ""))
-
-    flags["weak_hopf"] = bad1 is None and bad2 is None and sbad is None
-    flags["hopf"] = flags["weak_hopf"] and e.left == Matrix.identity(c.nn)
-    return out, flags
+    return out
 
 
 # ------------------------------------------------- star suite
@@ -817,10 +784,6 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
     n, nn = c.n, c.nn
     jmat = star.star_matrix
     jj = jmat.kron(jmat)
-
-    def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
-        # x* = J conj(x), with j the star matrix J on A or J (x) J
-        return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
     bad = None
     if t3 is None or t4 is None:
@@ -888,8 +851,9 @@ def star_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
 def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
                    st: SourceTargetWitness) -> List[CheckResult]:
     """The identity suite for the flipped-E treatment: the collapsed
-    multiplication of S across E, the source/target exchange under S, the
-    absorption of source/target values across the legs of E, and E' = E."""
+    multiplication of S across E, the source/target exchange under S and
+    the absorption of source/target values across the legs of E.  E' = E
+    is reported by regular_suite, with the equality it shares."""
     out: List[CheckResult] = []
     n = c.n
 
@@ -909,10 +873,7 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
                      "multiplying S across the legs of E collapses to S itself",
                      bad or ""))
 
-    if w.s_matrix is None or w.s_matrix_inv is None:
-        out.append(skipped("appendix-source-target-swap", "regular"))
-        out.append(skipped("appendix-e-absorption", "regular"))
-        out.append(skipped("appendix-e-flip", "regular"))
+    if w.not_regular:
         return out
 
     def s_of_mult(m: Multiplier) -> Multiplier:
@@ -955,14 +916,6 @@ def appendix_suite(c: CoproductData, e: CanonicalIdempotent, w: AntipodeWitness,
     out.append(check("appendix-e-absorption", absorb_bad is None,
                      "E absorbs source/target values across its legs through S",
                      absorb_bad or ""))
-
-    sigma = flip_map(n)
-    ss = w.s_matrix.kron(w.s_matrix)
-    ssi = w.s_matrix_inv.kron(w.s_matrix_inv)
-    eflip_ok = (sigma * (ss * e.right * ssi) * sigma == e.left) and \
-        (sigma * (ss * e.left * ssi) * sigma == e.right)
-    out.append(check("appendix-e-flip", eflip_ok,
-                     "sigma (S x S) E equals E", "sigma (S x S) E differs from E"))
     return out
 
 

@@ -10,7 +10,7 @@ run and must then agree on E and S.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import antipodes as ant
@@ -23,7 +23,7 @@ from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         validate_groupoid)
 from .linalg import BadProjections, Matrix
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
-                     check, failed, passed, skipped)
+                     check, checks_in, failed, passed, skipped)
 from .scalars import ZERO, Scalar
 
 
@@ -40,7 +40,6 @@ class RunContext:
     source_target: Optional[ant.SourceTargetWitness] = None
     t3: Optional[Matrix] = None
     t4: Optional[Matrix] = None
-    classification: Dict[str, object] = field(default_factory=dict)
     thm29_antipode: Optional[ant.AntipodeWitness] = None
     thm29_e: Optional[CanonicalIdempotent] = None
 
@@ -101,22 +100,15 @@ def verify_structure(inp: StructureInput, path: str = "def114",
                          "star is involutive and anti-multiplicative",
                          sdiag.witness or "star fails involutivity"))
 
+    # a failed algebra or coproduct check stops the run at the gate
+    if not blocker:
+        c = CoproductData(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4, cache=cache)
+        ctx.coproduct = c
+        for r in cop.validate_coproduct(c):
+            block_on(r)
     if blocker:
-        for cid in ("coproduct-module-laws", "coproduct-mixed-law",
-                    "coproduct-homomorphism", "coproduct-coassociative",
-                    "coproduct-full", "counit-exists", "idempotent-exists"):
-            report.add(skipped(cid, blocker))
-        report.classification = _classification(ctx, report, oracle)
-        return report, ctx
-
-    c = CoproductData(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4, cache=cache)
-    ctx.coproduct = c
-    for r in cop.validate_coproduct(c):
-        block_on(r)
-    if blocker:
-        for cid in ("coproduct-full", "counit-exists", "idempotent-exists"):
-            report.add(skipped(cid, blocker))
-        report.classification = _classification(ctx, report, oracle)
+        report.skip_unreported(checks_in("gate"), blocker)
+        report.classification = _classification(ctx, report)
         return report, ctx
 
     v, wspace, full = cop.check_fullness(c)
@@ -166,7 +158,11 @@ def verify_structure(inp: StructureInput, path: str = "def114",
             block_on(failed("e-coassociativity", str(exc)))
 
     if path in ("def114", "both"):
-        _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok)
+        stop = _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok)
+        if stop:
+            report.skip_unreported([cid for cid in checks_in("axiom")
+                                    if cid != "star-compatible" or inp.star is not None],
+                                   stop)
     if path in ("thm29", "both"):
         _run_antipode_path(report, ctx, c, inp, oracle)
     if path == "both":
@@ -175,37 +171,17 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     if oracle is not None:
         _oracle_comparison(report, ctx, oracle, path)
 
-    report.classification = _classification(ctx, report, oracle)
+    report.classification = _classification(ctx, report)
     return report, ctx
 
 
-def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok):
-    blocked = blocker
-    g_ids = ("projections-solve", "projections-crosscheck", "projections-idempotent",
-             "projections-factor", "kernels-match")
-    downstream = ("generalized-inverses", "r-commutation", "antipode-defined",
-                  "antipodes-agree", "antipode-remark-equalities",
-                  "antipode-counit-identities", "antipode-antimultiplicative",
-                  "antipode-spans", "antipode-anticoproduct",
-                  "source-target-defined", "source-target-legs",
-                  "source-target-coproduct", "source-target-commute",
-                  "source-target-inclusions", "regular", "regular-flip-ranges",
-                  "regular-ss-flip", "regular-f-factorization",
-                  "regular-f-formulas", "regular-f-relations",
-                  "regular-cop-idempotent", "regular-op-antipode", "local-units",
-                  "weak-hopf-counit", "weak-hopf-counit-op",
-                  "weak-hopf-antipode-formulas",
-                  "appendix-inverse-unit", "appendix-source-target-swap",
-                  "appendix-e-absorption", "appendix-e-flip",
-                  "appendix-op-roundtrip")
-    if inp.star is not None:
-        downstream = downstream + ("star-compatible",)
-
-    if blocked or ctx.e is None or ctx.counit is None:
-        why = blocked or "idempotent-exists"
-        for cid in g_ids + downstream:
-            report.add(skipped(cid, why))
-        return
+def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok) -> Optional[str]:
+    """Run the Def. 1.14 path as far as its prerequisites hold.  Returns the
+    label of the check that stopped it ("regular" for a non-regular
+    antipode, whose Section 4 and appendix checks do not apply), or None
+    when every check ran."""
+    if blocker or ctx.e is None or ctx.counit is None:
+        return blocker or "idempotent-exists"
 
     try:
         ctx.g = cop.solve_G_maps(c, ctx.e, ctx.counit)
@@ -213,54 +189,35 @@ def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok):
                           "projection maps solved from their defining equalities"))
     except (cop.NoSolution, cop.Ambiguous) as exc:
         report.add(failed("projections-solve", str(exc)))
-    if ctx.g is None:
-        for cid in g_ids[1:] + downstream:
-            report.add(skipped(cid, "projections-solve"))
-        return
-    for r in cop.validate_G_maps(c, ctx.e, ctx.counit, ctx.g):
-        report.add(r)
-    for r in cop.check_kernels(c, ctx.g):
-        report.add(r)
+        return "projections-solve"
+    report.extend(cop.validate_G_maps(c, ctx.e, ctx.counit, ctx.g))
+    report.extend(cop.check_kernels(c, ctx.g))
     if report.status_of("kernels-match") == FAIL or \
        report.status_of("projections-idempotent") == FAIL:
-        for cid in downstream:
-            report.add(skipped(cid, "kernels-match"))
-        return
+        return "kernels-match"
 
     try:
         r1, r2, checks = ant.build_generalized_inverses(c, ctx.e, ctx.g)
-        for r in checks:
-            report.add(r)
+        report.extend(checks)
     except BadProjections as exc:
         report.add(failed("generalized-inverses", str(exc)))
-        for cid in downstream[2:]:
-            report.add(skipped(cid, "generalized-inverses"))
-        return
+        return "generalized-inverses"
 
     try:
         ctx.antipode, checks = ant.compute_antipode(c, ctx.e, r1, r2, ctx.counit)
-        for r in checks:
-            report.add(r)
+        report.extend(checks)
     except ant.AntipodesDisagree as exc:
-        for r in exc.checks:
-            report.add(r)
-        for cid in downstream[4:]:
-            report.add(skipped(cid, "antipodes-agree"))
-        return
+        report.extend(exc.checks)
+        return "antipodes-agree"
     w = ctx.antipode
 
     ctx.source_target, checks = ant.compute_source_target(c, ctx.e, ctx.g, w, ctx.counit)
-    for r in checks:
-        report.add(r)
-    for r in ant.check_antipode_identities(c, ctx.e, ctx.g, w, ctx.counit):
-        report.add(r)
+    report.extend(checks)
+    report.extend(ant.check_antipode_identities(c, ctx.e, ctx.g, w, ctx.counit))
 
-    checks, cls, t3, t4 = ant.regular_suite(c, ctx.e, ctx.g, w)
-    for r in checks:
-        report.add(r)
-    ctx.t3, ctx.t4 = t3, t4
-    cls.unital = ctx.unit is not None
-    regular = cls.regular
+    checks, ctx.t3, ctx.t4 = ant.regular_suite(c, ctx.e, ctx.g, w)
+    report.extend(checks)
+    regular = not w.not_regular
 
     # local units: existence reported always, demanded under regularity
     if ctx.unit is not None:
@@ -272,34 +229,25 @@ def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok):
         report.add(passed("local-units",
                           "no unit; local units are not implied without regularity"))
 
-    checks, flags = ant.weak_hopf_suite(c, ctx.e, w, ctx.source_target,
-                                        ctx.counit, ctx.unit, regular=regular)
-    for r in checks:
-        report.add(r)
-    cls.weak_hopf = flags["weak_hopf"]
-    cls.hopf = flags["hopf"]
+    report.extend(ant.weak_hopf_suite(c, ctx.e, w, ctx.source_target,
+                                      ctx.counit, ctx.unit, regular=regular))
 
     if inp.star is not None:
         if star_ok:
-            for r in ant.star_suite(c, ctx.e, w, inp.star, ctx.t3, ctx.t4):
-                report.add(r)
-            cls.star_compatible = report.status_of("star-compatible") == PASS
+            report.extend(ant.star_suite(c, ctx.e, w, inp.star, ctx.t3, ctx.t4))
         else:
             report.add(skipped("star-compatible", "star-structure"))
-            cls.star_compatible = False
 
-    for r in ant.appendix_suite(c, ctx.e, w, ctx.source_target):
-        report.add(r)
+    report.extend(ant.appendix_suite(c, ctx.e, w, ctx.source_target))
 
-    if regular and recurse and t3 is not None and t4 is not None:
-        _op_round_trip(report, ctx, c, w, t3, t4)
-    elif regular:
+    if not regular:
+        return "regular"
+    if recurse:
+        _op_round_trip(report, ctx, c, w, ctx.t3, ctx.t4)
+    else:
         report.add(skipped("regular-op-antipode", "recursion disabled"))
         report.add(skipped("appendix-op-roundtrip", "recursion disabled"))
-    else:
-        report.add(skipped("regular-op-antipode", "regular"))
-        report.add(skipped("appendix-op-roundtrip", "regular"))
-    ctx.classification = cls.as_dict()
+    return None
 
 
 def _op_round_trip(report, ctx, c, w, t3, t4):
@@ -341,9 +289,7 @@ def _run_antipode_path(report, ctx, c, inp, oracle):
         e_pair = (ctx.e.left, ctx.e.right)
     if s_mat is None or e_pair is None or ctx.counit is None:
         why = "counit-exists" if ctx.counit is None else "no candidate antipode available"
-        for cid in ("thm29-r-ranges", "thm29-identities", "thm29-e-ranges",
-                    "thm29-e-conditions"):
-            report.add(CheckResult(cid, SKIP, why))
+        report.extend(CheckResult(cid, SKIP, why) for cid in checks_in("thm29"))
         return
     checks, w29, e29 = ant.verify_via_antipode(c, s_mat, e_pair[0], e_pair[1])
     for r in checks:
@@ -388,23 +334,32 @@ def _oracle_comparison(report, ctx, oracle: GroupoidModel, path: str):
                      f"oracle mismatch: {', '.join(probs)}"))
 
 
-def _classification(ctx, report, oracle) -> Dict[str, object]:
+def _classification(ctx, report) -> Dict[str, object]:
+    """The classification of one structure run.  When the axiom path built
+    the antipode, its checks decide.  Otherwise the antipode path's
+    witness classifies by the finite-dimensional equivalence (unital and
+    regular implies the unital axioms) without re-deriving the counit
+    identities."""
     verdict_pass = report.verdict == PASS
-    if ctx.classification:
-        cls = dict(ctx.classification)
+    unital = ctx.unit is not None
+    w, e = ctx.antipode, ctx.e
+    if w is None:
+        w, e = ctx.thm29_antipode, ctx.thm29_e
+    regular = w is not None and not w.not_regular
+    cls = {"wmha": verdict_pass, "regular": regular, "star": None, "unital": unital}
+    if ctx.antipode is not None:
+        weak_hopf = all(report.status_of(cid) == PASS for cid in (
+            "weak-hopf-counit", "weak-hopf-counit-op", "weak-hopf-antipode-formulas"))
+        star = report.status_of("star-compatible")
+        if star is not None:
+            cls["star"] = star == PASS
+        if not regular:
+            cls["reasons"] = {"regular": w.not_regular}
     else:
-        # antipode-path-only run: the finite-dimensional equivalence
-        # (unital and regular implies the unital axioms) classifies
-        # without re-deriving the counit identities
-        w = ctx.thm29_antipode
-        regular = bool(w is not None and w.s_matrix_inv is not None)
-        unital = ctx.unit is not None
         weak_hopf = verdict_pass and regular and unital
-        hopf = weak_hopf and ctx.thm29_e is not None and \
-            ctx.thm29_e.left == Matrix.identity(ctx.algebra.dim ** 2)
-        cls = {"regular": regular, "star": None, "weak_hopf": weak_hopf,
-               "hopf": hopf, "unital": unital}
-    cls["wmha"] = verdict_pass
+    cls["weak_hopf"] = weak_hopf
+    cls["hopf"] = weak_hopf and e is not None and \
+        e.left == Matrix.identity(ctx.algebra.dim ** 2)
     return cls
 
 

@@ -106,7 +106,7 @@ class Scalar:
         if isinstance(value, dict):
             return Scalar(_parse_rational(str(value.get("re", "0"))),
                           _parse_rational(str(value.get("im", "0"))))
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return _make(value, 0, 1)
         if isinstance(value, str):
             return Scalar(_parse_rational(value))

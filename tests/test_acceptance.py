@@ -100,7 +100,7 @@ def test_criterion_04_regularity_suite(certified_runs):
               "regular-cop-idempotent", "regular-op-antipode")
     ok = True
     for report, ctx, _ in certified_runs.values():
-        ok = ok and ctx.classification.get("regular") is True
+        ok = ok and report.classification.get("regular") is True
         ok = ok and ctx.antipode.s_matrix_inv is not None
         for cid in wanted:
             ok = ok and report.status_of(cid) == PASS

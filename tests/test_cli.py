@@ -109,6 +109,11 @@ def test_bad_rational_literals_exit_two(tmp_path):
         doc = model_to_document(m, with_witnesses=False)
         doc["algebra"]["structure"][0][3] = bad
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    # JSON booleans are not scalars, wherever a scalar is read
+    doc = model_to_document(function_algebra(preset("pair:1")), with_witnesses=True)
+    for key, value in (("counit", [True]), ("antipode", [[True]]),
+                       ("star", {"matrix": [[True]]})):
+        assert main(["verify", write_doc(tmp_path, {**doc, key: value})]) == 2
 
 
 def test_witnesses_output(capsys):

@@ -22,8 +22,10 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,7 @@ from wmha.algebras import flip_map
 from wmha.cli import main
 from wmha.fileio import dense_matrix_to_json, matrix_to_sparse_json, model_to_document
 from wmha.groupoids import build_model, preset
+from wmha.report import checks_in
 
 PRESETS = ("pair:1", "pair:2", "group:cyclic:2", "group:cyclic:3",
            "bundle:cyclic:2:2", "union:pair:1+group:cyclic:2")
@@ -532,22 +535,52 @@ def nonregular_fingerprint(argv, workdir: Path):
         antipodes.invert = saved
 
 
+def structure_runs(blob):
+    """The checks of each structure run in a report: the whole report, or
+    one run per window of a lazy model (details "window k: ...")."""
+    if not any(c["id"] == "window-consistency" for c in blob["checks"]):
+        return [blob["checks"]]
+    runs = {}
+    for c in blob["checks"]:
+        window = re.match(r"window (\d+): ", c["detail"])
+        if window:
+            runs.setdefault(window.group(1), []).append(c)
+    return list(runs.values())
+
+
+def assert_report_shape(report_path: Path):
+    """Every structure run reports each "gate" check once, and either none
+    of the "axiom" checks or each of them once, star-compatible exactly
+    when a star was supplied."""
+    for checks in structure_runs(json.loads(report_path.read_text())):
+        count = Counter(c["id"] for c in checks)
+        assert {cid: count[cid] for cid in checks_in("gate")} == \
+            dict.fromkeys(checks_in("gate"), 1)
+        axiom = Counter({cid: count[cid] for cid in checks_in("axiom") if count[cid]})
+        want = Counter(cid for cid in checks_in("axiom")
+                       if cid != "star-compatible" or count["star-structure"])
+        assert axiom in (Counter(), want), axiom
+
+
 @pytest.mark.parametrize("argv", JOBS, ids=[" ".join(j[2:]) for j in JOBS])
 def test_certificate_bytes_unchanged(argv, tmp_path):
     code, report_sha, stdout_sha = fingerprint(argv, tmp_path)
     assert code == 0
     assert (report_sha, stdout_sha) == GOLDEN[" ".join(argv)]
+    assert_report_shape(tmp_path / "report.json")
 
 
 @pytest.mark.parametrize("name", list(DOCS))
 def test_document_certificate_bytes_unchanged(name, tmp_path):
     assert doc_fingerprint(name, tmp_path) == GOLDEN_DOCS[name]
+    assert_report_shape(tmp_path / "report.json")
 
 
 @pytest.mark.parametrize("argv", NONREGULAR_JOBS,
                          ids=[" ".join(j[2:]) for j in NONREGULAR_JOBS])
 def test_nonregular_certificate_bytes_unchanged(argv, tmp_path):
     assert nonregular_fingerprint(argv, tmp_path) == GOLDEN_NONREGULAR[" ".join(argv)]
+    assert_report_shape(tmp_path / "report.json")
 
 
 if __name__ == "__main__":

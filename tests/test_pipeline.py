@@ -78,6 +78,35 @@ def test_lazy_zero_windows_pass_vacuously():
     assert report.verdict == PASS
 
 
+def _detail(report, check_id):
+    return next(r.detail for r in report.checks if r.check_id == check_id)
+
+
+def test_oracle_unit_mismatch_is_reported():
+    # the function model of pair:2 against the convolution model's unit
+    import dataclasses
+
+    fun = function_algebra(preset("pair:2"))
+    oracle = dataclasses.replace(fun, oracle_unit=convolution_model().oracle_unit)
+    inp = StructureInput(fun.algebra, fun.t1, fun.t2, fun.t3, fun.t4)
+    report, ctx = verify_structure(inp, path="def114", oracle=oracle)
+    assert report.status_of("oracle-witnesses") == FAIL
+    assert _detail(report, "oracle-witnesses") == "oracle mismatch: unit"
+
+
+def test_sampled_local_unit_failure_is_reported(monkeypatch):
+    # an empty member list touches no unit: its "local unit" is zero
+    import wmha.pipeline
+    from wmha.groupoids import local_unit_for
+
+    monkeypatch.setattr(wmha.pipeline, "local_unit_for",
+                        lambda m, s: local_unit_for(m, []))
+    report = verify_lazy_model(preset("pair:inf"), "function", k_max=2, seed=0)
+    assert report.status_of("sampled-local-units") == FAIL
+    assert _detail(report, "sampled-local-units") == \
+        "exhibited local unit fails on sample [0, 1, 2, 3]"
+
+
 def test_classification_shape():
     report, ctx = verify_groupoid_model(preset("group:cyclic:3"), "convolution",
                                         path="both")

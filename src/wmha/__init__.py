@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 
 from .scalars import Scalar, ONE, ZERO, rational
 from .linalg import Matrix, Subspace, generalized_inverse, rank_image_kernel
-from .algebras import Algebra, Element, Multiplier, StarStructure, validate_algebra
+from .algebras import Algebra, Multiplier, StarStructure, validate_algebra
 from .coproducts import CoproductData, compute_E, solve_counit
 from .groupoids import preset, function_algebra, convolution_algebra
 
 __all__ = [
     "Scalar", "ONE", "ZERO", "rational",
     "Matrix", "Subspace", "generalized_inverse", "rank_image_kernel",
-    "Algebra", "Element", "Multiplier", "StarStructure", "validate_algebra",
+    "Algebra", "Multiplier", "StarStructure", "validate_algebra",
     "CoproductData", "compute_E", "solve_counit",
     "preset", "function_algebra", "convolution_algebra",
     "__version__",

@@ -186,34 +186,15 @@ class Algebra:
         return (self.dim, tuple(sorted((ij, tuple(sorted(p.items())))
                                        for ij, p in self._table.items() if p)))
 
-    def element(self, coeffs) -> "Element":
-        return Element(self, list(coeffs))
-
-    def basis_element(self, i: int) -> "Element":
-        c = [ZERO] * self.dim
-        c[i] = ONE
-        return Element(self, c)
-
-    def zero(self) -> "Element":
-        return Element(self, [ZERO] * self.dim)
-
-    def mult_operator_left(self, x: "Element") -> Matrix:
+    def mult_operator_left(self, x: SparseVec) -> Matrix:
         """Matrix of a -> x*a."""
-        xs = vec_to_sparse(x.coeffs)
-        return Matrix.from_sparse_cols(self.dim, [self.mul_by_basis(xs, j)
+        return Matrix.from_sparse_cols(self.dim, [self.mul_by_basis(x, j)
                                                   for j in range(self.dim)])
 
-    def mult_operator_right(self, x: "Element") -> Matrix:
+    def mult_operator_right(self, x: SparseVec) -> Matrix:
         """Matrix of a -> a*x."""
-        xs = vec_to_sparse(x.coeffs)
-        return Matrix.from_sparse_cols(self.dim, [self.basis_times(i, xs)
+        return Matrix.from_sparse_cols(self.dim, [self.basis_times(i, x)
                                                   for i in range(self.dim)])
-
-    def left_mult_matrix_basis(self, i: int) -> Matrix:
-        return self.mult_operator_left(self.basis_element(i))
-
-    def right_mult_matrix_basis(self, j: int) -> Matrix:
-        return self.mult_operator_right(self.basis_element(j))
 
     def opposite(self) -> "Algebra":
         out = Algebra(self.dim, list(self.basis_labels))
@@ -227,47 +208,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim})"
-
-
-@dataclass
-class Element:
-    parent: Algebra
-    coeffs: list
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.parent.dim:
-            raise DimensionMismatch("coefficient vector length differs from algebra dimension")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, s: Scalar) -> "Element":
-        return Element(self.parent, [s * a for a in self.coeffs])
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._same(other)
-        out = self.parent.mul_sparse(vec_to_sparse(self.coeffs), vec_to_sparse(other.coeffs))
-        return Element(self.parent, sparse_to_vec(out, self.parent.dim))
-
-    def _same(self, other):
-        if other.parent is not self.parent:
-            raise ParentMismatch("elements from different algebras")
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and other.parent is self.parent \
-            and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = [f"{v}*{self.parent.basis_labels[i]}" for i, v in enumerate(self.coeffs) if v]
-        return " + ".join(terms) if terms else "0"
 
 
 class Multiplier:
@@ -287,9 +227,9 @@ class Multiplier:
         return Multiplier(parent, ident, ident)
 
     @staticmethod
-    def embed(x: Element) -> "Multiplier":
-        return Multiplier(x.parent, x.parent.mult_operator_left(x),
-                          x.parent.mult_operator_right(x))
+    def embed(parent: Algebra, x: SparseVec) -> "Multiplier":
+        return Multiplier(parent, parent.mult_operator_left(x),
+                          parent.mult_operator_right(x))
 
     def compatibility_failures(self, max_witnesses: int = 3) -> List[str]:
         """Violations of the three module laws, by name."""
@@ -336,7 +276,7 @@ class Multiplier:
         return isinstance(other, Multiplier) and self.left == other.left \
             and self.right == other.right
 
-    def as_element(self) -> Optional[Element]:
+    def as_element(self) -> Optional[SparseVec]:
         """The element of A this multiplier is, if it is embedded."""
         a = self.parent
         n = a.dim
@@ -353,7 +293,7 @@ class Multiplier:
             return None
         if space.dim:
             return None  # only happens for degenerate products
-        return Element(a, sol)
+        return vec_to_sparse(sol)
 
     def coords(self) -> SparseVec:
         """Flat coordinates (left columns then right columns), for spans,
@@ -376,7 +316,7 @@ class AlgebraDiagnostics:
     nondegenerate: bool
     degeneracy_witness: Optional[str]
     idempotent: bool
-    unit: Optional[Element]
+    unit: Optional[SparseVec]
 
     @property
     def ok(self) -> bool:
@@ -422,8 +362,11 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
             break
     idem = span.rank == a.dim
 
+    # the unit is the embedded unit multiplier: local units for the whole
+    # basis amount to a unit, and a unit u is never ambiguous, since
+    # y e_j = 0 for every j gives y = y u = 0
     return AlgebraDiagnostics(assoc, witness, nondeg, deg_witness, idem,
-                              find_unit_or_local_units(a))
+                              Multiplier.unit(a).as_element())
 
 
 def _product_rows(a: Algebra) -> list:
@@ -436,22 +379,6 @@ def _product_rows(a: Algebra) -> list:
         out[j][0][k][i] = v
         out[i][1][k][j] = v
     return out
-
-
-def find_unit_or_local_units(a: Algebra) -> Optional[Element]:
-    """The unit element when one exists.  For finite-dimensional algebras
-    local units for the whole basis amount to a unit, so this single
-    solve settles both questions."""
-    constraints = []
-    for j, (right, left) in enumerate(_product_rows(a)):
-        for k in range(a.dim):
-            constraints.append((right[k], ONE if j == k else ZERO))
-            constraints.append((left[k], ONE if j == k else ZERO))
-    try:
-        sol, _ = solve_linear(constraints, a.dim)
-    except Infeasible:
-        return None
-    return Element(a, sol)
 
 
 def multiplier_algebra(a: Algebra) -> List[Multiplier]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs, flip_map,
-                       star_on, vec_to_sparse, StarStructure)
+from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
+                       star_on, StarStructure)
 from .coproducts import (AmbiguousE, CanonicalIdempotent, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
@@ -184,8 +184,8 @@ def compute_antipode(c: CoproductData, e: CanonicalIdempotent, r1: Matrix,
         if el is None:
             cols = None
             break
-        cols.append(el.coeffs)
-    s_matrix = Matrix.from_cols(cols) if cols is not None else None
+        cols.append(el)
+    s_matrix = Matrix.from_sparse_cols(n, cols) if cols is not None else None
     s_inv = invert(s_matrix) if s_matrix is not None else None
     return AntipodeWitness(r1, r2, s_left, s_right, s_matrix, s_inv), out
 
@@ -528,11 +528,10 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
         return out, None, e_obj
 
     s_inv = invert(s_mat)
+    s_cols = [dict(s_mat.col_sparse(a)) for a in range(n)]
     witness = AntipodeWitness(r1, r2,
-                              [c.parent.mult_operator_left(Element(c.parent, s_mat.col(a)))
-                               for a in range(n)],
-                              [c.parent.mult_operator_right(Element(c.parent, s_mat.col(a)))
-                               for a in range(n)],
+                              [c.parent.mult_operator_left(x) for x in s_cols],
+                              [c.parent.mult_operator_right(x) for x in s_cols],
                               s_mat, s_inv)
     return out, witness, e_obj
 
@@ -699,7 +698,7 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
 
 def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
                     w: AntipodeWitness, st: SourceTargetWitness,
-                    counit: list, unit: Optional[Element],
+                    counit: list, unit: Optional[SparseVec],
                     regular: bool = True) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = c.n
@@ -719,8 +718,7 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         return _on_legs(eps, 1, vec.items()).get(0, ZERO)
 
     # coproduct of each basis element as an honest tensor (unital case)
-    unit_sp = vec_to_sparse(unit.coeffs)
-    delta = [c.t1.apply_sparse({b * n + j: uj for j, uj in unit_sp.items()})
+    delta = [c.t1.apply_sparse({b * n + j: uj for j, uj in unit.items()})
              for b in range(n)]
 
     bad1 = None
@@ -753,8 +751,8 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
         out.append(check("weak-hopf-counit-op", bad2 is None,
                          "counit is weakly multiplicative (second form)", bad2 or ""))
 
-    e_elem = e.left.apply_sparse({i * n + j: ui * uj for i, ui in unit_sp.items()
-                                  for j, uj in unit_sp.items()}).items()
+    e_elem = e.left.apply_sparse({i * n + j: ui * uj for i, ui in unit.items()
+                                  for j, uj in unit.items()}).items()
     sbad = None
     for a in range(n):
         # eps contracted off the leg that e_a multiplies: E(a x 1) on leg 1,
@@ -763,7 +761,7 @@ def weak_hopf_suite(c: CoproductData, e: CanonicalIdempotent,
                 (n, alg._right_cols(a), st.eps_t[a], f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"),
                 (1, alg._left_cols(a), st.eps_s[a], f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})")):
             if _on_legs(eps, 1, _on_legs(mult, n, e_elem, s).items(), s) != \
-                    value.left.apply_sparse(unit_sp):
+                    value.left.apply_sparse(unit):
                 sbad = what
                 break
         if sbad:

@@ -63,6 +63,9 @@ def _resolve_input(args) -> InputDocument:
 def _run(parsed: InputDocument, args) -> VerificationReport:
     if parsed.kind == "groupoid":
         if isinstance(parsed.groupoid, LazyGroupoid):
+            if args.windows < 1:
+                # no window would be verified, so a pass would certify nothing
+                raise ParseError(f"--windows must be at least 1, got {args.windows}")
             report = verify_lazy_model(parsed.groupoid, parsed.model,
                                        k_max=args.windows, seed=args.seed)
             report.input_digest = parsed.digest

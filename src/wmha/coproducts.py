@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import (Algebra, Element, Multiplier, SparseVec, _on_legs,
-                       vec_to_sparse)
+from .algebras import Algebra, Multiplier, SparseVec, _on_legs
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, check
@@ -53,11 +52,6 @@ class NoSolution(Exception):
 
 class Ambiguous(Exception):
     pass
-
-
-class CrossCheckMismatch(Exception):
-    """The defining-system solution and the counit-contraction
-    construction of the projection maps disagree."""
 
 
 def _lbl(c: "CoproductData", i: int) -> str:
@@ -623,17 +617,6 @@ def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Mul
                       Matrix.from_sparse_cols(nn, sides[1][3]))
 
 
-def delta13_action(c: CoproductData, a: Element, b: Element, x: Element) -> Dict[int, Scalar]:
-    """coproduct_13(a) (1 (x) b (x) x): first coproduct leg in slot 1,
-    second in slot 3, b passive in slot 2."""
-    n = c.n
-    abx = {(i * n + j) * n + k: u * v * w
-           for i, u in vec_to_sparse(a.coeffs).items()
-           for j, v in vec_to_sparse(b.coeffs).items()
-           for k, w in vec_to_sparse(x.coeffs).items()}
-    return apply_on_legs13(c.t1, abx, n)
-
-
 # ---- extended legs of E and their conditions --------------------------------
 
 
@@ -768,22 +751,14 @@ class ProjectionMaps:
     g2: Matrix
 
 
-def solve_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
-                 cross_check: bool = False) -> ProjectionMaps:
+def solve_G_maps(c: CoproductData, e: CanonicalIdempotent) -> ProjectionMaps:
     """G1, G2 as the unique solutions of their defining leg-13 equalities.
 
-    Uniqueness needs fullness; infeasibility or ambiguity raise.  With
-    cross_check the counit-contraction construction must agree or
-    CrossCheckMismatch is raised; the pipeline instead reports the same
-    comparison through validate_G_maps.
+    Uniqueness needs fullness; infeasibility or ambiguity raise.  The
+    counit-contraction construction is compared by validate_G_maps.
     """
-    g = ProjectionMaps(_solve_leg_system(c, e, first=True),
-                       _solve_leg_system(c, e, first=False))
-    if cross_check:
-        bad = _g_crosscheck_witness(c, e, counit, g)
-        if bad is not None:
-            raise CrossCheckMismatch(bad)
-    return g
+    return ProjectionMaps(_solve_leg_system(c, e, first=True),
+                          _solve_leg_system(c, e, first=False))
 
 
 def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> Matrix:

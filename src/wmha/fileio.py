@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .algebras import Algebra, StarStructure
+from .algebras import Algebra, StarStructure, sparse_to_vec
 from .antipodes import _f_actions
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset)
 from .linalg import Matrix
@@ -50,7 +50,7 @@ def _scalar(value, where: str) -> Scalar:
 
 
 def _scalar_pair(re, im, where: str) -> Scalar:
-    return _scalar({"re": str(re), "im": str(im)}, where)
+    return _scalar({"re": re, "im": im}, where)
 
 
 def _int(value, where: str) -> int:
@@ -272,7 +272,7 @@ def witnesses_to_json(ctx) -> dict:
         out["eps_s"] = [matrix_to_sparse_json(m.left) for m in st.eps_s]
         out["eps_t"] = [matrix_to_sparse_json(m.left) for m in st.eps_t]
     if ctx.unit is not None:
-        out["unit"] = vector_to_json(ctx.unit.coeffs)
+        out["unit"] = vector_to_json(sparse_to_vec(ctx.unit, ctx.algebra.dim))
     return out
 
 

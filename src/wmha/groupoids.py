@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebras import Algebra, Element
+from .algebras import Algebra, SparseVec
 from .linalg import Matrix
 from .scalars import ONE, ZERO
 
@@ -257,7 +257,7 @@ class GroupoidModel:
     oracle_e_right: Matrix
     oracle_g1: Matrix
     oracle_g2: Matrix
-    oracle_unit: Optional[Element]
+    oracle_unit: Optional[SparseVec]
 
 
 def _indicator_diag(g: FiniteGroupoid, pred) -> Matrix:
@@ -297,7 +297,7 @@ def function_algebra(g: FiniteGroupoid) -> GroupoidModel:
     e_diag = _indicator_diag(g, lambda p, q: g.source[p] == g.target[q])
     g1 = _indicator_diag(g, lambda p, q: g.source[p] == g.source[q])
     g2 = _indicator_diag(g, lambda p, q: g.target[p] == g.target[q])
-    unit = Element(alg, [ONE] * n)
+    unit = {i: ONE for i in range(n)}
     return GroupoidModel(g, "function", alg, t1, t2, t3, t4,
                          Matrix.identity(n), counit, s_mat,
                          e_diag, e_diag, g1, g2, unit)
@@ -331,10 +331,7 @@ def convolution_algebra(g: FiniteGroupoid) -> GroupoidModel:
     e_left = _indicator_diag(g, lambda p, q: g.target[p] == g.target[q])
     e_right = _indicator_diag(g, lambda p, q: g.source[p] == g.source[q])
     g_both = _indicator_diag(g, lambda p, q: g.source[p] == g.target[q])
-    unit_coeffs = [ZERO] * n
-    for u in g.units:
-        unit_coeffs[idx[u]] = ONE
-    unit = Element(alg, unit_coeffs)
+    unit = {idx[u]: ONE for u in g.units}
     return GroupoidModel(g, "convolution", alg, t1, t2, t3, t4,
                          s_mat, counit, s_mat,
                          e_left, e_right, g_both, g_both, unit)
@@ -424,7 +421,7 @@ def check_duality_pairing(g: FiniteGroupoid) -> PairingDiagnostics:
     return PairingDiagnostics(ok1, ok2, ok3, w)
 
 
-def local_unit_for(model: GroupoidModel, members: List[int]) -> Element:
+def local_unit_for(model: GroupoidModel, members: List[int]) -> SparseVec:
     """A local unit for the given basis indices.
 
     Function model: the indicator of every morphism whose source and
@@ -438,12 +435,7 @@ def local_unit_for(model: GroupoidModel, members: List[int]) -> Element:
         m = g.morphisms[i]
         touched.add(g.source[m])
         touched.add(g.target[m])
-    coeffs = [ZERO] * model.algebra.dim
     if model.kind == "function":
-        for m in g.morphisms:
-            if g.source[m] in touched and g.target[m] in touched:
-                coeffs[idx[m]] = ONE
-    else:
-        for u in touched:
-            coeffs[idx[u]] = ONE
-    return Element(model.algebra, coeffs)
+        return {idx[m]: ONE for m in g.morphisms
+                if g.source[m] in touched and g.target[m] in touched}
+    return {idx[u]: ONE for u in touched}

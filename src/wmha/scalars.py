@@ -67,6 +67,15 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _parse_part(value) -> Fraction:
+    """A real or imaginary part: a rational string or an int."""
+    if isinstance(value, str):
+        return _parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"cannot parse a scalar part from {value!r}")
+
+
 def _rational_text(n: int, d: int) -> str:
     """n/d in lowest terms, written as `str(Fraction(n, d))` writes it."""
     g = gcd(n, d)
@@ -100,12 +109,13 @@ class Scalar:
 
     @staticmethod
     def parse(value) -> "Scalar":
-        """Accept "p/q" / "p" strings, ints, or {"re": ..., "im": ...}."""
+        """Accept "p/q" / "p" strings, ints, or {"re": ..., "im": ...} whose
+        parts are strings or ints; a float part is refused, not rounded."""
         if isinstance(value, Scalar):
             return value
         if isinstance(value, dict):
-            return Scalar(_parse_rational(str(value.get("re", "0"))),
-                          _parse_rational(str(value.get("im", "0"))))
+            return Scalar(_parse_part(value.get("re", "0")),
+                          _parse_part(value.get("im", "0")))
         if isinstance(value, int) and not isinstance(value, bool):
             return _make(value, 0, 1)
         if isinstance(value, str):

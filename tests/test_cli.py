@@ -116,6 +116,27 @@ def test_bad_rational_literals_exit_two(tmp_path):
         assert main(["verify", write_doc(tmp_path, {**doc, key: value})]) == 2
 
 
+def test_float_scalar_parts_exit_two(tmp_path, capsys):
+    # the float would round to 1 and verify as pair:1, exit 0
+    doc = model_to_document(function_algebra(preset("pair:1")), with_witnesses=False)
+    doc["algebra"]["structure"][0][3] = "@"
+    p = tmp_path / "float.json"
+    p.write_text(json.dumps(doc).replace('"@"', "1.00000000000000000001"), encoding="utf-8")
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error: bad scalar at structure")
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_lazy_windows_below_one_exit_two(command, windows, capsys):
+    # no window would be verified, so a pass would certify nothing
+    assert main([command, "--preset", "pair:inf", "--model", "function",
+                 "--windows", windows]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --windows must be at least 1, got {windows}\n"
+
+
 def test_witnesses_output(capsys):
     assert main(["witnesses", "--preset", "pair:2", "--model", "function"]) == 0
     blob = json.loads(capsys.readouterr().out)

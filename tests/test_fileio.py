@@ -69,6 +69,10 @@ MALFORMED = {
     "matrix-entry-dict": _with(("coproduct", "T1"), [{"r": 0, "c": 0, "re": "1", "im": "0"}]),
     "matrix-entry-repeated": _with(("coproduct", "T1"), [[0, 0, "1", "0"], [0, 0, "0", "0"]]),
     "counit-int": _with(("counit",), 1),
+    # a float part would be read through its shortest repr, not exactly
+    "t1-float": _with(("coproduct", "T1"), [[0, 0, 0.5, "0"]]),
+    "structure-float": _with(("algebra", "structure"), [[0, 0, 0, 1.0, "0"]]),
+    "counit-float-part": _with(("counit",), [{"re": 0.5}]),
     "star-string": _with(("star",), "J"),
     "groupoid-source-list": {"groupoid": dict(groupoid_to_json(preset("pair:1")), source=[]),
                              "model": "function"},

@@ -81,13 +81,10 @@ def test_model_dimensions_and_units():
     fun = function_algebra(g)
     conv = convolution_algebra(g)
     assert fun.algebra.dim == 4 and conv.algebra.dim == 4
-    assert fun.oracle_unit.coeffs == [ONE] * 4
+    assert fun.oracle_unit == {i: ONE for i in range(4)}
     # unit of the convolution model: sum over the two unit morphisms
     idx = g.index()
-    expect = [ZERO] * 4
-    for u in g.units:
-        expect[idx[u]] = ONE
-    assert conv.oracle_unit.coeffs == expect
+    assert conv.oracle_unit == {idx[u]: ONE for u in g.units}
 
 
 def test_counit_oracles():
@@ -114,8 +111,9 @@ def test_local_units_per_model():
     for model in (fun, conv):
         lu = local_unit_for(model, members)
         for i in members:
-            x = model.algebra.basis_element(i)
-            assert lu * x == x and x * lu == x
+            x = {i: ONE}
+            assert model.algebra.mul_sparse(lu, x) == x
+            assert model.algebra.mul_sparse(x, lu) == x
 
 
 def test_build_model_rejects_unknown_kind():

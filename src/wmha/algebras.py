@@ -19,10 +19,6 @@ class ParentMismatch(Exception):
     pass
 
 
-class DegenerateProduct(Exception):
-    pass
-
-
 SparseVec = Dict[int, Scalar]
 
 
@@ -138,16 +134,6 @@ class Algebra:
                                      for i in range(self.dim) for j in range(self.dim)]
         return got
 
-    def unflatten(self, idx: int) -> Tuple[int, int]:
-        if self._factors is None:
-            raise ValueError("not a tensor algebra")
-        return divmod(idx, self._factors[1].dim)
-
-    def flatten(self, i: int, j: int) -> int:
-        if self._factors is None:
-            raise ValueError("not a tensor algebra")
-        return i * self._factors[1].dim + j
-
     def structure_entries(self):
         """All nonzero (i, j, k, value) triples (forces lazy table)."""
         for i in range(self.dim):
@@ -212,7 +198,8 @@ class Algebra:
 
 class Multiplier:
     """A pair (left action, right action) on an algebra: the concrete
-    form of an element of the multiplier algebra M(A)."""
+    form of an element of the multiplier algebra M(A), to which it
+    belongs when the three module laws hold (`compatibility_failures`)."""
 
     __slots__ = ("parent", "left", "right")
 
@@ -225,11 +212,6 @@ class Multiplier:
     def unit(parent: Algebra) -> "Multiplier":
         ident = Matrix.identity(parent.dim)
         return Multiplier(parent, ident, ident)
-
-    @staticmethod
-    def embed(parent: Algebra, x: SparseVec) -> "Multiplier":
-        return Multiplier(parent, parent.mult_operator_left(x),
-                          parent.mult_operator_right(x))
 
     def compatibility_failures(self, max_witnesses: int = 3) -> List[str]:
         """Violations of the three module laws, by name."""
@@ -255,22 +237,10 @@ class Multiplier:
                     return bad
         return bad
 
-    def is_valid(self) -> bool:
-        return not self.compatibility_failures()
-
     def __mul__(self, other: "Multiplier") -> "Multiplier":
         if other.parent is not self.parent:
             raise ParentMismatch("multipliers over different algebras")
         return Multiplier(self.parent, self.left * other.left, other.right * self.right)
-
-    def __add__(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(self.parent, self.left + other.left, self.right + other.right)
-
-    def __sub__(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(self.parent, self.left - other.left, self.right - other.right)
-
-    def scale(self, s: Scalar) -> "Multiplier":
-        return Multiplier(self.parent, self.left.scale(s), self.right.scale(s))
 
     def __eq__(self, other):
         return isinstance(other, Multiplier) and self.left == other.left \
@@ -378,62 +348,6 @@ def _product_rows(a: Algebra) -> list:
     for i, j, k, v in a.structure_entries():
         out[j][0][k][i] = v
         out[i][1][k][j] = v
-    return out
-
-
-def multiplier_algebra(a: Algebra) -> List[Multiplier]:
-    """Basis of M(A) as (left, right) operator pairs.
-
-    Unknowns are the two dim^2 matrices; the constraints are the three
-    module laws on all basis pairs.
-    """
-    diags = validate_algebra(a)
-    if not diags.nondegenerate:
-        raise DegenerateProduct("multiplier algebra needs a non-degenerate product")
-    n = a.dim
-    nun = 2 * n * n  # left entries then right entries, column-major per matrix
-
-    def lidx(r, c):
-        return c * n + r
-
-    def ridx(r, c):
-        return n * n + c * n + r
-
-    def law(plus, minus):
-        """The constraint row Σ plus − Σ minus over (unknown, value) pairs."""
-        acc: dict = {}
-        _accumulate(acc, plus)
-        _accumulate(acc, minus, -ONE)
-        return _settle(acc), ZERO
-
-    prows = _product_rows(a)
-    constraints = []
-    for i in range(n):
-        for j in range(n):
-            prod = a.mul_basis(i, j)
-            rm_j, lm_i = prows[j][0], prows[i][1]
-            # L(e_i e_j) = L(e_i) e_j   rows over output coordinate k
-            for k in range(n):
-                constraints.append(law([(lidx(k, p), v) for p, v in prod.items()],
-                                       [(lidx(q, i), c) for q, c in rm_j[k].items()]))
-            # R(e_i e_j) = e_i R(e_j)
-            for k in range(n):
-                constraints.append(law([(ridx(k, p), v) for p, v in prod.items()],
-                                       [(ridx(q, j), c) for q, c in lm_i[k].items()]))
-            # e_i L(e_j) = R(e_i) e_j
-            for k in range(n):
-                constraints.append(law([(lidx(q, j), c) for q, c in lm_i[k].items()],
-                                       [(ridx(q, i), c) for q, c in rm_j[k].items()]))
-    _, space = solve_linear(constraints, nun)
-    out = []
-    for vec in space.rows:
-        # unknown c·n + r is entry (r, c) of L, n·n + c·n + r of R
-        sides = ({}, {})
-        for key, v in vec.items():
-            side, rc = divmod(key, n * n)
-            sides[side][rc % n, rc // n] = v
-        out.append(Multiplier(a, Matrix.from_entries(n, n, sides[0]),
-                              Matrix.from_entries(n, n, sides[1])))
     return out
 
 

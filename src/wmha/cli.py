@@ -1,7 +1,7 @@
 """Command-line front end.
 
     wmha verify   [INPUT] [--preset NAME --model M] [--path P] [--report FILE]
-    wmha witnesses [INPUT] [--preset NAME --model M]
+    wmha witnesses [INPUT] [--preset NAME --model M]   (finite inputs only)
     wmha classify [INPUT] [--preset NAME --model M]
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
@@ -99,6 +99,10 @@ def cmd_verify(args) -> int:
 
 def cmd_witnesses(args) -> int:
     parsed = _resolve_input(args)
+    if parsed.kind == "groupoid" and isinstance(parsed.groupoid, LazyGroupoid):
+        # a lazy run certifies windows, not one witness set to print
+        raise ParseError("witnesses needs a finite input; certify the windows of "
+                         "an infinite groupoid with wmha verify --windows K")
     report = _run(parsed, args)
     if report.verdict != PASS:
         first = report.first_failure()

@@ -205,16 +205,6 @@ def groupoid_from_json(doc: dict) -> FiniteGroupoid:
     return FiniteGroupoid(morphisms, source, target, compose, inverse)
 
 
-def groupoid_to_json(g: FiniteGroupoid) -> dict:
-    return {
-        "morphisms": list(g.morphisms),
-        "source": dict(g.source),
-        "target": dict(g.target),
-        "compose": [[p, q, r] for (p, q), r in sorted(g.compose.items())],
-        "inverse": dict(g.inverse),
-    }
-
-
 def model_to_document(model: GroupoidModel, with_witnesses: bool = True) -> dict:
     """Serialize a groupoid model as an explicit structure document; used
     for round-trip tests and for building antipode-path input files."""

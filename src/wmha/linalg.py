@@ -5,12 +5,15 @@ prescribed range and kernel projections.
 
 Only nonzeros are stored.  A Matrix is its list of columns, each the
 row-sorted (row, value) pairs of its nonzero entries; echelon rows and
-subspace bases are dicts from column to nonzero value.  Dense rows and
-vectors exist only at the boundaries: a dense input is scanned once for
-its nonzeros, and `col`, `dense_rows`, `apply`, `solve` and
-`Subspace.basis` hand out fresh dense copies.  Every sum of products
-(products, applications, row reductions, back-substitution) is one
-accumulation in the `scalars` kernel, reduced once per output entry.
+subspace bases are dicts from column to nonzero value.  Vectors go in
+as such dicts only: `Echelon.insert` and `contains`,
+`Subspace.from_vectors`, `solve_linear` and `solve_sparse` take nothing
+else.  Dense lists exist only at the boundaries: `from_rows` and the
+dense `solve` scan their input once for its nonzeros, and `col`,
+`dense_rows`, `solve`, `Subspace.basis` and `solve_linear`'s particular
+solution hand out fresh dense copies.  Every sum of products (products,
+applications, row reductions, back-substitution) is one accumulation in
+the `scalars` kernel, reduced once per output entry.
 Everything is exact.  Pivoting rules are fixed (the nonzero entry first
 in the column order) so repeated runs produce identical witnesses.
 """
@@ -81,17 +84,6 @@ class Matrix:
             for j, v in _nonzeros(row):
                 columns[j].append((i, v))
         return Matrix(len(rows), ncols, columns)
-
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
-        """From dense columns, all of length rows (by default the first
-        column's length)."""
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        for j, c in enumerate(cols):
-            if len(c) != rows:
-                raise DimensionMismatch(f"column {j} has length {len(c)}, not {rows}")
-        return Matrix(rows, len(cols), [_nonzeros(c) for c in cols])
 
     @staticmethod
     def from_sparse_cols(rows: int, cols: Sequence[dict]) -> "Matrix":
@@ -171,12 +163,6 @@ class Matrix:
             out.append(sorted(_settle(acc).items()))
         return Matrix(self.rows, self.cols, out)
 
-    def scale(self, s: Scalar) -> "Matrix":
-        if not s:
-            return Matrix.zero(self.rows, self.cols)
-        return Matrix(self.rows, self.cols,
-                      [[(i, s * v) for i, v in col] for col in self._columns])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
@@ -189,10 +175,6 @@ class Matrix:
                 _accumulate(acc, acols[k], b)
             out.append(sorted(_settle(acc).items()) if acc else [])
         return Matrix(self.rows, other.cols, out)
-
-    def apply(self, vec: Sequence[Scalar]) -> list:
-        """The product with a dense vector, as a dense list."""
-        return _dense(self.apply_sparse(_sparse(vec, self.cols)).items(), self.rows)
 
     def apply_sparse(self, vec: dict) -> dict:
         acc: dict = {}
@@ -228,16 +210,6 @@ def _dense(pairs, n: int) -> list:
     return out
 
 
-def _sparse(vec, n: int) -> dict:
-    """vec as a dict index -> nonzero value: a dict is taken as it is, a
-    dense sequence, which must have length n, is scanned once."""
-    if isinstance(vec, dict):
-        return vec
-    if len(vec) != n:
-        raise DimensionMismatch(f"vector length {len(vec)} vs {n} columns")
-    return dict(_nonzeros(vec))
-
-
 def _combination(terms, rows: int, cols: int) -> Matrix:
     """Σ c·M over the (c, M) pairs of terms, one kernel sum per entry."""
     accs: list = [{} for _ in range(cols)]
@@ -252,15 +224,15 @@ class Echelon:
     """Incremental reduced row echelon form: the one elimination loop of
     the package.
 
-    Rows are inserted in order, as dicts column -> value or as dense
-    sequences, and reduced rows are held as dicts.  A row's pivot is its
-    nonzero column first in the column order (a permutation of the
-    columns, identity by default); the row is scaled to a unit pivot and
-    its pivot column cleared from every other row, so the reduced rows
-    depend only on the span and the column order.  A `solvable`
-    factorisation also records each reduced row as a combination of the
-    input rows, which `solve` needs; solutions put free variables to zero,
-    which makes preimage choices canonical.
+    Rows are inserted in order as dicts column -> nonzero value, and
+    reduced rows are held as dicts.  A row's pivot is its nonzero column
+    first in the column order (a permutation of the columns, identity by
+    default); the row is scaled to a unit pivot and its pivot column
+    cleared from every other row, so the reduced rows depend only on the
+    span and the column order.  A `solvable` factorisation also records
+    each reduced row as a combination of the input rows, which `solve`
+    needs; solutions put free variables to zero, which makes preimage
+    choices canonical.
 
     Because every reduced row is zero in the other pivot columns, an
     incoming row's pivot-column entries are the coefficients of its whole
@@ -300,9 +272,8 @@ class Echelon:
             op = _settle(oacc)
         return _settle(acc), op
 
-    def insert(self, vec) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Add a row; True when the rank grew."""
-        vec = _sparse(vec, self.ncols)
         op = None
         if self.ops is not None:
             op = {self._nrows_in: ONE}
@@ -331,9 +302,9 @@ class Echelon:
             self.ops.append(op)
         return True
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         """True when vec lies in the span of the inserted rows."""
-        return not self._reduce(_sparse(vec, self.ncols), None)[0]
+        return not self._reduce(vec, None)[0]
 
     @property
     def rank(self) -> int:
@@ -403,8 +374,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable) -> "Subspace":
-        """The span of vectors, each a dict index -> value or a dense
-        sequence."""
+        """The span of vectors, each a dict index -> nonzero value."""
         ech = Echelon(Matrix.zero(0, ambient_dim))
         for v in vectors:
             ech.insert(v)
@@ -418,7 +388,7 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         return self._ech.contains(vec)
 
     def __eq__(self, other):
@@ -464,7 +434,7 @@ def _rank_image_kernel(t: Matrix):
 
 def solve_linear(constraints, unknown_dim: int):
     """Solve a list of (row, rhs Scalar) constraints exactly; a row is a
-    dict index -> value or a dense sequence of length unknown_dim.
+    dict index -> nonzero value over unknown_dim unknowns.
 
     Returns (particular solution as a dense list, solution Subspace).
     Raises Infeasible when the constraints contradict each other.
@@ -472,7 +442,7 @@ def solve_linear(constraints, unknown_dim: int):
     rows = []
     rhs = {}
     for i, (row, b) in enumerate(constraints):
-        rows.append(_sparse(row, unknown_dim))
+        rows.append(row)
         if b:
             rhs[i] = b
     if not rows:

@@ -23,7 +23,7 @@ from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
 from .linalg import BadProjections, Matrix
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
                      check, checks_in, failed, passed, skipped)
-from .scalars import ONE, Scalar
+from .scalars import ONE, rational
 
 
 @dataclass
@@ -435,7 +435,7 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
             size = rng.randint(1, min(4, len(g.morphisms)))
             members = sorted(rng.sample(range(len(g.morphisms)), size))
             lu = local_unit_for(model, members)
-            probe = {i: Scalar.from_int(rng.randint(1, 5)) for i in members}
+            probe = {i: rational(rng.randint(1, 5)) for i in members}
             for x in [{i: ONE} for i in members] + [probe]:
                 if mul(lu, x) != x or mul(x, lu) != x:
                     bad = f"exhibited local unit fails on sample {members}"

@@ -16,11 +16,11 @@ denominator d that is not kept reduced.  `_accumulate` adds c·c2·v for
 every (key, v) of an iterable, with integer arithmetic only, and
 `_settle` turns each entry into its canonical `Scalar` with one gcd,
 dropping the entries that cancel to zero.  `_sum_products` sums x·y
-per key, `_dot` is its single-entry form and `_sub_mul` the fused
-x − c·v.  Unit and integer coefficients (d = 1, b = 0) skip the
-Gaussian and denominator arithmetic, and a key that has received one
-term with a unit coefficient holds that term's own `Scalar`, which
-settles as it is; the path taken depends only on the operand values.
+per key and `_dot` is its single-entry form.  Unit and integer
+coefficients (d = 1, b = 0) skip the Gaussian and denominator
+arithmetic, and a key that has received one term with a unit
+coefficient holds that term's own `Scalar`, which settles as it is; the
+path taken depends only on the operand values.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class Scalar:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return rational(n)
 
     @staticmethod
     def parse(value) -> "Scalar":
@@ -362,17 +358,3 @@ def _sum_products(triples) -> dict:
 def _dot(pairs) -> "Scalar":
     """Σ x·y over the (x, y) pairs, reduced once."""
     return _sum_products((0, x, y) for x, y in pairs).get(0, ZERO)
-
-
-def _sub_mul(x: "Scalar", c: "Scalar", v: "Scalar") -> "Scalar":
-    """x − c·v, reduced once."""
-    ca, cb, va, vb = c._a, c._b, v._a, v._b
-    if cb == 0 and vb == 0:
-        pa = ca * va
-        pb = 0
-    else:
-        pa = ca * va - cb * vb
-        pb = ca * vb + cb * va
-    e = [x._a, x._b, x._d]
-    _merge(e, -pa, -pb, c._d * v._d)
-    return _reduce(*e)

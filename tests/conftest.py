@@ -30,9 +30,12 @@ def random_projection_pair(rng, t: Matrix):
     n = t.rows
     _, image, kernel = rank_image_kernel(t)
 
+    def random_vector():
+        return {i: v for i in range(n) if (v := random_scalar(rng))}
+
     def projection_onto(subspace_basis, along_random):
         span = Echelon(Matrix.zero(0, n))
-        cols = [list(b) for b in subspace_basis]
+        cols = list(subspace_basis)
         for b in cols:
             span.insert(b)
         extra = []
@@ -40,28 +43,28 @@ def random_projection_pair(rng, t: Matrix):
         while span.rank < n:
             guard += 1
             assert guard < 500, "complement search stalled"
-            v = [random_scalar(rng) for _ in range(n)]
+            v = random_vector()
             if span.insert(v):
                 extra.append(v)
-        basis = Matrix.from_cols(cols + extra)
+        basis = Matrix.from_sparse_cols(n, cols + extra)
         binv = invert(basis)
         sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(cols))})
         return basis * sel * binv
 
-    e = projection_onto(image.basis, rng)
+    e = projection_onto(image.rows, rng)
     # f projects onto a random complement of Ker(t) along Ker(t)
     span = Echelon(Matrix.zero(0, n))
-    for b in kernel.basis:
-        span.insert(list(b))
+    for b in kernel.rows:
+        span.insert(b)
     comp = []
     guard = 0
     while span.rank < n:
         guard += 1
         assert guard < 500
-        v = [random_scalar(rng) for _ in range(n)]
+        v = random_vector()
         if span.insert(v):
             comp.append(v)
-    basis = Matrix.from_cols(comp + [list(b) for b in kernel.basis])
+    basis = Matrix.from_sparse_cols(n, comp + kernel.rows)
     binv = invert(basis)
     sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(comp))})
     f = basis * sel * binv
@@ -79,14 +82,8 @@ def solve_geninv_by_constraints(t, e, f):
     constraints = []
     for i in range(n):
         for j in range(n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                row[i * n + k] = t[k][j]
-            constraints.append((row, f[i][j]))
-            row2 = [ZERO] * (n * n)
-            for k in range(n):
-                row2[i * n + k] = comp[k][j]
-            constraints.append((row2, ZERO))
+            constraints.append(({i * n + k: t[k][j] for k in range(n) if t[k][j]}, f[i][j]))
+            constraints.append(({i * n + k: comp[k][j] for k in range(n) if comp[k][j]}, ZERO))
     sol, space = solve_linear(constraints, n * n)
     assert space.dim == 0, "generalized inverse must be unique"
     return Matrix.from_rows([[sol[i * n + j] for j in range(n)] for i in range(n)])

@@ -98,7 +98,7 @@ def test_hopf_case_source_target_collapse_to_counit():
     st, checks = compute_source_target(c, e, gm, w, eps)
     all_pass(checks)
     for a in range(3):
-        assert st.eps_s[a].left == Matrix.identity(3).scale(eps[a])
+        assert st.eps_s[a].left == Matrix.from_entries(3, 3, {(i, i): eps[a] for i in range(3)})
 
 
 def test_regular_suite_and_flip_maps():

@@ -137,6 +137,17 @@ def test_lazy_windows_below_one_exit_two(command, windows, capsys):
     assert captured.err == f"input error: --windows must be at least 1, got {windows}\n"
 
 
+@pytest.mark.parametrize("name", ["pair:inf", "bundle:cyclic:1:inf"])
+def test_witnesses_refuses_lazy_input(name, capsys):
+    # a lazy run certifies windows and has no one witness set to print
+    assert main(["witnesses", "--preset", name, "--model", "function",
+                 "--windows", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: witnesses needs a finite input")
+    assert "wmha verify --windows K" in captured.err
+
+
 def test_witnesses_output(capsys):
     assert main(["witnesses", "--preset", "pair:2", "--model", "function"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -200,10 +211,18 @@ def test_classify_lazy(capsys):
 
 
 def test_explicit_groupoid_json_input(tmp_path):
-    from wmha.fileio import groupoid_to_json
-
-    g = preset("pair:2")
-    doc = {"groupoid": groupoid_to_json(g), "model": "convolution"}
+    # the pair groupoid on two objects: (i,j) runs from object j to object i
+    groupoid = {
+        "morphisms": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"],
+        "source": {"(0,0)": "(0,0)", "(0,1)": "(1,1)", "(1,0)": "(0,0)", "(1,1)": "(1,1)"},
+        "target": {"(0,0)": "(0,0)", "(0,1)": "(0,0)", "(1,0)": "(1,1)", "(1,1)": "(1,1)"},
+        "compose": [["(0,0)", "(0,0)", "(0,0)"], ["(0,0)", "(0,1)", "(0,1)"],
+                    ["(0,1)", "(1,0)", "(0,0)"], ["(0,1)", "(1,1)", "(0,1)"],
+                    ["(1,0)", "(0,0)", "(1,0)"], ["(1,0)", "(0,1)", "(1,1)"],
+                    ["(1,1)", "(1,0)", "(1,0)"], ["(1,1)", "(1,1)", "(1,1)"]],
+        "inverse": {"(0,0)": "(0,0)", "(0,1)": "(1,0)", "(1,0)": "(0,1)", "(1,1)": "(1,1)"},
+    }
+    doc = {"groupoid": groupoid, "model": "convolution"}
     path = write_doc(tmp_path, doc)
     report_path = tmp_path / "g.json"
     assert main(["verify", path, "--path", "both", "--report", str(report_path)]) == 0

@@ -156,7 +156,9 @@ def test_extend_delta_of_embedded_element_matches_coproduct():
     m, c = make("pair:2", "convolution")
     e = compute_E(c)
     for a in range(4):
-        ext = extend_delta(c, e, Multiplier.embed(m.algebra, {a: ONE}))
+        x = {a: ONE}
+        emb = Multiplier(m.algebra, m.algebra.mult_operator_left(x), m.algebra.mult_operator_right(x))
+        ext = extend_delta(c, e, emb)
         for x in range(16):
             xs = {x: ONE}
             assert dict(ext.left.col_sparse(x)) == c.delta_left(a, xs)
@@ -179,7 +181,9 @@ def test_extend_delta_pointwise_indicators():
     fiber = {idx[p]: ONE for p in g.morphisms if g.target[p] == unit}
     for vec, member in ((point, lambda p, q: g.compose[(p, q)] == unit),
                         (fiber, lambda p, q: g.target[p] == unit)):
-        ext = extend_delta(c, e, Multiplier.embed(m.algebra, vec))
+        emb = Multiplier(m.algebra, m.algebra.mult_operator_left(vec),
+                         m.algebra.mult_operator_right(vec))
+        ext = extend_delta(c, e, emb)
         for p in g.morphisms:
             for q in g.morphisms:
                 k = idx[p] * n + idx[q]
@@ -288,7 +292,7 @@ def test_extension_failures_name_the_tensor_square_column():
 
     def first_outside(ran):
         return next(x for x in range(c.nn)
-                    if not ran.contains([ONE if i == x else ZERO for i in range(c.nn)]))
+                    if not ran.contains({x: ONE}))
 
     for fake, want in (
             (CanonicalIdempotent(unit, 16, 16),

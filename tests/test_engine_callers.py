@@ -1,0 +1,76 @@
+"""Every engine callable has a caller outside the tests.
+
+A function or method defined in `src/wmha` that nothing in `src/` or
+`bench/` refers to is API that only the tests keep alive; it is deleted
+and the tests call the engine's own primitives instead.  A callable
+counts as used when an `ast.Name` or `ast.Attribute` in `src/wmha` or
+`bench/` carries its name, when a string constant in `bench/` names it
+by its dotted path (the per-layer trace wraps callables that way), or
+when it is exported in `wmha.__all__`.  Dunder methods are called by
+the language and are not scanned."""
+
+import ast
+from pathlib import Path
+
+import wmha
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wmha"
+BENCH = ROOT / "bench"
+
+
+def _trees(directory):
+    return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(directory.glob("*.py"))}
+
+
+def _definitions(module, tree):
+    """(dotted name, simple name) of every function and method in tree,
+    nested ones included, dotted as module.Class.function."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((f"{prefix}.{child.name}", child.name))
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _referenced_names(trees):
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _dotted_strings(trees):
+    return {node.value for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "." in node.value}
+
+
+def test_every_engine_callable_has_a_caller_outside_the_tests():
+    src = _trees(SRC)
+    bench = _trees(BENCH)
+    referenced = _referenced_names([*src.values(), *bench.values()])
+    dotted = _dotted_strings(bench.values())
+    exported = set(wmha.__all__)
+    unused = sorted(
+        dotted_name
+        for path, tree in src.items()
+        for dotted_name, name in _definitions(path.stem, tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in referenced and dotted_name not in dotted
+        and name not in exported)
+    assert not unused, "engine callables with no caller in src/ or bench/: " + ", ".join(unused)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmha.cli import main
-from wmha.fileio import (ShapeError, algebra_from_json, groupoid_to_json, model_to_document,
+from wmha.fileio import (ShapeError, algebra_from_json, model_to_document,
                          sparse_matrix_from_json)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.scalars import ONE, ZERO
@@ -51,6 +51,11 @@ def _unlabelled(dim):
     return doc
 
 
+# the one-morphism groupoid pair:1 as an explicit document
+PAIR1 = {"morphisms": ["(0,0)"], "source": {"(0,0)": "(0,0)"}, "target": {"(0,0)": "(0,0)"},
+         "compose": [["(0,0)", "(0,0)", "(0,0)"]], "inverse": {"(0,0)": "(0,0)"}}
+
+
 MALFORMED = {
     "dim-overflow": '{"algebra": {"dim": 1e400}}',
     "dim-float": _unlabelled(2.5),
@@ -74,7 +79,7 @@ MALFORMED = {
     "structure-float": _with(("algebra", "structure"), [[0, 0, 0, 1.0, "0"]]),
     "counit-float-part": _with(("counit",), [{"re": 0.5}]),
     "star-string": _with(("star",), "J"),
-    "groupoid-source-list": {"groupoid": dict(groupoid_to_json(preset("pair:1")), source=[]),
+    "groupoid-source-list": {"groupoid": dict(PAIR1, source=[]),
                              "model": "function"},
 }
 
@@ -112,7 +117,7 @@ def test_composition_of_undeclared_morphisms_fails_the_axioms():
 SEEDS = [
     small_structure(),
     model_to_document(function_algebra(preset("group:cyclic:2")), with_witnesses=True),
-    {"groupoid": groupoid_to_json(preset("pair:1")), "model": "convolution"},
+    {"groupoid": PAIR1, "model": "convolution"},
     {"groupoid": {"preset": "pair:1"}, "model": "function"},
 ]
 

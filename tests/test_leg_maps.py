@@ -10,7 +10,7 @@ from wmha.coproducts import (CanonicalIdempotent, CoproductData, IllDefinedExten
                              _extended_leg_columns, _lbl3, check_E_conditions, compute_E)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
-from wmha.scalars import ONE, ZERO, Scalar, rational
+from wmha.scalars import ONE, ZERO, rational
 
 
 def reference_leg_action(c, e, first_leg, x, alt=False):
@@ -47,7 +47,7 @@ def reference_leg_action(c, e, first_leg, x, alt=False):
             for idx, v in terms:
                 p, cd = divmod(idx, nn)
                 coeff = cf * v
-                col = c.aa.flatten(p, uu) if first_leg else c.aa.flatten(uu, p)
+                col = p * n + uu if first_leg else uu * n + p
                 for fg, w2 in e.left.col_sparse(col):
                     f, g = divmod(fg, n)
                     if first_leg:
@@ -74,8 +74,7 @@ def conjugated(model, p):
             prod = model.algebra.mul_sparse(
                 {k: v for k, v in enumerate(p.col(i)) if v},
                 {k: v for k, v in enumerate(p.col(j)) if v})
-            vec = pinv.apply([prod.get(k, ZERO) for k in range(n)])
-            entries.extend((i, j, k, v) for k, v in enumerate(vec) if v)
+            entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
     q = p.kron(p)
     qinv = invert(q)
     return CoproductData(Algebra.from_structure(n, None, entries),
@@ -127,7 +126,7 @@ def test_broken_idempotents_raise_the_per_vector_message():
     c = CoproductData(m.algebra, m.t1, m.t2)
     e = compute_E(c)
     rng = random.Random(2)
-    r = Matrix.from_rows([[Scalar.from_int(rng.randint(-1, 1)) for _ in range(16)]
+    r = Matrix.from_rows([[rational(rng.randint(-1, 1)) for _ in range(16)]
                           for _ in range(16)])
     broken = {
         # leaves Ran(T1): no psi preimage

@@ -205,10 +205,7 @@ def _conjugated_run(name, complex_entries):
             prod = m.algebra.mul_sparse(
                 {k: v for k, v in enumerate(p.col(i)) if v},
                 {k: v for k, v in enumerate(p.col(j)) if v})
-            vec = pinv.apply([prod.get(k, ZERO) for k in range(n)])
-            for k, v in enumerate(vec):
-                if v:
-                    entries.append((i, j, k, v))
+            entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
     conj = Algebra.from_structure(n, None, entries)
     if complex_entries:
         assert any(v.im for _, _, _, v in conj.structure_entries()), \

@@ -7,12 +7,16 @@ the verification suites affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (Echelon, Matrix, Subspace,
                      solve_linear, Infeasible, DimensionMismatch)
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
+
+
+# the canonical maps are dim^2 x dim^2 and the checks walk every basis
+# triple and quadruple: a larger dim could not finish
+MAX_DIM = 32
 
 
 class ParentMismatch(Exception):
@@ -279,14 +283,16 @@ class Multiplier:
         return f"Multiplier(dim={self.parent.dim})"
 
 
-@dataclass
 class AlgebraDiagnostics:
-    associative: bool
-    associativity_witness: Optional[Tuple[int, int, int]]
-    nondegenerate: bool
-    degeneracy_witness: Optional[str]
-    idempotent: bool
-    unit: Optional[SparseVec]
+    def __init__(self, associative: bool, associativity_witness: Optional[Tuple[int, int, int]],
+                 nondegenerate: bool, degeneracy_witness: Optional[str],
+                 idempotent: bool, unit: Optional[SparseVec]):
+        self.associative = associative
+        self.associativity_witness = associativity_witness
+        self.nondegenerate = nondegenerate
+        self.degeneracy_witness = degeneracy_witness
+        self.idempotent = idempotent
+        self.unit = unit
 
     @property
     def ok(self) -> bool:
@@ -356,11 +362,12 @@ def flip_map(dim: int) -> Matrix:
     return Matrix.permutation([j * dim + i for i in range(dim) for j in range(dim)])
 
 
-@dataclass
 class StarStructure:
     """Conjugate-linear involution: (sum c_i e_i)* = sum conj(c_i) J e_i."""
-    parent: Algebra
-    star_matrix: Matrix
+
+    def __init__(self, parent: Algebra, star_matrix: Matrix):
+        self.parent = parent
+        self.star_matrix = star_matrix
 
 
 def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
@@ -369,11 +376,12 @@ def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
     return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
 
-@dataclass
 class StarDiagnostics:
-    involutive: bool
-    anti_multiplicative: bool
-    witness: Optional[str] = None
+    def __init__(self, involutive: bool, anti_multiplicative: bool,
+                 witness: Optional[str] = None):
+        self.involutive = involutive
+        self.anti_multiplicative = anti_multiplicative
+        self.witness = witness
 
     @property
     def ok(self):

@@ -9,7 +9,6 @@ identities and the flipped-E identity suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -69,16 +68,17 @@ def build_generalized_inverses(c: CoproductData, e: CanonicalIdempotent,
 # ---------------------------------------------------------------- antipode
 
 
-@dataclass
 class AntipodeWitness:
-    r1: Matrix
-    r2: Matrix
-    s_left: List[Matrix]       # S1(e_a) as left-multiplier matrices
-    s_right: List[Matrix]      # S2(e_a) as right-multiplier matrices
-    s_matrix: Optional[Matrix]  # present when S maps A into A
-    s_matrix_inv: Optional[Matrix] = None
-    # name -> (input objects, value) of what is derived from this witness
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, r1: Matrix, r2: Matrix, s_left: List[Matrix], s_right: List[Matrix],
+                 s_matrix: Optional[Matrix], s_matrix_inv: Optional[Matrix] = None):
+        self.r1 = r1
+        self.r2 = r2
+        self.s_left = s_left            # S1(e_a) as left-multiplier matrices
+        self.s_right = s_right          # S2(e_a) as right-multiplier matrices
+        self.s_matrix = s_matrix        # present when S maps A into A
+        self.s_matrix_inv = s_matrix_inv
+        # name -> (input objects, value) of what is derived from this witness
+        self._memo: dict = {}
 
     @property
     def not_regular(self) -> Optional[str]:
@@ -299,12 +299,13 @@ def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multi
 # ------------------------------------------------- source and target maps
 
 
-@dataclass
 class SourceTargetWitness:
-    eps_s: List[Multiplier]
-    eps_t: List[Multiplier]
-    image_s: Subspace
-    image_t: Subspace
+    def __init__(self, eps_s: List[Multiplier], eps_t: List[Multiplier],
+                 image_s: Subspace, image_t: Subspace):
+        self.eps_s = eps_s
+        self.eps_t = eps_t
+        self.image_s = image_s
+        self.image_t = image_t
 
 
 def compute_source_target(c: CoproductData, e: CanonicalIdempotent,

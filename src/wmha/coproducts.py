@@ -11,7 +11,6 @@ the kernels of T1/T2, and checks the kernel axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -442,11 +441,11 @@ def solve_counit(c: CoproductData) -> list:
 # ---- canonical idempotent -------------------------------------------------
 
 
-@dataclass
 class CanonicalIdempotent:
-    multiplier: Multiplier          # over the tensor square
-    left_rank: int
-    right_rank: int
+    def __init__(self, multiplier: Multiplier, left_rank: int, right_rank: int):
+        self.multiplier = multiplier    # over the tensor square
+        self.left_rank = left_rank
+        self.right_rank = right_rank
 
     @property
     def left(self) -> Matrix:
@@ -745,10 +744,10 @@ def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckRe
 # ---- projection maps G1 / G2 ------------------------------------------------
 
 
-@dataclass
 class ProjectionMaps:
-    g1: Matrix
-    g2: Matrix
+    def __init__(self, g1: Matrix, g2: Matrix):
+        self.g1 = g1
+        self.g2 = g2
 
 
 def solve_G_maps(c: CoproductData, e: CanonicalIdempotent) -> ProjectionMaps:

@@ -13,21 +13,16 @@ or a plain rational string; matrices are sparse entry lists
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .algebras import Algebra, StarStructure, sparse_to_vec
+from .algebras import MAX_DIM, Algebra, StarStructure, sparse_to_vec
 from .antipodes import _f_actions
-from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset)
+from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset,
+                        refuse_oversize)
 from .linalg import Matrix
 from .pipeline import StructureInput
 from .report import digest_of
 from .scalars import Scalar
-
-
-# the canonical maps are dim^2 x dim^2 and the checks walk every basis
-# triple and quadruple: a larger dim could not finish
-MAX_DIM = 32
 
 
 class ParseError(Exception):
@@ -135,13 +130,15 @@ def algebra_from_json(doc: dict) -> Algebra:
     return Algebra.from_structure(dim, labels, [(*ijk, v) for ijk, v in entries.items()])
 
 
-@dataclass
 class InputDocument:
-    kind: str                       # "structure" | "groupoid"
-    structure: Optional[StructureInput] = None
-    groupoid: Optional[Union[FiniteGroupoid, LazyGroupoid]] = None
-    model: Optional[str] = None
-    digest: str = ""
+    def __init__(self, kind: str, structure: Optional[StructureInput] = None,
+                 groupoid: Optional[Union[FiniteGroupoid, LazyGroupoid]] = None,
+                 model: Optional[str] = None, digest: str = ""):
+        self.kind = kind                # "structure" | "groupoid"
+        self.structure = structure
+        self.groupoid = groupoid
+        self.model = model
+        self.digest = digest
 
 
 def parse_document(doc: dict) -> InputDocument:
@@ -202,6 +199,7 @@ def groupoid_from_json(doc: dict) -> FiniteGroupoid:
         inverse = {str(k): str(v) for k, v in doc["inverse"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed groupoid section: {exc}") from exc
+    refuse_oversize("groupoid", len(morphisms))
     return FiniteGroupoid(morphisms, source, target, compose, inverse)
 
 

@@ -9,11 +9,10 @@ reproduce exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .algebras import Algebra, SparseVec
+from .algebras import MAX_DIM, Algebra, SparseVec
 from .linalg import Matrix
 from .scalars import ONE, ZERO
 
@@ -30,13 +29,14 @@ class WindowInvalid(Exception):
     pass
 
 
-@dataclass
 class FiniteGroupoid:
-    morphisms: List[str]
-    source: Dict[str, str]
-    target: Dict[str, str]
-    compose: Dict[Tuple[str, str], str]
-    inverse: Dict[str, str]
+    def __init__(self, morphisms: List[str], source: Dict[str, str], target: Dict[str, str],
+                 compose: Dict[Tuple[str, str], str], inverse: Dict[str, str]):
+        self.morphisms = morphisms
+        self.source = source
+        self.target = target
+        self.compose = compose
+        self.inverse = inverse
 
     @property
     def units(self) -> List[str]:
@@ -49,16 +49,9 @@ class FiniteGroupoid:
         return self.source[p] == self.target[q]
 
 
-@dataclass
-class GroupoidDiagnostics:
-    violations: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_groupoid(g: FiniteGroupoid) -> GroupoidDiagnostics:
+def validate_groupoid(g: FiniteGroupoid) -> List[str]:
+    """The violated groupoid axioms, one line each; empty when g is a
+    groupoid."""
     bad: List[str] = []
     mset = set(g.morphisms)
     for p in g.morphisms:
@@ -71,7 +64,7 @@ def validate_groupoid(g: FiniteGroupoid) -> GroupoidDiagnostics:
         if p not in mset or q not in mset:
             bad.append(f"compose({p},{q}) defined on a non-morphism")
     if bad:
-        return GroupoidDiagnostics(bad)
+        return bad
 
     units = set(g.units)
     for p in g.morphisms:
@@ -115,15 +108,17 @@ def validate_groupoid(g: FiniteGroupoid) -> GroupoidDiagnostics:
                 qr = g.compose[(q, r)]
                 if g.compose.get((pq, r)) != g.compose.get((p, qr)):
                     bad.append(f"associativity fails at ({p},{q},{r})")
-    return GroupoidDiagnostics(bad)
+    return bad
 
 
-@dataclass
 class LazyGroupoid:
     """Infinite groupoid presented through nested finite windows."""
-    name: str
-    window_fn: Callable[[int], FiniteGroupoid]
-    units_infinite: bool = True
+
+    def __init__(self, name: str, window_fn: Callable[[int], FiniteGroupoid],
+                 units_infinite: bool = True):
+        self.name = name
+        self.window_fn = window_fn
+        self.units_infinite = units_infinite
 
     def window(self, k: int) -> FiniteGroupoid:
         if k < 0:
@@ -179,6 +174,15 @@ def cyclic_bundle(n: int, copies: int) -> FiniteGroupoid:
     return disjoint_union([cyclic_group_groupoid(n, unit_tag=f"u{c}") for c in range(copies)])
 
 
+def refuse_oversize(what: str, morphisms: int) -> None:
+    """The model algebras have one basis element per morphism, so a
+    groupoid above MAX_DIM morphisms is refused before it is built or
+    validated."""
+    if morphisms > MAX_DIM:
+        raise BadParameter(f"{what} has {morphisms} morphisms, "
+                           f"above the supported maximum {MAX_DIM}")
+
+
 def preset(name: str):
     """Construct a named groupoid.  Finite presets are validated.
 
@@ -195,17 +199,20 @@ def preset(name: str):
             n = int(parts[1])
             if n <= 0:
                 raise BadParameter("pair:N needs N >= 1")
+            refuse_oversize(name, n * n)
             g = pair_groupoid(n)
         elif parts[0] == "group" and len(parts) == 3 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
                 raise BadParameter("group:cyclic:N needs N >= 1")
+            refuse_oversize(name, n)
             g = cyclic_group_groupoid(n)
         elif parts[0] == "bundle" and len(parts) == 4 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
                 raise BadParameter("bundle:cyclic:N:K needs N >= 1")
             if parts[3] == "inf":
+                refuse_oversize(f"{name} window 1", n)
                 lazy = LazyGroupoid(f"bundle:cyclic:{n}:inf",
                                     lambda k: cyclic_bundle(n, k))
                 _sanity_check_windows(lazy)
@@ -213,51 +220,55 @@ def preset(name: str):
             copies = int(parts[3])
             if copies <= 0:
                 raise BadParameter("bundle:cyclic:N:K needs K >= 1")
+            refuse_oversize(name, n * copies)
             g = cyclic_bundle(n, copies)
         elif parts[0] == "union":
             rest = name[len("union:"):]
             members = [preset(p) for p in rest.split("+")]
             if any(isinstance(m, LazyGroupoid) for m in members):
                 raise BadParameter("union members must be finite presets")
+            refuse_oversize(name, sum(len(m.morphisms) for m in members))
             g = disjoint_union(members)
         else:
             raise UnknownPreset(name)
     except ValueError as exc:
         raise BadParameter(f"bad number in preset {name!r}") from exc
-    diag = validate_groupoid(g)
-    if not diag.ok:
-        raise BadParameter(f"preset {name!r} fails groupoid axioms: {diag.violations[:2]}")
+    violations = validate_groupoid(g)
+    if violations:
+        raise BadParameter(f"preset {name!r} fails groupoid axioms: {violations[:2]}")
     return g
 
 
 def _sanity_check_windows(lazy: LazyGroupoid, upto: int = 2) -> None:
     for k in range(1, upto + 1):
-        diag = validate_groupoid(lazy.window(k))
-        if not diag.ok:
-            raise WindowInvalid(f"{lazy.name} window {k}: {diag.violations[0]}")
+        violations = validate_groupoid(lazy.window(k))
+        if violations:
+            raise WindowInvalid(f"{lazy.name} window {k}: {violations[0]}")
         small = set(lazy.window(k - 1).morphisms) if k > 1 else set()
         if not small <= set(lazy.window(k).morphisms):
             raise WindowInvalid(f"{lazy.name} windows {k - 1} and {k} are not nested")
 
 
-@dataclass
 class GroupoidModel:
     """A model algebra plus coproduct data and oracle witnesses."""
-    groupoid: FiniteGroupoid
-    kind: str                      # "function" | "convolution"
-    algebra: Algebra
-    t1: Matrix
-    t2: Matrix
-    t3: Matrix
-    t4: Matrix
-    star_matrix: Matrix
-    oracle_counit: list
-    oracle_s: Matrix
-    oracle_e_left: Matrix
-    oracle_e_right: Matrix
-    oracle_g1: Matrix
-    oracle_g2: Matrix
-    oracle_unit: Optional[SparseVec]
+
+    def __init__(self, groupoid: FiniteGroupoid, kind: str, algebra: Algebra,
+                 t1: Matrix, t2: Matrix, t3: Matrix, t4: Matrix, star_matrix: Matrix,
+                 oracle_counit: list, oracle_s: Matrix,
+                 oracle_e_left: Matrix, oracle_e_right: Matrix,
+                 oracle_g1: Matrix, oracle_g2: Matrix, oracle_unit: Optional[SparseVec]):
+        self.groupoid = groupoid
+        self.kind = kind                # "function" | "convolution"
+        self.algebra = algebra
+        self.t1, self.t2, self.t3, self.t4 = t1, t2, t3, t4
+        self.star_matrix = star_matrix
+        self.oracle_counit = oracle_counit
+        self.oracle_s = oracle_s
+        self.oracle_e_left = oracle_e_left
+        self.oracle_e_right = oracle_e_right
+        self.oracle_g1 = oracle_g1
+        self.oracle_g2 = oracle_g2
+        self.oracle_unit = oracle_unit
 
 
 def _indicator_diag(g: FiniteGroupoid, pred) -> Matrix:
@@ -345,12 +356,13 @@ def build_model(g: FiniteGroupoid, kind: str) -> GroupoidModel:
     raise BadParameter(f"unknown model kind {kind!r}")
 
 
-@dataclass
 class PairingDiagnostics:
-    product_vs_coproduct: bool
-    coproduct_vs_product: bool
-    antipode_compatible: bool
-    witness: Optional[str] = None
+    def __init__(self, product_vs_coproduct: bool, coproduct_vs_product: bool,
+                 antipode_compatible: bool, witness: Optional[str] = None):
+        self.product_vs_coproduct = product_vs_coproduct
+        self.coproduct_vs_product = coproduct_vs_product
+        self.antipode_compatible = antipode_compatible
+        self.witness = witness
 
     @property
     def ok(self):

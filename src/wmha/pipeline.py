@@ -10,7 +10,6 @@ run and must then agree on E and S.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import antipodes as ant
@@ -19,41 +18,53 @@ from .algebras import Algebra, SparseVec, StarStructure, validate_algebra
 from .coproducts import CanonicalIdempotent, CoproductData, ProjectionMaps, RunCache
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         build_model, check_duality_pairing, local_unit_for,
-                        validate_groupoid)
+                        refuse_oversize, validate_groupoid)
 from .linalg import BadProjections, Matrix
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
                      check, checks_in, failed, passed, skipped)
-from .scalars import ONE, rational
+from .scalars import ONE, _dot, rational
 
 
-@dataclass
 class RunContext:
     """Everything the pipeline computed, for witness output and tests."""
-    algebra: Algebra
-    coproduct: Optional[CoproductData] = None
-    unit: Optional[SparseVec] = None
-    counit: Optional[list] = None
-    e: Optional[CanonicalIdempotent] = None
-    g: Optional[ProjectionMaps] = None
-    antipode: Optional[ant.AntipodeWitness] = None
-    source_target: Optional[ant.SourceTargetWitness] = None
-    t3: Optional[Matrix] = None
-    t4: Optional[Matrix] = None
-    thm29_antipode: Optional[ant.AntipodeWitness] = None
-    thm29_e: Optional[CanonicalIdempotent] = None
+
+    def __init__(self, algebra: Algebra, coproduct: Optional[CoproductData] = None,
+                 unit: Optional[SparseVec] = None, counit: Optional[list] = None,
+                 e: Optional[CanonicalIdempotent] = None, g: Optional[ProjectionMaps] = None,
+                 antipode: Optional[ant.AntipodeWitness] = None,
+                 source_target: Optional[ant.SourceTargetWitness] = None,
+                 t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
+                 thm29_antipode: Optional[ant.AntipodeWitness] = None,
+                 thm29_e: Optional[CanonicalIdempotent] = None):
+        self.algebra = algebra
+        self.coproduct = coproduct
+        self.unit = unit
+        self.counit = counit
+        self.e = e
+        self.g = g
+        self.antipode = antipode
+        self.source_target = source_target
+        self.t3 = t3
+        self.t4 = t4
+        self.thm29_antipode = thm29_antipode
+        self.thm29_e = thm29_e
 
 
-@dataclass
 class StructureInput:
-    algebra: Algebra
-    t1: Matrix
-    t2: Matrix
-    t3: Optional[Matrix] = None
-    t4: Optional[Matrix] = None
-    star: Optional[StarStructure] = None
-    counit: Optional[list] = None
-    antipode: Optional[Matrix] = None
-    e_pair: Optional[Tuple[Matrix, Matrix]] = None
+    def __init__(self, algebra: Algebra, t1: Matrix, t2: Matrix,
+                 t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
+                 star: Optional[StarStructure] = None, counit: Optional[list] = None,
+                 antipode: Optional[Matrix] = None,
+                 e_pair: Optional[Tuple[Matrix, Matrix]] = None):
+        self.algebra = algebra
+        self.t1 = t1
+        self.t2 = t2
+        self.t3 = t3
+        self.t4 = t4
+        self.star = star
+        self.counit = counit
+        self.antipode = antipode
+        self.e_pair = e_pair
 
 
 def verify_structure(inp: StructureInput, path: str = "def114",
@@ -354,8 +365,10 @@ def _classification(ctx, report) -> Dict[str, object]:
     else:
         weak_hopf = verdict_pass and regular and unital
     cls["weak_hopf"] = weak_hopf
+    # a Hopf algebra needs eps(1) = 1; E = 1 (x) 1 implies it unless 1 = 0
     cls["hopf"] = weak_hopf and e is not None and \
-        e.left == Matrix.identity(ctx.algebra.dim ** 2)
+        e.left == Matrix.identity(ctx.algebra.dim ** 2) and \
+        _dot((v, ctx.counit[i]) for i, v in ctx.unit.items()) == ONE
     return cls
 
 
@@ -364,13 +377,12 @@ def _classification(ctx, report) -> Dict[str, object]:
 
 def verify_groupoid_model(g: FiniteGroupoid, kind: str, path: str = "def114",
                           with_pairing: bool = True) -> Tuple[VerificationReport, RunContext]:
-    gdiag = validate_groupoid(g)
-    if not gdiag.ok:
+    violations = validate_groupoid(g)
+    if violations:
         # the model builders assume the axioms; report and stop
         report = VerificationReport()
         report.add(check("groupoid-axioms", False, "",
-                         "; ".join(gdiag.violations[:3])))
-        from .algebras import Algebra
+                         "; ".join(violations[:3])))
         return report, RunContext(algebra=Algebra(0, []))
     model = build_model(g, kind)
     inp = StructureInput(model.algebra, model.t1, model.t2, model.t3, model.t4,
@@ -392,15 +404,20 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
     """Exhaustive verification of nested finite windows, plus the
     infinite-model certificates: witness restriction across windows,
     non-unitality of the full algebra, and sampled local units."""
+    # windows are nested, so the first one above MAX_DIM dooms the last;
+    # building them from window 1 up stops before any larger one is built
+    windows = []
+    for k in range(1, k_max + 1):
+        windows.append(lazy.window(k))
+        refuse_oversize(f"{lazy.name} window {k}", len(windows[-1].morphisms))
     report = VerificationReport(seed=seed)
     contexts: Dict[int, RunContext] = {}
     unit_sizes: List[int] = []
-    for k in range(1, k_max + 1):
-        g = lazy.window(k)
-        gdiag = validate_groupoid(g)
-        if not gdiag.ok:
+    for k, g in enumerate(windows, 1):
+        violations = validate_groupoid(g)
+        if violations:
             report.add(failed("groupoid-axioms",
-                              f"window {k}: {gdiag.violations[0]}"))
+                              f"window {k}: {violations[0]}"))
             continue
         sub_report, ctx = verify_groupoid_model(g, kind, path="def114",
                                                 with_pairing=(k == k_max))
@@ -428,7 +445,7 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
     rng = random.Random(seed)
     bad = None
     if k_max >= 1:
-        g = lazy.window(k_max)
+        g = windows[-1]
         model = build_model(g, kind)
         mul = model.algebra.mul_sparse
         for _ in range(5):

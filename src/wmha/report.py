@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 TOOL_VERSION = "wmha 0.1.0"
@@ -114,23 +113,23 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    status: str
-    detail: str = ""
-    counterexample: Optional[str] = None
-    witness_refs: List[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.check_id not in REGISTRY_ANCHORS:
-            raise KeyError(f"check id {self.check_id!r} not in registry")
-        if self.status not in (PASS, FAIL, SKIP):
-            raise ValueError(f"bad status {self.status!r}")
+    def __init__(self, check_id: str, status: str, detail: str = "",
+                 counterexample: Optional[str] = None,
+                 witness_refs: Optional[List[str]] = None):
+        if check_id not in REGISTRY_ANCHORS:
+            raise KeyError(f"check id {check_id!r} not in registry")
+        if status not in (PASS, FAIL, SKIP):
+            raise ValueError(f"bad status {status!r}")
+        self.check_id = check_id
+        self.status = status
+        self.detail = detail
+        self.counterexample = counterexample
+        self.witness_refs = [] if witness_refs is None else witness_refs
 
 
 def passed(check_id, detail="", witness_refs=None) -> CheckResult:
-    return CheckResult(check_id, PASS, detail, None, witness_refs or [])
+    return CheckResult(check_id, PASS, detail, None, witness_refs)
 
 
 def failed(check_id, detail="", counterexample=None) -> CheckResult:
@@ -147,14 +146,17 @@ def check(check_id, ok: bool, detail_pass="", detail_fail="", counterexample=Non
     return failed(check_id, detail_fail or detail_pass, counterexample)
 
 
-@dataclass
 class VerificationReport:
-    tool_version: str = TOOL_VERSION
-    input_digest: str = ""
-    seed: Optional[int] = None
-    checks: List[CheckResult] = field(default_factory=list)
-    witnesses: Dict[str, object] = field(default_factory=dict)
-    classification: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, tool_version: str = TOOL_VERSION, input_digest: str = "",
+                 seed: Optional[int] = None, checks: Optional[List[CheckResult]] = None,
+                 witnesses: Optional[Dict[str, object]] = None,
+                 classification: Optional[Dict[str, object]] = None):
+        self.tool_version = tool_version
+        self.input_digest = input_digest
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.witnesses = {} if witnesses is None else witnesses
+        self.classification = {} if classification is None else classification
 
     def add(self, result: CheckResult) -> CheckResult:
         self.checks.append(result)

@@ -137,6 +137,41 @@ def test_lazy_windows_below_one_exit_two(command, windows, capsys):
     assert captured.err == f"input error: --windows must be at least 1, got {windows}\n"
 
 
+# each is refused before its groupoid is validated or its model built;
+# pair:1000000 alone would otherwise build 10^18 composites
+@pytest.mark.parametrize("argv, what, morphisms", [
+    (["--preset", "pair:7"], "pair:7", 49),
+    (["--preset", "pair:1000000"], "pair:1000000", 10 ** 12),
+    (["--preset", "group:cyclic:33"], "group:cyclic:33", 33),
+    (["--preset", "bundle:cyclic:3:11"], "bundle:cyclic:3:11", 33),
+    (["--preset", "union:pair:4+pair:5"], "union:pair:4+pair:5", 41),
+    (["--preset", "bundle:cyclic:100000:inf"], "bundle:cyclic:100000:inf window 1", 100000),
+    (["--preset", "pair:inf", "--windows", "6"], "pair:inf window 6", 36),
+    (["--preset", "pair:inf", "--windows", "1000000"], "pair:inf window 6", 36),
+    (["--preset", "bundle:cyclic:2:inf", "--windows", "17"], "bundle:cyclic:2:inf window 17", 34),
+])
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_oversize_groupoids_exit_two(command, argv, what, morphisms, capsys):
+    assert main([command, *argv, "--model", "convolution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: {what} has {morphisms} morphisms, "
+                            "above the supported maximum 32\n")
+
+
+def test_oversize_groupoid_document_exits_two(tmp_path, capsys):
+    # 33 units: a valid groupoid, one morphism above the maximum
+    units = [f"u{i}" for i in range(33)]
+    doc = {"groupoid": {"morphisms": units, "source": {u: u for u in units},
+                        "target": {u: u for u in units},
+                        "compose": [[u, u, u] for u in units],
+                        "inverse": {u: u for u in units}},
+           "model": "function"}
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("input error: groupoid has 33 morphisms, "
+                                       "above the supported maximum 32\n")
+
+
 @pytest.mark.parametrize("name", ["pair:inf", "bundle:cyclic:1:inf"])
 def test_witnesses_refuses_lazy_input(name, capsys):
     # a lazy run certifies windows and has no one witness set to print
@@ -201,6 +236,14 @@ def test_classify_lines(capsys):
     assert main(["classify", "--preset", "group:cyclic:3", "--model", "convolution"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.endswith("hopf ✓")
+
+
+def test_classify_zero_algebra_is_not_hopf(tmp_path, capsys):
+    # 1 = 0 in the zero algebra, so eps(1) = 1 fails although E = 1 (x) 1
+    doc = {"algebra": {"dim": 0, "structure": []}, "coproduct": {"T1": [], "T2": []}}
+    assert main(["classify", write_doc(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "wmha ✓, regular ✓, star -, weak_hopf ✓, hopf ✗"
 
 
 def test_classify_lazy(capsys):

@@ -84,10 +84,11 @@ def _detail(report, check_id):
 
 def test_oracle_unit_mismatch_is_reported():
     # the function model of pair:2 against the convolution model's unit
-    import dataclasses
+    import copy
 
     fun = function_algebra(preset("pair:2"))
-    oracle = dataclasses.replace(fun, oracle_unit=convolution_model().oracle_unit)
+    oracle = copy.copy(fun)
+    oracle.oracle_unit = convolution_model().oracle_unit
     inp = StructureInput(fun.algebra, fun.t1, fun.t2, fun.t3, fun.t4)
     report, ctx = verify_structure(inp, path="def114", oracle=oracle)
     assert report.status_of("oracle-witnesses") == FAIL

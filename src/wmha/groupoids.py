@@ -240,12 +240,12 @@ def preset(name: str):
 
 
 def _sanity_check_windows(lazy: LazyGroupoid, upto: int = 2) -> None:
-    for k in range(1, upto + 1):
-        violations = validate_groupoid(lazy.window(k))
+    windows = [lazy.window(k) for k in range(1, upto + 1)]
+    for k, g in enumerate(windows, 1):
+        violations = validate_groupoid(g)
         if violations:
             raise WindowInvalid(f"{lazy.name} window {k}: {violations[0]}")
-        small = set(lazy.window(k - 1).morphisms) if k > 1 else set()
-        if not small <= set(lazy.window(k).morphisms):
+        if k > 1 and not set(windows[k - 2].morphisms) <= set(g.morphisms):
             raise WindowInvalid(f"{lazy.name} windows {k - 1} and {k} are not nested")
 
 

@@ -68,14 +68,68 @@ class StructureInput:
 
 
 def verify_structure(inp: StructureInput, path: str = "def114",
-                     oracle: Optional[GroupoidModel] = None,
-                     recurse: bool = True,
-                     cache: Optional[RunCache] = None) -> Tuple[VerificationReport, RunContext]:
-    """Run the checks on inp.  A top-level call (cache None) starts a
-    fresh RunCache; the nested opposite-presentation run shares its
-    caller's."""
+                     oracle: Optional[GroupoidModel] = None) -> Tuple[VerificationReport, RunContext]:
+    """Run the checks on inp with a fresh RunCache: the presentation core,
+    then the checks that read more of the input than the presentation."""
+    axiom = path in ("def114", "both")
+    core, ctx, stop = _verify_presentation(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4,
+                                           axiom, RunCache())
+    # core stays the presentation's alone: the round trip may read it
+    report = VerificationReport(checks=list(core.checks))
+
+    star_ok = None
+    if inp.star is not None:
+        from .algebras import validate_star
+        sdiag = validate_star(inp.star, inp.algebra)
+        star_ok = sdiag.ok
+        report.add(check("star-structure", sdiag.ok,
+                         "star is involutive and anti-multiplicative",
+                         sdiag.witness or "star fails involutivity"))
+    c = ctx.coproduct
+    if c is None:
+        report.classification = _classification(ctx, report)
+        return report, ctx
+
+    if ctx.counit is not None and inp.counit is not None:
+        report.add(check("counit-matches-input", inp.counit == ctx.counit,
+                         "supplied counit equals the solved one",
+                         "supplied counit differs from the solved one"))
+    if axiom:
+        # a non-regular antipode stops the path after the star checks
+        if inp.star is not None and stop in (None, "regular"):
+            if star_ok:
+                report.extend(ant.star_suite(c, ctx.e, ctx.antipode, inp.star,
+                                             ctx.t3, ctx.t4))
+            else:
+                report.add(skipped("star-compatible", "star-structure"))
+        if stop is None:
+            _op_round_trip(report, core, ctx)
+        else:
+            report.skip_unreported([cid for cid in checks_in("axiom")
+                                    if cid != "star-compatible" or inp.star is not None],
+                                   stop)
+    if path in ("thm29", "both"):
+        _run_antipode_path(report, ctx, c, inp, oracle)
+    if path == "both":
+        _path_equivalence(report, ctx)
+
+    if oracle is not None:
+        _oracle_comparison(report, ctx, oracle, path)
+
+    report.classification = _classification(ctx, report)
+    return report, ctx
+
+
+def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[Matrix],
+                         t4: Optional[Matrix], axiom: bool, cache: RunCache
+                         ) -> Tuple[VerificationReport, RunContext, Optional[str]]:
+    """The gate, counit, E and (if axiom) Def. 1.14 checks of the
+    presentation (A, T1..T4).  They read nothing else, so equal
+    presentations give equal results.  Returns the checks, the context
+    (its coproduct None if the gate stopped the run) and the label of
+    the check that stopped the run ("regular": not regular) or None."""
     report = VerificationReport()
-    ctx = RunContext(algebra=inp.algebra)
+    ctx = RunContext(algebra=algebra)
     blocker: Optional[str] = None
 
     def block_on(result: CheckResult) -> CheckResult:
@@ -85,10 +139,10 @@ def verify_structure(inp: StructureInput, path: str = "def114",
             blocker = result.check_id
         return result
 
-    diag = validate_algebra(inp.algebra)
+    diag = validate_algebra(algebra)
     ctx.unit = diag.unit
     if diag.associativity_witness is not None:
-        labels = tuple(inp.algebra.basis_labels[i] for i in diag.associativity_witness)
+        labels = tuple(algebra.basis_labels[i] for i in diag.associativity_witness)
     else:
         labels = None
     block_on(check("algebra-associative", diag.associative,
@@ -101,25 +155,15 @@ def verify_structure(inp: StructureInput, path: str = "def114",
                    "products span the algebra",
                    "products do not span the algebra"))
 
-    star_ok = None
-    if inp.star is not None:
-        from .algebras import validate_star
-        sdiag = validate_star(inp.star, inp.algebra)
-        star_ok = sdiag.ok
-        report.add(check("star-structure", sdiag.ok,
-                         "star is involutive and anti-multiplicative",
-                         sdiag.witness or "star fails involutivity"))
-
     # a failed algebra or coproduct check stops the run at the gate
     if not blocker:
-        c = CoproductData(inp.algebra, inp.t1, inp.t2, inp.t3, inp.t4, cache=cache)
-        ctx.coproduct = c
+        c = CoproductData(algebra, t1, t2, t3, t4, cache=cache)
         for r in cop.validate_coproduct(c):
             block_on(r)
     if blocker:
         report.skip_unreported(checks_in("gate"), blocker)
-        report.classification = _classification(ctx, report)
-        return report, ctx
+        return report, ctx, blocker
+    ctx.coproduct = c
 
     v, wspace, full = cop.check_fullness(c)
     block_on(check("coproduct-full", full,
@@ -134,10 +178,6 @@ def verify_structure(inp: StructureInput, path: str = "def114",
         block_on(failed("counit-exists", f"{exc}{note}"))
     except cop.NoCounit as exc:
         block_on(failed("counit-exists", str(exc)))
-    if ctx.counit is not None and inp.counit is not None:
-        report.add(check("counit-matches-input", inp.counit == ctx.counit,
-                         "supplied counit equals the solved one",
-                         "supplied counit differs from the solved one"))
 
     try:
         ctx.e = cop.compute_E(c)
@@ -167,25 +207,11 @@ def verify_structure(inp: StructureInput, path: str = "def114",
         except cop.IllDefinedExtension as exc:
             block_on(failed("e-coassociativity", str(exc)))
 
-    if path in ("def114", "both"):
-        stop = _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok)
-        if stop:
-            report.skip_unreported([cid for cid in checks_in("axiom")
-                                    if cid != "star-compatible" or inp.star is not None],
-                                   stop)
-    if path in ("thm29", "both"):
-        _run_antipode_path(report, ctx, c, inp, oracle)
-    if path == "both":
-        _path_equivalence(report, ctx)
-
-    if oracle is not None:
-        _oracle_comparison(report, ctx, oracle, path)
-
-    report.classification = _classification(ctx, report)
-    return report, ctx
+    stop = _run_axiom_path(report, ctx, c, blocker) if axiom else None
+    return report, ctx, stop
 
 
-def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok) -> Optional[str]:
+def _run_axiom_path(report, ctx, c, blocker) -> Optional[str]:
     """Run the Def. 1.14 path as far as its prerequisites hold.  Returns the
     label of the check that stopped it ("regular" for a non-regular
     antipode, whose Section 4 and appendix checks do not apply), or None
@@ -241,31 +267,24 @@ def _run_axiom_path(report, ctx, c, inp, blocker, recurse, star_ok) -> Optional[
 
     report.extend(ant.weak_hopf_suite(c, ctx.e, w, ctx.source_target,
                                       ctx.counit, ctx.unit, regular=regular))
-
-    if inp.star is not None:
-        if star_ok:
-            report.extend(ant.star_suite(c, ctx.e, w, inp.star, ctx.t3, ctx.t4))
-        else:
-            report.add(skipped("star-compatible", "star-structure"))
-
     report.extend(ant.appendix_suite(c, ctx.e, w, ctx.source_target))
+    return None if regular else "regular"
 
-    if not regular:
-        return "regular"
-    if recurse:
-        _op_round_trip(report, ctx, c, w, ctx.t3, ctx.t4)
+
+def _op_round_trip(report, core, ctx):
+    """Verify the opposite presentation (A^op, T3, T4, T1, T2): its
+    antipode must invert S, and its canonical idempotent must be E with
+    the two actions swapped.  When it is the presentation core just
+    verified (a commutative algebra with T3 = T1 and T4 = T2), core and
+    ctx are its result; otherwise the core runs on it."""
+    c, w = ctx.coproduct, ctx.antipode
+    op = c.parent.opposite()
+    maps = (ctx.t3, ctx.t4, c.t1, c.t2)
+    if maps == (c.t1, c.t2, c.t3, c.t4) and op.basis_labels == c.parent.basis_labels \
+            and op.content_key() == c.parent.content_key():
+        op_report, op_ctx = core, ctx
     else:
-        report.add(skipped("regular-op-antipode", "recursion disabled"))
-        report.add(skipped("appendix-op-roundtrip", "recursion disabled"))
-    return None
-
-
-def _op_round_trip(report, ctx, c, w, t3, t4):
-    """Re-verify the opposite presentation; its antipode must invert S,
-    and its canonical idempotent must be E with the two actions swapped."""
-    op_inp = StructureInput(c.parent.opposite(), t3, t4, c.t1, c.t2)
-    op_report, op_ctx = verify_structure(op_inp, path="def114", recurse=False,
-                                         cache=c.cache)
+        op_report, op_ctx, _ = _verify_presentation(op, *maps, True, c.cache)
     ok = op_report.verdict == PASS
     detail = ""
     if not ok:
@@ -274,13 +293,9 @@ def _op_round_trip(report, ctx, c, w, t3, t4):
     report.add(check("appendix-op-roundtrip", ok,
                      "opposite presentation verifies as a weak multiplier Hopf algebra",
                      detail))
-    inv_ok = False
-    if ok and op_ctx.antipode is not None and op_ctx.antipode.s_matrix is not None \
-            and w.s_matrix_inv is not None:
-        inv_ok = op_ctx.antipode.s_matrix == w.s_matrix_inv
-        e_ok = op_ctx.e is not None and op_ctx.e.left == ctx.e.right \
-            and op_ctx.e.right == ctx.e.left
-        inv_ok = inv_ok and e_ok
+    s_op = op_ctx.antipode.s_matrix if ok and op_ctx.antipode is not None else None
+    inv_ok = s_op is not None and s_op == w.s_matrix_inv and op_ctx.e is not None \
+        and (op_ctx.e.left, op_ctx.e.right) == (ctx.e.right, ctx.e.left)
     report.add(check("regular-op-antipode", inv_ok,
                      "antipode of the opposite presentation is the inverse antipode",
                      "opposite-presentation antipode or idempotent mismatch"))
@@ -428,7 +443,7 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
                                    f"window {k}: {r.detail}", r.counterexample,
                                    r.witness_refs))
     if k_max >= 2:
-        bad = _window_consistency(lazy, kind, contexts, k_max)
+        bad = _window_consistency(windows, contexts)
         report.add(check("window-consistency", bad is None,
                          "witnesses of each window restrict from the next window",
                          bad or ""))
@@ -465,16 +480,15 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
     return report
 
 
-def _window_consistency(lazy, kind, contexts, k_max) -> Optional[str]:
-    for k in range(1, k_max):
+def _window_consistency(windows, contexts) -> Optional[str]:
+    for k in range(1, len(windows)):
         small, big = contexts.get(k), contexts.get(k + 1)
         if small is None or big is None or small.e is None or big.e is None \
                 or small.g is None or big.g is None \
                 or small.antipode is None or big.antipode is None \
                 or small.antipode.s_matrix is None or big.antipode.s_matrix is None:
             return f"windows {k} and {k + 1} lack comparable witnesses"
-        gs = lazy.window(k)
-        gb = lazy.window(k + 1)
+        gs, gb = windows[k - 1], windows[k]
         idx_b = gb.index()
         try:
             embed = [idx_b[m] for m in gs.morphisms]

@@ -1,6 +1,7 @@
 """The per-layer trace of `bench/layers.py` wraps engine callables by their
 dotted names from outside the engine, so a rename silently drops a callable
-from the trace.  Every `linalg` and `algebras` name it lists must resolve."""
+from the trace and its metric reads 0.  Every name it lists must resolve:
+the timed, counted, hot and preimage callables and the private extras."""
 
 import importlib
 import importlib.util
@@ -24,9 +25,10 @@ def _layers():
 
 def _traced_names():
     layers = _layers()
-    tables = [*layers.TIMED.values(), *layers.COUNTED.values(), layers.HOT, layers.PREIMAGES]
-    return sorted({name for table in tables for name in table
-                   if name.split(".")[0] in ("linalg", "algebras")})
+    extra = [f"{module}.{name}" for module, names in layers.EXTRA.items() for name in names]
+    tables = [*layers.TIMED.values(), *layers.COUNTED.values(), layers.HOT, layers.PREIMAGES,
+              extra]
+    return sorted({name for table in tables for name in table})
 
 
 def _resolve(name):

@@ -1,3 +1,5 @@
+import pytest
+
 from wmha.fileio import model_to_document, parse_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import (StructureInput, verify_groupoid_model,
@@ -47,10 +49,56 @@ def test_first_failure_is_named_for_bad_t1():
     assert first is not None and first.check_id.startswith("coproduct")
 
 
-def test_op_round_trip_runs_once():
-    report, ctx = verify_groupoid_model(preset("pair:2"), "convolution", path="def114")
-    assert report.status_of("regular-op-antipode") == PASS
-    assert report.status_of("appendix-op-roundtrip") == PASS
+def _round_trip_run(name, kind, variant):
+    """One verification of a preset model: as the CLI runs it, without
+    T3/T4, without T4, with one entry of T3 changed, or conjugated by a
+    dense rational P."""
+    from wmha.linalg import Matrix
+    from wmha.scalars import ONE, rational
+
+    if variant == "preset":
+        return verify_groupoid_model(preset(name), kind)[0]
+    if variant == "dense":
+        p = Matrix.from_rows([[rational(1), rational(-1, 2)],
+                              [rational(-2), rational(-1, 2)]])
+        return _conjugated_run(name, complex_entries=False, p=p)[0]
+    m = (convolution_algebra if kind == "convolution" else function_algebra)(preset(name))
+    t3, t4 = m.t3, m.t4
+    if variant == "T3 changed":
+        rows = m.t3.dense_rows()
+        rows[0][0] += ONE
+        t3 = Matrix.from_rows(rows)
+    else:
+        t3, t4 = (None, None) if variant == "no T3/T4" else (t3, None)
+    return verify_structure(StructureInput(m.algebra, m.t1, m.t2, t3, t4))[0]
+
+
+@pytest.mark.parametrize("name, kind, variant, cores, round_trip", [
+    # commutative, with T3 = T1 and T4 = T2: A^op is the input itself
+    ("pair:2", "function", "preset", 1, PASS),
+    ("group:cyclic:3", "convolution", "preset", 1, PASS),
+    ("bundle:cyclic:1:2", "convolution", "dense", 1, PASS),
+    # a non-commutative table, or maps absent on one side only
+    ("pair:2", "convolution", "preset", 2, PASS),
+    ("pair:2", "function", "no T3/T4", 2, PASS),
+    ("pair:2", "function", "no T4", 2, PASS),
+    # a changed T3 fails coproduct-regular-maps at the gate
+    ("pair:2", "function", "T3 changed", 1, None),
+])
+def test_op_round_trip_reuses_equal_presentation(name, kind, variant, cores,
+                                                 round_trip, monkeypatch):
+    # the presentation core validates its algebra once per run of it
+    import wmha.pipeline
+
+    calls = []
+    validate = wmha.pipeline.validate_algebra
+    monkeypatch.setattr(wmha.pipeline, "validate_algebra",
+                        lambda a: calls.append(a) or validate(a))
+    report = _round_trip_run(name, kind, variant)
+    assert len(calls) == cores
+    assert report.status_of("appendix-op-roundtrip") == round_trip
+    assert report.status_of("regular-op-antipode") == round_trip
+    assert report.verdict == (FAIL if round_trip is None else PASS)
 
 
 def test_thm29_path_uses_input_candidates():
@@ -71,6 +119,20 @@ def test_lazy_windows_pass_and_certify():
     for cid in ("window-consistency", "global-nonunital", "sampled-local-units"):
         assert report.status_of(cid) == PASS
     assert report.seed == 11
+
+
+def test_lazy_windows_are_built_once(monkeypatch, capsys):
+    import wmha.groupoids
+    from wmha.cli import main
+
+    built = []
+    pair = wmha.groupoids.pair_groupoid
+    monkeypatch.setattr(wmha.groupoids, "pair_groupoid",
+                        lambda n, offset=0: built.append(n) or pair(n, offset))
+    assert main(["verify", "--preset", "pair:inf", "--model", "function",
+                 "--windows", "3"]) == 0
+    # the preset's nesting check builds windows 1 and 2, the run windows 1 to 3
+    assert built == [1, 2, 1, 2, 3]
 
 
 def test_lazy_zero_windows_pass_vacuously():
@@ -181,7 +243,7 @@ def test_complex_conjugated_presentation_verifies():
     assert ctx.antipode.s_matrix == invert(p) * m.oracle_s * p
 
 
-def _conjugated_run(name, complex_entries):
+def _conjugated_run(name, complex_entries, p=None):
     import random
 
     from wmha.algebras import Algebra
@@ -191,7 +253,6 @@ def _conjugated_run(name, complex_entries):
     m = convolution_algebra(preset(name))
     n = m.algebra.dim
     rng = random.Random(3)
-    p = None
     while p is None or invert(p) is None:
         def entry():
             re = rational(rng.randint(-2, 2), rng.choice([1, 2])).re

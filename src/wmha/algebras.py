@@ -203,7 +203,7 @@ class Algebra:
 class Multiplier:
     """A pair (left action, right action) on an algebra: the concrete
     form of an element of the multiplier algebra M(A), to which it
-    belongs when the three module laws hold (`compatibility_failures`)."""
+    belongs when the three module laws hold (`compatibility_failure`)."""
 
     __slots__ = ("parent", "left", "right")
 
@@ -217,10 +217,10 @@ class Multiplier:
         ident = Matrix.identity(parent.dim)
         return Multiplier(parent, ident, ident)
 
-    def compatibility_failures(self, max_witnesses: int = 3) -> List[str]:
-        """Violations of the three module laws, by name."""
+    def compatibility_failure(self) -> Optional[str]:
+        """The first violated module law, by name, or None.  Each pair
+        (i, j) tests the left law, then the right law, then the link law."""
         a = self.parent
-        bad: List[str] = []
         lcols = [dict(self.left.col_sparse(j)) for j in range(a.dim)]
         rcols = [dict(self.right.col_sparse(j)) for j in range(a.dim)]
         for i in range(a.dim):
@@ -230,16 +230,14 @@ class Multiplier:
                 prod = a.mul_basis(i, j)
                 # left(e_i e_j) = left(e_i) e_j
                 if self.left.apply_sparse(prod) != a.mul_by_basis(li, j):
-                    bad.append(f"left law fails at ({i},{j})")
+                    return f"left law fails at ({i},{j})"
                 # right(e_i e_j) = e_i right(e_j)
                 if self.right.apply_sparse(prod) != a.basis_times(i, rcols[j]):
-                    bad.append(f"right law fails at ({i},{j})")
+                    return f"right law fails at ({i},{j})"
                 # e_i left(e_j) = right(e_i) e_j
                 if a.basis_times(i, lcols[j]) != a.mul_by_basis(ri, j):
-                    bad.append(f"link law fails at ({i},{j})")
-                if len(bad) >= max_witnesses:
-                    return bad
-        return bad
+                    return f"link law fails at ({i},{j})"
+        return None
 
     def __mul__(self, other: "Multiplier") -> "Multiplier":
         if other.parent is not self.parent:
@@ -293,10 +291,6 @@ class AlgebraDiagnostics:
         self.degeneracy_witness = degeneracy_witness
         self.idempotent = idempotent
         self.unit = unit
-
-    @property
-    def ok(self) -> bool:
-        return self.associative and self.nondegenerate and self.idempotent
 
 
 def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
@@ -376,33 +370,18 @@ def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
     return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
 
-class StarDiagnostics:
-    def __init__(self, involutive: bool, anti_multiplicative: bool,
-                 witness: Optional[str] = None):
-        self.involutive = involutive
-        self.anti_multiplicative = anti_multiplicative
-        self.witness = witness
-
-    @property
-    def ok(self):
-        return self.involutive and self.anti_multiplicative
-
-
-def validate_star(s: StarStructure, a: Algebra) -> StarDiagnostics:
+def validate_star(s: StarStructure, a: Algebra) -> Optional[str]:
+    """Why s is not a star structure on a, or None: the first pair that
+    breaks anti-multiplicativity, else a failure of involutivity."""
     if s.star_matrix.rows != a.dim or s.star_matrix.cols != a.dim:
         raise DimensionMismatch("star matrix must be square of the algebra dimension")
     j = s.star_matrix
-    invol = (j.conj() * j) == Matrix.identity(a.dim)
-    anti = True
-    witness = None
     for p in range(a.dim):
         sp = star_on(j, {p: ONE})
         for q in range(a.dim):
             sq = star_on(j, {q: ONE})
             if star_on(j, a.mul_basis(p, q)) != a.mul_sparse(sq, sp):
-                anti = False
-                witness = f"(e{p} e{q})* != e{q}* e{p}*"
-                break
-        if not anti:
-            break
-    return StarDiagnostics(invol, anti, witness)
+                return f"(e{p} e{q})* != e{q}* e{p}*"
+    if j.conj() * j != Matrix.identity(a.dim):
+        return "star fails involutivity"
+    return None

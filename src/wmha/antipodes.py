@@ -321,10 +321,9 @@ def compute_source_target(c: CoproductData, e: CanonicalIdempotent,
 
     valid_bad = None
     for a in range(n):
-        bad = c.cache.multiplier_failures(eps_s[a], max_witnesses=1) or \
-            c.cache.multiplier_failures(eps_t[a], max_witnesses=1)
+        bad = c.cache.multiplier_failure(eps_s[a]) or c.cache.multiplier_failure(eps_t[a])
         if bad:
-            valid_bad = f"source/target value at {_lbl(c, a)} is not a multiplier: {bad[0]}"
+            valid_bad = f"source/target value at {_lbl(c, a)} is not a multiplier: {bad}"
             break
     out.append(check("source-target-defined", valid_bad is None,
                      "source and target values are honest multipliers",
@@ -508,9 +507,9 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     if e_left * e_left != e_left or e_right * e_right != e_right:
         cand_bad = "candidate idempotent is not idempotent"
     else:
-        fails = c.cache.multiplier_failures(e_mult, max_witnesses=1)
-        if fails:
-            cand_bad = f"candidate E is not a multiplier: {fails[0]}"
+        law = c.cache.multiplier_failure(e_mult)
+        if law:
+            cand_bad = f"candidate E is not a multiplier: {law}"
     e_obj = None
     if cand_bad is None:
         e_obj = CanonicalIdempotent(e_mult, column_space(e_left).dim,
@@ -627,11 +626,11 @@ def regular_suite(c: CoproductData, e: CanonicalIdempotent, g: ProjectionMaps,
     # that each pair is a multiplier of the half-opposite tensor square
     cop_alg_1 = Algebra.tensor(c.parent, c.parent.opposite())
     cop_alg_2 = Algebra.tensor(c.parent.opposite(), c.parent)
-    laws = c.cache.multiplier_failures
-    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f1[1], f1[0]), 1)
-    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f2[0], f2[1]), 1)
-    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f3[0], f3[1]), 1)
-    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f4[1], f4[0]), 1)
+    laws = c.cache.multiplier_failure
+    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f1[1], f1[0]))
+    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f2[0], f2[1]))
+    f_ok = f_ok and not laws(Multiplier(cop_alg_1, f3[0], f3[1]))
+    f_ok = f_ok and not laws(Multiplier(cop_alg_2, f4[1], f4[0]))
     out.append(check("regular-f-formulas", f_ok,
                      "F1..F4 from E are idempotent multipliers of the twisted squares",
                      "an F idempotent fails multiplier laws"))

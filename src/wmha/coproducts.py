@@ -114,8 +114,8 @@ def _matrix_key(m: Matrix) -> tuple:
 class RunCache:
     """Results one verification run computes more than once, keyed by the
     content of their inputs, never by object identity: canonical
-    idempotents per (tensor square, Ran T1, Ran T2), multiplier-law
-    verdicts per (algebra, witness cap, actions) and E's leg conditions
+    idempotents per (tensor square, Ran T1, Ran T2), first multiplier-law
+    failures per (algebra, actions) and E's leg conditions
     per (algebra and its labels, T1, E).  A hit is the same computation
     on equal inputs done earlier in the run, so every check still runs
     and reads the same result.  Exceptions are not stored, and stored
@@ -123,17 +123,15 @@ class RunCache:
 
     def __init__(self):
         self.idempotents: Dict[tuple, "CanonicalIdempotent"] = {}
-        self._laws: Dict[tuple, Tuple[str, ...]] = {}
+        self._laws: Dict[tuple, Optional[str]] = {}
         self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
 
-    def multiplier_failures(self, m: Multiplier, max_witnesses: int) -> List[str]:
-        """m.compatibility_failures(max_witnesses), computed once per run."""
-        key = (m.parent.content_key(), max_witnesses,
-               _matrix_key(m.left), _matrix_key(m.right))
-        got = self._laws.get(key)
-        if got is None:
-            got = self._laws[key] = tuple(m.compatibility_failures(max_witnesses))
-        return list(got)
+    def multiplier_failure(self, m: Multiplier) -> Optional[str]:
+        """m.compatibility_failure(), computed once per run."""
+        key = (m.parent.content_key(), _matrix_key(m.left), _matrix_key(m.right))
+        if key not in self._laws:
+            self._laws[key] = m.compatibility_failure()
+        return self._laws[key]
 
     def e_conditions(self, c: "CoproductData", e: "CanonicalIdempotent") -> List[CheckResult]:
         """check_E_conditions(c, e), computed once per run.  The leg maps
@@ -490,9 +488,9 @@ def _solve_E(c: CoproductData) -> CanonicalIdempotent:
     e = Multiplier(aa, left, right)
     if left * left != left or right * right != right:
         raise NotIdempotent("solved canonical element is not idempotent")
-    bad = c.cache.multiplier_failures(e, max_witnesses=1)
+    bad = c.cache.multiplier_failure(e)
     if bad:
-        raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad[0]}")
+        raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad}")
     return CanonicalIdempotent(e, c.ran_t1().dim, c.ran_t2().dim)
 
 

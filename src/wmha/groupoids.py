@@ -126,8 +126,8 @@ class LazyGroupoid:
         return self.window_fn(k)
 
 
-def pair_groupoid(n: int, offset: int = 0) -> FiniteGroupoid:
-    pts = list(range(offset, offset + n))
+def pair_groupoid(n: int) -> FiniteGroupoid:
+    pts = list(range(n))
     morphisms = [f"({i},{j})" for i in pts for j in pts]
     source = {f"({i},{j})": f"({j},{j})" for i in pts for j in pts}
     target = {f"({i},{j})": f"({i},{i})" for i in pts for j in pts}
@@ -239,8 +239,9 @@ def preset(name: str):
     return g
 
 
-def _sanity_check_windows(lazy: LazyGroupoid, upto: int = 2) -> None:
-    windows = [lazy.window(k) for k in range(1, upto + 1)]
+def _sanity_check_windows(lazy: LazyGroupoid) -> None:
+    """Windows 1 and 2 are valid groupoids and nested."""
+    windows = [lazy.window(1), lazy.window(2)]
     for k, g in enumerate(windows, 1):
         violations = validate_groupoid(g)
         if violations:
@@ -252,13 +253,12 @@ def _sanity_check_windows(lazy: LazyGroupoid, upto: int = 2) -> None:
 class GroupoidModel:
     """A model algebra plus coproduct data and oracle witnesses."""
 
-    def __init__(self, groupoid: FiniteGroupoid, kind: str, algebra: Algebra,
+    def __init__(self, groupoid: FiniteGroupoid, algebra: Algebra,
                  t1: Matrix, t2: Matrix, t3: Matrix, t4: Matrix, star_matrix: Matrix,
                  oracle_counit: list, oracle_s: Matrix,
                  oracle_e_left: Matrix, oracle_e_right: Matrix,
                  oracle_g1: Matrix, oracle_g2: Matrix, oracle_unit: Optional[SparseVec]):
         self.groupoid = groupoid
-        self.kind = kind                # "function" | "convolution"
         self.algebra = algebra
         self.t1, self.t2, self.t3, self.t4 = t1, t2, t3, t4
         self.star_matrix = star_matrix
@@ -309,7 +309,7 @@ def function_algebra(g: FiniteGroupoid) -> GroupoidModel:
     g1 = _indicator_diag(g, lambda p, q: g.source[p] == g.source[q])
     g2 = _indicator_diag(g, lambda p, q: g.target[p] == g.target[q])
     unit = {i: ONE for i in range(n)}
-    return GroupoidModel(g, "function", alg, t1, t2, t3, t4,
+    return GroupoidModel(g, alg, t1, t2, t3, t4,
                          Matrix.identity(n), counit, s_mat,
                          e_diag, e_diag, g1, g2, unit)
 
@@ -343,7 +343,7 @@ def convolution_algebra(g: FiniteGroupoid) -> GroupoidModel:
     e_right = _indicator_diag(g, lambda p, q: g.source[p] == g.source[q])
     g_both = _indicator_diag(g, lambda p, q: g.source[p] == g.target[q])
     unit = {idx[u]: ONE for u in g.units}
-    return GroupoidModel(g, "convolution", alg, t1, t2, t3, t4,
+    return GroupoidModel(g, alg, t1, t2, t3, t4,
                          s_mat, counit, s_mat,
                          e_left, e_right, g_both, g_both, unit)
 
@@ -356,31 +356,16 @@ def build_model(g: FiniteGroupoid, kind: str) -> GroupoidModel:
     raise BadParameter(f"unknown model kind {kind!r}")
 
 
-class PairingDiagnostics:
-    def __init__(self, product_vs_coproduct: bool, coproduct_vs_product: bool,
-                 antipode_compatible: bool, witness: Optional[str] = None):
-        self.product_vs_coproduct = product_vs_coproduct
-        self.coproduct_vs_product = coproduct_vs_product
-        self.antipode_compatible = antipode_compatible
-        self.witness = witness
-
-    @property
-    def ok(self):
-        return self.product_vs_coproduct and self.coproduct_vs_product \
-            and self.antipode_compatible
-
-
-def check_duality_pairing(g: FiniteGroupoid) -> PairingDiagnostics:
+def check_duality_pairing(g: FiniteGroupoid) -> Optional[str]:
     """With <delta_p, lam_q> = [p = q], the two models pair product against
-    coproduct (both ways) and antipode against antipode."""
+    coproduct (both ways) and antipode against antipode.  Returns the
+    first failure, in that order, or None."""
     fun = function_algebra(g)
     conv = convolution_algebra(g)
     idx = g.index()
     n = len(g.morphisms)
 
     # <f g, lam_p> = <f (x) g, coproduct(lam_p)>: coproduct is diagonal
-    ok1 = True
-    w = None
     for a in g.morphisms:
         for b in g.morphisms:
             prod = fun.algebra.mul_basis(idx[a], idx[b])  # pointwise
@@ -388,15 +373,9 @@ def check_duality_pairing(g: FiniteGroupoid) -> PairingDiagnostics:
                 lhs = prod.get(idx[p], ZERO)
                 rhs = ONE if (a == p and b == p) else ZERO
                 if lhs != rhs:
-                    ok1, w = False, f"product/coproduct pairing fails at ({a},{b},{p})"
-                    break
-            if not ok1:
-                break
-        if not ok1:
-            break
+                    return f"product/coproduct pairing fails at ({a},{b},{p})"
 
     # <coproduct(delta_r), lam_p (x) lam_q> = <delta_r, lam_p lam_q>
-    ok2 = True
     for r in g.morphisms:
         for p in g.morphisms:
             for q in g.morphisms:
@@ -410,44 +389,32 @@ def check_duality_pairing(g: FiniteGroupoid) -> PairingDiagnostics:
                 conv_prod = conv.algebra.mul_basis(idx[p], idx[q])
                 rhs = conv_prod.get(idx[r], ZERO)
                 if lhs != rhs:
-                    ok2 = False
-                    w = w or f"coproduct/product pairing fails at ({r},{p},{q})"
-                    break
-            if not ok2:
-                break
-        if not ok2:
-            break
+                    return f"coproduct/product pairing fails at ({r},{p},{q})"
 
     # <S f, lam_p> = <f, S lam_p>
-    ok3 = True
     for r in g.morphisms:
         for p in g.morphisms:
             lhs = ONE if g.inverse[r] == p else ZERO
             rhs = ONE if r == g.inverse[p] else ZERO
             if lhs != rhs:
-                ok3 = False
-                w = w or f"antipode pairing fails at ({r},{p})"
-                break
-        if not ok3:
-            break
-    return PairingDiagnostics(ok1, ok2, ok3, w)
+                return f"antipode pairing fails at ({r},{p})"
+    return None
 
 
-def local_unit_for(model: GroupoidModel, members: List[int]) -> SparseVec:
-    """A local unit for the given basis indices.
+def local_unit_for(g: FiniteGroupoid, kind: str, members: List[int]) -> SparseVec:
+    """A local unit for the given basis indices of the kind model of g.
 
     Function model: the indicator of every morphism whose source and
     target stay among the touched units.  Convolution model: the sum of
     lambda_e over the touched units.
     """
-    g = model.groupoid
     idx = g.index()
     touched = set()
     for i in members:
         m = g.morphisms[i]
         touched.add(g.source[m])
         touched.add(g.target[m])
-    if model.kind == "function":
+    if kind == "function":
         return {idx[m]: ONE for m in g.morphisms
                 if g.source[m] in touched and g.target[m] in touched}
     return {idx[u]: ONE for u in touched}

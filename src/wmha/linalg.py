@@ -8,12 +8,13 @@ row-sorted (row, value) pairs of its nonzero entries; echelon rows and
 subspace bases are dicts from column to nonzero value.  Vectors go in
 as such dicts only: `Echelon.insert` and `contains`,
 `Subspace.from_vectors`, `solve_linear` and `solve_sparse` take nothing
-else.  Dense lists exist only at the boundaries: `from_rows` and the
-dense `solve` scan their input once for its nonzeros, and `col`,
-`dense_rows`, `solve`, `Subspace.basis` and `solve_linear`'s particular
-solution hand out fresh dense copies.  Every sum of products (products,
-applications, row reductions, back-substitution) is one accumulation in
-the `scalars` kernel, reduced once per output entry.
+else; `solve_sparse` returns one, and `col_sparse` a column's pairs.
+Dense lists exist only at the boundaries: `from_rows` scans its input
+once for its nonzeros, and `dense_rows`, `Subspace.basis` and
+`solve_linear`'s particular solution hand out fresh dense copies.  Every
+sum of products (products, applications, row reductions,
+back-substitution) is one accumulation in the `scalars` kernel, reduced
+once per output entry.
 Everything is exact.  Pivoting rules are fixed (the nonzero entry first
 in the column order) so repeated runs produce identical witnesses.
 """
@@ -100,10 +101,6 @@ class Matrix:
             if v:
                 columns[j].append((i, v))
         return Matrix(rows, cols, columns)
-
-    def col(self, j: int) -> list:
-        """Column j as a fresh dense list."""
-        return _dense(self._columns[j], self.rows)
 
     def col_sparse(self, j: int) -> list:
         """The nonzero (row, value) pairs of column j, in row order."""
@@ -310,15 +307,10 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def solve(self, rhs: Sequence[Scalar], matrix: Matrix) -> Optional[list]:
-        """One solution of matrix @ x = rhs with free variables zero, or
-        None when infeasible.  `matrix` must be the factored matrix."""
-        sol = self.solve_sparse(dict(_nonzeros(rhs)), matrix)
-        return None if sol is None else _dense(sol.items(), self.ncols)
-
     def solve_sparse(self, rhs: dict, matrix: Matrix) -> Optional[dict]:
-        """Sparse variant of solve: rhs and the result are index->Scalar
-        maps; None when infeasible."""
+        """One solution of matrix @ x = rhs with free variables zero, or
+        None when infeasible; rhs and the result are index->Scalar maps.
+        `matrix` must be the factored matrix."""
         if self.ops is None:
             raise TypeError("solving needs an Echelon built with solvable=True")
         x: dict = {}

@@ -77,14 +77,12 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     # core stays the presentation's alone: the round trip may read it
     report = VerificationReport(checks=list(core.checks))
 
-    star_ok = None
+    star_bad = None
     if inp.star is not None:
         from .algebras import validate_star
-        sdiag = validate_star(inp.star, inp.algebra)
-        star_ok = sdiag.ok
-        report.add(check("star-structure", sdiag.ok,
-                         "star is involutive and anti-multiplicative",
-                         sdiag.witness or "star fails involutivity"))
+        star_bad = validate_star(inp.star, inp.algebra)
+        report.add(check("star-structure", star_bad is None,
+                         "star is involutive and anti-multiplicative", star_bad or ""))
     c = ctx.coproduct
     if c is None:
         report.classification = _classification(ctx, report)
@@ -97,7 +95,7 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     if axiom:
         # a non-regular antipode stops the path after the star checks
         if inp.star is not None and stop in (None, "regular"):
-            if star_ok:
+            if star_bad is None:
                 report.extend(ant.star_suite(c, ctx.e, ctx.antipode, inp.star,
                                              ctx.t3, ctx.t4))
             else:
@@ -407,10 +405,10 @@ def verify_groupoid_model(g: FiniteGroupoid, kind: str, path: str = "def114",
         "groupoid-axioms", True, f"{len(g.morphisms)} morphisms, "
         f"{len(g.units)} units"))
     if with_pairing:
-        pair = check_duality_pairing(g)
-        report.add(check("duality-pairing", pair.ok,
+        pair_bad = check_duality_pairing(g)
+        report.add(check("duality-pairing", pair_bad is None,
                          "both models pair product against coproduct and S against S",
-                         pair.witness or ""))
+                         pair_bad or ""))
     return report, ctx
 
 
@@ -439,9 +437,7 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
         contexts[k] = ctx
         unit_sizes.append(len(g.units))
         for r in sub_report.checks:
-            report.add(CheckResult(r.check_id, r.status,
-                                   f"window {k}: {r.detail}", r.counterexample,
-                                   r.witness_refs))
+            report.add(CheckResult(r.check_id, r.status, f"window {k}: {r.detail}"))
     if k_max >= 2:
         bad = _window_consistency(windows, contexts)
         report.add(check("window-consistency", bad is None,
@@ -460,13 +456,15 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
     rng = random.Random(seed)
     bad = None
     if k_max >= 1:
+        if k_max not in contexts:
+            report.add(skipped("sampled-local-units", "groupoid-axioms"))
+            return report
         g = windows[-1]
-        model = build_model(g, kind)
-        mul = model.algebra.mul_sparse
+        mul = contexts[k_max].algebra.mul_sparse
         for _ in range(5):
             size = rng.randint(1, min(4, len(g.morphisms)))
             members = sorted(rng.sample(range(len(g.morphisms)), size))
-            lu = local_unit_for(model, members)
+            lu = local_unit_for(g, kind, members)
             probe = {i: rational(rng.randint(1, 5)) for i in members}
             for x in [{i: ONE} for i in members] + [probe]:
                 if mul(lu, x) != x or mul(x, lu) != x:

@@ -1,6 +1,6 @@
 """Verification reports: a fixed registry of named checks, each tied to
 one anchor (the statement label it certifies), with pass/fail/skip
-status, witnesses and counterexamples.
+status and a one-line detail.
 
 Reports are deterministic: same input and seed give byte-identical
 JSON.
@@ -114,9 +114,7 @@ SKIP = "skip"
 
 
 class CheckResult:
-    def __init__(self, check_id: str, status: str, detail: str = "",
-                 counterexample: Optional[str] = None,
-                 witness_refs: Optional[List[str]] = None):
+    def __init__(self, check_id: str, status: str, detail: str = ""):
         if check_id not in REGISTRY_ANCHORS:
             raise KeyError(f"check id {check_id!r} not in registry")
         if status not in (PASS, FAIL, SKIP):
@@ -124,39 +122,34 @@ class CheckResult:
         self.check_id = check_id
         self.status = status
         self.detail = detail
-        self.counterexample = counterexample
-        self.witness_refs = [] if witness_refs is None else witness_refs
 
 
-def passed(check_id, detail="", witness_refs=None) -> CheckResult:
-    return CheckResult(check_id, PASS, detail, None, witness_refs)
+def passed(check_id, detail="") -> CheckResult:
+    return CheckResult(check_id, PASS, detail)
 
 
-def failed(check_id, detail="", counterexample=None) -> CheckResult:
-    return CheckResult(check_id, FAIL, detail, counterexample)
+def failed(check_id, detail="") -> CheckResult:
+    return CheckResult(check_id, FAIL, detail)
 
 
 def skipped(check_id, prerequisite: str) -> CheckResult:
     return CheckResult(check_id, SKIP, f"prerequisite failed: {prerequisite}")
 
 
-def check(check_id, ok: bool, detail_pass="", detail_fail="", counterexample=None) -> CheckResult:
+def check(check_id, ok: bool, detail_pass="", detail_fail="") -> CheckResult:
     if ok:
         return passed(check_id, detail_pass)
-    return failed(check_id, detail_fail or detail_pass, counterexample)
+    return failed(check_id, detail_fail or detail_pass)
 
 
 class VerificationReport:
-    def __init__(self, tool_version: str = TOOL_VERSION, input_digest: str = "",
-                 seed: Optional[int] = None, checks: Optional[List[CheckResult]] = None,
-                 witnesses: Optional[Dict[str, object]] = None,
-                 classification: Optional[Dict[str, object]] = None):
-        self.tool_version = tool_version
+    def __init__(self, input_digest: str = "", seed: Optional[int] = None,
+                 checks: Optional[List[CheckResult]] = None):
         self.input_digest = input_digest
         self.seed = seed
         self.checks = [] if checks is None else checks
-        self.witnesses = {} if witnesses is None else witnesses
-        self.classification = {} if classification is None else classification
+        self.witnesses: Dict[str, object] = {}
+        self.classification: Dict[str, object] = {}
 
     def add(self, result: CheckResult) -> CheckResult:
         self.checks.append(result)
@@ -196,21 +189,13 @@ class VerificationReport:
         return sorted(self.checks, key=lambda c: (_ORDER[c.check_id], c.detail))
 
     def to_json_dict(self) -> dict:
-        checks = []
-        for c in self.sorted_checks():
-            entry = {
-                "id": c.check_id,
-                "anchor": REGISTRY_ANCHORS[c.check_id],
-                "status": c.status,
-                "detail": c.detail,
-                "witness_refs": c.witness_refs,
-            }
-            if c.counterexample is not None:
-                entry["counterexample"] = c.counterexample
-            checks.append(entry)
+        # schema 1 keeps "witness_refs"; no check names a witness in it
+        checks = [{"id": c.check_id, "anchor": REGISTRY_ANCHORS[c.check_id],
+                   "status": c.status, "detail": c.detail, "witness_refs": []}
+                  for c in self.sorted_checks()]
         out = {
             "schema": REPORT_SCHEMA,
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "input_digest": self.input_digest,
             "checks": checks,
             "witnesses": self.witnesses,

@@ -22,7 +22,7 @@ def test_function_algebra_diagnostics():
 
 def test_group_algebra_diagnostics():
     diag = validate_algebra(cyclic_group_algebra(2))
-    assert diag.ok
+    assert diag.associative and diag.nondegenerate and diag.idempotent
     assert diag.unit == {0: ONE}
 
 
@@ -75,11 +75,29 @@ def test_multiplier_algebra_unital_cases():
     # they satisfy the three module laws
     for alg in (cyclic_group_algebra(2), function_algebra(preset("pair:2")).algebra):
         unit = Multiplier.unit(alg)
-        assert unit.compatibility_failures() == []
+        assert unit.compatibility_failure() is None
         x = {0: ONE}
         emb = Multiplier(alg, alg.mult_operator_left(x), alg.mult_operator_right(x))
-        assert emb.compatibility_failures() == []
+        assert emb.compatibility_failure() is None
         assert (unit * emb) == emb
+
+
+def test_multiplier_reports_its_first_violated_law():
+    from wmha.coproducts import RunCache
+
+    # (L_x, R_y) with x != y on a commutative algebra: both one-sided laws
+    # hold, the link law e_i x e_j = e_i y e_j does not
+    a = cyclic_group_algebra(3)
+    m = Multiplier(a, a.mult_operator_left({1: ONE}), a.mult_operator_right({2: ONE}))
+    assert m.compatibility_failure() == "link law fails at (0,0)"
+    assert RunCache().multiplier_failure(m) == "link law fails at (0,0)"
+    # swapping the two idempotents of C^2 breaks the left and the right law
+    # at (0,0): the left law is tested first
+    c2 = Algebra.from_structure(2, ["p", "q"], [(0, 0, 0, ONE), (1, 1, 1, ONE)])
+    swap = Matrix.permutation([1, 0])
+    m = Multiplier(c2, swap, swap)
+    assert m.compatibility_failure() == "left law fails at (0,0)"
+    assert RunCache().multiplier_failure(m) == "left law fails at (0,0)"
 
 
 def test_multiplier_embedding_roundtrip():
@@ -141,13 +159,17 @@ def test_unit_detection():
 
 def test_star_structures_of_models():
     fun = function_algebra(preset("pair:2"))
-    assert validate_star(StarStructure(fun.algebra, fun.star_matrix), fun.algebra).ok
+    assert validate_star(StarStructure(fun.algebra, fun.star_matrix), fun.algebra) is None
     conv = convolution_algebra(preset("pair:2"))
-    assert validate_star(StarStructure(conv.algebra, conv.star_matrix), conv.algebra).ok
+    assert validate_star(StarStructure(conv.algebra, conv.star_matrix), conv.algebra) is None
 
 
 def test_star_rejects_non_involutive_permutation():
-    a = cyclic_group_algebra(3)
     perm = Matrix.permutation([1, 2, 0])  # order three, not an involution
-    diag = validate_star(StarStructure(a, perm), a)
-    assert not diag.involutive
+    # on C^3 the cyclic shift is an automorphism: only involutivity fails
+    c3 = Algebra.from_structure(3, None, [(i, i, i, ONE) for i in range(3)])
+    assert validate_star(StarStructure(c3, perm), c3) == "star fails involutivity"
+    # on the group algebra of Z/3 it is not anti-multiplicative either, and
+    # that witness is the one reported
+    a = cyclic_group_algebra(3)
+    assert validate_star(StarStructure(a, perm), a) == "(e0 e0)* != e0* e0*"

@@ -11,9 +11,10 @@ import pytest
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
-# stale before this guard existed; the trace moving inside the engine
-# (ROADMAP item 4) retires them
-STALE = {"linalg.solve_matrix_equation", "algebras.sparse_add_into"}
+# deleted from the engine while the trace still names them; the trace
+# moving inside the engine (ROADMAP item 4) retires them
+STALE = {"linalg.solve_matrix_equation", "algebras.sparse_add_into",
+         "linalg.Matrix.col", "linalg.Echelon.solve"}
 
 
 def _layers():

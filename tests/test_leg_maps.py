@@ -71,9 +71,7 @@ def conjugated(model, p):
     entries = []
     for i in range(n):
         for j in range(n):
-            prod = model.algebra.mul_sparse(
-                {k: v for k, v in enumerate(p.col(i)) if v},
-                {k: v for k, v in enumerate(p.col(j)) if v})
+            prod = model.algebra.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))
             entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
     q = p.kron(p)
     qinv = invert(q)

@@ -123,16 +123,22 @@ def test_lazy_windows_pass_and_certify():
 
 def test_lazy_windows_are_built_once(monkeypatch, capsys):
     import wmha.groupoids
+    import wmha.pipeline
     from wmha.cli import main
 
-    built = []
+    built, models = [], []
     pair = wmha.groupoids.pair_groupoid
     monkeypatch.setattr(wmha.groupoids, "pair_groupoid",
-                        lambda n, offset=0: built.append(n) or pair(n, offset))
+                        lambda n: built.append(n) or pair(n))
+    build_model = wmha.pipeline.build_model
+    monkeypatch.setattr(wmha.pipeline, "build_model",
+                        lambda g, kind: models.append(len(g.morphisms)) or build_model(g, kind))
     assert main(["verify", "--preset", "pair:inf", "--model", "function",
                  "--windows", "3"]) == 0
     # the preset's nesting check builds windows 1 and 2, the run windows 1 to 3
     assert built == [1, 2, 1, 2, 3]
+    # one model per window: the sampled local units read the last window's
+    assert models == [1, 4, 9]
 
 
 def test_lazy_zero_windows_pass_vacuously():
@@ -163,11 +169,53 @@ def test_sampled_local_unit_failure_is_reported(monkeypatch):
     from wmha.groupoids import local_unit_for
 
     monkeypatch.setattr(wmha.pipeline, "local_unit_for",
-                        lambda m, s: local_unit_for(m, []))
+                        lambda g, kind, s: local_unit_for(g, kind, []))
     report = verify_lazy_model(preset("pair:inf"), "function", k_max=2, seed=0)
     assert report.status_of("sampled-local-units") == FAIL
     assert _detail(report, "sampled-local-units") == \
         "exhibited local unit fails on sample [0, 1, 2, 3]"
+
+
+def test_invalid_last_window_skips_sampled_local_units():
+    from wmha.groupoids import FiniteGroupoid, LazyGroupoid, pair_groupoid
+
+    def window(k):
+        g = pair_groupoid(k)
+        if k < 2:
+            return g
+        # every morphism its own inverse: not a groupoid from k = 2 on
+        return FiniteGroupoid(g.morphisms, g.source, g.target, g.compose,
+                              {m: m for m in g.morphisms})
+
+    for kind in ("function", "convolution"):
+        report = verify_lazy_model(LazyGroupoid("broken", window), kind, k_max=2, seed=0)
+        assert report.status_of("groupoid-axioms") == FAIL
+        assert report.status_of("sampled-local-units") == SKIP
+        assert _detail(report, "sampled-local-units") == \
+            "prerequisite failed: groupoid-axioms"
+
+
+@pytest.mark.parametrize("kind, detail", [
+    # the shift is an automorphism of the pointwise product: only
+    # involutivity fails
+    ("function", "star fails involutivity"),
+    # on the group algebra anti-multiplicativity fails too, and its
+    # witness wins
+    ("convolution", "(e0 e0)* != e0* e0*"),
+])
+def test_star_failure_detail(kind, detail):
+    from wmha.algebras import StarStructure
+    from wmha.groupoids import build_model
+    from wmha.linalg import Matrix
+
+    m = build_model(preset("group:cyclic:3"), kind)
+    star = StarStructure(m.algebra, Matrix.permutation([1, 2, 0]))
+    inp = StructureInput(m.algebra, m.t1, m.t2, m.t3, m.t4, star=star)
+    report, _ = verify_structure(inp, path="def114")
+    assert report.status_of("star-structure") == FAIL
+    assert _detail(report, "star-structure") == detail
+    assert report.status_of("star-compatible") == SKIP
+    assert _detail(report, "star-compatible") == "prerequisite failed: star-structure"
 
 
 def test_classification_shape():
@@ -264,9 +312,7 @@ def _conjugated_run(name, complex_entries, p=None):
     entries = []
     for i in range(n):
         for j in range(n):
-            prod = m.algebra.mul_sparse(
-                {k: v for k, v in enumerate(p.col(i)) if v},
-                {k: v for k, v in enumerate(p.col(j)) if v})
+            prod = m.algebra.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))
             entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
     conj = Algebra.from_structure(n, None, entries)
     if complex_entries:

@@ -31,12 +31,11 @@ def work(monkeypatch):
     requests that reached the cache."""
     log = {"laws": [], "solves": [], "law_requests": 0, "e_requests": 0}
 
-    kernel = Multiplier.compatibility_failures
+    kernel = Multiplier.compatibility_failure
 
-    def counted_kernel(self, max_witnesses=3):
-        log["laws"].append((_table(self.parent), max_witnesses,
-                            _dense(self.left), _dense(self.right)))
-        return kernel(self, max_witnesses)
+    def counted_kernel(self):
+        log["laws"].append((_table(self.parent), _dense(self.left), _dense(self.right)))
+        return kernel(self)
 
     solve = coproducts._solve_E
 
@@ -45,11 +44,11 @@ def work(monkeypatch):
                               _dense_basis(c.ran_t2())))
         return solve(c)
 
-    request = RunCache.multiplier_failures
+    request = RunCache.multiplier_failure
 
-    def counted_request(self, m, max_witnesses):
+    def counted_request(self, m):
         log["law_requests"] += 1
-        return request(self, m, max_witnesses)
+        return request(self, m)
 
     compute_E = coproducts.compute_E
 
@@ -57,9 +56,9 @@ def work(monkeypatch):
         log["e_requests"] += 1
         return compute_E(c)
 
-    monkeypatch.setattr(Multiplier, "compatibility_failures", counted_kernel)
+    monkeypatch.setattr(Multiplier, "compatibility_failure", counted_kernel)
     monkeypatch.setattr(coproducts, "_solve_E", counted_solve)
-    monkeypatch.setattr(RunCache, "multiplier_failures", counted_request)
+    monkeypatch.setattr(RunCache, "multiplier_failure", counted_request)
     monkeypatch.setattr(coproducts, "compute_E", counted_compute_E)
     monkeypatch.setattr(antipodes, "compute_E", counted_compute_E)
     return log

@@ -7,7 +7,7 @@ the verification suites affordable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import (Echelon, Matrix, Subspace,
                      solve_linear, Infeasible, DimensionMismatch)
@@ -176,16 +176,6 @@ class Algebra:
         return (self.dim, tuple(sorted((ij, tuple(sorted(p.items())))
                                        for ij, p in self._table.items() if p)))
 
-    def mult_operator_left(self, x: SparseVec) -> Matrix:
-        """Matrix of a -> x*a."""
-        return Matrix.from_sparse_cols(self.dim, [self.mul_by_basis(x, j)
-                                                  for j in range(self.dim)])
-
-    def mult_operator_right(self, x: SparseVec) -> Matrix:
-        """Matrix of a -> a*x."""
-        return Matrix.from_sparse_cols(self.dim, [self.basis_times(i, x)
-                                                  for i in range(self.dim)])
-
     def opposite(self) -> "Algebra":
         out = Algebra(self.dim, list(self.basis_labels))
         out._table = {}
@@ -203,7 +193,10 @@ class Algebra:
 class Multiplier:
     """A pair (left action, right action) on an algebra: the concrete
     form of an element of the multiplier algebra M(A), to which it
-    belongs when the three module laws hold (`compatibility_failure`)."""
+    belongs when `law_failures` yields nothing.  The engine holds every
+    multiplier it builds in this form: E on the tensor square, each
+    S(e_a) on A, and F1..F4 on the twisted squares A (x) A^op and
+    A^op (x) A."""
 
     __slots__ = ("parent", "left", "right")
 
@@ -217,9 +210,19 @@ class Multiplier:
         ident = Matrix.identity(parent.dim)
         return Multiplier(parent, ident, ident)
 
-    def compatibility_failure(self) -> Optional[str]:
-        """The first violated module law, by name, or None.  Each pair
-        (i, j) tests the left law, then the right law, then the link law."""
+    @staticmethod
+    def of_element(parent: Algebra, x: SparseVec) -> "Multiplier":
+        """x embedded in M(A): left action y -> xy, right action y -> yx."""
+        n = parent.dim
+        return Multiplier(parent,
+                          Matrix.from_sparse_cols(n, [parent.mul_by_basis(x, j) for j in range(n)]),
+                          Matrix.from_sparse_cols(n, [parent.basis_times(i, x) for i in range(n)]))
+
+    def law_failures(self) -> Iterator[Tuple[str, int, int]]:
+        """The violated module laws in walk order, as (law, i, j): at each
+        basis pair (i, j) the left law left(e_i e_j) = left(e_i) e_j, then
+        the right law right(e_i e_j) = e_i right(e_j), then the link law
+        e_i left(e_j) = right(e_i) e_j."""
         a = self.parent
         lcols = [dict(self.left.col_sparse(j)) for j in range(a.dim)]
         rcols = [dict(self.right.col_sparse(j)) for j in range(a.dim)]
@@ -228,15 +231,17 @@ class Multiplier:
             ri = rcols[i]
             for j in range(a.dim):
                 prod = a.mul_basis(i, j)
-                # left(e_i e_j) = left(e_i) e_j
                 if self.left.apply_sparse(prod) != a.mul_by_basis(li, j):
-                    return f"left law fails at ({i},{j})"
-                # right(e_i e_j) = e_i right(e_j)
+                    yield "left", i, j
                 if self.right.apply_sparse(prod) != a.basis_times(i, rcols[j]):
-                    return f"right law fails at ({i},{j})"
-                # e_i left(e_j) = right(e_i) e_j
+                    yield "right", i, j
                 if a.basis_times(i, lcols[j]) != a.mul_by_basis(ri, j):
-                    return f"link law fails at ({i},{j})"
+                    yield "link", i, j
+
+    def compatibility_failure(self) -> Optional[str]:
+        """The first violated module law, by name, or None."""
+        for law, i, j in self.law_failures():
+            return f"{law} law fails at ({i},{j})"
         return None
 
     def __mul__(self, other: "Multiplier") -> "Multiplier":

@@ -122,7 +122,7 @@ class RunCache:
     matrices are never written."""
 
     def __init__(self):
-        self.idempotents: Dict[tuple, "CanonicalIdempotent"] = {}
+        self.idempotents: Dict[tuple, Multiplier] = {}
         self._laws: Dict[tuple, Optional[str]] = {}
         self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
 
@@ -133,7 +133,7 @@ class RunCache:
             self._laws[key] = m.compatibility_failure()
         return self._laws[key]
 
-    def e_conditions(self, c: "CoproductData", e: "CanonicalIdempotent") -> List[CheckResult]:
+    def e_conditions(self, c: "CoproductData", e: Multiplier) -> List[CheckResult]:
         """check_E_conditions(c, e), computed once per run.  The leg maps
         are built from the algebra and from the coproduct that T1 carries,
         and failures name basis labels, so all three key the result next
@@ -439,22 +439,7 @@ def solve_counit(c: CoproductData) -> list:
 # ---- canonical idempotent -------------------------------------------------
 
 
-class CanonicalIdempotent:
-    def __init__(self, multiplier: Multiplier, left_rank: int, right_rank: int):
-        self.multiplier = multiplier    # over the tensor square
-        self.left_rank = left_rank
-        self.right_rank = right_rank
-
-    @property
-    def left(self) -> Matrix:
-        return self.multiplier.left
-
-    @property
-    def right(self) -> Matrix:
-        return self.multiplier.right
-
-
-def compute_E(c: CoproductData) -> CanonicalIdempotent:
+def compute_E(c: CoproductData) -> Multiplier:
     """The canonical idempotent: the multiplier of the tensor square
     whose left action fixes Ran(T1) pointwise with image inside it, and
     whose right action does the same for Ran(T2).
@@ -469,11 +454,10 @@ def compute_E(c: CoproductData) -> CanonicalIdempotent:
     got = c.cache.idempotents.get(key)
     if got is None:
         got = c.cache.idempotents[key] = _solve_E(c)
-    return CanonicalIdempotent(Multiplier(c.aa, got.left, got.right),
-                               got.left_rank, got.right_rank)
+    return Multiplier(c.aa, got.left, got.right)
 
 
-def _solve_E(c: CoproductData) -> CanonicalIdempotent:
+def _solve_E(c: CoproductData) -> Multiplier:
     nn = c.nn
     aa = c.aa
     b1 = c.ran_t1().rows
@@ -481,17 +465,17 @@ def _solve_E(c: CoproductData) -> CanonicalIdempotent:
     if not b1 or not b2:
         # zero coproduct: E = 0 multiplier, degenerate but report-level callers
         # will already have failed fullness
-        return CanonicalIdempotent(Multiplier(aa, Matrix.zero(nn, nn), Matrix.zero(nn, nn)), 0, 0)
+        return Multiplier(aa, Matrix.zero(nn, nn), Matrix.zero(nn, nn))
 
     left = _solve_action(c, fix_basis=b1, test_basis=b2, left_side=True)
     right = _solve_action(c, fix_basis=b2, test_basis=b1, left_side=False)
     e = Multiplier(aa, left, right)
-    if left * left != left or right * right != right:
+    if e * e != e:
         raise NotIdempotent("solved canonical element is not idempotent")
     bad = c.cache.multiplier_failure(e)
     if bad:
         raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad}")
-    return CanonicalIdempotent(e, c.ran_t1().dim, c.ran_t2().dim)
+    return e
 
 
 def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> Matrix:
@@ -541,7 +525,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
     return Matrix.from_sparse_cols(nn, cols_out)
 
 
-def validate_E(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
+def validate_E(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     """Post-hoc: idempotency, multiplier laws, exact range equalities,
     and absorption of the coproduct."""
     out: List[CheckResult] = []
@@ -565,12 +549,12 @@ def validate_E(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
     out.append(check(
         "idempotent-valid",
         ok_ranges and fixes and absorb is None,
-        f"E idempotent with action ranks {e.left_rank}/{c.nn} and {e.right_rank}/{c.nn}",
+        f"E idempotent with action ranks {c.ran_t1().dim}/{c.nn} and {c.ran_t2().dim}/{c.nn}",
         absorb or "E action ranges or fixed spaces are wrong"))
     return out
 
 
-def compute_E_from_flips(c: CoproductData) -> Optional[CanonicalIdempotent]:
+def compute_E_from_flips(c: CoproductData) -> Optional[Multiplier]:
     """Recompute E from T3/T4 (their ranges prescribe the same element)."""
     if c.t3 is None or c.t4 is None:
         return None
@@ -582,7 +566,7 @@ def compute_E_from_flips(c: CoproductData) -> Optional[CanonicalIdempotent]:
 # ---- coproduct extension to multipliers ------------------------------------
 
 
-def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Multiplier:
+def extend_delta(c: CoproductData, e: Multiplier, m: Multiplier) -> Multiplier:
     """The unique extension of the coproduct to the multiplier m, with
     value E at the identity.
 
@@ -617,7 +601,7 @@ def extend_delta(c: CoproductData, e: CanonicalIdempotent, m: Multiplier) -> Mul
 # ---- extended legs of E and their conditions --------------------------------
 
 
-def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
+def _extended_leg_columns(c: CoproductData, e: Multiplier,
                           first_leg: bool, alt: bool) -> Iterator[SparseVec]:
     """The columns, basis triple by basis triple, of the left action of
     (coproduct (x) id)(E) (first_leg) or (id (x) coproduct)(E).
@@ -677,7 +661,7 @@ def _extended_leg_columns(c: CoproductData, e: CanonicalIdempotent,
         yield _settle(acc)
 
 
-def check_E_conditions(c: CoproductData, e: CanonicalIdempotent) -> List[CheckResult]:
+def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     """The leg conditions: both extended coproduct legs of E agree, equal
     the product (E x 1)(1 x E), the two lifted idempotents commute, and
     the extended leg is dominated by both liftings."""
@@ -748,7 +732,7 @@ class ProjectionMaps:
         self.g2 = g2
 
 
-def solve_G_maps(c: CoproductData, e: CanonicalIdempotent) -> ProjectionMaps:
+def solve_G_maps(c: CoproductData, e: Multiplier) -> ProjectionMaps:
     """G1, G2 as the unique solutions of their defining leg-13 equalities.
 
     Uniqueness needs fullness; infeasibility or ambiguity raise.  The
@@ -758,7 +742,7 @@ def solve_G_maps(c: CoproductData, e: CanonicalIdempotent) -> ProjectionMaps:
                           _solve_leg_system(c, e, first=False))
 
 
-def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> Matrix:
+def _solve_leg_system(c: CoproductData, e: Multiplier, first: bool) -> Matrix:
     """G1 from coproduct_13(e_a)(1 (x) E)(1 (x) e_b (x) e_c) against
     coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and E's left action on
     legs (2,3), expanded over leg 3; G2 (not first) from
@@ -802,7 +786,7 @@ def _solve_leg_system(c: CoproductData, e: CanonicalIdempotent, first: bool) -> 
     return g
 
 
-def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
+def validate_G_maps(c: CoproductData, e: Multiplier, counit: list,
                     g: ProjectionMaps) -> List[CheckResult]:
     out: List[CheckResult] = []
     n, nn = c.n, c.nn
@@ -835,7 +819,7 @@ def validate_G_maps(c: CoproductData, e: CanonicalIdempotent, counit: list,
     return out
 
 
-def _g_crosscheck_witness(c: CoproductData, e: CanonicalIdempotent,
+def _g_crosscheck_witness(c: CoproductData, e: Multiplier,
                           counit: list, g: ProjectionMaps) -> Optional[str]:
     """The proof-side construction, checked fully stripped on all basis
     quadruples: (b (x) c) G1(a (x) q) = Gamma (1 (x) q), where

@@ -16,7 +16,7 @@ import json
 from typing import Optional, Union
 
 from .algebras import MAX_DIM, Algebra, StarStructure, sparse_to_vec
-from .antipodes import _f_actions
+from .antipodes import _f_multipliers
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset,
                         refuse_oversize)
 from .linalg import Matrix
@@ -195,11 +195,19 @@ def groupoid_from_json(doc: dict) -> FiniteGroupoid:
         morphisms = [str(m) for m in doc["morphisms"]]
         source = {str(k): str(v) for k, v in doc["source"].items()}
         target = {str(k): str(v) for k, v in doc["target"].items()}
-        compose = {(str(p), str(q)): str(r) for p, q, r in doc["compose"]}
+        compose_entries = [((str(p), str(q)), str(r)) for p, q, r in doc["compose"]]
         inverse = {str(k): str(v) for k, v in doc["inverse"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed groupoid section: {exc}") from exc
     refuse_oversize("groupoid", len(morphisms))
+    if len(set(morphisms)) < len(morphisms):
+        twice = next(m for k, m in enumerate(morphisms) if m in morphisms[:k])
+        raise ShapeError(f"groupoid: morphism {twice!r} is listed twice")
+    compose = {}
+    for pq, r in compose_entries:
+        if pq in compose:
+            raise ShapeError(f"groupoid: compose pair ({pq[0]!r}, {pq[1]!r}) is listed twice")
+        compose[pq] = r
     return FiniteGroupoid(morphisms, source, target, compose, inverse)
 
 
@@ -248,10 +256,11 @@ def witnesses_to_json(ctx) -> dict:
         if w.s_matrix is not None:
             out["S"] = matrix_to_sparse_json(w.s_matrix)
         else:
-            out["S_left"] = [matrix_to_sparse_json(m) for m in w.s_left]
-            out["S_right"] = [matrix_to_sparse_json(m) for m in w.s_right]
+            out["S_left"] = [matrix_to_sparse_json(m.left) for m in w.s]
+            out["S_right"] = [matrix_to_sparse_json(m.right) for m in w.s]
         if w.s_matrix_inv is not None and ctx.e is not None:
-            for k, f in enumerate(_f_actions(w, ctx.e), 1):
+            f1, f2, f3, f4 = _f_multipliers(ctx.algebra, w, ctx.e)
+            for k, f in enumerate((f1.right, f2.left, f3.left, f4.right), 1):
                 out[f"F{k}"] = matrix_to_sparse_json(f)
     st = ctx.source_target
     if st is not None:

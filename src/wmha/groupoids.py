@@ -114,11 +114,9 @@ def validate_groupoid(g: FiniteGroupoid) -> List[str]:
 class LazyGroupoid:
     """Infinite groupoid presented through nested finite windows."""
 
-    def __init__(self, name: str, window_fn: Callable[[int], FiniteGroupoid],
-                 units_infinite: bool = True):
+    def __init__(self, name: str, window_fn: Callable[[int], FiniteGroupoid]):
         self.name = name
         self.window_fn = window_fn
-        self.units_infinite = units_infinite
 
     def window(self, k: int) -> FiniteGroupoid:
         if k < 0:

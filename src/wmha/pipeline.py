@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import antipodes as ant
 from . import coproducts as cop
-from .algebras import Algebra, SparseVec, StarStructure, validate_algebra
-from .coproducts import CanonicalIdempotent, CoproductData, ProjectionMaps, RunCache
+from .algebras import Algebra, Multiplier, SparseVec, StarStructure, validate_algebra
+from .coproducts import CoproductData, ProjectionMaps, RunCache
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         build_model, check_duality_pairing, local_unit_for,
                         refuse_oversize, validate_groupoid)
@@ -30,12 +30,12 @@ class RunContext:
 
     def __init__(self, algebra: Algebra, coproduct: Optional[CoproductData] = None,
                  unit: Optional[SparseVec] = None, counit: Optional[list] = None,
-                 e: Optional[CanonicalIdempotent] = None, g: Optional[ProjectionMaps] = None,
+                 e: Optional[Multiplier] = None, g: Optional[ProjectionMaps] = None,
                  antipode: Optional[ant.AntipodeWitness] = None,
                  source_target: Optional[ant.SourceTargetWitness] = None,
                  t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
                  thm29_antipode: Optional[ant.AntipodeWitness] = None,
-                 thm29_e: Optional[CanonicalIdempotent] = None):
+                 thm29_e: Optional[Multiplier] = None):
         self.algebra = algebra
         self.coproduct = coproduct
         self.unit = unit
@@ -112,7 +112,7 @@ def verify_structure(inp: StructureInput, path: str = "def114",
         _path_equivalence(report, ctx)
 
     if oracle is not None:
-        _oracle_comparison(report, ctx, oracle, path)
+        _oracle_comparison(report, ctx, oracle)
 
     report.classification = _classification(ctx, report)
     return report, ctx
@@ -181,8 +181,8 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
         ctx.e = cop.compute_E(c)
         report.add(passed(
             "idempotent-exists",
-            f"canonical idempotent solved; action ranks {ctx.e.left_rank}/{c.nn} "
-            f"and {ctx.e.right_rank}/{c.nn}"))
+            f"canonical idempotent solved; action ranks {c.ran_t1().dim}/{c.nn} "
+            f"and {c.ran_t2().dim}/{c.nn}"))
     except (cop.NoSuchIdempotent, cop.NotIdempotent, cop.AmbiguousE) as exc:
         block_on(failed("idempotent-exists", str(exc)))
 
@@ -238,7 +238,7 @@ def _run_axiom_path(report, ctx, c, blocker) -> Optional[str]:
         return "generalized-inverses"
 
     try:
-        ctx.antipode, checks = ant.compute_antipode(c, ctx.e, r1, r2, ctx.counit)
+        ctx.antipode, checks = ant.compute_antipode(c, r1, r2, ctx.counit)
         report.extend(checks)
     except ant.AntipodesDisagree as exc:
         report.extend(exc.checks)
@@ -263,7 +263,7 @@ def _run_axiom_path(report, ctx, c, blocker) -> Optional[str]:
         report.add(passed("local-units",
                           "no unit; local units are not implied without regularity"))
 
-    report.extend(ant.weak_hopf_suite(c, ctx.e, w, ctx.source_target,
+    report.extend(ant.weak_hopf_suite(c, ctx.e, ctx.source_target,
                                       ctx.counit, ctx.unit, regular=regular))
     report.extend(ant.appendix_suite(c, ctx.e, w, ctx.source_target))
     return None if regular else "regular"
@@ -334,7 +334,7 @@ def _path_equivalence(report, ctx):
                      "paths disagree on E or S"))
 
 
-def _oracle_comparison(report, ctx, oracle: GroupoidModel, path: str):
+def _oracle_comparison(report, ctx, oracle: GroupoidModel):
     probs = []
     if ctx.e is not None:
         if ctx.e.left != oracle.oracle_e_left or ctx.e.right != oracle.oracle_e_right:
@@ -449,7 +449,7 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
     growing = all(a < b for a, b in zip(unit_sizes, unit_sizes[1:]))
     report.add(check(
         "global-nonunital",
-        lazy.units_infinite and (growing or k_max < 2),
+        growing or k_max < 2,
         "unit candidate is the all-units sum, whose support grows without bound",
         "unit supports do not grow across windows"))
 

@@ -143,9 +143,9 @@ def check(check_id, ok: bool, detail_pass="", detail_fail="") -> CheckResult:
 
 
 class VerificationReport:
-    def __init__(self, input_digest: str = "", seed: Optional[int] = None,
+    def __init__(self, seed: Optional[int] = None,
                  checks: Optional[List[CheckResult]] = None):
-        self.input_digest = input_digest
+        self.input_digest = ""
         self.seed = seed
         self.checks = [] if checks is None else checks
         self.witnesses: Dict[str, object] = {}

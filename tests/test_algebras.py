@@ -58,16 +58,15 @@ def test_multiply_zero_and_parent_check():
     assert a.mul_sparse(x, {}) == {}
     b = cyclic_group_algebra(3)
     with pytest.raises(ParentMismatch):
-        Multiplier(a, a.mult_operator_left(x), a.mult_operator_right(x)) * \
-            Multiplier(b, b.mult_operator_left({0: ONE}), b.mult_operator_right({0: ONE}))
+        Multiplier.of_element(a, x) * Multiplier.of_element(b, {0: ONE})
 
 
 def test_mult_operators_consistent():
     a = cyclic_group_algebra(4)
     x = {0: rational(2), 1: ONE, 3: rational(-1)}
     y = {3: ONE}
-    assert a.mult_operator_left(x).apply_sparse(y) == a.mul_sparse(x, y)
-    assert a.mult_operator_right(x).apply_sparse(y) == a.mul_sparse(y, x)
+    assert Multiplier.of_element(a, x).left.apply_sparse(y) == a.mul_sparse(x, y)
+    assert Multiplier.of_element(a, x).right.apply_sparse(y) == a.mul_sparse(y, x)
 
 
 def test_multiplier_algebra_unital_cases():
@@ -77,7 +76,7 @@ def test_multiplier_algebra_unital_cases():
         unit = Multiplier.unit(alg)
         assert unit.compatibility_failure() is None
         x = {0: ONE}
-        emb = Multiplier(alg, alg.mult_operator_left(x), alg.mult_operator_right(x))
+        emb = Multiplier.of_element(alg, x)
         assert emb.compatibility_failure() is None
         assert (unit * emb) == emb
 
@@ -88,7 +87,8 @@ def test_multiplier_reports_its_first_violated_law():
     # (L_x, R_y) with x != y on a commutative algebra: both one-sided laws
     # hold, the link law e_i x e_j = e_i y e_j does not
     a = cyclic_group_algebra(3)
-    m = Multiplier(a, a.mult_operator_left({1: ONE}), a.mult_operator_right({2: ONE}))
+    m = Multiplier(a, Multiplier.of_element(a, {1: ONE}).left,
+                   Multiplier.of_element(a, {2: ONE}).right)
     assert m.compatibility_failure() == "link law fails at (0,0)"
     assert RunCache().multiplier_failure(m) == "link law fails at (0,0)"
     # swapping the two idempotents of C^2 breaks the left and the right law
@@ -98,13 +98,16 @@ def test_multiplier_reports_its_first_violated_law():
     m = Multiplier(c2, swap, swap)
     assert m.compatibility_failure() == "left law fails at (0,0)"
     assert RunCache().multiplier_failure(m) == "left law fails at (0,0)"
+    # the walk yields every violation, pair by pair, left, right, link
+    assert list(m.law_failures()) == [
+        ("left", 0, 0), ("right", 0, 0), ("left", 0, 1), ("right", 0, 1), ("link", 0, 1),
+        ("left", 1, 0), ("right", 1, 0), ("link", 1, 0), ("left", 1, 1), ("right", 1, 1)]
 
 
 def test_multiplier_embedding_roundtrip():
     a = cyclic_group_algebra(3)
     x = {0: ONE, 1: rational(2), 2: rational(-1, 2)}
-    m = Multiplier(a, a.mult_operator_left(x), a.mult_operator_right(x))
-    assert m.as_element() == x
+    assert Multiplier.of_element(a, x).as_element() == x
 
 
 def test_tensor_products_are_legwise():

@@ -9,7 +9,7 @@ from wmha.antipodes import (AntipodesDisagree, appendix_suite,
 from wmha.coproducts import CoproductData, compute_E, solve_G_maps, solve_counit
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
-from wmha.scalars import ONE, ZERO
+from wmha.scalars import ONE, ZERO, rational
 
 
 def build_all(name, kind):
@@ -20,7 +20,7 @@ def build_all(name, kind):
     e = compute_E(c)
     gm = solve_G_maps(c, e)
     r1, r2, checks = build_generalized_inverses(c, e, gm)
-    w, ck = compute_antipode(c, e, r1, r2, eps)
+    w, ck = compute_antipode(c, r1, r2, eps)
     return m, c, eps, e, gm, w, checks + ck
 
 
@@ -106,7 +106,7 @@ def test_regular_suite_and_flip_maps():
     checks, t3, t4 = regular_suite(c, e, gm, w)
     all_pass(checks)
     assert w.not_regular is None
-    d3, d4 = derive_flip_maps(c, w)
+    d3, d4 = derive_flip_maps(w)
     assert d3 == m.t3 and d4 == m.t4
 
 
@@ -117,7 +117,7 @@ def test_weak_hopf_identity_spot_check():
     m, c, eps, e, gm, w, _ = build_all("pair:2", "convolution")
     st, _ = compute_source_target(c, e, gm, w, eps)
     unit = validate_algebra(m.algebra).unit
-    all_pass(weak_hopf_suite(c, e, w, st, eps, unit))
+    all_pass(weak_hopf_suite(c, e, st, eps, unit))
     assert e.left != Matrix.identity(c.nn)   # weak Hopf, not Hopf
     idx = g.index()
     a, b, cc = idx["(0,1)"], idx["(1,0)"], idx["(0,1)"]
@@ -130,7 +130,7 @@ def test_weak_hopf_flags_hopf_for_groups():
     m, c, eps, e, gm, w, _ = build_all("group:cyclic:4", "convolution")
     st, _ = compute_source_target(c, e, gm, w, eps)
     unit = validate_algebra(m.algebra).unit
-    all_pass(weak_hopf_suite(c, e, w, st, eps, unit))
+    all_pass(weak_hopf_suite(c, e, st, eps, unit))
     assert e.left == Matrix.identity(c.nn)   # weak Hopf with E = 1: Hopf
 
 
@@ -247,4 +247,52 @@ def test_antipode_disagreement_is_detected():
     except Exception:
         return  # rejected even earlier, as a bad projection pair
     with pytest.raises(AntipodesDisagree):
-        compute_antipode(c, e, r1, r2, eps)
+        compute_antipode(c, r1, r2, eps)
+
+
+def _bump(r, col, row):
+    """r with one more e_row in its column col."""
+    return r + Matrix.from_entries(r.rows, r.cols, {(row, col): ONE})
+
+
+def _doubled(r, cols):
+    """r with the columns cols doubled."""
+    return r * Matrix.from_entries(r.cols, r.cols, {(j, j): rational(2 if j in cols else 1)
+                                                    for j in range(r.cols)})
+
+
+# (a, b) -> the column of R1 at e_a (x) e_b and of R2 at e_b (x) e_a, the
+# column that gives S1(e_a) e_b and e_b S2(e_a); row 0 is e_0 (x) e_0
+@pytest.mark.parametrize("doctor, details", [
+    (lambda r1, r2: (_bump(r1, 1 * 4 + 2, 0), r2),
+     ("S1(L[(0,1)]) is not a left multiplier at (L[(1,0)],L[(0,1)])",
+      "b(S1(a)c) != (bS2(a))c at (a,b,c)=(L[(0,1)],L[(0,0)],L[(1,0)])")),
+    (lambda r1, r2: (r1, _bump(r2, 2 * 4 + 1, 0)),
+     ("S2(L[(0,1)]) is not a right multiplier at (L[(0,0)],L[(1,0)])",
+      "b(S1(a)c) != (bS2(a))c at (a,b,c)=(L[(0,1)],L[(1,0)],L[(0,0)])")),
+    # a right-law failure of S(e_1) comes before a left-law one of S(e_2)
+    (lambda r1, r2: (_bump(r1, 2 * 4 + 2, 0), _bump(r2, 2 * 4 + 1, 0)),
+     ("S2(L[(0,1)]) is not a right multiplier at (L[(0,0)],L[(1,0)])",
+      "b(S1(a)c) != (bS2(a))c at (a,b,c)=(L[(0,1)],L[(1,0)],L[(0,0)])")),
+    # and, for one S(e_1), before a left-law failure at a later pair
+    (lambda r1, r2: (_bump(r1, 1 * 4 + 2, 0), _bump(r2, 2 * 4 + 1, 0)),
+     ("S2(L[(0,1)]) is not a right multiplier at (L[(0,0)],L[(1,0)])",
+      "b(S1(a)c) != (bS2(a))c at (a,b,c)=(L[(0,1)],L[(0,0)],L[(1,0)])")),
+    # S1(e_1) = 2 S2(e_1): both one-sided multipliers, but not one map
+    (lambda r1, r2: (_doubled(r1, {1 * 4 + b for b in range(4)}), r2),
+     (None, "b(S1(a)c) != (bS2(a))c at (a,b,c)=(L[(0,1)],L[(0,1)],L[(0,0)])")),
+])
+def test_antipode_law_failures_name_the_first_pair(doctor, details):
+    # doctored R maps of the 2x2 matrix algebra (pair:2 convolution): the
+    # first failure of the left and right laws over (a, i, j), then the
+    # first failure of the link law b(S1(a)c) = (bS2(a))c
+    m, c, eps, e, gm, w, _ = build_all("pair:2", "convolution")
+    with pytest.raises(AntipodesDisagree) as exc:
+        compute_antipode(c, *doctor(w.r1, w.r2), eps)
+    defined, agree = exc.value.checks
+    law_detail, agree_detail = details
+    assert (defined.check_id, agree.check_id) == ("antipode-defined", "antipodes-agree")
+    assert defined.status == ("pass" if law_detail is None else "fail")
+    if law_detail is not None:
+        assert defined.detail == law_detail
+    assert (agree.status, agree.detail) == ("fail", agree_detail)

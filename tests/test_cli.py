@@ -103,6 +103,25 @@ def test_repeated_entries_exit_two(tmp_path, capsys):
         f"input error: structure: index ({i},{j},{k}) is listed twice\n"
 
 
+def test_repeated_groupoid_entries_exit_two(tmp_path, capsys):
+    # a repeated morphism once passed the groupoid axioms and failed
+    # coproduct-full (exit 1); a compose pair listed again with another
+    # result once kept the later entry and passed (exit 0)
+    trivial = {"morphisms": ["e"], "source": {"e": "e"}, "target": {"e": "e"},
+               "compose": [["e", "e", "e"]], "inverse": {"e": "e"}}
+    doc = {"groupoid": {**trivial, "morphisms": ["e", "e"]}, "model": "function"}
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "input error: groupoid: morphism 'e' is listed twice\n"
+    cyclic = {"morphisms": ["e", "g"], "source": {"e": "e", "g": "e"},
+              "target": {"e": "e", "g": "e"}, "inverse": {"e": "e", "g": "g"},
+              "compose": [["e", "e", "g"], ["e", "e", "e"], ["e", "g", "g"],
+                          ["g", "e", "g"], ["g", "g", "e"]]}
+    doc = {"groupoid": cyclic, "model": "function"}
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: groupoid: compose pair ('e', 'e') is listed twice\n"
+
+
 def test_bad_rational_literals_exit_two(tmp_path):
     m = convolution_algebra(preset("pair:2"))
     for bad in ("1/0", "a/b", ""):

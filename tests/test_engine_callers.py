@@ -7,7 +7,11 @@ counts as used when an `ast.Name` or `ast.Attribute` in `src/wmha` or
 `bench/` carries its name, when a string constant in `bench/` names it
 by its dotted path (the per-layer trace wraps callables that way), or
 when it is exported in `wmha.__all__`.  Dunder methods are called by
-the language and are not scanned."""
+the language and are not scanned.
+
+Every parameter is read: a parameter that no body reads is a value no
+caller can change the result with, and it is deleted with its
+arguments."""
 
 import ast
 from pathlib import Path
@@ -74,3 +78,28 @@ def test_every_engine_callable_has_a_caller_outside_the_tests():
         and name not in referenced and dotted_name not in dotted
         and name not in exported)
     assert not unused, "engine callables with no caller in src/ or bench/: " + ", ".join(unused)
+
+
+def _unread_parameters(module, tree):
+    """module.function(parameter) for every parameter of a function or
+    lambda in tree that its body never loads; self and cls are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out.extend(f"{module}.{name}({p})" for p in params
+                   if p not in ("self", "cls") and p not in read)
+    return out
+
+
+def test_every_engine_parameter_is_read():
+    unread = sorted(entry for path, tree in _trees(SRC).items()
+                    for entry in _unread_parameters(path.stem, tree))
+    assert not unread, "parameters that no body reads: " + ", ".join(unread)

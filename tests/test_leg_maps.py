@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wmha.algebras import Algebra, Multiplier, _on_legs
-from wmha.coproducts import (CanonicalIdempotent, CoproductData, IllDefinedExtension,
+from wmha.coproducts import (CoproductData, IllDefinedExtension,
                              _extended_leg_columns, _lbl3, check_E_conditions, compute_E)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
@@ -134,8 +134,7 @@ def test_broken_idempotents_raise_the_per_vector_message():
         "mixed": (Multiplier(c.aa, e.left * r, e.right),
                   "(coproduct x id)(E) ill-defined at (L[(0,0)] (x) L[(0,0)] (x) L[(1,0)])"),
     }
-    for name, (mult, message) in broken.items():
-        bad = CanonicalIdempotent(mult, 0, 0)
+    for name, (bad, message) in broken.items():
         assert _reference_failure(c, bad) == message, name
         with pytest.raises(IllDefinedExtension) as exc:
             check_E_conditions(c, bad)

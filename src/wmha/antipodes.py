@@ -510,11 +510,9 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
 # ------------------------------------------------- regularity suite
 
 
-def derive_flip_maps(w: AntipodeWitness) -> Tuple[Optional[Matrix], Optional[Matrix]]:
+def derive_flip_maps(w: AntipodeWitness) -> Tuple[Matrix, Matrix]:
     """T3 = (id (x) S^-1) R1 (id (x) S), T4 = (S^-1 (x) id) R2 (S (x) id),
-    available once the antipode is a bijective matrix."""
-    if w.s_matrix is None or w.s_matrix_inv is None:
-        return None, None
+    for an antipode that is a bijective matrix."""
     i_s, i_si, s_i, si_i = _s_conjugators(w)
     return i_si * w.r1 * i_s, si_i * w.r2 * s_i
 
@@ -748,12 +746,11 @@ def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
     jj = jmat.kron(jmat)
 
     bad = None
+    # regular_suite supplies T3/T4 whenever S is bijective
     if t3 is None or t4 is None:
-        if w.s_matrix is None:
-            out.append(failed("star-compatible",
-                              "star input with an antipode that does not map A to A"))
-            return out
-        t3, t4 = derive_flip_maps(w)
+        out.append(failed("star-compatible", "star input with an antipode that does not map A to A"
+                          if w.s_matrix is None else "star input with an antipode that is not bijective"))
+        return out
 
     # coproduct is a star-homomorphism: T3(a* (x) b*) = T1(a (x) b)*
     for a in range(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import Algebra, Multiplier, SparseVec, _on_legs
+from .algebras import Algebra, Multiplier, SparseVec, _on_legs, flip_map
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, check
@@ -175,6 +175,16 @@ class CoproductData:
         self._ran_t1: Optional[Subspace] = None
         self._ran_t2: Optional[Subspace] = None
         self._preimage_cache: Dict = {}
+        self._mirror: Optional[CoproductData] = None
+
+    def mirror(self) -> "CoproductData":
+        """(A^op, sT2s, sT1s) for the flip s: its left-handed results, flipped,
+        are this one's right-handed ones.  Built once, on first use."""
+        if self._mirror is None:
+            s = flip_map(self.n)
+            self._mirror = CoproductData(self.parent.opposite(), s * self.t2 * s, s * self.t1 * s,
+                                         cache=self.cache)
+        return self._mirror
 
     # ---- shared caches -------------------------------------------------
 
@@ -255,15 +265,10 @@ class CoproductData:
         return _settle(acc)
 
     def delta_right(self, a: int, x: SparseVec) -> SparseVec:
-        """x . coproduct(e_a)."""
-        acc: dict = {}
+        """x . coproduct(e_a), the flip of coproduct(e_a) . (flip of x) in the mirror."""
         n = self.n
-        for idx, coeff in x.items():
-            x1, x2 = divmod(idx, n)
-            for row, v in self.t2.col_sparse(x1 * n + a):
-                p, q = divmod(row, n)
-                _accumulate(acc, self.parent.mul_basis(x2, q).items(), coeff, v, base=p * n)
-        return _settle(acc)
+        got = self.mirror().delta_left(a, {i % n * n + i // n: v for i, v in x.items()})
+        return {i % n * n + i // n: v for i, v in got.items()}
 
 
 # ---- validation ----------------------------------------------------------
@@ -390,40 +395,31 @@ def _regular_maps_witness(c: CoproductData) -> Optional[str]:
 
 def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
     """Smallest V with Ran(T1) inside V (x) A, and W with Ran(T2) inside
-    A (x) W; the coproduct is full when both are everything."""
+    A (x) W, the mirror's V; the coproduct is full when both are everything."""
     n = c.n
-    spans = []
-    for t, leg in ((c.t1, 1), (c.t2, 2)):
-        span = Echelon(Matrix.zero(0, n))
-        for col in range(c.nn):
-            for vec in _leg_slices(t, col, leg, n).values():
-                span.insert(vec)
-        spans.append(Subspace(span))
-    v, w = spans
+    v, w = (Subspace.from_vectors(n, (x for col in range(c.nn) for x in _leg_slices(d, col).values()))
+            for d in (c, c.mirror()))
     return v, w, (v.dim == n and w.dim == n)
 
 
-def _leg_slices(t: Matrix, col: int, leg: int, n: int) -> Dict[int, SparseVec]:
-    """Column col of t, a vector of the tensor square, as sparse vectors
-    over one leg keyed by the index on the other leg."""
+def _leg_slices(c: CoproductData, col: int) -> Dict[int, SparseVec]:
+    """Column col of T1 as sparse vectors over leg 1 keyed by the index on leg 2."""
     out: Dict[int, SparseVec] = {}
-    for row, v in t.col_sparse(col):
-        i, j = divmod(row, n)
-        k, pos = (j, i) if leg == 1 else (i, j)
-        out.setdefault(k, {})[pos] = v
+    for row, v in c.t1.col_sparse(col):
+        i, j = divmod(row, c.n)
+        out.setdefault(j, {})[i] = v
     return out
 
 
 def solve_counit(c: CoproductData) -> list:
     """The unique functional with (eps (x) id) T1 = product and
-    (id (x) eps) T2 = product."""
+    (id (x) eps) T2 = product, the latter read off the mirror's T1."""
     n = c.n
     constraints = []
     for a in range(n):
         for b in range(n):
             prod = c.parent.mul_basis(a, b)
-            for t, leg in ((c.t1, 1), (c.t2, 2)):
-                rows = _leg_slices(t, a * n + b, leg, n)
+            for rows in (_leg_slices(c, a * n + b), _leg_slices(c.mirror(), b * n + a)):
                 for k in set(rows) | set(prod):
                     constraints.append((rows.get(k, {}), prod.get(k, ZERO)))
     try:
@@ -733,23 +729,23 @@ class ProjectionMaps:
 
 
 def solve_G_maps(c: CoproductData, e: Multiplier) -> ProjectionMaps:
-    """G1, G2 as the unique solutions of their defining leg-13 equalities.
+    """G1, G2 as the unique solutions of their defining leg-13 equalities;
+    G2 is the flipped G1 of the mirror, whose E is the flipped (E.right, E.left).
 
     Uniqueness needs fullness; infeasibility or ambiguity raise.  The
     counit-contraction construction is compared by validate_G_maps.
     """
-    return ProjectionMaps(_solve_leg_system(c, e, first=True),
-                          _solve_leg_system(c, e, first=False))
+    s = flip_map(c.n)
+    g1 = _solve_leg_system(c, e.left._sparse_cols(), "G1")
+    g2 = _solve_leg_system(c.mirror(), (s * e.right * s)._sparse_cols(), "G2")
+    return ProjectionMaps(g1, s * g2 * s)
 
 
-def _solve_leg_system(c: CoproductData, e: Multiplier, first: bool) -> Matrix:
+def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
     """G1 from coproduct_13(e_a)(1 (x) E)(1 (x) e_b (x) e_c) against
-    coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and E's left action on
-    legs (2,3), expanded over leg 3; G2 (not first) from
-    (e_a (x) e_b (x) 1)(E (x) 1) coproduct_13(e_c), with T2 and E's right
-    action on legs (1,2), expanded over leg 1."""
+    coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and the columns ecols of
+    E's left action on legs (2,3), expanded over leg 3; failures call the map name."""
     n, nn = c.n, c.nn
-    t, ecols, s = (c.t1, e.left._sparse_cols(), 1) if first else (c.t2, e.right._sparse_cols(), n)
     span = Echelon(Matrix.zero(0, nn))
     xs: List[SparseVec] = []
     ys: List[SparseVec] = []
@@ -757,11 +753,10 @@ def _solve_leg_system(c: CoproductData, e: Multiplier, first: bool) -> Matrix:
     for idx in range(n ** 3):
         xparts: Dict[int, Dict[int, Scalar]] = {}
         yparts: Dict[int, Dict[int, Scalar]] = {}
-        for parts, v3 in ((xparts, apply_on_legs13(t, {idx: ONE}, n)),
-                          (yparts, apply_on_legs13(t, _on_legs(ecols, nn, [(idx, ONE)], s), n))):
+        for parts, v3 in ((xparts, apply_on_legs13(c.t1, {idx: ONE}, n)),
+                          (yparts, apply_on_legs13(c.t1, _on_legs(ecols, nn, [(idx, ONE)]), n))):
             for i, v in v3.items():
-                k, ij = (i % n, i // n) if first else divmod(i, nn)
-                parts.setdefault(k, {})[ij] = v
+                parts.setdefault(i % n, {})[i // n] = v
         for k in sorted(set(xparts) | set(yparts)):
             xv = xparts.get(k, {})
             yv = yparts.get(k, {})
@@ -771,18 +766,15 @@ def _solve_leg_system(c: CoproductData, e: Multiplier, first: bool) -> Matrix:
             else:
                 deferred.append((xv, yv))
     if span.rank < nn:
-        raise Ambiguous(
-            f"defining system for G{1 if first else 2} underdetermined "
-            f"(rank {span.rank} of {nn}); fullness must fail")
+        raise Ambiguous(f"defining system for {name} underdetermined "
+                        f"(rank {span.rank} of {nn}); fullness must fail")
     xinv = invert(Matrix.from_sparse_cols(nn, xs))
     if xinv is None:
-        raise InvariantViolation(
-            f"independent columns of the G{1 if first else 2} system are singular")
+        raise InvariantViolation(f"independent columns of the {name} system are singular")
     g = Matrix.from_sparse_cols(nn, ys) * xinv
     for xv, yv in deferred:
         if g.apply_sparse(xv) != yv:
-            raise NoSolution(
-                f"defining system for G{1 if first else 2} inconsistent")
+            raise NoSolution(f"defining system for {name} inconsistent")
     return g
 
 

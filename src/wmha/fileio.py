@@ -273,10 +273,20 @@ def witnesses_to_json(ctx) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats (json.load keeps the last)."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"{key!r} is a repeated key of a JSON object")
+        out[key] = value
+    return out
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -89,6 +89,41 @@ def solve_geninv_by_constraints(t, e, f):
     return Matrix.from_rows([[sol[i * n + j] for j in range(n)] for i in range(n)])
 
 
+def conjugated_input(name, complex_entries, p=None):
+    """The convolution model of preset name conjugated by a dense change of
+    basis P (random from a fixed seed unless given), with Gaussian entries
+    when complex_entries: (StructureInput, P, P (x) P, model)."""
+    from wmha.algebras import Algebra
+    from wmha.groupoids import convolution_algebra, preset
+    from wmha.pipeline import StructureInput
+
+    m = convolution_algebra(preset(name))
+    n = m.algebra.dim
+    rng = random.Random(3)
+    while p is None or invert(p) is None:
+        def entry():
+            re = rational(rng.randint(-2, 2), rng.choice([1, 2])).re
+            im = rational(rng.randint(-1, 1)).re \
+                if complex_entries and rng.random() < 0.4 else rational(0).re
+            return Scalar(re, im)
+        p = Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+    pinv = invert(p)
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            prod = m.algebra.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))
+            entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
+    conj = Algebra.from_structure(n, None, entries)
+    if complex_entries:
+        assert any(v.im for _, _, _, v in conj.structure_entries()), \
+            "conjugation should produce genuinely complex structure constants"
+    q = p.kron(p)
+    qinv = invert(q)
+    inp = StructureInput(conj, qinv * m.t1 * q, qinv * m.t2 * q,
+                         qinv * m.t3 * q, qinv * m.t4 * q)
+    return inp, p, q, m
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from wmha import antipodes
 from wmha.cli import main
 from wmha.fileio import model_to_document
-from wmha.groupoids import convolution_algebra, function_algebra, preset
+from wmha.groupoids import build_model, convolution_algebra, function_algebra, preset
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -120,6 +121,41 @@ def test_repeated_groupoid_entries_exit_two(tmp_path, capsys):
     assert main(["verify", write_doc(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == \
         "input error: groupoid: compose pair ('e', 'e') is listed twice\n"
+
+
+def test_repeated_json_keys_exit_two(tmp_path, capsys):
+    # json.load keeps the last of repeated keys, so both documents once
+    # verified with exit 0: the inverse of g read as g, the model as the
+    # second one
+    cyclic = {"morphisms": ["e", "g"], "source": {"e": "e", "g": "e"},
+              "target": {"e": "e", "g": "e"}, "inverse": {"e": "e", "g": "g"},
+              "compose": [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"],
+                          ["g", "g", "e"]]}
+    text = json.dumps({"groupoid": cyclic, "model": "function"})
+    for doc, key in ((text.replace('"inverse": {', '"inverse": {"g": "e", '), "g"),
+                     (text.replace('"model": "function"', '"model": "convolution", "model": "function"'),
+                      "model")):
+        p = tmp_path / "repeated.json"
+        p.write_text(doc, encoding="utf-8")
+        assert main(["verify", str(p)]) == 2
+        assert capsys.readouterr().err == f"input error: {key!r} is a repeated key of a JSON object\n"
+    p.write_text(text, encoding="utf-8")
+    assert main(["verify", str(p)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["function", "convolution"])
+def test_star_on_a_non_bijective_antipode_without_flip_maps_exits_one(tmp_path, monkeypatch, kind):
+    # with S forced non-invertible and no T3/T4 supplied, the star check
+    # once re-derived T3/T4 from S, got none and crashed (exit 3)
+    doc = model_to_document(build_model(preset("pair:2"), kind))
+    del doc["coproduct"]["T3"], doc["coproduct"]["T4"]
+    monkeypatch.setattr(antipodes, "invert", lambda m: None)
+    report = tmp_path / "report.json"
+    assert main(["verify", write_doc(tmp_path, doc), "--path", "both",
+                 "--report", str(report)]) == 1
+    failures = {c["id"]: c["detail"] for c in json.loads(report.read_text())["checks"]
+                if c["status"] == "fail"}
+    assert failures == {"star-compatible": "star input with an antipode that is not bijective"}
 
 
 def test_bad_rational_literals_exit_two(tmp_path):

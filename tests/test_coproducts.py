@@ -3,16 +3,18 @@ import re
 
 import pytest
 
-from wmha.algebras import Multiplier
+from conftest import conjugated_input
+from wmha.algebras import Multiplier, flip_map
+from wmha.antipodes import build_generalized_inverses
 from wmha.coproducts import (Ambiguous, AmbiguousE, CoproductData,
-                             NoCounit, NoSuchIdempotent, NonUniqueCounit, NotIdempotent,
+                             NoCounit, NoSolution, NoSuchIdempotent, NonUniqueCounit, NotIdempotent,
                              ProjectionMaps, apply_on_legs13, check_E_conditions,
                              check_fullness, check_kernels, compute_E,
                              compute_E_from_flips, extend_delta, solve_G_maps,
                              solve_counit, validate_E, validate_G_maps,
                              validate_coproduct)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
-from wmha.linalg import Matrix, column_space, rank_image_kernel
+from wmha.linalg import Matrix, column_space, invert, rank_image_kernel
 from wmha.scalars import ONE, ZERO
 
 
@@ -326,6 +328,89 @@ def test_ambiguous_G_without_fullness():
         solve_G_maps(zero, e)
 
 
+def _keep(n, kept):
+    """The projection of the n-dim algebra onto the span of the kept basis vectors."""
+    return Matrix.from_sparse_cols(n, [{i: ONE} if i in kept else {} for i in range(n)])
+
+
+@pytest.mark.parametrize("case, error, detail", [
+    ("T1 zero", Ambiguous,
+     "defining system for G1 underdetermined (rank 0 of 16); fullness must fail"),
+    ("T1 leg 1 half", Ambiguous,
+     "defining system for G1 underdetermined (rank 8 of 16); fullness must fail"),
+    ("T2 leg 2 quarter", Ambiguous,
+     "defining system for G2 underdetermined (rank 4 of 16); fullness must fail"),
+    ("T2 zero", Ambiguous,
+     "defining system for G2 underdetermined (rank 0 of 16); fullness must fail"),
+    ("E.left flip", NoSolution, "defining system for G1 inconsistent"),
+    ("E.right flip", NoSolution, "defining system for G2 inconsistent"),
+    ("pair:2 E.left flipped", NoSolution, "defining system for G1 inconsistent"),
+    ("pair:2 E.right flipped", NoSolution, "defining system for G2 inconsistent"),
+])
+def test_G_solve_failures_name_the_map(case, error, detail):
+    # each reachable failure of the G1 and G2 solves, its text recorded
+    # before G2 was taken from the mirror presentation; G1 is solved first
+    m, c = make("pair:2", "function")
+    n, nn = c.n, c.nn
+    one, zero, sigma, ident = Matrix.identity(nn), Matrix.zero(nn, nn), flip_map(n), Matrix.identity(n)
+    if case.startswith("pair:2"):
+        e = compute_E(c)
+        left, right = (sigma * e.left * sigma, e.right) if "left" in case else \
+            (e.left, sigma * e.right * sigma)
+        t1, t2 = m.t1, m.t2
+    else:
+        t1, t2, left, right = {
+            "T1 zero": (zero, one, zero, zero),
+            "T1 leg 1 half": (_keep(n, {0, 2}).kron(ident), one, one, one),
+            "T2 leg 2 quarter": (one, ident.kron(_keep(n, {1})), one, one),
+            "T2 zero": (one, zero, one, zero),
+            "E.left flip": (one, one, sigma, one),
+            "E.right flip": (one, one, one, sigma)}[case]
+    d = CoproductData(m.algebra, t1, t2)
+    with pytest.raises(error) as exc:
+        solve_G_maps(d, Multiplier(d.aa, left, right))
+    assert str(exc.value) == detail
+
+
+# pair:2 with 1 added to row 0, column j of E's right action: the
+# idempotent-valid detail for every j where absorption fails, recorded
+# before x.coproduct(a) was taken from the mirror presentation; every
+# other j passes
+RIGHT_ABSORPTION = {
+    "function": {
+        0: "coproduct((0,0)).E != coproduct((0,0)) at ((0,0) (x) (0,0))",
+        1: "coproduct((0,1)).E != coproduct((0,1)) at ((0,0) (x) (0,1))",
+        6: "coproduct((0,0)).E != coproduct((0,0)) at ((0,1) (x) (1,0))",
+        7: "coproduct((0,1)).E != coproduct((0,1)) at ((0,1) (x) (1,1))",
+        8: "coproduct((1,0)).E != coproduct((1,0)) at ((1,0) (x) (0,0))",
+        9: "coproduct((1,1)).E != coproduct((1,1)) at ((1,0) (x) (0,1))",
+        14: "coproduct((1,0)).E != coproduct((1,0)) at ((1,1) (x) (1,0))",
+        15: "coproduct((1,1)).E != coproduct((1,1)) at ((1,1) (x) (1,1))"},
+    "convolution": {
+        0: "coproduct(L[(0,0)]).E != coproduct(L[(0,0)]) at (L[(0,0)] (x) L[(0,0)])",
+        2: "coproduct(L[(0,0)]).E != coproduct(L[(0,0)]) at (L[(0,0)] (x) L[(1,0)])",
+        5: "coproduct(L[(0,1)]).E != coproduct(L[(0,1)]) at (L[(0,0)] (x) L[(0,0)])",
+        7: "coproduct(L[(0,1)]).E != coproduct(L[(0,1)]) at (L[(0,0)] (x) L[(1,0)])",
+        8: "coproduct(L[(0,0)]).E != coproduct(L[(0,0)]) at (L[(1,0)] (x) L[(0,0)])",
+        10: "coproduct(L[(0,0)]).E != coproduct(L[(0,0)]) at (L[(1,0)] (x) L[(1,0)])",
+        13: "coproduct(L[(0,1)]).E != coproduct(L[(0,1)]) at (L[(1,0)] (x) L[(0,0)])",
+        15: "coproduct(L[(0,1)]).E != coproduct(L[(0,1)]) at (L[(1,0)] (x) L[(1,0)])"},
+}
+
+
+@pytest.mark.parametrize("kind", ["function", "convolution"])
+def test_right_absorption_failures_name_the_first_pair(kind):
+    m, c = make("pair:2", kind)
+    e = compute_E(c)
+    for j in range(c.nn):
+        rows = e.right.dense_rows()
+        rows[0][j] += ONE
+        got, = validate_E(c, Multiplier(c.aa, e.left, Matrix.from_rows(rows)))
+        assert (got.status, got.detail) == (
+            ("fail", RIGHT_ABSORPTION[kind][j]) if j in RIGHT_ABSORPTION[kind]
+            else ("pass", "E idempotent with action ranks 8/16 and 8/16")), j
+
+
 def _module_law_reference(c, laws, triples):
     """The first failing module law by dense operators: m must commute with
     L_x (x) 1 on leg 1 and with 1 (x) R_x on leg 2 at column a (x) b."""
@@ -369,3 +454,56 @@ def test_module_law_failures_follow_the_walk_order():
         orders_differ |= factor != _module_law_reference(
             c, [(g1, 1, "G1 has no left-leg multiplier")], x_inner)
     assert orders_differ
+
+
+def _delta_right_reference(c, a, x):
+    """x . coproduct(e_a) read off T2 directly: T2(x1 (x) e_a) = sum p (x) q
+    gives p (x) x2 q."""
+    acc = {}
+    n = c.n
+    for idx, coeff in x.items():
+        x1, x2 = divmod(idx, n)
+        for row, v in c.t2.col_sparse(x1 * n + a):
+            p, q = divmod(row, n)
+            for k, w in c.parent.mul_basis(x2, q).items():
+                acc[p * n + k] = acc.get(p * n + k, ZERO) + coeff * v * w
+    return {k: v for k, v in acc.items() if v}
+
+
+# the finite presets of the golden certificates, in both models, and the
+# dense rational and Gaussian conjugations of the pipeline tests
+MIRROR_INPUTS = [(name, kind) for name in ("pair:1", "pair:2", "group:cyclic:2", "group:cyclic:3",
+                                           "bundle:cyclic:2:2", "union:pair:1+group:cyclic:2")
+                 for kind in ("function", "convolution")] + \
+    [("pair:2", "rational P"), ("group:cyclic:3", "Gaussian P")]
+
+
+@pytest.mark.parametrize("name, kind", MIRROR_INPUTS)
+def test_mirror_presentation_gives_the_right_handed_results(name, kind):
+    # (A^op, sigma T2 sigma, sigma T1 sigma) solves, entry for entry, to the
+    # flipped right-handed E, G, R, the same counit and the flipped
+    # x.coproduct(a); G, whose G2 is taken from the mirror, also matches
+    # the model's oracle
+    if kind.endswith(" P"):
+        inp, _, q, model = conjugated_input(name, complex_entries=kind == "Gaussian P")
+        c = CoproductData(inp.algebra, inp.t1, inp.t2)
+        oracle_g = (invert(q) * model.oracle_g1 * q, invert(q) * model.oracle_g2 * q)
+    else:
+        model, c = make(name, kind)
+        oracle_g = (model.oracle_g1, model.oracle_g2)
+    m = c.mirror()
+    n, nn, sigma = c.n, c.nn, flip_map(c.n)
+    e, em = compute_E(c), compute_E(m)
+    assert (em.left, em.right) == (sigma * e.right * sigma, sigma * e.left * sigma)
+    g, gm = solve_G_maps(c, e), solve_G_maps(m, em)
+    assert (g.g1, g.g2) == oracle_g
+    assert (gm.g1, gm.g2) == (sigma * g.g2 * sigma, sigma * g.g1 * sigma)
+    r1, r2, _ = build_generalized_inverses(c, e, g)
+    rm1, rm2, _ = build_generalized_inverses(m, em, gm)
+    assert (rm1, rm2) == (sigma * r2 * sigma, sigma * r1 * sigma)
+    assert solve_counit(m) == solve_counit(c)
+    flip = [i % n * n + i // n for i in range(nn)]
+    for a in range(n):
+        for x in range(nn):
+            got = m.delta_left(a, {flip[x]: ONE})
+            assert {flip[i]: v for i, v in got.items()} == _delta_right_reference(c, a, {x: ONE})

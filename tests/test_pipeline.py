@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import conjugated_input
 from wmha.fileio import model_to_document, parse_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import (StructureInput, verify_groupoid_model,
@@ -292,35 +293,6 @@ def test_complex_conjugated_presentation_verifies():
 
 
 def _conjugated_run(name, complex_entries, p=None):
-    import random
-
-    from wmha.algebras import Algebra
-    from wmha.linalg import Matrix, invert
-    from wmha.scalars import Scalar, ZERO, rational
-
-    m = convolution_algebra(preset(name))
-    n = m.algebra.dim
-    rng = random.Random(3)
-    while p is None or invert(p) is None:
-        def entry():
-            re = rational(rng.randint(-2, 2), rng.choice([1, 2])).re
-            im = rational(rng.randint(-1, 1)).re \
-                if complex_entries and rng.random() < 0.4 else rational(0).re
-            return Scalar(re, im)
-        p = Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
-    pinv = invert(p)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            prod = m.algebra.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))
-            entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
-    conj = Algebra.from_structure(n, None, entries)
-    if complex_entries:
-        assert any(v.im for _, _, _, v in conj.structure_entries()), \
-            "conjugation should produce genuinely complex structure constants"
-    q = p.kron(p)
-    qinv = invert(q)
-    inp = StructureInput(conj, qinv * m.t1 * q, qinv * m.t2 * q,
-                         qinv * m.t3 * q, qinv * m.t4 * q)
+    inp, p, q, m = conjugated_input(name, complex_entries, p)
     report, ctx = verify_structure(inp, path="def114")
     return report, ctx, p, q, m

@@ -269,19 +269,24 @@ def test_reports_identical_across_processes(tmp_path):
     package_root = str(Path(wmha.__file__).resolve().parent.parent)
     python_path = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    outs = []
-    for seed, flags in (("1", []), ("2", []), ("1", ["-O"])):
-        report_path = tmp_path / f"proc_{seed}{''.join(flags)}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=python_path)
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "wmha.cli", "verify",
-             "--preset", "bundle:cyclic:2:inf", "--model", "convolution",
-             "--windows", "2", "--seed", "77", "--report", str(report_path)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(report_path.read_bytes())
-    assert outs[0] == outs[1]
-    assert outs[2] == outs[0]
+    for k, args in enumerate((
+            ["--preset", "bundle:cyclic:2:inf", "--model", "convolution",
+             "--windows", "2", "--seed", "77"],
+            # a non-commutative table: the opposite-presentation round trip
+            # is transported along S
+            ["--preset", "pair:2", "--model", "convolution", "--path", "both"])):
+        outs = []
+        for seed, flags in (("1", []), ("2", []), ("1", ["-O"])):
+            report_path = tmp_path / f"proc_{k}_{seed}{''.join(flags)}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=python_path)
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "wmha.cli", "verify", *args,
+                 "--report", str(report_path)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(report_path.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[2] == outs[0]
 
 
 def test_classify_lines(capsys):

@@ -79,8 +79,11 @@ def _round_trip_run(name, kind, variant):
     ("pair:2", "function", "preset", 1, PASS),
     ("group:cyclic:3", "convolution", "preset", 1, PASS),
     ("bundle:cyclic:1:2", "convolution", "dense", 1, PASS),
-    # a non-commutative table, or maps absent on one side only
-    ("pair:2", "convolution", "preset", 2, PASS),
+    # non-commutative tables whose opposite presentation is the image of
+    # the input under S (x) S: the round trip is transported
+    ("pair:2", "convolution", "preset", 1, PASS),
+    ("pair:3", "convolution", "preset", 1, PASS),
+    # maps absent on one side only
     ("pair:2", "function", "no T3/T4", 2, PASS),
     ("pair:2", "function", "no T4", 2, PASS),
     # a changed T3 fails coproduct-regular-maps at the gate
@@ -100,6 +103,141 @@ def test_op_round_trip_reuses_equal_presentation(name, kind, variant, cores,
     assert report.status_of("appendix-op-roundtrip") == round_trip
     assert report.status_of("regular-op-antipode") == round_trip
     assert report.verdict == (FAIL if round_trip is None else PASS)
+
+
+def _main_core(name):
+    """The presentation core of the convolution model of preset name, as
+    verify_structure runs it: (core report, context)."""
+    from wmha.coproducts import RunCache
+    from wmha.pipeline import _verify_presentation
+
+    m = convolution_algebra(preset(name))
+    core, ctx, stop = _verify_presentation(m.algebra, m.t1, m.t2, m.t3, m.t4, True, RunCache())
+    assert stop is None and core.verdict == PASS
+    return core, ctx
+
+
+def _bumped(m):
+    """m with 1 added to its entry (0, 0)."""
+    from wmha.linalg import Matrix
+    from wmha.scalars import ONE
+
+    rows = m.dense_rows()
+    rows[0][0] += ONE
+    return Matrix.from_rows(rows)
+
+
+def _count_cores(monkeypatch):
+    """The list that every later run of the presentation core appends its
+    result to."""
+    import wmha.pipeline
+
+    runs = []
+    verify = wmha.pipeline._verify_presentation
+    monkeypatch.setattr(wmha.pipeline, "_verify_presentation",
+                        lambda *args: runs.append(verify(*args)) or runs[-1])
+    return runs
+
+
+@pytest.mark.parametrize("name, complex_entries", [
+    ("pair:2", None), ("pair:3", None), ("union:pair:2+group:cyclic:2", None),
+    # the dense conjugations by a rational and a Gaussian change of basis
+    ("pair:2", False), ("group:cyclic:3", True),
+], ids=["pair:2", "pair:3", "union:pair:2+group:cyclic:2", "pair:2-rational-conjugation",
+        "group:cyclic:3-gaussian-conjugation"])
+def test_op_round_trip_transport_matches_full_core(name, complex_entries, monkeypatch):
+    import wmha.pipeline
+    from wmha.fileio import witnesses_to_json
+
+    def certificate():
+        if complex_entries is None:
+            report, ctx = verify_groupoid_model(preset(name), "convolution")
+        else:
+            report, ctx = verify_structure(conjugated_input(name, complex_entries)[0])
+        report.witnesses = witnesses_to_json(ctx)
+        return report.to_json()
+
+    runs = _count_cores(monkeypatch)
+    transport = wmha.pipeline._transported_core
+    monkeypatch.setattr(wmha.pipeline, "_transported_core", lambda *args: None)
+    full = certificate()
+    assert len(runs) == 2
+    op_ctx = runs[1][1]
+
+    transported = []
+    monkeypatch.setattr(wmha.pipeline, "_transported_core",
+                        lambda *args: transported.append(transport(*args)) or transported[-1])
+    assert certificate() == full
+    assert len(runs) == 3 and transported[0] is not None
+    _, e_op, s_op = transported[0]
+    assert e_op == (op_ctx.e.left, op_ctx.e.right)
+    assert s_op == op_ctx.antipode.s_matrix
+
+
+@pytest.mark.parametrize("case", ["S not invertible", "S = 1 on a non-commutative table",
+                                  "T3 changed", "non-stopping failure"])
+def test_op_round_trip_refuses_transport(case, monkeypatch):
+    from wmha.antipodes import AntipodeWitness
+    from wmha.linalg import Matrix
+    from wmha.pipeline import _op_round_trip, _transported_core
+    from wmha.report import VerificationReport, failed
+
+    core, ctx = _main_core("pair:2")
+    w = ctx.antipode
+    n = w.s_matrix.rows
+    if case == "S not invertible":
+        cols = [dict(w.s_matrix.col_sparse(j)) for j in range(n)]
+        singular = Matrix.from_sparse_cols(n, [cols[1]] + cols[1:])
+        ctx.antipode = AntipodeWitness(w.r1, w.r2, w.s, singular, w.s_matrix_inv)
+    elif case == "S = 1 on a non-commutative table":
+        ident = Matrix.identity(n)
+        ctx.antipode = AntipodeWitness(w.r1, w.r2, w.s, ident, ident)
+    elif case == "T3 changed":
+        ctx.t3 = _bumped(ctx.t3)
+    else:
+        core = VerificationReport(checks=core.checks + [failed("projections-factor", "doctored")])
+    c = ctx.coproduct
+    op = c.parent.opposite()
+    assert _transported_core(core, ctx, op, (ctx.t3, ctx.t4, c.t1, c.t2)) is None
+    runs = _count_cores(monkeypatch)
+    _op_round_trip(VerificationReport(), core, ctx)
+    assert len(runs) == 1
+
+
+MISMATCH = "opposite-presentation antipode or idempotent mismatch"
+
+
+@pytest.mark.parametrize("name", ["pair:2", "pair:3"])
+@pytest.mark.parametrize("doctored, cores, failures", [
+    # the transport leaves E alone: E_op = Phi E Phi^-1 is compared with
+    # the doctored (E.right, E.left)
+    ("E.right", 0, {"regular-op-antipode": MISMATCH}),
+    # the transport tests S S^-1 = 1 and refuses; the core's S_op is the
+    # true inverse
+    ("S^-1", 1, {"regular-op-antipode": MISMATCH}),
+    # the opposite presentation itself fails, so it has no antipode to compare
+    ("T3", 1, {"appendix-op-roundtrip": "opposite presentation fails at coproduct-module-laws: "
+                                        "T1 right-module law fails at "
+                                        "(L[(0,0)], L[(0,0)], L[(1,0)])",
+               "regular-op-antipode": MISMATCH}),
+], ids=["E.right", "S^-1", "T3"])
+def test_op_round_trip_fails_on_a_doctored_witness(name, doctored, cores, failures, monkeypatch):
+    from wmha.algebras import Multiplier
+    from wmha.pipeline import _op_round_trip
+    from wmha.report import VerificationReport
+
+    core, ctx = _main_core(name)
+    if doctored == "E.right":
+        ctx.e = Multiplier(ctx.e.parent, ctx.e.left, _bumped(ctx.e.right))
+    elif doctored == "S^-1":
+        ctx.antipode.s_matrix_inv = _bumped(ctx.antipode.s_matrix_inv)
+    else:
+        ctx.t3 = _bumped(ctx.t3)
+    runs = _count_cores(monkeypatch)
+    report = VerificationReport()
+    _op_round_trip(report, core, ctx)
+    assert len(runs) == cores
+    assert {r.check_id: r.detail for r in report.checks if r.status == FAIL} == failures
 
 
 def test_thm29_path_uses_input_candidates():

@@ -7,10 +7,12 @@ the verification suites affordable.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import (Echelon, Matrix, Subspace,
                      solve_linear, Infeasible, DimensionMismatch)
+from .report import PASS, CheckResult, _first_failures
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
 
 
@@ -287,11 +289,11 @@ class Multiplier:
 
 
 class AlgebraDiagnostics:
-    def __init__(self, associative: bool, associativity_witness: Optional[Tuple[int, int, int]],
+    def __init__(self, associativity: CheckResult,
                  nondegenerate: bool, degeneracy_witness: Optional[str],
                  idempotent: bool, unit: Optional[SparseVec]):
-        self.associative = associative
-        self.associativity_witness = associativity_witness
+        self.associativity = associativity
+        self.associative = associativity.status == PASS
         self.nondegenerate = nondegenerate
         self.degeneracy_witness = degeneracy_witness
         self.idempotent = idempotent
@@ -300,20 +302,16 @@ class AlgebraDiagnostics:
 
 def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
     """Associativity, non-degeneracy, idempotency (A^2 = A), unit search."""
-    assoc = True
-    witness = None
-    for i in range(a.dim):
-        for j in range(a.dim):
+    labels = a.basis_labels
+
+    def associativity_failures():
+        for i, j in product(range(a.dim), repeat=2):
             ij = a.mul_basis(i, j)
             for k in range(a.dim):
                 if a.mul_by_basis(ij, k) != a.basis_times(i, a.mul_basis(j, k)):
-                    assoc = False
-                    witness = (i, j, k)
-                    break
-            if not assoc:
-                break
-        if not assoc:
-            break
+                    yield f"associativity fails at basis triple {(labels[i], labels[j], labels[k])}"
+    assoc = _first_failures(associativity_failures(), {
+        "algebra-associative": "structure tensor is associative"})[0]
 
     # x with x*A = 0: kernel of the stacked right-multiplication operators
     # (rows of x -> x e_j over j), then x with A*x = 0 likewise
@@ -340,7 +338,7 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
     # the unit is the embedded unit multiplier: local units for the whole
     # basis amount to a unit, and a unit u is never ambiguous, since
     # y e_j = 0 for every j gives y = y u = 0
-    return AlgebraDiagnostics(assoc, witness, nondeg, deg_witness, idem,
+    return AlgebraDiagnostics(assoc, nondeg, deg_witness, idem,
                               Multiplier.unit(a).as_element())
 
 
@@ -375,18 +373,18 @@ def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
     return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
 
-def validate_star(s: StarStructure, a: Algebra) -> Optional[str]:
-    """Why s is not a star structure on a, or None: the first pair that
-    breaks anti-multiplicativity, else a failure of involutivity."""
+def validate_star(s: StarStructure, a: Algebra) -> CheckResult:
+    """The star-structure result of s on a: it fails at the first pair
+    that breaks anti-multiplicativity, else at involutivity."""
     if s.star_matrix.rows != a.dim or s.star_matrix.cols != a.dim:
         raise DimensionMismatch("star matrix must be square of the algebra dimension")
     j = s.star_matrix
-    for p in range(a.dim):
-        sp = star_on(j, {p: ONE})
-        for q in range(a.dim):
-            sq = star_on(j, {q: ONE})
-            if star_on(j, a.mul_basis(p, q)) != a.mul_sparse(sq, sp):
-                return f"(e{p} e{q})* != e{q}* e{p}*"
-    if j.conj() * j != Matrix.identity(a.dim):
-        return "star fails involutivity"
-    return None
+    stars = [star_on(j, {p: ONE}) for p in range(a.dim)]
+
+    def failures():
+        for p, q in product(range(a.dim), repeat=2):
+            if star_on(j, a.mul_basis(p, q)) != a.mul_sparse(stars[q], stars[p]):
+                yield f"(e{p} e{q})* != e{q}* e{p}*"
+        if j.conj() * j != Matrix.identity(a.dim):
+            yield "star fails involutivity"
+    return _first_failures(failures(), {"star-structure": "star is involutive and anti-multiplicative"})[0]

@@ -18,10 +18,10 @@ from .coproducts import (AmbiguousE, CoproductData,
                          IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
                          _commute, _counit_cols, _lbl, _lbl2, _lbl3,
-                         _module_law_witness)
+                         _module_law_failures)
 from .linalg import (Echelon, Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
-from .report import CheckResult, check, failed, passed
+from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
 from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
 
 
@@ -38,31 +38,27 @@ def build_generalized_inverses(c: CoproductData, e: Multiplier,
                                g: ProjectionMaps) -> Tuple[Matrix, Matrix, List[CheckResult]]:
     """R1, R2 with T R = E-action and R T = G, plus their module and
     commutation laws."""
-    out: List[CheckResult] = []
+    n = c.n
     r1 = generalized_inverse(c.t1, e.left, g.g1)
     r2 = generalized_inverse(c.t2, e.right, g.g2)
 
-    bad = _module_law_witness(c, [(r1, 2, "R1 module law fails"),
-                                  (r2, 1, "R2 module law fails")])
-    lemma = (c.t1 * r1 * c.t1 == c.t1) and (r1 * c.t1 * r1 == r1) and \
-        (c.t2 * r2 * c.t2 == c.t2) and (r2 * c.t2 * r2 == r2)
-    out.append(check("generalized-inverses", bad is None and lemma,
-                     "T1 R1 = E-left, R1 T1 = G1 (mirrored), with module laws",
-                     bad or "generalized inverse identities fail"))
+    def inverse_failures():
+        yield from _module_law_failures(c, [(r1, 2, "R1 module law fails"),
+                                            (r2, 1, "R2 module law fails")])
+        if not ((c.t1 * r1 * c.t1 == c.t1) and (r1 * c.t1 * r1 == r1) and
+                (c.t2 * r2 * c.t2 == c.t2) and (r2 * c.t2 * r2 == r2)):
+            yield "generalized inverse identities fail"
 
-    comm_bad = None
-    n = c.n
-    for idx in range(n ** 3):
-        if not _commute(c.t2, r1, idx, n):
-            comm_bad = f"(T2 x id)(id x R1) != (id x R1)(T2 x id) at {_lbl3(c, idx)}"
-            break
-        if not _commute(r2, c.t1, idx, n):
-            comm_bad = f"(id x T1)(R2 x id) != (R2 x id)(id x T1) at {_lbl3(c, idx)}"
-            break
-    out.append(check("r-commutation", comm_bad is None,
-                     "R maps commute with the opposite-side canonical maps",
-                     comm_bad or ""))
-    return r1, r2, out
+    def commutation_failures():
+        for idx in range(n ** 3):
+            if not _commute(c.t2, r1, idx, n):
+                yield f"(T2 x id)(id x R1) != (id x R1)(T2 x id) at {_lbl3(c, idx)}"
+            if not _commute(r2, c.t1, idx, n):
+                yield f"(id x T1)(R2 x id) != (R2 x id)(id x T1) at {_lbl3(c, idx)}"
+    return r1, r2, _first_failures(inverse_failures(), {
+        "generalized-inverses": "T1 R1 = E-left, R1 T1 = G1 (mirrored), with module laws"}) + \
+        _first_failures(commutation_failures(), {
+            "r-commutation": "R maps commute with the opposite-side canonical maps"})
 
 
 # ---------------------------------------------------------------- antipode
@@ -129,7 +125,6 @@ def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
     them one map; S is flattened to a matrix when every value lies in the
     embedded copy of the algebra."""
     n = c.n
-    out: List[CheckResult] = []
     eps = _counit_cols(counit)
     s = [Multiplier(c.parent,
                     Matrix.from_sparse_cols(n, [_on_legs(eps, 1, r1.col_sparse(a * n + b), n)
@@ -137,24 +132,19 @@ def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
                     Matrix.from_sparse_cols(n, [_on_legs(eps, 1, r2.col_sparse(b * n + a))
                                                 for b in range(n)])) for a in range(n)]
 
-    # the first one-sided law failure and the first link law failure,
-    # each over (a, i, j) in order
+    # the one-sided laws feed antipode-defined and the link law
+    # antipodes-agree, over (a, i, j) in order
     what = {"left": "S1({}) is not a left multiplier at ({},{})",
             "right": "S2({}) is not a right multiplier at ({},{})",
             "link": "b(S1(a)c) != (bS2(a))c at (a,b,c)=({},{},{})"}
-    bad: Dict[bool, str] = {}
-    for law, a, i, j in ((law, a, i, j) for a, m in enumerate(s) for law, i, j in m.law_failures()):
-        bad.setdefault(law == "link", what[law].format(_lbl(c, a), _lbl(c, i), _lbl(c, j)))
-        if len(bad) == 2:
-            break
-    law_bad, agree_bad = bad.get(False), bad.get(True)
-    out.append(check("antipode-defined", law_bad is None,
-                     "counit contractions of R1/R2 give one-sided multipliers",
-                     law_bad or ""))
-    if agree_bad is not None:
-        out.append(failed("antipodes-agree", agree_bad))
-        raise AntipodesDisagree(agree_bad, out)
-    out.append(passed("antipodes-agree", "S1 = S2 as a multiplier-valued map"))
+    out = _first_failures(
+        (("antipodes-agree" if law == "link" else "antipode-defined",
+          what[law].format(_lbl(c, a), _lbl(c, i), _lbl(c, j)))
+         for a, m in enumerate(s) for law, i, j in m.law_failures()),
+        {"antipode-defined": "counit contractions of R1/R2 give one-sided multipliers",
+         "antipodes-agree": "S1 = S2 as a multiplier-valued map"})
+    if out[1].status == FAIL:
+        raise AntipodesDisagree(out[1].detail, out)
 
     # flatten to a matrix when each S(e_a) is an embedded element
     cols = []
@@ -175,7 +165,6 @@ def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
 def check_antipode_identities(c: CoproductData, e: Multiplier,
                               g: ProjectionMaps, w: AntipodeWitness,
                               counit: list) -> List[CheckResult]:
-    out: List[CheckResult] = []
     n = c.n
     alg = c.parent
     prod = alg._product_cols()
@@ -185,51 +174,38 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
 
     # both counit-style identities, in left- and right-contracted form;
     # the source/target values enter through their G-contraction form
-    bad = None
-    for a, b in product(range(n), repeat=2):
-        if _on_legs(prod, n, g.g1.col_sparse(a * n + b)) != alg.mul_basis(a, b):
-            bad = f"sum a1 S(a2) a3 = a fails against ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-        if _on_legs(prod, n, g.g2.col_sparse(a * n + b)) != alg.mul_basis(a, b):
-            bad = f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-        # sum S(a1) a2 S(a3) = S(a)
-        if _on_legs(eps_g1_cols, n, w.r1.col_sparse(a * n + b)) != \
-                dict(w.s[a].left.col_sparse(b)):
-            bad = f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-        if _on_legs(g2_eps_cols, n, w.r2.col_sparse(b * n + a)) != \
-                dict(w.s[a].right.col_sparse(b)):
-            bad = f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-    out.append(check("antipode-counit-identities", bad is None,
-                     "both antipode identities hold as one-sided multiplier equalities",
-                     bad or ""))
+    def identity_failures():
+        for a, b in product(range(n), repeat=2):
+            if _on_legs(prod, n, g.g1.col_sparse(a * n + b)) != alg.mul_basis(a, b):
+                yield f"sum a1 S(a2) a3 = a fails against ({_lbl(c, a)}, {_lbl(c, b)})"
+            if _on_legs(prod, n, g.g2.col_sparse(a * n + b)) != alg.mul_basis(a, b):
+                yield f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
+            # sum S(a1) a2 S(a3) = S(a)
+            if _on_legs(eps_g1_cols, n, w.r1.col_sparse(a * n + b)) != \
+                    dict(w.s[a].left.col_sparse(b)):
+                yield f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
+            if _on_legs(g2_eps_cols, n, w.r2.col_sparse(b * n + a)) != \
+                    dict(w.s[a].right.col_sparse(b)):
+                yield f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
+    out = _first_failures(identity_failures(), {
+        "antipode-counit-identities": "both antipode identities hold as one-sided multiplier equalities"})
 
     # the contracted equalities behind S1 = S2
-    rem_bad = None
-    for s, a, p in product(range(n), repeat=3):
-        if alg.mul_by_basis(g2_eps[s * n + a], p) != alg.basis_times(s, m_r1[a * n + p]):
-            rem_bad = f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-            break
-        if alg.mul_by_basis(m_r2[s * n + a], p) != alg.basis_times(s, eps_g1[a * n + p]):
-            rem_bad = f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-            break
-    out.append(check("antipode-remark-equalities", rem_bad is None,
-                     "contracted one-sided antipode sums agree (equivalent to S1 = S2)",
-                     rem_bad or ""))
+    def remark_failures():
+        for s, a, p in product(range(n), repeat=3):
+            if alg.mul_by_basis(g2_eps[s * n + a], p) != alg.basis_times(s, m_r1[a * n + p]):
+                yield f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
+            if alg.mul_by_basis(m_r2[s * n + a], p) != alg.basis_times(s, eps_g1[a * n + p]):
+                yield f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
+    out += _first_failures(remark_failures(), {
+        "antipode-remark-equalities": "contracted one-sided antipode sums agree (equivalent to S1 = S2)"})
 
     # anti-multiplicativity as multiplier equality
-    anti_bad = None
-    for a in range(n):
-        for b in range(n):
-            if _combine_multipliers(c.parent, w.s, c.parent.mul_basis(a, b)) != w.s[b] * w.s[a]:
-                anti_bad = f"S({_lbl(c, a)} {_lbl(c, b)}) != S({_lbl(c, b)})S({_lbl(c, a)})"
-                break
-        if anti_bad:
-            break
-    out.append(check("antipode-antimultiplicative", anti_bad is None,
-                     "S(ab) = S(b)S(a) on all basis pairs", anti_bad or ""))
+    out += _first_failures(
+        (f"S({_lbl(c, a)} {_lbl(c, b)}) != S({_lbl(c, b)})S({_lbl(c, a)})"
+         for a, b in product(range(n), repeat=2)
+         if _combine_multipliers(c.parent, w.s, c.parent.mul_basis(a, b)) != w.s[b] * w.s[a]),
+        {"antipode-antimultiplicative": "S(ab) = S(b)S(a) on all basis pairs"})
 
     # A S(A) = A and S(A) A = A, spanned by the e_a S(e_b) and the S(e_b) e_a
     pairs = [(a, b) for a in range(n) for b in range(n)]
@@ -240,17 +216,14 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
                      f"spans have dims {span_r.dim} and {span_l.dim} of {n}"))
 
     # anti-coalgebra identity with E on both sides
-    anti_cop_bad = None
-    for a in range(n):
-        lhs = extend_delta(c, e, w.s[a])
-        theta = _flipped_ss_coproduct(c, w, a)
-        if lhs != e * theta or lhs != theta * e:
-            anti_cop_bad = f"coproduct(S({_lbl(c, a)})) != E-damped flipped (S x S) coproduct"
-            break
-    out.append(check("antipode-anticoproduct", anti_cop_bad is None,
-                     "coproduct of S(a) equals the E-two-sided flipped image",
-                     anti_cop_bad or ""))
-    return out
+    def anticoproduct_failures():
+        for a in range(n):
+            lhs = extend_delta(c, e, w.s[a])
+            theta = _flipped_ss_coproduct(c, w, a)
+            if lhs != e * theta or lhs != theta * e:
+                yield f"coproduct(S({_lbl(c, a)})) != E-damped flipped (S x S) coproduct"
+    return out + _first_failures(anticoproduct_failures(), {
+        "antipode-anticoproduct": "coproduct of S(a) equals the E-two-sided flipped image"})
 
 
 def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multiplier:
@@ -287,7 +260,6 @@ class SourceTargetWitness:
 def compute_source_target(c: CoproductData, e: Multiplier,
                           g: ProjectionMaps, w: AntipodeWitness,
                           counit: list) -> Tuple[SourceTargetWitness, List[CheckResult]]:
-    out: List[CheckResult] = []
     n = c.n
     eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
     eps_s = [Multiplier(c.parent, Matrix.from_sparse_cols(n, eps_g1[a * n:a * n + n]),
@@ -295,15 +267,13 @@ def compute_source_target(c: CoproductData, e: Multiplier,
     eps_t = [Multiplier(c.parent, Matrix.from_sparse_cols(n, m_r1[a * n:a * n + n]),
                         Matrix.from_sparse_cols(n, g2_eps[a::n])) for a in range(n)]
 
-    valid_bad = None
-    for a in range(n):
-        bad = c.cache.multiplier_failure(eps_s[a]) or c.cache.multiplier_failure(eps_t[a])
-        if bad:
-            valid_bad = f"source/target value at {_lbl(c, a)} is not a multiplier: {bad}"
-            break
-    out.append(check("source-target-defined", valid_bad is None,
-                     "source and target values are honest multipliers",
-                     valid_bad or ""))
+    def value_failures():
+        for a in range(n):
+            bad = c.cache.multiplier_failure(eps_s[a]) or c.cache.multiplier_failure(eps_t[a])
+            if bad:
+                yield f"source/target value at {_lbl(c, a)} is not a multiplier: {bad}"
+    out = _first_failures(value_failures(), {
+        "source-target-defined": "source and target values are honest multipliers"})
 
     image_s = Subspace.from_vectors(2 * n * n, [m.coords() for m in eps_s])
     image_t = Subspace.from_vectors(2 * n * n, [m.coords() for m in eps_t])
@@ -315,60 +285,44 @@ def compute_source_target(c: CoproductData, e: Multiplier,
                      f"images (dims {image_s.dim}, {image_t.dim}) equal the legs of E",
                      "source/target images differ from the legs of E"))
 
-    cop_bad = None
-    ident = Matrix.identity(n)
-    for a in range(n):
-        dt = extend_delta(c, e, eps_t[a])
-        m1 = Multiplier(c.aa, eps_t[a].left.kron(ident), eps_t[a].right.kron(ident))
-        if dt != e * m1 or dt != m1 * e:
-            cop_bad = f"coproduct(eps_t({_lbl(c, a)})) != E (eps_t (x) 1) forms"
-            break
-        ds = extend_delta(c, e, eps_s[a])
-        m2 = Multiplier(c.aa, ident.kron(eps_s[a].left), ident.kron(eps_s[a].right))
-        if ds != e * m2 or ds != m2 * e:
-            cop_bad = f"coproduct(eps_s({_lbl(c, a)})) != E (1 (x) eps_s) forms"
-            break
-    out.append(check("source-target-coproduct", cop_bad is None,
-                     "coproducts of source/target values absorb into E", cop_bad or ""))
+    def coproduct_failures():
+        ident = Matrix.identity(n)
+        for a in range(n):
+            dt = extend_delta(c, e, eps_t[a])
+            m1 = Multiplier(c.aa, eps_t[a].left.kron(ident), eps_t[a].right.kron(ident))
+            if dt != e * m1 or dt != m1 * e:
+                yield f"coproduct(eps_t({_lbl(c, a)})) != E (eps_t (x) 1) forms"
+            ds = extend_delta(c, e, eps_s[a])
+            m2 = Multiplier(c.aa, ident.kron(eps_s[a].left), ident.kron(eps_s[a].right))
+            if ds != e * m2 or ds != m2 * e:
+                yield f"coproduct(eps_s({_lbl(c, a)})) != E (1 (x) eps_s) forms"
+    out += _first_failures(coproduct_failures(), {
+        "source-target-coproduct": "coproducts of source/target values absorb into E"})
 
     # subalgebras, commuting with each other
-    alg_bad = None
-    for i in range(n):
-        for j in range(n):
+    def subalgebra_failures():
+        for i, j in product(range(n), repeat=2):
             if not image_s.contains((eps_s[i] * eps_s[j]).coords()):
-                alg_bad = f"eps_s image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
-                break
+                yield f"eps_s image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
             if not image_t.contains((eps_t[i] * eps_t[j]).coords()):
-                alg_bad = f"eps_t image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
-                break
+                yield f"eps_t image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
             if eps_s[i] * eps_t[j] != eps_t[j] * eps_s[i]:
-                alg_bad = f"eps_s({_lbl(c, i)}) and eps_t({_lbl(c, j)}) do not commute"
-                break
-        if alg_bad:
-            break
-    out.append(check("source-target-commute", alg_bad is None,
-                     "source and target images are commuting subalgebras",
-                     alg_bad or ""))
+                yield f"eps_s({_lbl(c, i)}) and eps_t({_lbl(c, j)}) do not commute"
+    out += _first_failures(subalgebra_failures(), {
+        "source-target-commute": "source and target images are commuting subalgebras"})
 
-    incl_bad = None
-    for a in range(n):
-        right_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(a, j) for j in range(n)])
-        left_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(j, a) for j in range(n)])
-        for m, tag in [(eps_s, "eps_s"), (eps_t, "eps_t")]:
-            for x in range(n):
-                if not right_ideal.contains(dict(m[x].right.col_sparse(a))):
-                    incl_bad = f"{_lbl(c, a)} {tag}(A) escapes {_lbl(c, a)} A"
-                    break
-                if not left_ideal.contains(dict(m[x].left.col_sparse(a))):
-                    incl_bad = f"{tag}(A) {_lbl(c, a)} escapes A {_lbl(c, a)}"
-                    break
-            if incl_bad:
-                break
-        if incl_bad:
-            break
-    out.append(check("source-target-inclusions", incl_bad is None,
-                     "principal-ideal inclusions hold for source/target images",
-                     incl_bad or ""))
+    def inclusion_failures():
+        for a in range(n):
+            right_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(a, j) for j in range(n)])
+            left_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(j, a) for j in range(n)])
+            for m, tag in [(eps_s, "eps_s"), (eps_t, "eps_t")]:
+                for x in range(n):
+                    if not right_ideal.contains(dict(m[x].right.col_sparse(a))):
+                        yield f"{_lbl(c, a)} {tag}(A) escapes {_lbl(c, a)} A"
+                    if not left_ideal.contains(dict(m[x].left.col_sparse(a))):
+                        yield f"{tag}(A) {_lbl(c, a)} escapes A {_lbl(c, a)}"
+    out += _first_failures(inclusion_failures(), {
+        "source-target-inclusions": "principal-ideal inclusions hold for source/target images"})
     return SourceTargetWitness(eps_s, eps_t, image_s, image_t), out
 
 
@@ -422,7 +376,6 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
         return out, None, None
 
     r_cols: Dict[str, List[SparseVec]] = {"R1": [], "R2": []}
-    range_bad = None
     # the maps e_v -> S(e_v) e_b and e_u -> e_a S(e_u), per b and per a
     s_times = [[alg.mul_by_basis(sv, b).items() for sv in s_cols] for b in range(n)]
     times_s = [[alg.basis_times(a, sv).items() for sv in s_cols] for a in range(n)]
@@ -435,70 +388,59 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
             x = [(y * nn + row, v) for y in range(n) for row, v in t.col_sparse(col0 + y * step)]
             sol = ech.solve_sparse(_on_legs(op, n, x, s), stack)
             if sol is None:
-                range_bad = f"{name}({_lbl(c, a)} (x) {_lbl(c, b)}) does not land in the tensor square"
-                break
+                out.append(failed("thm29-r-ranges", f"{name}({_lbl(c, a)} (x) {_lbl(c, b)}) "
+                                  "does not land in the tensor square"))
+                return out, None, None
             r_cols[name].append(sol)
-        if range_bad:
-            break
-    out.append(check("thm29-r-ranges", range_bad is None,
-                     "both R maps built from the candidate antipode land in A (x) A",
-                     range_bad or ""))
-    if range_bad:
-        return out, None, None
+    out.append(passed("thm29-r-ranges", "both R maps built from the candidate antipode land in A (x) A"))
     r1, r2 = (Matrix.from_sparse_cols(nn, r_cols[name]) for name in ("R1", "R2"))
 
     # the two identities (as contracted one-sided equalities): with
     # (R, T, col) = (R1, T1, a (x) b) and (R2, T2, b (x) a), and S on the
     # leg of a, m R T = m and m S T R = m S at col
     prod, s_op = alg._product_cols(), s_mat._sparse_cols()
-    id_bad = None
-    for a, b in product(range(n), repeat=2):
-        halves = ((r1, c.t1, a * n + b, n), (r2, c.t2, b * n + a, 1))
-        failing = [_on_legs(prod, n, r.apply_sparse(dict(t.col_sparse(col))).items())
-                   != alg.mul_basis(col // n, col % n) for r, t, col, _ in halves]
-        failing += [_on_legs(prod, n, _on_legs(s_op, n, t.apply_sparse(dict(r.col_sparse(col))).items(), s).items())
-                    != _on_legs(prod, n, _on_legs(s_op, n, [(col, ONE)], s).items())
-                    for r, t, col, s in halves]
-        for bad, msg in zip(failing, (
-                f"sum a1 S(a2) a3 = a fails at ({_lbl(c, a)}, {_lbl(c, b)})",
-                f"contracted first identity fails at ({_lbl(c, b)}, {_lbl(c, a)})",
-                f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})",
-                f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})")):
-            if bad:
-                id_bad = msg
-                break
-        if id_bad:
-            break
-    out.append(check("thm29-identities", id_bad is None,
-                     "both counit-style identities hold for the candidate antipode",
-                     id_bad or ""))
+
+    def identity_failures():
+        for a, b in product(range(n), repeat=2):
+            halves = ((r1, c.t1, a * n + b, n), (r2, c.t2, b * n + a, 1))
+            failing = [_on_legs(prod, n, r.apply_sparse(dict(t.col_sparse(col))).items())
+                       != alg.mul_basis(col // n, col % n) for r, t, col, _ in halves]
+            failing += [_on_legs(prod, n, _on_legs(s_op, n, t.apply_sparse(dict(r.col_sparse(col))).items(), s).items())
+                        != _on_legs(prod, n, _on_legs(s_op, n, [(col, ONE)], s).items())
+                        for r, t, col, s in halves]
+            if any(failing):
+                yield from (msg for bad, msg in zip(failing, (
+                    f"sum a1 S(a2) a3 = a fails at ({_lbl(c, a)}, {_lbl(c, b)})",
+                    f"contracted first identity fails at ({_lbl(c, b)}, {_lbl(c, a)})",
+                    f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})",
+                    f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})")) if bad)
+    out += _first_failures(identity_failures(), {
+        "thm29-identities": "both counit-style identities hold for the candidate antipode"})
 
     ranges_ok = (c.t1 * r1 == e_left) and (c.t2 * r2 == e_right)
     out.append(check("thm29-e-ranges", ranges_ok,
                      "T1 R1 and T2 R2 equal the candidate idempotent actions",
                      "T R differs from the candidate idempotent action"))
 
+    # an idempotent multiplier is the candidate E the leg conditions test
     e_mult = Multiplier(c.aa, e_left, e_right)
-    cand_bad = None
-    if e_mult * e_mult != e_mult:
-        cand_bad = "candidate idempotent is not idempotent"
-    else:
-        law = c.cache.multiplier_failure(e_mult)
-        if law:
-            cand_bad = f"candidate E is not a multiplier: {law}"
-    e_obj = None if cand_bad else e_mult
-    if e_obj is not None:
-        try:
-            for r in c.cache.e_conditions(c, e_obj):
-                if r.status != "pass":
-                    cand_bad = r.detail
-                    break
-        except IllDefinedExtension as exc:
-            cand_bad = str(exc)
-    out.append(check("thm29-e-conditions", cand_bad is None,
-                     "candidate idempotent satisfies the leg conditions",
-                     cand_bad or ""))
-    if any(r.status == "fail" for r in out):
+    idempotent = e_mult * e_mult == e_mult
+    law = idempotent and c.cache.multiplier_failure(e_mult)
+    e_obj = e_mult if idempotent and not law else None
+
+    def candidate_failures():
+        if not idempotent:
+            yield "candidate idempotent is not idempotent"
+        elif law:
+            yield f"candidate E is not a multiplier: {law}"
+        else:
+            try:
+                yield from (r.detail for r in c.cache.e_conditions(c, e_obj) if r.status != PASS)
+            except IllDefinedExtension as exc:
+                yield str(exc)
+    out += _first_failures(candidate_failures(), {
+        "thm29-e-conditions": "candidate idempotent satisfies the leg conditions"})
+    if any(r.status == FAIL for r in out):
         return out, None, e_obj
 
     s_inv = invert(s_mat)
@@ -601,11 +543,11 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
     # Plain tensor-square actions of F1..F4 go through the sandwich
     # products (1 (x) q)E(p (x) 1) and (p (x) 1)E(1 (x) q); those exist in
     # the regular case and are recovered by stripping a covering factor.
-    rel_bad = None
-    sand = _sandwich_tables(c, e)
-    if sand is None:
-        rel_bad = "a sandwich product of E escapes the tensor square"
-    else:
+    def relation_failures():
+        sand = _sandwich_tables(c, e)
+        if sand is None:
+            yield "a sandwich product of E escapes the tensor square"
+            return
         sand_a, sand_b = sand
         smat, sinv = w.s_matrix, w.s_matrix_inv
         f1_lam = _f_action(c, sand_a, sinv, smat, contract_first=False)
@@ -624,35 +566,28 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
             lhs1 = apply_on_legs13(e.left, on12(f1_lam, x), n)
             rhs1 = apply_on_legs13(e.left, on23(e.left, x), n)
             if lhs1 != rhs1:
-                rel_bad = f"E13(F1 x 1) != E13(1 x E) at {_lbl3(c, idx)}"
-                break
+                yield f"E13(F1 x 1) != E13(1 x E) at {_lbl3(c, idx)}"
             w13l = apply_on_legs13(e.left, x, n)
             if on12(f3_lam, w13l) != on23(e.left, w13l):
-                rel_bad = f"(F3 x 1)E13 != (1 x E)E13 at {_lbl3(c, idx)}"
-                break
+                yield f"(F3 x 1)E13 != (1 x E)E13 at {_lbl3(c, idx)}"
             if on23(f2_lam, w13l) != on12(e.left, w13l):
-                rel_bad = f"(1 x F2)E13 != (E x 1)E13 at {_lbl3(c, idx)}"
-                break
+                yield f"(1 x F2)E13 != (E x 1)E13 at {_lbl3(c, idx)}"
             w13r = apply_on_legs13(e.right, x, n)
             if on23(f4_rho, w13r) != on12(e.right, w13r):
-                rel_bad = f"E13(1 x F4) != E13(E x 1) at {_lbl3(c, idx)}"
-                break
-    out.append(check("regular-f-relations", rel_bad is None,
-                     "the four leg-13 relations hold for F1..F4", rel_bad or ""))
+                yield f"E13(1 x F4) != E13(E x 1) at {_lbl3(c, idx)}"
+    out += _first_failures(relation_failures(), {
+        "regular-f-relations": "the four leg-13 relations hold for F1..F4"})
 
     # flipped-coproduct presentation: canonical idempotent must be sigma E
-    cop_bad = None
     try:
-        cop = CoproductData(c.parent, sigma * t4 * sigma, sigma * t3 * sigma,
-                            cache=c.cache)
-        e_cop = compute_E(cop)
-        if e_cop.left != sigma * e.left * sigma or e_cop.right != sigma * e.right * sigma:
-            cop_bad = "flipped-coproduct idempotent differs from sigma E"
+        e_cop = compute_E(CoproductData(c.parent, sigma * t4 * sigma, sigma * t3 * sigma,
+                                        cache=c.cache))
+        out.append(check("regular-cop-idempotent", e_cop.left == sigma * e.left * sigma
+                         and e_cop.right == sigma * e.right * sigma,
+                         "flipped-coproduct presentation has canonical idempotent sigma E",
+                         "flipped-coproduct idempotent differs from sigma E"))
     except (NoSuchIdempotent, NotIdempotent, AmbiguousE) as exc:
-        cop_bad = f"flipped-coproduct idempotent: {exc}"
-    out.append(check("regular-cop-idempotent", cop_bad is None,
-                     "flipped-coproduct presentation has canonical idempotent sigma E",
-                     cop_bad or ""))
+        out.append(failed("regular-cop-idempotent", f"flipped-coproduct idempotent: {exc}"))
     return out, t3, t4
 
 
@@ -662,16 +597,10 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
 def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
                     counit: list, unit: Optional[SparseVec],
                     regular: bool = True) -> List[CheckResult]:
-    out: List[CheckResult] = []
     n = c.n
     if unit is None:
-        out.append(CheckResult("weak-hopf-counit", "skip",
-                               "not applicable: algebra has no unit"))
-        out.append(CheckResult("weak-hopf-counit-op", "skip",
-                               "not applicable: algebra has no unit"))
-        out.append(CheckResult("weak-hopf-antipode-formulas", "skip",
-                               "not applicable: algebra has no unit"))
-        return out
+        return [CheckResult(cid, SKIP, "not applicable: algebra has no unit") for cid in
+                ("weak-hopf-counit", "weak-hopf-counit-op", "weak-hopf-antipode-formulas")]
 
     alg = c.parent
     eps = _counit_cols(counit)
@@ -683,55 +612,41 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
     delta = [c.t1.apply_sparse({b * n + j: uj for j, uj in unit.items()})
              for b in range(n)]
 
-    bad1 = None
-    bad2 = None
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                lhs = eps_of(c.parent.mul_sparse(c.parent.mul_basis(a, b), {cc: ONE}))
-                rhs1 = _dot((v * eps_of(c.parent.mul_basis(a, key % n)),
-                             eps_of(c.parent.mul_basis(key // n, cc)))
-                            for key, v in delta[b].items())
-                rhs2 = _dot((v * eps_of(c.parent.mul_basis(a, key // n)),
-                             eps_of(c.parent.mul_basis(key % n, cc)))
-                            for key, v in delta[b].items())
-                if lhs != rhs1 and bad1 is None:
-                    bad1 = f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
-                if lhs != rhs2 and bad2 is None:
-                    bad2 = f"second weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
-            if bad1 and bad2:
-                break
-        if bad1 and bad2:
-            break
-    out.append(check("weak-hopf-counit", bad1 is None,
-                     "counit is weakly multiplicative (first form)", bad1 or ""))
-    if bad2 is not None and not regular:
+    # the first form feeds weak-hopf-counit, the second weak-hopf-counit-op
+    def counit_failures():
+        for a, b, cc in product(range(n), repeat=3):
+            lhs = eps_of(c.parent.mul_sparse(c.parent.mul_basis(a, b), {cc: ONE}))
+            rhs1 = _dot((v * eps_of(c.parent.mul_basis(a, key % n)),
+                         eps_of(c.parent.mul_basis(key // n, cc)))
+                        for key, v in delta[b].items())
+            rhs2 = _dot((v * eps_of(c.parent.mul_basis(a, key // n)),
+                         eps_of(c.parent.mul_basis(key % n, cc)))
+                        for key, v in delta[b].items())
+            if lhs != rhs1:
+                yield "weak-hopf-counit", f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
+            if lhs != rhs2:
+                yield "weak-hopf-counit-op", f"second weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
+    out = _first_failures(counit_failures(), {
+        "weak-hopf-counit": "counit is weakly multiplicative (first form)",
+        "weak-hopf-counit-op": "counit is weakly multiplicative (second form)"})
+    if out[1].status == FAIL and not regular:
         # only an axiom under regularity; recorded, not failed
-        out.append(CheckResult("weak-hopf-counit-op", "skip",
-                               f"recorded without regularity: {bad2}"))
-    else:
-        out.append(check("weak-hopf-counit-op", bad2 is None,
-                         "counit is weakly multiplicative (second form)", bad2 or ""))
+        out[1] = CheckResult("weak-hopf-counit-op", SKIP, f"recorded without regularity: {out[1].detail}")
 
     e_elem = e.left.apply_sparse({i * n + j: ui * uj for i, ui in unit.items()
                                   for j, uj in unit.items()}).items()
-    sbad = None
-    for a in range(n):
-        # eps contracted off the leg that e_a multiplies: E(a x 1) on leg 1,
-        # (1 x a)E on leg 2
-        for s, mult, value, what in (
-                (n, alg._right_cols(a), st.eps_t[a], f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"),
-                (1, alg._left_cols(a), st.eps_s[a], f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})")):
-            if _on_legs(eps, 1, _on_legs(mult, n, e_elem, s).items(), s) != \
-                    value.left.apply_sparse(unit):
-                sbad = what
-                break
-        if sbad:
-            break
-    out.append(check("weak-hopf-antipode-formulas", sbad is None,
-                     "counit contractions of E reproduce source/target values",
-                     sbad or ""))
-    return out
+    def formula_failures():
+        for a in range(n):
+            # eps contracted off the leg that e_a multiplies: E(a x 1) on leg 1,
+            # (1 x a)E on leg 2
+            for s, mult, value, what in (
+                    (n, alg._right_cols(a), st.eps_t[a], f"(eps x id)(E({_lbl(c, a)} x 1)) != eps_t({_lbl(c, a)})"),
+                    (1, alg._left_cols(a), st.eps_s[a], f"(id x eps)((1 x {_lbl(c, a)})E) != eps_s({_lbl(c, a)})")):
+                if _on_legs(eps, 1, _on_legs(mult, n, e_elem, s).items(), s) != \
+                        value.left.apply_sparse(unit):
+                    yield what
+    return out + _first_failures(formula_failures(), {
+        "weak-hopf-antipode-formulas": "counit contractions of E reproduce source/target values"})
 
 
 # ------------------------------------------------- star suite
@@ -740,53 +655,43 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
 def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
                star: StarStructure, t3: Optional[Matrix],
                t4: Optional[Matrix]) -> List[CheckResult]:
-    out: List[CheckResult] = []
     n, nn = c.n, c.nn
     jmat = star.star_matrix
     jj = jmat.kron(jmat)
 
-    bad = None
     # regular_suite supplies T3/T4 whenever S is bijective
     if t3 is None or t4 is None:
-        out.append(failed("star-compatible", "star input with an antipode that does not map A to A"
-                          if w.s_matrix is None else "star input with an antipode that is not bijective"))
-        return out
+        return [failed("star-compatible", "star input with an antipode that does not map A to A"
+                       if w.s_matrix is None else "star input with an antipode that is not bijective")]
 
-    # coproduct is a star-homomorphism: T3(a* (x) b*) = T1(a (x) b)*
-    for a in range(n):
-        sa = jmat.col_sparse(a)     # e_a* = J e_a
-        for b in range(n):
-            arg = {i * n + j: vi * vj for i, vi in sa for j, vj in jmat.col_sparse(b)}
-            if t3.apply_sparse(arg) != star_on(jj, dict(c.t1.col_sparse(a * n + b))):
-                bad = f"T3(a* (x) b*) != T1(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
-                break
-            if t4.apply_sparse(arg) != star_on(jj, dict(c.t2.col_sparse(a * n + b))):
-                bad = f"T4(a* (x) b*) != T2(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
-                break
-        if bad:
-            break
+    def failures():
+        # coproduct is a star-homomorphism: T3(a* (x) b*) = T1(a (x) b)*
+        for a in range(n):
+            sa = jmat.col_sparse(a)     # e_a* = J e_a
+            for b in range(n):
+                arg = {i * n + j: vi * vj for i, vi in sa for j, vj in jmat.col_sparse(b)}
+                if t3.apply_sparse(arg) != star_on(jj, dict(c.t1.col_sparse(a * n + b))):
+                    yield f"T3(a* (x) b*) != T1(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
+                if t4.apply_sparse(arg) != star_on(jj, dict(c.t2.col_sparse(a * n + b))):
+                    yield f"T4(a* (x) b*) != T2(a (x) b)* at ({_lbl(c, a)},{_lbl(c, b)})"
 
-    # S(S(a)*)* = a
-    if bad is None:
+        # S(S(a)*)* = a
         if w.s_matrix is None:
-            bad = "star structure present but the antipode is not a matrix"
-        else:
-            for a in range(n):
-                v = star_on(jmat, dict(w.s_matrix.col_sparse(a)))
-                v = star_on(jmat, w.s_matrix.apply_sparse(v))
-                if v != {a: ONE}:
-                    bad = f"S(S({_lbl(c, a)})*)* != {_lbl(c, a)}"
-                    break
+            yield "star structure present but the antipode is not a matrix"
+            return
+        for a in range(n):
+            v = star_on(jmat, dict(w.s_matrix.col_sparse(a)))
+            if star_on(jmat, w.s_matrix.apply_sparse(v)) != {a: ONE}:
+                yield f"S(S({_lbl(c, a)})*)* != {_lbl(c, a)}"
 
-    # E* = E
-    if bad is None:
+        # E* = E
         for x in range(nn):
             if star_on(jj, e.right.apply_sparse(star_on(jj, {x: ONE}))) != dict(e.left.col_sparse(x)):
-                bad = f"E* != E at {_lbl2(c, x)}"
-                break
+                yield f"E* != E at {_lbl2(c, x)}"
 
-    # F1* = F3 and F2* = F4
-    if bad is None and w.s_matrix is not None and w.s_matrix_inv is not None:
+        # F1* = F3 and F2* = F4
+        if w.s_matrix_inv is None:
+            return
         f1, f2, f3, f4 = _f_multipliers(c.parent, w, e)
         for x in range(nn):
             sx = star_on(jj, {x: ONE})
@@ -795,14 +700,9 @@ def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
             for fa, fb, what in ((f1, f3, "F1* != F3"), (f2, f4, "F2* != F4")):
                 if any(star_on(jj, p.apply_sparse(sx)) != dict(q.col_sparse(x))
                        for p, q in ((fa.right, fb.left), (fa.left, fb.right))):
-                    bad = f"{what} at {_lbl2(c, x)}"
-                    break
-            if bad:
-                break
-    out.append(check("star-compatible", bad is None,
-                     "coproduct is a star-homomorphism; E* = E; S twisted-involutive; F1* = F3, F2* = F4",
-                     bad or ""))
-    return out
+                    yield f"{what} at {_lbl2(c, x)}"
+    return _first_failures(failures(), {"star-compatible": "coproduct is a star-homomorphism; "
+                                        "E* = E; S twisted-involutive; F1* = F3, F2* = F4"})
 
 
 # ------------------------------------------------- appendix suite
@@ -814,24 +714,21 @@ def appendix_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
     multiplication of S across E, the source/target exchange under S and
     the absorption of source/target values across the legs of E.  E' = E
     is reported by regular_suite, with the equality it shares."""
-    out: List[CheckResult] = []
     n = c.n
 
     # the maps m(S x id) and m(id x S) on the tensor square, for E's left
     # and right actions
     m_s1 = [w.s[i].left.col_sparse(j) for i in range(n) for j in range(n)]
     m_s2 = [w.s[j].right.col_sparse(i) for i in range(n) for j in range(n)]
-    bad = None
-    for a, b in product(range(n), repeat=2):
-        if _on_legs(m_s1, n, e.left.col_sparse(a * n + b)) != dict(w.s[a].left.col_sparse(b)):
-            bad = f"m(S x id)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-        if _on_legs(m_s2, n, e.right.col_sparse(a * n + b)) != dict(w.s[b].right.col_sparse(a)):
-            bad = f"m(id x S)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
-            break
-    out.append(check("appendix-inverse-unit", bad is None,
-                     "multiplying S across the legs of E collapses to S itself",
-                     bad or ""))
+
+    def collapse_failures():
+        for a, b in product(range(n), repeat=2):
+            if _on_legs(m_s1, n, e.left.col_sparse(a * n + b)) != dict(w.s[a].left.col_sparse(b)):
+                yield f"m(S x id)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
+            if _on_legs(m_s2, n, e.right.col_sparse(a * n + b)) != dict(w.s[b].right.col_sparse(a)):
+                yield f"m(id x S)E does not collapse at ({_lbl(c, a)}, {_lbl(c, b)})"
+    out = _first_failures(collapse_failures(), {
+        "appendix-inverse-unit": "multiplying S across the legs of E collapses to S itself"})
 
     if w.not_regular:
         return out
@@ -841,39 +738,30 @@ def appendix_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
                           w.s_matrix * m.right * w.s_matrix_inv,
                           w.s_matrix * m.left * w.s_matrix_inv)
 
-    swap_bad = None
-    for a in range(n):
-        sa = dict(w.s_matrix.col_sparse(a))
-        if s_of_mult(st.eps_t[a]) != _combine_multipliers(c.parent, st.eps_s, sa):
-            swap_bad = f"S(eps_t({_lbl(c, a)})) != eps_s(S({_lbl(c, a)}))"
-            break
-        if s_of_mult(st.eps_s[a]) != _combine_multipliers(c.parent, st.eps_t, sa):
-            swap_bad = f"S(eps_s({_lbl(c, a)})) != eps_t(S({_lbl(c, a)}))"
-            break
-    out.append(check("appendix-source-target-swap", swap_bad is None,
-                     "S exchanges the source and target maps", swap_bad or ""))
+    def swap_failures():
+        for a in range(n):
+            sa = dict(w.s_matrix.col_sparse(a))
+            if s_of_mult(st.eps_t[a]) != _combine_multipliers(c.parent, st.eps_s, sa):
+                yield f"S(eps_t({_lbl(c, a)})) != eps_s(S({_lbl(c, a)}))"
+            if s_of_mult(st.eps_s[a]) != _combine_multipliers(c.parent, st.eps_t, sa):
+                yield f"S(eps_s({_lbl(c, a)})) != eps_t(S({_lbl(c, a)}))"
+    out += _first_failures(swap_failures(), {
+        "appendix-source-target-swap": "S exchanges the source and target maps"})
 
-    ident = Matrix.identity(n)
-    absorb_bad = None
-    for msrc in st.eps_s:
-        y = Multiplier(c.aa, msrc.left.kron(ident), msrc.right.kron(ident))
-        sy = s_of_mult(msrc)
-        y2 = Multiplier(c.aa, ident.kron(sy.left), ident.kron(sy.right))
-        if e * y != e * y2:
-            absorb_bad = "E(y (x) 1) != E(1 (x) S(y)) on the source image"
-            break
-    if absorb_bad is None:
+    def absorption_failures():
+        ident = Matrix.identity(n)
+        for msrc in st.eps_s:
+            y = Multiplier(c.aa, msrc.left.kron(ident), msrc.right.kron(ident))
+            sy = s_of_mult(msrc)
+            if e * y != e * Multiplier(c.aa, ident.kron(sy.left), ident.kron(sy.right)):
+                yield "E(y (x) 1) != E(1 (x) S(y)) on the source image"
         for mtar in st.eps_t:
             x1 = Multiplier(c.aa, ident.kron(mtar.left), ident.kron(mtar.right))
             sx = s_of_mult(mtar)
-            x2 = Multiplier(c.aa, sx.left.kron(ident), sx.right.kron(ident))
-            if x1 * e != x2 * e:
-                absorb_bad = "(1 (x) x)E != (S(x) (x) 1)E on the target image"
-                break
-    out.append(check("appendix-e-absorption", absorb_bad is None,
-                     "E absorbs source/target values across its legs through S",
-                     absorb_bad or ""))
-    return out
+            if x1 * e != Multiplier(c.aa, sx.left.kron(ident), sx.right.kron(ident)) * e:
+                yield "(1 (x) x)E != (S(x) (x) 1)E on the target image"
+    return out + _first_failures(absorption_failures(), {
+        "appendix-e-absorption": "E absorbs source/target values across its legs through S"})
 
 
 # ------------------------------------------------- sandwich actions of E

@@ -47,6 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_input(args) -> InputDocument:
     if args.preset:
+        if args.input:
+            raise ParseError("give an input file or --preset NAME --model M, not both")
         if not args.model:
             raise ParseError("--preset needs --model function|convolution")
         doc = {"groupoid": {"preset": args.preset}, "model": args.model}
@@ -66,6 +68,10 @@ def _run(parsed: InputDocument, args) -> VerificationReport:
             if args.windows < 1:
                 # no window would be verified, so a pass would certify nothing
                 raise ParseError(f"--windows must be at least 1, got {args.windows}")
+            if args.path != "def114":
+                # each window runs the def114 path; no thm29 check would run
+                raise ParseError(f"--path {args.path} needs a finite input; the windows of "
+                                 "an infinite groupoid are verified on the def114 path")
             report = verify_lazy_model(parsed.groupoid, parsed.model,
                                        k_max=args.windows, seed=args.seed)
             report.input_digest = parsed.digest

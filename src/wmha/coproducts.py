@@ -11,13 +11,13 @@ the kernels of T1/T2, and checks the kernel axiom.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebras import Algebra, Multiplier, SparseVec, _on_legs, flip_map
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
-from .report import CheckResult, check
+from .report import CheckResult, _first_failures, check
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle, _sum_products
 
 
@@ -301,59 +301,48 @@ def transport(c: CoproductData, s: Matrix, s_inv: Matrix, target: Algebra,
 
 def validate_coproduct(c: CoproductData) -> List[CheckResult]:
     """All structural laws of the canonical maps, exactly."""
-    out: List[CheckResult] = []
     n = c.n
+    out = _first_failures(chain(_module_law_failures(c, [(c.t1, 2, "T1 right-module law fails")]),
+                                _module_law_failures(c, [(c.t2, 1, "T2 left-module law fails")])),
+                          {"coproduct-module-laws": "one-sided module laws hold for T1 and T2"})
 
-    bad = _module_law_witness(c, [(c.t1, 2, "T1 right-module law fails")]) or \
-        _module_law_witness(c, [(c.t2, 1, "T2 left-module law fails")])
-    out.append(check("coproduct-module-laws", bad is None,
-                     "one-sided module laws hold for T1 and T2",
-                     bad or ""))
-
-    mixed = None
-    for a2, a, b in product(range(n), repeat=3):
-        if _on_legs(c.parent._left_cols(a2), n, c.t1.col_sparse(a * n + b), n) != \
-                _on_legs(c.parent._right_cols(b), n, c.t2.col_sparse(a2 * n + a)):
-            mixed = f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
-            break
-    out.append(check("coproduct-mixed-law", mixed is None,
-                     "T1 and T2 compute the same two-sided products", mixed or ""))
+    out += _first_failures(
+        (f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
+         for a2, a, b in product(range(n), repeat=3)
+         if _on_legs(c.parent._left_cols(a2), n, c.t1.col_sparse(a * n + b), n) !=
+         _on_legs(c.parent._right_cols(b), n, c.t2.col_sparse(a2 * n + a))),
+        {"coproduct-mixed-law": "T1 and T2 compute the same two-sided products"})
 
     # T1(xa (x) b) = coproduct(x).T1(a (x) b) over (x, a, b), then
     # T2(a (x) bx) = T2(a (x) b).coproduct(x) over (b, x, a)
-    hom = None
-    for t, leg, delta in ((c.t1, 1, c.delta_left), (c.t2, 2, c.delta_right)):
-        mults = [_leg_mult(c, leg, x)[0] for x in range(n)]
-        blocks = _leg_blocks(t, leg, n)
-        for p, q, r in product(range(n), repeat=3):
-            x, a, b = (p, q, r) if leg == 1 else (q, r, p)
-            lhs = _on_legs(blocks[b], c.nn, mults[x][a]) if leg == 1 else \
-                _on_legs(blocks[a], c.nn, mults[x][b])
-            if lhs != delta(x, dict(t.col_sparse(a * n + b))):
-                hom = (f"T1({_lbl(c, x)}{_lbl(c, a)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, x)}).T1({_lbl(c, a)} (x) {_lbl(c, b)})"
-                       if leg == 1 else
-                       f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, x)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, x)})")
-                break
-        if hom:
-            break
-    out.append(check("coproduct-homomorphism", hom is None,
-                     "reconstructed coproduct is multiplicative against T1 and T2",
-                     hom or ""))
+    def homomorphism_failures():
+        for t, leg, delta in ((c.t1, 1, c.delta_left), (c.t2, 2, c.delta_right)):
+            mults = [_leg_mult(c, leg, x)[0] for x in range(n)]
+            blocks = _leg_blocks(t, leg, n)
+            for p, q, r in product(range(n), repeat=3):
+                x, a, b = (p, q, r) if leg == 1 else (q, r, p)
+                lhs = _on_legs(blocks[b], c.nn, mults[x][a]) if leg == 1 else \
+                    _on_legs(blocks[a], c.nn, mults[x][b])
+                if lhs != delta(x, dict(t.col_sparse(a * n + b))):
+                    yield (f"T1({_lbl(c, x)}{_lbl(c, a)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, x)}).T1({_lbl(c, a)} (x) {_lbl(c, b)})"
+                           if leg == 1 else
+                           f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, x)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, x)})")
+    out += _first_failures(homomorphism_failures(), {
+        "coproduct-homomorphism": "reconstructed coproduct is multiplicative against T1 and T2"})
 
-    coassoc = _coassociativity_witness(c)
-    out.append(check("coproduct-coassociative", coassoc is None,
-                     "(T2 x id)(id x T1) = (id x T1)(T2 x id) on the triple tensor power",
-                     coassoc or ""))
+    out += _first_failures(
+        (f"coassociativity fails at basis triple ({', '.join(_lbl(c, i) for i in (idx // c.nn, idx // n % n, idx % n))})"
+         for idx in range(n ** 3) if not _commute(c.t2, c.t1, idx, n)),
+        {"coproduct-coassociative": "(T2 x id)(id x T1) = (id x T1)(T2 x id) on the triple tensor power"})
 
     if c.t3 is not None or c.t4 is not None:
-        reg = _regular_maps_witness(c)
-        out.append(check("coproduct-regular-maps", reg is None,
-                         "supplied T3/T4 are the flipped-side versions of T1/T2", reg or ""))
+        out += _first_failures(_regular_maps_failures(c), {
+            "coproduct-regular-maps": "supplied T3/T4 are the flipped-side versions of T1/T2"})
     return out
 
 
-def _module_law_witness(c: CoproductData, laws, triples=None) -> Optional[str]:
-    """The first failing one-sided module law.  Walks the basis triples
+def _module_law_failures(c: CoproductData, laws, triples=None) -> Iterator[str]:
+    """The failing one-sided module laws.  Walks the basis triples
     (a, b, x) in the order given (x innermost by default) and tests each
     law (m, leg, what) in turn: m commutes with multiplication by e_x from
     outside on that leg, at e_a (x) e_b, i.e.
@@ -370,8 +359,7 @@ def _module_law_witness(c: CoproductData, laws, triples=None) -> Optional[str]:
             lhs = _on_legs(blocks[b], m.rows, cols[a]) if leg == 1 else \
                 _on_legs(blocks[a], m.rows, cols[b])
             if lhs != _on_legs(cols, n, m.col_sparse(a * n + b), s):
-                return f"{what} at {_lbl_at(c, leg, a, b, x)}"
-    return None
+                yield f"{what} at {_lbl_at(c, leg, a, b, x)}"
 
 
 def apply_on_legs13(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar]:
@@ -384,16 +372,7 @@ def apply_on_legs13(m: Matrix, x: Dict[int, Scalar], n: int) -> Dict[int, Scalar
                          for row, v in m.col_sparse(idx // nn * n + idx % n))
 
 
-def _coassociativity_witness(c: CoproductData) -> Optional[str]:
-    n = c.n
-    for idx in range(n ** 3):
-        if not _commute(c.t2, c.t1, idx, n):
-            i, j, k = idx // (n * n), idx // n % n, idx % n
-            return f"coassociativity fails at basis triple ({_lbl(c, i)}, {_lbl(c, j)}, {_lbl(c, k)})"
-    return None
-
-
-def _regular_maps_witness(c: CoproductData) -> Optional[str]:
+def _regular_maps_failures(c: CoproductData) -> Iterator[str]:
     """T3 against T1 on leg 2, (1 (x) e_b) T1(a (x) x) = T3(a (x) b)(1 (x) e_x),
     then T4 against T2 on leg 1, (e_x (x) 1) T4(a (x) b) = T2(x (x) b)(e_a (x) 1):
     the leg's index u of T3/T4's column multiplies from inside, and e_x
@@ -411,8 +390,7 @@ def _regular_maps_witness(c: CoproductData) -> Optional[str]:
             u = j // s % n
             if _on_legs(cols, n, t.col_sparse(j), s) != \
                     _on_legs(inner[u][0], n, base.col_sparse(j + (x - u) * s), s):
-                return f"{what} at {_lbl_at(c, leg, a, b, x)}"
-    return None
+                yield f"{what} at {_lbl_at(c, leg, a, b, x)}"
 
 
 # ---- fullness and counit --------------------------------------------------
@@ -549,30 +527,22 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
 def validate_E(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     """Post-hoc: idempotency, multiplier laws, exact range equalities,
     and absorption of the coproduct."""
-    out: List[CheckResult] = []
     left, right = e.left, e.right
-    ok_ranges = column_space(left) == c.ran_t1() and column_space(right) == c.ran_t2()
-    fixes = (left * c.t1 == c.t1) and (right * c.t2 == c.t2)
-    absorb = None
-    for a in range(c.n):
-        for x in range(c.nn):
+
+    def failures():
+        for a, x in product(range(c.n), range(c.nn)):
             xs = {x: ONE}
             da = c.delta_left(a, xs)
             if left.apply_sparse(da) != da:
-                absorb = f"E.coproduct({_lbl(c, a)}) != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
-                break
+                yield f"E.coproduct({_lbl(c, a)}) != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
             db = c.delta_right(a, xs)
             if right.apply_sparse(db) != db:
-                absorb = f"coproduct({_lbl(c, a)}).E != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
-                break
-        if absorb:
-            break
-    out.append(check(
-        "idempotent-valid",
-        ok_ranges and fixes and absorb is None,
-        f"E idempotent with action ranks {c.ran_t1().dim}/{c.nn} and {c.ran_t2().dim}/{c.nn}",
-        absorb or "E action ranges or fixed spaces are wrong"))
-    return out
+                yield f"coproduct({_lbl(c, a)}).E != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
+        if not (column_space(left) == c.ran_t1() and column_space(right) == c.ran_t2()
+                and left * c.t1 == c.t1 and right * c.t2 == c.t2):
+            yield "E action ranges or fixed spaces are wrong"
+    return _first_failures(failures(), {"idempotent-valid": f"E idempotent with action ranks "
+                                        f"{c.ran_t1().dim}/{c.nn} and {c.ran_t2().dim}/{c.nn}"})
 
 
 def compute_E_from_flips(c: CoproductData) -> Optional[Multiplier]:
@@ -688,11 +658,6 @@ def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     the extended leg is dominated by both liftings."""
     n, nn = c.n, c.nn
     nnn = n * nn
-    out: List[CheckResult] = []
-    commute_bad = None
-    formula_bad = None
-    agree_bad = None
-    dominated_bad = None
 
     # columns of both extended legs, each equal to its shifted-pivot
     # recomputation; triple by triple, so the first failure is reported
@@ -716,32 +681,30 @@ def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     def e23(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return _on_legs(ecols, nn, x.items())
 
-    for idx in range(nnn):
-        x = {idx: ONE}
-        e1x = e12(x)
-        e2x = e23(x)
-        p12 = e12(e2x)
-        p21 = e23(e1x)
-        if p12 != p21 and commute_bad is None:
-            commute_bad = f"(E x 1)(1 x E) != (1 x E)(E x 1) at {_lbl3(c, idx)}"
-        d1 = d1cols[idx]
-        if d1 != d2cols[idx] and agree_bad is None:
-            agree_bad = f"two extended legs of E differ at {_lbl3(c, idx)}"
-        if d1 != p12 and formula_bad is None:
-            formula_bad = f"(coproduct x id)(E) != (E x 1)(1 x E) at {_lbl3(c, idx)}"
-        if dominated_bad is None:
+    def failures():
+        # e-coassociativity reports the first triple where the two legs
+        # differ, if any, before any triple where domination fails
+        for idx in range(nnn):
+            if d1cols[idx] != d2cols[idx]:
+                yield "e-coassociativity", f"two extended legs of E differ at {_lbl3(c, idx)}"
+        for idx in range(nnn):
+            x = {idx: ONE}
+            e1x = e12(x)
+            e2x = e23(x)
+            p12 = e12(e2x)
+            if p12 != e23(e1x):
+                yield "e-legs-commute", f"(E x 1)(1 x E) != (1 x E)(E x 1) at {_lbl3(c, idx)}"
+            d1 = d1cols[idx]
+            if d1 != p12:
+                yield "e-product-formula", f"(coproduct x id)(E) != (E x 1)(1 x E) at {_lbl3(c, idx)}"
             if e12(d1) != d1 or e23(d1) != d1 or \
                _on_legs(d1items, nnn, e1x.items()) != d1 or \
                _on_legs(d1items, nnn, e2x.items()) != d1:
-                dominated_bad = f"extended leg of E not dominated at {_lbl3(c, idx)}"
-    out.append(check("e-legs-commute", commute_bad is None,
-                     "the two liftings of E commute", commute_bad or ""))
-    out.append(check("e-coassociativity", agree_bad is None and dominated_bad is None,
-                     "extended legs agree and are dominated by both liftings",
-                     agree_bad or dominated_bad or ""))
-    out.append(check("e-product-formula", formula_bad is None,
-                     "extended leg equals (E x 1)(1 x E)", formula_bad or ""))
-    return out
+                yield "e-coassociativity", f"extended leg of E not dominated at {_lbl3(c, idx)}"
+    return _first_failures(failures(), {
+        "e-legs-commute": "the two liftings of E commute",
+        "e-coassociativity": "extended legs agree and are dominated by both liftings",
+        "e-product-formula": "extended leg equals (E x 1)(1 x E)"})
 
 
 # ---- projection maps G1 / G2 ------------------------------------------------
@@ -805,39 +768,34 @@ def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
 
 def validate_G_maps(c: CoproductData, e: Multiplier, counit: list,
                     g: ProjectionMaps) -> List[CheckResult]:
-    out: List[CheckResult] = []
     n, nn = c.n, c.nn
 
-    idem = (g.g1 * g.g1 == g.g1) and (g.g2 * g.g2 == g.g2)
-    ranges_in_kernels = (c.t1 * (Matrix.identity(nn) - g.g1)).is_zero() and \
-        (c.t2 * (Matrix.identity(nn) - g.g2)).is_zero()
-    module_bad = _module_law_witness(c, [(g.g1, 2, "G1 module law fails"),
-                                         (g.g2, 1, "G2 module law fails")])
-    out.append(check("projections-idempotent",
-                     idem and ranges_in_kernels and module_bad is None,
-                     "G1/G2 idempotent, module laws hold, 1-G lands in kernels",
-                     module_bad or "G idempotency or kernel containment fails"))
+    def projection_failures():
+        yield from _module_law_failures(c, [(g.g1, 2, "G1 module law fails"),
+                                            (g.g2, 1, "G2 module law fails")])
+        if not (g.g1 * g.g1 == g.g1 and g.g2 * g.g2 == g.g2
+                and (c.t1 * (Matrix.identity(nn) - g.g1)).is_zero()
+                and (c.t2 * (Matrix.identity(nn) - g.g2)).is_zero()):
+            yield "G idempotency or kernel containment fails"
+    out = _first_failures(projection_failures(), {
+        "projections-idempotent": "G1/G2 idempotent, module laws hold, 1-G lands in kernels"})
 
-    cross_bad = _g_crosscheck_witness(c, e, counit, g)
-    out.append(check("projections-crosscheck", cross_bad is None,
-                     "counit-contraction construction reproduces G1/G2",
-                     cross_bad or ""))
+    out += _first_failures(_g_crosscheck_failures(c, e, counit, g), {
+        "projections-crosscheck": "counit-contraction construction reproduces G1/G2"})
 
     # two-sided multiplier factorization: the leg-1 (resp. leg-2) module
     # law that the defining equalities do not grant automatically
-    factor_bad = _module_law_witness(
-        c, [(g.g1, 1, "G1 has no left-leg multiplier")],
-        ((a, b, x) for x, a, b in product(range(n), repeat=3))) or \
-        _module_law_witness(c, [(g.g2, 2, "G2 has no right-leg multiplier")])
-    out.append(check("projections-factor", factor_bad is None,
-                     "G1/G2 factor through two-sided idempotent multipliers",
-                     (factor_bad or "") + (" (informational in the non-regular case)"
-                                           if factor_bad else "")))
+    out += _first_failures(
+        (f"{bad} (informational in the non-regular case)" for bad in chain(
+            _module_law_failures(c, [(g.g1, 1, "G1 has no left-leg multiplier")],
+                                 ((a, b, x) for x, a, b in product(range(n), repeat=3))),
+            _module_law_failures(c, [(g.g2, 2, "G2 has no right-leg multiplier")]))),
+        {"projections-factor": "G1/G2 factor through two-sided idempotent multipliers"})
     return out
 
 
-def _g_crosscheck_witness(c: CoproductData, e: Multiplier,
-                          counit: list, g: ProjectionMaps) -> Optional[str]:
+def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
+                           counit: list, g: ProjectionMaps) -> Iterator[str]:
     """The proof-side construction, checked fully stripped on all basis
     quadruples: (b (x) c) G1(a (x) q) = Gamma (1 (x) q), where
     Gamma = (b (x) c) G(a) is the sum of u (x) (id (x) eps)((e_c (x) e_v) E)
@@ -863,11 +821,11 @@ def _g_crosscheck_witness(c: CoproductData, e: Multiplier,
             col = a * n + q if leg == 2 else q * n + a
             if _on_legs(by_bc(b * n + cc), nn, gm.col_sparse(col)) != _on_legs(by_q[q], n, part, s):
                 if leg == 2:
-                    return (f"G1 cross-check fails at "
-                            f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
-                return (f"G2 cross-check fails at "
-                        f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
-    return None
+                    yield (f"G1 cross-check fails at "
+                           f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
+                else:
+                    yield (f"G2 cross-check fails at "
+                           f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
 
 
 def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:

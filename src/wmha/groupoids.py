@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebras import MAX_DIM, Algebra, SparseVec
 from .linalg import Matrix
+from .report import CheckResult, _first_failures
 from .scalars import ONE, ZERO
 
 
@@ -354,49 +355,38 @@ def build_model(g: FiniteGroupoid, kind: str) -> GroupoidModel:
     raise BadParameter(f"unknown model kind {kind!r}")
 
 
-def check_duality_pairing(g: FiniteGroupoid) -> Optional[str]:
-    """With <delta_p, lam_q> = [p = q], the two models pair product against
-    coproduct (both ways) and antipode against antipode.  Returns the
-    first failure, in that order, or None."""
+def check_duality_pairing(g: FiniteGroupoid) -> CheckResult:
+    """The duality-pairing result: with <delta_p, lam_q> = [p = q], the two
+    models pair product against coproduct (both ways) and antipode against
+    antipode; it fails at the first failure, in that order."""
     fun = function_algebra(g)
     conv = convolution_algebra(g)
     idx = g.index()
     n = len(g.morphisms)
 
-    # <f g, lam_p> = <f (x) g, coproduct(lam_p)>: coproduct is diagonal
-    for a in g.morphisms:
-        for b in g.morphisms:
+    t1 = [dict(col) for col in fun.t1._sparse_cols()]
+
+    def failures():
+        # <f g, lam_p> = <f (x) g, coproduct(lam_p)>: coproduct is diagonal
+        for a, b in product(g.morphisms, repeat=2):
             prod = fun.algebra.mul_basis(idx[a], idx[b])  # pointwise
             for p in g.morphisms:
-                lhs = prod.get(idx[p], ZERO)
-                rhs = ONE if (a == p and b == p) else ZERO
-                if lhs != rhs:
-                    return f"product/coproduct pairing fails at ({a},{b},{p})"
+                if prod.get(idx[p], ZERO) != (ONE if a == p == b else ZERO):
+                    yield f"product/coproduct pairing fails at ({a},{b},{p})"
 
-    # <coproduct(delta_r), lam_p (x) lam_q> = <delta_r, lam_p lam_q>
-    for r in g.morphisms:
-        for p in g.morphisms:
-            for q in g.morphisms:
-                # coefficient of delta_r at (p, q), read through T1 against q
-                col = fun.t1.col_sparse(idx[r] * n + idx[q])
-                lhs = ZERO
-                for row, v in col:
-                    if row == idx[p] * n + idx[q]:
-                        lhs = v
-                        break
-                conv_prod = conv.algebra.mul_basis(idx[p], idx[q])
-                rhs = conv_prod.get(idx[r], ZERO)
-                if lhs != rhs:
-                    return f"coproduct/product pairing fails at ({r},{p},{q})"
+        # <coproduct(delta_r), lam_p (x) lam_q> = <delta_r, lam_p lam_q>
+        for r, p, q in product(g.morphisms, repeat=3):
+            # coefficient of delta_r at (p, q), read through T1 against q
+            lhs = t1[idx[r] * n + idx[q]].get(idx[p] * n + idx[q], ZERO)
+            if lhs != conv.algebra.mul_basis(idx[p], idx[q]).get(idx[r], ZERO):
+                yield f"coproduct/product pairing fails at ({r},{p},{q})"
 
-    # <S f, lam_p> = <f, S lam_p>
-    for r in g.morphisms:
-        for p in g.morphisms:
-            lhs = ONE if g.inverse[r] == p else ZERO
-            rhs = ONE if r == g.inverse[p] else ZERO
-            if lhs != rhs:
-                return f"antipode pairing fails at ({r},{p})"
-    return None
+        # <S f, lam_p> = <f, S lam_p>
+        for r, p in product(g.morphisms, repeat=2):
+            if (g.inverse[r] == p) != (r == g.inverse[p]):
+                yield f"antipode pairing fails at ({r},{p})"
+    return _first_failures(failures(), {
+        "duality-pairing": "both models pair product against coproduct and S against S"})[0]
 
 
 def local_unit_for(g: FiniteGroupoid, kind: str, members: List[int]) -> SparseVec:

@@ -21,7 +21,7 @@ from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         refuse_oversize, validate_groupoid)
 from .linalg import BadProjections, Matrix
 from .report import (FAIL, PASS, SKIP, CheckResult, VerificationReport,
-                     check, checks_in, failed, passed, skipped)
+                     _first_failures, check, checks_in, failed, passed, skipped)
 from .scalars import ONE, _dot, rational
 
 
@@ -77,12 +77,9 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     # core stays the presentation's alone: the round trip may read it
     report = VerificationReport(checks=list(core.checks))
 
-    star_bad = None
     if inp.star is not None:
         from .algebras import validate_star
-        star_bad = validate_star(inp.star, inp.algebra)
-        report.add(check("star-structure", star_bad is None,
-                         "star is involutive and anti-multiplicative", star_bad or ""))
+        star = report.add(validate_star(inp.star, inp.algebra))
     c = ctx.coproduct
     if c is None:
         report.classification = _classification(ctx, report)
@@ -95,7 +92,7 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     if axiom:
         # a non-regular antipode stops the path after the star checks
         if inp.star is not None and stop in (None, "regular"):
-            if star_bad is None:
+            if star.status == PASS:
                 report.extend(ant.star_suite(c, ctx.e, ctx.antipode, inp.star,
                                              ctx.t3, ctx.t4))
             else:
@@ -139,13 +136,7 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
 
     diag = validate_algebra(algebra)
     ctx.unit = diag.unit
-    if diag.associativity_witness is not None:
-        labels = tuple(algebra.basis_labels[i] for i in diag.associativity_witness)
-    else:
-        labels = None
-    block_on(check("algebra-associative", diag.associative,
-                   "structure tensor is associative",
-                   f"associativity fails at basis triple {labels}"))
+    block_on(diag.associativity)
     block_on(check("algebra-nondegenerate", diag.nondegenerate,
                    "product is non-degenerate",
                    diag.degeneracy_witness or ""))
@@ -469,10 +460,7 @@ def verify_groupoid_model(g: FiniteGroupoid, kind: str, path: str = "def114",
         "groupoid-axioms", True, f"{len(g.morphisms)} morphisms, "
         f"{len(g.units)} units"))
     if with_pairing:
-        pair_bad = check_duality_pairing(g)
-        report.add(check("duality-pairing", pair_bad is None,
-                         "both models pair product against coproduct and S against S",
-                         pair_bad or ""))
+        report.add(check_duality_pairing(g))
     return report, ctx
 
 
@@ -503,10 +491,8 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
         for r in sub_report.checks:
             report.add(CheckResult(r.check_id, r.status, f"window {k}: {r.detail}"))
     if k_max >= 2:
-        bad = _window_consistency(windows, contexts)
-        report.add(check("window-consistency", bad is None,
-                         "witnesses of each window restrict from the next window",
-                         bad or ""))
+        report.extend(_first_failures(_window_failures(windows, contexts), {
+            "window-consistency": "witnesses of each window restrict from the next window"}))
     else:
         report.add(passed("window-consistency", "vacuous with fewer than two windows"))
 
@@ -517,12 +503,12 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
         "unit candidate is the all-units sum, whose support grows without bound",
         "unit supports do not grow across windows"))
 
-    rng = random.Random(seed)
-    bad = None
-    if k_max >= 1:
-        if k_max not in contexts:
-            report.add(skipped("sampled-local-units", "groupoid-axioms"))
-            return report
+    if k_max >= 1 and k_max not in contexts:
+        report.add(skipped("sampled-local-units", "groupoid-axioms"))
+        return report
+
+    def local_unit_failures():
+        rng = random.Random(seed)
         g = windows[-1]
         mul = contexts[k_max].algebra.mul_sparse
         for _ in range(5):
@@ -532,42 +518,41 @@ def verify_lazy_model(lazy: LazyGroupoid, kind: str, k_max: int,
             probe = {i: rational(rng.randint(1, 5)) for i in members}
             for x in [{i: ONE} for i in members] + [probe]:
                 if mul(lu, x) != x or mul(x, lu) != x:
-                    bad = f"exhibited local unit fails on sample {members}"
-                    break
-            if bad:
-                break
-    report.add(check("sampled-local-units", bad is None,
-                     "sampled finite sets admit the exhibited unit-set indicators",
-                     bad or ""))
+                    yield f"exhibited local unit fails on sample {members}"
+    report.extend(_first_failures(local_unit_failures() if k_max >= 1 else (), {
+        "sampled-local-units": "sampled finite sets admit the exhibited unit-set indicators"}))
     return report
 
 
-def _window_consistency(windows, contexts) -> Optional[str]:
+def _window_failures(windows, contexts):
+    """The witnesses of each window that do not restrict from the next."""
     for k in range(1, len(windows)):
         small, big = contexts.get(k), contexts.get(k + 1)
         if small is None or big is None or small.e is None or big.e is None \
                 or small.g is None or big.g is None \
                 or small.antipode is None or big.antipode is None \
                 or small.antipode.s_matrix is None or big.antipode.s_matrix is None:
-            return f"windows {k} and {k + 1} lack comparable witnesses"
+            yield f"windows {k} and {k + 1} lack comparable witnesses"
+            continue
         gs, gb = windows[k - 1], windows[k]
         idx_b = gb.index()
         try:
             embed = [idx_b[m] for m in gs.morphisms]
         except KeyError as exc:
-            return f"window {k} morphism {exc} missing from window {k + 1}"
+            yield f"window {k} morphism {exc} missing from window {k + 1}"
+            continue
         ns, nb = len(gs.morphisms), len(gb.morphisms)
         # counit restricts
         for i, ib in enumerate(embed):
             if small.counit[i] != big.counit[ib]:
-                return f"counit of window {k + 1} does not restrict to window {k}"
+                yield f"counit of window {k + 1} does not restrict to window {k}"
         # antipode restricts (columns supported inside the window)
         for i, ib in enumerate(embed):
             col_b = dict(big.antipode.s_matrix.col_sparse(ib))
             if any(rb not in embed for rb in col_b):
-                return f"antipode of window {k + 1} leaves window {k}"
-            if {embed[rs]: v for rs, v in small.antipode.s_matrix.col_sparse(i)} != col_b:
-                return f"antipode restriction mismatch between windows {k} and {k + 1}"
+                yield f"antipode of window {k + 1} leaves window {k}"
+            elif {embed[rs]: v for rs, v in small.antipode.s_matrix.col_sparse(i)} != col_b:
+                yield f"antipode restriction mismatch between windows {k} and {k + 1}"
         # E and G actions restrict on embedded tensor pairs
         pair_embed = {i1 * ns + i2: e1 * nb + e2
                       for i1, e1 in enumerate(embed) for i2, e2 in enumerate(embed)}
@@ -580,7 +565,6 @@ def _window_consistency(windows, contexts) -> Optional[str]:
                 colb = dict(mb.col_sparse(cb))
                 mapped = {pair_embed[rs]: v for rs, v in ms.col_sparse(cs)}
                 if any(rb not in embedded_rows for rb in colb):
-                    return f"{name} of window {k + 1} leaves window {k}"
-                if mapped != colb:
-                    return f"{name} restriction mismatch between windows {k} and {k + 1}"
-    return None
+                    yield f"{name} of window {k + 1} leaves window {k}"
+                elif mapped != colb:
+                    yield f"{name} restriction mismatch between windows {k} and {k + 1}"

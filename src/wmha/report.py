@@ -142,6 +142,24 @@ def check(check_id, ok: bool, detail_pass="", detail_fail="") -> CheckResult:
     return failed(check_id, detail_fail or detail_pass)
 
 
+def _first_failures(walk, passes: Dict[str, str]) -> List[CheckResult]:
+    """The results of the checks one walk feeds, one per check id of
+    passes, in its order.  walk yields the detail of each failure it
+    finds, in walk order, as a (check id, detail) pair when it feeds
+    several checks.  A check fails with its first detail and otherwise
+    passes with its detail in passes; the walk is stopped once every check
+    has failed."""
+    first: Dict[str, str] = {}
+    sole = next(iter(passes)) if len(passes) == 1 else None
+    for got in walk:
+        check_id, detail = (sole, got) if sole else got
+        first.setdefault(check_id, detail)
+        if len(first) == len(passes):
+            break
+    return [failed(cid, first[cid]) if cid in first else passed(cid, ok)
+            for cid, ok in passes.items()]
+
+
 class VerificationReport:
     def __init__(self, seed: Optional[int] = None,
                  checks: Optional[List[CheckResult]] = None):

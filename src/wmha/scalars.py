@@ -25,6 +25,7 @@ path taken depends only on the operand values.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -60,10 +61,16 @@ def _ratio(value) -> tuple:
     raise TypeError(f"Scalar parts must be int or Fraction, not {type(value).__name__}")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(text: str) -> Fraction:
+    """A rational literal "p/q" or "p", as `str(Fraction)` writes it.  Decimal
+    and exponent forms are refused: "1e999999" is a million-digit integer
+    that no check finishes with."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty rational literal")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"rational literal {text!r} is not p/q or p")
     return Fraction(text)
 
 

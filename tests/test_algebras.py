@@ -162,17 +162,20 @@ def test_unit_detection():
 
 def test_star_structures_of_models():
     fun = function_algebra(preset("pair:2"))
-    assert validate_star(StarStructure(fun.algebra, fun.star_matrix), fun.algebra) is None
+    got = validate_star(StarStructure(fun.algebra, fun.star_matrix), fun.algebra)
+    assert (got.check_id, got.status) == ("star-structure", "pass")
     conv = convolution_algebra(preset("pair:2"))
-    assert validate_star(StarStructure(conv.algebra, conv.star_matrix), conv.algebra) is None
+    assert validate_star(StarStructure(conv.algebra, conv.star_matrix), conv.algebra).status == "pass"
 
 
 def test_star_rejects_non_involutive_permutation():
     perm = Matrix.permutation([1, 2, 0])  # order three, not an involution
     # on C^3 the cyclic shift is an automorphism: only involutivity fails
     c3 = Algebra.from_structure(3, None, [(i, i, i, ONE) for i in range(3)])
-    assert validate_star(StarStructure(c3, perm), c3) == "star fails involutivity"
+    got = validate_star(StarStructure(c3, perm), c3)
+    assert (got.status, got.detail) == ("fail", "star fails involutivity")
     # on the group algebra of Z/3 it is not anti-multiplicative either, and
     # that witness is the one reported
     a = cyclic_group_algebra(3)
-    assert validate_star(StarStructure(a, perm), a) == "(e0 e0)* != e0* e0*"
+    got = validate_star(StarStructure(a, perm), a)
+    assert (got.status, got.detail) == ("fail", "(e0 e0)* != e0* e0*")

@@ -390,3 +390,47 @@ def test_engine_fault_exits_three_without_verdict(module, name, monkeypatch,
     assert "fail" not in captured.out and "verdict" not in captured.out
     assert f"internal error: InvariantViolation: injected fault in {name}" in captured.err
     assert "Traceback" in captured.err
+
+
+def test_input_file_with_preset_exits_two(tmp_path, capsys):
+    # the document fails at coproduct-full; the preset it came with passes
+    doc = model_to_document(function_algebra(preset("pair:2")), with_witnesses=False)
+    doc["coproduct"] = {"T1": [], "T2": []}
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", path]) == 1
+    assert "verdict: fail (first failing check: coproduct-full)" in capsys.readouterr().out
+    for command in ("verify", "witnesses", "classify"):
+        assert main([command, path, "--preset", "pair:1", "--model", "function"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: give an input file or --preset NAME "
+                                "--model M, not both\n")
+
+
+@pytest.mark.parametrize("path", ["thm29", "both"])
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_lazy_input_off_the_def114_path_exits_two(command, path, capsys):
+    # each window runs def114 only: no thm29-* check would be reported
+    assert main([command, "--preset", "pair:inf", "--model", "function",
+                 "--windows", "1", "--path", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: --path {path} needs a finite input; the windows "
+                            "of an infinite groupoid are verified on the def114 path\n")
+
+
+def test_exponent_and_decimal_literals_exit_two(tmp_path, capsys):
+    # "1e999999" is a million-digit integer: parsed, it ran past a minute
+    import time
+
+    doc = model_to_document(convolution_algebra(preset("group:cyclic:1")), with_witnesses=False)
+    for bad in ("1e999999", "1E3", "0.5", "1_000", "1/-2"):
+        doc["algebra"]["structure"][0][3] = bad
+        start = time.perf_counter()
+        assert main(["verify", write_doc(tmp_path, doc)]) == 2, bad
+        assert time.perf_counter() - start < 1, bad
+        assert capsys.readouterr().err.startswith("input error: bad scalar at structure")
+    # the forms str(Fraction) writes stay valid
+    for good in ("-1/2", "3"):
+        doc["algebra"]["structure"][0][3] = good
+        assert main(["verify", write_doc(tmp_path, doc)]) != 2, good

@@ -103,3 +103,33 @@ def test_every_engine_parameter_is_read():
     unread = sorted(entry for path, tree in _trees(SRC).items()
                     for entry in _unread_parameters(path.stem, tree))
     assert not unread, "parameters that no body reads: " + ", ".join(unread)
+
+
+def _flag_checks(module, tree):
+    """module:line of every check(id, status, pass, fail) call that reads
+    a failure flag: status is `<name> is None`, alone or in an `and`, and
+    the failure detail is `<name> or ...`.  Such a flag is the first
+    failure of a walk kept by hand; a walk yields its failures and
+    `report._first_failures` keeps the first."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "check" and len(node.args) == 4):
+            continue
+        status, detail = node.args[1], node.args[3]
+        terms = status.values if isinstance(status, ast.BoolOp) and isinstance(status.op, ast.And) \
+            else [status]
+        flags = {t.left.id for t in terms
+                 if isinstance(t, ast.Compare) and isinstance(t.left, ast.Name)
+                 and len(t.ops) == 1 and isinstance(t.ops[0], ast.Is)
+                 and isinstance(t.comparators[0], ast.Constant) and t.comparators[0].value is None}
+        if isinstance(detail, ast.BoolOp) and isinstance(detail.op, ast.Or) \
+                and isinstance(detail.values[0], ast.Name) and detail.values[0].id in flags:
+            out.append(f"{module}:{node.lineno}")
+    return out
+
+
+def test_no_check_reads_a_failure_flag():
+    flagged = sorted(entry for path, tree in _trees(SRC).items()
+                     for entry in _flag_checks(path.stem, tree))
+    assert not flagged, "checks that keep a walk's first failure in a flag: " + ", ".join(flagged)

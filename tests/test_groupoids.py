@@ -99,7 +99,8 @@ def test_counit_oracles():
 
 def test_duality_pairing_on_presets():
     for name in ("pair:2", "group:cyclic:3", "bundle:cyclic:2:3"):
-        assert check_duality_pairing(preset(name)) is None
+        got = check_duality_pairing(preset(name))
+        assert (got.check_id, got.status) == ("duality-pairing", "pass"), got.detail
 
 
 def test_local_units_per_model():

@@ -26,10 +26,6 @@ class BadParameter(Exception):
     pass
 
 
-class WindowInvalid(Exception):
-    pass
-
-
 class FiniteGroupoid:
     def __init__(self, morphisms: List[str], source: Dict[str, str], target: Dict[str, str],
                  compose: Dict[Tuple[str, str], str], inverse: Dict[str, str]):
@@ -183,7 +179,8 @@ def refuse_oversize(what: str, morphisms: int) -> None:
 
 
 def preset(name: str):
-    """Construct a named groupoid.  Finite presets are validated.
+    """Construct a named groupoid.  Its groupoid axioms are checked by the
+    run (`pipeline.verify_groupoid_model`, once per window of a lazy one).
 
     Names: pair:N, group:cyclic:N, bundle:cyclic:N:K, union:<p>+<p>+...,
     pair:inf, bundle:cyclic:N:inf.
@@ -192,61 +189,41 @@ def preset(name: str):
     try:
         if parts[0] == "pair" and len(parts) == 2:
             if parts[1] == "inf":
-                lazy = LazyGroupoid("pair:inf", lambda k: pair_groupoid(k))
-                _sanity_check_windows(lazy)
-                return lazy
+                return LazyGroupoid("pair:inf", lambda k: pair_groupoid(k))
             n = int(parts[1])
             if n <= 0:
                 raise BadParameter("pair:N needs N >= 1")
             refuse_oversize(name, n * n)
-            g = pair_groupoid(n)
-        elif parts[0] == "group" and len(parts) == 3 and parts[1] == "cyclic":
+            return pair_groupoid(n)
+        if parts[0] == "group" and len(parts) == 3 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
                 raise BadParameter("group:cyclic:N needs N >= 1")
             refuse_oversize(name, n)
-            g = cyclic_group_groupoid(n)
-        elif parts[0] == "bundle" and len(parts) == 4 and parts[1] == "cyclic":
+            return cyclic_group_groupoid(n)
+        if parts[0] == "bundle" and len(parts) == 4 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
                 raise BadParameter("bundle:cyclic:N:K needs N >= 1")
             if parts[3] == "inf":
                 refuse_oversize(f"{name} window 1", n)
-                lazy = LazyGroupoid(f"bundle:cyclic:{n}:inf",
+                return LazyGroupoid(f"bundle:cyclic:{n}:inf",
                                     lambda k: cyclic_bundle(n, k))
-                _sanity_check_windows(lazy)
-                return lazy
             copies = int(parts[3])
             if copies <= 0:
                 raise BadParameter("bundle:cyclic:N:K needs K >= 1")
             refuse_oversize(name, n * copies)
-            g = cyclic_bundle(n, copies)
-        elif parts[0] == "union":
+            return cyclic_bundle(n, copies)
+        if parts[0] == "union":
             rest = name[len("union:"):]
             members = [preset(p) for p in rest.split("+")]
             if any(isinstance(m, LazyGroupoid) for m in members):
                 raise BadParameter("union members must be finite presets")
             refuse_oversize(name, sum(len(m.morphisms) for m in members))
-            g = disjoint_union(members)
-        else:
-            raise UnknownPreset(name)
+            return disjoint_union(members)
+        raise UnknownPreset(name)
     except ValueError as exc:
         raise BadParameter(f"bad number in preset {name!r}") from exc
-    violations = validate_groupoid(g)
-    if violations:
-        raise BadParameter(f"preset {name!r} fails groupoid axioms: {violations[:2]}")
-    return g
-
-
-def _sanity_check_windows(lazy: LazyGroupoid) -> None:
-    """Windows 1 and 2 are valid groupoids and nested."""
-    windows = [lazy.window(1), lazy.window(2)]
-    for k, g in enumerate(windows, 1):
-        violations = validate_groupoid(g)
-        if violations:
-            raise WindowInvalid(f"{lazy.name} window {k}: {violations[0]}")
-        if k > 1 and not set(windows[k - 2].morphisms) <= set(g.morphisms):
-            raise WindowInvalid(f"{lazy.name} windows {k - 1} and {k} are not nested")
 
 
 class GroupoidModel:

@@ -223,12 +223,9 @@ def rational(p: int, q: int = 1) -> Scalar:
 
 def _merge(e: list, ta: int, tb: int, td: int) -> None:
     """Add (ta + tb·i)/td to the entry e = [a, b, d], over the least
-    common denominator of d and td."""
+    common denominator of d and td.  The callers add equal denominators
+    inline, so d != td here."""
     d = e[2]
-    if d == td:
-        e[0] += ta
-        e[1] += tb
-        return
     g = gcd(d, td)
     if g != 1:
         td //= g

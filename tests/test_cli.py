@@ -434,3 +434,82 @@ def test_exponent_and_decimal_literals_exit_two(tmp_path, capsys):
     for good in ("-1/2", "3"):
         doc["algebra"]["structure"][0][3] = good
         assert main(["verify", write_doc(tmp_path, doc)]) != 2, good
+
+
+# the options each command reads, per input kind; witnesses takes no lazy
+# input at all
+READ = {
+    ("verify", "structure"): {"path", "report"},
+    ("verify", "finite"): {"model", "path", "report"},
+    ("verify", "lazy"): {"model", "path", "report", "seed", "windows"},
+    ("witnesses", "structure"): {"path"},
+    ("witnesses", "finite"): {"model", "path"},
+    ("witnesses", "lazy"): set(),
+    ("classify", "structure"): set(),
+    ("classify", "finite"): {"model"},
+    ("classify", "lazy"): {"model", "seed", "windows"},
+}
+KIND_TEXT = {"structure": "a structure document", "finite": "a finite groupoid",
+             "lazy": "an infinite groupoid"}
+OPTION_VALUES = {"model": "convolution", "path": "def114", "report": None,
+                 "seed": "5", "windows": "1"}
+
+
+def _policy_input(tmp_path, kind):
+    if kind == "structure":
+        doc = model_to_document(function_algebra(preset("pair:1")), with_witnesses=False)
+    else:
+        name = "pair:1" if kind == "finite" else "bundle:cyclic:1:inf"
+        doc = {"groupoid": {"preset": name}, "model": "function"}
+    return write_doc(tmp_path, doc)
+
+
+def _policy_argv(tmp_path, command, kind, option):
+    value = OPTION_VALUES[option] or str(tmp_path / "report.json")
+    return [command, _policy_input(tmp_path, kind), f"--{option}", value]
+
+
+@pytest.mark.parametrize("command, kind, option", [
+    (command, kind, option) for (command, kind), reads in READ.items()
+    for option in OPTION_VALUES if option not in reads])
+def test_option_not_read_exits_two(command, kind, option, tmp_path, capsys):
+    # at the parent, --model on a structure document, --windows/--seed on
+    # a finite input, a given --path with classify and --report with
+    # witnesses or classify were ignored (exit 0, no report written)
+    assert main(_policy_argv(tmp_path, command, kind, option)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not (tmp_path / "report.json").exists()
+    if command == "witnesses" and kind == "lazy":
+        assert captured.err.startswith("input error: witnesses needs a finite input")
+    else:
+        assert captured.err == (f"input error: wmha {command} does not read --{option} "
+                                f"on {KIND_TEXT[kind]}\n")
+
+
+@pytest.mark.parametrize("command, kind, option", [
+    (command, kind, option) for (command, kind), reads in READ.items()
+    for option in sorted(reads)])
+def test_option_read_is_accepted(command, kind, option, tmp_path, capsys):
+    assert main(_policy_argv(tmp_path, command, kind, option)) == 0
+    assert (tmp_path / "report.json").exists() == (option == "report")
+
+
+def test_every_option_is_in_the_policy_table():
+    # an option added to the parser but not to READS would be refused
+    # everywhere; one left out of this guard could be read nowhere
+    import argparse
+
+    from wmha.cli import READS, _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(READS)
+    assert {(command, kind): set(reads) for command, rows in READS.items()
+            for kind, reads in rows.items()} == \
+        {key: reads for key, reads in READ.items() if key != ("witnesses", "lazy")}
+    for command, parser in sub.choices.items():
+        options = {a.dest for a in parser._actions if a.option_strings}
+        assert options - {"help", "preset"} == set(OPTION_VALUES), command
+        # an absent option reads None, so a given one can be told apart
+        assert all(parser.get_default(name) is None for name in OPTION_VALUES)

@@ -119,3 +119,23 @@ def test_local_units_per_model():
 def test_build_model_rejects_unknown_kind():
     with pytest.raises(BadParameter):
         build_model(preset("pair:2"), "poisson")
+
+
+# the runs check groupoid axioms once, in pipeline.verify_groupoid_model;
+# the presets are valid by construction, and these pin it
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_finite_presets_satisfy_the_axioms(n):
+    names = [f"pair:{n}", f"group:cyclic:{n}", f"union:pair:{n}+group:cyclic:{n}"]
+    names += [f"bundle:cyclic:{n}:{k}" for k in range(1, 5)]
+    for name in names:
+        assert validate_groupoid(preset(name)) == [], name
+
+
+@pytest.mark.parametrize("name", ["pair:inf", "bundle:cyclic:2:inf"])
+def test_lazy_windows_satisfy_the_axioms_and_nest(name):
+    lazy = preset(name)
+    windows = [lazy.window(k) for k in range(1, 5)]
+    for k, g in enumerate(windows, 1):
+        assert validate_groupoid(g) == [], (name, k)
+    for small, big in zip(windows, windows[1:]):
+        assert set(small.morphisms) < set(big.morphisms)

@@ -1,11 +1,16 @@
+import json
+
 import pytest
 
 from conftest import conjugated_input
+from wmha.antipodes import AntipodesDisagree
+from wmha.coproducts import NoSolution, NoSuchIdempotent
 from wmha.fileio import model_to_document, parse_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import (StructureInput, verify_groupoid_model,
                            verify_lazy_model, verify_structure)
-from wmha.report import FAIL, PASS, SKIP
+from wmha.linalg import BadProjections
+from wmha.report import FAIL, PASS, SKIP, failed, passed
 
 
 def convolution_model():
@@ -265,17 +270,21 @@ def test_lazy_windows_are_built_once(monkeypatch, capsys):
     import wmha.pipeline
     from wmha.cli import main
 
-    built, models = [], []
+    built, models, validated = [], [], []
     pair = wmha.groupoids.pair_groupoid
     monkeypatch.setattr(wmha.groupoids, "pair_groupoid",
                         lambda n: built.append(n) or pair(n))
     build_model = wmha.pipeline.build_model
     monkeypatch.setattr(wmha.pipeline, "build_model",
                         lambda g, kind: models.append(len(g.morphisms)) or build_model(g, kind))
+    validate = wmha.pipeline.validate_groupoid
+    monkeypatch.setattr(wmha.pipeline, "validate_groupoid",
+                        lambda g: validated.append(len(g.morphisms)) or validate(g))
     assert main(["verify", "--preset", "pair:inf", "--model", "function",
                  "--windows", "3"]) == 0
-    # the preset's nesting check builds windows 1 and 2, the run windows 1 to 3
-    assert built == [1, 2, 1, 2, 3]
+    # the run builds windows 1 to 3, and checks each one's axioms once
+    assert built == [1, 2, 3]
+    assert validated == [1, 4, 9]
     # one model per window: the sampled local units read the last window's
     assert models == [1, 4, 9]
 
@@ -434,3 +443,150 @@ def _conjugated_run(name, complex_entries, p=None):
     inp, p, q, m = conjugated_input(name, complex_entries, p)
     report, ctx = verify_structure(inp, path="def114")
     return report, ctx, p, q, m
+
+
+def _raising(exc):
+    def step(*args, **kwargs):
+        raise exc
+    return step
+
+
+def _kernels_failing(real):
+    def step(c, g):
+        return [failed("kernels-match", "ker T1 differs from Ran(1 - G1)")
+                if r.check_id == "kernels-match" else r for r in real(c, g)]
+    return step
+
+
+def _without_unit(real):
+    def step(algebra):
+        diag = real(algebra)
+        diag.unit = None
+        return diag
+    return step
+
+
+# the failures of the def114 path that no honest input reaches, keyed by
+# the failing check: the step raises its declared refutation or returns a
+# failing result.  Each row: module, step, the patched step built from the
+# real one, and every failure the run reports.
+STOPS = {
+    "idempotent-exists": (
+        "wmha.coproducts", "compute_E",
+        lambda real: _raising(NoSuchIdempotent("no multiplier action with E(A (x) A) = Ran(T1)")),
+        {"idempotent-exists": "no multiplier action with E(A (x) A) = Ran(T1)"}),
+    "projections-solve": (
+        "wmha.coproducts", "solve_G_maps",
+        lambda real: _raising(NoSolution("defining system for G1 inconsistent")),
+        {"projections-solve": "defining system for G1 inconsistent"}),
+    "kernels-match": (
+        "wmha.coproducts", "check_kernels", _kernels_failing,
+        {"kernels-match": "ker T1 differs from Ran(1 - G1)"}),
+    "generalized-inverses": (
+        "wmha.antipodes", "build_generalized_inverses",
+        lambda real: _raising(BadProjections("e is not idempotent")),
+        {"generalized-inverses": "e is not idempotent"}),
+    "antipodes-agree": (
+        "wmha.antipodes", "compute_antipode",
+        lambda real: _raising(AntipodesDisagree("S1(e_0) != S2(e_0)", [
+            passed("antipode-defined", "counit contractions of R1/R2 give one-sided multipliers"),
+            failed("antipodes-agree", "S1(e_0) != S2(e_0)")])),
+        {"antipodes-agree": "S1(e_0) != S2(e_0)"}),
+    # a regular run reaches every check: the opposite presentation fails
+    # local-units too, and the oracle holds the unit
+    "local-units": (
+        "wmha.pipeline", "validate_algebra", _without_unit,
+        {"local-units": "regular structure on a finite-dimensional algebra must have a unit",
+         "appendix-op-roundtrip": "opposite presentation fails at local-units: regular "
+                                  "structure on a finite-dimensional algebra must have a unit",
+         "regular-op-antipode": "opposite-presentation antipode or idempotent mismatch",
+         "oracle-witnesses": "oracle mismatch: unit"}),
+}
+
+
+@pytest.mark.parametrize("label", list(STOPS))
+def test_def114_stop_reports_its_failure(label, monkeypatch, tmp_path, capsys):
+    import importlib
+
+    from wmha.cli import main
+    from wmha.report import checks_in
+
+    module, name, patched, failures = STOPS[label]
+    mod = importlib.import_module(module)
+    monkeypatch.setattr(mod, name, patched(getattr(mod, name)))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--preset", "pair:2", "--model", "convolution",
+                 "--report", str(report_path)]) == 1
+    assert "verdict: fail (first failing check: " in capsys.readouterr().out
+    blob = json.loads(report_path.read_text())
+    assert blob["verdict"] == FAIL
+    assert {c["id"]: c["detail"] for c in blob["checks"] if c["status"] == FAIL} == failures
+    # the axiom checks up to the stop ran; every later one is skipped, naming it
+    axiom = checks_in("axiom")
+    skips = {c["id"]: c["detail"] for c in blob["checks"]
+             if c["id"] in axiom and c["status"] == SKIP}
+    if label == "local-units":
+        # no stop: only the unital weak-Hopf identities are skipped
+        assert skips == {cid: "not applicable: algebra has no unit" for cid in axiom
+                         if cid.startswith("weak-hopf-")}
+        return
+    reached = axiom[:axiom.index(label) + 1] if label in axiom else []
+    assert skips == {cid: f"prerequisite failed: {label}" for cid in axiom
+                     if cid not in reached}
+
+
+def test_local_units_not_demanded_without_regularity(monkeypatch):
+    # S not invertible: the run stops at regular, and with no unit
+    # local-units passes with its reason
+    import wmha.antipodes
+    import wmha.pipeline
+
+    monkeypatch.setattr(wmha.pipeline, "validate_algebra",
+                        _without_unit(wmha.pipeline.validate_algebra))
+    monkeypatch.setattr(wmha.antipodes, "invert", lambda m: None)
+    report, _ = verify_groupoid_model(preset("pair:2"), "convolution")
+    assert _detail(report, "regular") == "not regular: antipode matrix is not invertible"
+    assert report.status_of("local-units") == PASS
+    assert _detail(report, "local-units") == \
+        "no unit; local units are not implied without regularity"
+    assert _detail(report, "appendix-e-flip") == "prerequisite failed: regular"
+
+
+# (dim, structure entries [i, j, k, re, im]) of algebras that fail the gate
+@pytest.mark.parametrize("dim, structure, failures", [
+    # the zero product: e0 annihilates, and A^2 = 0
+    (1, [], {"algebra-nondegenerate": "nonzero x with x*A = 0",
+             "algebra-idempotent": "products do not span the algebra"}),
+    # nilpotent, e0 e0 = e1: e1 annihilates, and A^2 = span(e1)
+    (2, [[0, 0, 1, "1", "0"]],
+     {"algebra-nondegenerate": "nonzero x with x*A = 0",
+      "algebra-idempotent": "products do not span the algebra"}),
+    # e0 e0 = e0, e0 e1 = e1: A^2 = A, but e1 annihilates from the left
+    (2, [[0, 0, 0, "1", "0"], [0, 1, 1, "1", "0"]],
+     {"algebra-nondegenerate": "nonzero x with x*A = 0"}),
+])
+def test_degenerate_algebra_fails_at_the_gate(dim, structure, failures, tmp_path):
+    from wmha.cli import main
+    from wmha.report import checks_in
+
+    doc = {"algebra": {"dim": dim, "structure": structure},
+           "coproduct": {"T1": [], "T2": []}}
+    doc_path, report_path = tmp_path / "doc.json", tmp_path / "report.json"
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(doc_path), "--report", str(report_path)]) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert {c["id"]: c["detail"] for c in checks if c["status"] == FAIL} == failures
+    blocker = "algebra-nondegenerate"
+    assert {c["id"]: c["detail"] for c in checks if c["status"] == SKIP} == \
+        {cid: f"prerequisite failed: {blocker}" for cid in checks_in("gate")}
+
+
+def test_constant_windows_fail_global_nonunital():
+    # every window is one copy of Z/2: the unit support never grows
+    from wmha.groupoids import LazyGroupoid, cyclic_bundle
+
+    constant = LazyGroupoid("constant", lambda k: cyclic_bundle(2, 1))
+    for kind in ("function", "convolution"):
+        report = verify_lazy_model(constant, kind, k_max=2, seed=0)
+        assert {r.check_id: r.detail for r in report.checks if r.status == FAIL} == \
+            {"global-nonunital": "unit supports do not grow across windows"}

@@ -14,12 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
                        star_on, StarStructure)
-from .coproducts import (AmbiguousE, CoproductData,
-                         IllDefinedExtension, NoSuchIdempotent, NotIdempotent,
+from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
                          _commute, _counit_cols, _lbl, _lbl2, _lbl3,
                          _module_law_failures)
-from .linalg import (Echelon, Matrix, Subspace, _combination, column_space,
+from .linalg import (Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
 from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
@@ -72,8 +71,6 @@ class AntipodeWitness:
         self.s = s                      # S(e_a), with actions S1(e_a) and S2(e_a)
         self.s_matrix = s_matrix        # present when S maps A into A
         self.s_matrix_inv = s_matrix_inv
-        # name -> (input objects, value) of what is derived from this witness
-        self._memo: dict = {}
 
     @property
     def not_regular(self) -> Optional[str]:
@@ -85,14 +82,6 @@ class AntipodeWitness:
             return "antipode matrix is not invertible"
         return None
 
-    def _once(self, name, inputs: tuple, build):
-        """build(), computed once per witness for the same input objects,
-        so the suites and the certificate share one copy."""
-        got = self._memo.get(name)
-        if got is None or any(a is not b for a, b in zip(got[0], inputs)):
-            got = self._memo[name] = (inputs, build())
-        return got[1]
-
 
 def _combine_multipliers(parent: Algebra, ms: List[Multiplier], coeffs: SparseVec) -> Multiplier:
     """Σ_k coeffs[k]·ms[k] as a multiplier."""
@@ -100,21 +89,6 @@ def _combine_multipliers(parent: Algebra, ms: List[Multiplier], coeffs: SparseVe
     return Multiplier(parent,
                       _combination(((v, ms[k].left) for k, v in coeffs.items()), n, n),
                       _combination(((v, ms[k].right) for k, v in coeffs.items()), n, n))
-
-
-def _contractions(c: CoproductData, g: ProjectionMaps, w: "AntipodeWitness",
-                  counit: list) -> Tuple[list, list, list, list]:
-    """Per basis vector of the tensor square: (eps (x) id) G1, (id (x) eps) G2,
-    and the products m R1 and m R2; built once per witness."""
-    n, nn = c.n, c.nn
-
-    def build():
-        eps, prod = _counit_cols(counit), c.parent._product_cols()
-        return ([_on_legs(eps, 1, g.g1.col_sparse(j), n) for j in range(nn)],
-                [_on_legs(eps, 1, g.g2.col_sparse(j)) for j in range(nn)],
-                [_on_legs(prod, n, w.r1.col_sparse(j)) for j in range(nn)],
-                [_on_legs(prod, n, w.r2.col_sparse(j)) for j in range(nn)])
-    return w._once("contractions", (c, g, counit), build)
 
 
 def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
@@ -164,13 +138,16 @@ def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
 
 def check_antipode_identities(c: CoproductData, e: Multiplier,
                               g: ProjectionMaps, w: AntipodeWitness,
-                              counit: list) -> List[CheckResult]:
+                              st: "SourceTargetWitness") -> List[CheckResult]:
+    """The antipode identities.  The counit contractions of G1/G2 and the
+    products m R1, m R2 they read are the columns of the source/target
+    values st (see compute_source_target)."""
     n = c.n
     alg = c.parent
     prod = alg._product_cols()
-    eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
-    eps_g1_cols = [v.items() for v in eps_g1]
-    g2_eps_cols = [v.items() for v in g2_eps]
+    # (eps (x) id)G1 and (id (x) eps)G2 as operators, by tensor-square column
+    eps_g1 = [col for m in st.eps_s for col in m.left._sparse_cols()]
+    g2_eps = [m.right.col_sparse(x) for x in range(n) for m in st.eps_t]
 
     # both counit-style identities, in left- and right-contracted form;
     # the source/target values enter through their G-contraction form
@@ -181,22 +158,23 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
             if _on_legs(prod, n, g.g2.col_sparse(a * n + b)) != alg.mul_basis(a, b):
                 yield f"c(sum a1 S(a2) a3) = ca fails against ({_lbl(c, a)}, {_lbl(c, b)})"
             # sum S(a1) a2 S(a3) = S(a)
-            if _on_legs(eps_g1_cols, n, w.r1.col_sparse(a * n + b)) != \
+            if _on_legs(eps_g1, n, w.r1.col_sparse(a * n + b)) != \
                     dict(w.s[a].left.col_sparse(b)):
                 yield f"sum S(a1) a2 S(a3) = S(a) fails left at ({_lbl(c, a)}, {_lbl(c, b)})"
-            if _on_legs(g2_eps_cols, n, w.r2.col_sparse(b * n + a)) != \
+            if _on_legs(g2_eps, n, w.r2.col_sparse(b * n + a)) != \
                     dict(w.s[a].right.col_sparse(b)):
                 yield f"sum S(a1) a2 S(a3) = S(a) fails right at ({_lbl(c, a)}, {_lbl(c, b)})"
     out = _first_failures(identity_failures(), {
         "antipode-counit-identities": "both antipode identities hold as one-sided multiplier equalities"})
 
-    # the contracted equalities behind S1 = S2
+    # the contracted equalities behind S1 = S2: (e_s m) e_p = e_s (m e_p)
+    # for m = eps_t(a), then for m = eps_s(a)
     def remark_failures():
         for s, a, p in product(range(n), repeat=3):
-            if alg.mul_by_basis(g2_eps[s * n + a], p) != alg.basis_times(s, m_r1[a * n + p]):
-                yield f"first contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-            if alg.mul_by_basis(m_r2[s * n + a], p) != alg.basis_times(s, eps_g1[a * n + p]):
-                yield f"second contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
+            for m, which in ((st.eps_t[a], "first"), (st.eps_s[a], "second")):
+                if alg.mul_by_basis(dict(m.right.col_sparse(s)), p) != \
+                        alg.basis_times(s, dict(m.left.col_sparse(p))):
+                    yield f"{which} contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
     out += _first_failures(remark_failures(), {
         "antipode-remark-equalities": "contracted one-sided antipode sums agree (equivalent to S1 = S2)"})
 
@@ -260,12 +238,19 @@ class SourceTargetWitness:
 def compute_source_target(c: CoproductData, e: Multiplier,
                           g: ProjectionMaps, w: AntipodeWitness,
                           counit: list) -> Tuple[SourceTargetWitness, List[CheckResult]]:
-    n = c.n
-    eps_g1, g2_eps, m_r1, m_r2 = _contractions(c, g, w, counit)
-    eps_s = [Multiplier(c.parent, Matrix.from_sparse_cols(n, eps_g1[a * n:a * n + n]),
-                        Matrix.from_sparse_cols(n, m_r2[a::n])) for a in range(n)]
-    eps_t = [Multiplier(c.parent, Matrix.from_sparse_cols(n, m_r1[a * n:a * n + n]),
-                        Matrix.from_sparse_cols(n, g2_eps[a::n])) for a in range(n)]
+    """The source and target values eps_s(e_a), eps_t(e_a), read off the
+    columns of the tensor square: eps_s(a) acts on e_b from the left as
+    (eps (x) id)G1(a (x) b) and from the right as m R2(b (x) a), eps_t(a)
+    as m R1(a (x) b) and (id (x) eps)G2(b (x) a)."""
+    n, nn = c.n, c.nn
+    eps, prod = _counit_cols(counit), c.parent._product_cols()
+    eps_g1, m_r1, m_r2, g2_eps = (
+        [_on_legs(op, rows, m.col_sparse(j), s) for j in range(nn)]
+        for op, rows, m, s in ((eps, 1, g.g1, n), (prod, n, w.r1, 1),
+                               (prod, n, w.r2, 1), (eps, 1, g.g2, 1)))
+    eps_s, eps_t = ([Multiplier(c.parent, Matrix.from_sparse_cols(n, left[a * n:a * n + n]),
+                                Matrix.from_sparse_cols(n, right[a::n])) for a in range(n)]
+                    for left, right in ((eps_g1, m_r2), (m_r1, g2_eps)))
 
     def value_failures():
         for a in range(n):
@@ -369,8 +354,8 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     s_cols = [dict(s_mat.col_sparse(a)) for a in range(n)]
 
     # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
-    strips = (_strip_echelon(c, alg._left_cols, n), _strip_echelon(c, alg._right_cols, 1))
-    if any(ech.rank < nn for _, ech in strips):
+    strips = ((True, n), (False, 1))
+    if any(c._strip_echelon(*strip)[1].rank < nn for strip in strips):
         out.append(failed("thm29-r-ranges",
                           "product is too degenerate to recover the R maps"))
         return out, None, None
@@ -382,11 +367,10 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     for a, b in product(range(n), repeat=2):
         # stacked over the stripped index y: S(e_v) e_b on the last leg of
         # T2(e_y (x) e_a), and e_a S(e_u) on the middle leg of T1(e_b (x) e_y)
-        halves = (("R1", strips[0], c.t2, a, n, s_times[b], 1),
-                  ("R2", strips[1], c.t1, b * n, 1, times_s[a], n))
-        for name, (stack, ech), t, col0, step, op, s in halves:
-            x = [(y * nn + row, v) for y in range(n) for row, v in t.col_sparse(col0 + y * step)]
-            sol = ech.solve_sparse(_on_legs(op, n, x, s), stack)
+        halves = (("R1", strips[0], c.t2, [y * n + a for y in range(n)], s_times[b], 1),
+                  ("R2", strips[1], c.t1, [b * n + y for y in range(n)], times_s[a], n))
+        for name, strip, t, cols, op, s in halves:
+            sol = _strip_solve(c, strip, t, cols, op, s)
             if sol is None:
                 out.append(failed("thm29-r-ranges", f"{name}({_lbl(c, a)} (x) {_lbl(c, b)}) "
                                   "does not land in the tensor square"))
@@ -455,35 +439,23 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
 def derive_flip_maps(w: AntipodeWitness) -> Tuple[Matrix, Matrix]:
     """T3 = (id (x) S^-1) R1 (id (x) S), T4 = (S^-1 (x) id) R2 (S (x) id),
     for an antipode that is a bijective matrix."""
-    i_s, i_si, s_i, si_i = _s_conjugators(w)
-    return i_si * w.r1 * i_s, si_i * w.r2 * s_i
-
-
-def _s_conjugators(w: AntipodeWitness) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
-    """1 (x) S, 1 (x) S^-1, S (x) 1 and S^-1 (x) 1 on the tensor square, for
-    a bijective antipode matrix; built once per witness."""
-    def build():
-        ident = Matrix.identity(w.s_matrix.rows)
-        return (ident.kron(w.s_matrix), ident.kron(w.s_matrix_inv),
-                w.s_matrix.kron(ident), w.s_matrix_inv.kron(ident))
-    return w._once("conjugators", (), build)
+    ident, s, s_inv = Matrix.identity(w.s_matrix.rows), w.s_matrix, w.s_matrix_inv
+    return ident.kron(s_inv) * w.r1 * ident.kron(s), s_inv.kron(ident) * w.r2 * s.kron(ident)
 
 
 def _f_multipliers(alg: Algebra, w: AntipodeWitness,
                    e: Multiplier) -> Tuple[Multiplier, Multiplier, Multiplier, Multiplier]:
     """F1..F4, E conjugated by S on one leg: F1 by 1 (x) S and F3 by
     1 (x) S^-1 as multipliers of A (x) A^op, F2 by S (x) 1 and F4 by
-    S^-1 (x) 1 as multipliers of A^op (x) A.  The actions are built once
-    per witness and E; the twisted squares are fresh at each call, so the
-    lazy tables their law checks fill do not outlive the caller."""
-    def build():
-        i_s, i_si, s_i, si_i = _s_conjugators(w)
-        return [(p * e.left * q, p * e.right * q)
-                for p, q in ((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))]
+    S^-1 (x) 1 as multipliers of A^op (x) A, for a bijective antipode
+    matrix.  Built at each call, with fresh twisted squares, so the lazy
+    tables their law checks fill do not outlive the caller."""
+    ident, s, s_inv = Matrix.identity(alg.dim), w.s_matrix, w.s_matrix_inv
+    i_s, i_si, s_i, si_i = ident.kron(s), ident.kron(s_inv), s.kron(ident), s_inv.kron(ident)
     op = alg.opposite()
     squares = (Algebra.tensor(alg, op), Algebra.tensor(op, alg))
-    return tuple(Multiplier(squares[k % 2], left, right)
-                 for k, (left, right) in enumerate(w._once("F", (e,), build)))
+    return tuple(Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
+                 for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
 
 
 def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
@@ -586,7 +558,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
                          and e_cop.right == sigma * e.right * sigma,
                          "flipped-coproduct presentation has canonical idempotent sigma E",
                          "flipped-coproduct idempotent differs from sigma E"))
-    except (NoSuchIdempotent, NotIdempotent, AmbiguousE) as exc:
+    except NoSuchIdempotent as exc:
         out.append(failed("regular-cop-idempotent", f"flipped-coproduct idempotent: {exc}"))
     return out, t3, t4
 
@@ -767,17 +739,14 @@ def appendix_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
 # ------------------------------------------------- sandwich actions of E
 
 
-def _strip_echelon(c: CoproductData, mult_cols, s: int) -> Tuple[Matrix, Echelon]:
-    """The maps x -> (multiplication by e_y on one leg)(x) stacked over y,
-    and their solvable echelon; stripping through them is injective for a
-    non-degenerate product.  mult_cols(y) gives the multiplication's
-    columns (Algebra._left_cols or _right_cols), s the leg's stride."""
-    n, nn = c.n, c.nn
-    stack = Matrix.from_sparse_cols(n * nn, [
-        {y * nn + key: v for y in range(n)
-         for key, v in _on_legs(mult_cols(y), n, [(col, ONE)], s).items()}
-        for col in range(nn)])
-    return stack, Echelon(stack, solvable=True)
+def _strip_solve(c: CoproductData, strip: Tuple[bool, int], m: Matrix, cols: List[int],
+                 op: list, s: int) -> Optional[SparseVec]:
+    """The x whose products with e_y on the leg of the strip (left, stride)
+    are, for each y, column cols[y] of m with the operator op applied on
+    the leg of stride s; None when no such x exists."""
+    stack, ech = c._strip_echelon(*strip)
+    x = [(y * c.nn + row, v) for y, col in enumerate(cols) for row, v in m.col_sparse(col)]
+    return ech.solve_sparse(_on_legs(op, c.n, x, s), stack)
 
 
 def _sandwich_tables(c: CoproductData, e: Multiplier):
@@ -791,15 +760,13 @@ def _sandwich_tables(c: CoproductData, e: Multiplier):
     alg = c.parent
     tables = []
     for s in (1, n):
-        stack, ech = _strip_echelon(c, alg._right_cols, s)
-        if ech.rank < nn:
+        if c._strip_echelon(False, s)[1].rank < nn:
             return None
         table: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
         for p, q in product(range(n), repeat=2):
             mult, cols = (alg._left_cols(q), [p * n + y for y in range(n)]) if s == 1 else \
                 (alg._left_cols(p), [y * n + q for y in range(n)])
-            x = [(y * nn + row, v) for y, col in enumerate(cols) for row, v in e.left.col_sparse(col)]
-            sol = ech.solve_sparse(_on_legs(mult, n, x, s), stack)
+            sol = _strip_solve(c, (False, s), e.left, cols, mult, s)
             if sol is None:
                 return None
             table[p][q] = sol

@@ -18,9 +18,9 @@ import json
 import sys
 from typing import Optional, Tuple
 
-from .fileio import (InputDocument, ParseError, ShapeError, VerificationFailed,
-                     load_document, parse_document, witnesses_to_json)
-from .groupoids import (BadParameter, LazyGroupoid, UnknownPreset, preset)
+from .fileio import (InputDocument, VerificationFailed, load_document, parse_document,
+                     witnesses_to_json)
+from .groupoids import InputError, LazyGroupoid, preset
 from .pipeline import verify_groupoid_model, verify_lazy_model, verify_structure
 from .report import PASS, VerificationReport
 
@@ -71,33 +71,33 @@ def _resolve(args) -> Tuple[InputDocument, str]:
     values the run uses: path def114 (both for classify), 3 windows, seed 0."""
     if args.preset:
         if args.input:
-            raise ParseError("give an input file or --preset NAME --model M, not both")
+            raise InputError("give an input file or --preset NAME --model M, not both")
         if not args.model:
-            raise ParseError("--preset needs --model function|convolution")
+            raise InputError("--preset needs --model function|convolution")
         parsed = parse_document({"groupoid": {"preset": args.preset}, "model": args.model})
     elif args.input:
         parsed = parse_document(load_document(args.input))
     else:
-        raise ParseError("give an input file or --preset NAME --model M")
+        raise InputError("give an input file or --preset NAME --model M")
     kind = "structure" if parsed.kind == "structure" else \
         "lazy" if isinstance(parsed.groupoid, LazyGroupoid) else "finite"
 
     if kind == "lazy":
         if kind not in READS[args.command]:
             # a lazy run certifies windows, not one witness set to print
-            raise ParseError(f"{args.command} needs a finite input; certify the windows of "
+            raise InputError(f"{args.command} needs a finite input; certify the windows of "
                              "an infinite groupoid with wmha verify --windows K")
         if args.windows is not None and args.windows < 1:
             # no window would be verified, so a pass would certify nothing
-            raise ParseError(f"--windows must be at least 1, got {args.windows}")
+            raise InputError(f"--windows must be at least 1, got {args.windows}")
         if args.path not in (None, "def114"):
             # each window runs the def114 path; no thm29 check would run
-            raise ParseError(f"--path {args.path} needs a finite input; the windows of "
+            raise InputError(f"--path {args.path} needs a finite input; the windows of "
                              "an infinite groupoid are verified on the def114 path")
     reads = READS[args.command][kind]
     for name, value in vars(args).items():
         if value is not None and name not in ("command", "input", "preset", *reads):
-            raise ParseError(f"wmha {args.command} does not read --{name} "
+            raise InputError(f"wmha {args.command} does not read --{name} "
                              f"on {KIND_TEXT[kind]}")
 
     if args.model:
@@ -172,7 +172,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "witnesses":
             return cmd_witnesses(args)
         return cmd_classify(args)
-    except (ParseError, ShapeError, UnknownPreset, BadParameter) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailed as exc:

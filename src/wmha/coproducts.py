@@ -30,15 +30,8 @@ class NonUniqueCounit(Exception):
 
 
 class NoSuchIdempotent(Exception):
-    pass
-
-
-class NotIdempotent(Exception):
-    pass
-
-
-class AmbiguousE(Exception):
-    pass
+    """No canonical idempotent: an action is infeasible or underdetermined,
+    or the solved element is not an idempotent multiplier."""
 
 
 class IllDefinedExtension(Exception):
@@ -46,11 +39,7 @@ class IllDefinedExtension(Exception):
 
 
 class NoSolution(Exception):
-    pass
-
-
-class Ambiguous(Exception):
-    pass
+    """The defining system of G1 or G2 is inconsistent or underdetermined."""
 
 
 def _lbl(c: "CoproductData", i: int) -> str:
@@ -175,6 +164,8 @@ class CoproductData:
         self._ran_t1: Optional[Subspace] = None
         self._ran_t2: Optional[Subspace] = None
         self._preimage_cache: Dict = {}
+        # (left, stride) -> a strip stack and its solvable Echelon
+        self._strips: Dict[Tuple[bool, int], Tuple[Matrix, Echelon]] = {}
         self._mirror: Optional[CoproductData] = None
 
     def mirror(self) -> "CoproductData":
@@ -242,14 +233,33 @@ class CoproductData:
             mu = Matrix.from_sparse_cols(n, [self.parent.mul_basis(i, j)
                                              for i in range(n) for j in range(n)])
             decomp = {}
-            for k2 in range(n):
-                for flag in (False, True):
-                    sol = self._preimage("mu", mu, {k2: ONE}, flag)
+            for flag in (False, True):
+                ech = Echelon(mu, col_order=range(n * n - 1, -1, -1) if flag else None,
+                              solvable=True)
+                for k2 in range(n):
+                    sol = ech.solve_sparse({k2: ONE}, mu)
                     if sol is None:
                         raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
                     decomp[flag, k2] = [(idx // n, idx % n, v) for idx, v in sorted(sol.items())]
             self._mu_decomp = decomp
         return self._mu_decomp[alt, k]
+
+    def _strip_echelon(self, left: bool, s: int) -> Tuple[Matrix, Echelon]:
+        """The maps x -> (multiplication by e_y on one leg)(x) stacked over
+        y, and their solvable echelon, built once for each (left, s);
+        stripping through them is injective for a non-degenerate product.
+        The product by e_y is taken from the left (left) or from the right,
+        on the leg of stride s."""
+        got = self._strips.get((left, s))
+        if got is None:
+            n, nn = self.n, self.nn
+            mult_cols = self.parent._left_cols if left else self.parent._right_cols
+            stack = Matrix.from_sparse_cols(n * nn, [
+                {y * nn + key: v for y in range(n)
+                 for key, v in _on_legs(mult_cols(y), n, [(col, ONE)], s).items()}
+                for col in range(nn)])
+            got = self._strips[left, s] = (stack, Echelon(stack, solvable=True))
+        return got
 
     # ---- reconstructed coproduct actions --------------------------------
 
@@ -470,7 +480,7 @@ def _solve_E(c: CoproductData) -> Multiplier:
     right = _solve_action(c, fix_basis=b2, test_basis=b1, left_side=False)
     e = Multiplier(aa, left, right)
     if e * e != e:
-        raise NotIdempotent("solved canonical element is not idempotent")
+        raise NoSuchIdempotent("solved canonical element is not idempotent")
     bad = c.cache.multiplier_failure(e)
     if bad:
         raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad}")
@@ -497,7 +507,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
     amat = Matrix.from_sparse_cols(r, [row for _, _, row in rows]).transpose()
     ech = Echelon(amat, solvable=True)
     if ech.rank < r:
-        raise AmbiguousE(
+        raise NoSuchIdempotent(
             f"{'left' if left_side else 'right'} action underdetermined "
             f"({r - ech.rank} free directions)")
     # v . e_x  (or e_x . v) for every test vector and basis column
@@ -754,8 +764,8 @@ def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
             else:
                 deferred.append((xv, yv))
     if span.rank < nn:
-        raise Ambiguous(f"defining system for {name} underdetermined "
-                        f"(rank {span.rank} of {nn}); fullness must fail")
+        raise NoSolution(f"defining system for {name} underdetermined "
+                         f"(rank {span.rank} of {nn}); fullness must fail")
     xinv = invert(Matrix.from_sparse_cols(nn, xs))
     if xinv is None:
         raise InvariantViolation(f"independent columns of the {name} system are singular")

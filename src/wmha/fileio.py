@@ -17,20 +17,12 @@ from typing import Optional, Union
 
 from .algebras import MAX_DIM, Algebra, StarStructure, sparse_to_vec
 from .antipodes import _f_multipliers
-from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid, preset,
-                        refuse_oversize)
+from .groupoids import (FiniteGroupoid, GroupoidModel, InputError, LazyGroupoid,
+                        preset, refuse_oversize)
 from .linalg import Matrix
 from .pipeline import StructureInput
 from .report import digest_of
 from .scalars import Scalar
-
-
-class ParseError(Exception):
-    pass
-
-
-class ShapeError(Exception):
-    pass
 
 
 class VerificationFailed(Exception):
@@ -41,7 +33,7 @@ def _scalar(value, where: str) -> Scalar:
     try:
         return Scalar.parse(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar at {where}: {value!r}") from exc
+        raise InputError(f"bad scalar at {where}: {value!r}") from exc
 
 
 def _scalar_pair(re, im, where: str) -> Scalar:
@@ -51,13 +43,13 @@ def _scalar_pair(re, im, where: str) -> Scalar:
 def _int(value, where: str) -> int:
     """A JSON integer; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: {value!r} is not an integer")
+        raise InputError(f"{where}: {value!r} is not an integer")
     return value
 
 
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
     return value
 
 
@@ -65,13 +57,13 @@ def sparse_matrix_from_json(entries, rows: int, cols: int, where: str) -> Matrix
     values = {}
     for ent in _list(entries, where):
         if not isinstance(ent, list) or len(ent) != 4:
-            raise ParseError(f"{where}: entries must be [row, col, re, im]")
+            raise InputError(f"{where}: entries must be [row, col, re, im]")
         r, c, re, im = ent
         r, c = _int(r, where), _int(c, where)
         if not (0 <= r < rows and 0 <= c < cols):
-            raise ShapeError(f"{where}: entry ({r},{c}) outside {rows}x{cols}")
+            raise InputError(f"{where}: entry ({r},{c}) outside {rows}x{cols}")
         if (r, c) in values:
-            raise ShapeError(f"{where}: entry ({r},{c}) is listed twice")
+            raise InputError(f"{where}: entry ({r},{c}) is listed twice")
         values[r, c] = _scalar_pair(re, im, where)
     return Matrix.from_entries(rows, cols, values)
 
@@ -84,9 +76,9 @@ def matrix_to_sparse_json(m: Matrix) -> list:
 
 def dense_matrix_from_json(rows, dim: int, where: str) -> Matrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise ParseError(f"{where}: dense matrix must be a list of rows")
+        raise InputError(f"{where}: dense matrix must be a list of rows")
     if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ShapeError(f"{where}: dense matrix must be {dim}x{dim}")
+        raise InputError(f"{where}: dense matrix must be {dim}x{dim}")
     return Matrix.from_rows(
         [[_scalar(v, where) for v in row] for row in rows])
 
@@ -97,7 +89,7 @@ def dense_matrix_to_json(m: Matrix) -> list:
 
 def vector_from_json(values, dim: int, where: str) -> list:
     if len(_list(values, where)) != dim:
-        raise ShapeError(f"{where}: vector length {len(values)} differs from {dim}")
+        raise InputError(f"{where}: vector length {len(values)} differs from {dim}")
     return [_scalar(v, where) for v in values]
 
 
@@ -108,24 +100,24 @@ def vector_to_json(vec) -> list:
 def algebra_from_json(doc: dict) -> Algebra:
     dim = doc.get("dim") if isinstance(doc, dict) else None
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise ParseError("algebra needs a non-negative integer \"dim\"")
+        raise InputError("algebra needs a non-negative integer \"dim\"")
     if dim > MAX_DIM:
-        raise ShapeError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
+        raise InputError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
     labels = doc.get("basis_labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ParseError("basis_labels must be a list of strings")
+            raise InputError("basis_labels must be a list of strings")
         if len(labels) != dim:
-            raise ShapeError("basis_labels length differs from dim")
+            raise InputError("basis_labels length differs from dim")
     entries = {}
     for ent in _list(doc.get("structure", []), "structure"):
         if not isinstance(ent, list) or len(ent) != 5:
-            raise ParseError("structure entries must be [i, j, k, re, im]")
+            raise InputError("structure entries must be [i, j, k, re, im]")
         i, j, k = (_int(x, "structure") for x in ent[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ShapeError(f"structure: index ({i},{j},{k}) outside dim {dim}")
+            raise InputError(f"structure: index ({i},{j},{k}) outside dim {dim}")
         if (i, j, k) in entries:
-            raise ShapeError(f"structure: index ({i},{j},{k}) is listed twice")
+            raise InputError(f"structure: index ({i},{j},{k}) is listed twice")
         entries[i, j, k] = _scalar_pair(ent[3], ent[4], "structure")
     return Algebra.from_structure(dim, labels, [(*ijk, v) for ijk, v in entries.items()])
 
@@ -143,17 +135,17 @@ class InputDocument:
 
 def parse_document(doc: dict) -> InputDocument:
     if not isinstance(doc, dict):
-        raise ParseError("input document must be a JSON object")
+        raise InputError("input document must be a JSON object")
     digest = digest_of(doc)
     has_algebra = "algebra" in doc
     has_groupoid = "groupoid" in doc
     if has_algebra == has_groupoid:
-        raise ParseError("document must contain exactly one of \"algebra\" or \"groupoid\"")
+        raise InputError("document must contain exactly one of \"algebra\" or \"groupoid\"")
 
     if has_groupoid:
         model = doc.get("model")
         if model not in ("function", "convolution"):
-            raise ParseError("groupoid documents need \"model\": \"function\" or \"convolution\"")
+            raise InputError("groupoid documents need \"model\": \"function\" or \"convolution\"")
         gsec = doc["groupoid"]
         if isinstance(gsec, dict) and "preset" in gsec:
             g = preset(str(gsec["preset"]))
@@ -166,7 +158,7 @@ def parse_document(doc: dict) -> InputDocument:
     nn = n * n
     cop = doc.get("coproduct")
     if not isinstance(cop, dict) or "T1" not in cop or "T2" not in cop:
-        raise ParseError("algebra documents need \"coproduct\" with \"T1\" and \"T2\"")
+        raise InputError("algebra documents need \"coproduct\" with \"T1\" and \"T2\"")
     t1 = sparse_matrix_from_json(cop["T1"], nn, nn, "T1")
     t2 = sparse_matrix_from_json(cop["T2"], nn, nn, "T2")
     t3 = sparse_matrix_from_json(cop["T3"], nn, nn, "T3") if "T3" in cop else None
@@ -183,7 +175,7 @@ def parse_document(doc: dict) -> InputDocument:
     if "E" in doc:
         esec = doc["E"]
         if not isinstance(esec, dict) or "left" not in esec or "right" not in esec:
-            raise ParseError("\"E\" must carry \"left\" and \"right\" action matrices")
+            raise InputError("\"E\" must carry \"left\" and \"right\" action matrices")
         e_pair = (sparse_matrix_from_json(esec["left"], nn, nn, "E.left"),
                   sparse_matrix_from_json(esec["right"], nn, nn, "E.right"))
     structure = StructureInput(alg, t1, t2, t3, t4, star, counit, antipode, e_pair)
@@ -198,15 +190,15 @@ def groupoid_from_json(doc: dict) -> FiniteGroupoid:
         compose_entries = [((str(p), str(q)), str(r)) for p, q, r in doc["compose"]]
         inverse = {str(k): str(v) for k, v in doc["inverse"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"malformed groupoid section: {exc}") from exc
+        raise InputError(f"malformed groupoid section: {exc}") from exc
     refuse_oversize("groupoid", len(morphisms))
     if len(set(morphisms)) < len(morphisms):
         twice = next(m for k, m in enumerate(morphisms) if m in morphisms[:k])
-        raise ShapeError(f"groupoid: morphism {twice!r} is listed twice")
+        raise InputError(f"groupoid: morphism {twice!r} is listed twice")
     compose = {}
     for pq, r in compose_entries:
         if pq in compose:
-            raise ShapeError(f"groupoid: compose pair ({pq[0]!r}, {pq[1]!r}) is listed twice")
+            raise InputError(f"groupoid: compose pair ({pq[0]!r}, {pq[1]!r}) is listed twice")
         compose[pq] = r
     return FiniteGroupoid(morphisms, source, target, compose, inverse)
 
@@ -278,7 +270,7 @@ def _unique_keys(pairs: list) -> dict:
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise ParseError(f"{key!r} is a repeated key of a JSON object")
+            raise InputError(f"{key!r} is a repeated key of a JSON object")
         out[key] = value
     return out
 
@@ -288,6 +280,6 @@ def load_document(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc

@@ -18,12 +18,9 @@ from .report import CheckResult, _first_failures
 from .scalars import ONE, ZERO
 
 
-class UnknownPreset(Exception):
-    pass
-
-
-class BadParameter(Exception):
-    pass
+class InputError(Exception):
+    """Malformed input: a document, a preset or its parameters, or the
+    options given; the command line exits 2 with its message."""
 
 
 class FiniteGroupoid:
@@ -117,7 +114,7 @@ class LazyGroupoid:
 
     def window(self, k: int) -> FiniteGroupoid:
         if k < 0:
-            raise BadParameter("window size must be >= 0")
+            raise InputError("window size must be >= 0")
         return self.window_fn(k)
 
 
@@ -156,7 +153,7 @@ def disjoint_union(parts: List[FiniteGroupoid]) -> FiniteGroupoid:
     for g in parts:
         overlap = set(g.morphisms) & set(morphisms)
         if overlap:
-            raise BadParameter(f"morphism ids collide in union: {sorted(overlap)[:3]}")
+            raise InputError(f"morphism ids collide in union: {sorted(overlap)[:3]}")
         morphisms.extend(g.morphisms)
         source.update(g.source)
         target.update(g.target)
@@ -174,8 +171,8 @@ def refuse_oversize(what: str, morphisms: int) -> None:
     groupoid above MAX_DIM morphisms is refused before it is built or
     validated."""
     if morphisms > MAX_DIM:
-        raise BadParameter(f"{what} has {morphisms} morphisms, "
-                           f"above the supported maximum {MAX_DIM}")
+        raise InputError(f"{what} has {morphisms} morphisms, "
+                         f"above the supported maximum {MAX_DIM}")
 
 
 def preset(name: str):
@@ -192,38 +189,38 @@ def preset(name: str):
                 return LazyGroupoid("pair:inf", lambda k: pair_groupoid(k))
             n = int(parts[1])
             if n <= 0:
-                raise BadParameter("pair:N needs N >= 1")
+                raise InputError("pair:N needs N >= 1")
             refuse_oversize(name, n * n)
             return pair_groupoid(n)
         if parts[0] == "group" and len(parts) == 3 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
-                raise BadParameter("group:cyclic:N needs N >= 1")
+                raise InputError("group:cyclic:N needs N >= 1")
             refuse_oversize(name, n)
             return cyclic_group_groupoid(n)
         if parts[0] == "bundle" and len(parts) == 4 and parts[1] == "cyclic":
             n = int(parts[2])
             if n <= 0:
-                raise BadParameter("bundle:cyclic:N:K needs N >= 1")
+                raise InputError("bundle:cyclic:N:K needs N >= 1")
             if parts[3] == "inf":
                 refuse_oversize(f"{name} window 1", n)
                 return LazyGroupoid(f"bundle:cyclic:{n}:inf",
                                     lambda k: cyclic_bundle(n, k))
             copies = int(parts[3])
             if copies <= 0:
-                raise BadParameter("bundle:cyclic:N:K needs K >= 1")
+                raise InputError("bundle:cyclic:N:K needs K >= 1")
             refuse_oversize(name, n * copies)
             return cyclic_bundle(n, copies)
         if parts[0] == "union":
             rest = name[len("union:"):]
             members = [preset(p) for p in rest.split("+")]
             if any(isinstance(m, LazyGroupoid) for m in members):
-                raise BadParameter("union members must be finite presets")
+                raise InputError("union members must be finite presets")
             refuse_oversize(name, sum(len(m.morphisms) for m in members))
             return disjoint_union(members)
-        raise UnknownPreset(name)
+        raise InputError(name)
     except ValueError as exc:
-        raise BadParameter(f"bad number in preset {name!r}") from exc
+        raise InputError(f"bad number in preset {name!r}") from exc
 
 
 class GroupoidModel:
@@ -329,7 +326,7 @@ def build_model(g: FiniteGroupoid, kind: str) -> GroupoidModel:
         return function_algebra(g)
     if kind == "convolution":
         return convolution_algebra(g)
-    raise BadParameter(f"unknown model kind {kind!r}")
+    raise InputError(f"unknown model kind {kind!r}")
 
 
 def check_duality_pairing(g: FiniteGroupoid) -> CheckResult:

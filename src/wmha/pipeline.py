@@ -174,13 +174,17 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
             "idempotent-exists",
             f"canonical idempotent solved; action ranks {c.ran_t1().dim}/{c.nn} "
             f"and {c.ran_t2().dim}/{c.nn}"))
-    except (cop.NoSuchIdempotent, cop.NotIdempotent, cop.AmbiguousE) as exc:
+    except cop.NoSuchIdempotent as exc:
         block_on(failed("idempotent-exists", str(exc)))
 
-    if ctx.e is not None:
+    flips = c.t3 is not None and c.t4 is not None
+    if ctx.e is None:
+        report.skip_unreported([cid for cid in checks_in("idempotent")
+                                if flips or cid != "idempotent-from-flips"], "idempotent-exists")
+    else:
         for r in cop.validate_E(c, ctx.e):
             block_on(r)
-        if c.t3 is not None and c.t4 is not None:
+        if flips:
             try:
                 e2 = cop.compute_E_from_flips(c)
                 report.add(check(
@@ -188,7 +192,7 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
                     e2 is not None and e2.left == ctx.e.left and e2.right == ctx.e.right,
                     "idempotent recomputed from the flipped-side maps agrees",
                     "flipped-side maps prescribe a different idempotent"))
-            except (cop.NoSuchIdempotent, cop.NotIdempotent, cop.AmbiguousE) as exc:
+            except cop.NoSuchIdempotent as exc:
                 report.add(failed("idempotent-from-flips", str(exc)))
         try:
             for r in c.cache.e_conditions(c, ctx.e):
@@ -205,14 +209,14 @@ def _run_axiom_path(report, ctx, c, blocker) -> Optional[str]:
     label of the check that stopped it ("regular" for a non-regular
     antipode, whose Section 4 and appendix checks do not apply), or None
     when every check ran."""
-    if blocker or ctx.e is None or ctx.counit is None:
-        return blocker or "idempotent-exists"
+    if blocker:
+        return blocker
 
     try:
         ctx.g = cop.solve_G_maps(c, ctx.e)
         report.add(passed("projections-solve",
                           "projection maps solved from their defining equalities"))
-    except (cop.NoSolution, cop.Ambiguous) as exc:
+    except cop.NoSolution as exc:
         report.add(failed("projections-solve", str(exc)))
         return "projections-solve"
     report.extend(cop.validate_G_maps(c, ctx.e, ctx.counit, ctx.g))
@@ -238,7 +242,7 @@ def _run_axiom_path(report, ctx, c, blocker) -> Optional[str]:
 
     ctx.source_target, checks = ant.compute_source_target(c, ctx.e, ctx.g, w, ctx.counit)
     report.extend(checks)
-    report.extend(ant.check_antipode_identities(c, ctx.e, ctx.g, w, ctx.counit))
+    report.extend(ant.check_antipode_identities(c, ctx.e, ctx.g, w, ctx.source_target))
 
     checks, ctx.t3, ctx.t4 = ant.regular_suite(c, ctx.e, ctx.g, w)
     report.extend(checks)

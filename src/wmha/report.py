@@ -22,6 +22,9 @@ REPORT_SCHEMA = 1
 #   "gate"  - the coproduct, counit and idempotent checks that every
 #             structure run reports; a failed algebra or coproduct check
 #             skips those not yet reached.
+#   "idempotent" - the checks of the canonical idempotent E, skipped
+#             when it does not exist; idempotent-from-flips is one only
+#             when T3 and T4 are supplied.
 #   "axiom" - the Def. 1.14 path from the projection maps through the
 #             antipode, source/target, regularity, star, weak-Hopf and
 #             appendix checks; a failed prerequisite skips those not
@@ -45,11 +48,11 @@ REGISTRY = [
     ("counit-exists", "def-1.3", "counit solves both defining identities, uniquely", "gate"),
     ("counit-matches-input", "def-1.3-input", "supplied counit equals the solved one", None),
     ("idempotent-exists", "asm-1.5", "canonical idempotent with the prescribed range actions", "gate"),
-    ("idempotent-valid", "prop-1.6", "canonical idempotent is an idempotent multiplier fixing the coproduct", None),
-    ("idempotent-from-flips", "prop-4.2-e", "idempotent recomputed from flipped-side maps agrees", None),
-    ("e-coassociativity", "prop-1.9", "extended coproduct legs of E agree and are dominated", None),
-    ("e-legs-commute", "asm-1.10-comm", "E (x) 1 and 1 (x) E commute", None),
-    ("e-product-formula", "asm-1.10", "coproduct of E equals the product of its two leg liftings", None),
+    ("idempotent-valid", "prop-1.6", "canonical idempotent is an idempotent multiplier fixing the coproduct", "idempotent"),
+    ("idempotent-from-flips", "prop-4.2-e", "idempotent recomputed from flipped-side maps agrees", "idempotent"),
+    ("e-coassociativity", "prop-1.9", "extended coproduct legs of E agree and are dominated", "idempotent"),
+    ("e-legs-commute", "asm-1.10-comm", "E (x) 1 and 1 (x) E commute", "idempotent"),
+    ("e-product-formula", "asm-1.10", "coproduct of E equals the product of its two leg liftings", "idempotent"),
     ("projections-solve", "prop-1.11", "projection maps G1/G2 solved from their defining equalities", "axiom"),
     ("projections-crosscheck", "prop-1.11-proof", "G1/G2 agree with the counit-contraction construction", "axiom"),
     ("projections-idempotent", "prop-1.13", "G1/G2 are idempotent and 1-G lands in the kernels", "axiom"),

@@ -89,6 +89,14 @@ def solve_geninv_by_constraints(t, e, f):
     return Matrix.from_rows([[sol[i * n + j] for j in range(n)] for i in range(n)])
 
 
+# the finite presets of the golden certificates, in both models, and the
+# dense rational and Gaussian conjugations of the pipeline tests
+FINITE_INPUTS = [(name, kind) for name in ("pair:1", "pair:2", "group:cyclic:2", "group:cyclic:3",
+                                           "bundle:cyclic:2:2", "union:pair:1+group:cyclic:2")
+                 for kind in ("function", "convolution")] + \
+    [("pair:2", "rational P"), ("group:cyclic:3", "Gaussian P")]
+
+
 def conjugated_input(name, complex_entries, p=None):
     """The convolution model of preset name conjugated by a dense change of
     basis P (random from a fixed seed unless given), with Gaussian entries

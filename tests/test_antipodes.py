@@ -1,7 +1,9 @@
 import pytest
 
-from wmha.algebras import StarStructure, validate_algebra
-from wmha.antipodes import (AntipodesDisagree, appendix_suite,
+from conftest import FINITE_INPUTS, conjugated_input
+from wmha import antipodes
+from wmha.algebras import Algebra, Multiplier, StarStructure, validate_algebra
+from wmha.antipodes import (AntipodeWitness, AntipodesDisagree, appendix_suite,
                             build_generalized_inverses, compute_antipode,
                             check_antipode_identities, compute_source_target,
                             derive_flip_maps, regular_suite, star_suite,
@@ -56,7 +58,7 @@ def test_identity_suite_and_source_target():
         m, c, eps, e, gm, w, _ = build_all(name, kind)
         st, checks = compute_source_target(c, e, gm, w, eps)
         all_pass(checks)
-        all_pass(check_antipode_identities(c, e, gm, w, eps))
+        all_pass(check_antipode_identities(c, e, gm, w, st))
         # number of units bounds the source/target image dimensions
         units = len(m.groupoid.units)
         assert st.image_s.dim == units and st.image_t.dim == units
@@ -296,3 +298,105 @@ def test_antipode_law_failures_name_the_first_pair(doctor, details):
     if law_detail is not None:
         assert defined.detail == law_detail
     assert (agree.status, agree.detail) == ("fail", agree_detail)
+
+
+def _witnesses(name, kind):
+    """(c, counit, E, G, antipode witness) of a finite preset model, or of
+    a dense conjugation ("rational P", "Gaussian P") of its convolution
+    model."""
+    if kind.endswith(" P"):
+        inp = conjugated_input(name, complex_entries=kind == "Gaussian P")[0]
+        c = CoproductData(inp.algebra, inp.t1, inp.t2)
+        eps, e = solve_counit(c), compute_E(c)
+        gm = solve_G_maps(c, e)
+        r1, r2, _ = build_generalized_inverses(c, e, gm)
+        w, _ = compute_antipode(c, r1, r2, eps)
+    else:
+        _, c, eps, e, gm, w, _ = build_all(name, kind)
+    return c, eps, e, gm, w
+
+
+@pytest.mark.parametrize("name, kind", FINITE_INPUTS)
+def test_source_target_columns_are_the_contractions(name, kind):
+    # column b of eps_s(a).left is (eps (x) id)G1(a (x) b), of eps_s(a).right
+    # m R2(b (x) a), of eps_t(a).left m R1(a (x) b) and of eps_t(a).right
+    # (id (x) eps)G2(b (x) a), each summed here term by term
+    c, eps, e, gm, w = _witnesses(name, kind)
+    st, _ = compute_source_target(c, e, gm, w, eps)
+    n = c.n
+
+    def total(terms):
+        out = {}
+        for k, v in terms:
+            out[k] = out.get(k, ZERO) + v
+        return {k: v for k, v in out.items() if v}
+
+    def counit_off(m, col, leg):
+        return total((j if leg == 1 else i, v * eps[i if leg == 1 else j])
+                     for row, v in m.col_sparse(col) for i, j in [divmod(row, n)])
+
+    def multiplied(m, col):
+        return total((k, v * u) for row, v in m.col_sparse(col)
+                     for k, u in c.parent.mul_basis(*divmod(row, n)).items())
+
+    for a in range(n):
+        for b in range(n):
+            assert dict(st.eps_s[a].left.col_sparse(b)) == counit_off(gm.g1, a * n + b, 1)
+            assert dict(st.eps_s[a].right.col_sparse(b)) == multiplied(w.r2, b * n + a)
+            assert dict(st.eps_t[a].left.col_sparse(b)) == multiplied(w.r1, a * n + b)
+            assert dict(st.eps_t[a].right.col_sparse(b)) == counit_off(gm.g2, b * n + a, 2)
+
+
+@pytest.mark.parametrize("name, kind", [("pair:2", "function"), ("pair:2", "convolution"),
+                                        ("bundle:cyclic:2:2", "function"),
+                                        ("pair:2", "rational P")])
+def test_shared_strip_echelons_give_the_fresh_results(name, kind):
+    # the regular suite's sandwich tables and the antipode path's R
+    # recovery share the (right, leg 2) strip echelon of one coproduct;
+    # in either order they give what each gives on a coproduct of its own
+    c, _, e, _, w = _witnesses(name, kind)
+    n = c.n
+
+    def fresh():
+        return CoproductData(c.parent, c.t1, c.t2)
+
+    def r_maps(d):
+        _, got, _ = verify_via_antipode(d, w.s_matrix, e.left, e.right)
+        return got.r1, got.r2
+
+    tables, rs = antipodes._sandwich_tables(fresh(), e), r_maps(fresh())
+    assert tables is not None and rs == (w.r1, w.r2)
+    for first_tables in (True, False):
+        shared = fresh()
+        if first_tables:
+            assert antipodes._sandwich_tables(shared, e) == tables
+        assert r_maps(shared) == rs
+        assert antipodes._sandwich_tables(shared, e) == tables
+        assert sorted(shared._strips) == [(False, 1), (False, n), (True, n)]
+
+
+def test_zero_antipode_values_fail_antipode_spans():
+    # S(e_a) = 0 for every a: A S(A) and S(A) A are zero
+    c, eps, e, gm, w = _witnesses("pair:2", "convolution")
+    st, _ = compute_source_target(c, e, gm, w, eps)
+    zero = Multiplier(c.parent, Matrix.zero(c.n, c.n), Matrix.zero(c.n, c.n))
+    doctored = AntipodeWitness(w.r1, w.r2, [zero] * c.n, w.s_matrix, w.s_matrix_inv)
+    got = {r.check_id: (r.status, r.detail)
+           for r in check_antipode_identities(c, e, gm, doctored, st)}
+    assert got["antipode-spans"] == ("fail", "spans have dims 0 and 0 of 4")
+
+
+def test_r_recovery_fails_thm29_r_ranges():
+    # no gated input reaches these: a T2 that is not a left-module map,
+    # and a zero product, which strips nothing
+    c, _, e, _, w = _witnesses("pair:2", "convolution")
+    bumped = c.t2 + Matrix.from_entries(16, 16, {(1, 0): ONE})
+    zero = Algebra.from_structure(4, None, [])
+    for d, detail in ((CoproductData(c.parent, c.t1, bumped),
+                       "R1(L[(0,0)] (x) L[(0,0)]) does not land in the tensor square"),
+                      (CoproductData(zero, Matrix.zero(16, 16), Matrix.zero(16, 16)),
+                       "product is too degenerate to recover the R maps")):
+        checks, got, e29 = verify_via_antipode(d, w.s_matrix, e.left, e.right)
+        assert [(r.check_id, r.status, r.detail) for r in checks] == \
+            [("thm29-r-ranges", "fail", detail)]
+        assert got is None and e29 is None

@@ -133,3 +133,36 @@ def test_no_check_reads_a_failure_flag():
     flagged = sorted(entry for path, tree in _trees(SRC).items()
                      for entry in _flag_checks(path.stem, tree))
     assert not flagged, "checks that keep a walk's first failure in a flag: " + ", ".join(flagged)
+
+
+def _exception_classes(tree):
+    """The names of the exception classes a module defines: classes whose
+    base is Exception or another class defined before them in it."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and (b.id == "Exception" or b.id in names)
+                for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def _caught(tree):
+    """The class names each `except` clause of tree names, one set per
+    clause; `mod.Name` counts as Name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            yield {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+
+
+def test_no_two_engine_exceptions_are_always_caught_together():
+    # a class that every except clause naming it catches with another is a
+    # distinction no caller makes: the two are one class
+    src = _trees(SRC)
+    defined = set().union(*map(_exception_classes, src.values()))
+    clauses = [names & defined for tree in src.values() for names in _caught(tree)]
+    together = sorted(f"{a} (always with {b})" for a in defined for b in defined - {a}
+                      if any(a in names for names in clauses)
+                      and all(b in names for names in clauses if a in names))
+    assert not together, "exception classes no caller tells apart: " + ", ".join(together)

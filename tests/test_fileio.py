@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmha.cli import main
-from wmha.fileio import (ShapeError, algebra_from_json, model_to_document,
-                         sparse_matrix_from_json)
-from wmha.groupoids import convolution_algebra, function_algebra, preset
+from wmha.fileio import algebra_from_json, model_to_document, sparse_matrix_from_json
+from wmha.groupoids import InputError, convolution_algebra, function_algebra, preset
 from wmha.scalars import ONE, ZERO
 
 
@@ -95,9 +94,9 @@ def test_malformed_document_exits_two(name):
 def test_repeated_entries_are_refused_by_index():
     # read last-wins (a matrix) or first-nonzero-wins (the structure), a
     # repeated entry would turn into a mathematical verdict
-    with pytest.raises(ShapeError, match=r"^T1: entry \(0,1\) is listed twice$"):
+    with pytest.raises(InputError, match=r"^T1: entry \(0,1\) is listed twice$"):
         sparse_matrix_from_json([[0, 1, "1", "0"], [0, 1, "0", "0"]], 2, 2, "T1")
-    with pytest.raises(ShapeError, match=r"^structure: index \(1,0,1\) is listed twice$"):
+    with pytest.raises(InputError, match=r"^structure: index \(1,0,1\) is listed twice$"):
         algebra_from_json({"dim": 2, "structure": [[1, 0, 1, "0", "0"], [1, 0, 1, "2", "0"]]})
     m = sparse_matrix_from_json([[0, 1, "1", "0"], [1, 1, "0", "0"]], 2, 2, "T1")
     assert m.dense_rows() == [[ZERO, ONE], [ZERO, ZERO]]

@@ -1,7 +1,6 @@
 import pytest
 
-from wmha.groupoids import (BadParameter, LazyGroupoid,
-                            UnknownPreset, build_model, check_duality_pairing,
+from wmha.groupoids import (InputError, LazyGroupoid, build_model, check_duality_pairing,
                             convolution_algebra, function_algebra,
                             local_unit_for, pair_groupoid, preset,
                             validate_groupoid)
@@ -33,11 +32,11 @@ def test_union_preset():
 
 
 def test_unknown_and_bad_presets():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(InputError):
         preset("torus:2")
-    with pytest.raises(BadParameter):
+    with pytest.raises(InputError):
         preset("pair:0")
-    with pytest.raises(BadParameter):
+    with pytest.raises(InputError):
         preset("pair:x")
 
 
@@ -66,7 +65,7 @@ def test_lazy_windows_nested():
     assert set(w2.morphisms) <= set(w3.morphisms)
     assert len(w2.morphisms) == 4 and len(w3.morphisms) == 9
     assert validate_groupoid(w3) == []
-    with pytest.raises(BadParameter):
+    with pytest.raises(InputError):
         lazy.window(-1)
 
 
@@ -117,7 +116,7 @@ def test_local_units_per_model():
 
 
 def test_build_model_rejects_unknown_kind():
-    with pytest.raises(BadParameter):
+    with pytest.raises(InputError):
         build_model(preset("pair:2"), "poisson")
 
 

@@ -512,6 +512,7 @@ def test_def114_stop_reports_its_failure(label, monkeypatch, tmp_path, capsys):
     from wmha.report import checks_in
 
     module, name, patched, failures = STOPS[label]
+    passing, _ = verify_groupoid_model(preset("pair:2"), "convolution")
     mod = importlib.import_module(module)
     monkeypatch.setattr(mod, name, patched(getattr(mod, name)))
     report_path = tmp_path / "report.json"
@@ -521,6 +522,11 @@ def test_def114_stop_reports_its_failure(label, monkeypatch, tmp_path, capsys):
     blob = json.loads(report_path.read_text())
     assert blob["verdict"] == FAIL
     assert {c["id"]: c["detail"] for c in blob["checks"] if c["status"] == FAIL} == failures
+    # the stopped run reports every check a passing run reports
+    assert {r.check_id for r in passing.checks} <= {c["id"] for c in blob["checks"]}
+    if label == "idempotent-exists":
+        assert {c["id"]: c["detail"] for c in blob["checks"] if c["id"] in checks_in("idempotent")} \
+            == dict.fromkeys(checks_in("idempotent"), "prerequisite failed: idempotent-exists")
     # the axiom checks up to the stop ran; every later one is skipped, naming it
     axiom = checks_in("axiom")
     skips = {c["id"]: c["detail"] for c in blob["checks"]
@@ -533,6 +539,50 @@ def test_def114_stop_reports_its_failure(label, monkeypatch, tmp_path, capsys):
     reached = axiom[:axiom.index(label) + 1] if label in axiom else []
     assert skips == {cid: f"prerequisite failed: {label}" for cid in axiom
                      if cid not in reached}
+
+
+def test_flipped_side_idempotent_fails_idempotent_from_flips(monkeypatch):
+    # a doctored T3 fails coproduct-regular-maps at the gate first, so the
+    # recomputation from T3/T4 is injected: it returns sigma E sigma,
+    # which differs from E on the function model of pair:2; the opposite
+    # presentation recomputes it too
+    import wmha.coproducts
+    from wmha.algebras import Multiplier, flip_map
+
+    real = wmha.coproducts.compute_E_from_flips
+
+    def flipped(c):
+        e, sigma = real(c), flip_map(c.n)
+        return Multiplier(e.parent, sigma * e.left * sigma, sigma * e.right * sigma)
+
+    monkeypatch.setattr(wmha.coproducts, "compute_E_from_flips", flipped)
+    report, _ = verify_groupoid_model(preset("pair:2"), "function")
+    assert {r.check_id: r.detail for r in report.checks if r.status == FAIL} == {
+        "idempotent-from-flips": "flipped-side maps prescribe a different idempotent",
+        "appendix-op-roundtrip": "opposite presentation fails at idempotent-from-flips: "
+                                 "flipped-side maps prescribe a different idempotent",
+        "regular-op-antipode": "opposite-presentation antipode or idempotent mismatch"}
+
+
+@pytest.mark.parametrize("kind", ["function", "convolution"])
+def test_disagreeing_paths_fail_path_equivalence(kind, monkeypatch):
+    # a passing antipode path pins E and S, so its witness is injected:
+    # the path's S is replaced by the identity, which pair:2's S is not
+    import wmha.antipodes
+    from wmha.antipodes import AntipodeWitness
+    from wmha.linalg import Matrix
+
+    real = wmha.antipodes.verify_via_antipode
+
+    def identity_s(c, s_mat, e_left, e_right):
+        checks, w, e = real(c, s_mat, e_left, e_right)
+        ident = Matrix.identity(c.n)
+        return checks, AntipodeWitness(w.r1, w.r2, w.s, ident, ident), e
+
+    monkeypatch.setattr(wmha.antipodes, "verify_via_antipode", identity_s)
+    report, _ = verify_groupoid_model(preset("pair:2"), kind, path="both")
+    assert {r.check_id: r.detail for r in report.checks if r.status == FAIL} == {
+        "path-equivalence": "paths disagree on E or S"}
 
 
 def test_local_units_not_demanded_without_regularity(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from wmha import antipodes, coproducts
 from wmha.algebras import Multiplier, flip_map
 from wmha.coproducts import RunCache
-from wmha.fileio import witnesses_to_json
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
 from wmha.report import PASS
@@ -134,23 +133,29 @@ def test_leg_conditions_run_once_per_algebra_and_E(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["convolution", "function"])
 def test_witness_derived_maps_are_built_once(kind, monkeypatch):
-    # F1..F4 serve the regular suite, the star suite and the certificate,
-    # the counit and product contractions the source/target maps and the
-    # antipode identities: each is built once per antipode witness
-    built = []
-    once = antipodes.AntipodeWitness._once
+    # the source/target values serve the source/target checks, the antipode
+    # identities and the later suites: one build per run.  The strip
+    # echelons serve the antipode path's R recovery and the regular suite's
+    # sandwich tables: one build per coproduct, side and leg, three in all
+    # (the tables and R2 share the right products on leg 2)
+    values, strips = [], []
+    source_target, strip = antipodes.compute_source_target, coproducts.CoproductData._strip_echelon
 
-    def logged(self, name, inputs, build):
-        def counted_build():
-            built.append((self, name))
-            return build()
-        return once(self, name, inputs, counted_build)
+    def counted_values(c, *args):
+        values.append(c)
+        return source_target(c, *args)
 
-    monkeypatch.setattr(antipodes.AntipodeWitness, "_once", logged)
+    def counted_strip(c, left, s):
+        # (coproduct, side, leg, whether this request builds the echelon)
+        strips.append((c, left, s, (left, s) not in c._strips))
+        return strip(c, left, s)
+
+    monkeypatch.setattr(antipodes, "compute_source_target", counted_values)
+    monkeypatch.setattr(coproducts.CoproductData, "_strip_echelon", counted_strip)
     report, ctx = verify_groupoid_model(preset("pair:2"), kind, path="both")
     assert report.verdict == PASS and report.status_of("star-compatible") == PASS
-    witnesses_to_json(ctx)
-    names = [name for w, name in built if w is ctx.antipode]
-    assert sorted(names) == ["F", "conjugators", "contractions"]
-    per_witness = [(id(w), str(name)) for w, name in built]
-    assert len(set(per_witness)) == len(per_witness)
+    assert values == [ctx.coproduct]
+    builds = [(c, left, s) for c, left, s, build in strips if build]
+    assert {c for c, _, _, _ in strips} == {ctx.coproduct}
+    assert len(builds) == len(set(builds)) == 3 < len(strips)
+    assert sorted(ctx.coproduct._strips) == [(False, 1), (False, 4), (True, 4)]

@@ -126,8 +126,11 @@ def _antipode(ctx, r1=None, r2=None):
 
 
 def _identities(ctx, w=None, g=None, counit=None):
-    return check_antipode_identities(ctx.coproduct, ctx.e, g or ctx.g, w or ctx.antipode,
-                                     counit or ctx.counit)
+    # the suite reads its contractions off the source/target values of
+    # the doctored witnesses
+    c, g, w = ctx.coproduct, g or ctx.g, w or ctx.antipode
+    st = compute_source_target(c, ctx.e, g, w, counit or ctx.counit)[0]
+    return check_antipode_identities(c, ctx.e, g, w, st)
 
 
 def _source_target(ctx, w=None, g=None, counit=None, e=None):

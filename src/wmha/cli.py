@@ -4,8 +4,14 @@
                   [--windows K] [--seed N]
     wmha witnesses [INPUT] [--preset NAME --model M] [--path P]   (finite inputs only)
     wmha classify [INPUT] [--preset NAME --model M] [--windows K] [--seed N]
+    wmha COMMAND -h | --help
 
-Options a command does not read for the input given (table READS) exit 2.
+    --model function|convolution     --path def114|thm29|both
+    --windows and --seed take an integer; --preset and --report any text.
+
+Each option is written in full, as --name value or --name=value, at most
+once.  Options a command does not read for the input given (table READS)
+exit 2.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
 3 internal error: the engine itself failed, so no verdict and no report.
@@ -13,9 +19,9 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 from .fileio import (InputDocument, VerificationFailed, load_document, parse_document,
@@ -23,30 +29,6 @@ from .fileio import (InputDocument, VerificationFailed, load_document, parse_doc
 from .groupoids import InputError, LazyGroupoid, preset
 from .pipeline import verify_groupoid_model, verify_lazy_model, verify_structure
 from .report import PASS, VerificationReport
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wmha",
-        description="exact verification of weak multiplier Hopf algebra structure")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("verify", "run the verification pipeline"),
-                            ("witnesses", "print the certified witnesses"),
-                            ("classify", "print the one-line classification")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", help="JSON input document")
-        p.add_argument("--preset", help="named groupoid instead of an input file")
-        p.add_argument("--model", choices=["function", "convolution"],
-                       help="model algebra for groupoid inputs")
-        p.add_argument("--path", choices=["def114", "thm29", "both"],
-                       help="verification path (default: def114)")
-        p.add_argument("--report", metavar="FILE", help="write the JSON report here")
-        p.add_argument("--seed", type=int,
-                       help="seed for sampled checks on lazy models")
-        p.add_argument("--windows", type=int, metavar="K",
-                       help="number of windows for lazy models (default: 3)")
-    return parser
-
 
 # The options each command reads, per input kind; any other option given
 # exits 2.  INPUT and --preset are the input itself.  witnesses has no
@@ -63,6 +45,52 @@ READS = {
 }
 KIND_TEXT = {"structure": "a structure document", "finite": "a finite groupoid",
              "lazy": "an infinite groupoid"}
+# every option of every command and the values it takes: one of a tuple
+# of words, an int, or any text (str)
+OPTIONS = {"preset": str, "model": ("function", "convolution"),
+           "path": ("def114", "thm29", "both"), "report": str, "seed": int, "windows": int}
+
+
+def _option_value(name: str, text: str):
+    values = OPTIONS[name]
+    if values is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InputError(f"--{name} takes an integer, got {text!r}") from None
+    if values is not str and text not in values:
+        raise InputError(f"--{name} takes one of {', '.join(values)}, got {text!r}")
+    return text
+
+
+def _read_argv(argv: list) -> SimpleNamespace:
+    """COMMAND [INPUT] (--name value | --name=value)..., read against
+    OPTIONS: each option once and in full.  An absent option reads None."""
+    if not argv or argv[0] not in READS:
+        got = f"unknown command {argv[0]!r}; " if argv else ""
+        raise InputError(f"{got}give a command: {' | '.join(READS)}")
+    args = SimpleNamespace(command=argv[0], input=None, **dict.fromkeys(OPTIONS))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if args.input is not None:
+                raise InputError(f"give one input file, got {args.input!r} and {token!r}")
+            args.input = token
+            continue
+        name, eq, text = token[2:].partition("=")
+        if not token.startswith("--") or name not in OPTIONS:
+            raise InputError(f"unknown option {token.partition('=')[0]!r}")
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} is given twice")
+        if not eq:
+            # a value never starts with "-", except a negative integer
+            text = next(tokens, "")
+            if text.startswith("-") and not text[1:].isdigit():
+                text = ""
+        if not text:
+            raise InputError(f"--{name} needs a value")
+        setattr(args, name, _option_value(name, text))
+    return args
 
 
 def _resolve(args) -> Tuple[InputDocument, str]:
@@ -123,8 +151,11 @@ def _run(parsed: InputDocument, kind: str, args) -> VerificationReport:
 def cmd_verify(args) -> int:
     report = _run(*_resolve(args), args)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            raise InputError(f"cannot write {args.report}: {exc}") from exc
     for c in report.sorted_checks():
         print(f"{c.status:4} {c.check_id}: {c.detail}")
     if report.verdict == PASS:
@@ -164,9 +195,12 @@ def cmd_classify(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
     try:
+        args = _read_argv(argv)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "witnesses":

@@ -283,3 +283,7 @@ def load_document(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # text that is not UTF-8, an integer past int's digit limit, or
+        # nesting deeper than the recursion limit
+        raise InputError(f"cannot read {path}: {exc}") from exc

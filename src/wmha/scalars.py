@@ -26,7 +26,6 @@ path taken depends only on the operand values.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
@@ -56,30 +55,32 @@ def _ratio(value) -> tuple:
     """(numerator, denominator) of an exact rational; floats are refused."""
     if isinstance(value, int):
         return value, 1
-    if isinstance(value, Fraction):
+    import numbers  # only a non-int part, a Fraction say, pays for it
+    if isinstance(value, numbers.Rational):
         return value.numerator, value.denominator
-    raise TypeError(f"Scalar parts must be int or Fraction, not {type(value).__name__}")
+    raise TypeError(f"Scalar parts must be rational, not {type(value).__name__}")
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> "Scalar":
     """A rational literal "p/q" or "p", as `str(Fraction)` writes it.  Decimal
     and exponent forms are refused: "1e999999" is a million-digit integer
     that no check finishes with."""
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"rational literal {text!r} is not p/q or p")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return rational(int(p), int(q) if q else 1)
 
 
-def _parse_part(value) -> Fraction:
+def _parse_part(value) -> "Scalar":
     """A real or imaginary part: a rational string or an int."""
     if isinstance(value, str):
         return _parse_rational(value)
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return _make(value, 0, 1)
     raise ValueError(f"cannot parse a scalar part from {value!r}")
 
 
@@ -102,12 +103,15 @@ class Scalar:
         r, s = _ratio(im)
         return _reduce(p * s, r * q, q * s)
 
+    # `fractions` is imported only here, to keep it out of start-up
     @property
-    def re(self) -> Fraction:
+    def re(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     @staticmethod
@@ -117,12 +121,14 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if isinstance(value, dict):
-            return Scalar(_parse_part(value.get("re", "0")),
-                          _parse_part(value.get("im", "0")))
+            x = _parse_part(value.get("re", "0"))
+            y = _parse_part(value.get("im", "0"))
+            # x + y·i over the common denominator, as Scalar(re, im) builds it
+            return _reduce(x._a * y._d, y._a * x._d, x._d * y._d)
         if isinstance(value, int) and not isinstance(value, bool):
             return _make(value, 0, 1)
         if isinstance(value, str):
-            return Scalar(_parse_rational(value))
+            return _parse_rational(value)
         raise ValueError(f"cannot parse scalar from {value!r}")
 
     def to_strings(self) -> tuple:

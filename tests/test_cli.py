@@ -80,6 +80,22 @@ def test_exit_two_on_garbage(tmp_path, capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("blob", [
+    b"\xff\xfe{}",                          # not UTF-8
+    b"[" * 200_000,                          # deeper than the recursion limit
+    b'{"model": ' + b"1" * 5000 + b"}",      # past int's digit limit
+], ids=["not-utf8", "too-deep", "long-integer"])
+def test_undecodable_documents_exit_two(blob, tmp_path, capsys):
+    # each once escaped json.load as an engine fault: exit 3 and a traceback
+    p = tmp_path / "bad.json"
+    p.write_bytes(blob)
+    assert main(["verify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot read {p}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_shape_error_on_bad_dimensions(tmp_path):
     m = convolution_algebra(preset("pair:2"))
     doc = model_to_document(m, with_witnesses=False)
@@ -424,7 +440,7 @@ def test_exponent_and_decimal_literals_exit_two(tmp_path, capsys):
     import time
 
     doc = model_to_document(convolution_algebra(preset("group:cyclic:1")), with_witnesses=False)
-    for bad in ("1e999999", "1E3", "0.5", "1_000", "1/-2"):
+    for bad in ("1e999999", "1E3", "1e3", "0.5", "1.5", "1_000", "1/-2", "1/0", "½"):
         doc["algebra"]["structure"][0][3] = bad
         start = time.perf_counter()
         assert main(["verify", write_doc(tmp_path, doc)]) == 2, bad
@@ -496,20 +512,68 @@ def test_option_read_is_accepted(command, kind, option, tmp_path, capsys):
 
 
 def test_every_option_is_in_the_policy_table():
-    # an option added to the parser but not to READS would be refused
+    # an option added to the reader but not to READS would be refused
     # everywhere; one left out of this guard could be read nowhere
-    import argparse
+    from wmha.cli import OPTIONS, READS, _read_argv
 
-    from wmha.cli import READS, _build_parser
-
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(READS)
     assert {(command, kind): set(reads) for command, rows in READS.items()
             for kind, reads in rows.items()} == \
         {key: reads for key, reads in READ.items() if key != ("witnesses", "lazy")}
-    for command, parser in sub.choices.items():
-        options = {a.dest for a in parser._actions if a.option_strings}
-        assert options - {"help", "preset"} == set(OPTION_VALUES), command
+    assert set(OPTIONS) == set(OPTION_VALUES) | {"preset"}
+    for command in ("verify", "witnesses", "classify"):
+        args = _read_argv([command])
+        assert args.command == command
         # an absent option reads None, so a given one can be told apart
-        assert all(parser.get_default(name) is None for name in OPTION_VALUES)
+        assert all(getattr(args, name) is None for name in OPTIONS)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["verify", "--preset", "pair:1", "--model", "function", "--bogus", "1"],
+    ["verify", "--pre", "pair:1", "--model", "function", "--rep", "report.json"],
+    ["verify", "--preset", "pair:1", "--mod", "function"],
+    ["verify", "--preset", "pair:1", "--model"],
+    ["verify", "--preset", "pair:1", "--model", "bogus"],
+    ["verify", "--preset", "pair:1", "--model", "function", "--path", "bogus"],
+    ["verify", "--preset", "pair:inf", "--model", "function", "--windows", "x"],
+    ["verify", "--preset", "pair:inf", "--model", "function", "--seed", "1.5"],
+    ["verify", "a.json", "b.json", "--report", "report.json"],
+    # argparse kept the last --preset: group:cyclic:2 verified, exit 0
+    ["verify", "--preset", "pair:1", "--preset", "group:cyclic:2", "--model", "function",
+     "--report", "report.json"],
+    ["verify", "--preset=pair:1", "--model", "function", "--model=convolution"],
+    ["verify", "--preset", "pair:1", "--model", "function", "--report="],
+    ["verify", "--preset", "pair:1", "--model", "function", "-r", "x"],
+    # a report in a missing directory was an engine fault: exit 3, a traceback
+    ["verify", "--preset", "pair:1", "--model", "function", "--report", "no/report.json"],
+], ids=["no-command", "unknown-command", "unknown-option", "prefix-preset",
+        "prefix-model", "model-no-value", "model-bogus", "path-bogus", "windows-x",
+        "seed-1.5", "two-inputs", "repeated-preset", "repeated-model", "empty-value",
+        "short-option", "report-unwritable"])
+def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)      # where a report.json would be written
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", ["verify", "witnesses", "classify"])
+def test_help_prints_the_usage(command, flag, capsys):
+    assert main([command, flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for usage in ("wmha verify ", "wmha witnesses ", "wmha classify ", "Exit codes"):
+        assert usage in captured.out
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["wmha", "classify", "--preset", "pair:1",
+                                     "--model=function"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("wmha ✓")

@@ -155,6 +155,53 @@ def test_division_by_zero_raises(xr):
             x / zero
 
 
+# ---- rational literals against Fraction, the reference parser ---------------
+
+@st.composite
+def rational_literals(draw):
+    """"p", "+p" or "-p/q" texts, zero-padded and spaced at random, so
+    that leading zeros, unreduced fractions and zero numerators all occur."""
+    pad = draw(st.integers(0, 4))
+    text = draw(st.sampled_from(["", "+", "-"])) + f"{draw(st.integers(0, 10 ** 30)):0{pad}d}"
+    q = draw(st.none() | st.integers(1, 10 ** 30))
+    if q is not None:
+        text += f"/{q:0{pad}d}"
+    space = draw(st.sampled_from(["", " "]))
+    return space + text + space
+
+
+def canonical_of(re: Fraction, im: Fraction) -> tuple:
+    d = re.denominator * im.denominator
+    a, b = re.numerator * im.denominator, im.numerator * re.denominator
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def triple(x):
+    return x._a, x._b, x._d
+
+
+@given(rational_literals())
+def test_parse_of_a_literal_matches_fraction(text):
+    assert triple(Scalar.parse(text)) == canonical_of(Fraction(text), Fraction(0))
+
+
+@given(rational_literals() | st.integers(-10 ** 20, 10 ** 20),
+       rational_literals() | st.integers(-10 ** 20, 10 ** 20))
+def test_parse_of_a_pair_matches_fraction(re, im):
+    x = Scalar.parse({"re": re, "im": im})
+    assert_canonical(x)
+    assert triple(x) == canonical_of(Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize("text", ["1/0", "1.5", "1e3", "1_000", "½", "1/-2", "0x10", "", "/2"])
+def test_other_literals_are_refused(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Scalar.parse(text)
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Scalar.parse({"re": "0", "im": text})
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         Scalar(0.5)

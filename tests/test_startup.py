@@ -1,7 +1,10 @@
 """Start-up cost of the command line.  Every `wmha` call first imports
 `wmha.cli`, so that import loads no module that only introspection or
 error reporting needs: `dataclasses` (which brings `inspect`, `ast` and
-`dis`) and `traceback`, which `cli.main` imports on its error path."""
+`dis`) and `traceback`, which `cli.main` imports on its error path.  Nor
+does it load `argparse` (which brings `gettext` and `locale`), since
+`cli` reads argv itself, or `fractions` (which brings `decimal`), which
+only `Scalar.re` and `Scalar.im` import."""
 
 import os
 import subprocess
@@ -10,7 +13,8 @@ from pathlib import Path
 
 import wmha
 
-DEFERRED = ("dataclasses", "inspect", "ast", "dis", "traceback")
+DEFERRED = ("dataclasses", "inspect", "ast", "dis", "traceback",
+            "argparse", "gettext", "locale", "fractions", "decimal")
 
 
 def test_cli_import_leaves_deferred_modules_unloaded():

@@ -359,6 +359,20 @@ def flip_map(dim: int) -> Matrix:
     return Matrix.permutation([j * dim + i for i in range(dim) for j in range(dim)])
 
 
+def is_isomorphism(source: Algebra, s: Matrix, s_inv: Matrix, target: Algebra) -> bool:
+    """Whether s is an algebra isomorphism from source onto target with
+    inverse s_inv: s s_inv = s_inv s = 1 and s(e_i e_j) = s(e_i) s(e_j)
+    in target's table on every basis pair.  Literal equalities, tested
+    cheapest first, so nothing about s is assumed."""
+    n = source.dim
+    ident = Matrix.identity(n)
+    if s * s_inv != ident or s_inv * s != ident:
+        return False
+    cols = [dict(s.col_sparse(i)) for i in range(n)]
+    return all(s.apply_sparse(source.mul_basis(i, j)) == target.mul_sparse(cols[i], cols[j])
+               for i, j in product(range(n), repeat=2))
+
+
 class StarStructure:
     """Conjugate-linear involution: (sum c_i e_i)* = sum conj(c_i) J e_i."""
 

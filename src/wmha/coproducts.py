@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import Algebra, Multiplier, SparseVec, _on_legs, flip_map
+from .algebras import Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, _first_failures, check
@@ -285,20 +285,14 @@ def transport(c: CoproductData, s: Matrix, s_inv: Matrix, target: Algebra,
               maps: Tuple[Matrix, Matrix, Matrix, Matrix]) -> Optional[Tuple[Matrix, Matrix]]:
     """Phi = s (x) s and its inverse s_inv (x) s_inv when the presentation
     (target, *maps) is the image of (A, T1, T2, T3, T4) under s: s is an
-    algebra isomorphism from A onto target with inverse s_inv, and
-    Phi T Phi^-1 is the map of maps in T's place, for each of T1..T4.
-    Otherwise None.  Every condition is a literal equality, tested
-    cheapest first, so nothing about s is assumed; for s = 1 the maps are
-    compared as they are, Phi T Phi^-1 being T."""
-    n = c.n
-    ident = Matrix.identity(n)
-    if s * s_inv != ident or s_inv * s != ident:
+    algebra isomorphism from A onto target with inverse s_inv
+    (`is_isomorphism`), and Phi T Phi^-1 is the map of maps in T's place,
+    for each of T1..T4.  Otherwise None.  Every condition is a literal
+    equality, tested cheapest first, so nothing about s is assumed; for
+    s = 1 the maps are compared as they are, Phi T Phi^-1 being T."""
+    if not is_isomorphism(c.parent, s, s_inv, target):
         return None
-    cols = [dict(s.col_sparse(i)) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
-        if s.apply_sparse(c.parent.mul_basis(i, j)) != target.mul_sparse(cols[i], cols[j]):
-            return None
-    one = s == ident
+    one = s == Matrix.identity(c.n)
     phi, phi_inv = s.kron(s), s_inv.kron(s_inv)
     if any(t is None or (t if one else phi * t * phi_inv) != image
            for t, image in zip((c.t1, c.t2, c.t3, c.t4), maps)):

@@ -8,9 +8,18 @@ JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, List, Optional
+
+# sha256 from the interpreter's own module: hashlib loads OpenSSL's
+# _hashlib, the costliest import left on every `wmha` call
+try:
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython up to 3.11
+    except ImportError:
+        from hashlib import sha256      # builds without either module
 
 TOOL_VERSION = "wmha 0.1.0"
 REPORT_SCHEMA = 1
@@ -233,4 +242,4 @@ class VerificationReport:
 
 def digest_of(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()

@@ -2,13 +2,15 @@ import pytest
 
 from conftest import FINITE_INPUTS, conjugated_input
 from wmha import antipodes
-from wmha.algebras import Algebra, Multiplier, StarStructure, validate_algebra
+from wmha.algebras import (Algebra, Multiplier, StarStructure, flip_map, is_isomorphism,
+                           validate_algebra)
 from wmha.antipodes import (AntipodeWitness, AntipodesDisagree, appendix_suite,
                             build_generalized_inverses, compute_antipode,
                             check_antipode_identities, compute_source_target,
                             derive_flip_maps, regular_suite, star_suite,
                             verify_via_antipode, weak_hopf_suite)
-from wmha.coproducts import CoproductData, compute_E, solve_G_maps, solve_counit
+from wmha.coproducts import (CoproductData, NoSuchIdempotent, compute_E, solve_G_maps,
+                             solve_counit)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
 from wmha.scalars import ONE, ZERO, rational
@@ -400,3 +402,112 @@ def test_r_recovery_fails_thm29_r_ranges():
         assert [(r.check_id, r.status, r.detail) for r in checks] == \
             [("thm29-r-ranges", "fail", detail)]
         assert got is None and e29 is None
+
+
+TRANSPORTED = ("regular-f-formulas", "regular-cop-idempotent")
+
+
+def _count_law_walks_and_solves(monkeypatch):
+    """Lists that receive the parent of every multiplier-law walk and the
+    presentation of every canonical-idempotent solve made from now on."""
+    import wmha.coproducts
+
+    walks, solves = [], []
+    walk, solve = Multiplier.compatibility_failure, wmha.coproducts._solve_E
+    monkeypatch.setattr(Multiplier, "compatibility_failure",
+                        lambda m: walks.append(m.parent) or walk(m))
+    monkeypatch.setattr(wmha.coproducts, "_solve_E", lambda c: solves.append(c) or solve(c))
+    return walks, solves
+
+
+def _transported_in_full(c, e, w, t3, t4):
+    """regular-f-formulas and regular-cop-idempotent as (status, detail),
+    computed without transport: the idempotency and the law walks of
+    F1..F4 themselves, and the flipped-coproduct idempotent solved
+    directly on (sigma T4 sigma, sigma T3 sigma) with a fresh cache."""
+    fs = antipodes._f_multipliers(c.parent, w, e)
+    f_ok = all(f * f == f for f in fs) and not any(f.compatibility_failure() for f in fs)
+    sigma = flip_map(c.n)
+    try:
+        e_cop = compute_E(CoproductData(c.parent, sigma * t4 * sigma, sigma * t3 * sigma))
+        cop = ("pass", "flipped-coproduct presentation has canonical idempotent sigma E") \
+            if (e_cop.left, e_cop.right) == (sigma * e.left * sigma, sigma * e.right * sigma) \
+            else ("fail", "flipped-coproduct idempotent differs from sigma E")
+    except NoSuchIdempotent as exc:
+        cop = ("fail", f"flipped-coproduct idempotent: {exc}")
+    return {"regular-f-formulas":
+            ("pass", "F1..F4 from E are idempotent multipliers of the twisted squares") if f_ok
+            else ("fail", "an F idempotent fails multiplier laws"),
+            "regular-cop-idempotent": cop}
+
+
+@pytest.mark.parametrize("name, kind", FINITE_INPUTS)
+def test_regular_suite_transport_matches_the_full_computation(name, kind, monkeypatch):
+    # S is an anti-isomorphism and the flip ranges hold on every regular
+    # input, so both results are read off E: no law walk and no E solve
+    # runs inside the suite, and the results are those of the full walks
+    c, _, e, gm, w = _witnesses(name, kind)
+    assert is_isomorphism(c.parent, w.s_matrix, w.s_matrix_inv, c.parent.opposite())
+    walks, solves = _count_law_walks_and_solves(monkeypatch)
+    checks, t3, t4 = regular_suite(c, e, gm, w)
+    assert (walks, solves) == ([], [])
+    monkeypatch.undo()
+    got = {r.check_id: (r.status, r.detail) for r in checks}
+    assert {cid: got[cid] for cid in TRANSPORTED} == _transported_in_full(c, e, w, t3, t4)
+    assert {status for status, _ in got.values()} == {"pass"}
+
+
+@pytest.mark.parametrize("kind, doctored_s, f_formulas", [
+    # S = 1 on the matrix algebra: S(ab) = ab, not ba
+    ("convolution", lambda w, n: Matrix.identity(n),
+     ("fail", "an F idempotent fails multiplier laws")),
+    # 2S on the diagonal algebra: 2S(e_a e_a) = 2S(e_a), not 4S(e_a)S(e_a);
+    # conjugating by 2S is conjugating by S, so F1..F4 are unchanged
+    ("function", lambda w, n: w.s_matrix * Matrix.from_entries(
+        n, n, {(i, i): rational(2) for i in range(n)}),
+     ("pass", "F1..F4 from E are idempotent multipliers of the twisted squares")),
+])
+def test_regular_suite_walks_f_on_an_s_that_is_not_antimultiplicative(
+        kind, doctored_s, f_formulas, monkeypatch):
+    # a bijective S that breaks S(ab) = S(b)S(a) is no isomorphism onto A^op,
+    # so F1..F4 are walked themselves; the results are those recorded
+    # before the transport, and those of the full computation
+    c, _, e, gm, w = _witnesses("pair:2", kind)
+    s = doctored_s(w, c.n)
+    doctored = AntipodeWitness(w.r1, w.r2, w.s, s, invert(s))
+    assert not is_isomorphism(c.parent, s, invert(s), c.parent.opposite())
+    walks, _ = _count_law_walks_and_solves(monkeypatch)
+    checks, t3, t4 = regular_suite(c, e, gm, doctored)
+    assert walks and all(parent is not e.parent for parent in walks)
+    monkeypatch.undo()
+    got = {r.check_id: (r.status, r.detail) for r in checks}
+    expected = _transported_in_full(c, e, doctored, t3, t4)
+    assert {cid: got[cid] for cid in TRANSPORTED} == expected
+    assert expected == {
+        "regular-f-formulas": f_formulas,
+        "regular-cop-idempotent": ("pass", "flipped-coproduct presentation has canonical "
+                                           "idempotent sigma E")}
+
+
+def _scaled(m, k):
+    return m * Matrix.from_entries(m.cols, m.cols, {(j, j): rational(k) for j in range(m.cols)})
+
+
+@pytest.mark.parametrize("kind, doctor", [
+    # 2E passes every module law but is not idempotent
+    ("convolution", lambda e: Multiplier(e.parent, _scaled(e.left, 2), _scaled(e.right, 2))),
+    # (E.left, 1) is idempotent but fails the link law
+    ("function", lambda e: Multiplier(e.parent, e.left, Matrix.identity(e.right.rows))),
+])
+def test_regular_suite_transport_fails_f_formulas_on_a_doctored_e(kind, doctor, monkeypatch):
+    # the transported result reads both halves off E itself: only E's own
+    # laws are walked, and the verdict is the one the F1..F4 walks give
+    c, _, e, gm, w = _witnesses("pair:2", kind)
+    bad = doctor(e)
+    walks, _ = _count_law_walks_and_solves(monkeypatch)
+    checks, t3, t4 = regular_suite(c, bad, gm, w)
+    assert all(parent is bad.parent for parent in walks)
+    monkeypatch.undo()
+    got = {r.check_id: (r.status, r.detail) for r in checks}
+    assert got["regular-f-formulas"] == ("fail", "an F idempotent fails multiplier laws") == \
+        _transported_in_full(c, bad, w, t3, t4)["regular-f-formulas"]

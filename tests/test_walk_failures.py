@@ -12,6 +12,7 @@ recorded before the walks were rewritten as generators; run this file
 as a script to print the table of the code as it is.
 """
 
+import ast
 import json
 import sys
 from functools import lru_cache
@@ -34,6 +35,7 @@ from wmha.groupoids import build_model, preset
 from wmha.linalg import BadProjections, Matrix
 from wmha.pipeline import (StructureInput, verify_groupoid_model, verify_lazy_model,
                            verify_structure)
+from wmha.report import FAIL, REGISTRY_IDS
 from wmha.scalars import ONE, rational
 
 TABLE = Path(__file__).with_name("walk_failures.json")
@@ -434,6 +436,52 @@ def test_walk_results_are_pinned(name, monkeypatch):
 
 def test_every_case_is_recorded():
     assert sorted(_recorded()) == sorted({**CASES, **PATCHED})
+
+
+# each registry check that no case above drives to fail, with a test that
+# does (the golden certificates pin counit-exists failing on zero maps)
+FAILING_ELSEWHERE = {
+    "groupoid-axioms": "test_fileio.py::test_composition_of_undeclared_morphisms_fails_the_axioms",
+    "algebra-nondegenerate": "test_pipeline.py::test_degenerate_algebra_fails_at_the_gate",
+    "algebra-idempotent": "test_pipeline.py::test_degenerate_algebra_fails_at_the_gate",
+    "coproduct-full": "test_cli.py::test_input_file_with_preset_exits_two",
+    "counit-exists": "test_golden.py::test_document_certificate_bytes_unchanged",
+    "counit-matches-input": "test_pipeline.py::test_supplied_counit_mismatch_is_reported",
+    "idempotent-exists": "test_pipeline.py::test_def114_stop_reports_its_failure",
+    "idempotent-from-flips": "test_pipeline.py::test_flipped_side_idempotent_fails_idempotent_from_flips",
+    "projections-solve": "test_pipeline.py::test_def114_stop_reports_its_failure",
+    "kernels-match": "test_pipeline.py::test_def114_stop_reports_its_failure",
+    "antipode-spans": "test_antipodes.py::test_zero_antipode_values_fail_antipode_spans",
+    "thm29-r-ranges": "test_antipodes.py::test_r_recovery_fails_thm29_r_ranges",
+    "path-equivalence": "test_pipeline.py::test_disagreeing_paths_fail_path_equivalence",
+    "oracle-witnesses": "test_pipeline.py::test_oracle_unit_mismatch_is_reported",
+    "regular-op-antipode": "test_pipeline.py::test_op_round_trip_fails_on_a_doctored_witness",
+    "local-units": "test_pipeline.py::test_def114_stop_reports_its_failure",
+    "appendix-op-roundtrip": "test_pipeline.py::test_op_round_trip_fails_on_a_doctored_witness",
+    "global-nonunital": "test_pipeline.py::test_constant_windows_fail_global_nonunital",
+}
+
+# registry checks that no test drives to fail.  The set may only shrink:
+# "regular" passes with its reason when S is not bijective, by design.
+WITHOUT_FAILING_TEST = {"regular"}
+
+
+def test_every_check_has_a_test_that_fails_it():
+    # a check that no test drives to fail could be made to always pass,
+    # for instance by comparing a witness with itself, and every test
+    # would stay green
+    assert WITHOUT_FAILING_TEST <= {"regular"}
+    walked = {row[0] for got in _recorded().values()
+              for row in (got[3] if got[:1] == ["raised"] else got) if row[1] == FAIL}
+    assert walked <= set(REGISTRY_IDS)
+    assert set(FAILING_ELSEWHERE) <= set(REGISTRY_IDS)
+    assert sorted(set(REGISTRY_IDS) - walked - set(FAILING_ELSEWHERE)) == \
+        sorted(WITHOUT_FAILING_TEST)
+    for check_id, test in FAILING_ELSEWHERE.items():
+        module, name = test.split("::")
+        tree = ast.parse(Path(__file__).with_name(module).read_text(encoding="utf-8"))
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, \
+            (check_id, test)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ the verification suites affordable.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .linalg import (Echelon, Matrix, Subspace,
                      solve_linear, Infeasible, DimensionMismatch)
@@ -66,6 +66,16 @@ def _on_legs(cols: list, rows: int, x, s: int = 1) -> SparseVec:
     return _settle(acc)
 
 
+def unless_at_unit(at_unit: Callable[[], bool], walk: Iterator) -> Iterator:
+    """The failures that walk yields, or none when at_unit() is True.
+    at_unit tests literally an identity at the checked unit that implies,
+    by associativity, every identity the walk tests; each caller's
+    docstring gives the argument.  When it is False, as it is without a
+    checked unit, the walk runs unchanged, failures and order included."""
+    if not at_unit():
+        yield from walk
+
+
 class Algebra:
     """Associative algebra with basis e_0..e_{n-1} and products
     e_i e_j = sum_k m[i][j][k] e_k."""
@@ -76,6 +86,7 @@ class Algebra:
         self._table: Dict[Tuple[int, int], SparseVec] = {}
         self._factors: Optional[Tuple["Algebra", "Algebra"]] = None
         self._cols: Dict[tuple, list] = {}
+        self._unit: Optional[SparseVec] = None
 
     @staticmethod
     def from_structure(dim: int, basis_labels: Optional[List[str]], entries) -> "Algebra":
@@ -95,6 +106,19 @@ class Algebra:
                     [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels])
         t._factors = (a, b)
         return t
+
+    def checked_unit(self) -> Optional[SparseVec]:
+        """The unit, once `validate_algebra` has seen associativity pass,
+        else None: the walks that read their identities off their values
+        at the unit need both.  A tensor product has the product of its
+        factors' checked units, and `opposite` copies the checked unit."""
+        if self._factors is None:
+            return self._unit
+        a, b = self._factors
+        ua, ub = a.checked_unit(), b.checked_unit()
+        if ua is None or ub is None:
+            return None
+        return {i * b.dim + j: v * w for i, v in ua.items() for j, w in ub.items()}
 
     def mul_basis(self, i: int, j: int) -> SparseVec:
         got = self._table.get((i, j))
@@ -186,6 +210,7 @@ class Algebra:
                 p = self.mul_basis(j, i)
                 if p:
                     out._table[(i, j)] = dict(p)
+        out._unit = self.checked_unit()
         return out
 
     def __repr__(self):
@@ -224,7 +249,23 @@ class Multiplier:
         """The violated module laws in walk order, as (law, i, j): at each
         basis pair (i, j) the left law left(e_i e_j) = left(e_i) e_j, then
         the right law right(e_i e_j) = e_i right(e_j), then the link law
-        e_i left(e_j) = right(e_i) e_j."""
+        e_i left(e_j) = right(e_i) e_j.
+
+        With a checked unit u the walk is read off x = left(u): every law
+        holds exactly when left = L_x and right = R_x (y -> xy, y -> yx).
+        If they are, each law is an instance of associativity.  If the
+        laws hold, left(y) = left(uy) = left(u)y by the left law, and
+        right(y) = right(y)u = y left(u) by the link law at (y, u).  So
+        2·dim products stand for 3·dim^2 law tests, and on any mismatch
+        the walk runs."""
+        a = self.parent
+
+        def at_unit() -> bool:
+            u = a.checked_unit()
+            return u is not None and self == Multiplier.of_element(a, self.left.apply_sparse(u))
+        return unless_at_unit(at_unit, self._law_walk())
+
+    def _law_walk(self) -> Iterator[Tuple[str, int, int]]:
         a = self.parent
         lcols = [dict(self.left.col_sparse(j)) for j in range(a.dim)]
         rcols = [dict(self.right.col_sparse(j)) for j in range(a.dim)]
@@ -338,8 +379,9 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
     # the unit is the embedded unit multiplier: local units for the whole
     # basis amount to a unit, and a unit u is never ambiguous, since
     # y e_j = 0 for every j gives y = y u = 0
-    return AlgebraDiagnostics(assoc, nondeg, deg_witness, idem,
-                              Multiplier.unit(a).as_element())
+    unit = Multiplier.unit(a).as_element()
+    a._unit = unit if assoc.status == PASS else None
+    return AlgebraDiagnostics(assoc, nondeg, deg_witness, idem, unit)
 
 
 def _product_rows(a: Algebra) -> list:

@@ -13,11 +13,11 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
-                       is_isomorphism, star_on, StarStructure)
+                       is_isomorphism, star_on, unless_at_unit, StarStructure)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
-                         _commute, _counit_cols, _lbl, _lbl2, _lbl3,
-                         _module_law_failures)
+                         _commute, _counit_cols, _lbl, _lbl2, _lbl3, _matrix_key,
+                         _module_law_failures, _module_laws_hold, _unit_triple)
 from .linalg import (Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
@@ -37,7 +37,6 @@ def build_generalized_inverses(c: CoproductData, e: Multiplier,
                                g: ProjectionMaps) -> Tuple[Matrix, Matrix, List[CheckResult]]:
     """R1, R2 with T R = E-action and R T = G, plus their module and
     commutation laws."""
-    n = c.n
     r1 = generalized_inverse(c.t1, e.left, g.g1)
     r2 = generalized_inverse(c.t2, e.right, g.g2)
 
@@ -47,17 +46,38 @@ def build_generalized_inverses(c: CoproductData, e: Multiplier,
         if not ((c.t1 * r1 * c.t1 == c.t1) and (r1 * c.t1 * r1 == r1) and
                 (c.t2 * r2 * c.t2 == c.t2) and (r2 * c.t2 * r2 == r2)):
             yield "generalized inverse identities fail"
-
-    def commutation_failures():
-        for idx in range(n ** 3):
-            if not _commute(c.t2, r1, idx, n):
-                yield f"(T2 x id)(id x R1) != (id x R1)(T2 x id) at {_lbl3(c, idx)}"
-            if not _commute(r2, c.t1, idx, n):
-                yield f"(id x T1)(R2 x id) != (R2 x id)(id x T1) at {_lbl3(c, idx)}"
     return r1, r2, _first_failures(inverse_failures(), {
         "generalized-inverses": "T1 R1 = E-left, R1 T1 = G1 (mirrored), with module laws"}) + \
-        _first_failures(commutation_failures(), {
+        _first_failures(_r_commutation_failures(c, r1, r2), {
             "r-commutation": "R maps commute with the opposite-side canonical maps"})
+
+
+def _r_commutation_failures(c: CoproductData, r1: Matrix, r2: Matrix):
+    """(T2 x id)(id x R1) = (id x R1)(T2 x id), then
+    (id x T1)(R2 x id) = (R2 x id)(id x T1), on each basis triple.
+
+    Read at the checked unit u when T1, T2, R1 and R2 pass their module
+    identities (`_module_law_failures`): then T2 and R2 on legs (1,2)
+    commute with e_i (x) 1 (x) 1 from the left, T1 and R1 on legs (2,3)
+    with 1 (x) 1 (x) e_k from the right, and each with the product on the
+    leg it does not touch.  So both sides at e_i (x) e_j (x) e_k are
+    (e_i (x) 1 (x) 1)(side at u (x) e_j (x) u)(1 (x) 1 (x) e_k), and the n
+    triples u (x) e_j (x) u stand for all n^3."""
+    n = c.n
+
+    def at_unit() -> bool:
+        return _module_laws_hold(c, (c.t2, 1), (r1, 2), (r2, 1), (c.t1, 2)) and all(
+            _commute(c.t2, r1, x, n) and _commute(r2, c.t1, x, n)
+            for x in (_unit_triple(c, j) for j in range(n)))
+
+    def walk():
+        for idx in range(n ** 3):
+            x = [(idx, ONE)]
+            if not _commute(c.t2, r1, x, n):
+                yield f"(T2 x id)(id x R1) != (id x R1)(T2 x id) at {_lbl3(c, idx)}"
+            if not _commute(r2, c.t1, x, n):
+                yield f"(id x T1)(R2 x id) != (R2 x id)(id x T1) at {_lbl3(c, idx)}"
+    return unless_at_unit(at_unit, walk())
 
 
 # ---------------------------------------------------------------- antipode
@@ -443,19 +463,27 @@ def derive_flip_maps(w: AntipodeWitness) -> Tuple[Matrix, Matrix]:
     return ident.kron(s_inv) * w.r1 * ident.kron(s), s_inv.kron(ident) * w.r2 * s.kron(ident)
 
 
-def _f_multipliers(alg: Algebra, w: AntipodeWitness,
+def _f_multipliers(c: CoproductData, w: AntipodeWitness,
                    e: Multiplier) -> Tuple[Multiplier, Multiplier, Multiplier, Multiplier]:
     """F1..F4, E conjugated by S on one leg: F1 by 1 (x) S and F3 by
     1 (x) S^-1 as multipliers of A (x) A^op, F2 by S (x) 1 and F4 by
     S^-1 (x) 1 as multipliers of A^op (x) A, for a bijective antipode
-    matrix.  Built at each call, with fresh twisted squares, so the lazy
-    tables their law checks fill do not outlive the caller."""
-    ident, s, s_inv = Matrix.identity(alg.dim), w.s_matrix, w.s_matrix_inv
-    i_s, i_si, s_i, si_i = ident.kron(s), ident.kron(s_inv), s.kron(ident), s_inv.kron(ident)
-    op = alg.opposite()
-    squares = (Algebra.tensor(alg, op), Algebra.tensor(op, alg))
-    return tuple(Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
-                 for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
+    matrix.  Built once per run for each (algebra, S, S^-1, E), in c's
+    run cache: the regular suite, the star suite and the witness output
+    read the same four."""
+    alg, s, s_inv = c.parent, w.s_matrix, w.s_matrix_inv
+    key = (alg.content_key(), _matrix_key(s), _matrix_key(s_inv),
+           _matrix_key(e.left), _matrix_key(e.right))
+    got = c.cache.f_multipliers.get(key)
+    if got is None:
+        ident = Matrix.identity(alg.dim)
+        i_s, i_si, s_i, si_i = ident.kron(s), ident.kron(s_inv), s.kron(ident), s_inv.kron(ident)
+        op = alg.opposite()
+        squares = (Algebra.tensor(alg, op), Algebra.tensor(op, alg))
+        got = c.cache.f_multipliers[key] = tuple(
+            Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
+            for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
+    return got
 
 
 def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
@@ -527,7 +555,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
     out.append(check("appendix-e-flip", flip_ok,
                      "sigma (S x S) E equals E", "sigma (S x S) E differs from E"))
 
-    fs = _f_multipliers(c.parent, w, e)
+    fs = _f_multipliers(c, w, e)
 
     fact_ok = (g.g1 == fs[0].right) and (g.g2 == fs[1].left)
     out.append(check("regular-f-factorization", fact_ok,
@@ -702,7 +730,7 @@ def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
         # F1* = F3 and F2* = F4
         if w.s_matrix_inv is None:
             return
-        f1, f2, f3, f4 = _f_multipliers(c.parent, w, e)
+        f1, f2, f3, f4 = _f_multipliers(c, w, e)
         for x in range(nn):
             sx = star_on(jj, {x: ONE})
             # F* = F' as E* = E: the right action of F against the left one

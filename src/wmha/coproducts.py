@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism
+from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism,
+                       unless_at_unit)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, invert, rank_image_kernel, solve_linear)
 from .report import CheckResult, _first_failures, check
@@ -88,12 +89,47 @@ def _counit_cols(counit: list) -> list:
     return [[(0, v)] if v else [] for v in counit]
 
 
-def _commute(p12: Matrix, q23: Matrix, idx: int, n: int) -> bool:
+def _commute(p12: Matrix, q23: Matrix, x, n: int) -> bool:
     """Whether the operators p on legs (1,2) and q on legs (2,3) of the
-    triple tensor power commute on its basis vector idx."""
-    pc, qc, nn, x = p12._sparse_cols(), q23._sparse_cols(), n * n, [(idx, ONE)]
+    triple tensor power commute on the vector x, given as its (index,
+    value) pairs."""
+    pc, qc, nn = p12._sparse_cols(), q23._sparse_cols(), n * n
     return _on_legs(qc, nn, _on_legs(pc, nn, x, n).items()) == \
         _on_legs(pc, nn, _on_legs(qc, nn, x).items(), n)
+
+
+def _value_at_unit(c: "CoproductData", m: Matrix, leg: int, j: int) -> SparseVec:
+    """m(u (x) e_j) (u on leg 1) or m(e_j (x) u) (leg 2), for the checked
+    unit u of the algebra."""
+    n = c.n
+    return m.apply_sparse({i * n + j if leg == 1 else j * n + i: v
+                           for i, v in c.parent.checked_unit().items()})
+
+
+def _unit_triple(c: "CoproductData", j: int) -> list:
+    """u (x) e_j (x) u in the triple tensor power, as (index, value) pairs,
+    for the checked unit u."""
+    n, u = c.n, c.parent.checked_unit()
+    return [((i * n + j) * n + k, v * w) for i, v in u.items() for k, w in u.items()]
+
+
+def _module_laws_hold(c: "CoproductData", *laws: Tuple[Matrix, int]) -> bool:
+    """Whether each (m, leg) passes its module identity at the unit
+    (`_module_law_failures`); False without a checked unit."""
+    return all(c.cache.module_law(c, m, leg) for m, leg in laws)
+
+
+def _module_law_at_unit(c: "CoproductData", m: Matrix, leg: int) -> bool:
+    """Whether m(e_a (x) e_b) = (e_a (x) 1) m(u (x) e_b) (leg 1), or
+    m(e_a (x) e_b) = m(e_a (x) u)(1 (x) e_b) (leg 2), on every basis pair."""
+    n = c.n
+    for j in range(n):
+        at_u = _value_at_unit(c, m, leg, j).items()
+        for x in range(n):
+            cols, s = _leg_mult(c, leg, x)
+            if _on_legs(cols, n, at_u, s) != dict(m.col_sparse(x * n + j if leg == 1 else j * n + x)):
+                return False
+    return True
 
 
 def _matrix_key(m: Matrix) -> tuple:
@@ -104,8 +140,9 @@ class RunCache:
     """Results one verification run computes more than once, keyed by the
     content of their inputs, never by object identity: canonical
     idempotents per (tensor square, Ran T1, Ran T2), first multiplier-law
-    failures per (algebra, actions) and E's leg conditions
-    per (algebra and its labels, T1, E).  A hit is the same computation
+    failures per (algebra, actions), module identities at the unit per
+    (algebra, map, leg), E's leg conditions per (algebra and its labels,
+    T1, E) and F1..F4 per (algebra, S, S^-1, E).  A hit is the same computation
     on equal inputs done earlier in the run, so every check still runs
     and reads the same result.  Exceptions are not stored, and stored
     matrices are never written."""
@@ -113,7 +150,9 @@ class RunCache:
     def __init__(self):
         self.idempotents: Dict[tuple, Multiplier] = {}
         self._laws: Dict[tuple, Optional[str]] = {}
+        self._module_laws: Dict[tuple, bool] = {}
         self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
+        self.f_multipliers: Dict[tuple, Tuple[Multiplier, ...]] = {}
 
     def multiplier_failure(self, m: Multiplier) -> Optional[str]:
         """m.compatibility_failure(), computed once per run."""
@@ -121,6 +160,17 @@ class RunCache:
         if key not in self._laws:
             self._laws[key] = m.compatibility_failure()
         return self._laws[key]
+
+    def module_law(self, c: "CoproductData", m: Matrix, leg: int) -> bool:
+        """_module_law_at_unit(c, m, leg), computed once per run; False
+        without a checked unit."""
+        if c.parent.checked_unit() is None:
+            return False
+        key = (c.parent.content_key(), _matrix_key(m), leg)
+        got = self._module_laws.get(key)
+        if got is None:
+            got = self._module_laws[key] = _module_law_at_unit(c, m, leg)
+        return got
 
     def e_conditions(self, c: "CoproductData", e: Multiplier) -> List[CheckResult]:
         """check_E_conditions(c, e), computed once per run.  The leg maps
@@ -305,21 +355,71 @@ def transport(c: CoproductData, s: Matrix, s_inv: Matrix, target: Algebra,
 
 def validate_coproduct(c: CoproductData) -> List[CheckResult]:
     """All structural laws of the canonical maps, exactly."""
-    n = c.n
     out = _first_failures(chain(_module_law_failures(c, [(c.t1, 2, "T1 right-module law fails")]),
                                 _module_law_failures(c, [(c.t2, 1, "T2 left-module law fails")])),
                           {"coproduct-module-laws": "one-sided module laws hold for T1 and T2"})
+    out += _first_failures(_mixed_law_failures(c), {
+        "coproduct-mixed-law": "T1 and T2 compute the same two-sided products"})
+    out += _first_failures(_homomorphism_failures(c), {
+        "coproduct-homomorphism": "reconstructed coproduct is multiplicative against T1 and T2"})
+    out += _first_failures(_coassociativity_failures(c), {
+        "coproduct-coassociative": "(T2 x id)(id x T1) = (id x T1)(T2 x id) on the triple tensor power"})
+    if c.t3 is not None or c.t4 is not None:
+        out += _first_failures(_regular_maps_failures(c), {
+            "coproduct-regular-maps": "supplied T3/T4 are the flipped-side versions of T1/T2"})
+    return out
 
-    out += _first_failures(
-        (f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
-         for a2, a, b in product(range(n), repeat=3)
-         if _on_legs(c.parent._left_cols(a2), n, c.t1.col_sparse(a * n + b), n) !=
-         _on_legs(c.parent._right_cols(b), n, c.t2.col_sparse(a2 * n + a))),
-        {"coproduct-mixed-law": "T1 and T2 compute the same two-sided products"})
 
-    # T1(xa (x) b) = coproduct(x).T1(a (x) b) over (x, a, b), then
-    # T2(a (x) bx) = T2(a (x) b).coproduct(x) over (b, x, a)
-    def homomorphism_failures():
+# The walks of validate_coproduct below are read at the checked unit u
+# when T1 and T2 pass their module identities at the unit
+# (`_module_law_failures`): T1(e_a (x) e_b) = T1(e_a (x) u)(1 (x) e_b) and
+# T2(e_a (x) e_b) = (e_a (x) 1)T2(u (x) e_b).  Each docstring shows that
+# the identity at u then implies the whole walk.  A walk that holds
+# passes its identity at u, a linear combination of walked instances, so
+# only a failing walk runs in full.
+
+
+def _mixed_law_failures(c: CoproductData) -> Iterator[str]:
+    """(e_a2 (x) 1)T1(e_a (x) e_b) = T2(e_a2 (x) e_a)(1 (x) e_b) over
+    (a2, a, b).  At the unit: by the module identities the two sides are
+    (e_a2 (x) 1)T1(e_a (x) u)(1 (x) e_b) and (e_a2 (x) 1)T2(u (x) e_a)(1 (x) e_b),
+    so T1(e_a (x) u) = T2(u (x) e_a) for every a, n tests, implies all n^3."""
+    n = c.n
+
+    def at_unit() -> bool:
+        return _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and \
+            all(_value_at_unit(c, c.t1, 2, a) == _value_at_unit(c, c.t2, 1, a) for a in range(n))
+    return unless_at_unit(at_unit, (
+        f"({_lbl(c, a2)} (x) 1)T1({_lbl(c, a)} (x) {_lbl(c, b)}) != T2({_lbl(c, a2)} (x) {_lbl(c, a)})(1 (x) {_lbl(c, b)})"
+        for a2, a, b in product(range(n), repeat=3)
+        if _on_legs(c.parent._left_cols(a2), n, c.t1.col_sparse(a * n + b), n) !=
+        _on_legs(c.parent._right_cols(b), n, c.t2.col_sparse(a2 * n + a))))
+
+
+def _homomorphism_failures(c: CoproductData) -> Iterator[str]:
+    """T1(xa (x) b) = coproduct(x).T1(a (x) b) over (x, a, b), then
+    T2(a (x) bx) = T2(a (x) b).coproduct(x) over (b, x, a).  At the unit:
+    `delta_left` multiplies its argument's first leg from the right, so
+    with T1's module identity both sides at (x, a, b) are their values at
+    (x, a, u) times 1 (x) e_b; `delta_right` multiplies the second leg from
+    the left, so with T2's both sides at (a, b, x) are e_a (x) 1 times their
+    values at (u, b, x).  So b = u and a = u, 2n^2 tests, imply all 2n^3."""
+    n = c.n
+
+    def at_unit() -> bool:
+        if not _module_laws_hold(c, (c.t1, 2), (c.t2, 1)):
+            return False
+        u = c.parent.checked_unit().items()
+        # T1(e_x e_y (x) u) against coproduct(x).T1(e_y (x) u), and
+        # T2(u (x) e_y e_x) against T2(u (x) e_y).coproduct(x)
+        return all(
+            c.t1.apply_sparse({k * n + j: v * w for k, v in c.parent.mul_basis(x, y).items()
+                               for j, w in u}) == c.delta_left(x, _value_at_unit(c, c.t1, 2, y))
+            and c.t2.apply_sparse({j * n + k: w * v for k, v in c.parent.mul_basis(y, x).items()
+                                   for j, w in u}) == c.delta_right(x, _value_at_unit(c, c.t2, 1, y))
+            for x, y in product(range(n), repeat=2))
+
+    def walk():
         for t, leg, delta in ((c.t1, 1, c.delta_left), (c.t2, 2, c.delta_right)):
             mults = [_leg_mult(c, leg, x)[0] for x in range(n)]
             blocks = _leg_blocks(t, leg, n)
@@ -331,18 +431,24 @@ def validate_coproduct(c: CoproductData) -> List[CheckResult]:
                     yield (f"T1({_lbl(c, x)}{_lbl(c, a)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, x)}).T1({_lbl(c, a)} (x) {_lbl(c, b)})"
                            if leg == 1 else
                            f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, x)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, x)})")
-    out += _first_failures(homomorphism_failures(), {
-        "coproduct-homomorphism": "reconstructed coproduct is multiplicative against T1 and T2"})
+    return unless_at_unit(at_unit, walk())
 
-    out += _first_failures(
-        (f"coassociativity fails at basis triple ({', '.join(_lbl(c, i) for i in (idx // c.nn, idx // n % n, idx % n))})"
-         for idx in range(n ** 3) if not _commute(c.t2, c.t1, idx, n)),
-        {"coproduct-coassociative": "(T2 x id)(id x T1) = (id x T1)(T2 x id) on the triple tensor power"})
 
-    if c.t3 is not None or c.t4 is not None:
-        out += _first_failures(_regular_maps_failures(c), {
-            "coproduct-regular-maps": "supplied T3/T4 are the flipped-side versions of T1/T2"})
-    return out
+def _coassociativity_failures(c: CoproductData) -> Iterator[str]:
+    """(T2 x id)(id x T1) = (id x T1)(T2 x id) on every basis triple.  At
+    the unit: T2 x id commutes with e_i (x) 1 (x) 1 from the left by T2's
+    module identity and with 1 (x) 1 (x) e_k from the right, which it does
+    not touch; id x T1 likewise by T1's.  So both sides at
+    e_i (x) e_j (x) e_k are (e_i (x) 1 (x) 1)(side at u (x) e_j (x) u)(1 (x) 1 (x) e_k),
+    and n tests imply all n^3."""
+    n = c.n
+
+    def at_unit() -> bool:
+        return _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and \
+            all(_commute(c.t2, c.t1, _unit_triple(c, j), n) for j in range(n))
+    return unless_at_unit(at_unit, (
+        f"coassociativity fails at basis triple ({', '.join(_lbl(c, i) for i in (idx // c.nn, idx // n % n, idx % n))})"
+        for idx in range(n ** 3) if not _commute(c.t2, c.t1, [(idx, ONE)], n)))
 
 
 def _module_law_failures(c: CoproductData, laws, triples=None) -> Iterator[str]:
@@ -352,7 +458,20 @@ def _module_law_failures(c: CoproductData, laws, triples=None) -> Iterator[str]:
     outside on that leg, at e_a (x) e_b, i.e.
     m((e_x (x) 1)(e_a (x) e_b)) = (e_x (x) 1) m(e_a (x) e_b) on leg 1 and
     m((e_a (x) e_b)(1 (x) e_x)) = m(e_a (x) e_b)(1 (x) e_x) on leg 2.  A
-    failure reads "<what> at (x, a, b)" or "<what> at (a, b, x)"."""
+    failure reads "<what> at (x, a, b)" or "<what> at (a, b, x)".
+
+    At the checked unit u, the module identity of a law on leg 1 is
+    m(e_a (x) e_b) = (e_a (x) 1) m(u (x) e_b) for every basis pair: it is
+    the law at (u, b, a), and it implies the law at every triple, as
+    m(e_x e_a (x) e_b) = (e_x e_a (x) 1) m(u (x) e_b) = (e_x (x) 1) m(e_a (x) e_b)
+    by associativity.  On leg 2 it is m(e_a (x) e_b) = m(e_a (x) u)(1 (x) e_b).
+    So n^2 tests stand for n^3, kept per map and leg by the run cache;
+    the walk runs when any law fails its identity."""
+    return unless_at_unit(lambda: _module_laws_hold(c, *((m, leg) for m, leg, _ in laws)),
+                          _module_law_walk(c, laws, triples))
+
+
+def _module_law_walk(c: CoproductData, laws, triples) -> Iterator[str]:
     n = c.n
     mults = {leg: [_leg_mult(c, leg, x) for x in range(n)] for _, leg, _ in laws}
     laws = [(m, leg, what, _leg_blocks(m, leg, n)) for m, leg, what in laws]
@@ -380,21 +499,42 @@ def _regular_maps_failures(c: CoproductData) -> Iterator[str]:
     """T3 against T1 on leg 2, (1 (x) e_b) T1(a (x) x) = T3(a (x) b)(1 (x) e_x),
     then T4 against T2 on leg 1, (e_x (x) 1) T4(a (x) b) = T2(x (x) b)(e_a (x) 1):
     the leg's index u of T3/T4's column multiplies from inside, and e_x
-    takes its place in the column of T1/T2."""
+    takes its place in the column of T1/T2.
+
+    At the checked unit, x = u: T3(a (x) b) = (1 (x) e_b)T1(a (x) u) and
+    T4(a (x) b) = T2(u (x) b)(e_a (x) 1) on every basis pair, n^2 tests
+    each.  With T1's (T2's) module identity, T1(a (x) x) = T1(a (x) u)(1 (x) e_x)
+    (T2(x (x) b) = (e_x (x) 1)T2(u (x) b)), so multiplying the identity by
+    e_x on the leg gives the law at x, by associativity."""
     n = c.n
-    for t, leg, base, what in ((c.t3, 2, c.t1, "T3 inconsistent with T1"),
-                               (c.t4, 1, c.t2, "T4 inconsistent with T2")):
-        if t is None:
-            continue
-        outer = [_leg_mult(c, leg, x) for x in range(n)]
-        inner = [_leg_mult(c, leg, u, inner=True) for u in range(n)]
-        for a, b, x in product(range(n), repeat=3):
-            j = a * n + b
-            cols, s = outer[x]
-            u = j // s % n
-            if _on_legs(cols, n, t.col_sparse(j), s) != \
-                    _on_legs(inner[u][0], n, base.col_sparse(j + (x - u) * s), s):
-                yield f"{what} at {_lbl_at(c, leg, a, b, x)}"
+    maps = [(t, leg, base, what) for t, leg, base, what in (
+        (c.t3, 2, c.t1, "T3 inconsistent with T1"), (c.t4, 1, c.t2, "T4 inconsistent with T2"))
+        if t is not None]
+
+    def at_unit() -> bool:
+        if not _module_laws_hold(c, *((base, leg) for _, leg, base, _ in maps)):
+            return False
+        for t, leg, base, _ in maps:
+            for a, b in product(range(n), repeat=2):
+                on_leg, other = (a, b) if leg == 1 else (b, a)
+                cols, s = _leg_mult(c, leg, on_leg, inner=True)
+                if _on_legs(cols, n, _value_at_unit(c, base, leg, other).items(), s) != \
+                        dict(t.col_sparse(a * n + b)):
+                    return False
+        return True
+
+    def walk():
+        for t, leg, base, what in maps:
+            outer = [_leg_mult(c, leg, x) for x in range(n)]
+            inner = [_leg_mult(c, leg, u, inner=True) for u in range(n)]
+            for a, b, x in product(range(n), repeat=3):
+                j = a * n + b
+                cols, s = outer[x]
+                u = j // s % n
+                if _on_legs(cols, n, t.col_sparse(j), s) != \
+                        _on_legs(inner[u][0], n, base.col_sparse(j + (x - u) * s), s):
+                    yield f"{what} at {_lbl_at(c, leg, a, b, x)}"
+    return unless_at_unit(at_unit, walk())
 
 
 # ---- fullness and counit --------------------------------------------------
@@ -470,15 +610,43 @@ def _solve_E(c: CoproductData) -> Multiplier:
         # will already have failed fullness
         return Multiplier(aa, Matrix.zero(nn, nn), Matrix.zero(nn, nn))
 
-    left = _solve_action(c, fix_basis=b1, test_basis=b2, left_side=True)
-    right = _solve_action(c, fix_basis=b2, test_basis=b1, left_side=False)
-    e = Multiplier(aa, left, right)
+    e = _e_at_unit(c)
+    if e is None:
+        left = _solve_action(c, fix_basis=b1, test_basis=b2, left_side=True)
+        right = _solve_action(c, fix_basis=b2, test_basis=b1, left_side=False)
+        e = Multiplier(aa, left, right)
     if e * e != e:
         raise NoSuchIdempotent("solved canonical element is not idempotent")
     bad = c.cache.multiplier_failure(e)
     if bad:
         raise NoSuchIdempotent(f"canonical element is not a multiplier: {bad}")
     return e
+
+
+def _e_at_unit(c: CoproductData) -> Optional[Multiplier]:
+    """The element e = T1(1 (x) 1) embedded in M(A (x) A), for the checked
+    unit 1, when these literal tests show it to be the solution of both
+    `_solve_action` systems, else None:
+    - e b = b for each basis vector b of Ran T1, and v e = v for each v of Ran T2;
+    - e x lies in Ran T1 and x e in Ran T2 for every basis vector x.
+    So e lies in Ran T1, and in Ran T2 as 1 e.  The left system asks, per x, for w in Ran T1 with v w = v x
+    for every v in Ran T2.  w = e x is one: v (e x) = (v e) x = v x.  It
+    is the only one: w in Ran T1 with v w = 0 for every v in Ran T2 is
+    e w = 0, as e lies in Ran T2, and w = e w.  So the system has full rank
+    and each column is feasible, and as its solution is unique, it is
+    e x.  The right system likewise, with the sides exchanged."""
+    uu = c.aa.checked_unit()
+    if uu is None:
+        return None
+    e = c.t1.apply_sparse(uu)
+    mul = c.aa.mul_sparse
+    if any(mul(e, b) != b for b in c.ran_t1().rows) or any(mul(v, e) != v for v in c.ran_t2().rows):
+        return None
+    m = Multiplier.of_element(c.aa, e)
+    for act, ran in ((m.left, c.ran_t1()), (m.right, c.ran_t2())):
+        if not all(ran.contains(dict(col)) for col in act._sparse_cols()):
+            return None
+    return m
 
 
 def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> Matrix:
@@ -805,31 +973,51 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
     Gamma = (b (x) c) G(a) is the sum of u (x) (id (x) eps)((e_c (x) e_v) E)
     over T2(b (x) a) = sum u (x) v; and G2(q (x) a)(b (x) c) = (q (x) 1) Eta,
     where Eta is the sum of (eps (x) id)(E (e_u (x) e_b)) (x) v over
-    T1(a (x) c) = sum u (x) v."""
+    T1(a (x) c) = sum u (x) v.
+
+    At the checked unit 1, q = 1: (b (x) c) G1(a (x) 1) = Gamma and
+    G2(1 (x) a)(b (x) c) = Eta, n^3 tests each.  When G1 and G2 pass their
+    module identities, G1(a (x) q) = G1(a (x) 1)(1 (x) e_q) and
+    G2(q (x) a) = (e_q (x) 1)G2(1 (x) a), so multiplying the identity by
+    1 (x) e_q (e_q (x) 1) gives the quadruple's, by associativity."""
     n, nn = c.n, c.nn
     eps = _counit_cols(counit)
+    sides = []
     for leg, gm, t, act in ((2, g.g1, c.t2, e.right), (1, g.g2, c.t1, e.left)):
         s = 1 if leg == 2 else n
         # the counit contracted off E on the leg: index c*n + v, or u*n + b
         con = [_on_legs(eps, 1, act.col_sparse(i), s).items() for i in range(nn)]
-        by_bc = c.aa._left_cols if leg == 2 else c.aa._right_cols
-        by_q = [_leg_mult(c, leg, q)[0] for q in range(n)]
-        parts: Dict[Tuple[int, int, int], list] = {}
-        for quad in product(range(n), repeat=4):
-            b, a, cc, q = quad if leg == 2 else (quad[2], quad[1], quad[3], quad[0])
-            part = parts.get((a, b, cc))
-            if part is None:
-                part = parts[a, b, cc] = (
-                    _on_legs(con[cc * n:cc * n + n], n, t.col_sparse(b * n + a)) if leg == 2
-                    else _on_legs(con[b::n], n, t.col_sparse(a * n + cc), n)).items()
-            col = a * n + q if leg == 2 else q * n + a
-            if _on_legs(by_bc(b * n + cc), nn, gm.col_sparse(col)) != _on_legs(by_q[q], n, part, s):
-                if leg == 2:
-                    yield (f"G1 cross-check fails at "
-                           f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
-                else:
-                    yield (f"G2 cross-check fails at "
-                           f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
+        parts = {(a, b, cc): _on_legs(con[cc * n:cc * n + n], n, t.col_sparse(b * n + a)) if leg == 2
+                 else _on_legs(con[b::n], n, t.col_sparse(a * n + cc), n)
+                 for a, b, cc in product(range(n), repeat=3)}
+        sides.append((leg, gm, s, parts, c.aa._left_cols if leg == 2 else c.aa._right_cols))
+
+    def at_unit() -> bool:
+        if not _module_laws_hold(c, (g.g1, 2), (g.g2, 1)):
+            return False
+        for leg, gm, _, parts, _ in sides:
+            at_u = [_value_at_unit(c, gm, leg, a) for a in range(n)]
+            if any((c.aa.basis_times(b * n + cc, at_u[a]) if leg == 2
+                    else c.aa.mul_by_basis(at_u[a], b * n + cc)) != part
+                   for (a, b, cc), part in parts.items()):
+                return False
+        return True
+
+    def walk():
+        for leg, gm, s, parts, by_bc in sides:
+            by_q = [_leg_mult(c, leg, q)[0] for q in range(n)]
+            for quad in product(range(n), repeat=4):
+                b, a, cc, q = quad if leg == 2 else (quad[2], quad[1], quad[3], quad[0])
+                col = a * n + q if leg == 2 else q * n + a
+                if _on_legs(by_bc(b * n + cc), nn, gm.col_sparse(col)) != \
+                        _on_legs(by_q[q], n, parts[a, b, cc].items(), s):
+                    if leg == 2:
+                        yield (f"G1 cross-check fails at "
+                               f"(b={_lbl(c, b)}, c={_lbl(c, cc)}, a={_lbl(c, a)}, q={_lbl(c, q)})")
+                    else:
+                        yield (f"G2 cross-check fails at "
+                               f"(q={_lbl(c, q)}, a={_lbl(c, a)}, b={_lbl(c, b)}, c={_lbl(c, cc)})")
+    return unless_at_unit(at_unit, walk())
 
 
 def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:

@@ -251,7 +251,7 @@ def witnesses_to_json(ctx) -> dict:
             out["S_left"] = [matrix_to_sparse_json(m.left) for m in w.s]
             out["S_right"] = [matrix_to_sparse_json(m.right) for m in w.s]
         if w.s_matrix_inv is not None and ctx.e is not None:
-            f1, f2, f3, f4 = _f_multipliers(ctx.algebra, w, ctx.e)
+            f1, f2, f3, f4 = _f_multipliers(ctx.coproduct, w, ctx.e)
             for k, f in enumerate((f1.right, f2.left, f3.left, f4.right), 1):
                 out[f"F{k}"] = matrix_to_sparse_json(f)
     st = ctx.source_target

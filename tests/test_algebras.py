@@ -179,3 +179,43 @@ def test_star_rejects_non_involutive_permutation():
     a = cyclic_group_algebra(3)
     got = validate_star(StarStructure(a, perm), a)
     assert (got.status, got.detail) == ("fail", "(e0 e0)* != e0* e0*")
+
+
+def test_checked_unit_is_set_by_a_passed_associativity_check():
+    a = cyclic_group_algebra(3)
+    assert a.checked_unit() is None
+    validate_algebra(a)
+    assert a.checked_unit() == {0: ONE}
+
+
+def test_checked_unit_is_none_without_associativity_or_a_unit():
+    # 1, x, y with xx = y, xy = x: (xx)y = 0 but x(xy) = y, and 1 is a unit
+    table = [(0, k, k, ONE) for k in range(3)] + [(k, 0, k, ONE) for k in (1, 2)] + \
+        [(1, 1, 2, ONE), (1, 2, 1, ONE)]
+    broken = Algebra.from_structure(3, ["1", "x", "y"], table)
+    diag = validate_algebra(broken)
+    assert not diag.associative and diag.unit == {0: ONE}
+    assert broken.checked_unit() is None
+    # associative, but e0 is a unit on the left only
+    one_sided = Algebra.from_structure(2, None, [(0, 0, 0, ONE), (0, 1, 1, ONE)])
+    diag = validate_algebra(one_sided)
+    assert diag.associative and diag.unit is None
+    assert one_sided.checked_unit() is None
+
+
+def test_checked_unit_of_tensor_products_and_opposites():
+    a, b = cyclic_group_algebra(2), function_algebra(preset("pair:1")).algebra
+    ab = Algebra.tensor(a, b)
+    op = a.opposite()
+    assert ab.checked_unit() is None and op.checked_unit() is None
+    validate_algebra(a)
+    assert ab.checked_unit() is None and op.checked_unit() is None
+    validate_algebra(b)
+    # e0 (x) e0 in the row-major index of the tensor product
+    assert ab.checked_unit() == {0: ONE}
+    assert a.opposite().checked_unit() == a.checked_unit() == {0: ONE}
+    conv = convolution_algebra(preset("pair:2")).algebra
+    validate_algebra(conv)
+    unit = conv.checked_unit()
+    assert Algebra.tensor(conv, conv.opposite()).checked_unit() == \
+        {i * 4 + j: v * w for i, v in unit.items() for j, w in unit.items()}

@@ -425,7 +425,7 @@ def _transported_in_full(c, e, w, t3, t4):
     computed without transport: the idempotency and the law walks of
     F1..F4 themselves, and the flipped-coproduct idempotent solved
     directly on (sigma T4 sigma, sigma T3 sigma) with a fresh cache."""
-    fs = antipodes._f_multipliers(c.parent, w, e)
+    fs = antipodes._f_multipliers(c, w, e)
     f_ok = all(f * f == f for f in fs) and not any(f.compatibility_failure() for f in fs)
     sigma = flip_map(c.n)
     try:
@@ -511,3 +511,19 @@ def test_regular_suite_transport_fails_f_formulas_on_a_doctored_e(kind, doctor, 
     got = {r.check_id: (r.status, r.detail) for r in checks}
     assert got["regular-f-formulas"] == ("fail", "an F idempotent fails multiplier laws") == \
         _transported_in_full(c, bad, w, t3, t4)["regular-f-formulas"]
+
+
+def test_f_multipliers_are_built_once_per_run(monkeypatch):
+    # the regular suite, the star suite and the witness output read the
+    # same F1..F4 from the run cache
+    import wmha.fileio
+    from wmha.pipeline import verify_groupoid_model
+
+    got = []
+    build = antipodes._f_multipliers
+    for module in (antipodes, wmha.fileio):
+        monkeypatch.setattr(module, "_f_multipliers", lambda c, w, e: got.append(build(c, w, e)) or got[-1])
+    _, ctx = verify_groupoid_model(preset("pair:2"), "convolution")
+    wmha.fileio.witnesses_to_json(ctx)
+    assert len(got) == 3 and all(fs is got[0] for fs in got)
+    assert list(ctx.coproduct.cache.f_multipliers.values()) == [got[0]]

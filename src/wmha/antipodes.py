@@ -16,12 +16,12 @@ from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
                        is_isomorphism, star_on, unless_at_unit, StarStructure)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
-                         _commute, _counit_cols, _lbl, _lbl2, _lbl3, _matrix_key,
+                         _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
                          _module_law_failures, _module_laws_hold, _unit_triple)
 from .linalg import (Matrix, Subspace, _combination, column_space,
                      generalized_inverse, invert)
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
-from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
+from .scalars import ONE, ZERO, _accumulate, _dot, _settle
 
 
 class AntipodesDisagree(Exception):
@@ -214,14 +214,58 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
                      f"spans have dims {span_r.dim} and {span_l.dim} of {n}"))
 
     # anti-coalgebra identity with E on both sides
-    def anticoproduct_failures():
+    return out + _first_failures(_anticoproduct_failures(c, e, w), {
+        "antipode-anticoproduct": "coproduct of S(a) equals the E-two-sided flipped image"})
+
+
+def _extension_at_unit(c: CoproductData, e: Multiplier, x: SparseVec) -> Tuple[SparseVec, SparseVec]:
+    """D(x)e0 and e0 D'(x): the values at 1 (x) 1 of the actions of
+    extend_delta(c, e, x) under `RunCache.unit_premises`."""
+    u, n = c.parent.checked_unit(), c.n
+    return (e.right.apply_sparse(c.t1.apply_sparse(_kron(x, u, n))),
+            e.left.apply_sparse(c.t2.apply_sparse(_kron(u, x, n))))
+
+
+def _anticoproduct_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness):
+    """extend_delta(S(e_a)) = E theta = theta E for theta = sigma (S x S)
+    coproduct(e_a) (`_flipped_ss_coproduct`), over a.  Read at the unit
+    under `RunCache.unit_premises`, when each S(e_i) passes its law walk
+    (S(e_i) = s_i) and R1 and R2 pass their module identities: then
+    extend_delta(S(e_a)) is (L_{D(s_a)e0}, R_{e0 D'(s_a)}), and with
+    X = sum r_ij s_i (x) e_j over R1(e_a (x) 1) and Y = sum r_ij e_i (x) s_j
+    over R2(1 (x) e_a), theta's left action at e_b (x) e_c is
+    sigma(X(e_c (x) e_b)) = sigma(X)(e_b (x) e_c) and its right action
+    (e_b (x) e_c)sigma(Y).  So theta = (L_{sigma X}, R_{sigma Y}), and the
+    multiplier equalities are D(s_a)e0 = e0 sigma(X) = sigma(X)e0 and
+    e0 D'(s_a) = e0 sigma(Y) = sigma(Y)e0: left (right) multiplications
+    agree exactly when their values at 1 (x) 1 do."""
+    n = c.n
+
+    def at_unit() -> bool:
+        if c.cache.unit_premises(c, e) is None or \
+                not _module_laws_hold(c, (w.r1, 2), (w.r2, 1)):
+            return False
+        s = [c.cache.element(m) for m in w.s]
+        if None in s:
+            return False
+        u, cols = c.parent.checked_unit(), [x.items() for x in s]
+        for a in range(n):
+            x = _on_legs(cols, n, w.r1.apply_sparse(_kron({a: ONE}, u, n)).items(), n)
+            y = _on_legs(cols, n, w.r2.apply_sparse(_kron(u, {a: ONE}, n)).items())
+            left, right = _extension_at_unit(c, e, s[a])
+            for value, z in ((left, x), (right, y)):
+                z = {k % n * n + k // n: v for k, v in z.items()}
+                if not value == e.left.apply_sparse(z) == e.right.apply_sparse(z):
+                    return False
+        return True
+
+    def walk():
         for a in range(n):
             lhs = extend_delta(c, e, w.s[a])
             theta = _flipped_ss_coproduct(c, w, a)
             if lhs != e * theta or lhs != theta * e:
                 yield f"coproduct(S({_lbl(c, a)})) != E-damped flipped (S x S) coproduct"
-    return out + _first_failures(anticoproduct_failures(), {
-        "antipode-anticoproduct": "coproduct of S(a) equals the E-two-sided flipped image"})
+    return unless_at_unit(at_unit, walk())
 
 
 def _flipped_ss_coproduct(c: CoproductData, w: AntipodeWitness, a: int) -> Multiplier:
@@ -262,15 +306,8 @@ def compute_source_target(c: CoproductData, e: Multiplier,
     columns of the tensor square: eps_s(a) acts on e_b from the left as
     (eps (x) id)G1(a (x) b) and from the right as m R2(b (x) a), eps_t(a)
     as m R1(a (x) b) and (id (x) eps)G2(b (x) a)."""
-    n, nn = c.n, c.nn
-    eps, prod = _counit_cols(counit), c.parent._product_cols()
-    eps_g1, m_r1, m_r2, g2_eps = (
-        [_on_legs(op, rows, m.col_sparse(j), s) for j in range(nn)]
-        for op, rows, m, s in ((eps, 1, g.g1, n), (prod, n, w.r1, 1),
-                               (prod, n, w.r2, 1), (eps, 1, g.g2, 1)))
-    eps_s, eps_t = ([Multiplier(c.parent, Matrix.from_sparse_cols(n, left[a * n:a * n + n]),
-                                Matrix.from_sparse_cols(n, right[a::n])) for a in range(n)]
-                    for left, right in ((eps_g1, m_r2), (m_r1, g2_eps)))
+    n = c.n
+    eps_s, eps_t = _source_target_values(c, g, w, counit)
 
     def value_failures():
         for a in range(n):
@@ -290,30 +327,9 @@ def compute_source_target(c: CoproductData, e: Multiplier,
                      f"images (dims {image_s.dim}, {image_t.dim}) equal the legs of E",
                      "source/target images differ from the legs of E"))
 
-    def coproduct_failures():
-        ident = Matrix.identity(n)
-        for a in range(n):
-            dt = extend_delta(c, e, eps_t[a])
-            m1 = Multiplier(c.aa, eps_t[a].left.kron(ident), eps_t[a].right.kron(ident))
-            if dt != e * m1 or dt != m1 * e:
-                yield f"coproduct(eps_t({_lbl(c, a)})) != E (eps_t (x) 1) forms"
-            ds = extend_delta(c, e, eps_s[a])
-            m2 = Multiplier(c.aa, ident.kron(eps_s[a].left), ident.kron(eps_s[a].right))
-            if ds != e * m2 or ds != m2 * e:
-                yield f"coproduct(eps_s({_lbl(c, a)})) != E (1 (x) eps_s) forms"
-    out += _first_failures(coproduct_failures(), {
+    out += _first_failures(_st_coproduct_failures(c, e, eps_s, eps_t), {
         "source-target-coproduct": "coproducts of source/target values absorb into E"})
-
-    # subalgebras, commuting with each other
-    def subalgebra_failures():
-        for i, j in product(range(n), repeat=2):
-            if not image_s.contains((eps_s[i] * eps_s[j]).coords()):
-                yield f"eps_s image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
-            if not image_t.contains((eps_t[i] * eps_t[j]).coords()):
-                yield f"eps_t image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
-            if eps_s[i] * eps_t[j] != eps_t[j] * eps_s[i]:
-                yield f"eps_s({_lbl(c, i)}) and eps_t({_lbl(c, j)}) do not commute"
-    out += _first_failures(subalgebra_failures(), {
+    out += _first_failures(_st_commute_failures(c, eps_s, eps_t, image_s, image_t), {
         "source-target-commute": "source and target images are commuting subalgebras"})
 
     def inclusion_failures():
@@ -329,6 +345,93 @@ def compute_source_target(c: CoproductData, e: Multiplier,
     out += _first_failures(inclusion_failures(), {
         "source-target-inclusions": "principal-ideal inclusions hold for source/target images"})
     return SourceTargetWitness(eps_s, eps_t, image_s, image_t), out
+
+
+def _source_target_values(c: CoproductData, g: ProjectionMaps, w: AntipodeWitness,
+                          counit: list) -> Tuple[List[Multiplier], List[Multiplier]]:
+    """eps_s(e_a) and eps_t(e_a) for every a (see compute_source_target)."""
+    n, nn = c.n, c.nn
+    eps, prod = _counit_cols(counit), c.parent._product_cols()
+    eps_g1, m_r1, m_r2, g2_eps = (
+        [_on_legs(op, rows, m.col_sparse(j), s) for j in range(nn)]
+        for op, rows, m, s in ((eps, 1, g.g1, n), (prod, n, w.r1, 1),
+                               (prod, n, w.r2, 1), (eps, 1, g.g2, 1)))
+    eps_s, eps_t = ([Multiplier(c.parent, Matrix.from_sparse_cols(n, left[a * n:a * n + n]),
+                                Matrix.from_sparse_cols(n, right[a::n])) for a in range(n)]
+                    for left, right in ((eps_g1, m_r2), (m_r1, g2_eps)))
+    return eps_s, eps_t
+
+
+def _st_coproduct_failures(c: CoproductData, e: Multiplier, eps_s: List[Multiplier],
+                           eps_t: List[Multiplier]):
+    """extend_delta(m) = E M = M E for M = eps_t(a) (x) 1 and then for
+    M = 1 (x) eps_s(a), over a.  Read at the unit under
+    `RunCache.unit_premises`, when each value m passes its law walk
+    (m = y): then extend_delta(m) is (L_{D(y)e0}, R_{e0 D'(y)}), E M is
+    (L_{e0 y'}, R_{e0 y'}) and M E is (L_{y'e0}, R_{y'e0}) for
+    y' = y (x) 1 or 1 (x) y, and left (right) multiplications agree
+    exactly when their values at 1 (x) 1 do: the walk holds exactly when
+    D(y)e0 = e0 y' = y'e0 = e0 D'(y) for every value."""
+    n = c.n
+    ident = Matrix.identity(n)
+
+    def at_unit() -> bool:
+        if c.cache.unit_premises(c, e) is None:
+            return False
+        u = c.parent.checked_unit()
+        for m, first in (x for a in range(n) for x in ((eps_t[a], True), (eps_s[a], False))):
+            y = c.cache.element(m)
+            if y is None:
+                return False
+            left, right = _extension_at_unit(c, e, y)
+            y1 = _kron(y, u, n) if first else _kron(u, y, n)
+            if not left == e.left.apply_sparse(y1) == e.right.apply_sparse(y1) == right:
+                return False
+        return True
+
+    def walk():
+        for a in range(n):
+            dt = extend_delta(c, e, eps_t[a])
+            m1 = Multiplier(c.aa, eps_t[a].left.kron(ident), eps_t[a].right.kron(ident))
+            if dt != e * m1 or dt != m1 * e:
+                yield f"coproduct(eps_t({_lbl(c, a)})) != E (eps_t (x) 1) forms"
+            ds = extend_delta(c, e, eps_s[a])
+            m2 = Multiplier(c.aa, ident.kron(eps_s[a].left), ident.kron(eps_s[a].right))
+            if ds != e * m2 or ds != m2 * e:
+                yield f"coproduct(eps_s({_lbl(c, a)})) != E (1 (x) eps_s) forms"
+    return unless_at_unit(at_unit, walk())
+
+
+def _st_commute_failures(c: CoproductData, eps_s: List[Multiplier], eps_t: List[Multiplier],
+                         image_s: Subspace, image_t: Subspace):
+    """The source and target images are subalgebras that commute with
+    each other, over basis pairs.  Read at the unit when every value
+    passes its law walk (eps_s(e_a) = x_a, eps_t(e_a) = y_a): products of
+    embedded elements are the embedded products, and x -> coords of x
+    embedded is linear and injective with a unit, so the walk holds
+    exactly when x_i x_j lies in the span of the x_a, y_i y_j in that of
+    the y_a, and x_i y_j = y_j x_i."""
+    n = c.n
+
+    def at_unit() -> bool:
+        xs, ys = ([c.cache.element(m) for m in values] for values in (eps_s, eps_t))
+        if None in xs or None in ys:
+            return False
+        span_x, span_y = Subspace.from_vectors(n, xs), Subspace.from_vectors(n, ys)
+        return all(span_x.contains(eps_s[i].left.apply_sparse(xs[j]))
+                   and span_y.contains(eps_t[i].left.apply_sparse(ys[j]))
+                   and eps_s[i].left.apply_sparse(ys[j]) == eps_t[j].left.apply_sparse(xs[i])
+                   for i, j in product(range(n), repeat=2))
+
+    def walk():
+        for i, j in product(range(n), repeat=2):
+            if not image_s.contains((eps_s[i] * eps_s[j]).coords()):
+                yield f"eps_s image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
+            if not image_t.contains((eps_t[i] * eps_t[j]).coords()):
+                yield f"eps_t image not closed under product at ({_lbl(c, i)},{_lbl(c, j)})"
+            if eps_s[i] * eps_t[j] != eps_t[j] * eps_s[i]:
+                yield f"eps_s({_lbl(c, i)}) and eps_t({_lbl(c, j)}) do not commute"
+    return unless_at_unit(at_unit, walk())
 
 
 def _e_leg_multipliers(c: CoproductData, e: Multiplier):
@@ -562,7 +665,8 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
                      "G1(a (x) b) = (a (x) 1)F1(1 (x) b) and mirrored, with F from E",
                      "G maps do not factor through the antipode-built F idempotents"))
 
-    if is_isomorphism(c.parent, w.s_matrix, w.s_matrix_inv, c.parent.opposite()):
+    anti = is_isomorphism(c.parent, w.s_matrix, w.s_matrix_inv, c.parent.opposite())
+    if anti:
         f_ok = e * e == e and not c.cache.multiplier_failure(e)
     else:
         f_ok = all(f * f == f for f in fs) and not any(map(c.cache.multiplier_failure, fs))
@@ -570,42 +674,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
                      "F1..F4 from E are idempotent multipliers of the twisted squares",
                      "an F idempotent fails multiplier laws"))
 
-    # Plain tensor-square actions of F1..F4 go through the sandwich
-    # products (1 (x) q)E(p (x) 1) and (p (x) 1)E(1 (x) q); those exist in
-    # the regular case and are recovered by stripping a covering factor.
-    def relation_failures():
-        sand = _sandwich_tables(c, e)
-        if sand is None:
-            yield "a sandwich product of E escapes the tensor square"
-            return
-        sand_a, sand_b = sand
-        smat, sinv = w.s_matrix, w.s_matrix_inv
-        f1_lam = _f_action(c, sand_a, sinv, smat, contract_first=False)
-        f3_lam = _f_action(c, sand_a, smat, sinv, contract_first=False)
-        f2_lam = _f_action(c, sand_b, sinv, smat, contract_first=True)
-        f4_rho = _f_action(c, sand_a, smat, sinv, contract_first=True)
-
-        def on12(m: Matrix, v: SparseVec) -> SparseVec:
-            return _on_legs(m._sparse_cols(), nn, v.items(), n)
-
-        def on23(m: Matrix, v: SparseVec) -> SparseVec:
-            return _on_legs(m._sparse_cols(), nn, v.items())
-
-        for idx in range(n ** 3):
-            x = {idx: ONE}
-            lhs1 = apply_on_legs13(e.left, on12(f1_lam, x), n)
-            rhs1 = apply_on_legs13(e.left, on23(e.left, x), n)
-            if lhs1 != rhs1:
-                yield f"E13(F1 x 1) != E13(1 x E) at {_lbl3(c, idx)}"
-            w13l = apply_on_legs13(e.left, x, n)
-            if on12(f3_lam, w13l) != on23(e.left, w13l):
-                yield f"(F3 x 1)E13 != (1 x E)E13 at {_lbl3(c, idx)}"
-            if on23(f2_lam, w13l) != on12(e.left, w13l):
-                yield f"(1 x F2)E13 != (E x 1)E13 at {_lbl3(c, idx)}"
-            w13r = apply_on_legs13(e.right, x, n)
-            if on23(f4_rho, w13r) != on12(e.right, w13r):
-                yield f"E13(1 x F4) != E13(E x 1) at {_lbl3(c, idx)}"
-    out += _first_failures(relation_failures(), {
+    out += _first_failures(_f_relation_failures(c, e, w, anti), {
         "regular-f-relations": "the four leg-13 relations hold for F1..F4"})
 
     # flipped-coproduct presentation: canonical idempotent must be sigma E
@@ -629,6 +698,60 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
     return out, t3, t4
 
 
+def _f_relation_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness, anti: bool):
+    """The four leg-13 relations of F1..F4 on every basis triple.  The
+    plain tensor-square actions of F1..F4 go through the sandwich
+    products (1 (x) q)E(p (x) 1) and (p (x) 1)E(1 (x) q) (`_sandwich_tables`).
+
+    Read at 1 (x) 1 (x) 1 when E passes its law walk (E = e0) and anti:
+    S is an algebra isomorphism A -> A^op with inverse S^-1.  Then the
+    action of F1 at e_i (x) e_j is (1 (x) S)((1 (x) S^-1 e_j)e0(e_i (x) 1)),
+    which is ((1 (x) S)e0)(e_i (x) e_j); likewise F3 and F2 act as left and
+    F4 as right multiplications by their values at 1 (x) 1, and E13 is
+    multiplication by e0 on legs 1 and 3.  So every side the walk
+    compares is a left (relation 4: right) multiplication by an element,
+    and the walk holds exactly when the relations hold at 1 (x) 1 (x) 1."""
+    n, nn = c.n, c.nn
+    sand = _sandwich_tables(c, e)
+    if sand is None:
+        return iter(("a sandwich product of E escapes the tensor square",))
+    sand_a, sand_b = sand
+    smat, sinv = w.s_matrix, w.s_matrix_inv
+    f1_lam = _f_action(c, sand_a, sinv, smat, contract_first=False)
+    f3_lam = _f_action(c, sand_a, smat, sinv, contract_first=False)
+    f2_lam = _f_action(c, sand_b, sinv, smat, contract_first=True)
+    f4_rho = _f_action(c, sand_a, smat, sinv, contract_first=True)
+
+    def on12(m: Matrix, v: SparseVec) -> SparseVec:
+        return _on_legs(m._sparse_cols(), nn, v.items(), n)
+
+    def on23(m: Matrix, v: SparseVec) -> SparseVec:
+        return _on_legs(m._sparse_cols(), nn, v.items())
+
+    def relations(x: SparseVec):
+        # whether each relation holds at the triple-tensor vector x
+        yield apply_on_legs13(e.left, on12(f1_lam, x), n) == \
+            apply_on_legs13(e.left, on23(e.left, x), n)
+        w13l = apply_on_legs13(e.left, x, n)
+        yield on12(f3_lam, w13l) == on23(e.left, w13l)
+        yield on23(f2_lam, w13l) == on12(e.left, w13l)
+        w13r = apply_on_legs13(e.right, x, n)
+        yield on23(f4_rho, w13r) == on12(e.right, w13r)
+
+    def at_unit() -> bool:
+        return anti and c.cache.element(e) is not None and \
+            all(relations(_kron(c.aa.checked_unit(), c.parent.checked_unit(), n)))
+
+    def walk():
+        whats = ("E13(F1 x 1) != E13(1 x E)", "(F3 x 1)E13 != (1 x E)E13",
+                 "(1 x F2)E13 != (E x 1)E13", "E13(1 x F4) != E13(E x 1)")
+        for idx in range(n ** 3):
+            for ok, what in zip(relations({idx: ONE}), whats):
+                if not ok:
+                    yield f"{what} at {_lbl3(c, idx)}"
+    return unless_at_unit(at_unit, walk())
+
+
 # ------------------------------------------------- weak Hopf suite
 
 
@@ -643,22 +766,22 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
     alg = c.parent
     eps = _counit_cols(counit)
 
-    def eps_of(vec: SparseVec) -> Scalar:
-        return _on_legs(eps, 1, vec.items()).get(0, ZERO)
+    # eps(e_i e_j), read by every sum below: eps is linear, so
+    # eps((e_a e_b) e_c) is the sum of the e_k coefficients of e_a e_b
+    # times eps(e_k e_c)
+    eps_mul = [[_on_legs(eps, 1, alg.mul_basis(i, j).items()).get(0, ZERO) for j in range(n)]
+               for i in range(n)]
 
     # coproduct of each basis element as an honest tensor (unital case)
-    delta = [c.t1.apply_sparse({b * n + j: uj for j, uj in unit.items()})
-             for b in range(n)]
+    delta = [c.t1.apply_sparse(_kron({b: ONE}, unit, n)) for b in range(n)]
 
     # the first form feeds weak-hopf-counit, the second weak-hopf-counit-op
     def counit_failures():
         for a, b, cc in product(range(n), repeat=3):
-            lhs = eps_of(c.parent.mul_sparse(c.parent.mul_basis(a, b), {cc: ONE}))
-            rhs1 = _dot((v * eps_of(c.parent.mul_basis(a, key % n)),
-                         eps_of(c.parent.mul_basis(key // n, cc)))
+            lhs = _dot((v, eps_mul[k][cc]) for k, v in alg.mul_basis(a, b).items())
+            rhs1 = _dot((v * eps_mul[a][key % n], eps_mul[key // n][cc])
                         for key, v in delta[b].items())
-            rhs2 = _dot((v * eps_of(c.parent.mul_basis(a, key // n)),
-                         eps_of(c.parent.mul_basis(key % n, cc)))
+            rhs2 = _dot((v * eps_mul[a][key // n], eps_mul[key % n][cc])
                         for key, v in delta[b].items())
             if lhs != rhs1:
                 yield "weak-hopf-counit", f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
@@ -671,8 +794,7 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
         # only an axiom under regularity; recorded, not failed
         out[1] = CheckResult("weak-hopf-counit-op", SKIP, f"recorded without regularity: {out[1].detail}")
 
-    e_elem = e.left.apply_sparse({i * n + j: ui * uj for i, ui in unit.items()
-                                  for j, uj in unit.items()}).items()
+    e_elem = e.left.apply_sparse(_kron(unit, unit, n)).items()
     def formula_failures():
         for a in range(n):
             # eps contracted off the leg that e_a multiplies: E(a x 1) on leg 1,
@@ -771,35 +893,65 @@ def appendix_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
     if w.not_regular:
         return out
 
-    def s_of_mult(m: Multiplier) -> Multiplier:
-        return Multiplier(c.parent,
-                          w.s_matrix * m.right * w.s_matrix_inv,
-                          w.s_matrix * m.left * w.s_matrix_inv)
-
     def swap_failures():
         for a in range(n):
             sa = dict(w.s_matrix.col_sparse(a))
-            if s_of_mult(st.eps_t[a]) != _combine_multipliers(c.parent, st.eps_s, sa):
+            if _s_image(w, st.eps_t[a]) != _combine_multipliers(c.parent, st.eps_s, sa):
                 yield f"S(eps_t({_lbl(c, a)})) != eps_s(S({_lbl(c, a)}))"
-            if s_of_mult(st.eps_s[a]) != _combine_multipliers(c.parent, st.eps_t, sa):
+            if _s_image(w, st.eps_s[a]) != _combine_multipliers(c.parent, st.eps_t, sa):
                 yield f"S(eps_s({_lbl(c, a)})) != eps_t(S({_lbl(c, a)}))"
     out += _first_failures(swap_failures(), {
         "appendix-source-target-swap": "S exchanges the source and target maps"})
 
-    def absorption_failures():
-        ident = Matrix.identity(n)
+    return out + _first_failures(_absorption_failures(c, e, w, st), {
+        "appendix-e-absorption": "E absorbs source/target values across its legs through S"})
+
+
+def _s_image(w: AntipodeWitness, m: Multiplier) -> Multiplier:
+    """S(m) for a multiplier m of A, through the S matrix: S m.right S^-1
+    and S m.left S^-1, the actions exchanged as S reverses products."""
+    return Multiplier(m.parent, w.s_matrix * m.right * w.s_matrix_inv,
+                      w.s_matrix * m.left * w.s_matrix_inv)
+
+
+def _absorption_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness,
+                         st: SourceTargetWitness):
+    """E(y (x) 1) = E(1 (x) S(y)) for y = eps_s(e_a), then
+    (1 (x) x)E = (S(x) (x) 1)E for x = eps_t(e_a), as multipliers.  Read at
+    the unit when E, each value and each S-image `_s_image` pass
+    their law walks (E = e0, y, S(y) = y'): both sides of the first are
+    embedded elements e0(y (x) 1) and e0(1 (x) y'), and of the second
+    (1 (x) x)e0 and (x' (x) 1)e0, equal exactly when their values at
+    1 (x) 1 are."""
+    n = c.n
+    ident = Matrix.identity(n)
+
+    def at_unit() -> bool:
+        if c.cache.element(e) is None:
+            return False
+        u = c.parent.checked_unit()
+        for values, act, first in ((st.eps_s, e.left, True), (st.eps_t, e.right, False)):
+            for m in values:
+                y, sy = c.cache.element(m), c.cache.element(_s_image(w, m))
+                if y is None or sy is None:
+                    return False
+                y, sy = (_kron(y, u, n), _kron(u, sy, n)) if first else (_kron(u, y, n), _kron(sy, u, n))
+                if act.apply_sparse(y) != act.apply_sparse(sy):
+                    return False
+        return True
+
+    def walk():
         for msrc in st.eps_s:
             y = Multiplier(c.aa, msrc.left.kron(ident), msrc.right.kron(ident))
-            sy = s_of_mult(msrc)
+            sy = _s_image(w, msrc)
             if e * y != e * Multiplier(c.aa, ident.kron(sy.left), ident.kron(sy.right)):
                 yield "E(y (x) 1) != E(1 (x) S(y)) on the source image"
         for mtar in st.eps_t:
             x1 = Multiplier(c.aa, ident.kron(mtar.left), ident.kron(mtar.right))
-            sx = s_of_mult(mtar)
+            sx = _s_image(w, mtar)
             if x1 * e != Multiplier(c.aa, sx.left.kron(ident), sx.right.kron(ident)) * e:
                 yield "(1 (x) x)E != (S(x) (x) 1)E on the target image"
-    return out + _first_failures(absorption_failures(), {
-        "appendix-e-absorption": "E absorbs source/target values across its legs through S"})
+    return unless_at_unit(at_unit, walk())
 
 
 # ------------------------------------------------- sandwich actions of E
@@ -821,9 +973,19 @@ def _sandwich_tables(c: CoproductData, e: Multiplier):
     a sandwich escapes the tensor square.  Each is recovered from its
     products with e_y on the other side of the leg that e_p (e_q) covers:
     (1 (x) e_q) E(e_p (x) e_y) stripped of x -> x (1 (x) e_y), and
-    (e_p (x) 1) E(e_y (x) e_q) stripped of x -> x (e_y (x) 1)."""
+    (e_p (x) 1) E(e_y (x) e_q) stripped of x -> x (e_y (x) 1).  When E
+    passes its law walk (E = e0) each is that product of e0, which solves
+    every stripped equation; with a unit 1 = sum u_y e_y the solution is
+    unique, the sum of u_y x(1 (x) e_y) being x."""
     n, nn = c.n, c.nn
     alg = c.parent
+    e0 = c.cache.element(e)
+    if e0 is not None:
+        e0 = e0.items()
+        return [[[_on_legs(alg._right_cols(p), n, _on_legs(alg._left_cols(q), n, e0).items(), n)
+                  for q in range(n)] for p in range(n)],
+                [[_on_legs(alg._left_cols(p), n, _on_legs(alg._right_cols(q), n, e0).items(), n)
+                  for q in range(n)] for p in range(n)]]
     tables = []
     for s in (1, n):
         if c._strip_echelon(False, s)[1].rank < nn:

@@ -136,13 +136,20 @@ def _matrix_key(m: Matrix) -> tuple:
     return (m.rows, m.cols, tuple(map(tuple, m._sparse_cols())))
 
 
+def _kron(x: SparseVec, y: SparseVec, n: int) -> SparseVec:
+    """x (x) y in the tensor product with a second factor of dimension n."""
+    return {i * n + j: v * w for i, v in x.items() for j, w in y.items()}
+
+
 class RunCache:
     """Results one verification run computes more than once, keyed by the
     content of their inputs, never by object identity: canonical
     idempotents per (tensor square, Ran T1, Ran T2), first multiplier-law
     failures per (algebra, actions), module identities at the unit per
-    (algebra, map, leg), E's leg conditions per (algebra and its labels,
-    T1, E) and F1..F4 per (algebra, S, S^-1, E).  A hit is the same computation
+    (algebra, map, leg), T1 and T2's identities at the unit per (algebra,
+    T1, T2), E's range containments per (T1, T2, E), E's leg conditions
+    per (algebra and its labels, T1, E) and F1..F4 per (algebra, S, S^-1,
+    E).  A hit is the same computation
     on equal inputs done earlier in the run, so every check still runs
     and reads the same result.  Exceptions are not stored, and stored
     matrices are never written."""
@@ -151,6 +158,8 @@ class RunCache:
         self.idempotents: Dict[tuple, Multiplier] = {}
         self._laws: Dict[tuple, Optional[str]] = {}
         self._module_laws: Dict[tuple, bool] = {}
+        self._coproducts: Dict[tuple, bool] = {}
+        self._ranges: Dict[tuple, bool] = {}
         self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
         self.f_multipliers: Dict[tuple, Tuple[Multiplier, ...]] = {}
 
@@ -160,6 +169,60 @@ class RunCache:
         if key not in self._laws:
             self._laws[key] = m.compatibility_failure()
         return self._laws[key]
+
+    def embed(self, parent: Algebra, x: SparseVec) -> Multiplier:
+        """Multiplier.of_element(parent, x), its law walk recorded as passing
+        when parent has a checked unit 1: x1 = x is the walk's identity."""
+        m = Multiplier.of_element(parent, x)
+        if parent.checked_unit() is not None:
+            self._laws[parent.content_key(), _matrix_key(m.left), _matrix_key(m.right)] = None
+        return m
+
+    def element(self, m: Multiplier) -> Optional[SparseVec]:
+        """x = m.left(1) when m's algebra has a checked unit 1 and m passes
+        its law walk, so that m is Multiplier.of_element(x); else None."""
+        u = m.parent.checked_unit()
+        if u is None or self.multiplier_failure(m):
+            return None
+        return m.left.apply_sparse(u)
+
+    def coproduct_at_unit(self, c: "CoproductData") -> bool:
+        """Whether T1 and T2 pass their module identities and the
+        homomorphism identity at the unit (`_homomorphism_failures`), once
+        per run; False without a checked unit.  Then T1(a (x) b) = D(a)(1 (x) b)
+        and T2(a (x) b) = (a (x) 1)D'(b) for the multiplicative maps
+        D(x) = T1(x (x) 1) and D'(x) = T2(1 (x) x)."""
+        if c.parent.checked_unit() is None:
+            return False
+        key = (c.parent.content_key(), _matrix_key(c.t1), _matrix_key(c.t2))
+        got = self._coproducts.get(key)
+        if got is None:
+            got = self._coproducts[key] = _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and \
+                _homomorphism_at_unit(c)
+        return got
+
+    def in_ranges(self, c: "CoproductData", e: Multiplier) -> bool:
+        """Whether E's left columns lie in Ran T1 and its right ones in
+        Ran T2, once per run."""
+        key = (_matrix_key(c.t1), _matrix_key(c.t2), _matrix_key(e.left), _matrix_key(e.right))
+        got = self._ranges.get(key)
+        if got is None:
+            got = self._ranges[key] = all(
+                ran.contains(dict(col)) for act, ran in ((e.left, c.ran_t1()), (e.right, c.ran_t2()))
+                for col in act._sparse_cols())
+        return got
+
+    def unit_premises(self, c: "CoproductData", e: Multiplier) -> Optional[SparseVec]:
+        """e0 = E(1 (x) 1) when `coproduct_at_unit` and `in_ranges` hold and
+        E passes its law walk (E = e0), else None: the premises of the
+        readings of extend_delta and of E's extended legs.  Then T1 z = E x
+        for z of either pivot order, so extend_delta neither raises nor
+        depends on the pivot, and at an element m its left action is
+        x -> T1((m (x) 1)z) = D(m)e0 x, its right one x -> x e0 D'(m)."""
+        if not self.coproduct_at_unit(c):
+            return None
+        e0 = self.element(e)
+        return e0 if e0 is not None and self.in_ranges(c, e) else None
 
     def module_law(self, c: "CoproductData", m: Matrix, leg: int) -> bool:
         """_module_law_at_unit(c, m, leg), computed once per run; False
@@ -403,21 +466,9 @@ def _homomorphism_failures(c: CoproductData) -> Iterator[str]:
     with T1's module identity both sides at (x, a, b) are their values at
     (x, a, u) times 1 (x) e_b; `delta_right` multiplies the second leg from
     the left, so with T2's both sides at (a, b, x) are e_a (x) 1 times their
-    values at (u, b, x).  So b = u and a = u, 2n^2 tests, imply all 2n^3."""
+    values at (u, b, x).  So b = u and a = u, 2n^2 tests, imply all 2n^3;
+    the run cache keeps the result (`RunCache.coproduct_at_unit`)."""
     n = c.n
-
-    def at_unit() -> bool:
-        if not _module_laws_hold(c, (c.t1, 2), (c.t2, 1)):
-            return False
-        u = c.parent.checked_unit().items()
-        # T1(e_x e_y (x) u) against coproduct(x).T1(e_y (x) u), and
-        # T2(u (x) e_y e_x) against T2(u (x) e_y).coproduct(x)
-        return all(
-            c.t1.apply_sparse({k * n + j: v * w for k, v in c.parent.mul_basis(x, y).items()
-                               for j, w in u}) == c.delta_left(x, _value_at_unit(c, c.t1, 2, y))
-            and c.t2.apply_sparse({j * n + k: w * v for k, v in c.parent.mul_basis(y, x).items()
-                                   for j, w in u}) == c.delta_right(x, _value_at_unit(c, c.t2, 1, y))
-            for x, y in product(range(n), repeat=2))
 
     def walk():
         for t, leg, delta in ((c.t1, 1, c.delta_left), (c.t2, 2, c.delta_right)):
@@ -431,7 +482,19 @@ def _homomorphism_failures(c: CoproductData) -> Iterator[str]:
                     yield (f"T1({_lbl(c, x)}{_lbl(c, a)} (x) {_lbl(c, b)}) != coproduct({_lbl(c, x)}).T1({_lbl(c, a)} (x) {_lbl(c, b)})"
                            if leg == 1 else
                            f"T2({_lbl(c, a)} (x) {_lbl(c, b)}{_lbl(c, x)}) != T2({_lbl(c, a)} (x) {_lbl(c, b)}).coproduct({_lbl(c, x)})")
-    return unless_at_unit(at_unit, walk())
+    return unless_at_unit(lambda: c.cache.coproduct_at_unit(c), walk())
+
+
+def _homomorphism_at_unit(c: CoproductData) -> bool:
+    """T1(e_x e_y (x) u) = coproduct(x).T1(e_y (x) u) and
+    T2(u (x) e_y e_x) = T2(u (x) e_y).coproduct(x) on every basis pair."""
+    n, u = c.n, c.parent.checked_unit()
+    return all(
+        c.t1.apply_sparse(_kron(c.parent.mul_basis(x, y), u, n)) ==
+        c.delta_left(x, _value_at_unit(c, c.t1, 2, y))
+        and c.t2.apply_sparse(_kron(u, c.parent.mul_basis(y, x), n)) ==
+        c.delta_right(x, _value_at_unit(c, c.t2, 1, y))
+        for x, y in product(range(n), repeat=2))
 
 
 def _coassociativity_failures(c: CoproductData) -> Iterator[str]:
@@ -642,11 +705,8 @@ def _e_at_unit(c: CoproductData) -> Optional[Multiplier]:
     mul = c.aa.mul_sparse
     if any(mul(e, b) != b for b in c.ran_t1().rows) or any(mul(v, e) != v for v in c.ran_t2().rows):
         return None
-    m = Multiplier.of_element(c.aa, e)
-    for act, ran in ((m.left, c.ran_t1()), (m.right, c.ran_t2())):
-        if not all(ran.contains(dict(col)) for col in act._sparse_cols()):
-            return None
-    return m
+    m = c.cache.embed(c.aa, e)
+    return m if c.cache.in_ranges(c, m) else None
 
 
 def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> Matrix:
@@ -827,25 +887,22 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
 def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     """The leg conditions: both extended coproduct legs of E agree, equal
     the product (E x 1)(1 x E), the two lifted idempotents commute, and
-    the extended leg is dominated by both liftings."""
+    the extended leg is dominated by both liftings.
+
+    Read at 1 (x) 1 (x) 1 under `RunCache.unit_premises` (e0 = E(1 (x) 1),
+    D(a) = T1(a (x) 1)).  Then `_extended_leg_columns` is choice-free: the
+    psi preimage z of E x, in Ran T1, exists, as psi(p (x) 1 (x) d) = T1(p (x) d), and
+    enters only through psi(z) = E x, as psi(p (x) c (x) d) = D(p)(c (x) d)
+    and (D (x) id)(e0(e_p (x) e_k)) = (D (x) id)(e0)(D(p) (x) e_k); the mu
+    decomposition (e_k = e_k 1 is one) enters only through e_k.  So the
+    legs are the left multiplications by d1 = (D (x) id)(e0)(e0 (x) 1) and
+    d2 = (id (x) D)(e0)(1 (x) e0), and alt neither differs nor raises.
+    With E12 = e0 (x) 1 and E23 = 1 (x) e0 the walk compares left
+    multiplications by E12 E23, E23 E12, d1, d2, E12 d1, E23 d1, d1 E12
+    and d1 E23, equal exactly when their values at 1 (x) 1 (x) 1 are."""
     n, nn = c.n, c.nn
     nnn = n * nn
-
-    # columns of both extended legs, each equal to its shifted-pivot
-    # recomputation; triple by triple, so the first failure is reported
-    d1cols: List[SparseVec] = []
-    d2cols: List[SparseVec] = []
-    for first_leg, cols, name in ((True, d1cols, "(coproduct x id)(E)"),
-                                  (False, d2cols, "(id x coproduct)(E)")):
-        pairs = zip(_extended_leg_columns(c, e, first_leg, alt=False),
-                    _extended_leg_columns(c, e, first_leg, alt=True))
-        for idx, (col, alt_col) in enumerate(pairs):
-            if col != alt_col:
-                raise IllDefinedExtension(f"{name} ill-defined at {_lbl3(c, idx)}")
-            cols.append(col)
-
     ecols = e.left._sparse_cols()
-    d1items = [col.items() for col in d1cols]
 
     def e12(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return _on_legs(ecols, nn, x.items(), n)
@@ -853,7 +910,32 @@ def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
     def e23(x: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return _on_legs(ecols, nn, x.items())
 
+    def at_unit() -> bool:
+        e0 = c.cache.unit_premises(c, e)
+        if e0 is None:
+            return False
+        u, rcols = c.parent.checked_unit(), e.right._sparse_cols()
+        de = [c.delta_left(a, e0) for a in range(n)]
+        d1 = _sum_products((r * n + ab % n, v, w) for ab, v in e0.items() for r, w in de[ab // n].items())
+        d2 = _sum_products((ab // n * nn + r, v, w) for ab, v in e0.items() for r, w in de[ab % n].items())
+        return d1 == d2 == e12(_kron(u, e0, nn)) == e23(_kron(e0, u, n)) == e12(d1) == e23(d1) \
+            == _on_legs(rcols, nn, d1.items(), n) == _on_legs(rcols, nn, d1.items())
+
     def failures():
+        # columns of both extended legs, each equal to its shifted-pivot
+        # recomputation; triple by triple, so the first failure is reported
+        d1cols: List[SparseVec] = []
+        d2cols: List[SparseVec] = []
+        for first_leg, cols, name in ((True, d1cols, "(coproduct x id)(E)"),
+                                      (False, d2cols, "(id x coproduct)(E)")):
+            pairs = zip(_extended_leg_columns(c, e, first_leg, alt=False),
+                        _extended_leg_columns(c, e, first_leg, alt=True))
+            for idx, (col, alt_col) in enumerate(pairs):
+                if col != alt_col:
+                    raise IllDefinedExtension(f"{name} ill-defined at {_lbl3(c, idx)}")
+                cols.append(col)
+        d1items = [col.items() for col in d1cols]
+
         # e-coassociativity reports the first triple where the two legs
         # differ, if any, before any triple where domination fails
         for idx in range(nnn):
@@ -873,7 +955,7 @@ def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:
                _on_legs(d1items, nnn, e1x.items()) != d1 or \
                _on_legs(d1items, nnn, e2x.items()) != d1:
                 yield "e-coassociativity", f"extended leg of E not dominated at {_lbl3(c, idx)}"
-    return _first_failures(failures(), {
+    return _first_failures(unless_at_unit(at_unit, failures()), {
         "e-legs-commute": "the two liftings of E commute",
         "e-coassociativity": "extended legs agree and are dominated by both liftings",
         "e-product-formula": "extended leg equals (E x 1)(1 x E)"})

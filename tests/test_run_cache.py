@@ -135,9 +135,9 @@ def test_leg_conditions_run_once_per_algebra_and_E(kind, monkeypatch):
 def test_witness_derived_maps_are_built_once(kind, monkeypatch):
     # the source/target values serve the source/target checks, the antipode
     # identities and the later suites: one build per run.  The strip
-    # echelons serve the antipode path's R recovery and the regular suite's
-    # sandwich tables: one build per coproduct, side and leg, three in all
-    # (the tables and R2 share the right products on leg 2)
+    # echelons serve the antipode path's R recovery: one build per
+    # coproduct, side and leg, two in all (with a unit the regular suite
+    # reads its sandwich tables off E without them)
     values, strips = [], []
     source_target, strip = antipodes.compute_source_target, coproducts.CoproductData._strip_echelon
 
@@ -157,5 +157,5 @@ def test_witness_derived_maps_are_built_once(kind, monkeypatch):
     assert values == [ctx.coproduct]
     builds = [(c, left, s) for c, left, s, build in strips if build]
     assert {c for c, _, _, _ in strips} == {ctx.coproduct}
-    assert len(builds) == len(set(builds)) == 3 < len(strips)
-    assert sorted(ctx.coproduct._strips) == [(False, 1), (False, 4), (True, 4)]
+    assert len(builds) == len(set(builds)) == 2 < len(strips)
+    assert sorted(ctx.coproduct._strips) == [(False, 1), (True, 4)]

@@ -15,11 +15,10 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
                        is_isomorphism, star_on, unless_at_unit, StarStructure)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
-                         ProjectionMaps, apply_on_legs13, extend_delta, compute_E,
+                         ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
                          _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
                          _module_law_failures, _module_laws_hold, _unit_triple)
-from .linalg import (Matrix, Subspace, _combination, column_space,
-                     generalized_inverse, invert)
+from .linalg import Matrix, Subspace, _combination, generalized_inverse, invert
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
 from .scalars import ONE, ZERO, _accumulate, _dot, _settle
 
@@ -542,7 +541,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
             yield f"candidate E is not a multiplier: {law}"
         else:
             try:
-                yield from (r.detail for r in c.cache.e_conditions(c, e_obj) if r.status != PASS)
+                yield from (r.detail for r in check_E_conditions(c, e_obj) if r.status != PASS)
             except IllDefinedExtension as exc:
                 yield str(exc)
     out += _first_failures(candidate_failures(), {
@@ -575,18 +574,16 @@ def _f_multipliers(c: CoproductData, w: AntipodeWitness,
     run cache: the regular suite, the star suite and the witness output
     read the same four."""
     alg, s, s_inv = c.parent, w.s_matrix, w.s_matrix_inv
-    key = (alg.content_key(), _matrix_key(s), _matrix_key(s_inv),
-           _matrix_key(e.left), _matrix_key(e.right))
-    got = c.cache.f_multipliers.get(key)
-    if got is None:
+
+    def build():
         ident = Matrix.identity(alg.dim)
         i_s, i_si, s_i, si_i = ident.kron(s), ident.kron(s_inv), s.kron(ident), s_inv.kron(ident)
         op = alg.opposite()
         squares = (Algebra.tensor(alg, op), Algebra.tensor(op, alg))
-        got = c.cache.f_multipliers[key] = tuple(
-            Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
-            for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
-    return got
+        return tuple(Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
+                     for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
+    return c.cache.once(("F", alg.content_key(), _matrix_key(s), _matrix_key(s_inv),
+                         _matrix_key(e.left), _matrix_key(e.right)), build)
 
 
 def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
@@ -640,7 +637,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
         t4 = d4
     derived_ok = (t3 == d3) and (t4 == d4)
 
-    ran_ok = column_space(t3) == c.ran_t2() and column_space(t4) == c.ran_t1()
+    ran_ok = c.cache.column_space(t3) == c.ran_t2() and c.cache.column_space(t4) == c.ran_t1()
     out.append(check("regular-flip-ranges", ran_ok and derived_ok,
                      "flipped-side maps (supplied and derived agree) have the E ranges",
                      "flipped-side map ranges differ from the E-prescribed ones"

@@ -136,46 +136,53 @@ def _matrix_key(m: Matrix) -> tuple:
     return (m.rows, m.cols, tuple(map(tuple, m._sparse_cols())))
 
 
+def _law_key(m: Multiplier) -> tuple:
+    return ("law", m.parent.content_key(), _matrix_key(m.left), _matrix_key(m.right))
+
+
 def _kron(x: SparseVec, y: SparseVec, n: int) -> SparseVec:
     """x (x) y in the tensor product with a second factor of dimension n."""
     return {i * n + j: v * w for i, v in x.items() for j, w in y.items()}
 
 
+_MISSING = object()
+
+
 class RunCache:
-    """Results one verification run computes more than once, keyed by the
-    content of their inputs, never by object identity: canonical
-    idempotents per (tensor square, Ran T1, Ran T2), first multiplier-law
-    failures per (algebra, actions), module identities at the unit per
-    (algebra, map, leg), T1 and T2's identities at the unit per (algebra,
-    T1, T2), E's range containments per (T1, T2, E), E's leg conditions
-    per (algebra and its labels, T1, E) and F1..F4 per (algebra, S, S^-1,
-    E).  A hit is the same computation
-    on equal inputs done earlier in the run, so every check still runs
-    and reads the same result.  Exceptions are not stored, and stored
-    matrices are never written."""
+    """Results one verification run computes more than once, in one store
+    keyed by the content of their inputs, never by object identity.  A key
+    is a tuple led by the name of what it holds: "law", "module",
+    "coproduct", "ranges" and "ran" from the methods below, "E" from
+    `compute_E` and "F" from `antipodes._f_multipliers`.  A hit is the
+    same computation on equal inputs done earlier in the run, so every
+    check still runs and reads the same result.  Exceptions are not
+    stored, and stored values are never written."""
 
     def __init__(self):
-        self.idempotents: Dict[tuple, Multiplier] = {}
-        self._laws: Dict[tuple, Optional[str]] = {}
-        self._module_laws: Dict[tuple, bool] = {}
-        self._coproducts: Dict[tuple, bool] = {}
-        self._ranges: Dict[tuple, bool] = {}
-        self._e_conditions: Dict[tuple, Tuple[CheckResult, ...]] = {}
-        self.f_multipliers: Dict[tuple, Tuple[Multiplier, ...]] = {}
+        self._store: Dict[tuple, object] = {}
+
+    def once(self, key: tuple, build):
+        """build(), computed once per key in this run; a build that raises
+        stores nothing.  A stored None or False is a hit."""
+        got = self._store.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._store[key] = build()
+        return got
+
+    def column_space(self, m: Matrix) -> Subspace:
+        """column_space(m), computed once per run."""
+        return self.once(("ran", _matrix_key(m)), lambda: column_space(m))
 
     def multiplier_failure(self, m: Multiplier) -> Optional[str]:
         """m.compatibility_failure(), computed once per run."""
-        key = (m.parent.content_key(), _matrix_key(m.left), _matrix_key(m.right))
-        if key not in self._laws:
-            self._laws[key] = m.compatibility_failure()
-        return self._laws[key]
+        return self.once(_law_key(m), m.compatibility_failure)
 
     def embed(self, parent: Algebra, x: SparseVec) -> Multiplier:
         """Multiplier.of_element(parent, x), its law walk recorded as passing
         when parent has a checked unit 1: x1 = x is the walk's identity."""
         m = Multiplier.of_element(parent, x)
         if parent.checked_unit() is not None:
-            self._laws[parent.content_key(), _matrix_key(m.left), _matrix_key(m.right)] = None
+            self.once(_law_key(m), lambda: None)
         return m
 
     def element(self, m: Multiplier) -> Optional[SparseVec]:
@@ -194,23 +201,15 @@ class RunCache:
         D(x) = T1(x (x) 1) and D'(x) = T2(1 (x) x)."""
         if c.parent.checked_unit() is None:
             return False
-        key = (c.parent.content_key(), _matrix_key(c.t1), _matrix_key(c.t2))
-        got = self._coproducts.get(key)
-        if got is None:
-            got = self._coproducts[key] = _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and \
-                _homomorphism_at_unit(c)
-        return got
+        return self.once(("coproduct", c.parent.content_key(), _matrix_key(c.t1), _matrix_key(c.t2)),
+                         lambda: _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and _homomorphism_at_unit(c))
 
     def in_ranges(self, c: "CoproductData", e: Multiplier) -> bool:
         """Whether E's left columns lie in Ran T1 and its right ones in
         Ran T2, once per run."""
-        key = (_matrix_key(c.t1), _matrix_key(c.t2), _matrix_key(e.left), _matrix_key(e.right))
-        got = self._ranges.get(key)
-        if got is None:
-            got = self._ranges[key] = all(
-                ran.contains(dict(col)) for act, ran in ((e.left, c.ran_t1()), (e.right, c.ran_t2()))
-                for col in act._sparse_cols())
-        return got
+        return self.once(("ranges", *map(_matrix_key, (c.t1, c.t2, e.left, e.right))), lambda: all(
+            ran.contains(dict(col)) for act, ran in ((e.left, c.ran_t1()), (e.right, c.ran_t2()))
+            for col in act._sparse_cols()))
 
     def unit_premises(self, c: "CoproductData", e: Multiplier) -> Optional[SparseVec]:
         """e0 = E(1 (x) 1) when `coproduct_at_unit` and `in_ranges` hold and
@@ -229,23 +228,8 @@ class RunCache:
         without a checked unit."""
         if c.parent.checked_unit() is None:
             return False
-        key = (c.parent.content_key(), _matrix_key(m), leg)
-        got = self._module_laws.get(key)
-        if got is None:
-            got = self._module_laws[key] = _module_law_at_unit(c, m, leg)
-        return got
-
-    def e_conditions(self, c: "CoproductData", e: Multiplier) -> List[CheckResult]:
-        """check_E_conditions(c, e), computed once per run.  The leg maps
-        are built from the algebra and from the coproduct that T1 carries,
-        and failures name basis labels, so all three key the result next
-        to E; an IllDefinedExtension is raised again on every request."""
-        key = (c.parent.content_key(), tuple(c.parent.basis_labels), _matrix_key(c.t1),
-               _matrix_key(e.left), _matrix_key(e.right))
-        got = self._e_conditions.get(key)
-        if got is None:
-            got = self._e_conditions[key] = tuple(check_E_conditions(c, e))
-        return list(got)
+        return self.once(("module", c.parent.content_key(), _matrix_key(m), leg),
+                         lambda: _module_law_at_unit(c, m, leg))
 
 
 class CoproductData:
@@ -274,9 +258,6 @@ class CoproductData:
         self._echelons: Dict[Tuple[str, bool], Echelon] = {}
         self._psi: Optional[Matrix] = None
         self._mu_decomp: Optional[Dict[Tuple[bool, int], List[Tuple[int, int, Scalar]]]] = None
-        self._ran_t1: Optional[Subspace] = None
-        self._ran_t2: Optional[Subspace] = None
-        self._preimage_cache: Dict = {}
         # (left, stride) -> a strip stack and its solvable Echelon
         self._strips: Dict[Tuple[bool, int], Tuple[Matrix, Echelon]] = {}
         self._mirror: Optional[CoproductData] = None
@@ -293,29 +274,20 @@ class CoproductData:
     # ---- shared caches -------------------------------------------------
 
     def ran_t1(self) -> Subspace:
-        if self._ran_t1 is None:
-            self._ran_t1 = column_space(self.t1)
-        return self._ran_t1
+        return self.cache.column_space(self.t1)
 
     def ran_t2(self) -> Subspace:
-        if self._ran_t2 is None:
-            self._ran_t2 = column_space(self.t2)
-        return self._ran_t2
+        return self.cache.column_space(self.t2)
 
     def _preimage(self, name: str, m: Matrix, svec: Dict[int, Scalar],
                   alt: bool) -> Optional[Dict[int, Scalar]]:
         """One preimage of svec under the map m called name, with free
-        variables zero, or None when there is none; cached per map."""
-        key = (name, alt, tuple(sorted(svec.items())))
-        if key in self._preimage_cache:
-            return self._preimage_cache[key]
+        variables zero, or None when there is none."""
         ech = self._echelons.get((name, alt))
         if ech is None:
             order = range(m.cols - 1, -1, -1) if alt else None
             ech = self._echelons[name, alt] = Echelon(m, col_order=order, solvable=True)
-        got = ech.solve_sparse(svec, m)
-        self._preimage_cache[key] = got
-        return got
+        return ech.solve_sparse(svec, m)
 
     def t1_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
         return self._preimage("t1", self.t1, svec, alt)
@@ -655,11 +627,9 @@ def compute_E(c: CoproductData) -> Multiplier:
     depends on nothing else, so it is solved once per run for each
     (tensor square, Ran T1, Ran T2) and bound to the caller's square.
     """
-    key = (c.aa.content_key(),) + tuple(tuple(tuple(sorted(r.items())) for r in space.rows)
-                                        for space in (c.ran_t1(), c.ran_t2()))
-    got = c.cache.idempotents.get(key)
-    if got is None:
-        got = c.cache.idempotents[key] = _solve_E(c)
+    key = ("E", c.aa.content_key()) + tuple(tuple(tuple(sorted(r.items())) for r in space.rows)
+                                            for space in (c.ran_t1(), c.ran_t2()))
+    got = c.cache.once(key, lambda: _solve_E(c))
     return Multiplier(c.aa, got.left, got.right)
 
 
@@ -770,7 +740,7 @@ def validate_E(c: CoproductData, e: Multiplier) -> List[CheckResult]:
             db = c.delta_right(a, xs)
             if right.apply_sparse(db) != db:
                 yield f"coproduct({_lbl(c, a)}).E != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
-        if not (column_space(left) == c.ran_t1() and column_space(right) == c.ran_t2()
+        if not (c.cache.column_space(left) == c.ran_t1() and c.cache.column_space(right) == c.ran_t2()
                 and left * c.t1 == c.t1 and right * c.t2 == c.t2):
             yield "E action ranges or fixed spaces are wrong"
     return _first_failures(failures(), {"idempotent-valid": f"E idempotent with action ranks "
@@ -1108,8 +1078,8 @@ def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:
     out: List[CheckResult] = []
     _, _, ker1 = rank_image_kernel(c.t1)
     _, _, ker2 = rank_image_kernel(c.t2)
-    img1 = column_space(Matrix.identity(nn) - g.g1)
-    img2 = column_space(Matrix.identity(nn) - g.g2)
+    img1 = c.cache.column_space(Matrix.identity(nn) - g.g1)
+    img2 = c.cache.column_space(Matrix.identity(nn) - g.g2)
     contain = img1.leq(ker1) and img2.leq(ker2)
     eq = ker1 == img1 and ker2 == img2
     out.append(check(

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import antipodes as ant
 from . import coproducts as cop
-from .algebras import Algebra, Multiplier, SparseVec, StarStructure, validate_algebra
-from .coproducts import CoproductData, ProjectionMaps, RunCache
+from .algebras import Algebra, StarStructure, validate_algebra
+from .coproducts import CoproductData, RunCache
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         build_model, check_duality_pairing, local_unit_for,
                         refuse_oversize, validate_groupoid)
@@ -26,28 +26,16 @@ from .scalars import ONE, _dot, rational
 
 
 class RunContext:
-    """Everything the pipeline computed, for witness output and tests."""
+    """Everything the pipeline computed, for witness output and tests: the
+    CoproductData, unit (SparseVec), counit (list), E (Multiplier), G maps
+    (ProjectionMaps), AntipodeWitness, SourceTargetWitness, T3, T4 and the
+    antipode path's witness and E; what the run did not reach stays None."""
 
-    def __init__(self, algebra: Algebra, coproduct: Optional[CoproductData] = None,
-                 unit: Optional[SparseVec] = None, counit: Optional[list] = None,
-                 e: Optional[Multiplier] = None, g: Optional[ProjectionMaps] = None,
-                 antipode: Optional[ant.AntipodeWitness] = None,
-                 source_target: Optional[ant.SourceTargetWitness] = None,
-                 t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
-                 thm29_antipode: Optional[ant.AntipodeWitness] = None,
-                 thm29_e: Optional[Multiplier] = None):
+    def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self.coproduct = coproduct
-        self.unit = unit
-        self.counit = counit
-        self.e = e
-        self.g = g
-        self.antipode = antipode
-        self.source_target = source_target
-        self.t3 = t3
-        self.t4 = t4
-        self.thm29_antipode = thm29_antipode
-        self.thm29_e = thm29_e
+        self.coproduct = self.unit = self.counit = self.e = self.g = None
+        self.antipode = self.source_target = self.t3 = self.t4 = None
+        self.thm29_antipode = self.thm29_e = None
 
 
 class StructureInput:
@@ -195,7 +183,7 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
             except cop.NoSuchIdempotent as exc:
                 report.add(failed("idempotent-from-flips", str(exc)))
         try:
-            for r in c.cache.e_conditions(c, ctx.e):
+            for r in cop.check_E_conditions(c, ctx.e):
                 block_on(r)
         except cop.IllDefinedExtension as exc:
             block_on(failed("e-coassociativity", str(exc)))

@@ -375,7 +375,7 @@ ENGINE_FAULT_SITES = [
     ("wmha.coproducts", "compute_E_from_flips"),     # idempotent-from-flips
     ("wmha.antipodes", "generalized_inverse"),       # generalized-inverses
     ("wmha.antipodes", "verify_via_antipode"),       # antipode path
-    # e-coassociativity and thm29-e-conditions, both through RunCache.e_conditions
+    # e-coassociativity; thm29-e-conditions calls it too, later in the run
     ("wmha.coproducts", "check_E_conditions"),
     ("wmha.antipodes", "compute_E"),                 # regular-cop-idempotent
 ]

@@ -1,12 +1,16 @@
 """Scope of the per-run cache: within one verification the multiplier-law
-kernel and the E solve run once per distinct input, and nothing is
-carried from one verification to the next."""
+kernel, the E solve and each column space run once per distinct input,
+and nothing is carried from one verification to the next."""
+
+from collections import Counter
 
 import pytest
+from test_unit_walks import record_full_walks
 
 from wmha import antipodes, coproducts
 from wmha.algebras import Multiplier, flip_map
-from wmha.coproducts import RunCache
+from wmha.coproducts import IllDefinedExtension, RunCache, _matrix_key
+from wmha.linalg import Matrix
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
 from wmha.report import PASS
@@ -106,29 +110,69 @@ def test_failing_E_checks_keep_their_detail(name, kind, candidate, check_id, det
 
 
 @pytest.mark.parametrize("kind", ["convolution", "function"])
-def test_leg_conditions_run_once_per_algebra_and_E(kind, monkeypatch):
+def test_leg_conditions_are_read_at_the_unit_on_both_paths(kind, monkeypatch):
     # the axiom path and the antipode path check the leg conditions of the
-    # same E; the second request must read the first one's result
-    runs, requests = [], []
+    # same E; no run memo keeps the result, as each check is read at
+    # 1 (x) 1 (x) 1 and builds no extended leg
+    sites, runs = record_full_walks(monkeypatch), []
     leg_conditions = coproducts.check_E_conditions
 
     def counted(c, e):
         runs.append((_table(c.parent), _dense(c.t1), _dense(e.left), _dense(e.right)))
         return leg_conditions(c, e)
 
-    request = RunCache.e_conditions
-
-    def counted_request(self, c, e):
-        requests.append(1)
-        return request(self, c, e)
-
-    monkeypatch.setattr(coproducts, "check_E_conditions", counted)
-    monkeypatch.setattr(RunCache, "e_conditions", counted_request)
+    for module in (coproducts, antipodes):
+        monkeypatch.setattr(module, "check_E_conditions", counted)
     report, _ = verify_groupoid_model(preset("pair:2"), kind, path="both")
     assert report.verdict == PASS
     assert report.status_of("thm29-e-conditions") == PASS
-    assert len(set(runs)) == len(runs) > 0
-    assert len(requests) > len(runs)
+    assert len(runs) > len(set(runs)) > 0
+    assert "check_E_conditions" not in sites
+
+
+def test_once_builds_once_per_content_key():
+    cache, built = RunCache(), []
+    # equal matrices that are distinct objects give equal keys
+    for m in (Matrix.identity(3), Matrix.identity(3), Matrix.identity(3)):
+        assert cache.once(("ran", _matrix_key(m)), lambda: built.append(m) or None) is None
+    assert len(built) == 1
+    # a stored False is a hit, not a miss
+    assert cache.once(("law",), lambda: False) is False
+    assert cache.once(("law",), lambda: True) is False
+    assert cache.once(("law", 2), lambda: True) is True
+    assert [type(v) for v in vars(cache).values()] == [dict]
+    assert len(vars(RunCache())) == 1
+
+
+def test_a_raising_build_stores_nothing():
+    cache, calls = RunCache(), []
+
+    def build():
+        calls.append(1)
+        raise IllDefinedExtension("extended leg action: component escapes the coproduct range")
+
+    for _ in range(2):
+        with pytest.raises(IllDefinedExtension):
+            cache.once(("legs",), build)
+    assert len(calls) == 2
+    assert cache.once(("legs",), lambda: "built") == "built"
+
+
+@pytest.mark.parametrize("name, distinct", [("pair:2", 7), ("bundle:cyclic:1:2", 2)])
+def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatch):
+    # Ran T1, Ran T2, Ran E, Ran T3/T4 and Ran(1 - G) of the main, mirror,
+    # flipped and opposite presentations, by content
+    counts = Counter()
+    eliminate = coproducts.column_space
+
+    def counted(m):
+        counts[_matrix_key(m)] += 1
+        return eliminate(m)
+
+    monkeypatch.setattr(coproducts, "column_space", counted)
+    report, _ = verify_groupoid_model(preset(name), "convolution", path="both")
+    assert report.verdict == PASS
+    assert sum(counts.values()) == len(counts) == distinct
 
 
 @pytest.mark.parametrize("kind", ["convolution", "function"])

@@ -10,8 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .linalg import (Echelon, Matrix, Subspace,
-                     solve_linear, Infeasible, DimensionMismatch)
+from .linalg import DimensionMismatch, Echelon, Matrix
 from .report import PASS, CheckResult, _first_failures
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
 
@@ -296,25 +295,6 @@ class Multiplier:
         return isinstance(other, Multiplier) and self.left == other.left \
             and self.right == other.right
 
-    def as_element(self) -> Optional[SparseVec]:
-        """The element of A this multiplier is, if it is embedded."""
-        a = self.parent
-        n = a.dim
-        constraints = []
-        for j, (right, left) in enumerate(_product_rows(a)):
-            col_l = dict(self.left.col_sparse(j))
-            col_r = dict(self.right.col_sparse(j))
-            for k in range(n):
-                constraints.append((right[k], col_l.get(k, ZERO)))
-                constraints.append((left[k], col_r.get(k, ZERO)))
-        try:
-            sol, space = solve_linear(constraints, n)
-        except Infeasible:
-            return None
-        if space.dim:
-            return None  # only happens for degenerate products
-        return vec_to_sparse(sol)
-
     def coords(self) -> SparseVec:
         """Flat coordinates (left columns then right columns), for spans,
         as a sparse vector."""
@@ -341,8 +321,28 @@ class AlgebraDiagnostics:
         self.unit = unit
 
 
-def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
-    """Associativity, non-degeneracy, idempotency (A^2 = A), unit search."""
+def as_elements(a: Algebra, ms: List[Multiplier], store) -> List[Optional[SparseVec]]:
+    """The element x of A with left = L_x and right = R_x for each multiplier
+    of a in ms, or None where there is none.  The system x e_j = left(e_j),
+    e_j x = right(e_j) is one for all of ms: its echelon is read through store
+    (`coproducts.RunCache`), and each multiplier is one back-substitution."""
+    n = a.dim
+    # constraint 2(j·n + k) is row k of x -> x e_j, 2(j·n + k) + 1 of x -> e_j x
+    system = Matrix.from_sparse_cols(n, [row for right, left in _product_rows(a)
+                                         for k in range(n) for row in (right[k], left[k])]
+                                     ).transpose()
+    ech = store.echelon(system)
+    if ech.rank < n:
+        return [None] * len(ms)
+    return [ech.solve_sparse({2 * (j * n + k) + side: v
+                              for side, act in enumerate((m.left, m.right))
+                              for j in range(n) for k, v in act.col_sparse(j)}, system)
+            for m in ms]
+
+
+def validate_algebra(a: Algebra, store) -> AlgebraDiagnostics:
+    """Associativity, non-degeneracy, idempotency (A^2 = A), unit search;
+    store is the run's `coproducts.RunCache`."""
     labels = a.basis_labels
 
     def associativity_failures():
@@ -359,10 +359,10 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
     prows = _product_rows(a)
     nondeg = True
     deg_witness = None
-    if Subspace.from_vectors(a.dim, (r for right, _ in prows for r in right)).dim < a.dim:
+    if store.span(a.dim, (r for right, _ in prows for r in right)).dim < a.dim:
         nondeg = False
         deg_witness = "nonzero x with x*A = 0"
-    elif Subspace.from_vectors(a.dim, (r for _, left in prows for r in left)).dim < a.dim:
+    elif store.span(a.dim, (r for _, left in prows for r in left)).dim < a.dim:
         nondeg = False
         deg_witness = "nonzero x with A*x = 0"
 
@@ -379,7 +379,7 @@ def validate_algebra(a: Algebra) -> AlgebraDiagnostics:
     # the unit is the embedded unit multiplier: local units for the whole
     # basis amount to a unit, and a unit u is never ambiguous, since
     # y e_j = 0 for every j gives y = y u = 0
-    unit = Multiplier.unit(a).as_element()
+    unit = as_elements(a, [Multiplier.unit(a)], store)[0]
     a._unit = unit if assoc.status == PASS else None
     return AlgebraDiagnostics(assoc, nondeg, deg_witness, idem, unit)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map,
+from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, as_elements, flip_map,
                        is_isomorphism, star_on, unless_at_unit, StarStructure)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
                          _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
                          _module_law_failures, _module_laws_hold, _unit_triple)
-from .linalg import Matrix, Subspace, _combination, generalized_inverse, invert
+from .linalg import Echelon, Matrix, Subspace, _combination, generalized_inverse, invert
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
 from .scalars import ONE, ZERO, _accumulate, _dot, _settle
 
@@ -36,8 +36,8 @@ def build_generalized_inverses(c: CoproductData, e: Multiplier,
                                g: ProjectionMaps) -> Tuple[Matrix, Matrix, List[CheckResult]]:
     """R1, R2 with T R = E-action and R T = G, plus their module and
     commutation laws."""
-    r1 = generalized_inverse(c.t1, e.left, g.g1)
-    r2 = generalized_inverse(c.t2, e.right, g.g2)
+    r1 = generalized_inverse(c.t1, e.left, g.g1, c.cache)
+    r2 = generalized_inverse(c.t2, e.right, g.g2, c.cache)
 
     def inverse_failures():
         yield from _module_law_failures(c, [(r1, 2, "R1 module law fails"),
@@ -140,15 +140,9 @@ def compute_antipode(c: CoproductData, r1: Matrix, r2: Matrix,
         raise AntipodesDisagree(out[1].detail, out)
 
     # flatten to a matrix when each S(e_a) is an embedded element
-    cols = []
-    for m in s:
-        el = m.as_element()
-        if el is None:
-            cols = None
-            break
-        cols.append(el)
-    s_matrix = Matrix.from_sparse_cols(n, cols) if cols is not None else None
-    s_inv = invert(s_matrix) if s_matrix is not None else None
+    cols = as_elements(c.parent, s, c.cache)
+    s_matrix = None if None in cols else Matrix.from_sparse_cols(n, cols)
+    s_inv = invert(s_matrix, c.cache) if s_matrix is not None else None
     return AntipodeWitness(r1, r2, s, s_matrix, s_inv), out
 
 
@@ -206,8 +200,8 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
 
     # A S(A) = A and S(A) A = A, spanned by the e_a S(e_b) and the S(e_b) e_a
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    span_r = Subspace.from_vectors(n, (dict(w.s[b].right.col_sparse(a)) for a, b in pairs))
-    span_l = Subspace.from_vectors(n, (dict(w.s[b].left.col_sparse(a)) for a, b in pairs))
+    span_r = c.cache.span(n, (dict(w.s[b].right.col_sparse(a)) for a, b in pairs))
+    span_l = c.cache.span(n, (dict(w.s[b].left.col_sparse(a)) for a, b in pairs))
     out.append(check("antipode-spans", span_r.dim == n and span_l.dim == n,
                      "A S(A) and S(A) A span the algebra",
                      f"spans have dims {span_r.dim} and {span_l.dim} of {n}"))
@@ -316,12 +310,12 @@ def compute_source_target(c: CoproductData, e: Multiplier,
     out = _first_failures(value_failures(), {
         "source-target-defined": "source and target values are honest multipliers"})
 
-    image_s = Subspace.from_vectors(2 * n * n, [m.coords() for m in eps_s])
-    image_t = Subspace.from_vectors(2 * n * n, [m.coords() for m in eps_t])
+    image_s = c.cache.span(2 * n * n, [m.coords() for m in eps_s])
+    image_t = c.cache.span(2 * n * n, [m.coords() for m in eps_t])
 
     legs_s, legs_t = _e_leg_multipliers(c, e)
-    leg_ok = image_s == Subspace.from_vectors(2 * n * n, legs_s) and \
-        image_t == Subspace.from_vectors(2 * n * n, legs_t)
+    leg_ok = image_s == c.cache.span(2 * n * n, legs_s) and \
+        image_t == c.cache.span(2 * n * n, legs_t)
     out.append(check("source-target-legs", leg_ok,
                      f"images (dims {image_s.dim}, {image_t.dim}) equal the legs of E",
                      "source/target images differ from the legs of E"))
@@ -333,8 +327,8 @@ def compute_source_target(c: CoproductData, e: Multiplier,
 
     def inclusion_failures():
         for a in range(n):
-            right_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(a, j) for j in range(n)])
-            left_ideal = Subspace.from_vectors(n, [c.parent.mul_basis(j, a) for j in range(n)])
+            right_ideal = c.cache.span(n, [c.parent.mul_basis(a, j) for j in range(n)])
+            left_ideal = c.cache.span(n, [c.parent.mul_basis(j, a) for j in range(n)])
             for m, tag in [(eps_s, "eps_s"), (eps_t, "eps_t")]:
                 for x in range(n):
                     if not right_ideal.contains(dict(m[x].right.col_sparse(a))):
@@ -416,7 +410,7 @@ def _st_commute_failures(c: CoproductData, eps_s: List[Multiplier], eps_t: List[
         xs, ys = ([c.cache.element(m) for m in values] for values in (eps_s, eps_t))
         if None in xs or None in ys:
             return False
-        span_x, span_y = Subspace.from_vectors(n, xs), Subspace.from_vectors(n, ys)
+        span_x, span_y = c.cache.span(n, xs), c.cache.span(n, ys)
         return all(span_x.contains(eps_s[i].left.apply_sparse(xs[j]))
                    and span_y.contains(eps_t[i].left.apply_sparse(ys[j]))
                    and eps_s[i].left.apply_sparse(ys[j]) == eps_t[j].left.apply_sparse(xs[i])
@@ -476,8 +470,8 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     s_cols = [dict(s_mat.col_sparse(a)) for a in range(n)]
 
     # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
-    strips = ((True, n), (False, 1))
-    if any(c._strip_echelon(*strip)[1].rank < nn for strip in strips):
+    strips = (c._strip_echelon(True, n), c._strip_echelon(False, 1))
+    if any(ech.rank < nn for _, ech in strips):
         out.append(failed("thm29-r-ranges",
                           "product is too degenerate to recover the R maps"))
         return out, None, None
@@ -549,7 +543,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     if any(r.status == FAIL for r in out):
         return out, None, e_obj
 
-    s_inv = invert(s_mat)
+    s_inv = invert(s_mat, c.cache)
     witness = AntipodeWitness(r1, r2, [Multiplier.of_element(alg, x) for x in s_cols],
                               s_mat, s_inv)
     return out, witness, e_obj
@@ -954,12 +948,13 @@ def _absorption_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness,
 # ------------------------------------------------- sandwich actions of E
 
 
-def _strip_solve(c: CoproductData, strip: Tuple[bool, int], m: Matrix, cols: List[int],
+def _strip_solve(c: CoproductData, strip: Tuple[Matrix, Echelon], m: Matrix, cols: List[int],
                  op: list, s: int) -> Optional[SparseVec]:
-    """The x whose products with e_y on the leg of the strip (left, stride)
-    are, for each y, column cols[y] of m with the operator op applied on
-    the leg of stride s; None when no such x exists."""
-    stack, ech = c._strip_echelon(*strip)
+    """The x whose products with e_y on the leg of the strip are, for each
+    y, column cols[y] of m with the operator op applied on the leg of
+    stride s; None when no such x exists.  strip is a (stack, echelon)
+    pair of `CoproductData._strip_echelon`."""
+    stack, ech = strip
     x = [(y * c.nn + row, v) for y, col in enumerate(cols) for row, v in m.col_sparse(col)]
     return ech.solve_sparse(_on_legs(op, c.n, x, s), stack)
 
@@ -985,13 +980,14 @@ def _sandwich_tables(c: CoproductData, e: Multiplier):
                   for q in range(n)] for p in range(n)]]
     tables = []
     for s in (1, n):
-        if c._strip_echelon(False, s)[1].rank < nn:
+        strip = c._strip_echelon(False, s)
+        if strip[1].rank < nn:
             return None
         table: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
         for p, q in product(range(n), repeat=2):
             mult, cols = (alg._left_cols(q), [p * n + y for y in range(n)]) if s == 1 else \
                 (alg._left_cols(p), [y * n + q for y in range(n)])
-            sol = _strip_solve(c, (False, s), e.left, cols, mult, s)
+            sol = _strip_solve(c, strip, e.left, cols, mult, s)
             if sol is None:
                 return None
             table[p][q] = sol

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism,
                        unless_at_unit)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
-                     column_space, invert, rank_image_kernel, solve_linear)
+                     column_space, invert, solve_linear)
 from .report import CheckResult, _first_failures, check
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle, _sum_products
 
@@ -145,18 +145,26 @@ def _kron(x: SparseVec, y: SparseVec, n: int) -> SparseVec:
     return {i * n + j: v * w for i, v in x.items() for j, w in y.items()}
 
 
+def _solver(m: Matrix, alt: bool) -> Echelon:
+    """The solvable Echelon of m; alt reverses the column order, so free
+    variables are zeroed from the other end."""
+    return Echelon(m, col_order=range(m.cols - 1, -1, -1) if alt else None, solvable=True)
+
+
 _MISSING = object()
 
 
 class RunCache:
     """Results one verification run computes more than once, in one store
-    keyed by the content of their inputs, never by object identity.  A key
-    is a tuple led by the name of what it holds: "law", "module",
-    "coproduct", "ranges" and "ran" from the methods below, "E" from
-    `compute_E` and "F" from `antipodes._f_multipliers`.  A hit is the
-    same computation on equal inputs done earlier in the run, so every
-    check still runs and reads the same result.  Exceptions are not
-    stored, and stored values are never written."""
+    keyed by the content of their inputs, never by object identity: every
+    elimination a run keeps is an entry here.  A key is a tuple led by the
+    name of what it holds: "law", "module", "coproduct", "ranges", "ran",
+    "echelon" and "ker" from the methods below, "psi", "mu" and "strips"
+    from `CoproductData`, "E" from `compute_E` and "F" from
+    `antipodes._f_multipliers`.  A hit is the same computation on equal
+    inputs done earlier in the run, so every check still runs and reads
+    the same result.  Exceptions are not stored, and stored values are
+    never written."""
 
     def __init__(self):
         self._store: Dict[tuple, object] = {}
@@ -172,6 +180,29 @@ class RunCache:
     def column_space(self, m: Matrix) -> Subspace:
         """column_space(m), computed once per run."""
         return self.once(("ran", _matrix_key(m)), lambda: column_space(m))
+
+    def echelon(self, m: Matrix, alt: bool = False) -> Echelon:
+        """_solver(m, alt), once per run."""
+        return self.once(("echelon", _matrix_key(m), alt), lambda: _solver(m, alt))
+
+    def span(self, n: int, vectors) -> Subspace:
+        """The span of vectors in Q(i)^n, each a dict index -> nonzero
+        value: the column space of the matrix they are the columns of."""
+        return self.column_space(Matrix.from_sparse_cols(n, list(vectors)))
+
+    def kernel(self, m: Matrix) -> Subspace:
+        """Ker m, the span of the null space basis of `echelon(m)`, checked by
+        rank-nullity against `column_space(m)`."""
+        def build() -> Subspace:
+            ech = self.echelon(m)
+            kernel = self.span(m.cols, ech.nullspace())
+            rank = self.column_space(m).dim
+            if rank != ech.rank or rank + kernel.dim != m.cols:
+                raise InvariantViolation(
+                    f"rank-nullity fails: rank {rank} (row rank {ech.rank}), "
+                    f"nullity {kernel.dim}, {m.cols} columns")
+            return kernel
+        return self.once(("ker", _matrix_key(m)), build)
 
     def multiplier_failure(self, m: Multiplier) -> Optional[str]:
         """m.compatibility_failure(), computed once per run."""
@@ -233,9 +264,10 @@ class RunCache:
 
 
 class CoproductData:
-    """Canonical maps of a coproduct on a validated algebra, plus the
-    caches shared by the whole verification pipeline; `cache` is shared
-    by every CoproductData of one verification run."""
+    """Canonical maps of a coproduct on a validated algebra.  What is
+    derived from them by elimination (preimage solvers, psi, the mu
+    decomposition, the strip stacks) is kept in `cache`, shared by every
+    CoproductData of one verification run."""
 
     def __init__(self, parent: Algebra, t1: Matrix, t2: Matrix,
                  t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
@@ -253,13 +285,7 @@ class CoproductData:
         self.n = n
         self.nn = n * n
         self.cache = cache if cache is not None else RunCache()
-        # (map name, alt) -> solvable Echelon of that map; alt reverses the
-        # column order, so free variables are zeroed from the other end
-        self._echelons: Dict[Tuple[str, bool], Echelon] = {}
-        self._psi: Optional[Matrix] = None
-        self._mu_decomp: Optional[Dict[Tuple[bool, int], List[Tuple[int, int, Scalar]]]] = None
-        # (left, stride) -> a strip stack and its solvable Echelon
-        self._strips: Dict[Tuple[bool, int], Tuple[Matrix, Echelon]] = {}
+        # its one memo: delta_right reads it on every call
         self._mirror: Optional[CoproductData] = None
 
     def mirror(self) -> "CoproductData":
@@ -271,80 +297,65 @@ class CoproductData:
                                          cache=self.cache)
         return self._mirror
 
-    # ---- shared caches -------------------------------------------------
-
     def ran_t1(self) -> Subspace:
         return self.cache.column_space(self.t1)
 
     def ran_t2(self) -> Subspace:
         return self.cache.column_space(self.t2)
 
-    def _preimage(self, name: str, m: Matrix, svec: Dict[int, Scalar],
-                  alt: bool) -> Optional[Dict[int, Scalar]]:
-        """One preimage of svec under the map m called name, with free
-        variables zero, or None when there is none."""
-        ech = self._echelons.get((name, alt))
-        if ech is None:
-            order = range(m.cols - 1, -1, -1) if alt else None
-            ech = self._echelons[name, alt] = Echelon(m, col_order=order, solvable=True)
-        return ech.solve_sparse(svec, m)
-
     def t1_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        return self._preimage("t1", self.t1, svec, alt)
+        """One preimage of svec under T1, free variables zero, or None."""
+        return self.cache.echelon(self.t1, alt).solve_sparse(svec, self.t1)
 
     def t2_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        return self._preimage("t2", self.t2, svec, alt)
+        return self.cache.echelon(self.t2, alt).solve_sparse(svec, self.t2)
+
+    def _psi_key(self) -> tuple:
+        return ("psi", self.parent.content_key(), _matrix_key(self.t1))
 
     def psi(self) -> Matrix:
         """The map p (x) c (x) d -> coproduct(e_p) (e_c (x) e_d), as a
-        matrix from the triple tensor power to the tensor square.  Its
-        range is the range of T1 when the algebra is idempotent."""
-        if self._psi is None:
-            n = self.n
-            # column (p·n + c)·n + d: e_c on the right of leg 1 of T1(e_p (x) e_d)
-            self._psi = Matrix.from_sparse_cols(self.nn, [
-                _on_legs(self.parent._right_cols(c), n, self.t1.col_sparse(p * n + d), n)
-                for p in range(n) for c in range(n) for d in range(n)])
-        return self._psi
+        matrix from the triple tensor power to the tensor square, once per
+        run for each (algebra, T1).  Its range is the range of T1 when the
+        algebra is idempotent."""
+        n = self.n
+        # column (p·n + c)·n + d: e_c on the right of leg 1 of T1(e_p (x) e_d)
+        return self.cache.once(self._psi_key(), lambda: Matrix.from_sparse_cols(self.nn, [
+            _on_legs(self.parent._right_cols(c), n, self.t1.col_sparse(p * n + d), n)
+            for p in range(n) for c in range(n) for d in range(n)]))
+
+    def _psi_solver(self, alt: bool) -> Tuple[Matrix, Echelon]:
+        """psi and _solver(psi, alt), kept per (algebra, T1, alt) rather than
+        by psi's n^3 columns."""
+        psi = self.psi()
+        return psi, self.cache.once(self._psi_key() + (alt,), lambda: _solver(psi, alt))
 
     def psi_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        return self._preimage("psi", self.psi(), svec, alt)
+        psi, ech = self._psi_solver(alt)
+        return ech.solve_sparse(svec, psi)
 
     def mu_decomposition(self, k: int, alt: bool = False) -> List[Tuple[int, int, Scalar]]:
-        """e_k written as a sum of products u * v: list of (u, v, coeff).
-        Exists because the algebra is idempotent."""
-        if self._mu_decomp is None:
-            n = self.n
-            mu = Matrix.from_sparse_cols(n, [self.parent.mul_basis(i, j)
-                                             for i in range(n) for j in range(n)])
-            decomp = {}
-            for flag in (False, True):
-                ech = Echelon(mu, col_order=range(n * n - 1, -1, -1) if flag else None,
-                              solvable=True)
-                for k2 in range(n):
-                    sol = ech.solve_sparse({k2: ONE}, mu)
-                    if sol is None:
-                        raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
-                    decomp[flag, k2] = [(idx // n, idx % n, v) for idx, v in sorted(sol.items())]
-            self._mu_decomp = decomp
-        return self._mu_decomp[alt, k]
+        """e_k written as a sum of products u * v: list of (u, v, coeff),
+        solved once per run for each algebra.  Exists because the algebra
+        is idempotent."""
+        return self.cache.once(("mu", self.parent.content_key()),
+                               lambda: _mu_decompositions(self.parent))[alt, k]
 
     def _strip_echelon(self, left: bool, s: int) -> Tuple[Matrix, Echelon]:
         """The maps x -> (multiplication by e_y on one leg)(x) stacked over
-        y, and their solvable echelon, built once for each (left, s);
-        stripping through them is injective for a non-degenerate product.
-        The product by e_y is taken from the left (left) or from the right,
-        on the leg of stride s."""
-        got = self._strips.get((left, s))
-        if got is None:
+        y, and their solvable echelon, built once per run for each
+        (algebra, left, s); stripping through them is injective for a
+        non-degenerate product.  The product by e_y is taken from the left
+        (left) or from the right, on the leg of stride s."""
+        def build() -> Tuple[Matrix, Echelon]:
             n, nn = self.n, self.nn
             mult_cols = self.parent._left_cols if left else self.parent._right_cols
             stack = Matrix.from_sparse_cols(n * nn, [
                 {y * nn + key: v for y in range(n)
                  for key, v in _on_legs(mult_cols(y), n, [(col, ONE)], s).items()}
                 for col in range(nn)])
-            got = self._strips[left, s] = (stack, Echelon(stack, solvable=True))
-        return got
+            return stack, self.cache.echelon(stack)
+        return self.cache.once(("strips", self.parent.content_key(), left, s), build)
 
     # ---- reconstructed coproduct actions --------------------------------
 
@@ -364,6 +375,22 @@ class CoproductData:
         n = self.n
         got = self.mirror().delta_left(a, {i % n * n + i // n: v for i, v in x.items()})
         return {i % n * n + i // n: v for i, v in got.items()}
+
+
+def _mu_decompositions(a: Algebra) -> Dict[Tuple[bool, int], List[Tuple[int, int, Scalar]]]:
+    """(alt, k) -> e_k as a list of (u, v, coeff) with e_k = sum coeff e_u e_v,
+    from the product map's two pivot orders."""
+    n = a.dim
+    mu = Matrix.from_sparse_cols(n, [a.mul_basis(i, j) for i in range(n) for j in range(n)])
+    decomp = {}
+    for alt in (False, True):
+        ech = _solver(mu, alt)
+        for k in range(n):
+            sol = ech.solve_sparse({k: ONE}, mu)
+            if sol is None:
+                raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
+            decomp[alt, k] = [(idx // n, idx % n, v) for idx, v in sorted(sol.items())]
+    return decomp
 
 
 def transport(c: CoproductData, s: Matrix, s_inv: Matrix, target: Algebra,
@@ -579,7 +606,7 @@ def check_fullness(c: CoproductData) -> Tuple[Subspace, Subspace, bool]:
     """Smallest V with Ran(T1) inside V (x) A, and W with Ran(T2) inside
     A (x) W, the mirror's V; the coproduct is full when both are everything."""
     n = c.n
-    v, w = (Subspace.from_vectors(n, (x for col in range(c.nn) for x in _leg_slices(d, col).values()))
+    v, w = (c.cache.span(n, (x for col in range(c.nn) for x in _leg_slices(d, col).values()))
             for d in (c, c.mirror()))
     return v, w, (v.dim == n and w.dim == n)
 
@@ -605,7 +632,7 @@ def solve_counit(c: CoproductData) -> list:
                 for k in set(rows) | set(prod):
                     constraints.append((rows.get(k, {}), prod.get(k, ZERO)))
     try:
-        sol, space = solve_linear(constraints, n)
+        sol, space = solve_linear(constraints, n, c.cache)
     except Infeasible as exc:
         raise NoCounit("counit constraints are infeasible") from exc
     if space.dim:
@@ -771,19 +798,20 @@ def extend_delta(c: CoproductData, e: Multiplier, m: Multiplier) -> Multiplier:
     t1, t2 = _leg_blocks(c.t1, 1, n), _leg_blocks(c.t2, 2, n)
     ml, mr = m.left._sparse_cols(), m.right._sparse_cols()
     # the columns of T1 (m (x) 1) and of T2 (1 (x) m)
-    sides = (("left", e.left, c.t1_preimage, [],
+    # T1 and T2 with their solvable echelons in both pivot orders, fetched once
+    sides = (("left", e.left, (c.t1, *(c.cache.echelon(c.t1, alt) for alt in (False, True))), [],
               [_on_legs(t1[b], nn, ml[a]).items() for a in range(n) for b in range(n)]),
-             ("right", e.right, c.t2_preimage, [],
+             ("right", e.right, (c.t2, *(c.cache.echelon(c.t2, alt) for alt in (False, True))), [],
               [_on_legs(t2[a], nn, mr[b]).items() for a in range(n) for b in range(n)]))
     for x in range(nn):
-        for side, act, preimage, cols, composed in sides:
+        for side, act, (t, ech, ech_alt), cols, composed in sides:
             ex = dict(act.col_sparse(x))
-            z = preimage(ex)
+            z = ech.solve_sparse(ex, t)
             if z is None:
                 raise IllDefinedExtension(f"E.{_lbl2(c, x)} is outside Ran(T1)" if side == "left"
                                           else f"{_lbl2(c, x)}.E is outside Ran(T2)")
             col = _on_legs(composed, nn, z.items())
-            if col != _on_legs(composed, nn, preimage(ex, alt=True).items()):
+            if col != _on_legs(composed, nn, ech_alt.solve_sparse(ex, t).items()):
                 raise IllDefinedExtension(
                     f"extension {side} action at {_lbl2(c, x)} depends on the preimage")
             cols.append(col)
@@ -810,7 +838,8 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
     the other pivot order.
     """
     n, nn = c.n, c.nn
-    psi_cols = c.psi()._sparse_cols()
+    psi, ech = c._psi_solver(alt)    # fetched once for every column
+    psi_cols = psi._sparse_cols()
     # strides of the leg that E's leg multiplies and of the leg psi expands
     s_plain, s_psi = (1, n) if first_leg else (n, 1)
     halves: Dict[Tuple[int, int], SparseVec] = {}
@@ -845,7 +874,7 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
         acc: dict = {}
         w = e.left.col_sparse(ij)
         if w:
-            zvec = c.psi_preimage(dict(w), alt=alt)
+            zvec = ech.solve_sparse(dict(w), psi)
             if zvec is None:
                 raise IllDefinedExtension(
                     "extended leg action: component escapes the coproduct range")
@@ -980,7 +1009,7 @@ def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
     if span.rank < nn:
         raise NoSolution(f"defining system for {name} underdetermined "
                          f"(rank {span.rank} of {nn}); fullness must fail")
-    xinv = invert(Matrix.from_sparse_cols(nn, xs))
+    xinv = invert(Matrix.from_sparse_cols(nn, xs), c.cache)
     if xinv is None:
         raise InvariantViolation(f"independent columns of the {name} system are singular")
     g = Matrix.from_sparse_cols(nn, ys) * xinv
@@ -1074,17 +1103,10 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
 
 def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:
     """The kernel axiom: Ker(T1) = (1-G1)(A (x) A) and mirrored."""
-    nn = c.nn
-    out: List[CheckResult] = []
-    _, _, ker1 = rank_image_kernel(c.t1)
-    _, _, ker2 = rank_image_kernel(c.t2)
-    img1 = c.cache.column_space(Matrix.identity(nn) - g.g1)
-    img2 = c.cache.column_space(Matrix.identity(nn) - g.g2)
+    ker1, ker2 = c.cache.kernel(c.t1), c.cache.kernel(c.t2)
+    img1, img2 = (c.cache.column_space(Matrix.identity(c.nn) - gm) for gm in (g.g1, g.g2))
     contain = img1.leq(ker1) and img2.leq(ker2)
-    eq = ker1 == img1 and ker2 == img2
-    out.append(check(
-        "kernels-match", eq,
-        f"Ker(T1) = Ran(1-G1) (dim {ker1.dim}) and Ker(T2) = Ran(1-G2) (dim {ker2.dim})",
-        "kernels differ from the 1-G ranges"
-        + ("" if contain else " and even containment fails")))
-    return out
+    return [check("kernels-match", ker1 == img1 and ker2 == img2,
+                  f"Ker(T1) = Ran(1-G1) (dim {ker1.dim}) and Ker(T2) = Ran(1-G2) (dim {ker2.dim})",
+                  "kernels differ from the 1-G ranges"
+                  + ("" if contain else " and even containment fails"))]

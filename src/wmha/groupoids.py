@@ -175,13 +175,14 @@ def refuse_oversize(what: str, morphisms: int) -> None:
                          f"above the supported maximum {MAX_DIM}")
 
 
-def preset(name: str):
-    """Construct a named groupoid.  Its groupoid axioms are checked by the
-    run (`pipeline.verify_groupoid_model`, once per window of a lazy one).
+PRESET_FORMS = ("pair:N, group:cyclic:N, bundle:cyclic:N:K, union:<p>+<p>+..., "
+                "pair:inf, bundle:cyclic:N:inf")
 
-    Names: pair:N, group:cyclic:N, bundle:cyclic:N:K, union:<p>+<p>+...,
-    pair:inf, bundle:cyclic:N:inf.
-    """
+
+def preset(name: str):
+    """Construct a named groupoid, one of PRESET_FORMS.  Its groupoid
+    axioms are checked by the run (`pipeline.verify_groupoid_model`, once
+    per window of a lazy one)."""
     parts = name.split(":")
     try:
         if parts[0] == "pair" and len(parts) == 2:
@@ -212,13 +213,17 @@ def preset(name: str):
             refuse_oversize(name, n * copies)
             return cyclic_bundle(n, copies)
         if parts[0] == "union":
-            rest = name[len("union:"):]
-            members = [preset(p) for p in rest.split("+")]
+            names = name[len("union:"):].split("+")
+            if "" in names:
+                raise InputError(f"preset {name!r} has an empty union member, number "
+                                 f"{names.index('') + 1} of {len(names)}; "
+                                 f"the presets are {PRESET_FORMS}")
+            members = [preset(p) for p in names]
             if any(isinstance(m, LazyGroupoid) for m in members):
                 raise InputError("union members must be finite presets")
             refuse_oversize(name, sum(len(m.morphisms) for m in members))
             return disjoint_union(members)
-        raise InputError(name)
+        raise InputError(f"unknown preset {name!r}; the presets are {PRESET_FORMS}")
     except ValueError as exc:
         raise InputError(f"bad number in preset {name!r}") from exc
 

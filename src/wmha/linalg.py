@@ -406,27 +406,10 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.rows, map(dict, m._sparse_cols()))
 
 
-def rank_image_kernel(t: Matrix):
-    """Rank, column space and null space of t (exact)."""
-    return _rank_image_kernel(t)[:3]
-
-
-def _rank_image_kernel(t: Matrix):
-    """rank_image_kernel(t), and the Echelon of t whose null space it took."""
-    image = Subspace(Echelon(t.transpose()))  # row space of t^T = column space of t
-    ech = Echelon(t)
-    kernel = Subspace.from_vectors(t.cols, ech.nullspace())
-    rank = image.dim
-    if rank != ech.rank or rank + kernel.dim != t.cols:
-        raise InvariantViolation(
-            f"rank-nullity fails: rank {rank} (row rank {ech.rank}), "
-            f"nullity {kernel.dim}, {t.cols} columns")
-    return rank, image, kernel, ech
-
-
-def solve_linear(constraints, unknown_dim: int):
+def solve_linear(constraints, unknown_dim: int, store):
     """Solve a list of (row, rhs Scalar) constraints exactly; a row is a
-    dict index -> nonzero value over unknown_dim unknowns.
+    dict index -> nonzero value over unknown_dim unknowns.  The system's
+    echelon and kernel are read through store (`coproducts.RunCache`).
 
     Returns (particular solution as a dense list, solution Subspace).
     Raises Infeasible when the constraints contradict each other.
@@ -440,18 +423,18 @@ def solve_linear(constraints, unknown_dim: int):
     if not rows:
         return [ZERO] * unknown_dim, Subspace.full(unknown_dim)
     a = Matrix.from_sparse_cols(unknown_dim, rows).transpose()
-    ech = Echelon(a, solvable=True)
-    sol = ech.solve_sparse(rhs, a)
+    sol = store.echelon(a).solve_sparse(rhs, a)
     if sol is None:
         raise Infeasible("constraint system has no solution")
-    return _dense(sol.items(), unknown_dim), Subspace.from_vectors(unknown_dim, ech.nullspace())
+    return _dense(sol.items(), unknown_dim), store.kernel(a)
 
 
-def invert(m: Matrix) -> Optional[Matrix]:
-    """The inverse of m, or None when m is not invertible."""
+def invert(m: Matrix, store) -> Optional[Matrix]:
+    """The inverse of m, or None when m is not invertible; the echelon of
+    m is read through store (`coproducts.RunCache`)."""
     if m.rows != m.cols:
         return None
-    ech = Echelon(m, solvable=True)
+    ech = store.echelon(m)
     if ech.rank < m.rows:
         return None
     # full rank: reduced row p is the unit row of its pivot column, so the
@@ -460,11 +443,14 @@ def invert(m: Matrix) -> Optional[Matrix]:
                                                 for k, v in op.items()})
 
 
-def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
+def generalized_inverse(t: Matrix, e: Matrix, f: Matrix, store) -> Matrix:
     """The unique r with t r = e and r t = f, where e is an idempotent
     projecting onto Ran(t) and 1 - f an idempotent projecting onto Ker(t).
 
-    Also satisfies t r t = t, r t r = r and r (1 - e) = 0.
+    Also satisfies t r t = t, r t r = r and r (1 - e) = 0.  Ran t, Ker t,
+    Ran e, Ran(1 - f) and the solvable echelon of t are read through store
+    (`coproducts.RunCache`: `column_space`, `kernel`, `echelon`), so each
+    is eliminated once per run.
     """
     n = t.rows
     if t.cols != n or e.rows != n or e.cols != n or f.rows != n or f.cols != n:
@@ -473,32 +459,22 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix) -> Matrix:
         raise BadProjections("e is not idempotent")
     if f * f != f:
         raise BadProjections("f is not idempotent")
-    _, image_t, kernel_t, ech_t = _rank_image_kernel(t)
-    if column_space(e) != image_t:
+    if store.column_space(e) != store.column_space(t):
         raise BadProjections("image(e) differs from image(t)")
-    one_minus_f = Matrix.identity(n) - f
-    if column_space(one_minus_f) != kernel_t:
+    if store.column_space(Matrix.identity(n) - f) != store.kernel(t):
         raise BadProjections("image(1-f) differs from kernel(t)")
-    # r is f on vectors t·xi and 0 on Ran(1-e), where the xi are the unit
-    # vectors on the pivot columns of t: they span a complement of Ker t,
-    # and t·xi, f·xi are the columns of t and f there
-    pivots = sorted(ech_t.pivot_cols)
-    basis_cols = [t.col_sparse(pc) for pc in pivots]
-    values = [f.col_sparse(pc) for pc in pivots]
-    # extend the t-image columns by independent columns of 1-e to a full basis
-    span = Echelon(Matrix.zero(0, n))
-    for c in basis_cols:
-        span.insert(dict(c))
-    for c in (Matrix.identity(n) - e)._sparse_cols():
-        if span.insert(dict(c)):
-            basis_cols.append(c)
-            values.append([])
-    if len(basis_cols) != n:
-        raise BadProjections("Ran(t) and Ran(1-e) do not span the space")
-    binv = invert(Matrix(n, n, basis_cols))
-    if binv is None:
-        raise InvariantViolation("the extended basis of Ran(t) + Ran(1-e) is singular")
-    r = Matrix(n, n, values) * binv
+    # r y = f z for any z with t z = e y.  Such a z exists, as e y lies in
+    # Ran e = Ran t, and f z does not depend on the choice: two choices
+    # differ by an element of Ker t = Ran(1 - f), which the idempotent f
+    # kills.  Then t r = e, as t f = t, and r t = f, as e t = t
+    ech = store.echelon(t)
+    zs = []
+    for j in range(n):
+        z = ech.solve_sparse(dict(e.col_sparse(j)), t)
+        if z is None:
+            raise InvariantViolation(f"column {j} of e lies outside Ran(t) = Ran(e)")
+        zs.append(z)
+    r = f * Matrix.from_sparse_cols(n, zs)
     if t * r != e:
         raise BadProjections("constructed r fails t r = e")
     if r * t != f:

@@ -122,7 +122,7 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
             blocker = result.check_id
         return result
 
-    diag = validate_algebra(algebra)
+    diag = validate_algebra(algebra, cache)
     ctx.unit = diag.unit
     block_on(diag.associativity)
     block_on(check("algebra-nondegenerate", diag.nondegenerate,

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from wmha.linalg import Echelon, Matrix, rank_image_kernel, invert
+from wmha.coproducts import RunCache
+from wmha.linalg import Echelon, Matrix, invert
 from wmha.scalars import ONE, ZERO, Scalar, rational
+
+
+def rank_image_kernel(t: Matrix):
+    """Rank, column space and null space of t, as a run's store keeps them."""
+    store = RunCache()
+    image = store.column_space(t)
+    return image.dim, image, store.kernel(t)
 
 
 def random_scalar(rng, allow_imaginary=True):
@@ -47,7 +55,7 @@ def random_projection_pair(rng, t: Matrix):
             if span.insert(v):
                 extra.append(v)
         basis = Matrix.from_sparse_cols(n, cols + extra)
-        binv = invert(basis)
+        binv = invert(basis, RunCache())
         sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(cols))})
         return basis * sel * binv
 
@@ -65,7 +73,7 @@ def random_projection_pair(rng, t: Matrix):
         if span.insert(v):
             comp.append(v)
     basis = Matrix.from_sparse_cols(n, comp + kernel.rows)
-    binv = invert(basis)
+    binv = invert(basis, RunCache())
     sel = Matrix.from_entries(n, n, {(i, i): ONE for i in range(len(comp))})
     f = basis * sel * binv
     return e, f
@@ -84,7 +92,7 @@ def solve_geninv_by_constraints(t, e, f):
         for j in range(n):
             constraints.append(({i * n + k: t[k][j] for k in range(n) if t[k][j]}, f[i][j]))
             constraints.append(({i * n + k: comp[k][j] for k in range(n) if comp[k][j]}, ZERO))
-    sol, space = solve_linear(constraints, n * n)
+    sol, space = solve_linear(constraints, n * n, RunCache())
     assert space.dim == 0, "generalized inverse must be unique"
     return Matrix.from_rows([[sol[i * n + j] for j in range(n)] for i in range(n)])
 
@@ -108,14 +116,14 @@ def conjugated_input(name, complex_entries, p=None):
     m = convolution_algebra(preset(name))
     n = m.algebra.dim
     rng = random.Random(3)
-    while p is None or invert(p) is None:
+    while p is None or invert(p, RunCache()) is None:
         def entry():
             re = rational(rng.randint(-2, 2), rng.choice([1, 2])).re
             im = rational(rng.randint(-1, 1)).re \
                 if complex_entries and rng.random() < 0.4 else rational(0).re
             return Scalar(re, im)
         p = Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
-    pinv = invert(p)
+    pinv = invert(p, RunCache())
     entries = []
     for i in range(n):
         for j in range(n):
@@ -126,7 +134,7 @@ def conjugated_input(name, complex_entries, p=None):
         assert any(v.im for _, _, _, v in conj.structure_entries()), \
             "conjugation should produce genuinely complex structure constants"
     q = p.kron(p)
-    qinv = invert(q)
+    qinv = invert(q, RunCache())
     inp = StructureInput(conj, qinv * m.t1 * q, qinv * m.t2 * q,
                          qinv * m.t3 * q, qinv * m.t4 * q)
     return inp, p, q, m

@@ -13,6 +13,7 @@ from conftest import (random_matrix, random_projection_pair,
 from wmha.cli import main
 from wmha.fileio import model_to_document
 from wmha.groupoids import build_model, preset
+from wmha.coproducts import RunCache
 from wmha.linalg import Matrix, column_space, generalized_inverse
 from wmha.pipeline import verify_groupoid_model, verify_lazy_model
 from wmha.report import PASS
@@ -156,7 +157,7 @@ def test_criterion_08_generalized_inverse_unit_suite():
         dim = rng.randint(2, 6)
         t = random_matrix(rng, dim, dim)
         e, f = random_projection_pair(rng, t)
-        r = generalized_inverse(t, e, f)
+        r = generalized_inverse(t, e, f, RunCache())
         ident = Matrix.identity(dim)
         ok = ok and t * r == e and r * t == f
         ok = ok and t * r * t == t and r * t * r == r

@@ -2,15 +2,15 @@ import pytest
 
 from conftest import FINITE_INPUTS, conjugated_input
 from wmha import antipodes
-from wmha.algebras import (Algebra, Multiplier, StarStructure, flip_map, is_isomorphism,
-                           validate_algebra)
+from wmha.algebras import (Algebra, Multiplier, StarStructure, as_elements, flip_map,
+                           is_isomorphism, validate_algebra)
 from wmha.antipodes import (AntipodeWitness, AntipodesDisagree, appendix_suite,
                             build_generalized_inverses, compute_antipode,
                             check_antipode_identities, compute_source_target,
                             derive_flip_maps, regular_suite, star_suite,
                             verify_via_antipode, weak_hopf_suite)
-from wmha.coproducts import (CoproductData, NoSuchIdempotent, compute_E, solve_G_maps,
-                             solve_counit)
+from wmha.coproducts import (CoproductData, NoSuchIdempotent, RunCache, compute_E,
+                             solve_G_maps, solve_counit)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
 from wmha.scalars import ONE, ZERO, rational
@@ -36,7 +36,7 @@ def all_pass(results):
 def test_hopf_case_inverses_are_actual_inverses():
     m, c, eps, e, gm, w, checks = build_all("group:cyclic:3", "convolution")
     all_pass(checks)
-    assert w.r1 == invert(c.t1) and w.r2 == invert(c.t2)
+    assert w.r1 == invert(c.t1, RunCache()) and w.r2 == invert(c.t2, RunCache())
 
 
 def test_antipode_matches_inversion_oracles():
@@ -91,8 +91,7 @@ def test_source_target_values_convolution_model():
     idx = g.index()
     for p in g.morphisms:
         # eps_s(lambda_p) = lambda_{s(p)}, eps_t(lambda_p) = lambda_{t(p)}
-        sl = st.eps_s[idx[p]].as_element()
-        tl = st.eps_t[idx[p]].as_element()
+        sl, tl = as_elements(c.parent, [st.eps_s[idx[p]], st.eps_t[idx[p]]], c.cache)
         assert sl == {idx[g.source[p]]: ONE}
         assert tl is not None and tl.get(idx[g.target[p]]) == ONE
 
@@ -120,7 +119,7 @@ def test_weak_hopf_identity_spot_check():
     g = preset("pair:2")
     m, c, eps, e, gm, w, _ = build_all("pair:2", "convolution")
     st, _ = compute_source_target(c, e, gm, w, eps)
-    unit = validate_algebra(m.algebra).unit
+    unit = validate_algebra(m.algebra, RunCache()).unit
     all_pass(weak_hopf_suite(c, e, st, eps, unit))
     assert e.left != Matrix.identity(c.nn)   # weak Hopf, not Hopf
     idx = g.index()
@@ -133,7 +132,7 @@ def test_weak_hopf_identity_spot_check():
 def test_weak_hopf_flags_hopf_for_groups():
     m, c, eps, e, gm, w, _ = build_all("group:cyclic:4", "convolution")
     st, _ = compute_source_target(c, e, gm, w, eps)
-    unit = validate_algebra(m.algebra).unit
+    unit = validate_algebra(m.algebra, RunCache()).unit
     all_pass(weak_hopf_suite(c, e, st, eps, unit))
     assert e.left == Matrix.identity(c.nn)   # weak Hopf with E = 1: Hopf
 
@@ -354,7 +353,7 @@ def test_source_target_columns_are_the_contractions(name, kind):
                                         ("pair:2", "rational P")])
 def test_shared_strip_echelons_give_the_fresh_results(name, kind):
     # the regular suite's sandwich tables and the antipode path's R
-    # recovery share the (right, leg 2) strip echelon of one coproduct;
+    # recovery share the (right, leg 2) strip echelon of one run's store;
     # in either order they give what each gives on a coproduct of its own
     c, _, e, _, w = _witnesses(name, kind)
     n = c.n
@@ -374,7 +373,8 @@ def test_shared_strip_echelons_give_the_fresh_results(name, kind):
             assert antipodes._sandwich_tables(shared, e) == tables
         assert r_maps(shared) == rs
         assert antipodes._sandwich_tables(shared, e) == tables
-        assert sorted(shared._strips) == [(False, 1), (False, n), (True, n)]
+        assert sorted(key[2:] for key in vars(shared.cache)['_store'] if key[0] == "strips") == \
+            [(False, 1), (False, n), (True, n)]
 
 
 def test_zero_antipode_values_fail_antipode_spans():
@@ -474,8 +474,8 @@ def test_regular_suite_walks_f_on_an_s_that_is_not_antimultiplicative(
     # before the transport, and those of the full computation
     c, _, e, gm, w = _witnesses("pair:2", kind)
     s = doctored_s(w, c.n)
-    doctored = AntipodeWitness(w.r1, w.r2, w.s, s, invert(s))
-    assert not is_isomorphism(c.parent, s, invert(s), c.parent.opposite())
+    doctored = AntipodeWitness(w.r1, w.r2, w.s, s, invert(s, RunCache()))
+    assert not is_isomorphism(c.parent, s, invert(s, RunCache()), c.parent.opposite())
     walks, _ = _count_law_walks_and_solves(monkeypatch)
     checks, t3, t4 = regular_suite(c, e, gm, doctored)
     assert walks and all(parent is not e.parent for parent in walks)

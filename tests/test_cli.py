@@ -5,7 +5,8 @@ import pytest
 from wmha import antipodes
 from wmha.cli import main
 from wmha.fileio import model_to_document
-from wmha.groupoids import build_model, convolution_algebra, function_algebra, preset
+from wmha.groupoids import (PRESET_FORMS, build_model, convolution_algebra,
+                            function_algebra, preset)
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -78,6 +79,18 @@ def test_exit_two_on_garbage(tmp_path, capsys):
     assert main(["verify", write_doc(tmp_path, {"algebra": {"dim": 2}})]) == 2
     assert main(["verify", "--preset", "nope:1", "--model", "function"]) == 2
     assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("name, member", [("union:", "number 1 of 1"),
+                                          ("union:pair:1+", "number 2 of 2")])
+def test_empty_preset_member_is_named(name, member, capsys):
+    # both once printed "input error: " with nothing after it
+    assert main(["verify", "--preset", name, "--model", "function"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: preset {name!r} has an empty union member, {member}; "
+                            f"the presets are {PRESET_FORMS}\n")
+    assert "pair:N" in PRESET_FORMS
 
 
 @pytest.mark.parametrize("blob", [
@@ -165,7 +178,7 @@ def test_star_on_a_non_bijective_antipode_without_flip_maps_exits_one(tmp_path, 
     # once re-derived T3/T4 from S, got none and crashed (exit 3)
     doc = model_to_document(build_model(preset("pair:2"), kind))
     del doc["coproduct"]["T3"], doc["coproduct"]["T4"]
-    monkeypatch.setattr(antipodes, "invert", lambda m: None)
+    monkeypatch.setattr(antipodes, "invert", lambda m, store: None)
     report = tmp_path / "report.json"
     assert main(["verify", write_doc(tmp_path, doc), "--path", "both",
                  "--report", str(report)]) == 1

@@ -11,7 +11,10 @@ the language and are not scanned.
 
 Every parameter is read: a parameter that no body reads is a value no
 caller can change the result with, and it is deleted with its
-arguments."""
+arguments.
+
+No method but `__init__` sets an attribute of its object, except the two
+listed in SELF_ASSIGNMENTS: derived values live in the run store."""
 
 import ast
 from pathlib import Path
@@ -166,3 +169,41 @@ def test_no_two_engine_exceptions_are_always_caught_together():
                       if any(a in names for names in clauses)
                       and all(b in names for names in clauses if a in names))
     assert not together, "exception classes no caller tells apart: " + ", ".join(together)
+
+
+# the per-object memos that stay beside the run store: the echelon's own
+# row count while it is built, and the mirror presentation, which
+# delta_right reads on every call
+SELF_ASSIGNMENTS = {"linalg.Echelon.insert._nrows_in", "coproducts.CoproductData.mirror._mirror"}
+
+
+def _self_assignments(module, tree):
+    """module.Class.method.attribute for every assignment to an attribute of
+    self in a method other than __init__."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or method.name == "__init__":
+                continue
+            for node in ast.walk(method):
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) \
+                                and t.value.id == "self" and isinstance(t.ctx, ast.Store):
+                            out.append(f"{module}.{cls.name}.{method.name}.{t.attr}")
+    return out
+
+
+def test_no_method_keeps_a_memo_on_its_object():
+    # what a run derives is kept in coproducts.RunCache, keyed by content;
+    # an attribute set after construction is a memo beside it
+    found = sorted(entry for path, tree in _trees(SRC).items()
+                   for entry in _self_assignments(path.stem, tree))
+    assert found == sorted(SELF_ASSIGNMENTS), \
+        "methods that assign an attribute of self: " + ", ".join(
+            sorted(set(found) - SELF_ASSIGNMENTS))

@@ -528,7 +528,7 @@ def nonregular_fingerprint(argv, workdir: Path):
     """fingerprint with every antipode inversion refused, so the run finds
     the antipode not bijective and skips the regular-case checks."""
     saved = antipodes.invert
-    antipodes.invert = lambda m: None
+    antipodes.invert = lambda m, store: None
     try:
         return fingerprint(argv, workdir)
     finally:

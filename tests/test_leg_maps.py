@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wmha.algebras import Algebra, Multiplier, _on_legs
-from wmha.coproducts import (CoproductData, IllDefinedExtension,
+from wmha.coproducts import (CoproductData, IllDefinedExtension, RunCache,
                              _extended_leg_columns, _lbl3, check_E_conditions, compute_E)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
@@ -67,14 +67,14 @@ def conjugated(model, p):
     """The model's algebra and canonical maps in the basis given by the
     columns of p: dense structure constants for a dense p."""
     n = model.algebra.dim
-    pinv = invert(p)
+    pinv = invert(p, RunCache())
     entries = []
     for i in range(n):
         for j in range(n):
             prod = model.algebra.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))
             entries.extend((i, j, k, v) for k, v in sorted(pinv.apply_sparse(prod).items()))
     q = p.kron(p)
-    qinv = invert(q)
+    qinv = invert(q, RunCache())
     return CoproductData(Algebra.from_structure(n, None, entries),
                          qinv * model.t1 * q, qinv * model.t2 * q)
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmha.algebras import vec_to_sparse
+from wmha.coproducts import RunCache
 from wmha.linalg import (BadProjections, DimensionMismatch, Echelon, Infeasible, Matrix,
-                         Subspace, column_space, generalized_inverse, invert,
-                         rank_image_kernel, solve_linear)
+                         Subspace, column_space, generalized_inverse, invert, solve_linear)
 from wmha.scalars import ONE, ZERO, Scalar, rational
 
 from conftest import (random_matrix, random_projection_pair, random_scalar,
-                      solve_geninv_by_constraints)
+                      rank_image_kernel, solve_geninv_by_constraints)
 
 
 def M(rows):
@@ -34,18 +34,18 @@ def test_rank_image_kernel_zero():
 
 
 def test_solve_linear_unique():
-    sol, space = solve_linear([({0: ONE}, rational(1))], 1)
+    sol, space = solve_linear([({0: ONE}, rational(1))], 1, RunCache())
     assert sol == [ONE] and space.dim == 0
 
 
 def test_solve_linear_empty_constraints():
-    sol, space = solve_linear([], 2)
+    sol, space = solve_linear([], 2, RunCache())
     assert sol == [ZERO, ZERO] and space == Subspace.full(2)
 
 
 def test_solve_linear_infeasible():
     with pytest.raises(Infeasible):
-        solve_linear([({0: ONE}, rational(1)), ({0: ONE}, rational(2))], 1)
+        solve_linear([({0: ONE}, rational(1)), ({0: ONE}, rational(2))], 1, RunCache())
 
 
 def test_subspace_scaling_invariance():
@@ -68,34 +68,34 @@ def test_subspace_distinct_lines():
 
 def test_generalized_inverse_identity():
     i2 = Matrix.identity(2)
-    assert generalized_inverse(i2, i2, i2) == i2
+    assert generalized_inverse(i2, i2, i2, RunCache()) == i2
 
 
 def test_generalized_inverse_worked_example():
     t = M([[0, 1], [0, 0]])
     e = M([[1, 0], [0, 0]])
     f = M([[0, 0], [0, 1]])
-    assert generalized_inverse(t, e, f) == M([[0, 0], [1, 0]])
+    assert generalized_inverse(t, e, f, RunCache()) == M([[0, 0], [1, 0]])
 
 
 def test_generalized_inverse_of_invertible_map():
     t = M([[1, 2], [1, 3]])
     i2 = Matrix.identity(2)
-    assert generalized_inverse(t, i2, i2) == invert(t)
+    assert generalized_inverse(t, i2, i2, RunCache()) == invert(t, RunCache())
 
 
 def test_generalized_inverse_rejects_bad_projections():
     t = M([[0, 1], [0, 0]])
     with pytest.raises(BadProjections):
-        generalized_inverse(t, M([[1, 1], [0, 1]]), Matrix.identity(2))
+        generalized_inverse(t, M([[1, 1], [0, 1]]), Matrix.identity(2), RunCache())
     with pytest.raises(BadProjections):
-        generalized_inverse(t, Matrix.identity(2), Matrix.identity(2))
+        generalized_inverse(t, Matrix.identity(2), Matrix.identity(2), RunCache())
 
 
 def geninv_taskcase(rng, dim):
     t = random_matrix(rng, dim, dim)
     e, f = random_projection_pair(rng, t)
-    r = generalized_inverse(t, e, f)
+    r = generalized_inverse(t, e, f, RunCache())
     assert t * r == e
     assert r * t == f
     assert t * r * t == t
@@ -199,7 +199,7 @@ def test_echelon_insert_grows_exactly_outside_the_span(seed, count, dim):
 def test_invert_is_an_inverse(seed, dim):
     rng = random.Random(seed)
     m = random_matrix(rng, dim, dim, density=0.7)
-    inv = invert(m)
+    inv = invert(m, RunCache())
     if inv is None:
         assert rank_image_kernel(m)[0] < dim
     else:

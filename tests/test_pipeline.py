@@ -4,7 +4,7 @@ import pytest
 
 from conftest import conjugated_input
 from wmha.antipodes import AntipodesDisagree
-from wmha.coproducts import NoSolution, NoSuchIdempotent
+from wmha.coproducts import NoSolution, NoSuchIdempotent, RunCache
 from wmha.fileio import model_to_document, parse_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import (StructureInput, verify_groupoid_model,
@@ -102,7 +102,7 @@ def test_op_round_trip_reuses_equal_presentation(name, kind, variant, cores,
     calls = []
     validate = wmha.pipeline.validate_algebra
     monkeypatch.setattr(wmha.pipeline, "validate_algebra",
-                        lambda a: calls.append(a) or validate(a))
+                        lambda a, store: calls.append(a) or validate(a, store))
     report = _round_trip_run(name, kind, variant)
     assert len(calls) == cores
     assert report.status_of("appendix-op-roundtrip") == round_trip
@@ -426,8 +426,8 @@ def test_conjugated_presentation_verifies_with_dense_constants():
     report, ctx, p, q, m = _conjugated_run("pair:2", complex_entries=False)
     from wmha.linalg import invert
     assert report.verdict == PASS, report.first_failure()
-    assert ctx.antipode.s_matrix == invert(p) * m.oracle_s * p
-    assert ctx.e.left == invert(q) * m.oracle_e_left * q
+    assert ctx.antipode.s_matrix == invert(p, RunCache()) * m.oracle_s * p
+    assert ctx.e.left == invert(q, RunCache()) * m.oracle_e_left * q
 
 
 def test_complex_conjugated_presentation_verifies():
@@ -436,7 +436,7 @@ def test_complex_conjugated_presentation_verifies():
     report, ctx, p, q, m = _conjugated_run("group:cyclic:3", complex_entries=True)
     from wmha.linalg import invert
     assert report.verdict == PASS, report.first_failure()
-    assert ctx.antipode.s_matrix == invert(p) * m.oracle_s * p
+    assert ctx.antipode.s_matrix == invert(p, RunCache()) * m.oracle_s * p
 
 
 def _conjugated_run(name, complex_entries, p=None):
@@ -459,8 +459,8 @@ def _kernels_failing(real):
 
 
 def _without_unit(real):
-    def step(algebra):
-        diag = real(algebra)
+    def step(algebra, store):
+        diag = real(algebra, store)
         diag.unit = None
         return diag
     return step
@@ -593,7 +593,7 @@ def test_local_units_not_demanded_without_regularity(monkeypatch):
 
     monkeypatch.setattr(wmha.pipeline, "validate_algebra",
                         _without_unit(wmha.pipeline.validate_algebra))
-    monkeypatch.setattr(wmha.antipodes, "invert", lambda m: None)
+    monkeypatch.setattr(wmha.antipodes, "invert", lambda m, store: None)
     report, _ = verify_groupoid_model(preset("pair:2"), "convolution")
     assert _detail(report, "regular") == "not regular: antipode matrix is not invertible"
     assert report.status_of("local-units") == PASS

@@ -2,15 +2,19 @@
 kernel, the E solve and each column space run once per distinct input,
 and nothing is carried from one verification to the next."""
 
+import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from conftest import conjugated_input
 from test_unit_walks import record_full_walks
+from test_walk_failures import CASES as WALK_CASES, _run as _walk_run
 
 from wmha import antipodes, coproducts
-from wmha.algebras import Multiplier, flip_map
-from wmha.coproducts import IllDefinedExtension, RunCache, _matrix_key
-from wmha.linalg import Matrix
+from wmha.algebras import Algebra, Multiplier, flip_map
+from wmha.coproducts import CoproductData, IllDefinedExtension, RunCache, _matrix_key
+from wmha.linalg import Echelon, Infeasible, Matrix, Subspace
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
 from wmha.report import PASS
@@ -158,10 +162,13 @@ def test_a_raising_build_stores_nothing():
     assert cache.once(("legs",), lambda: "built") == "built"
 
 
-@pytest.mark.parametrize("name, distinct", [("pair:2", 7), ("bundle:cyclic:1:2", 2)])
+@pytest.mark.parametrize("name, distinct", [("pair:2", 29), ("bundle:cyclic:1:2", 11)])
 def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatch):
-    # Ran T1, Ran T2, Ran E, Ran T3/T4 and Ran(1 - G) of the main, mirror,
-    # flipped and opposite presentations, by content
+    # Ran T1, Ran T2, Ran E, Ran T3/T4, Ran(1 - G), the spans of null space
+    # bases (Ker T1, Ker T2, the counit system) and every span a check
+    # compares (leg spans, non-degeneracy, A S(A), the source/target images
+    # and ideals) of the main, mirror, flipped and opposite presentations,
+    # by content
     counts = Counter()
     eliminate = coproducts.column_space
 
@@ -175,31 +182,152 @@ def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatc
     assert sum(counts.values()) == len(counts) == distinct
 
 
+def _record_builds(monkeypatch):
+    """Every key requested from a RunCache, in order, and the keys whose
+    build ran."""
+    log = {"requests": [], "builds": []}
+    once = RunCache.once
+
+    def counted(self, key, build):
+        log["requests"].append(key)
+
+        def logged():
+            log["builds"].append(key)
+            return build()
+        return once(self, key, logged)
+
+    monkeypatch.setattr(RunCache, "once", counted)
+    return log
+
+
 @pytest.mark.parametrize("kind", ["convolution", "function"])
 def test_witness_derived_maps_are_built_once(kind, monkeypatch):
     # the source/target values serve the source/target checks, the antipode
     # identities and the later suites: one build per run.  The strip
-    # echelons serve the antipode path's R recovery: one build per
-    # coproduct, side and leg, two in all (with a unit the regular suite
-    # reads its sandwich tables off E without them)
-    values, strips = [], []
-    source_target, strip = antipodes.compute_source_target, coproducts.CoproductData._strip_echelon
+    # echelons serve the antipode path's R recovery, which fetches each
+    # once: one store entry per algebra, side and leg, two in all (with a
+    # unit the regular suite reads its sandwich tables off E without them)
+    values, log = [], _record_builds(monkeypatch)
+    source_target = antipodes.compute_source_target
 
     def counted_values(c, *args):
         values.append(c)
         return source_target(c, *args)
 
-    def counted_strip(c, left, s):
-        # (coproduct, side, leg, whether this request builds the echelon)
-        strips.append((c, left, s, (left, s) not in c._strips))
-        return strip(c, left, s)
-
     monkeypatch.setattr(antipodes, "compute_source_target", counted_values)
-    monkeypatch.setattr(coproducts.CoproductData, "_strip_echelon", counted_strip)
     report, ctx = verify_groupoid_model(preset("pair:2"), kind, path="both")
     assert report.verdict == PASS and report.status_of("star-compatible") == PASS
     assert values == [ctx.coproduct]
-    builds = [(c, left, s) for c, left, s, build in strips if build]
-    assert {c for c, _, _, _ in strips} == {ctx.coproduct}
-    assert len(builds) == len(set(builds)) == 2 < len(strips)
-    assert sorted(ctx.coproduct._strips) == [(False, 1), (True, 4)]
+    requests = [key for key in log["requests"] if key[0] == "strips"]
+    builds = [key for key in log["builds"] if key[0] == "strips"]
+    assert {key[1] for key in requests} == {ctx.coproduct.parent.content_key()}
+    assert len(builds) == len(set(builds)) == len(requests) == 2
+    assert sorted(key[2:] for key in vars(ctx.coproduct.cache)["_store"]
+                  if key[0] == "strips") == [(False, 1), (True, 4)]
+
+
+def test_coproduct_data_holds_no_memo_of_its_own():
+    # what a run derives from the maps by elimination lives in the store;
+    # the mirror alone stays on the object, as delta_right reads it on
+    # every call
+    report, ctx = verify_groupoid_model(preset("pair:2"), "convolution", path="both")
+    assert report.verdict == PASS
+    c = ctx.coproduct
+    assert c._mirror is not None
+    for d in (c, c.mirror()):
+        assert set(vars(d)) == {"parent", "t1", "t2", "t3", "t4", "aa", "n", "nn", "cache",
+                                "_mirror"}
+
+
+# the callers that once repeated eliminations made elsewhere in the run,
+# named in the failure message
+SHARING = {"generalized_inverse": ("generalized_inverse",),
+           "check_kernels": ("check_kernels",),
+           "S flattening": ("compute_antipode", "as_elements", "as_element")}
+
+
+def _record_eliminations(monkeypatch):
+    """(caller, whether equal content was eliminated before) for every
+    Echelon built from rows and every Subspace.from_vectors, keyed by
+    content: matrix, pivot order and solvability, or the vectors."""
+    seen, log = set(), []
+    init, from_vectors = Echelon.__init__, Subspace.from_vectors
+
+    def callers():
+        frame, names = sys._getframe(2), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return [site for site, chain in SHARING.items()
+                if chain[0] in names and (len(chain) == 1 or names & set(chain[1:]))] \
+            or ["elsewhere"]
+
+    def record(key):
+        log.append((callers(), key in seen))
+        seen.add(key)
+
+    def counted_init(self, matrix, col_order=None, solvable=False):
+        if matrix.rows:
+            record(("echelon", _matrix_key(matrix),
+                    None if col_order is None else tuple(col_order), solvable))
+        init(self, matrix, col_order, solvable)
+
+    def counted_from_vectors(ambient_dim, vectors):
+        vectors = [dict(v) for v in vectors]
+        record(("span", ambient_dim, tuple(tuple(sorted(v.items())) for v in vectors)))
+        return from_vectors(ambient_dim, vectors)
+
+    monkeypatch.setattr(Echelon, "__init__", counted_init)
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(counted_from_vectors))
+    return log
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["pair:2", "dense bundle:cyclic:1:2"])
+def test_shared_eliminations_are_not_repeated(dense, monkeypatch):
+    # every elimination goes through the store, so a run eliminates each
+    # distinct system once: the generalized inverses, the kernel check and
+    # the flattening of S read Ran T, Ker T, the solvable echelon of T,
+    # Ran E, Ran(1 - G) and the product-table system of the unit search
+    # from it
+    if dense:
+        inp = conjugated_input("bundle:cyclic:1:2", False)[0]
+    log = _record_eliminations(monkeypatch)
+    if dense:
+        report, _ = verify_structure(inp, path="both")
+    else:
+        report, _ = verify_groupoid_model(preset("pair:2"), "convolution", path="both")
+    assert report.verdict == PASS
+    assert log
+    assert not Counter(site for sites, repeat in log if repeat for site in sites)
+
+
+def _results(checks):
+    return [(r.check_id, r.status, r.detail) for r in checks]
+
+
+def test_full_leg_walk_builds_each_solver_once(monkeypatch):
+    # a doctored E that fails the leg conditions at the unit takes the full
+    # walk of check_E_conditions, which solves through psi and mu at every
+    # column: psi, its two solvers and the mu decomposition are each built
+    # once, for a fresh run's store
+    model, ctx = _walk_run("convolution")
+    case = WALK_CASES["e-conditions-left"][1]
+    expected = case(ctx)
+    c = ctx.coproduct
+    fresh = SimpleNamespace(coproduct=CoproductData(c.parent, c.t1, c.t2), e=ctx.e)
+    log = _record_builds(monkeypatch)
+    assert _results(case(fresh)) == _results(expected)
+    kinds = ("psi", "mu")
+    builds = Counter(key for key in log["builds"] if key[0] in kinds)
+    requests = Counter(key for key in log["requests"] if key[0] in kinds)
+    assert set(builds.values()) == {1}
+    assert sorted(len(key) for key in builds) == [2, 3, 4, 4]   # mu, psi, its two solvers
+    assert all(requests[key] > 1 for key in builds)
+
+
+def test_mu_decomposition_refuses_a_non_idempotent_algebra():
+    # x x = 0: e_x is no sum of products
+    a = Algebra.from_structure(1, ["x"], [])
+    c = CoproductData(a, Matrix.zero(1, 1), Matrix.zero(1, 1))
+    with pytest.raises(Infeasible, match="algebra is not idempotent"):
+        c.mu_decomposition(0)

@@ -31,7 +31,7 @@ from wmha.antipodes import (AntipodeWitness, SourceTargetWitness, _absorption_fa
                             _r_commutation_failures, _sandwich_tables, _source_target_values,
                             _st_commute_failures, _st_coproduct_failures,
                             check_antipode_identities, compute_source_target)
-from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
+from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent, RunCache,
                              ProjectionMaps, check_E_conditions, compute_E, extend_delta,
                              _coassociativity_failures, _e_at_unit, _g_crosscheck_failures, _kron,
                              _homomorphism_failures, _mixed_law_failures,
@@ -251,14 +251,15 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
     name, p, doctorings, values, s_change, e_shift, x = case
     inp, p, q, model = conjugated_input(name, False, p)
     alg = inp.algebra
-    u = validate_algebra(alg).unit
+    u = validate_algebra(alg, RunCache()).unit
     assert alg.checked_unit() == u is not None
-    qinv, pinv = invert(q), invert(p)
+    qinv, pinv = invert(q, RunCache()), invert(p, RunCache())
     maps = {"t1": inp.t1, "t2": inp.t2, "t3": inp.t3, "t4": inp.t4,
             "e_left": qinv * model.oracle_e_left * q, "e_right": qinv * model.oracle_e_right * q,
             "g1": qinv * model.oracle_g1 * q, "g2": qinv * model.oracle_g2 * q}
-    maps["r1"] = generalized_inverse(maps["t1"], maps["e_left"], maps["g1"])
-    maps["r2"] = generalized_inverse(maps["t2"], maps["e_right"], maps["g2"])
+    store = RunCache()
+    maps["r1"] = generalized_inverse(maps["t1"], maps["e_left"], maps["g1"], store)
+    maps["r2"] = generalized_inverse(maps["t2"], maps["e_right"], maps["g2"], store)
     counit = [sum((v * model.oracle_counit[k] for k, v in p.col_sparse(i)), rational(0))
               for i in range(alg.dim)]
     c = CoproductData(alg, inp.t1, inp.t2)
@@ -279,10 +280,10 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
             s_values[a] = _doctor_value(s_values[a], side, how, xm)
         else:
             doctored.append((which, a, side, how, xm))
-    s_inv = invert(s_matrix)
+    s_inv = invert(s_matrix, RunCache())
     for r, col, v in s_change:
         s_matrix = s_matrix + Matrix.from_entries(n, n, {(r, col): v})
-        s_inv = invert(s_matrix) or s_inv
+        s_inv = invert(s_matrix, RunCache()) or s_inv
     w = AntipodeWitness(maps["r1"], maps["r2"], s_values, s_matrix, s_inv)
     eps = dict(zip(("eps_s", "eps_t"), _source_target_values(
         c, ProjectionMaps(maps["g1"], maps["g2"]), w, counit)))
@@ -469,7 +470,7 @@ def test_e_is_read_at_the_unit_only_when_each_condition_holds(doctor):
     # on each input one condition of `_e_at_unit` fails and the others
     # hold, and the embedded T1(1 (x) 1) is not the solution: E is solved
     model = build_model(preset("pair:2"), "convolution")
-    validate_algebra(model.algebra)
+    validate_algebra(model.algebra, RunCache())
     c = doctor(CoproductData(model.algebra, model.t1, model.t2))
     e = c.t1.apply_sparse(c.aa.checked_unit())
     candidate = Multiplier.of_element(c.aa, e)

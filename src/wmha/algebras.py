@@ -10,8 +10,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .linalg import DimensionMismatch, Echelon, Matrix
-from .report import PASS, CheckResult, _first_failures
+from .linalg import DimensionMismatch, Matrix
+from .report import PASS, CheckResult, _first_failures, check
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
 
 
@@ -309,18 +309,6 @@ class Multiplier:
         return f"Multiplier(dim={self.parent.dim})"
 
 
-class AlgebraDiagnostics:
-    def __init__(self, associativity: CheckResult,
-                 nondegenerate: bool, degeneracy_witness: Optional[str],
-                 idempotent: bool, unit: Optional[SparseVec]):
-        self.associativity = associativity
-        self.associative = associativity.status == PASS
-        self.nondegenerate = nondegenerate
-        self.degeneracy_witness = degeneracy_witness
-        self.idempotent = idempotent
-        self.unit = unit
-
-
 def as_elements(a: Algebra, ms: List[Multiplier], store) -> List[Optional[SparseVec]]:
     """The element x of A with left = L_x and right = R_x for each multiplier
     of a in ms, or None where there is none.  The system x e_j = left(e_j),
@@ -336,52 +324,43 @@ def as_elements(a: Algebra, ms: List[Multiplier], store) -> List[Optional[Sparse
         return [None] * len(ms)
     return [ech.solve_sparse({2 * (j * n + k) + side: v
                               for side, act in enumerate((m.left, m.right))
-                              for j in range(n) for k, v in act.col_sparse(j)}, system)
+                              for j in range(n) for k, v in act.col_sparse(j)})
             for m in ms]
 
 
-def validate_algebra(a: Algebra, store) -> AlgebraDiagnostics:
-    """Associativity, non-degeneracy, idempotency (A^2 = A), unit search;
-    store is the run's `coproducts.RunCache`."""
-    labels = a.basis_labels
+def validate_algebra(a: Algebra, store) -> Tuple[List[CheckResult], Optional[SparseVec]]:
+    """The associativity, non-degeneracy and idempotency (A^2 = A) results
+    of a, and its unit or None; every span is eliminated through store, the
+    run's `coproducts.RunCache`."""
+    n, labels = a.dim, a.basis_labels
 
     def associativity_failures():
-        for i, j in product(range(a.dim), repeat=2):
+        for i, j in product(range(n), repeat=2):
             ij = a.mul_basis(i, j)
-            for k in range(a.dim):
+            for k in range(n):
                 if a.mul_by_basis(ij, k) != a.basis_times(i, a.mul_basis(j, k)):
                     yield f"associativity fails at basis triple {(labels[i], labels[j], labels[k])}"
-    assoc = _first_failures(associativity_failures(), {
-        "algebra-associative": "structure tensor is associative"})[0]
 
-    # x with x*A = 0: kernel of the stacked right-multiplication operators
-    # (rows of x -> x e_j over j), then x with A*x = 0 likewise
-    prows = _product_rows(a)
-    nondeg = True
-    deg_witness = None
-    if store.span(a.dim, (r for right, _ in prows for r in right)).dim < a.dim:
-        nondeg = False
-        deg_witness = "nonzero x with x*A = 0"
-    elif store.span(a.dim, (r for _, left in prows for r in left)).dim < a.dim:
-        nondeg = False
-        deg_witness = "nonzero x with A*x = 0"
+    def degeneracy_failures():
+        # x with x*A = 0: kernel of the stacked right-multiplication operators
+        # (rows of x -> x e_j over j), then x with A*x = 0 likewise
+        prows = _product_rows(a)
+        for side, what in ((0, "x*A = 0"), (1, "A*x = 0")):
+            if store.span(n, (r for rows in prows for r in rows[side])).dim < n:
+                yield f"nonzero x with {what}"
 
-    span = Echelon(Matrix.zero(0, a.dim))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.mul_basis(i, j)
-            if prod:
-                span.insert(prod)
-        if span.rank == a.dim:
-            break
-    idem = span.rank == a.dim
+    assoc = _first_failures(associativity_failures(), {"algebra-associative": "structure tensor is associative"})[0]
+    nondeg = _first_failures(degeneracy_failures(), {"algebra-nondegenerate": "product is non-degenerate"})[0]
+    products = store.span(n, (a.mul_basis(i, j) for i, j in product(range(n), repeat=2)))
+    idem = check("algebra-idempotent", products.dim == n,
+                 "products span the algebra", "products do not span the algebra")
 
     # the unit is the embedded unit multiplier: local units for the whole
     # basis amount to a unit, and a unit u is never ambiguous, since
     # y e_j = 0 for every j gives y = y u = 0
     unit = as_elements(a, [Multiplier.unit(a)], store)[0]
     a._unit = unit if assoc.status == PASS else None
-    return AlgebraDiagnostics(assoc, nondeg, deg_witness, idem, unit)
+    return [assoc, nondeg, idem], unit
 
 
 def _product_rows(a: Algebra) -> list:
@@ -415,26 +394,18 @@ def is_isomorphism(source: Algebra, s: Matrix, s_inv: Matrix, target: Algebra) -
                for i, j in product(range(n), repeat=2))
 
 
-class StarStructure:
-    """Conjugate-linear involution: (sum c_i e_i)* = sum conj(c_i) J e_i."""
-
-    def __init__(self, parent: Algebra, star_matrix: Matrix):
-        self.parent = parent
-        self.star_matrix = star_matrix
-
-
 def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
     """x* = J conj(x) for a sparse vector x, with j the star matrix J on the
     algebra or J (x) J on its tensor square."""
     return j.apply_sparse({k: v.conj() for k, v in vec.items()})
 
 
-def validate_star(s: StarStructure, a: Algebra) -> CheckResult:
-    """The star-structure result of s on a: it fails at the first pair
-    that breaks anti-multiplicativity, else at involutivity."""
-    if s.star_matrix.rows != a.dim or s.star_matrix.cols != a.dim:
+def validate_star(j: Matrix, a: Algebra) -> CheckResult:
+    """The star-structure result of x* = J conj(x), J the star matrix j, on
+    a: it fails at the first pair that breaks anti-multiplicativity, else
+    at involutivity."""
+    if j.rows != a.dim or j.cols != a.dim:
         raise DimensionMismatch("star matrix must be square of the algebra dimension")
-    j = s.star_matrix
     stars = [star_on(j, {p: ONE}) for p in range(a.dim)]
 
     def failures():

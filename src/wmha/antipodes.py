@@ -13,7 +13,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, as_elements, flip_map,
-                       is_isomorphism, star_on, unless_at_unit, StarStructure)
+                       is_isomorphism, star_on, unless_at_unit)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
                          _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
@@ -24,9 +24,9 @@ from .scalars import ONE, ZERO, _accumulate, _dot, _settle
 
 
 class AntipodesDisagree(Exception):
-    def __init__(self, message: str, checks: Optional[list] = None):
+    def __init__(self, message: str, checks: list):
         super().__init__(message)
-        self.checks = checks or []
+        self.checks = checks
 
 
 # ---------------------------------------------------------------- R maps
@@ -84,7 +84,7 @@ def _r_commutation_failures(c: CoproductData, r1: Matrix, r2: Matrix):
 
 class AntipodeWitness:
     def __init__(self, r1: Matrix, r2: Matrix, s: List[Multiplier],
-                 s_matrix: Optional[Matrix], s_matrix_inv: Optional[Matrix] = None):
+                 s_matrix: Optional[Matrix], s_matrix_inv: Optional[Matrix]):
         self.r1 = r1
         self.r2 = r2
         self.s = s                      # S(e_a), with actions S1(e_a) and S2(e_a)
@@ -471,7 +471,7 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
 
     # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
     strips = (c._strip_echelon(True, n), c._strip_echelon(False, 1))
-    if any(ech.rank < nn for _, ech in strips):
+    if any(ech.rank < nn for ech in strips):
         out.append(failed("thm29-r-ranges",
                           "product is too degenerate to recover the R maps"))
         return out, None, None
@@ -804,10 +804,10 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
 
 
 def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
-               star: StarStructure, t3: Optional[Matrix],
+               jmat: Matrix, t3: Optional[Matrix],
                t4: Optional[Matrix]) -> List[CheckResult]:
+    """The star-compatible check of the star x* = J conj(x), J = jmat."""
     n, nn = c.n, c.nn
-    jmat = star.star_matrix
     jj = jmat.kron(jmat)
 
     # regular_suite supplies T3/T4 whenever S is bijective
@@ -948,15 +948,14 @@ def _absorption_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness,
 # ------------------------------------------------- sandwich actions of E
 
 
-def _strip_solve(c: CoproductData, strip: Tuple[Matrix, Echelon], m: Matrix, cols: List[int],
+def _strip_solve(c: CoproductData, strip: Echelon, m: Matrix, cols: List[int],
                  op: list, s: int) -> Optional[SparseVec]:
     """The x whose products with e_y on the leg of the strip are, for each
     y, column cols[y] of m with the operator op applied on the leg of
-    stride s; None when no such x exists.  strip is a (stack, echelon)
-    pair of `CoproductData._strip_echelon`."""
-    stack, ech = strip
+    stride s; None when no such x exists.  strip is an echelon of
+    `CoproductData._strip_echelon`."""
     x = [(y * c.nn + row, v) for y, col in enumerate(cols) for row, v in m.col_sparse(col)]
-    return ech.solve_sparse(_on_legs(op, c.n, x, s), stack)
+    return strip.solve_sparse(_on_legs(op, c.n, x, s))
 
 
 def _sandwich_tables(c: CoproductData, e: Multiplier):
@@ -981,7 +980,7 @@ def _sandwich_tables(c: CoproductData, e: Multiplier):
     tables = []
     for s in (1, n):
         strip = c._strip_echelon(False, s)
-        if strip[1].rank < nn:
+        if strip.rank < nn:
             return None
         table: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
         for p, q in product(range(n), repeat=2):

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 from .fileio import (InputDocument, VerificationFailed, load_document, parse_document,
                      witnesses_to_json)
-from .groupoids import InputError, LazyGroupoid, preset
+from .groupoids import InputError, LazyGroupoid
 from .pipeline import verify_groupoid_model, verify_lazy_model, verify_structure
 from .report import PASS, VerificationReport
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism,
                        unless_at_unit)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
-                     column_space, invert, solve_linear)
+                     column_space, solve_linear)
 from .report import CheckResult, _first_failures, check
 from .scalars import ONE, ZERO, Scalar, _accumulate, _settle, _sum_products
 
@@ -305,10 +305,10 @@ class CoproductData:
 
     def t1_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
         """One preimage of svec under T1, free variables zero, or None."""
-        return self.cache.echelon(self.t1, alt).solve_sparse(svec, self.t1)
+        return self.cache.echelon(self.t1, alt).solve_sparse(svec)
 
     def t2_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        return self.cache.echelon(self.t2, alt).solve_sparse(svec, self.t2)
+        return self.cache.echelon(self.t2, alt).solve_sparse(svec)
 
     def _psi_key(self) -> tuple:
         return ("psi", self.parent.content_key(), _matrix_key(self.t1))
@@ -324,15 +324,13 @@ class CoproductData:
             _on_legs(self.parent._right_cols(c), n, self.t1.col_sparse(p * n + d), n)
             for p in range(n) for c in range(n) for d in range(n)]))
 
-    def _psi_solver(self, alt: bool) -> Tuple[Matrix, Echelon]:
-        """psi and _solver(psi, alt), kept per (algebra, T1, alt) rather than
-        by psi's n^3 columns."""
-        psi = self.psi()
-        return psi, self.cache.once(self._psi_key() + (alt,), lambda: _solver(psi, alt))
+    def _psi_solver(self, alt: bool) -> Echelon:
+        """_solver(psi, alt), kept per (algebra, T1, alt) rather than by
+        psi's n^3 columns."""
+        return self.cache.once(self._psi_key() + (alt,), lambda: _solver(self.psi(), alt))
 
     def psi_preimage(self, svec: Dict[int, Scalar], alt: bool = False) -> Optional[Dict[int, Scalar]]:
-        psi, ech = self._psi_solver(alt)
-        return ech.solve_sparse(svec, psi)
+        return self._psi_solver(alt).solve_sparse(svec)
 
     def mu_decomposition(self, k: int, alt: bool = False) -> List[Tuple[int, int, Scalar]]:
         """e_k written as a sum of products u * v: list of (u, v, coeff),
@@ -341,20 +339,20 @@ class CoproductData:
         return self.cache.once(("mu", self.parent.content_key()),
                                lambda: _mu_decompositions(self.parent))[alt, k]
 
-    def _strip_echelon(self, left: bool, s: int) -> Tuple[Matrix, Echelon]:
-        """The maps x -> (multiplication by e_y on one leg)(x) stacked over
-        y, and their solvable echelon, built once per run for each
-        (algebra, left, s); stripping through them is injective for a
-        non-degenerate product.  The product by e_y is taken from the left
-        (left) or from the right, on the leg of stride s."""
-        def build() -> Tuple[Matrix, Echelon]:
+    def _strip_echelon(self, left: bool, s: int) -> Echelon:
+        """The solvable echelon of the maps x -> (multiplication by e_y on
+        one leg)(x) stacked over y, built once per run for each (algebra,
+        left, s); stripping through them is injective for a non-degenerate
+        product.  The product by e_y is taken from the left (left) or from
+        the right, on the leg of stride s."""
+        def build() -> Echelon:
             n, nn = self.n, self.nn
             mult_cols = self.parent._left_cols if left else self.parent._right_cols
             stack = Matrix.from_sparse_cols(n * nn, [
                 {y * nn + key: v for y in range(n)
                  for key, v in _on_legs(mult_cols(y), n, [(col, ONE)], s).items()}
                 for col in range(nn)])
-            return stack, self.cache.echelon(stack)
+            return self.cache.echelon(stack)
         return self.cache.once(("strips", self.parent.content_key(), left, s), build)
 
     # ---- reconstructed coproduct actions --------------------------------
@@ -386,7 +384,7 @@ def _mu_decompositions(a: Algebra) -> Dict[Tuple[bool, int], List[Tuple[int, int
     for alt in (False, True):
         ech = _solver(mu, alt)
         for k in range(n):
-            sol = ech.solve_sparse({k: ONE}, mu)
+            sol = ech.solve_sparse({k: ONE})
             if sol is None:
                 raise Infeasible("algebra is not idempotent: basis vector has no product decomposition")
             decomp[alt, k] = [(idx // n, idx % n, v) for idx, v in sorted(sol.items())]
@@ -741,7 +739,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
     for x in range(nn):
         rhs = {i: prods[ti][x][out_coord] for i, (ti, out_coord, _) in enumerate(rows)
                if out_coord in prods[ti][x]}
-        sol = ech.solve_sparse(rhs, amat)
+        sol = ech.solve_sparse(rhs)
         if sol is None:
             side = "E(A (x) A) = Ran(T1)" if left_side else "(A (x) A)E = Ran(T2)"
             raise NoSuchIdempotent(
@@ -798,20 +796,20 @@ def extend_delta(c: CoproductData, e: Multiplier, m: Multiplier) -> Multiplier:
     t1, t2 = _leg_blocks(c.t1, 1, n), _leg_blocks(c.t2, 2, n)
     ml, mr = m.left._sparse_cols(), m.right._sparse_cols()
     # the columns of T1 (m (x) 1) and of T2 (1 (x) m)
-    # T1 and T2 with their solvable echelons in both pivot orders, fetched once
-    sides = (("left", e.left, (c.t1, *(c.cache.echelon(c.t1, alt) for alt in (False, True))), [],
+    # the solvable echelons of T1 and T2 in both pivot orders, fetched once
+    sides = (("left", e.left, [c.cache.echelon(c.t1, alt) for alt in (False, True)], [],
               [_on_legs(t1[b], nn, ml[a]).items() for a in range(n) for b in range(n)]),
-             ("right", e.right, (c.t2, *(c.cache.echelon(c.t2, alt) for alt in (False, True))), [],
+             ("right", e.right, [c.cache.echelon(c.t2, alt) for alt in (False, True)], [],
               [_on_legs(t2[a], nn, mr[b]).items() for a in range(n) for b in range(n)]))
     for x in range(nn):
-        for side, act, (t, ech, ech_alt), cols, composed in sides:
+        for side, act, (ech, ech_alt), cols, composed in sides:
             ex = dict(act.col_sparse(x))
-            z = ech.solve_sparse(ex, t)
+            z = ech.solve_sparse(ex)
             if z is None:
                 raise IllDefinedExtension(f"E.{_lbl2(c, x)} is outside Ran(T1)" if side == "left"
                                           else f"{_lbl2(c, x)}.E is outside Ran(T2)")
             col = _on_legs(composed, nn, z.items())
-            if col != _on_legs(composed, nn, ech_alt.solve_sparse(ex, t).items()):
+            if col != _on_legs(composed, nn, ech_alt.solve_sparse(ex).items()):
                 raise IllDefinedExtension(
                     f"extension {side} action at {_lbl2(c, x)} depends on the preimage")
             cols.append(col)
@@ -838,8 +836,8 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
     the other pivot order.
     """
     n, nn = c.n, c.nn
-    psi, ech = c._psi_solver(alt)    # fetched once for every column
-    psi_cols = psi._sparse_cols()
+    ech = c._psi_solver(alt)    # fetched once for every column
+    psi_cols = c.psi()._sparse_cols()
     # strides of the leg that E's leg multiplies and of the leg psi expands
     s_plain, s_psi = (1, n) if first_leg else (n, 1)
     halves: Dict[Tuple[int, int], SparseVec] = {}
@@ -874,7 +872,7 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
         acc: dict = {}
         w = e.left.col_sparse(ij)
         if w:
-            zvec = ech.solve_sparse(dict(w), psi)
+            zvec = ech.solve_sparse(dict(w))
             if zvec is None:
                 raise IllDefinedExtension(
                     "extended leg action: component escapes the coproduct range")
@@ -985,38 +983,32 @@ def solve_G_maps(c: CoproductData, e: Multiplier) -> ProjectionMaps:
 def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
     """G1 from coproduct_13(e_a)(1 (x) E)(1 (x) e_b (x) e_c) against
     coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and the columns ecols of
-    E's left action on legs (2,3), expanded over leg 3; failures call the map name."""
+    E's left action on legs (2,3), expanded over leg 3; failures call the map name.
+
+    Each equation G x = y is one row (x | y) of a single elimination in
+    which the x half, the lower columns, pivots first.  A row whose x half
+    reduces to zero while its y half does not is an inconsistency, and at
+    full x rank the reduced row of pivot p is (e_p | G e_p)."""
     n, nn = c.n, c.nn
-    span = Echelon(Matrix.zero(0, nn))
-    xs: List[SparseVec] = []
-    ys: List[SparseVec] = []
-    deferred: List[Tuple[Dict[int, Scalar], Dict[int, Scalar]]] = []
+    graph = Echelon(Matrix.zero(0, 2 * nn))
     for idx in range(n ** 3):
-        xparts: Dict[int, Dict[int, Scalar]] = {}
-        yparts: Dict[int, Dict[int, Scalar]] = {}
-        for parts, v3 in ((xparts, apply_on_legs13(c.t1, {idx: ONE}, n)),
-                          (yparts, apply_on_legs13(c.t1, _on_legs(ecols, nn, [(idx, ONE)]), n))):
+        rows: Dict[int, Dict[int, Scalar]] = {}
+        for shift, v3 in ((0, apply_on_legs13(c.t1, {idx: ONE}, n)),
+                          (nn, apply_on_legs13(c.t1, _on_legs(ecols, nn, [(idx, ONE)]), n))):
             for i, v in v3.items():
-                parts.setdefault(i % n, {})[i // n] = v
-        for k in sorted(set(xparts) | set(yparts)):
-            xv = xparts.get(k, {})
-            yv = yparts.get(k, {})
-            if span.rank < nn and span.insert(xv):
-                xs.append(xv)
-                ys.append(yv)
-            else:
-                deferred.append((xv, yv))
-    if span.rank < nn:
+                rows.setdefault(i % n, {})[i // n + shift] = v
+        for k in sorted(rows):
+            graph.insert(rows[k])
+    rank = sum(pc < nn for pc in graph.pivot_cols)
+    if rank < nn:
         raise NoSolution(f"defining system for {name} underdetermined "
-                         f"(rank {span.rank} of {nn}); fullness must fail")
-    xinv = invert(Matrix.from_sparse_cols(nn, xs), c.cache)
-    if xinv is None:
-        raise InvariantViolation(f"independent columns of the {name} system are singular")
-    g = Matrix.from_sparse_cols(nn, ys) * xinv
-    for xv, yv in deferred:
-        if g.apply_sparse(xv) != yv:
-            raise NoSolution(f"defining system for {name} inconsistent")
-    return g
+                         f"(rank {rank} of {nn}); fullness must fail")
+    if graph.rank > nn:
+        raise NoSolution(f"defining system for {name} inconsistent")
+    reduced = Subspace(graph).rows      # sorted by pivot: row p is (e_p | G e_p)
+    if any({j: v for j, v in row.items() if j < nn} != {p: ONE} for p, row in enumerate(reduced)):
+        raise InvariantViolation(f"reduced rows of the {name} system are not (e_p | G e_p)")
+    return Matrix.from_sparse_cols(nn, [{j - nn: v for j, v in row.items() if j >= nn} for row in reduced])
 
 
 def validate_G_maps(c: CoproductData, e: Multiplier, counit: list,

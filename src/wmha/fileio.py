@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .algebras import MAX_DIM, Algebra, StarStructure, sparse_to_vec
+from .algebras import MAX_DIM, Algebra, sparse_to_vec
 from .antipodes import _f_multipliers
 from .groupoids import (FiniteGroupoid, GroupoidModel, InputError, LazyGroupoid,
                         preset, refuse_oversize)
@@ -168,7 +168,7 @@ def parse_document(doc: dict) -> InputDocument:
     if "star" in doc:
         ssec = doc["star"]
         rows = ssec.get("matrix") if isinstance(ssec, dict) else ssec
-        star = StarStructure(alg, dense_matrix_from_json(rows, n, "star"))
+        star = dense_matrix_from_json(rows, n, "star")
     antipode = dense_matrix_from_json(doc["antipode"], n, "antipode") \
         if "antipode" in doc else None
     e_pair = None

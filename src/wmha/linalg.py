@@ -8,7 +8,9 @@ row-sorted (row, value) pairs of its nonzero entries; echelon rows and
 subspace bases are dicts from column to nonzero value.  Vectors go in
 as such dicts only: `Echelon.insert` and `contains`,
 `Subspace.from_vectors`, `solve_linear` and `solve_sparse` take nothing
-else; `solve_sparse` returns one, and `col_sparse` a column's pairs.
+else; `solve_sparse` returns one, and `col_sparse` a column's pairs.  A
+solvable Echelon holds the matrix it factors, so a solve is handed the
+right-hand side alone; a span Echelon holds its reduced rows only.
 Dense lists exist only at the boundaries: `from_rows` scans its input
 once for its nonzeros, and `dense_rows`, `Subspace.basis` and
 `solve_linear`'s particular solution hand out fresh dense copies.  Every
@@ -226,10 +228,12 @@ class Echelon:
     first in the column order (a permutation of the columns, identity by
     default); the row is scaled to a unit pivot and its pivot column
     cleared from every other row, so the reduced rows depend only on the
-    span and the column order.  A `solvable` factorisation also records
-    each reduced row as a combination of the input rows, which `solve`
-    needs; solutions put free variables to zero, which makes preimage
-    choices canonical.
+    span and the column order.  A `solvable` factorisation also keeps the
+    matrix it factors and records each reduced row as a combination of
+    its rows: `solve_sparse(rhs)` back-substitutes with free variables
+    zero, which makes preimage choices canonical, and checks the solution
+    against that matrix, refusing once a row was inserted after it.  A
+    span echelon, not solvable, keeps neither.
 
     Because every reduced row is zero in the other pivot columns, an
     incoming row's pivot-column entries are the coefficients of its whole
@@ -239,6 +243,7 @@ class Echelon:
     def __init__(self, matrix: Matrix, col_order: Optional[Sequence[int]] = None,
                  solvable: bool = False):
         self.ncols = matrix.cols
+        self.matrix = matrix if solvable else None
         # position of each column in the order; None for the identity order
         self._pos = None if col_order is None else {j: p for p, j in enumerate(col_order)}
         self.pivot_cols: list = []
@@ -307,12 +312,12 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def solve_sparse(self, rhs: dict, matrix: Matrix) -> Optional[dict]:
+    def solve_sparse(self, rhs: dict) -> Optional[dict]:
         """One solution of matrix @ x = rhs with free variables zero, or
-        None when infeasible; rhs and the result are index->Scalar maps.
-        `matrix` must be the factored matrix."""
-        if self.ops is None:
-            raise TypeError("solving needs an Echelon built with solvable=True")
+        None when infeasible, for the factored matrix; rhs and the result
+        are index->Scalar maps."""
+        if self.matrix is None or self._nrows_in != self.matrix.rows:
+            raise TypeError("solving needs a solvable Echelon that no insert has grown")
         x: dict = {}
         for p, op in enumerate(self.ops):
             pairs = [(v, rhs[k]) for k, v in op.items() if k in rhs]
@@ -321,7 +326,7 @@ class Echelon:
                 if s:
                     x[self.pivot_cols[p]] = s
         # feasibility: matrix @ x must reproduce rhs exactly
-        if matrix.apply_sparse(x) != rhs:
+        if self.matrix.apply_sparse(x) != rhs:
             return None
         return x
 
@@ -423,7 +428,7 @@ def solve_linear(constraints, unknown_dim: int, store):
     if not rows:
         return [ZERO] * unknown_dim, Subspace.full(unknown_dim)
     a = Matrix.from_sparse_cols(unknown_dim, rows).transpose()
-    sol = store.echelon(a).solve_sparse(rhs, a)
+    sol = store.echelon(a).solve_sparse(rhs)
     if sol is None:
         raise Infeasible("constraint system has no solution")
     return _dense(sol.items(), unknown_dim), store.kernel(a)
@@ -470,7 +475,7 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix, store) -> Matrix:
     ech = store.echelon(t)
     zs = []
     for j in range(n):
-        z = ech.solve_sparse(dict(e.col_sparse(j)), t)
+        z = ech.solve_sparse(dict(e.col_sparse(j)))
         if z is None:
             raise InvariantViolation(f"column {j} of e lies outside Ran(t) = Ran(e)")
         zs.append(z)

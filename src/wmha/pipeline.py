@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import antipodes as ant
 from . import coproducts as cop
-from .algebras import Algebra, StarStructure, validate_algebra
+from .algebras import Algebra, validate_algebra, validate_star
 from .coproducts import CoproductData, RunCache
 from .groupoids import (FiniteGroupoid, GroupoidModel, LazyGroupoid,
                         build_model, check_duality_pairing, local_unit_for,
@@ -41,7 +41,7 @@ class RunContext:
 class StructureInput:
     def __init__(self, algebra: Algebra, t1: Matrix, t2: Matrix,
                  t3: Optional[Matrix] = None, t4: Optional[Matrix] = None,
-                 star: Optional[StarStructure] = None, counit: Optional[list] = None,
+                 star: Optional[Matrix] = None, counit: Optional[list] = None,
                  antipode: Optional[Matrix] = None,
                  e_pair: Optional[Tuple[Matrix, Matrix]] = None):
         self.algebra = algebra
@@ -49,7 +49,7 @@ class StructureInput:
         self.t2 = t2
         self.t3 = t3
         self.t4 = t4
-        self.star = star
+        self.star = star            # the star matrix J: x* = J conj(x)
         self.counit = counit
         self.antipode = antipode
         self.e_pair = e_pair
@@ -66,7 +66,6 @@ def verify_structure(inp: StructureInput, path: str = "def114",
     report = VerificationReport(checks=list(core.checks))
 
     if inp.star is not None:
-        from .algebras import validate_star
         star = report.add(validate_star(inp.star, inp.algebra))
     c = ctx.coproduct
     if c is None:
@@ -122,15 +121,9 @@ def _verify_presentation(algebra: Algebra, t1: Matrix, t2: Matrix, t3: Optional[
             blocker = result.check_id
         return result
 
-    diag = validate_algebra(algebra, cache)
-    ctx.unit = diag.unit
-    block_on(diag.associativity)
-    block_on(check("algebra-nondegenerate", diag.nondegenerate,
-                   "product is non-degenerate",
-                   diag.degeneracy_witness or ""))
-    block_on(check("algebra-idempotent", diag.idempotent,
-                   "products span the algebra",
-                   "products do not span the algebra"))
+    checks, ctx.unit = validate_algebra(algebra, cache)
+    for r in checks:
+        block_on(r)
 
     # a failed algebra or coproduct check stops the run at the gate
     if not blocker:
@@ -448,7 +441,7 @@ def verify_groupoid_model(g: FiniteGroupoid, kind: str, path: str = "def114",
         return report, RunContext(algebra=Algebra(0, []))
     model = build_model(g, kind)
     inp = StructureInput(model.algebra, model.t1, model.t2, model.t3, model.t4,
-                         star=StarStructure(model.algebra, model.star_matrix))
+                         star=model.star_matrix)
     report, ctx = verify_structure(inp, path=path, oracle=model)
     report.checks.insert(0, check(
         "groupoid-axioms", True, f"{len(g.morphisms)} morphisms, "

@@ -150,26 +150,15 @@ class Scalar:
     def __hash__(self):
         return hash((self._a, self._b, self._d))
 
+    # the engine sums through `_accumulate`; these serve the API and tests
     def __add__(self, other):
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if d == 1 and f == 1:
-            return _make(a + c, b + e, 1)
-        if d == f:
-            return _reduce(a + c, b + e, d)
-        if b == 0 and e == 0:
-            return _reduce(a * f + c * d, 0, d * f)
         return _reduce(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other):
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if d == 1 and f == 1:
-            return _make(a - c, b - e, 1)
-        if d == f:
-            return _reduce(a - c, b - e, d)
-        if b == 0 and e == 0:
-            return _reduce(a * f - c * d, 0, d * f)
         return _reduce(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self):

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import FINITE_INPUTS, conjugated_input, rank_image_kernel
+from wmha import coproducts
 from wmha.algebras import Multiplier, flip_map
 from wmha.antipodes import build_generalized_inverses
 from wmha.coproducts import (CoproductData, NoCounit, NoSolution, NoSuchIdempotent, RunCache,
@@ -13,7 +14,7 @@ from wmha.coproducts import (CoproductData, NoCounit, NoSolution, NoSuchIdempote
                              solve_counit, validate_E, validate_G_maps,
                              validate_coproduct)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
-from wmha.linalg import Matrix, column_space, invert
+from wmha.linalg import Echelon, Matrix, column_space, invert
 from wmha.scalars import ONE, ZERO
 
 
@@ -498,3 +499,44 @@ def test_mirror_presentation_gives_the_right_handed_results(name, kind):
         for x in range(nn):
             got = m.delta_left(a, {flip[x]: ONE})
             assert {flip[i]: v for i, v in got.items()} == _delta_right_reference(c, a, {x: ONE})
+
+
+def _solve_G1_recorded(monkeypatch, t1, left):
+    """The NoSolution text of solve_G_maps on pair:2's function algebra with
+    T1 = t1, T2 = 1 and E = (left, 1), and the pivot columns of the G1
+    elimination in the order its rows arrived."""
+    m, _ = make("pair:2", "function")
+    made = []
+
+    class Recorded(Echelon):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(coproducts, "Echelon", Recorded)
+    d = CoproductData(m.algebra, t1, Matrix.identity(16))
+    with pytest.raises(NoSolution) as exc:
+        solve_G_maps(d, Multiplier(d.aa, left, Matrix.identity(16)))
+    return str(exc.value), made[0].pivot_cols
+
+
+def test_G_solve_finds_an_inconsistent_row_before_full_rank(monkeypatch):
+    # with T1 = 1 and E.left the flip, row (x | y) of 1 (x) e_0 (x) e_1 at
+    # leg-3 index 0 has x = 0 and y != 0: a pivot in the y half (column
+    # >= 16) arrives while the x half still has rank 1, and every later
+    # row still raises the x rank to 16
+    detail, pivots = _solve_G1_recorded(monkeypatch, Matrix.identity(16), flip_map(2 * 2))
+    assert detail == "defining system for G1 inconsistent"
+    first_y = next(i for i, p in enumerate(pivots) if p >= 16)
+    assert sum(p < 16 for p in pivots[:first_y]) < 16
+    assert sum(p < 16 for p in pivots) == 16
+
+
+def test_G_solve_reports_underdetermined_before_inconsistent(monkeypatch):
+    # T1 = P (x) 1 for the projection P onto e_0, e_2: x rank 8 of 16, and
+    # the flip in E.left still makes rows inconsistent
+    n = 4
+    detail, pivots = _solve_G1_recorded(monkeypatch, _keep(n, {0, 2}).kron(Matrix.identity(n)),
+                                        flip_map(n))
+    assert detail == "defining system for G1 underdetermined (rank 8 of 16); fullness must fail"
+    assert sum(p < 16 for p in pivots) == 8 and any(p >= 16 for p in pivots)

@@ -207,3 +207,29 @@ def test_no_method_keeps_a_memo_on_its_object():
     assert found == sorted(SELF_ASSIGNMENTS), \
         "methods that assign an attribute of self: " + ", ".join(
             sorted(set(found) - SELF_ASSIGNMENTS))
+
+
+def _unused_imports(module, tree):
+    """module.name for every name an import statement of tree binds that the
+    module never reads; `__future__` imports and the names a module lists
+    in its `__all__` are exempt."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = {n.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    return [f"{module}.{name}" for name in bound if name not in read and name not in exported]
+
+
+def test_every_engine_import_is_used():
+    # a name left imported after its last use was deleted (a solver, a
+    # class, a typing alias) is dead weight that nothing else flags
+    unused = sorted(entry for path, tree in _trees(SRC).items()
+                    for entry in _unused_imports(path.stem, tree))
+    assert not unused, "imported names that the module never reads: " + ", ".join(unused)

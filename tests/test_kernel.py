@@ -260,7 +260,7 @@ def test_echelon_matches_the_scalar_elimination(case):
     assert got.rank == n or not all(got.contains({j: ONE}) for j in range(n))
     if solvable:
         for b in rhs:
-            sol = got.solve_sparse({i: v for i, v in enumerate(b) if v}, matrix)
+            sol = got.solve_sparse({i: v for i, v in enumerate(b) if v})
             assert (None if sol is None else _dense_vec(sol, n)) == ref.solve(b, dense)
 
 

@@ -132,9 +132,27 @@ def test_echelon_solve_matches_apply(seed, rows, cols):
     x = vec_to_sparse([Scalar.parse(rng.randint(-3, 3)) for _ in range(cols)])
     b = a.apply_sparse(x)
     ech = Echelon(a, solvable=True)
-    got = ech.solve_sparse(b, a)
+    got = ech.solve_sparse(b)
     assert got is not None
     assert a.apply_sparse(got) == b
+
+
+def test_only_a_solvable_echelon_keeps_its_matrix():
+    # a solvable echelon checks each solution against the matrix it
+    # factors; a span echelon keeps nothing beyond its rows, as keeping
+    # every span's seed matrix cost 3-4 % of the sparse workload's time
+    m = Matrix.from_rows([[ONE, ONE], [ZERO, ONE], [ONE, rational(2)]])
+    ech = Echelon(m, solvable=True)
+    assert ech.matrix is m
+    assert ech.solve_sparse({0: ONE, 2: ONE}) == {0: ONE}
+    assert ech.solve_sparse({0: ONE}) is None
+    assert Echelon(m).matrix is None
+    assert RunCache().column_space(m)._ech.matrix is None
+    assert Subspace.from_vectors(2, [{0: ONE}])._ech.matrix is None
+    for grown in (Echelon(m), ech):
+        grown.insert({1: ONE})
+        with pytest.raises(TypeError):
+            grown.solve_sparse({0: ONE})
 
 
 def _combination(rng, vectors, dim):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -352,13 +353,11 @@ def test_invalid_last_window_skips_sampled_local_units():
     ("convolution", "(e0 e0)* != e0* e0*"),
 ])
 def test_star_failure_detail(kind, detail):
-    from wmha.algebras import StarStructure
     from wmha.groupoids import build_model
     from wmha.linalg import Matrix
 
     m = build_model(preset("group:cyclic:3"), kind)
-    star = StarStructure(m.algebra, Matrix.permutation([1, 2, 0]))
-    inp = StructureInput(m.algebra, m.t1, m.t2, m.t3, m.t4, star=star)
+    inp = StructureInput(m.algebra, m.t1, m.t2, m.t3, m.t4, star=Matrix.permutation([1, 2, 0]))
     report, _ = verify_structure(inp, path="def114")
     assert report.status_of("star-structure") == FAIL
     assert _detail(report, "star-structure") == detail
@@ -460,9 +459,7 @@ def _kernels_failing(real):
 
 def _without_unit(real):
     def step(algebra, store):
-        diag = real(algebra, store)
-        diag.unit = None
-        return diag
+        return real(algebra, store)[0], None
     return step
 
 
@@ -640,3 +637,104 @@ def test_constant_windows_fail_global_nonunital():
         report = verify_lazy_model(constant, kind, k_max=2, seed=0)
         assert {r.check_id: r.detail for r in report.checks if r.status == FAIL} == \
             {"global-nonunital": "unit supports do not grow across windows"}
+
+
+@pytest.fixture(scope="module")
+def three_windows():
+    """Windows 1..3 of pair:inf and the contexts of their function models."""
+    lazy = preset("pair:inf")
+    windows = [lazy.window(k) for k in (1, 2, 3)]
+    return windows, {k: verify_groupoid_model(g, "function", with_pairing=False)[1]
+                     for k, g in enumerate(windows, 1)}
+
+
+def _witnesses_changed(ctx, change, counit=None):
+    """A copy of ctx with change applied to its antipode matrix, E actions
+    and G maps, and with counit in place of its counit when given."""
+    from wmha.algebras import Multiplier
+    from wmha.antipodes import AntipodeWitness
+    from wmha.coproducts import ProjectionMaps
+
+    w, out = ctx.antipode, copy.copy(ctx)
+    out.antipode = AntipodeWitness(w.r1, w.r2, w.s, change(w.s_matrix), w.s_matrix_inv)
+    out.e = Multiplier(ctx.e.parent, change(ctx.e.left), change(ctx.e.right))
+    out.g = ProjectionMaps(change(ctx.g.g1), change(ctx.g.g2))
+    out.counit = ctx.counit if counit is None else counit
+    return out
+
+
+def _leaving(m):
+    """m with a 1 added in row 1 of column 0: column 0 is window 1's only
+    morphism (or pair) embedded in window 2, and row 1 is outside it."""
+    from wmha.linalg import Matrix
+    from wmha.scalars import ONE
+
+    return m + Matrix.from_entries(m.rows, m.cols, {(1, 0): ONE})
+
+
+def _counit_bumped(ctx):
+    """A copy of ctx whose counit has its first entry doubled."""
+    return _witnesses_changed(ctx, lambda m: m, [ctx.counit[0] + ctx.counit[0], *ctx.counit[1:]])
+
+
+def _window_1_doubled(windows, contexts):
+    contexts[1] = _witnesses_changed(_counit_bumped(contexts[1]), lambda m: m + m)
+
+
+def _window_2_leaving(windows, contexts):
+    contexts[2] = _witnesses_changed(contexts[2], _leaving)
+
+
+def _window_1_without_antipode(windows, contexts):
+    contexts[1] = copy.copy(contexts[1])
+    contexts[1].antipode = None
+    contexts[3] = _counit_bumped(contexts[3])
+
+
+def _window_1_outside(windows, contexts):
+    windows[0] = type(windows[0])(["(0,0)", "(0,2)"], {}, {}, {}, {})
+    contexts[3] = _counit_bumped(contexts[3])
+
+
+# each doctoring of the windows (list) and their contexts (dict), in
+# place, and every failure the whole walk yields: after the failures of
+# one pair of windows the walk goes on to the next pair
+WINDOW_FAILURES = {
+    "window 1 doubled": (_window_1_doubled, [
+        "counit of window 2 does not restrict to window 1",
+        "antipode restriction mismatch between windows 1 and 2",
+        "E-left restriction mismatch between windows 1 and 2",
+        "E-right restriction mismatch between windows 1 and 2",
+        "G1 restriction mismatch between windows 1 and 2",
+        "G2 restriction mismatch between windows 1 and 2"]),
+    "window 2 leaves window 1": (_window_2_leaving, [
+        "antipode of window 2 leaves window 1",
+        "E-left of window 2 leaves window 1",
+        "E-right of window 2 leaves window 1",
+        "G1 of window 2 leaves window 1",
+        "G2 of window 2 leaves window 1",
+        "antipode restriction mismatch between windows 2 and 3",
+        "E-left restriction mismatch between windows 2 and 3",
+        "E-right restriction mismatch between windows 2 and 3",
+        "G1 restriction mismatch between windows 2 and 3",
+        "G2 restriction mismatch between windows 2 and 3"]),
+    "window 1 without an antipode": (_window_1_without_antipode, [
+        "windows 1 and 2 lack comparable witnesses",
+        "counit of window 3 does not restrict to window 2"]),
+    "window 1 outside window 2": (_window_1_outside, [
+        "window 1 morphism '(0,2)' missing from window 2",
+        "counit of window 3 does not restrict to window 2"]),
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_FAILURES)
+def test_window_failures_walk_every_branch(three_windows, case):
+    # the check reports only the walk's first failure, so the walk is read
+    # whole here: every branch, and the pairs of windows after a failure
+    from wmha.pipeline import _window_failures
+
+    doctor, expected = WINDOW_FAILURES[case]
+    windows, contexts = list(three_windows[0]), dict(three_windows[1])
+    doctor(windows, contexts)
+    assert list(_window_failures(windows, contexts)) == expected
+    assert list(_window_failures(*three_windows)) == []

@@ -162,11 +162,11 @@ def test_a_raising_build_stores_nothing():
     assert cache.once(("legs",), lambda: "built") == "built"
 
 
-@pytest.mark.parametrize("name, distinct", [("pair:2", 29), ("bundle:cyclic:1:2", 11)])
+@pytest.mark.parametrize("name, distinct", [("pair:2", 30), ("bundle:cyclic:1:2", 11)])
 def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatch):
     # Ran T1, Ran T2, Ran E, Ran T3/T4, Ran(1 - G), the spans of null space
     # bases (Ker T1, Ker T2, the counit system) and every span a check
-    # compares (leg spans, non-degeneracy, A S(A), the source/target images
+    # compares (leg spans, non-degeneracy, A^2, A S(A), the source/target images
     # and ideals) of the main, mirror, flipped and opposite presentations,
     # by content
     counts = Counter()

@@ -251,7 +251,7 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
     name, p, doctorings, values, s_change, e_shift, x = case
     inp, p, q, model = conjugated_input(name, False, p)
     alg = inp.algebra
-    u = validate_algebra(alg, RunCache()).unit
+    u = validate_algebra(alg, RunCache())[1]
     assert alg.checked_unit() == u is not None
     qinv, pinv = invert(q, RunCache()), invert(p, RunCache())
     maps = {"t1": inp.t1, "t2": inp.t2, "t3": inp.t3, "t4": inp.t4,

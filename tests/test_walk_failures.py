@@ -22,7 +22,7 @@ import pytest
 
 import wmha.groupoids
 import wmha.pipeline
-from wmha.algebras import Algebra, Multiplier, StarStructure
+from wmha.algebras import Algebra, Multiplier
 from wmha.antipodes import (AntipodeWitness, AntipodesDisagree, SourceTargetWitness,
                             appendix_suite, build_generalized_inverses,
                             check_antipode_identities, compute_antipode,
@@ -157,8 +157,7 @@ def _weak_hopf(ctx, st=None, counit=None, e=None, regular=True):
 
 
 def _star(ctx, model, w=None, e=None, star=None, t3=None, t4=None):
-    star = star or StarStructure(ctx.algebra, model.star_matrix)
-    return star_suite(ctx.coproduct, e or ctx.e, w or ctx.antipode, star,
+    return star_suite(ctx.coproduct, e or ctx.e, w or ctx.antipode, star or model.star_matrix,
                       ctx.t3 if t3 is None else t3, ctx.t4 if t4 is None else t4)
 
 
@@ -206,7 +205,7 @@ def _structure(model, **changes):
     """verify_structure on the model's presentation with some inputs
     replaced: the algebra checks, star-structure and the star suite."""
     inp = StructureInput(model.algebra, model.t1, model.t2, model.t3, model.t4,
-                         star=StarStructure(model.algebra, model.star_matrix))
+                         star=model.star_matrix)
     for k, v in changes.items():
         setattr(inp, k, v)
     report, _ = verify_structure(inp, path="def114")
@@ -314,8 +313,7 @@ CASES = {
     "star-e": ("convolution", lambda ctx, m: _star(ctx, m, e=_e(ctx, right=_bump(ctx.e.right, 0, 5)))),
     "star-f": ("convolution", lambda ctx, m: _star(ctx, m, w=_with_s_matrix(
         ctx.antipode, s_matrix_inv=_bump(ctx.antipode.s_matrix_inv, 0, 1)))),
-    "star-j": ("function", lambda ctx, m: _star(ctx, m, star=StarStructure(
-        ctx.algebra, Matrix.permutation([1, 0, 2, 3])))),
+    "star-j": ("function", lambda ctx, m: _star(ctx, m, star=Matrix.permutation([1, 0, 2, 3]))),
     # appendix_suite
     "appendix-s-left": ("convolution", lambda ctx: _appendix(
         ctx, w=_with_s(ctx.antipode, 1, left=_bump(ctx.antipode.s[1].left, 0, 2)))),
@@ -397,12 +395,12 @@ PATCHED = {
     "pairing-coproduct": lambda mp: _pairing_doctored(mp, lambda m: _fun_t1(m, 0, 0)),
     "structure-associativity": lambda mp: _structure(
         _run("convolution")[0], algebra=_broken_associativity(_run("convolution")[0])),
-    "structure-star-product": lambda mp: _structure(_run("convolution")[0], star=StarStructure(
-        _run("convolution")[0].algebra, Matrix.permutation([1, 0, 2, 3]))),
-    "structure-star-involution": lambda mp: _structure(_run("function")[0], star=StarStructure(
-        _run("function")[0].algebra, Matrix.from_entries(4, 4, {(i, i): rational(2) for i in range(4)}))),
-    "structure-star-compatible": lambda mp: _structure(_run("function")[0], star=StarStructure(
-        _run("function")[0].algebra, Matrix.permutation([3, 1, 2, 0]))),
+    "structure-star-product": lambda mp: _structure(_run("convolution")[0],
+                                                    star=Matrix.permutation([1, 0, 2, 3])),
+    "structure-star-involution": lambda mp: _structure(_run("function")[0], star=Matrix.from_entries(
+        4, 4, {(i, i): rational(2) for i in range(4)})),
+    "structure-star-compatible": lambda mp: _structure(_run("function")[0],
+                                                       star=Matrix.permutation([3, 1, 2, 0])),
 }
 
 RAISED = (AntipodesDisagree, BadProjections, IllDefinedExtension)

@@ -19,7 +19,6 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 from typing import Optional, Tuple
@@ -28,7 +27,7 @@ from .fileio import (InputDocument, VerificationFailed, load_document, parse_doc
                      witnesses_to_json)
 from .groupoids import InputError, LazyGroupoid
 from .pipeline import verify_groupoid_model, verify_lazy_model, verify_structure
-from .report import PASS, VerificationReport
+from .report import PASS, VerificationReport, json_text
 
 # The options each command reads, per input kind; any other option given
 # exits 2.  INPUT and --preset are the input itself.  witnesses has no
@@ -151,9 +150,10 @@ def _run(parsed: InputDocument, kind: str, args) -> VerificationReport:
 def cmd_verify(args) -> int:
     report = _run(*_resolve(args), args)
     if args.report:
+        text = report.to_json()     # first, so a writer fault leaves no empty file
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+                fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {args.report}: {exc}") from exc
     for c in report.sorted_checks():
@@ -171,7 +171,7 @@ def cmd_witnesses(args) -> int:
     if report.verdict != PASS:
         first = report.first_failure()
         raise VerificationFailed(f"verification failed at {first.check_id}: {first.detail}")
-    print(json.dumps(report.witnesses, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(report.witnesses))
     return 0
 
 

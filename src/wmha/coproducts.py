@@ -752,11 +752,22 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
 
 
 def validate_E(c: CoproductData, e: Multiplier) -> List[CheckResult]:
-    """Post-hoc: idempotency, multiplier laws, exact range equalities,
-    and absorption of the coproduct."""
+    """Post-hoc: idempotency, multiplier laws, exact range equalities, and
+    absorption of the coproduct, whose walk is read at 1 (x) 1 under
+    `RunCache.unit_premises`.  By T1's module identity, delta_left(a, x1 (x) x2)
+    = T1(a (x) x2)(x1 (x) 1) is D(a)x for D(a) = T1(a (x) 1); by T2's,
+    delta_right(a, x1 (x) x2), the flipped mirror's delta_left at x2 (x) x1,
+    is (1 (x) x2)T2(x1 (x) a) = xD'(a) for D'(a) = T2(1 (x) a).  E's left and
+    right laws give E.(D(a)x) = (E.D(a))x and (xD'(a)).E = x(D'(a).E), so the
+    2n tests E.D(a) = D(a), D'(a).E = D'(a) (the walk at 1 (x) 1) imply its 2n^3."""
     left, right = e.left, e.right
 
-    def failures():
+    def at_unit() -> bool:
+        return c.cache.unit_premises(c, e) is not None and all(
+            act.apply_sparse(d) == d for act, t, leg in ((left, c.t1, 2), (right, c.t2, 1))
+            for d in (_value_at_unit(c, t, leg, a) for a in range(c.n)))
+
+    def absorption():
         for a, x in product(range(c.n), range(c.nn)):
             xs = {x: ONE}
             da = c.delta_left(a, xs)
@@ -765,11 +776,13 @@ def validate_E(c: CoproductData, e: Multiplier) -> List[CheckResult]:
             db = c.delta_right(a, xs)
             if right.apply_sparse(db) != db:
                 yield f"coproduct({_lbl(c, a)}).E != coproduct({_lbl(c, a)}) at {_lbl2(c, x)}"
+
+    def ranges():
         if not (c.cache.column_space(left) == c.ran_t1() and c.cache.column_space(right) == c.ran_t2()
                 and left * c.t1 == c.t1 and right * c.t2 == c.t2):
             yield "E action ranges or fixed spaces are wrong"
-    return _first_failures(failures(), {"idempotent-valid": f"E idempotent with action ranks "
-                                        f"{c.ran_t1().dim}/{c.nn} and {c.ran_t2().dim}/{c.nn}"})
+    return _first_failures(chain(unless_at_unit(at_unit, absorption()), ranges()), {"idempotent-valid":
+                           f"E idempotent with action ranks {c.ran_t1().dim}/{c.nn} and {c.ran_t2().dim}/{c.nn}"})
 
 
 def compute_E_from_flips(c: CoproductData) -> Optional[Multiplier]:

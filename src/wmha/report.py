@@ -3,12 +3,14 @@ one anchor (the statement label it certifies), with pass/fail/skip
 status and a one-line detail.
 
 Reports are deterministic: same input and seed give byte-identical
-JSON.
+JSON, the bytes of json.dumps(indent=2, sort_keys=True), ASCII escaped,
+and a newline; tests/test_report.py pins `json_text` to json.dumps.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 # sha256 from the interpreter's own module: hashlib loads OpenSSL's
@@ -218,26 +220,54 @@ class VerificationReport:
     def sorted_checks(self) -> List[CheckResult]:
         return sorted(self.checks, key=lambda c: (_ORDER[c.check_id], c.detail))
 
-    def to_json_dict(self) -> dict:
-        # schema 1 keeps "witness_refs"; no check names a witness in it
-        checks = [{"id": c.check_id, "anchor": REGISTRY_ANCHORS[c.check_id],
-                   "status": c.status, "detail": c.detail, "witness_refs": []}
-                  for c in self.sorted_checks()]
-        out = {
-            "schema": REPORT_SCHEMA,
-            "tool_version": TOOL_VERSION,
-            "input_digest": self.input_digest,
-            "checks": checks,
-            "witnesses": self.witnesses,
-            "classification": self.classification,
-            "verdict": self.verdict,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The certificate, as `json_text` writes it."""
+        fields = {"schema": REPORT_SCHEMA, "tool_version": TOOL_VERSION, "input_digest": self.input_digest,
+                  "checks": self.sorted_checks(), "witnesses": self.witnesses,
+                  "classification": self.classification, "verdict": self.verdict}
+        if self.seed is not None:
+            fields["seed"] = self.seed
+        return json_text(fields)
+
+
+def json_text(v) -> str:
+    """v as json.dumps(v, indent=2, sort_keys=True) writes it, and a
+    newline, for a dict with str keys, list, str, int, bool, None or
+    CheckResult (its dict in schema 1); TypeError on any other type."""
+    out: List[str] = []
+    _write(v, "\n", out)
+    return "".join(out + ["\n"])
+
+
+def _write(v, pad: str, out: List[str]) -> None:
+    """Append the pieces of v to out, pad being "\\n" and the indentation
+    of v's line; a list of str and int leaves is one piece."""
+    t = type(v)
+    inner = pad + "  "
+    if t is str or t is int:
+        out.append(_quote(v) if t is str else int.__repr__(v))
+    elif t is bool or v is None:
+        out.append("null" if v is None else "true" if v else "false")
+    elif t is CheckResult:
+        # schema 1 keeps "witness_refs"; no check names a witness in it
+        out.append(f'{{{inner}"anchor": {_quote(REGISTRY_ANCHORS[v.check_id])},{inner}"detail": {_quote(v.detail)},'
+                   f'{inner}"id": {_quote(v.check_id)},{inner}"status": {_quote(v.status)},{inner}"witness_refs": []{pad}}}')
+    elif t is dict and v:
+        for i, (k, x) in enumerate(sorted(v.items())):
+            out.append(("," if i else "{") + inner + _quote(k) + ": ")
+            _write(x, inner, out)
+        out.append(pad + "}")
+    elif t is list and v and {str, int}.issuperset(map(type, v)):
+        out.append("[" + inner + f",{inner}".join([_quote(x) if type(x) is str else int.__repr__(x) for x in v]) + pad + "]")
+    elif t is list and v:
+        for i, x in enumerate(v):
+            out.append(("," if i else "[") + inner)
+            _write(x, inner, out)
+        out.append(pad + "]")
+    elif t is dict or t is list:
+        out.append("{}" if t is dict else "[]")
+    else:
+        raise TypeError(f"a report holds no {t.__name__}")
 
 
 def digest_of(obj) -> str:

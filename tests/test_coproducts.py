@@ -248,6 +248,17 @@ def test_G_maps_match_oracles_and_validate():
         all_pass(check_kernels(c, gm))
 
 
+def test_G_idempotency_fails_on_a_doubled_G1():
+    # 2 G1 passes the module laws, which are linear, and is not idempotent
+    _, c = make("pair:2", "convolution")
+    eps = solve_counit(c)
+    e = compute_E(c)
+    gm = solve_G_maps(c, e)
+    got = {r.check_id: (r.status, r.detail)
+           for r in validate_G_maps(c, e, eps, ProjectionMaps(gm.g1 + gm.g1, gm.g2))}
+    assert got["projections-idempotent"] == ("fail", "G idempotency or kernel containment fails")
+
+
 def test_hopf_case_G_is_identity():
     _, c = make("group:cyclic:3", "convolution")
     eps = solve_counit(c)

@@ -35,7 +35,7 @@ from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempoten
                              ProjectionMaps, check_E_conditions, compute_E, extend_delta,
                              _coassociativity_failures, _e_at_unit, _g_crosscheck_failures, _kron,
                              _homomorphism_failures, _mixed_law_failures,
-                             _module_law_failures, _regular_maps_failures)
+                             _module_law_failures, _regular_maps_failures, validate_E)
 from wmha.fileio import witnesses_to_json
 from wmha.groupoids import build_model, preset
 from wmha.linalg import Matrix, Subspace, generalized_inverse, invert
@@ -235,6 +235,7 @@ def _walks(alg, maps, counit, x, w, eps):
             "crosscheck": list(_g_crosscheck_failures(c, e, counit, g)),
             "r-commutation": list(_r_commutation_failures(c, maps["r1"], maps["r2"])),
             "E": _solved(c),
+            "e-valid": [(r.check_id, r.status, r.detail) for r in validate_E(c, e)],
             "e-conditions": _raised(lambda: [(r.check_id, r.status, r.detail)
                                              for r in check_E_conditions(c, e)]),
             "st-coproduct": _raised(lambda: list(_st_coproduct_failures(c, e, eps["eps_s"], eps["eps_t"]))),
@@ -418,6 +419,7 @@ REACHED_BY = {
     "_g_crosscheck_failures": "g-maps-g1",
     "_r_commutation_failures": "geninv-e",
     "_solve_action": "regular-t3-no-idempotent",
+    "validate_E": "e-valid-left",
     "check_E_conditions": "e-conditions-commute",
     "_st_coproduct_failures": "source-target-g1",
     "_st_commute_failures": "source-target-g1-commute",
@@ -432,7 +434,8 @@ def test_every_reading_has_a_doctored_case():
     assert set(REACHED_BY) == _reading_sites() | {"_solve_action", "_sandwich_tables"}
 
 
-@pytest.mark.parametrize("site, case", sorted(REACHED_BY.items()))
+@pytest.mark.parametrize("site, case", sorted(REACHED_BY.items()) + [
+    ("validate_E", "e-valid-right")])     # E.right doctored: the other side's walk
 def test_doctored_witnesses_reach_the_full_walk(site, case, monkeypatch):
     sites = record_full_walks(monkeypatch)
     got = test_walk_failures.outcome(case, monkeypatch)

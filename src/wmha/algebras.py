@@ -38,33 +38,6 @@ def sparse_to_vec(s: SparseVec, n: int) -> list:
     return out
 
 
-def _on_legs(cols: list, rows: int, x, s: int = 1) -> SparseVec:
-    """Apply an operator to one block of adjacent legs of a sparse tensor
-    vector, given as its (index, value) pairs x.  The operator is the list
-    cols of its sparse columns, one iterable of (row, value) pairs per
-    input index, with `rows` output indices.
-
-    Tensor vectors use the row-major index of Algebra.tensor: the index of
-    e_i (x) e_j (x) e_k in A (x) B (x) C is (i·dim B + j)·dim C + k.  Write
-    an index as (hi·m_in + mid)·s + lo with m_in = len(cols), where mid
-    indexes the acted-on block and s is the product of the dimensions of
-    the legs after it; the operator sends it to the sum of
-    cols[mid][row]·((hi·rows + row)·s + lo).  So on A (x) A, s = dim A
-    acts on the first leg and s = 1 on the second."""
-    m_in = len(cols)
-    acc: dict = {}
-    if s == 1:                  # the last legs: lo is always 0
-        for idx, coeff in x:
-            hi, mid = divmod(idx, m_in)
-            _accumulate(acc, cols[mid], coeff, None, hi * rows)
-    else:
-        for idx, coeff in x:
-            hm, lo = divmod(idx, s)
-            hi, mid = divmod(hm, m_in)
-            _accumulate(acc, cols[mid], coeff, None, hi * rows * s + lo, s)
-    return _settle(acc)
-
-
 def unless_at_unit(at_unit: Callable[[], bool], walk: Iterator) -> Iterator:
     """The failures that walk yields, or none when at_unit() is True.
     at_unit tests literally an identity at the checked unit that implies,
@@ -86,6 +59,7 @@ class Algebra:
         self._factors: Optional[Tuple["Algebra", "Algebra"]] = None
         self._cols: Dict[tuple, list] = {}
         self._unit: Optional[SparseVec] = None
+        self._key = (dim, ())   # content_key() of the empty table
 
     @staticmethod
     def from_structure(dim: int, basis_labels: Optional[List[str]], entries) -> "Algebra":
@@ -96,6 +70,13 @@ class Algebra:
                 raise DimensionMismatch(f"structure index ({i},{j},{k}) out of range")
             if v:
                 a._table.setdefault((i, j), {})[k] = v
+        return Algebra._keyed(a)
+
+    @staticmethod
+    def _keyed(a: "Algebra") -> "Algebra":
+        """a with its content key, built once from its filled table: the
+        table of an algebra that is not a tensor product never changes."""
+        a._key = (a.dim, tuple(sorted((ij, tuple(sorted(p.items()))) for ij, p in a._table.items() if p)))
         return a
 
     @staticmethod
@@ -170,27 +151,34 @@ class Algebra:
                 for k, v in self.mul_basis(i, j).items():
                     yield i, j, k, v
 
+    # one kernel call per nonzero basis product; a tensor product's lazy
+    # table is read only on the arguments' support
     def mul_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
         acc: dict = {}
         mul_basis = self.mul_basis
         for i, xi in x.items():
             for j, yj in y.items():
-                _accumulate(acc, mul_basis(i, j).items(), xi, yj)
-        return _settle(acc)
+                if p := mul_basis(i, j):
+                    _accumulate(acc, p.items(), xi, yj)
+        return _settle(acc) if acc else acc
 
     def mul_by_basis(self, x: SparseVec, j: int) -> SparseVec:
         """x e_j"""
         acc: dict = {}
+        mul_basis = self.mul_basis
         for i, xi in x.items():
-            _accumulate(acc, self.mul_basis(i, j).items(), xi)
-        return _settle(acc)
+            if p := mul_basis(i, j):
+                _accumulate(acc, p.items(), xi)
+        return _settle(acc) if acc else acc
 
     def basis_times(self, i: int, y: SparseVec) -> SparseVec:
         """e_i y"""
         acc: dict = {}
+        mul_basis = self.mul_basis
         for j, yj in y.items():
-            _accumulate(acc, self.mul_basis(i, j).items(), yj)
-        return _settle(acc)
+            if p := mul_basis(i, j):
+                _accumulate(acc, p.items(), yj)
+        return _settle(acc) if acc else acc
 
     def content_key(self) -> tuple:
         """The multiplication table as a hashable value: equal keys mean
@@ -198,8 +186,7 @@ class Algebra:
         if self._factors is not None:
             a, b = self._factors
             return ("tensor", a.content_key(), b.content_key())
-        return (self.dim, tuple(sorted((ij, tuple(sorted(p.items())))
-                                       for ij, p in self._table.items() if p)))
+        return self._key
 
     def opposite(self) -> "Algebra":
         out = Algebra(self.dim, list(self.basis_labels))
@@ -210,7 +197,7 @@ class Algebra:
                 if p:
                     out._table[(i, j)] = dict(p)
         out._unit = self.checked_unit()
-        return out
+        return Algebra._keyed(out)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim})"

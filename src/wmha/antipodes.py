@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, as_elements, flip_map,
+from .algebras import (Algebra, Multiplier, SparseVec, as_elements, flip_map,
                        is_isomorphism, star_on, unless_at_unit)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
@@ -20,7 +20,7 @@ from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          _module_law_failures, _module_laws_hold, _unit_triple)
 from .linalg import Echelon, Matrix, Subspace, _combination, generalized_inverse, invert
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
-from .scalars import ONE, ZERO, _accumulate, _dot, _settle
+from .scalars import ONE, ZERO, _dot, _on_legs
 
 
 class AntipodesDisagree(Exception):
@@ -1003,14 +1003,10 @@ def _f_action(c: CoproductData, table, contract: Matrix, post: Matrix,
     cols = []
     for i in range(n):
         for j in range(n):
-            acc: dict = {}
             if contract_first:
-                for k, v in contract.col_sparse(i):
-                    _accumulate(acc, table[k][j].items(), v)
+                mid = _on_legs([row[j].items() for row in table], nn, contract.col_sparse(i))
             else:
-                for k, v in contract.col_sparse(j):
-                    _accumulate(acc, table[i][k].items(), v)
+                mid = _on_legs([t.items() for t in table[i]], nn, contract.col_sparse(j))
             # the post-composition on the first (contract_first) or second leg
-            cols.append(_on_legs(post._sparse_cols(), n, _settle(acc).items(),
-                                 n if contract_first else 1))
+            cols.append(_on_legs(post._sparse_cols(), n, mid.items(), n if contract_first else 1))
     return Matrix.from_sparse_cols(nn, cols)

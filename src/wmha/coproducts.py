@@ -14,12 +14,12 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebras import (Algebra, Multiplier, SparseVec, _on_legs, flip_map, is_isomorphism,
+from .algebras import (Algebra, Multiplier, SparseVec, flip_map, is_isomorphism,
                        unless_at_unit)
 from .linalg import (Echelon, Infeasible, InvariantViolation, Matrix, Subspace,
                      column_space, solve_linear)
 from .report import CheckResult, _first_failures, check
-from .scalars import ONE, ZERO, Scalar, _accumulate, _settle, _sum_products
+from .scalars import ONE, ZERO, Scalar, _accumulate, _on_legs, _settle, _sum_products
 
 
 class NoCounit(Exception):
@@ -365,8 +365,9 @@ class CoproductData:
             x1, x2 = divmod(idx, n)
             for row, v in self.t1.col_sparse(a * n + x2):
                 p, q = divmod(row, n)
-                _accumulate(acc, self.parent.mul_basis(p, x1).items(), coeff, v, base=q, stride=n)
-        return _settle(acc)
+                if prod := self.parent.mul_basis(p, x1):
+                    _accumulate(acc, prod.items(), coeff, v, base=q, stride=n)
+        return _settle(acc) if acc else acc
 
     def delta_right(self, a: int, x: SparseVec) -> SparseVec:
         """x . coproduct(e_a), the flip of coproduct(e_a) . (flip of x) in the mirror."""
@@ -736,6 +737,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
             per_x.append(aa.mul_sparse(vs, xs) if left_side else aa.mul_sparse(xs, vs))
         prods.append(per_x)
     cols_out = []
+    fix_cols = [w.items() for w in fix_basis]
     for x in range(nn):
         rhs = {i: prods[ti][x][out_coord] for i, (ti, out_coord, _) in enumerate(rows)
                if out_coord in prods[ti][x]}
@@ -744,10 +746,7 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
             side = "E(A (x) A) = Ran(T1)" if left_side else "(A (x) A)E = Ran(T2)"
             raise NoSuchIdempotent(
                 f"no multiplier action with {side}: column {_lbl2(c, x)} infeasible")
-        acc: dict = {}
-        for wi, coeff in sol.items():
-            _accumulate(acc, fix_basis[wi].items(), coeff)
-        cols_out.append(_settle(acc))
+        cols_out.append(_on_legs(fix_cols, nn, sol.items()))
     return Matrix.from_sparse_cols(nn, cols_out)
 
 
@@ -860,12 +859,11 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
         # sum over e_k = sum cf u v of E(e_p (x) e_u)(1 (x) v)
         got = halves.get((k, p))
         if got is None:
-            acc: dict = {}
-            for uu, vv, cf in c.mu_decomposition(k, alt=alt):
-                col = p * n + uu if first_leg else uu * n + p
-                part = _on_legs(c.parent._right_cols(vv), n, e.left.col_sparse(col), s_plain)
-                _accumulate(acc, part.items(), cf)
-            got = halves[k, p] = _settle(acc)
+            mu = c.mu_decomposition(k, alt=alt)
+            parts = [_on_legs(c.parent._right_cols(vv), n,
+                              e.left.col_sparse(p * n + uu if first_leg else uu * n + p), s_plain).items()
+                     for uu, vv, _ in mu]
+            got = halves[k, p] = _on_legs(parts, nn, enumerate(cf for _, _, cf in mu))
         return got
 
     def term(k: int, t: int) -> SparseVec:
@@ -882,16 +880,13 @@ def _extended_leg_columns(c: CoproductData, e: Multiplier,
             ij, k = divmod(idx, n)
         else:
             k, ij = divmod(idx, nn)
-        acc: dict = {}
         w = e.left.col_sparse(ij)
-        if w:
-            zvec = ech.solve_sparse(dict(w))
-            if zvec is None:
-                raise IllDefinedExtension(
-                    "extended leg action: component escapes the coproduct range")
-            for t, v in sorted(zvec.items()):
-                _accumulate(acc, term(k, t).items(), v)
-        yield _settle(acc)
+        zvec = ech.solve_sparse(dict(w)) if w else {}
+        if zvec is None:
+            raise IllDefinedExtension(
+                "extended leg action: component escapes the coproduct range")
+        zs = sorted(zvec.items())
+        yield _on_legs([term(k, t).items() for t, _ in zs], n * nn, enumerate(v for _, v in zs))
 
 
 def check_E_conditions(c: CoproductData, e: Multiplier) -> List[CheckResult]:

@@ -16,7 +16,10 @@ once for its nonzeros, and `dense_rows`, `Subspace.basis` and
 `solve_linear`'s particular solution hand out fresh dense copies.  Every
 sum of products (products, applications, row reductions,
 back-substitution) is one accumulation in the `scalars` kernel, reduced
-once per output entry.
+once per output entry, save where `scalars._on_legs` skips the kernel
+(an empty column, a lone column with coefficient 1); and a product
+column B[:, j] = e_k is column k of A itself, shared: no column is
+ever written.
 Everything is exact.  Pivoting rules are fixed (the nonzero entry first
 in the column order) so repeated runs produce identical witnesses.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle
+from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _on_legs, _settle
 
 
 class DimensionMismatch(Exception):
@@ -142,45 +145,39 @@ class Matrix:
         raise TypeError("Matrix is not hashable")
 
     def __add__(self, other):
-        return self._plus(other, None)
+        return self._plus(other, ONE)
 
     def __sub__(self, other):
         return self._plus(other, _MINUS_ONE)
 
-    def _plus(self, other: "Matrix", c: Optional[Scalar]) -> "Matrix":
+    def _plus(self, other: "Matrix", c: Scalar) -> "Matrix":
         """self + c·other, column by column."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         out = []
         for ca, cb in zip(self._columns, other._columns):
-            if not cb or not ca and c is None:
+            if not cb or not ca and c is ONE:
                 out.append(ca or cb)
-                continue
-            acc: dict = {}
-            _accumulate(acc, ca)
-            _accumulate(acc, cb, c)
-            out.append(sorted(_settle(acc).items()))
+            else:
+                out.append(sorted(_on_legs((ca, cb), self.rows, ((0, ONE), (1, c))).items()))
         return Matrix(self.rows, self.cols, out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # column j of the product is Σ_k other[k][j]·(column k of self)
+        # column j of the product is Σ_k other[k][j]·(column k of self), and
+        # column k itself, shared, when column j of other is e_k
         acols = self._columns
         out = []
         for bcol in other._columns:
-            acc: dict = {}
-            for k, b in bcol:
-                _accumulate(acc, acols[k], b)
-            out.append(sorted(_settle(acc).items()) if acc else [])
+            if len(bcol) == 1 and (bcol[0][1] is ONE or bcol[0][1] == ONE):
+                out.append(acols[bcol[0][0]])
+            else:
+                out.append(sorted(_on_legs(acols, self.rows, bcol).items()) if bcol else [])
         return Matrix(self.rows, other.cols, out)
 
     def apply_sparse(self, vec: dict) -> dict:
-        acc: dict = {}
-        cols = self._columns
-        for j, x in vec.items():
-            _accumulate(acc, cols[j], x)
-        return _settle(acc)
+        return _on_legs(self._columns, self.rows, vec.items())
 
     def is_zero(self) -> bool:
         return not any(self._columns)
@@ -210,13 +207,11 @@ def _dense(pairs, n: int) -> list:
 
 
 def _combination(terms, rows: int, cols: int) -> Matrix:
-    """Σ c·M over the (c, M) pairs of terms, one kernel sum per entry."""
-    accs: list = [{} for _ in range(cols)]
-    for c, m in terms:
-        for acc, col in zip(accs, m._columns):
-            if col:
-                _accumulate(acc, col, c)
-    return Matrix(rows, cols, [sorted(_settle(acc).items()) for acc in accs])
+    """Σ c·M over the (c, M) pairs of terms, one kernel sum per column."""
+    terms = list(terms)
+    coeffs = [(t, c) for t, (c, _) in enumerate(terms)]
+    return Matrix(rows, cols, [sorted(_on_legs([m._columns[j] for _, m in terms], rows, coeffs).items())
+                               for j in range(cols)])
 
 
 class Echelon:

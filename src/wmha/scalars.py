@@ -21,6 +21,12 @@ coefficients (d = 1, b = 0) skip the Gaussian and denominator
 arithmetic, and a key that has received one term with a unit
 coefficient holds that term's own `Scalar`, which settles as it is; the
 path taken depends only on the operand values.
+
+Sums of columns (matrix products and applications, leg actions) enter
+through `_on_legs`, which skips the kernel for the two commonest shapes:
+an empty column makes no `_accumulate` call, and a sum of one column
+with coefficient exactly 1, as every column of a partial permutation
+is, is that column's own entries, with no accumulator and no `_settle`.
 """
 
 from __future__ import annotations
@@ -325,6 +331,62 @@ def _settle(acc: dict) -> dict:
         if a or b:
             out[k] = _reduce(a, b, d) if d != 1 else _make(a, b, 1)
     return out
+
+
+def _on_legs(cols, rows: int, x, s: int = 1) -> dict:
+    """Apply an operator to one block of adjacent legs of a sparse tensor
+    vector, given as its (index, value) pairs x.  The operator is the list
+    cols of its sparse columns, one iterable of (row, value) pairs with
+    distinct rows and nonzero values per input index, with `rows` output
+    indices.  On one leg, indices below len(cols), this is Σ x_j·cols[j].
+
+    Tensor vectors use the row-major index of Algebra.tensor: the index of
+    e_i (x) e_j (x) e_k in A (x) B (x) C is (i·dim B + j)·dim C + k.  Write
+    an index as (hi·m_in + mid)·s + lo with m_in = len(cols), where mid
+    indexes the acted-on block and s is the product of the dimensions of
+    the legs after it; the operator sends it to the sum of
+    cols[mid][row]·((hi·rows + row)·s + lo).  So on A (x) A, s = dim A
+    acts on the first leg and s = 1 on the second.
+
+    An empty column makes no kernel call, and a result that no column
+    reaches is a fresh {}.  A result that one column reaches with
+    coefficient exactly 1 = (1, 0, 1) is that column's own Scalars in its
+    order, under the key map, as `_settle` would leave them, with no
+    accumulator.  Every other sum is one accumulation, settled once."""
+    m_in = len(cols)
+    acc = lone = None
+    for idx, c in x:
+        if s == 1:                  # the last legs: lo is always 0
+            mid = idx % m_in
+            base = idx // m_in * rows
+        else:
+            hm = idx // s
+            mid = hm % m_in
+            base = hm // m_in * rows * s + idx % s
+        col = cols[mid]
+        if not col:
+            continue
+        if acc is not None:
+            _accumulate(acc, col, c, None, base, s)
+        elif lone is None:
+            lone, lc, lbase = col, c, base
+        else:
+            acc = {}
+            _accumulate(acc, lone, lc, None, lbase, s)
+            _accumulate(acc, col, c, None, base, s)
+    if acc is None:
+        if lone is None:
+            return {}
+        if lc is ONE or lc._a == 1 and not lc._b and lc._d == 1:
+            if lbase == 0 and s == 1:
+                return dict(lone)
+            out = {}
+            for k, v in lone:
+                out[lbase + s * k] = v
+            return out
+        acc = {}
+        _accumulate(acc, lone, lc, None, lbase, s)
+    return _settle(acc)
 
 
 def _sum_products(triples) -> dict:

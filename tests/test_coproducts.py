@@ -6,6 +6,7 @@ import pytest
 from conftest import FINITE_INPUTS, conjugated_input, rank_image_kernel
 from wmha import coproducts
 from wmha.algebras import Multiplier, flip_map
+from wmha.cli import main
 from wmha.antipodes import build_generalized_inverses
 from wmha.coproducts import (CoproductData, NoCounit, NoSolution, NoSuchIdempotent, RunCache,
                              NonUniqueCounit, ProjectionMaps, apply_on_legs13, check_E_conditions,
@@ -257,6 +258,34 @@ def test_G_idempotency_fails_on_a_doubled_G1():
     got = {r.check_id: (r.status, r.detail)
            for r in validate_G_maps(c, e, eps, ProjectionMaps(gm.g1 + gm.g1, gm.g2))}
     assert got["projections-idempotent"] == ("fail", "G idempotency or kernel containment fails")
+
+
+def test_a_solved_E_that_is_not_idempotent_raises(monkeypatch):
+    # no input reaches this branch: each solved action is the unique
+    # solution in its range, so it fixes that range pointwise and E.E = E.
+    # A doubled left action stands in for a faulty solve
+    _, c = make("pair:2", "convolution")
+    solve = coproducts._solve_action
+    monkeypatch.setattr(coproducts, "_e_at_unit", lambda c: None)
+    monkeypatch.setattr(coproducts, "_solve_action", lambda c, fix_basis, test_basis, left_side: (
+        lambda m: m + m if left_side else m)(solve(c, fix_basis, test_basis, left_side)))
+    with pytest.raises(NoSuchIdempotent, match="solved canonical element is not idempotent"):
+        compute_E(c)
+
+
+def test_rank_nullity_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # an elimination that loses a kernel vector breaks RunCache.kernel's
+    # rank-nullity self-check: a fault in the engine, never a verdict
+    nullspace = Echelon.nullspace
+    monkeypatch.setattr(Echelon, "nullspace", lambda self: nullspace(self)[1:])
+    report_path = tmp_path / "report.json"
+    code = main(["verify", "--preset", "pair:2", "--model", "convolution", "--path", "both",
+                 "--report", str(report_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert not report_path.exists()
+    assert "verdict" not in captured.out
+    assert "internal error: InvariantViolation: rank-nullity fails" in captured.err
 
 
 def test_hopf_case_G_is_identity():

@@ -1,14 +1,17 @@
 """The Q(i) accumulation kernel of `wmha.scalars` against term-by-term
 `Scalar` arithmetic, and the sparse, kernel-based `Echelon` against a copy
 of the dense elimination it replaced, which did every row operation with
-`Scalar`s."""
+`Scalar`s; and the kernel traffic of a sparse run."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
+import wmha.scalars
+from wmha.cli import main
 from wmha.linalg import Echelon, Matrix
 from wmha.scalars import ONE, ZERO, Scalar, _accumulate, _dot, _settle, _sum_products
 
@@ -271,3 +274,29 @@ def test_echelon_examples_with_fractions():
     ref = ScalarEchelon(m, col_order=[2, 0, 1], solvable=True)
     assert (got.pivot_cols, [_dense_vec(r, 3) for r in got.rrows], got.ops) == \
         (ref.pivot_cols, ref.rrows, ref.ops)
+
+
+# `_accumulate` calls of one `verify --preset pair:2 --model convolution
+# --path both` run, where every T map is a partial permutation; 4,810 when
+# every empty or lone unit column still went through the kernel
+KERNEL_CALLS = 1055
+
+
+def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):
+    calls = []
+
+    def counted(acc, items, *args, **kwargs):
+        items = list(items)
+        calls.append(len(items))
+        real(acc, items, *args, **kwargs)
+
+    real = wmha.scalars._accumulate
+    patched = [name for name, module in sorted(sys.modules.items())
+               if name.startswith("wmha.") and getattr(module, "_accumulate", None) is real]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "_accumulate", counted)
+    assert "wmha.scalars" in patched
+    assert main(["verify", "--preset", "pair:2", "--model", "convolution", "--path", "both"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert calls and 0 not in calls, "a kernel call carries an empty group"
+    assert len(calls) <= KERNEL_CALLS

@@ -1,15 +1,18 @@
-"""The leg-action primitive `wmha.algebras._on_legs` against a dense
+"""The leg-action primitive `wmha.scalars._on_legs` against a dense
 reference: an operator M on one window of adjacent legs of A^(x)k acts as
-I (x) M (x) I, built with Matrix.kron and applied to the dense vector."""
+I (x) M (x) I, built with Matrix.kron and applied to the dense vector; and
+against the kernel's own sum, whose key order and kept Scalars it must
+reproduce.  The sparse products of `Algebra` against a dense reference."""
 
 from hypothesis import given, settings, strategies as st
 
-from wmha.algebras import Algebra, _on_legs
+from wmha.algebras import Algebra
 from wmha.coproducts import _counit_cols
 from wmha.linalg import Matrix
-from wmha.scalars import ONE, ZERO, Scalar
+from wmha.scalars import ONE, ZERO, Scalar, _accumulate, _on_legs, _settle
 
 parts = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+units = st.sampled_from([ONE, -ONE, Scalar(0, 1), Scalar(1)])
 scalars = st.one_of(st.builds(lambda a: Scalar(a), parts), st.builds(Scalar, parts, parts),
                     st.sampled_from([ONE, -ONE, Scalar(0, 1)]), st.just(ZERO))
 
@@ -44,7 +47,7 @@ def cases(draw):
     i = draw(st.integers(0, k - 1))
     length = draw(st.integers(1, k - i))
     m_in = n ** length
-    kind = draw(st.sampled_from(["matrix", "counit", "product", "left", "right"]))
+    kind = draw(st.sampled_from(["matrix", "monomial", "counit", "product", "left", "right"]))
     if kind == "counit" or (kind in ("left", "right") and length == 1):
         if kind == "counit":
             length, m_in = 1, n
@@ -55,23 +58,51 @@ def cases(draw):
             cols, rows = (alg._left_cols(a) if kind == "left" else alg._right_cols(a)), n
     elif kind == "product" and length == 2:
         cols, rows = random_algebra(draw, n)._product_cols(), n
+    elif kind == "monomial":
+        # a partial permutation with unit entries: every column empty or e_r
+        rows = draw(st.sampled_from([1, n, m_in]))
+        cols = [[(r, draw(units))] if r >= 0 else [] for r in
+                draw(st.lists(st.integers(-1, rows - 1), min_size=m_in, max_size=m_in))]
     else:
         rows = draw(st.sampled_from([1, n, m_in]))
         cols = draw(matrices(rows, m_in))._sparse_cols()
     x = draw(sparse_vectors(n ** k))
-    return n, k, i, length, cols, rows, x
+    shape = draw(st.sampled_from(["list", "items", "lone list", "lone items"]))
+    if shape.startswith("lone"):
+        x = {draw(st.integers(0, n ** k - 1)): draw(st.sampled_from([ONE, ONE, Scalar(2)]))}
+    pairs = list(x.items()) if shape.endswith("list") else x.items()
+    return n, k, i, length, cols, rows, x, pairs
+
+
+def ref_on_legs(cols, rows, x, s):
+    """The leg action summed by the kernel itself, one `_accumulate` call
+    per term: its entries, their order and the input Scalars it keeps as
+    given are what `_on_legs` must reproduce."""
+    acc: dict = {}
+    for idx, coeff in x:
+        hm, lo = divmod(idx, s)
+        hi, mid = divmod(hm, len(cols))
+        _accumulate(acc, cols[mid], coeff, None, hi * rows * s + lo, s)
+    return _settle(acc)
+
+
+def assert_kernel_sum(got: dict, want: dict, cols):
+    assert list(got.items()) == list(want.items())
+    given = {id(v) for col in cols for _, v in col}
+    assert all(got[key] is v for key, v in want.items() if id(v) in given)
 
 
 @settings(deadline=None, max_examples=100)
 @given(cases())
 def test_on_legs_equals_dense_kron_reference(case):
-    n, k, i, length, cols, rows, x = case
+    n, k, i, length, cols, rows, x, pairs = case
     s = n ** (k - i - length)
-    got = _on_legs(cols, rows, x.items(), s)
+    got = _on_legs(cols, rows, pairs, s)
     op = Matrix.identity(n ** i).kron(cols_matrix(cols, rows)).kron(Matrix.identity(s))
     want = op.apply_sparse(x)
     assert got == want
     assert all(v for v in got.values())
+    assert_kernel_sum(got, ref_on_legs(cols, rows, pairs, s), cols)
 
 
 def test_on_legs_example_legs_of_a_square():
@@ -80,3 +111,41 @@ def test_on_legs_example_legs_of_a_square():
     x = [(1 * 2 + 0, ONE)]
     assert _on_legs(swap, 2, x, 2) == {0 * 2 + 0: ONE}
     assert _on_legs(swap, 2, x) == {1 * 2 + 1: ONE}
+
+
+@st.composite
+def products(draw):
+    """(algebra, x, y, j) for the three sparse products of Algebra; the
+    algebra is a random table or a tensor product, whose table is lazy."""
+    n = draw(st.integers(1, 3))
+    alg = random_algebra(draw, n)
+    if draw(st.booleans()):
+        alg = Algebra.tensor(alg, random_algebra(draw, 2))
+    vec = st.one_of(sparse_vectors(alg.dim), st.builds(lambda i, v: {i: v}, st.integers(0, alg.dim - 1),
+                                                       st.sampled_from([ONE, Scalar(2)])))
+    return alg, draw(vec), draw(vec), draw(st.integers(0, alg.dim - 1))
+
+
+@settings(deadline=None, max_examples=100)
+@given(products())
+def test_products_equal_dense_reference(case):
+    alg, x, y, j = case
+    n = alg.dim
+
+    def dense_product(u, v):
+        out = [ZERO] * n
+        for i, ui in u.items():
+            for l, vl in v.items():
+                for key, w in alg.mul_basis(i, l).items():
+                    out[key] = out[key] + ui * vl * w
+        return {key: w for key, w in enumerate(out) if w}
+
+    for got, u, v in ((alg.mul_sparse(x, y), x, y), (alg.mul_by_basis(x, j), x, {j: ONE}),
+                      (alg.basis_times(j, y), {j: ONE}, y)):
+        assert got == dense_product(u, v)
+        assert all(w for w in got.values())
+    # the kernel's order: one sum over the nonzero basis products in turn
+    table = [[alg.mul_basis(i, l).items() for l in range(n)] for i in range(n)]
+    assert_kernel_sum(alg.mul_by_basis(x, j), ref_on_legs([t[j] for t in table], n, x.items(), 1),
+                      [t[j] for t in table])
+    assert_kernel_sum(alg.basis_times(j, y), ref_on_legs(table[j], n, y.items(), 1), table[j])

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from wmha.algebras import Algebra, Multiplier, _on_legs
+from wmha.algebras import Algebra, Multiplier
 from wmha.coproducts import (CoproductData, IllDefinedExtension, RunCache,
                              _extended_leg_columns, _lbl3, check_E_conditions, compute_E)
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix, invert
-from wmha.scalars import ONE, ZERO, rational
+from wmha.scalars import ONE, ZERO, _on_legs, rational
 
 
 def reference_leg_action(c, e, first_leg, x, alt=False):

@@ -7,7 +7,7 @@ from wmha.algebras import vec_to_sparse
 from wmha.coproducts import RunCache
 from wmha.linalg import (BadProjections, DimensionMismatch, Echelon, Infeasible, Matrix,
                          Subspace, column_space, generalized_inverse, invert, solve_linear)
-from wmha.scalars import ONE, ZERO, Scalar, rational
+from wmha.scalars import ONE, ZERO, Scalar, _accumulate, _settle, rational
 
 from conftest import (random_matrix, random_projection_pair, random_scalar,
                       rank_image_kernel, solve_geninv_by_constraints)
@@ -240,8 +240,43 @@ entries = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE),
                     st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2)))
 
 
+units = st.sampled_from([ONE, -ONE, Scalar(0, 1), Scalar(1)])
+
+
 def dense(draw, rows, cols):
-    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    """A dense rows x cols list of rows: random entries, or a partial
+    permutation (each column empty or one unit entry; a monomial matrix
+    when every column holds one), the shape of every groupoid T map."""
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    out = [[ZERO] * cols for _ in range(rows)]
+    for j in range(cols):
+        i = draw(st.integers(-1, rows - 1))     # -1: an empty column
+        if i >= 0:
+            out[i][j] = draw(units)
+    return out
+
+
+def ref_combination(cols, pairs) -> dict:
+    """Σ c·cols[j] over the (j, c) pairs, summed by the kernel itself: the
+    entries, their order and, for one column with coefficient 1, their
+    Scalar objects are what every sum of columns must reproduce."""
+    acc: dict = {}
+    for j, c in pairs:
+        _accumulate(acc, cols[j], c)
+    return _settle(acc)
+
+
+def assert_same_sum(got, cols, pairs):
+    """got holds ref_combination's entries, in its key order for a dict
+    and in row order for a Matrix column, and the very input Scalars
+    wherever the kernel keeps one as it was given."""
+    want = ref_combination(cols, pairs)
+    if isinstance(got, list):
+        want, got = dict(sorted(want.items())), dict(got)
+    assert list(got.items()) == list(want.items())
+    given = {id(v) for j, _ in pairs for _, v in cols[j]}
+    assert all(got[k] is v for k, v in want.items() if id(v) in given)
 
 
 def ref_mul(a, b, inner):
@@ -295,6 +330,17 @@ def test_sparse_matrix_matches_dense_reference(case):
         assert (got.rows, got.cols) == (len(want), len(want[0])), name
         assert_canonical_columns(got)
         assert got.is_zero() == (not any(any(row) for row in want)), name
+    # each product column against the kernel's own sum, order and objects
+    # included; a column e_k of the right factor shares column k of the left
+    bm = Matrix.from_rows(b)
+    prod = m * bm
+    for j, bcol in enumerate(bm._sparse_cols()):
+        assert_same_sum(prod.col_sparse(j), m._sparse_cols(), bcol)
+        if len(bcol) == 1 and bcol[0][1] == ONE:
+            assert prod.col_sparse(j) is m.col_sparse(bcol[0][0])
     x = [row[0] for row in b]
-    assert m.apply_sparse(vec_to_sparse(x)) == \
-        vec_to_sparse([sum((p * q for p, q in zip(row, x)), ZERO) for row in a])
+    # the whole vector, each one-entry vector of it, and each unit vector
+    for vec in [vec_to_sparse(x)] + [{j: v} for j, v in enumerate(x) if v] + [{j: ONE} for j in range(k)]:
+        got = m.apply_sparse(vec)
+        assert got == vec_to_sparse([sum((row[j] * v for j, v in vec.items()), ZERO) for row in a])
+        assert_same_sum(got, m._sparse_cols(), list(vec.items()))

@@ -18,7 +18,7 @@ from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
                          _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
                          _module_law_failures, _module_laws_hold, _unit_triple)
-from .linalg import Echelon, Matrix, Subspace, _combination, generalized_inverse, invert
+from .linalg import Matrix, Subspace, _combination, generalized_inverse, invert
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
 from .scalars import ONE, ZERO, _dot, _on_legs
 
@@ -312,11 +312,7 @@ def compute_source_target(c: CoproductData, e: Multiplier,
 
     image_s = c.cache.span(2 * n * n, [m.coords() for m in eps_s])
     image_t = c.cache.span(2 * n * n, [m.coords() for m in eps_t])
-
-    legs_s, legs_t = _e_leg_multipliers(c, e)
-    leg_ok = image_s == c.cache.span(2 * n * n, legs_s) and \
-        image_t == c.cache.span(2 * n * n, legs_t)
-    out.append(check("source-target-legs", leg_ok,
+    out.append(check("source-target-legs", _images_are_legs(c, e, eps_s, eps_t, image_s, image_t),
                      f"images (dims {image_s.dim}, {image_t.dim}) equal the legs of E",
                      "source/target images differ from the legs of E"))
 
@@ -324,8 +320,18 @@ def compute_source_target(c: CoproductData, e: Multiplier,
         "source-target-coproduct": "coproducts of source/target values absorb into E"})
     out += _first_failures(_st_commute_failures(c, eps_s, eps_t, image_s, image_t), {
         "source-target-commute": "source and target images are commuting subalgebras"})
+    out += _first_failures(_st_inclusion_failures(c, eps_s, eps_t), {
+        "source-target-inclusions": "principal-ideal inclusions hold for source/target images"})
+    return SourceTargetWitness(eps_s, eps_t, image_s, image_t), out
 
-    def inclusion_failures():
+
+def _st_inclusion_failures(c: CoproductData, eps_s: List[Multiplier], eps_t: List[Multiplier]):
+    """e_a m(A) lies in e_a A and m(A) e_a in A e_a for m = eps_s and then
+    eps_t, over a.  Read at the unit when every value passes its law walk
+    (m(e_x) = y): then e_a y = sum y_j e_a e_j and y e_a = sum y_j e_j e_a."""
+    n = c.n
+
+    def walk():
         for a in range(n):
             right_ideal = c.cache.span(n, [c.parent.mul_basis(a, j) for j in range(n)])
             left_ideal = c.cache.span(n, [c.parent.mul_basis(j, a) for j in range(n)])
@@ -335,9 +341,7 @@ def compute_source_target(c: CoproductData, e: Multiplier,
                         yield f"{_lbl(c, a)} {tag}(A) escapes {_lbl(c, a)} A"
                     if not left_ideal.contains(dict(m[x].left.col_sparse(a))):
                         yield f"{tag}(A) {_lbl(c, a)} escapes A {_lbl(c, a)}"
-    out += _first_failures(inclusion_failures(), {
-        "source-target-inclusions": "principal-ideal inclusions hold for source/target images"})
-    return SourceTargetWitness(eps_s, eps_t, image_s, image_t), out
+    return unless_at_unit(lambda: all(c.cache.element(m) is not None for m in eps_s + eps_t), walk())
 
 
 def _source_target_values(c: CoproductData, g: ProjectionMaps, w: AntipodeWitness,
@@ -427,6 +431,33 @@ def _st_commute_failures(c: CoproductData, eps_s: List[Multiplier], eps_t: List[
     return unless_at_unit(at_unit, walk())
 
 
+def _images_are_legs(c: CoproductData, e: Multiplier, eps_s: List[Multiplier],
+                     eps_t: List[Multiplier], image_s: Subspace, image_t: Subspace) -> bool:
+    """Whether the source and target images are the spans of the leg
+    elements of E (`_e_leg_multipliers`).  Read in A when E and every
+    value pass their law walks (E = e0, eps_s(e_a) = x_a, eps_t(e_a) = y_a).
+    Then the source leg vectors are the coordinates of z embedded, for
+    z = (id (x) w)(e0) with w(a) = delta_k(e_p a e_q), and these w span the
+    dual, as the sum of u_p u_q w over 1 = sum u_p e_p is delta_k: so the z
+    span what the slices (id (x) delta_k)(e0) span; the target side
+    likewise with (delta_k (x) id)(e0).  x -> coordinates of x embedded is
+    linear, and injective with a unit, so the images are the legs exactly
+    when the x_a (y_a) span what the slices of that side span."""
+    n = c.n
+    e0 = c.cache.element(e)
+    xs, ys = ([c.cache.element(m) for m in values] for values in (eps_s, eps_t))
+    if e0 is None or None in xs or None in ys:
+        legs_s, legs_t = _e_leg_multipliers(c, e)
+        return image_s == c.cache.span(2 * n * n, legs_s) and \
+            image_t == c.cache.span(2 * n * n, legs_t)
+    slices_s, slices_t = ([{} for _ in range(n)] for _ in range(2))
+    for key, v in e0.items():
+        i, j = divmod(key, n)
+        slices_s[j][i] = slices_t[i][j] = v
+    return c.cache.span(n, xs) == c.cache.span(n, slices_s) and \
+        c.cache.span(n, ys) == c.cache.span(n, slices_t)
+
+
 def _e_leg_multipliers(c: CoproductData, e: Multiplier):
     """Leg elements of E as multiplier coordinate vectors: functional
     slices of (c (x) 1) E (a (x) .) on the right leg (target side) and of
@@ -469,9 +500,10 @@ def verify_via_antipode(c: CoproductData, s_mat: Matrix,
     alg = c.parent
     s_cols = [dict(s_mat.col_sparse(a)) for a in range(n)]
 
-    # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products
-    strips = (c._strip_echelon(True, n), c._strip_echelon(False, 1))
-    if any(ech.rank < nn for ech in strips):
+    # R1 is stripped of (c (x) 1) products, R2 of (1 (x) d) right products;
+    # with a checked unit 1 neither strip loses anything, as x = 1x = x1
+    strips = ((True, n), (False, 1))
+    if c.parent.checked_unit() is None and any(c._strip_echelon(*st).rank < nn for st in strips):
         out.append(failed("thm29-r-ranges",
                           "product is too degenerate to recover the R maps"))
         return out, None, None
@@ -948,14 +980,28 @@ def _absorption_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness,
 # ------------------------------------------------- sandwich actions of E
 
 
-def _strip_solve(c: CoproductData, strip: Echelon, m: Matrix, cols: List[int],
+def _strip_solve(c: CoproductData, strip: Tuple[bool, int], m: Matrix, cols: List[int],
                  op: list, s: int) -> Optional[SparseVec]:
     """The x whose products with e_y on the leg of the strip are, for each
-    y, column cols[y] of m with the operator op applied on the leg of
-    stride s; None when no such x exists.  strip is an echelon of
-    `CoproductData._strip_echelon`."""
-    x = [(y * c.nn + row, v) for y, col in enumerate(cols) for row, v in m.col_sparse(col)]
-    return strip.solve_sparse(_on_legs(op, c.n, x, s))
+    y, block y: column cols[y] of m with the operator op applied on the
+    leg of stride s; None when no such x exists.  strip is the (left,
+    stride) of a `CoproductData._strip_echelon`.
+
+    With a checked unit 1 = sum u_y e_y, every solution is 1x (x1), the
+    sum of u_y (block y), so that sum is the solution exactly when its
+    products with the e_y give back every block: the test that
+    solve_sparse makes against the strip stack.  Without one, x is solved
+    through the strip echelon, whose rank the callers test."""
+    n, nn = c.n, c.nn
+    blocks = [_on_legs(op, n, m.col_sparse(col), s) for col in cols]
+    u = c.parent.checked_unit()
+    if u is None:
+        return c._strip_echelon(*strip).solve_sparse(
+            {y * nn + k: v for y, block in enumerate(blocks) for k, v in block.items()})
+    x = _on_legs([block.items() for block in blocks], nn, u.items())
+    mult = c.parent._left_cols if strip[0] else c.parent._right_cols
+    return x if all(_on_legs(mult(y), n, x.items(), strip[1]) == block
+                    for y, block in enumerate(blocks)) else None
 
 
 def _sandwich_tables(c: CoproductData, e: Multiplier):
@@ -979,14 +1025,13 @@ def _sandwich_tables(c: CoproductData, e: Multiplier):
                   for q in range(n)] for p in range(n)]]
     tables = []
     for s in (1, n):
-        strip = c._strip_echelon(False, s)
-        if strip.rank < nn:
+        if c.parent.checked_unit() is None and c._strip_echelon(False, s).rank < nn:
             return None
         table: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
         for p, q in product(range(n), repeat=2):
             mult, cols = (alg._left_cols(q), [p * n + y for y in range(n)]) if s == 1 else \
                 (alg._left_cols(p), [y * n + q for y in range(n)])
-            sol = _strip_solve(c, strip, e.left, cols, mult, s)
+            sol = _strip_solve(c, (False, s), e.left, cols, mult, s)
             if sol is None:
                 return None
             table[p][q] = sol

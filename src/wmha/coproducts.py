@@ -344,7 +344,8 @@ class CoproductData:
         one leg)(x) stacked over y, built once per run for each (algebra,
         left, s); stripping through them is injective for a non-degenerate
         product.  The product by e_y is taken from the left (left) or from
-        the right, on the leg of stride s."""
+        the right, on the leg of stride s.  With a checked unit
+        `antipodes._strip_solve` strips through the unit instead."""
         def build() -> Echelon:
             n, nn = self.n, self.nn
             mult_cols = self.parent._left_cols if left else self.parent._right_cols
@@ -1077,11 +1078,13 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
         if not _module_laws_hold(c, (g.g1, 2), (g.g2, 1)):
             return False
         for leg, gm, _, parts, _ in sides:
-            at_u = [_value_at_unit(c, gm, leg, a) for a in range(n)]
-            if any((c.aa.basis_times(b * n + cc, at_u[a]) if leg == 2
-                    else c.aa.mul_by_basis(at_u[a], b * n + cc)) != part
-                   for (a, b, cc), part in parts.items()):
-                return False
+            # e_b (x) e_c multiplies from the left (leg 2) or the right, a leg at a time
+            mult = c.parent._left_cols if leg == 2 else c.parent._right_cols
+            at_u = [_value_at_unit(c, gm, leg, a).items() for a in range(n)]
+            for a, b in product(range(n), repeat=2):
+                on_b = _on_legs(mult(b), n, at_u[a], n).items()
+                if any(_on_legs(mult(cc), n, on_b) != parts[a, b, cc] for cc in range(n)):
+                    return False
         return True
 
     def walk():

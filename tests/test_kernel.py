@@ -278,8 +278,9 @@ def test_echelon_examples_with_fractions():
 
 # `_accumulate` calls of one `verify --preset pair:2 --model convolution
 # --path both` run, where every T map is a partial permutation; 4,810 when
-# every empty or lone unit column still went through the kernel
-KERNEL_CALLS = 1055
+# every empty or lone unit column still went through the kernel, 1,055
+# before the R-map strips and the source/target legs were read at the unit
+KERNEL_CALLS = 777
 
 
 def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):

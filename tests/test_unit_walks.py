@@ -2,8 +2,10 @@
 
 On a unital algebra each module-law, gate, cross-check and derived-suite
 walk first tests an identity at the checked unit that implies the whole
-walk, E is read off T1(1 (x) 1) when it provably solves E's systems, and
-the sandwich tables are read off E when E is an embedded element.  These
+walk, E is read off T1(1 (x) 1) when it provably solves E's systems, the
+sandwich tables are read off E when E is an embedded element, every strip
+system is solved through the unit and the source/target legs are compared
+in A.  These
 tests check that the reading changes nothing: on random unital
 presentations with doctored maps and values every reduced walk yields
 the failures of the full walk, certificates are the same bytes with the
@@ -27,10 +29,10 @@ import wmha.coproducts
 from conftest import FINITE_INPUTS, conjugated_input
 from wmha.algebras import Algebra, Multiplier, is_isomorphism, validate_algebra
 from wmha.antipodes import (AntipodeWitness, SourceTargetWitness, _absorption_failures,
-                            _anticoproduct_failures, _f_relation_failures,
+                            _anticoproduct_failures, _f_relation_failures, _images_are_legs,
                             _r_commutation_failures, _sandwich_tables, _source_target_values,
-                            _st_commute_failures, _st_coproduct_failures,
-                            check_antipode_identities, compute_source_target)
+                            _st_commute_failures, _st_coproduct_failures, _st_inclusion_failures,
+                            _strip_solve, check_antipode_identities, compute_source_target)
 from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent, RunCache,
                              ProjectionMaps, check_E_conditions, compute_E, extend_delta,
                              _coassociativity_failures, _e_at_unit, _g_crosscheck_failures, _kron,
@@ -41,7 +43,7 @@ from wmha.groupoids import build_model, preset
 from wmha.linalg import Matrix, Subspace, generalized_inverse, invert
 from wmha.pipeline import verify_groupoid_model, verify_lazy_model, verify_structure
 from wmha.report import PASS
-from wmha.scalars import rational
+from wmha.scalars import _on_legs, rational
 
 READERS = (wmha.algebras, wmha.coproducts, wmha.antipodes)
 
@@ -68,8 +70,10 @@ def _reading_sites():
 
 def record_full_walks(monkeypatch):
     """A list that receives, from now on, the name of each function whose
-    walk runs in full, "_solve_action" for each solve of an E action and
-    "_sandwich_tables" for each sandwich recovered by stripping."""
+    walk runs in full, "_solve_action" for each solve of an E action,
+    "_sandwich_tables" for each sandwich recovered by stripping,
+    "_strip_echelon" for each strip echelon fetched and "_e_leg_multipliers"
+    for each build of E's leg vectors in 2n^2 coordinates."""
     sites = []
     run = wmha.algebras.unless_at_unit
 
@@ -94,6 +98,11 @@ def record_full_walks(monkeypatch):
             sites.append("_sandwich_tables")
         return strip(*args)
     monkeypatch.setattr(wmha.antipodes, "_strip_solve", recording_strip)
+    strips, legs = CoproductData._strip_echelon, wmha.antipodes._e_leg_multipliers
+    monkeypatch.setattr(CoproductData, "_strip_echelon",
+                        lambda *args: sites.append("_strip_echelon") or strips(*args))
+    monkeypatch.setattr(wmha.antipodes, "_e_leg_multipliers",
+                        lambda *args: sites.append("_e_leg_multipliers") or legs(*args))
     return sites
 
 
@@ -139,20 +148,25 @@ VALUES = ("s", "eps_s", "eps_t")
 VALUE_HOW = ("plus", "element", "vanish")
 
 
+def _basis_change(draw, n):
+    """A permutation times a random unipotent upper triangular integer
+    matrix, so its inverse is integral too."""
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    return Matrix.permutation(draw(st.permutations(range(n)))) * Matrix.from_rows(
+        [[rational(1 if i == j else upper[i * n + j] if i < j else 0) for j in range(n)]
+         for i in range(n)])
+
+
 @st.composite
 def presentations(draw):
-    """A convolution model conjugated by P, a permutation times a random
-    unipotent upper triangular integer matrix (so P^-1 is integral too),
-    an element, a list of doctorings (map, how, sparse x), a list of
-    value doctorings (values, index, side, how, sparse x), a sparse
-    change of the S matrix and a sparse z for E := e0(1 + z)e0."""
+    """A convolution model conjugated by P (`_basis_change`), an element, a
+    list of doctorings (map, how, sparse x), a list of value doctorings
+    (values, index, side, how, sparse x), a sparse change of the S matrix
+    and a sparse z for E := e0(1 + z)e0."""
     name = draw(st.sampled_from(["pair:1", "group:cyclic:2", "group:cyclic:3",
                                  "bundle:cyclic:1:2", "union:pair:1+group:cyclic:2", "pair:2"]))
     n = len(preset(name).morphisms)
-    upper = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
-    p = Matrix.permutation(draw(st.permutations(range(n)))) * Matrix.from_rows(
-        [[rational(1 if i == j else upper[i * n + j] if i < j else 0) for j in range(n)]
-         for i in range(n)])
+    p = _basis_change(draw, n)
     nn = n * n
     scalars = st.sampled_from([rational(k) for k in (-2, -1, 1, 3)])
     entries = st.tuples(st.integers(0, nn - 1), st.integers(0, nn - 1), scalars)
@@ -240,6 +254,8 @@ def _walks(alg, maps, counit, x, w, eps):
                                              for r in check_E_conditions(c, e)]),
             "st-coproduct": _raised(lambda: list(_st_coproduct_failures(c, e, eps["eps_s"], eps["eps_t"]))),
             "st-commute": list(_st_commute_failures(c, eps["eps_s"], eps["eps_t"], *images)),
+            "st-legs": _images_are_legs(c, e, eps["eps_s"], eps["eps_t"], *images),
+            "st-inclusions": list(_st_inclusion_failures(c, eps["eps_s"], eps["eps_t"])),
             "anticoproduct": _raised(lambda: list(_anticoproduct_failures(c, e, w))),
             "absorption": list(_absorption_failures(c, e, w, st_w)),
             "sandwich": _sandwich_tables(c, e),
@@ -293,6 +309,74 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
     at_unit = _walks(alg, maps, counit, x, w, eps)
     with full_walks():
         assert _walks(alg, maps, counit, x, w, eps) == at_unit
+
+
+# small unital algebras by their products e_i e_j = e_k: Q, Q x Q, Q[x]/x^2,
+# Q^3, Q[x]/x^3, Q x Q[x]/x^2 and the upper triangular 2 x 2 matrices
+SMALL = ([(0, 0, 0)], [(0, 0, 0), (1, 1, 1)], [(0, 0, 0), (0, 1, 1), (1, 0, 1)],
+         [(i, i, i) for i in range(3)], [(i, j, i + j) for i in range(3) for j in range(3) if i + j < 3],
+         [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 1, 2)],
+         [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)])
+
+
+@st.composite
+def strip_systems(draw):
+    """A small unital algebra in a basis changed by P (`_basis_change`), a
+    strip (left on leg 1 or right on leg 2), a sparse x in the tensor
+    square, the operator applied on the other leg (the identity or sparse)
+    and a sparse change of the products of x with the e_y that the strip
+    recovers x from."""
+    table = draw(st.sampled_from(SMALL))
+    n = 1 + max(k for _, _, k in table)
+    p = _basis_change(draw, n)
+    scalars = st.sampled_from([rational(k) for k in (-2, -1, 1, 3)])
+    sparse = st.lists(st.tuples(st.integers(0, n * n - 1), scalars), max_size=3)
+    op = draw(st.one_of(st.none(), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                      scalars), max_size=3)))
+    return (table, n, p, draw(st.booleans()), dict(draw(sparse)), op,
+            draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n * n - 1), scalars),
+                          max_size=2)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(strip_systems())
+def test_strips_read_at_the_unit_solve_as_the_strip_echelon(case):
+    table, n, p, left, x, op, change = case
+    base = Algebra.from_structure(n, None, [(i, j, k, rational(1)) for i, j, k in table])
+    pinv = invert(p, RunCache())
+    alg = Algebra.from_structure(n, None, [
+        (i, j, k, v) for i in range(n) for j in range(n)
+        for k, v in pinv.apply_sparse(base.mul_sparse(dict(p.col_sparse(i)), dict(p.col_sparse(j)))).items()])
+    assert validate_algebra(alg, RunCache())[1] is not None
+    strip, s = ((True, n), 1) if left else ((False, 1), n)
+    nn, mult = n * n, alg._left_cols if left else alg._right_cols
+    # block y is e_y x (x e_y) on the strip's leg, changed at a few entries
+    blocks = [Matrix.from_sparse_cols(nn, [_on_legs(mult(y), n, x.items(), strip[1])])
+              for y in range(n)]
+    for y, row, v in change:
+        blocks[y] = blocks[y] + Matrix.from_entries(nn, 1, {(row, 0): v})
+    m = Matrix(nn, n, [b.col_sparse(0) for b in blocks])
+    op = Matrix.identity(n) if op is None else Matrix.from_entries(n, n, {(i, j): v for i, j, v in op})
+
+    def solve():
+        return _strip_solve(CoproductData(alg, Matrix.identity(nn), Matrix.identity(nn)),
+                            strip, m, list(range(n)), op._sparse_cols(), s)
+    got = solve()
+    if not change and op == Matrix.identity(n):
+        assert got == x
+    with full_walks():
+        assert solve() == got
+
+
+def test_strips_are_eliminated_without_a_unit(monkeypatch):
+    # the strip reading's one premise is the checked unit: without it the
+    # R recovery fetches its strip echelons, and the leg check builds E's
+    # leg vectors in 2n^2 coordinates
+    sites = record_full_walks(monkeypatch)
+    with full_walks():
+        report, _ = verify_groupoid_model(preset("pair:2"), "convolution", path="both")
+    assert report.verdict == PASS
+    assert {"_strip_echelon", "_e_leg_multipliers"} <= set(sites)
 
 
 def test_ill_defined_extensions_raise_through_the_suites():
@@ -379,9 +463,31 @@ def _anticoproduct_right(ctx):
     return lambda: list(_anticoproduct_failures(c, ctx.e, w))
 
 
+def _e_valid_right(ctx):
+    # T2 the identity: a left-module map whose D'(a) = 1 (x) a is
+    # multiplicative and whose range is everything, so the premises hold
+    # and E D(a) = D(a), but D'(a)E = (1 (x) a)e0 differs from D'(a)
+    c = ctx.coproduct
+    d = CoproductData(c.parent, c.t1, Matrix.identity(c.nn))
+    assert d.cache.unit_premises(d, ctx.e) is not None
+    return lambda: [(r.check_id, r.status, r.detail) for r in validate_E(d, ctx.e)]
+
+
+def _st_legs_target(ctx):
+    # target values all 1: E and every value are embedded elements and
+    # the source image is the source legs, so only the target spans differ
+    c, st = ctx.coproduct, ctx.source_target
+    eps_t = [Multiplier.of_element(c.parent, c.parent.checked_unit())] * c.n
+    image_t = Subspace.from_vectors(2 * c.n ** 2, [m.coords() for m in eps_t])
+    assert _images_are_legs(c, ctx.e, st.eps_s, st.eps_t, st.image_s, st.image_t)
+    return lambda: not _images_are_legs(c, ctx.e, st.eps_s, eps_t, st.image_s, image_t)
+
+
 # inputs that keep the premises of a reading and break one clause of its
 # identity at the unit alone, so the reading must test that clause
 ONE_CLAUSE = {"e-legs-agree": ("function", _legs_agree),
+              "e-valid-right": ("convolution", _e_valid_right),
+              "st-legs-target": ("convolution", _st_legs_target),
               "st-coproduct-right": ("convolution", _st_coproduct_right),
               "st-commute": ("convolution", _st_commute),
               "anticoproduct-right": ("convolution", _anticoproduct_right)}
@@ -427,11 +533,16 @@ REACHED_BY = {
     "_absorption_failures": "appendix-eps-t",
     "_f_relation_failures": "regular-s",
     "_sandwich_tables": "regular-e-left",
+    "_e_leg_multipliers": "source-target-e",
+    "_st_inclusion_failures": "source-target-g1",
 }
 
 
 def test_every_reading_has_a_doctored_case():
-    assert set(REACHED_BY) == _reading_sites() | {"_solve_action", "_sandwich_tables"}
+    # the strip reading's one premise is the checked unit, which no
+    # doctored witness removes: `test_strips_are_eliminated_without_a_unit`
+    assert set(REACHED_BY) == _reading_sites() | {"_solve_action", "_sandwich_tables",
+                                                  "_e_leg_multipliers"}
 
 
 @pytest.mark.parametrize("site, case", sorted(REACHED_BY.items()) + [

@@ -52,40 +52,38 @@ class Algebra:
     """Associative algebra with basis e_0..e_{n-1} and products
     e_i e_j = sum_k m[i][j][k] e_k."""
 
-    def __init__(self, dim: int, basis_labels: List[str]):
+    def __init__(self, dim: int, basis_labels: List[str],
+                 table: Optional[Dict[Tuple[int, int], SparseVec]] = None,
+                 factors: Optional[Tuple["Algebra", "Algebra"]] = None):
+        """table holds the nonzero products; a tensor product of factors
+        fills its own lazily."""
         self.dim = dim
         self.basis_labels = basis_labels
-        self._table: Dict[Tuple[int, int], SparseVec] = {}
-        self._factors: Optional[Tuple["Algebra", "Algebra"]] = None
+        self._table: Dict[Tuple[int, int], SparseVec] = {} if table is None else table
+        self._factors = factors
         self._cols: Dict[tuple, list] = {}
         self._unit: Optional[SparseVec] = None
-        self._key = (dim, ())   # content_key() of the empty table
+        # content_key(), fixed here: the table of an algebra that is not a
+        # tensor product never changes
+        self._key = ("tensor", factors[0]._key, factors[1]._key) if factors else \
+            Matrix.from_sparse_cols(dim, [self._table.get((i, j), {}) for i in range(dim) for j in range(dim)])
 
     @staticmethod
     def from_structure(dim: int, basis_labels: Optional[List[str]], entries) -> "Algebra":
         """entries: iterable of (i, j, k, Scalar)."""
-        a = Algebra(dim, basis_labels or [f"e{i}" for i in range(dim)])
+        table: Dict[Tuple[int, int], SparseVec] = {}
         for i, j, k, v in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatch(f"structure index ({i},{j},{k}) out of range")
             if v:
-                a._table.setdefault((i, j), {})[k] = v
-        return Algebra._keyed(a)
-
-    @staticmethod
-    def _keyed(a: "Algebra") -> "Algebra":
-        """a with its content key, built once from its filled table: the
-        table of an algebra that is not a tensor product never changes."""
-        a._key = (a.dim, tuple(sorted((ij, tuple(sorted(p.items()))) for ij, p in a._table.items() if p)))
-        return a
+                table.setdefault((i, j), {})[k] = v
+        return Algebra(dim, basis_labels or [f"e{i}" for i in range(dim)], table)
 
     @staticmethod
     def tensor(a: "Algebra", b: "Algebra") -> "Algebra":
         """Tensor product with the row-major index (i, j) -> i*dim(b)+j."""
-        t = Algebra(a.dim * b.dim,
-                    [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels])
-        t._factors = (a, b)
-        return t
+        return Algebra(a.dim * b.dim, [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels],
+                       factors=(a, b))
 
     def checked_unit(self) -> Optional[SparseVec]:
         """The unit, once `validate_algebra` has seen associativity pass,
@@ -180,24 +178,23 @@ class Algebra:
                 _accumulate(acc, p.items(), yj)
         return _settle(acc) if acc else acc
 
-    def content_key(self) -> tuple:
-        """The multiplication table as a hashable value: equal keys mean
-        equal products.  A tensor product is keyed by its factors' keys."""
-        if self._factors is not None:
-            a, b = self._factors
-            return ("tensor", a.content_key(), b.content_key())
+    def content_key(self):
+        """The multiplication table as a hashable value, built once: equal
+        keys mean equal products.  It is the n x n^2 Matrix whose column
+        i*n + j is e_i e_j, so its hash is fixed at construction; a tensor
+        product is keyed by the pair of its factors' keys."""
         return self._key
 
     def opposite(self) -> "Algebra":
-        out = Algebra(self.dim, list(self.basis_labels))
-        out._table = {}
+        table = {}
         for i in range(self.dim):
             for j in range(self.dim):
                 p = self.mul_basis(j, i)
                 if p:
-                    out._table[(i, j)] = dict(p)
+                    table[(i, j)] = dict(p)
+        out = Algebra(self.dim, list(self.basis_labels), table)
         out._unit = self.checked_unit()
-        return Algebra._keyed(out)
+        return out
 
     def __repr__(self):
         return f"Algebra(dim={self.dim})"

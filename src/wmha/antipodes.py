@@ -16,7 +16,7 @@ from .algebras import (Algebra, Multiplier, SparseVec, as_elements, flip_map,
                        is_isomorphism, star_on, unless_at_unit)
 from .coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent,
                          ProjectionMaps, apply_on_legs13, check_E_conditions, extend_delta, compute_E,
-                         _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3, _matrix_key,
+                         _commute, _counit_cols, _kron, _lbl, _lbl2, _lbl3,
                          _module_law_failures, _module_laws_hold, _unit_triple)
 from .linalg import Matrix, Subspace, _combination, generalized_inverse, invert
 from .report import FAIL, PASS, SKIP, CheckResult, _first_failures, check, failed, passed
@@ -608,8 +608,7 @@ def _f_multipliers(c: CoproductData, w: AntipodeWitness,
         squares = (Algebra.tensor(alg, op), Algebra.tensor(op, alg))
         return tuple(Multiplier(squares[k % 2], p * e.left * q, p * e.right * q)
                      for k, (p, q) in enumerate(((i_s, i_si), (s_i, si_i), (i_si, i_s), (si_i, s_i))))
-    return c.cache.once(("F", alg.content_key(), _matrix_key(s), _matrix_key(s_inv),
-                         _matrix_key(e.left), _matrix_key(e.right)), build)
+    return c.cache.once(("F", alg.content_key(), s, s_inv, e.left, e.right), build)
 
 
 def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,

@@ -132,12 +132,8 @@ def _module_law_at_unit(c: "CoproductData", m: Matrix, leg: int) -> bool:
     return True
 
 
-def _matrix_key(m: Matrix) -> tuple:
-    return (m.rows, m.cols, tuple(map(tuple, m._sparse_cols())))
-
-
 def _law_key(m: Multiplier) -> tuple:
-    return ("law", m.parent.content_key(), _matrix_key(m.left), _matrix_key(m.right))
+    return ("law", m.parent.content_key(), m.left, m.right)
 
 
 def _kron(x: SparseVec, y: SparseVec, n: int) -> SparseVec:
@@ -159,9 +155,11 @@ class RunCache:
     keyed by the content of their inputs, never by object identity: every
     elimination a run keeps is an entry here.  A key is a tuple led by the
     name of what it holds: "law", "module", "coproduct", "ranges", "ran",
-    "echelon" and "ker" from the methods below, "psi", "mu" and "strips"
-    from `CoproductData`, "E" from `compute_E` and "F" from
-    `antipodes._f_multipliers`.  A hit is the same computation on equal
+    "echelon", "complement" and "ker" from the methods below, "psi", "mu"
+    and "strips" from `CoproductData`, "E" from `compute_E` and "F" from
+    `antipodes._f_multipliers`.  The rest of a key is its inputs: Matrix
+    and Subspace objects and algebra content keys, each hashed once, when
+    it was built, and equal by content, and plain ints and flags.  A hit is the same computation on equal
     inputs done earlier in the run, so every check still runs and reads
     the same result.  Exceptions are not stored, and stored values are
     never written."""
@@ -179,11 +177,15 @@ class RunCache:
 
     def column_space(self, m: Matrix) -> Subspace:
         """column_space(m), computed once per run."""
-        return self.once(("ran", _matrix_key(m)), lambda: column_space(m))
+        return self.once(("ran", m), lambda: column_space(m))
 
     def echelon(self, m: Matrix, alt: bool = False) -> Echelon:
         """_solver(m, alt), once per run."""
-        return self.once(("echelon", _matrix_key(m), alt), lambda: _solver(m, alt))
+        return self.once(("echelon", m, alt), lambda: _solver(m, alt))
+
+    def complement(self, f: Matrix) -> Matrix:
+        """1 - f for a square f, once per run."""
+        return self.once(("complement", f), lambda: Matrix.identity(f.rows) - f)
 
     def span(self, n: int, vectors) -> Subspace:
         """The span of vectors in Q(i)^n, each a dict index -> nonzero
@@ -202,7 +204,7 @@ class RunCache:
                     f"rank-nullity fails: rank {rank} (row rank {ech.rank}), "
                     f"nullity {kernel.dim}, {m.cols} columns")
             return kernel
-        return self.once(("ker", _matrix_key(m)), build)
+        return self.once(("ker", m), build)
 
     def multiplier_failure(self, m: Multiplier) -> Optional[str]:
         """m.compatibility_failure(), computed once per run."""
@@ -232,13 +234,13 @@ class RunCache:
         D(x) = T1(x (x) 1) and D'(x) = T2(1 (x) x)."""
         if c.parent.checked_unit() is None:
             return False
-        return self.once(("coproduct", c.parent.content_key(), _matrix_key(c.t1), _matrix_key(c.t2)),
+        return self.once(("coproduct", c.parent.content_key(), c.t1, c.t2),
                          lambda: _module_laws_hold(c, (c.t1, 2), (c.t2, 1)) and _homomorphism_at_unit(c))
 
     def in_ranges(self, c: "CoproductData", e: Multiplier) -> bool:
         """Whether E's left columns lie in Ran T1 and its right ones in
         Ran T2, once per run."""
-        return self.once(("ranges", *map(_matrix_key, (c.t1, c.t2, e.left, e.right))), lambda: all(
+        return self.once(("ranges", c.t1, c.t2, e.left, e.right), lambda: all(
             ran.contains(dict(col)) for act, ran in ((e.left, c.ran_t1()), (e.right, c.ran_t2()))
             for col in act._sparse_cols()))
 
@@ -259,7 +261,7 @@ class RunCache:
         without a checked unit."""
         if c.parent.checked_unit() is None:
             return False
-        return self.once(("module", c.parent.content_key(), _matrix_key(m), leg),
+        return self.once(("module", c.parent.content_key(), m, leg),
                          lambda: _module_law_at_unit(c, m, leg))
 
 
@@ -311,7 +313,7 @@ class CoproductData:
         return self.cache.echelon(self.t2, alt).solve_sparse(svec)
 
     def _psi_key(self) -> tuple:
-        return ("psi", self.parent.content_key(), _matrix_key(self.t1))
+        return ("psi", self.parent.content_key(), self.t1)
 
     def psi(self) -> Matrix:
         """The map p (x) c (x) d -> coproduct(e_p) (e_c (x) e_d), as a
@@ -654,9 +656,7 @@ def compute_E(c: CoproductData) -> Multiplier:
     depends on nothing else, so it is solved once per run for each
     (tensor square, Ran T1, Ran T2) and bound to the caller's square.
     """
-    key = ("E", c.aa.content_key()) + tuple(tuple(tuple(sorted(r.items())) for r in space.rows)
-                                            for space in (c.ran_t1(), c.ran_t2()))
-    got = c.cache.once(key, lambda: _solve_E(c))
+    got = c.cache.once(("E", c.aa.content_key(), c.ran_t1(), c.ran_t2()), lambda: _solve_E(c))
     return Multiplier(c.aa, got.left, got.right)
 
 
@@ -1022,14 +1022,14 @@ def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
 
 def validate_G_maps(c: CoproductData, e: Multiplier, counit: list,
                     g: ProjectionMaps) -> List[CheckResult]:
-    n, nn = c.n, c.nn
+    n = c.n
 
     def projection_failures():
         yield from _module_law_failures(c, [(g.g1, 2, "G1 module law fails"),
                                             (g.g2, 1, "G2 module law fails")])
+        # T (1 - G) = 0, read as T G = T
         if not (g.g1 * g.g1 == g.g1 and g.g2 * g.g2 == g.g2
-                and (c.t1 * (Matrix.identity(nn) - g.g1)).is_zero()
-                and (c.t2 * (Matrix.identity(nn) - g.g2)).is_zero()):
+                and c.t1 * g.g1 == c.t1 and c.t2 * g.g2 == c.t2):
             yield "G idempotency or kernel containment fails"
     out = _first_failures(projection_failures(), {
         "projections-idempotent": "G1/G2 idempotent, module laws hold, 1-G lands in kernels"})
@@ -1107,7 +1107,7 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
 def check_kernels(c: CoproductData, g: ProjectionMaps) -> List[CheckResult]:
     """The kernel axiom: Ker(T1) = (1-G1)(A (x) A) and mirrored."""
     ker1, ker2 = c.cache.kernel(c.t1), c.cache.kernel(c.t2)
-    img1, img2 = (c.cache.column_space(Matrix.identity(c.nn) - gm) for gm in (g.g1, g.g2))
+    img1, img2 = (c.cache.column_space(c.cache.complement(gm)) for gm in (g.g1, g.g2))
     contain = img1.leq(ker1) and img2.leq(ker2)
     return [check("kernels-match", ker1 == img1 and ker2 == img2,
                   f"Ker(T1) = Ran(1-G1) (dim {ker1.dim}) and Ker(T2) = Ran(1-G2) (dim {ker2.dim})",

@@ -22,6 +22,8 @@ column B[:, j] = e_k is column k of A itself, shared: no column is
 ever written.
 Everything is exact.  Pivoting rules are fixed (the nonzero entry first
 in the column order) so repeated runs produce identical witnesses.
+A Matrix and a Subspace are hashable, each with its hash fixed at
+construction, and equal by content: they are their own run-store keys.
 """
 
 from __future__ import annotations
@@ -56,14 +58,17 @@ class Matrix:
     """Sparse matrix of Scalars: its shape and its columns, column j the
     list of (row, value) pairs of its nonzero entries in row order (Gustavson's
     column-oriented storage).  Immutable once built, so columns are shared
-    between matrices freely; every operation reads the columns only."""
+    between matrices freely; every operation reads the columns only.
+    Hashable: the hash, of the shape and the column lengths, is fixed at
+    construction, and equality is by content."""
 
-    __slots__ = ("rows", "cols", "_columns")
+    __slots__ = ("rows", "cols", "_columns", "_hash")
 
     def __init__(self, rows: int, cols: int, columns: list):
         self.rows = rows
         self.cols = cols
         self._columns = columns
+        self._hash = hash((rows, cols, *map(len, columns)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -138,11 +143,11 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) \
+        return self._hash == other._hash and (self.rows, self.cols) == (other.rows, other.cols) \
             and self._columns == other._columns
 
     def __hash__(self):
-        raise TypeError("Matrix is not hashable")
+        return self._hash
 
     def __add__(self, other):
         return self._plus(other, ONE)
@@ -178,9 +183,6 @@ class Matrix:
 
     def apply_sparse(self, vec: dict) -> dict:
         return _on_legs(self._columns, self.rows, vec.items())
-
-    def is_zero(self) -> bool:
-        return not any(self._columns)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor (Kronecker) product, row-major index convention."""
@@ -348,16 +350,18 @@ class Subspace:
     """Subspace of Q(i)^n: the canonical view of an Echelon in the
     identity column order, its reduced rows sorted by pivot, so equal
     subspaces have identical representations.  The echelon must not grow
-    after the view is taken."""
+    after the view is taken.  Hashable: the hash, of the ambient dimension
+    and the pivots, is fixed at construction, and equality is by content."""
 
-    __slots__ = ("ambient_dim", "rows", "_pivots", "_ech")
+    __slots__ = ("ambient_dim", "rows", "_pivots", "_ech", "_hash")
 
     def __init__(self, ech: Echelon):
         order = sorted(range(ech.rank), key=ech.pivot_cols.__getitem__)
         self.ambient_dim = ech.ncols
         self.rows = [ech.rrows[p] for p in order]   # sparse basis vectors (dicts)
-        self._pivots = [ech.pivot_cols[p] for p in order]  # strictly increasing
+        self._pivots = tuple(ech.pivot_cols[p] for p in order)  # strictly increasing
         self._ech = ech
+        self._hash = hash((self.ambient_dim, self._pivots))
 
     @property
     def basis(self) -> list:
@@ -388,10 +392,11 @@ class Subspace:
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("comparing subspaces of different ambients")
-        return self._pivots == other._pivots and self.rows == other.rows
+        return self._hash == other._hash and self._pivots == other._pivots \
+            and self.rows == other.rows
 
     def __hash__(self):
-        raise TypeError("Subspace is not hashable")
+        return self._hash
 
     def leq(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -448,9 +453,9 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix, store) -> Matrix:
     projecting onto Ran(t) and 1 - f an idempotent projecting onto Ker(t).
 
     Also satisfies t r t = t, r t r = r and r (1 - e) = 0.  Ran t, Ker t,
-    Ran e, Ran(1 - f) and the solvable echelon of t are read through store
-    (`coproducts.RunCache`: `column_space`, `kernel`, `echelon`), so each
-    is eliminated once per run.
+    Ran e, 1 - f, its range and the solvable echelon of t are read through
+    store (`coproducts.RunCache`: `column_space`, `kernel`, `complement`,
+    `echelon`), so each is built once per run.
     """
     n = t.rows
     if t.cols != n or e.rows != n or e.cols != n or f.rows != n or f.cols != n:
@@ -461,7 +466,7 @@ def generalized_inverse(t: Matrix, e: Matrix, f: Matrix, store) -> Matrix:
         raise BadProjections("f is not idempotent")
     if store.column_space(e) != store.column_space(t):
         raise BadProjections("image(e) differs from image(t)")
-    if store.column_space(Matrix.identity(n) - f) != store.kernel(t):
+    if store.column_space(store.complement(f)) != store.kernel(t):
         raise BadProjections("image(1-f) differs from kernel(t)")
     # r y = f z for any z with t z = e y.  Such a z exists, as e y lies in
     # Ran e = Ran t, and f z does not depend on the choice: two choices

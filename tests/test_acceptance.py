@@ -161,7 +161,7 @@ def test_criterion_08_generalized_inverse_unit_suite():
         ident = Matrix.identity(dim)
         ok = ok and t * r == e and r * t == f
         ok = ok and t * r * t == t and r * t * r == r
-        ok = ok and (r * (ident - e)).is_zero()
+        ok = ok and r * (ident - e) == Matrix.zero(dim, dim)
         ok = ok and solve_geninv_by_constraints(t, e, f) == r
         trials += 1
         if not ok:

@@ -81,7 +81,7 @@ def test_source_target_values_function_model():
                                                 if g.source[q] == p})
             assert val.left == expect
         else:
-            assert val.left.is_zero()
+            assert val.left == Matrix.zero(n, n)
 
 
 def test_source_target_values_convolution_model():

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmha.algebras import vec_to_sparse
+from wmha.algebras import Algebra, vec_to_sparse
 from wmha.coproducts import RunCache
-from wmha.linalg import (BadProjections, DimensionMismatch, Echelon, Infeasible, Matrix,
-                         Subspace, column_space, generalized_inverse, invert, solve_linear)
+from wmha.linalg import (BadProjections, DimensionMismatch, Echelon, Infeasible, InvariantViolation,
+                         Matrix, Subspace, column_space, generalized_inverse, invert, solve_linear)
 from wmha.scalars import ONE, ZERO, Scalar, _accumulate, _settle, rational
 
 from conftest import (random_matrix, random_projection_pair, random_scalar,
@@ -86,10 +86,23 @@ def test_generalized_inverse_of_invertible_map():
 
 def test_generalized_inverse_rejects_bad_projections():
     t = M([[0, 1], [0, 0]])
-    with pytest.raises(BadProjections):
+    with pytest.raises(BadProjections, match="e is not idempotent"):
         generalized_inverse(t, M([[1, 1], [0, 1]]), Matrix.identity(2), RunCache())
-    with pytest.raises(BadProjections):
+    with pytest.raises(BadProjections, match=r"image\(e\) differs from image\(t\)"):
         generalized_inverse(t, Matrix.identity(2), Matrix.identity(2), RunCache())
+    # Ran e = Ran t = Ker t, but 1 - f = 0
+    with pytest.raises(BadProjections, match=r"image\(1-f\) differs from kernel\(t\)"):
+        generalized_inverse(t, M([[1, 0], [0, 0]]), Matrix.identity(2), RunCache())
+
+
+def test_generalized_inverse_lost_preimage_is_an_invariant_violation(monkeypatch):
+    # no input reaches this branch: Ran e = Ran t is checked first, so each
+    # column of e has a preimage under t.  A solve that loses every
+    # preimage stands in for a faulty elimination
+    monkeypatch.setattr(Echelon, "solve_sparse", lambda self, rhs: None)
+    i2 = Matrix.identity(2)
+    with pytest.raises(InvariantViolation, match=r"column 0 of e lies outside Ran\(t\) = Ran\(e\)"):
+        generalized_inverse(i2, i2, i2, RunCache())
 
 
 def geninv_taskcase(rng, dim):
@@ -100,7 +113,7 @@ def geninv_taskcase(rng, dim):
     assert r * t == f
     assert t * r * t == t
     assert r * t * r == r
-    assert (r * (Matrix.identity(dim) - e)).is_zero()
+    assert r * (Matrix.identity(dim) - e) == Matrix.zero(dim, dim)
     return t, e, f, r
 
 
@@ -329,7 +342,7 @@ def test_sparse_matrix_matches_dense_reference(case):
         assert got.dense_rows() == want, name
         assert (got.rows, got.cols) == (len(want), len(want[0])), name
         assert_canonical_columns(got)
-        assert got.is_zero() == (not any(any(row) for row in want)), name
+        assert (got == Matrix.zero(got.rows, got.cols)) == (not any(any(row) for row in want)), name
     # each product column against the kernel's own sum, order and objects
     # included; a column e_k of the right factor shares column k of the left
     bm = Matrix.from_rows(b)
@@ -344,3 +357,51 @@ def test_sparse_matrix_matches_dense_reference(case):
         got = m.apply_sparse(vec)
         assert got == vec_to_sparse([sum((row[j] * v for j, v in vec.items()), ZERO) for row in a])
         assert_same_sum(got, m._sparse_cols(), list(vec.items()))
+
+
+# ---- hashing: fixed at construction, equality by content -----------------
+
+
+def _pair(draw, rows, cols):
+    """Two dense rows x cols lists: the second a copy of the first, the copy
+    with one entry drawn anew, or drawn on its own."""
+    a = dense(draw, rows, cols)
+    how = draw(st.sampled_from(["copy", "one entry", "own"]))
+    if how == "own":
+        return a, dense(draw, rows, cols)
+    b = [list(row) for row in a]
+    if how == "one entry":
+        b[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(entries)
+    return a, b
+
+
+@st.composite
+def key_pairs(draw):
+    """Two matrices of dim <= 4 with one number of rows, and two structure
+    tables of dim <= 2, each a d x d^2 list whose column i*d + j is e_i e_j."""
+    d = draw(st.integers(1, 2))
+    return _pair(draw, draw(st.integers(1, 4)), draw(st.integers(1, 4))), _pair(draw, d, d * d)
+
+
+def _algebra(table):
+    d = len(table)
+    return Algebra.from_structure(d, None, [(i, j, k, table[k][i * d + j])
+                                            for i in range(d) for j in range(d) for k in range(d)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_pairs())
+def test_equal_keys_hash_alike(case):
+    # a run-store key hashes once, when it is built, from data that equal
+    # content shares: objects built apart must agree on equality and hash
+    (a, b), (s, t) = case
+    ma, mb = Matrix.from_rows(a), Matrix.from_rows(b)
+    ra, rb = column_space(ma), column_space(mb)
+    x, y = _algebra(s), _algebra(t)
+    assert (ma == mb) == (a == b)
+    assert (ra == rb) == (ra.leq(rb) and rb.leq(ra))
+    assert (x.content_key() == y.content_key()) == (s == t)
+    for p, q in ((ma, mb), (ra, rb), (x.content_key(), y.content_key()),
+                 (Algebra.tensor(x, x).content_key(), Algebra.tensor(y, y).content_key())):
+        if p == q:
+            assert hash(p) == hash(q)

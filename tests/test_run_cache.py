@@ -1,20 +1,21 @@
 """Scope of the per-run cache: within one verification the multiplier-law
 kernel, the E solve and each column space run once per distinct input,
-and nothing is carried from one verification to the next."""
+nothing is carried from one verification to the next, and no key part
+changes after its hash is fixed."""
 
 import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from conftest import conjugated_input
-from test_unit_walks import record_full_walks
+from conftest import FINITE_INPUTS, conjugated_input
+from test_unit_walks import certificate, record_full_walks
 from test_walk_failures import CASES as WALK_CASES, _run as _walk_run
 
 from wmha import antipodes, coproducts
 from wmha.algebras import Algebra, Multiplier, flip_map
-from wmha.coproducts import CoproductData, IllDefinedExtension, RunCache, _matrix_key
-from wmha.linalg import Echelon, Infeasible, Matrix, Subspace
+from wmha.coproducts import CoproductData, IllDefinedExtension, RunCache
+from wmha.linalg import Echelon, Infeasible, Matrix, Subspace, column_space
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import StructureInput, verify_groupoid_model, verify_structure
 from wmha.report import PASS
@@ -136,10 +137,19 @@ def test_leg_conditions_are_read_at_the_unit_on_both_paths(kind, monkeypatch):
 
 def test_once_builds_once_per_content_key():
     cache, built = RunCache(), []
-    # equal matrices that are distinct objects give equal keys
-    for m in (Matrix.identity(3), Matrix.identity(3), Matrix.identity(3)):
-        assert cache.once(("ran", _matrix_key(m)), lambda: built.append(m) or None) is None
+    # equal matrices that are distinct objects give equal keys, however built
+    for m in (Matrix.identity(3), Matrix.identity(3), Matrix.from_rows(Matrix.identity(3).dense_rows())):
+        assert cache.once(("ran", m), lambda: built.append(m) or None) is None
     assert len(built) == 1
+    # a hash shared by different content keeps two entries
+    cycle = Matrix.permutation((1, 2, 0))
+    assert hash(cycle) == hash(Matrix.identity(3)) and cycle != Matrix.identity(3)
+    assert cache.once(("ran", cycle), lambda: "cycle") == "cycle"
+    assert cache.once(("ran", Matrix.identity(3)), lambda: "rebuilt") is None
+    # equal subspaces built apart share an entry
+    full = [column_space(m) for m in (Matrix.identity(3), cycle)]
+    assert [cache.once(("E", space), lambda: len(built)) for space in full] == [1, 1]
+    assert cache.once(("E", column_space(Matrix.zero(3, 2))), lambda: "zero") == "zero"
     # a stored False is a hit, not a miss
     assert cache.once(("law",), lambda: False) is False
     assert cache.once(("law",), lambda: True) is False
@@ -175,13 +185,52 @@ def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatc
     eliminate = coproducts.column_space
 
     def counted(m):
-        counts[_matrix_key(m)] += 1
+        counts[m] += 1
         return eliminate(m)
 
     monkeypatch.setattr(coproducts, "column_space", counted)
     report, _ = verify_groupoid_model(preset(name), "convolution", path="both")
     assert report.verdict == PASS
     assert sum(counts.values()) == len(counts) == distinct
+
+
+def _key_parts(key):
+    """The matrices and subspaces in a key, nested tuples included."""
+    for part in key:
+        if isinstance(part, tuple):
+            yield from _key_parts(part)
+        elif isinstance(part, (Matrix, Subspace)):
+            yield part
+
+
+def _content(part):
+    """part's hash recomputed from its current content, and that content."""
+    if isinstance(part, Matrix):
+        return hash(Matrix(part.rows, part.cols, part._sparse_cols())), \
+            tuple(map(tuple, part._sparse_cols()))
+    return hash(Subspace(part._ech)), tuple(tuple(sorted(r.items())) for r in part.rows)
+
+
+@pytest.mark.parametrize("name, kind", FINITE_INPUTS)
+def test_no_key_changes_after_its_hash_is_fixed(name, kind, monkeypatch):
+    # a matrix or subspace hashes once, when it is built: a column written,
+    # or an echelon grown, after it entered a key would silently break
+    # lookups.  Every key part of the run is read again at its end
+    first = {}
+    once = RunCache.once
+
+    def recorded(self, key, build):
+        for part in _key_parts(key):
+            if id(part) not in first:
+                first[id(part)] = (part, hash(part), _content(part))
+        return once(self, key, build)
+
+    monkeypatch.setattr(RunCache, "once", recorded)
+    certificate(name, kind)
+    assert {type(part) for part, _, _ in first.values()} == {Matrix, Subspace}
+    for part, fixed, content in first.values():
+        now = _content(part)
+        assert now == content and now[0] == fixed
 
 
 def _record_builds(monkeypatch):
@@ -265,7 +314,7 @@ def _record_eliminations(monkeypatch):
 
     def counted_init(self, matrix, col_order=None, solvable=False):
         if matrix.rows:
-            record(("echelon", _matrix_key(matrix),
+            record(("echelon", matrix,
                     None if col_order is None else tuple(col_order), solvable))
         init(self, matrix, col_order, solvable)
 

@@ -1,8 +1,10 @@
 """Finite-dimensional algebras given by structure constants.
 
-Products are held sparsely per basis pair; tensor squares fill their
-tables lazily, which keeps the triple-tensor-product computations in
-the verification suites affordable.
+An algebra given by its structure constants holds its nonzero products
+sparsely per basis pair.  A tensor product multiplies through its
+factors, (e_i (x) e_k)(e_j (x) e_l) = e_i e_j (x) e_k e_l, one leg at a
+time, and stores no product: every product of either kind goes through
+one leg action, `Algebra._legs`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .linalg import DimensionMismatch, Matrix
 from .report import PASS, CheckResult, _first_failures, check
-from .scalars import ONE, ZERO, Scalar, _accumulate, _settle
+from .scalars import ONE, ZERO, Scalar, _on_legs
 
 
 # the canonical maps are dim^2 x dim^2 and the checks walk every basis
@@ -55,16 +57,16 @@ class Algebra:
     def __init__(self, dim: int, basis_labels: List[str],
                  table: Optional[Dict[Tuple[int, int], SparseVec]] = None,
                  factors: Optional[Tuple["Algebra", "Algebra"]] = None):
-        """table holds the nonzero products; a tensor product of factors
-        fills its own lazily."""
+        """table holds the nonzero products of an algebra given by its
+        structure constants.  A tensor product of factors has no table and
+        keeps no columns: its products are its factors', leg by leg."""
         self.dim = dim
         self.basis_labels = basis_labels
         self._table: Dict[Tuple[int, int], SparseVec] = {} if table is None else table
         self._factors = factors
         self._cols: Dict[tuple, list] = {}
         self._unit: Optional[SparseVec] = None
-        # content_key(), fixed here: the table of an algebra that is not a
-        # tensor product never changes
+        # content_key(), fixed here: no product of an algebra ever changes
         self._key = ("tensor", factors[0]._key, factors[1]._key) if factors else \
             Matrix.from_sparse_cols(dim, [self._table.get((i, j), {}) for i in range(dim) for j in range(dim)])
 
@@ -99,26 +101,22 @@ class Algebra:
         return {i * b.dim + j: v * w for i, v in ua.items() for j, w in ub.items()}
 
     def mul_basis(self, i: int, j: int) -> SparseVec:
-        got = self._table.get((i, j))
-        if got is not None:
-            return got
+        """e_i e_j: a table entry, or on a tensor product computed from the
+        factors when asked."""
         if self._factors is None:
-            return {}
+            return self._table.get((i, j), {})
+        return self.mul_by_basis({i: ONE}, j)
+
+    def _legs(self, x, j: int, right: bool, s: int = 1) -> SparseVec:
+        """x e_j (right) or e_j x, with x given as its (index, value) pairs,
+        on the legs of stride s of a larger tensor vector (`_on_legs`).  An
+        algebra with a table applies its cached columns; a tensor product
+        A (x) B applies A's action at stride s·dim B, then B's at stride s."""
+        if self._factors is None:
+            return _on_legs(self._right_cols(j) if right else self._left_cols(j), self.dim, x, s)
         a, b = self._factors
-        db = b.dim
-        i1, i2 = divmod(i, db)
-        j1, j2 = divmod(j, db)
-        out: SparseVec = {}
-        p = a.mul_basis(i1, j1)
-        if p:
-            q = b.mul_basis(i2, j2)
-            for k1, v1 in p.items():
-                for k2, v2 in q.items():
-                    w = v1 * v2
-                    if w:
-                        out[k1 * db + k2] = w
-        self._table[(i, j)] = out
-        return out
+        j1, j2 = divmod(j, b.dim)
+        return b._legs(a._legs(x, j1, right, s * b.dim).items(), j2, right, s)
 
     def _left_cols(self, a: int) -> list:
         """The sparse columns of x -> e_a x, for _on_legs; cached."""
@@ -143,46 +141,30 @@ class Algebra:
         return got
 
     def structure_entries(self):
-        """All nonzero (i, j, k, value) triples (forces lazy table)."""
+        """All nonzero (i, j, k, value) triples, row-major in (i, j); a
+        tensor product computes each product as it yields it."""
         for i in range(self.dim):
             for j in range(self.dim):
                 for k, v in self.mul_basis(i, j).items():
                     yield i, j, k, v
 
-    # one kernel call per nonzero basis product; a tensor product's lazy
-    # table is read only on the arguments' support
     def mul_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        acc: dict = {}
-        mul_basis = self.mul_basis
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if p := mul_basis(i, j):
-                    _accumulate(acc, p.items(), xi, yj)
-        return _settle(acc) if acc else acc
+        """x y = sum_j y_j (x e_j)."""
+        return _on_legs([self.mul_by_basis(x, j).items() for j in y], self.dim, enumerate(y.values()))
 
     def mul_by_basis(self, x: SparseVec, j: int) -> SparseVec:
         """x e_j"""
-        acc: dict = {}
-        mul_basis = self.mul_basis
-        for i, xi in x.items():
-            if p := mul_basis(i, j):
-                _accumulate(acc, p.items(), xi)
-        return _settle(acc) if acc else acc
+        return self._legs(x.items(), j, True)
 
     def basis_times(self, i: int, y: SparseVec) -> SparseVec:
         """e_i y"""
-        acc: dict = {}
-        mul_basis = self.mul_basis
-        for j, yj in y.items():
-            if p := mul_basis(i, j):
-                _accumulate(acc, p.items(), yj)
-        return _settle(acc) if acc else acc
+        return self._legs(y.items(), i, False)
 
     def content_key(self):
         """The multiplication table as a hashable value, built once: equal
         keys mean equal products.  It is the n x n^2 Matrix whose column
         i*n + j is e_i e_j, so its hash is fixed at construction; a tensor
-        product is keyed by the pair of its factors' keys."""
+        product, which has no table, is keyed by its factors' keys."""
         return self._key
 
     def opposite(self) -> "Algebra":

@@ -687,7 +687,8 @@ def _e_at_unit(c: CoproductData) -> Optional[Multiplier]:
     """The element e = T1(1 (x) 1) embedded in M(A (x) A), for the checked
     unit 1, when these literal tests show it to be the solution of both
     `_solve_action` systems, else None:
-    - e b = b for each basis vector b of Ran T1, and v e = v for each v of Ran T2;
+    - e b = b for each basis vector b of Ran T1, and v e = v for each v of
+      Ran T2, read off the embedded multiplier's columns;
     - e x lies in Ran T1 and x e in Ran T2 for every basis vector x.
     So e lies in Ran T1, and in Ran T2 as 1 e.  The left system asks, per x, for w in Ran T1 with v w = v x
     for every v in Ran T2.  w = e x is one: v (e x) = (v e) x = v x.  It
@@ -698,11 +699,10 @@ def _e_at_unit(c: CoproductData) -> Optional[Multiplier]:
     uu = c.aa.checked_unit()
     if uu is None:
         return None
-    e = c.t1.apply_sparse(uu)
-    mul = c.aa.mul_sparse
-    if any(mul(e, b) != b for b in c.ran_t1().rows) or any(mul(v, e) != v for v in c.ran_t2().rows):
+    m = c.cache.embed(c.aa, c.t1.apply_sparse(uu))
+    if any(m.left.apply_sparse(b) != b for b in c.ran_t1().rows) or \
+            any(m.right.apply_sparse(v) != v for v in c.ran_t2().rows):
         return None
-    m = c.cache.embed(c.aa, e)
     return m if c.cache.in_ranges(c, m) else None
 
 
@@ -730,13 +730,8 @@ def _solve_action(c: CoproductData, fix_basis, test_basis, left_side: bool) -> M
             f"{'left' if left_side else 'right'} action underdetermined "
             f"({r - ech.rank} free directions)")
     # v . e_x  (or e_x . v) for every test vector and basis column
-    prods = []
-    for vs in test_basis:
-        per_x = []
-        for x in range(nn):
-            xs = {x: ONE}
-            per_x.append(aa.mul_sparse(vs, xs) if left_side else aa.mul_sparse(xs, vs))
-        prods.append(per_x)
+    prods = [[aa.mul_by_basis(vs, x) if left_side else aa.basis_times(x, vs) for x in range(nn)]
+             for vs in test_basis]
     cols_out = []
     fix_cols = [w.items() for w in fix_basis]
     for x in range(nn):
@@ -1072,12 +1067,12 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
         parts = {(a, b, cc): _on_legs(con[cc * n:cc * n + n], n, t.col_sparse(b * n + a)) if leg == 2
                  else _on_legs(con[b::n], n, t.col_sparse(a * n + cc), n)
                  for a, b, cc in product(range(n), repeat=3)}
-        sides.append((leg, gm, s, parts, c.aa._left_cols if leg == 2 else c.aa._right_cols))
+        sides.append((leg, gm, s, parts))
 
     def at_unit() -> bool:
         if not _module_laws_hold(c, (g.g1, 2), (g.g2, 1)):
             return False
-        for leg, gm, _, parts, _ in sides:
+        for leg, gm, _, parts in sides:
             # e_b (x) e_c multiplies from the left (leg 2) or the right, a leg at a time
             mult = c.parent._left_cols if leg == 2 else c.parent._right_cols
             at_u = [_value_at_unit(c, gm, leg, a).items() for a in range(n)]
@@ -1088,12 +1083,13 @@ def _g_crosscheck_failures(c: CoproductData, e: Multiplier,
         return True
 
     def walk():
-        for leg, gm, s, parts, by_bc in sides:
+        for leg, gm, s, parts in sides:
             by_q = [_leg_mult(c, leg, q)[0] for q in range(n)]
             for quad in product(range(n), repeat=4):
                 b, a, cc, q = quad if leg == 2 else (quad[2], quad[1], quad[3], quad[0])
                 col = a * n + q if leg == 2 else q * n + a
-                if _on_legs(by_bc(b * n + cc), nn, gm.col_sparse(col)) != \
+                # (e_b (x) e_c) G1(a (x) q), or G2(q (x) a)(e_b (x) e_c) on leg 1
+                if c.aa._legs(gm.col_sparse(col), b * n + cc, leg == 1) != \
                         _on_legs(by_q[q], n, parts[a, b, cc].items(), s):
                     if leg == 2:
                         yield (f"G1 cross-check fails at "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _on_legs, _settle
+from .scalars import ONE, ZERO, Scalar, _accumulate, _dot, _is_one, _on_legs, _settle
 
 
 class DimensionMismatch(Exception):
@@ -175,7 +175,7 @@ class Matrix:
         acols = self._columns
         out = []
         for bcol in other._columns:
-            if len(bcol) == 1 and (bcol[0][1] is ONE or bcol[0][1] == ONE):
+            if len(bcol) == 1 and _is_one(bcol[0][1]):
                 out.append(acols[bcol[0][0]])
             else:
                 out.append(sorted(_on_legs(acols, self.rows, bcol).items()) if bcol else [])

@@ -208,6 +208,12 @@ ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
 
 
+def _is_one(c: Scalar) -> bool:
+    """Whether c is exactly 1 = (1, 0, 1), read off its fields: a unit
+    coefficient that a sum can skip, with no `Scalar.__eq__` call."""
+    return c is ONE or c._a == 1 and not c._b and c._d == 1
+
+
 def rational(p: int, q: int = 1) -> Scalar:
     """The rational p/q for ints p and q."""
     if not (isinstance(p, int) and isinstance(q, int)):
@@ -377,7 +383,7 @@ def _on_legs(cols, rows: int, x, s: int = 1) -> dict:
     if acc is None:
         if lone is None:
             return {}
-        if lc is ONE or lc._a == 1 and not lc._b and lc._d == 1:
+        if _is_one(lc):
             if lbase == 0 and s == 1:
                 return dict(lone)
             out = {}

@@ -2,6 +2,7 @@ import pytest
 
 from wmha.algebras import (Algebra, Multiplier, ParentMismatch, as_elements, flip_map,
                            validate_algebra, validate_star)
+from wmha.cli import main
 from wmha.coproducts import RunCache
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.linalg import Matrix
@@ -123,6 +124,27 @@ def test_tensor_products_are_legwise():
                 for j2 in range(2):
                     got = t.mul_basis(i1 * 2 + j1, i2 * 2 + j2)
                     assert got == {(i1 + i2) % 2 * 2 + (j1 + j2) % 2: ONE}
+
+
+@pytest.mark.parametrize("name, at_unit", [("pair:4", True), ("pair:2", False)])
+def test_tensor_products_store_nothing(monkeypatch, capsys, name, at_unit):
+    # every tensor product of a run multiplies through its factors, whether
+    # the walks are read at the unit or run in full: none keeps a product
+    # table or operator columns
+    built = []
+    real = Algebra.tensor
+
+    def recorded(a, b):
+        built.append(real(a, b))
+        return built[-1]
+
+    monkeypatch.setattr(Algebra, "tensor", staticmethod(recorded))
+    if not at_unit:
+        monkeypatch.setattr(Algebra, "checked_unit", lambda self: None)
+    assert main(["verify", "--preset", name, "--model", "function", "--path", "both"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert built
+    assert [(len(t._table), len(t._cols)) for t in built] == [(0, 0)] * len(built)
 
 
 def test_tensor_of_nondegenerate_is_nondegenerate():

@@ -280,8 +280,10 @@ def test_echelon_examples_with_fractions():
 # --path both` run, where every T map is a partial permutation; 4,810 when
 # every empty or lone unit column still went through the kernel, 1,055
 # before the R-map strips and the source/target legs were read at the unit,
-# 777 while 1 - G1 and 1 - G2 were built three times a run
-KERNEL_CALLS = 697
+# 777 while 1 - G1 and 1 - G2 were built three times a run, 697 while each
+# basis product of a sum went through the kernel on its own, a lone unit
+# product included: `Algebra` now sums a product with the leg action
+KERNEL_CALLS = 480
 
 
 def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):

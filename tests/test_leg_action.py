@@ -2,7 +2,9 @@
 reference: an operator M on one window of adjacent legs of A^(x)k acts as
 I (x) M (x) I, built with Matrix.kron and applied to the dense vector; and
 against the kernel's own sum, whose key order and kept Scalars it must
-reproduce.  The sparse products of `Algebra` against a dense reference."""
+reproduce.  The sparse products of `Algebra` against a dense reference
+built from the structure constants: a tensor product's from its factors'
+tables, so it does not check the products against themselves."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -116,14 +118,45 @@ def test_on_legs_example_legs_of_a_square():
 @st.composite
 def products(draw):
     """(algebra, x, y, j) for the three sparse products of Algebra; the
-    algebra is a random table or a tensor product, whose table is lazy."""
+    algebra is a random table, a tensor product of two, or A (x) A^op, the
+    shape of the twisted squares that F1..F4 live on."""
     n = draw(st.integers(1, 3))
     alg = random_algebra(draw, n)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["table", "tensor", "twisted"]))
+    if kind == "tensor":
         alg = Algebra.tensor(alg, random_algebra(draw, 2))
+    elif kind == "twisted":
+        alg = Algebra.tensor(alg, alg.opposite())
     vec = st.one_of(sparse_vectors(alg.dim), st.builds(lambda i, v: {i: v}, st.integers(0, alg.dim - 1),
                                                        st.sampled_from([ONE, Scalar(2)])))
     return alg, draw(vec), draw(vec), draw(st.integers(0, alg.dim - 1))
+
+
+def table_product(alg, i, l):
+    """e_i e_l read from the structure constants: the table entry, or on a
+    tensor product the Kronecker product of the factors' entries."""
+    if alg._factors is None:
+        return alg.mul_basis(i, l)
+    a, b = alg._factors
+    (i1, i2), (l1, l2) = divmod(i, b.dim), divmod(l, b.dim)
+    return {k1 * b.dim + k2: v1 * v2 for k1, v1 in a.mul_basis(i1, l1).items()
+            for k2, v2 in b.mul_basis(i2, l2).items()}
+
+
+def ref_legs(alg, x, j, right):
+    """x e_j (right) or e_j x as the kernel sums it: one `ref_on_legs`
+    pass per leg with the factor's basis products, and every column read."""
+    if alg._factors is None:
+        steps = [(alg, j, 1)]
+    else:
+        a, b = alg._factors
+        steps = [(a, j // b.dim, b.dim), (b, j % b.dim, 1)]
+    seen = []
+    for f, jf, s in steps:
+        cols = [(f.mul_basis(k, jf) if right else f.mul_basis(jf, k)).items() for k in range(f.dim)]
+        x = ref_on_legs(cols, f.dim, x.items(), s)
+        seen += cols
+    return x, seen
 
 
 @settings(deadline=None, max_examples=100)
@@ -136,16 +169,16 @@ def test_products_equal_dense_reference(case):
         out = [ZERO] * n
         for i, ui in u.items():
             for l, vl in v.items():
-                for key, w in alg.mul_basis(i, l).items():
+                for key, w in table_product(alg, i, l).items():
                     out[key] = out[key] + ui * vl * w
         return {key: w for key, w in enumerate(out) if w}
 
+    assert all(alg.mul_basis(i, l) == table_product(alg, i, l) for i in range(n) for l in range(n))
     for got, u, v in ((alg.mul_sparse(x, y), x, y), (alg.mul_by_basis(x, j), x, {j: ONE}),
                       (alg.basis_times(j, y), {j: ONE}, y)):
         assert got == dense_product(u, v)
         assert all(w for w in got.values())
-    # the kernel's order: one sum over the nonzero basis products in turn
-    table = [[alg.mul_basis(i, l).items() for l in range(n)] for i in range(n)]
-    assert_kernel_sum(alg.mul_by_basis(x, j), ref_on_legs([t[j] for t in table], n, x.items(), 1),
-                      [t[j] for t in table])
-    assert_kernel_sum(alg.basis_times(j, y), ref_on_legs(table[j], n, y.items(), 1), table[j])
+    # the kernel's order: one sum per leg, over the factor's nonzero
+    # basis products in turn
+    assert_kernel_sum(alg.mul_by_basis(x, j), *ref_legs(alg, x, j, True))
+    assert_kernel_sum(alg.basis_times(j, y), *ref_legs(alg, y, j, False))

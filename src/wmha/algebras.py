@@ -45,7 +45,12 @@ def unless_at_unit(at_unit: Callable[[], bool], walk: Iterator) -> Iterator:
     at_unit tests literally an identity at the checked unit that implies,
     by associativity, every identity the walk tests; each caller's
     docstring gives the argument.  When it is False, as it is without a
-    checked unit, the walk runs unchanged, failures and order included."""
+    checked unit, the walk runs unchanged, failures and order included.
+    Two callers read otherwise, also only with a checked unit: the
+    weak-Hopf counit walk, whose at_unit compares the walk's values as
+    matrix identities, and the G1/G2 solve, whose walk yields the basis
+    triples of its system and whose at_unit tells that the unit triples
+    span the same rows."""
     if not at_unit():
         yield from walk
 

@@ -180,23 +180,10 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
     out = _first_failures(identity_failures(), {
         "antipode-counit-identities": "both antipode identities hold as one-sided multiplier equalities"})
 
-    # the contracted equalities behind S1 = S2: (e_s m) e_p = e_s (m e_p)
-    # for m = eps_t(a), then for m = eps_s(a)
-    def remark_failures():
-        for s, a, p in product(range(n), repeat=3):
-            for m, which in ((st.eps_t[a], "first"), (st.eps_s[a], "second")):
-                if alg.mul_by_basis(dict(m.right.col_sparse(s)), p) != \
-                        alg.basis_times(s, dict(m.left.col_sparse(p))):
-                    yield f"{which} contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
-    out += _first_failures(remark_failures(), {
+    out += _first_failures(_remark_failures(c, st), {
         "antipode-remark-equalities": "contracted one-sided antipode sums agree (equivalent to S1 = S2)"})
-
-    # anti-multiplicativity as multiplier equality
-    out += _first_failures(
-        (f"S({_lbl(c, a)} {_lbl(c, b)}) != S({_lbl(c, b)})S({_lbl(c, a)})"
-         for a, b in product(range(n), repeat=2)
-         if _combine_multipliers(c.parent, w.s, c.parent.mul_basis(a, b)) != w.s[b] * w.s[a]),
-        {"antipode-antimultiplicative": "S(ab) = S(b)S(a) on all basis pairs"})
+    out += _first_failures(_antimultiplicative_failures(c, w), {
+        "antipode-antimultiplicative": "S(ab) = S(b)S(a) on all basis pairs"})
 
     # A S(A) = A and S(A) A = A, spanned by the e_a S(e_b) and the S(e_b) e_a
     pairs = [(a, b) for a in range(n) for b in range(n)]
@@ -209,6 +196,48 @@ def check_antipode_identities(c: CoproductData, e: Multiplier,
     # anti-coalgebra identity with E on both sides
     return out + _first_failures(_anticoproduct_failures(c, e, w), {
         "antipode-anticoproduct": "coproduct of S(a) equals the E-two-sided flipped image"})
+
+
+def _remark_failures(c: CoproductData, st: "SourceTargetWitness"):
+    """The contracted equalities behind S1 = S2, (e_s m) e_p = e_s (m e_p)
+    for m = eps_t(e_a), then for m = eps_s(e_a), over (s, a, p).  Each is
+    the link law of the value m at (s, p) (`Multiplier.law_failures`), so
+    when every value passes its law walk, as `source-target-defined`
+    records, the walk finds nothing.  Read at the unit, where a value that
+    passes its walk is an element (`RunCache.element`)."""
+    n, alg = c.n, c.parent
+
+    def walk():
+        for s, a, p in product(range(n), repeat=3):
+            for m, which in ((st.eps_t[a], "first"), (st.eps_s[a], "second")):
+                if alg.mul_by_basis(dict(m.right.col_sparse(s)), p) != \
+                        alg.basis_times(s, dict(m.left.col_sparse(p))):
+                    yield f"{which} contracted equality fails at ({_lbl(c, s)},{_lbl(c, a)},{_lbl(c, p)})"
+    return unless_at_unit(lambda: all(c.cache.element(m) is not None for m in st.eps_s + st.eps_t),
+                          walk())
+
+
+def _antimultiplicative_failures(c: CoproductData, w: AntipodeWitness):
+    """S(e_a e_b) = S(e_b)S(e_a) as multipliers, over basis pairs (a, b).
+    Read through elements when every S(e_k) passes its law walk
+    (S(e_k) = s_k): a combination of embedded elements is the embedded
+    combination and a product of two is the embedded product, and
+    embedding is injective with a unit, so the walk holds at (a, b)
+    exactly when sum_k (e_a e_b)_k s_k = s_b s_a in A: n^2 products of
+    elements in place of n^2 products of multipliers."""
+    n, alg = c.n, c.parent
+
+    def at_unit() -> bool:
+        s = [c.cache.element(m) for m in w.s]
+        if None in s:
+            return False
+        cols = [x.items() for x in s]
+        return all(_on_legs(cols, n, alg.mul_basis(a, b).items()) == w.s[b].left.apply_sparse(s[a])
+                   for a, b in product(range(n), repeat=2))
+    return unless_at_unit(at_unit, (
+        f"S({_lbl(c, a)} {_lbl(c, b)}) != S({_lbl(c, b)})S({_lbl(c, a)})"
+        for a, b in product(range(n), repeat=2)
+        if _combine_multipliers(alg, w.s, alg.mul_basis(a, b)) != w.s[b] * w.s[a]))
 
 
 def _extension_at_unit(c: CoproductData, e: Multiplier, x: SparseVec) -> Tuple[SparseVec, SparseVec]:
@@ -625,7 +654,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
     otherwise they are computed in full, failure details included.
 
     regular-f-formulas: F_k is Phi E Phi^-1 for Phi = 1 (x) S, S (x) 1,
-    1 (x) S^-1 or S^-1 (x) 1 (`_f_multipliers`).  When `is_isomorphism`
+    1 (x) S^-1 or S^-1 (x) 1 (`_f_multipliers`).  When `_anti`
     shows S to be an algebra isomorphism A -> A^op with inverse S^-1
     (so S^-1 is one as well), each Phi is an algebra isomorphism from
     e's square A (x) A onto F_k's twisted square.  Then
@@ -687,7 +716,7 @@ def regular_suite(c: CoproductData, e: Multiplier, g: ProjectionMaps,
                      "G1(a (x) b) = (a (x) 1)F1(1 (x) b) and mirrored, with F from E",
                      "G maps do not factor through the antipode-built F idempotents"))
 
-    anti = is_isomorphism(c.parent, w.s_matrix, w.s_matrix_inv, c.parent.opposite())
+    anti = _anti(c, w)
     if anti:
         f_ok = e * e == e and not c.cache.multiplier_failure(e)
     else:
@@ -797,19 +826,7 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
     # coproduct of each basis element as an honest tensor (unital case)
     delta = [c.t1.apply_sparse(_kron({b: ONE}, unit, n)) for b in range(n)]
 
-    # the first form feeds weak-hopf-counit, the second weak-hopf-counit-op
-    def counit_failures():
-        for a, b, cc in product(range(n), repeat=3):
-            lhs = _dot((v, eps_mul[k][cc]) for k, v in alg.mul_basis(a, b).items())
-            rhs1 = _dot((v * eps_mul[a][key % n], eps_mul[key // n][cc])
-                        for key, v in delta[b].items())
-            rhs2 = _dot((v * eps_mul[a][key // n], eps_mul[key % n][cc])
-                        for key, v in delta[b].items())
-            if lhs != rhs1:
-                yield "weak-hopf-counit", f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
-            if lhs != rhs2:
-                yield "weak-hopf-counit-op", f"second weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
-    out = _first_failures(counit_failures(), {
+    out = _first_failures(_weak_counit_failures(c, eps_mul, delta), {
         "weak-hopf-counit": "counit is weakly multiplicative (first form)",
         "weak-hopf-counit-op": "counit is weakly multiplicative (second form)"})
     if out[1].status == FAIL and not regular:
@@ -829,6 +846,53 @@ def weak_hopf_suite(c: CoproductData, e: Multiplier, st: SourceTargetWitness,
                     yield what
     return out + _first_failures(formula_failures(), {
         "weak-hopf-antipode-formulas": "counit contractions of E reproduce source/target values"})
+
+
+def _weak_counit_failures(c: CoproductData, eps_mul: list, delta: List[SparseVec]):
+    """eps((e_a e_b) e_c) = sum eps(e_a e_(2)) eps(e_(1) e_c) (first form, for
+    weak-hopf-counit) and = sum eps(e_a e_(1)) eps(e_(2) e_c) (second form,
+    for weak-hopf-counit-op) over (a, b, c), with P[a][k] = eps(e_a e_k)
+    (eps_mul) and delta[b] = coproduct(e_b) = sum e_(1) (x) e_(2).
+
+    Read as matrix identities: with L_b[a][k] the e_k coefficient of
+    e_a e_b and M_b[x][y] that of e_x (x) e_y in delta[b], the two sides at
+    (a, b, c) are entry (a, c) of L_b P and of P M_b^T P (first form) or
+    P M_b P (second).  They are compared transposed, Q R_b = Q M_b Q and
+    Q R_b = Q M_b^T Q for Q = P^T and R_b = L_b^T, the matrix of
+    x -> x e_b, and for every b side by side: column b n + a of Q R, with
+    column b n + a of R the product e_a e_b, against that of Q T (1 (x) Q),
+    with column b n + y of T column y of M_b (first form) or of M_b^T
+    (second).  They compare the same n^3 values as the walk, in shared
+    sums, so the walk runs on a mismatch.  Like every reading, this one is
+    off without a checked unit."""
+    n = c.n
+    alg = c.parent
+
+    def at_unit() -> bool:
+        if alg.checked_unit() is None:
+            return False
+        q = Matrix.from_sparse_cols(n, [{cc: v for cc, v in enumerate(row) if v} for row in eps_mul])
+        t, t_flip = ([{} for _ in range(n * n)] for _ in range(2))
+        for b, d in enumerate(delta):
+            for key, v in d.items():
+                x, y = divmod(key, n)
+                t[b * n + y][x] = t_flip[b * n + x][y] = v
+        lhs = q * Matrix.from_sparse_cols(n, [alg.mul_basis(a, b) for b in range(n) for a in range(n)])
+        spread = Matrix.identity(n).kron(q)
+        return all(lhs == q * Matrix.from_sparse_cols(n, cols) * spread for cols in (t, t_flip))
+
+    def walk():
+        for a, b, cc in product(range(n), repeat=3):
+            lhs = _dot((v, eps_mul[k][cc]) for k, v in alg.mul_basis(a, b).items())
+            rhs1 = _dot((v * eps_mul[a][key % n], eps_mul[key // n][cc])
+                        for key, v in delta[b].items())
+            rhs2 = _dot((v * eps_mul[a][key // n], eps_mul[key % n][cc])
+                        for key, v in delta[b].items())
+            if lhs != rhs1:
+                yield "weak-hopf-counit", f"first weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
+            if lhs != rhs2:
+                yield "weak-hopf-counit-op", f"second weak-multiplicativity identity fails at ({_lbl(c, a)},{_lbl(c, b)},{_lbl(c, cc)})"
+    return unless_at_unit(at_unit, walk())
 
 
 # ------------------------------------------------- star suite
@@ -915,18 +979,49 @@ def appendix_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
     if w.not_regular:
         return out
 
-    def swap_failures():
+    out += _first_failures(_swap_failures(c, w, st), {
+        "appendix-source-target-swap": "S exchanges the source and target maps"})
+
+    return out + _first_failures(_absorption_failures(c, e, w, st), {
+        "appendix-e-absorption": "E absorbs source/target values across its legs through S"})
+
+
+def _swap_failures(c: CoproductData, w: AntipodeWitness, st: SourceTargetWitness):
+    """S(eps_t(e_a)) = eps_s(S(e_a)), then S(eps_s(e_a)) = eps_t(S(e_a)), as
+    multipliers, over a, with S(m) the `_s_image`.  Read through elements
+    when S is an algebra isomorphism A -> A^op with inverse S^-1 (`_anti`)
+    and every value passes its law walk (eps_s(e_k) = x_k, eps_t(e_k) = y_k):
+    then the S-image of an embedded y is the embedded S(y), as
+    S(S^-1(x) y) = S(y) x and S(y S^-1(x)) = x S(y), a combination of
+    embedded values is the embedded combination, and embedding is
+    injective with a unit.  So the walk holds at a exactly when
+    S(y_a) = sum_k S_ka x_k and S(x_a) = sum_k S_ka y_k in A."""
+    n = c.n
+
+    def at_unit() -> bool:
+        xs, ys = ([c.cache.element(m) for m in values] for values in (st.eps_s, st.eps_t))
+        if None in xs or None in ys or not _anti(c, w):
+            return False
+        cols_x, cols_y = [x.items() for x in xs], [y.items() for y in ys]
+        return all(w.s_matrix.apply_sparse(ys[a]) == _on_legs(cols_x, n, sa)
+                   and w.s_matrix.apply_sparse(xs[a]) == _on_legs(cols_y, n, sa)
+                   for a, sa in enumerate(w.s_matrix._sparse_cols()))
+
+    def walk():
         for a in range(n):
             sa = dict(w.s_matrix.col_sparse(a))
             if _s_image(w, st.eps_t[a]) != _combine_multipliers(c.parent, st.eps_s, sa):
                 yield f"S(eps_t({_lbl(c, a)})) != eps_s(S({_lbl(c, a)}))"
             if _s_image(w, st.eps_s[a]) != _combine_multipliers(c.parent, st.eps_t, sa):
                 yield f"S(eps_s({_lbl(c, a)})) != eps_t(S({_lbl(c, a)}))"
-    out += _first_failures(swap_failures(), {
-        "appendix-source-target-swap": "S exchanges the source and target maps"})
+    return unless_at_unit(at_unit, walk())
 
-    return out + _first_failures(_absorption_failures(c, e, w, st), {
-        "appendix-e-absorption": "E absorbs source/target values across its legs through S"})
+
+def _anti(c: CoproductData, w: AntipodeWitness) -> bool:
+    """Whether the antipode matrix S is an algebra isomorphism A -> A^op
+    with inverse S^-1 (`is_isomorphism`), once per run."""
+    return c.cache.once(("anti", c.parent.content_key(), w.s_matrix, w.s_matrix_inv),
+                        lambda: is_isomorphism(c.parent, w.s_matrix, w.s_matrix_inv, c.parent.opposite()))
 
 
 def _s_image(w: AntipodeWitness, m: Multiplier) -> Multiplier:
@@ -940,23 +1035,25 @@ def _absorption_failures(c: CoproductData, e: Multiplier, w: AntipodeWitness,
                          st: SourceTargetWitness):
     """E(y (x) 1) = E(1 (x) S(y)) for y = eps_s(e_a), then
     (1 (x) x)E = (S(x) (x) 1)E for x = eps_t(e_a), as multipliers.  Read at
-    the unit when E, each value and each S-image `_s_image` pass
-    their law walks (E = e0, y, S(y) = y'): both sides of the first are
-    embedded elements e0(y (x) 1) and e0(1 (x) y'), and of the second
-    (1 (x) x)e0 and (x' (x) 1)e0, equal exactly when their values at
-    1 (x) 1 are."""
+    the unit when E and each value pass their law walks (E = e0, y) and S
+    is an algebra isomorphism A -> A^op with inverse S^-1 (`_anti`), so
+    that the S-image `_s_image` of an element y is the element S(y)
+    (`_swap_failures`): both sides of the first are embedded elements
+    e0(y (x) 1) and e0(1 (x) S(y)), and of the second (1 (x) x)e0 and
+    (S(x) (x) 1)e0, equal exactly when their values at 1 (x) 1 are."""
     n = c.n
     ident = Matrix.identity(n)
 
     def at_unit() -> bool:
-        if c.cache.element(e) is None:
+        if c.cache.element(e) is None or not _anti(c, w):
             return False
         u = c.parent.checked_unit()
         for values, act, first in ((st.eps_s, e.left, True), (st.eps_t, e.right, False)):
             for m in values:
-                y, sy = c.cache.element(m), c.cache.element(_s_image(w, m))
-                if y is None or sy is None:
+                y = c.cache.element(m)
+                if y is None:
                     return False
+                sy = w.s_matrix.apply_sparse(y)
                 y, sy = (_kron(y, u, n), _kron(u, sy, n)) if first else (_kron(u, y, n), _kron(sy, u, n))
                 if act.apply_sparse(y) != act.apply_sparse(sy):
                     return False

@@ -156,10 +156,11 @@ class RunCache:
     elimination a run keeps is an entry here.  A key is a tuple led by the
     name of what it holds: "law", "module", "coproduct", "ranges", "ran",
     "echelon", "complement" and "ker" from the methods below, "psi", "mu"
-    and "strips" from `CoproductData`, "E" from `compute_E` and "F" from
-    `antipodes._f_multipliers`.  The rest of a key is its inputs: Matrix
-    and Subspace objects and algebra content keys, each hashed once, when
-    it was built, and equal by content, and plain ints and flags.  A hit is the same computation on equal
+    and "strips" from `CoproductData`, "E" from `compute_E`, "F" from
+    `antipodes._f_multipliers` and "anti" from `antipodes._anti`.  The
+    rest of a key is its inputs: Matrix and Subspace objects and algebra
+    content keys, each hashed once, when it was built, and equal by
+    content, and plain ints and flags.  A hit is the same computation on equal
     inputs done earlier in the run, so every check still runs and reads
     the same result.  Exceptions are not stored, and stored values are
     never written."""
@@ -979,12 +980,17 @@ def solve_G_maps(c: CoproductData, e: Multiplier) -> ProjectionMaps:
     counit-contraction construction is compared by validate_G_maps.
     """
     s = flip_map(c.n)
-    g1 = _solve_leg_system(c, e.left._sparse_cols(), "G1")
-    g2 = _solve_leg_system(c.mirror(), (s * e.right * s)._sparse_cols(), "G2")
+    # the premises of the reading at the unit, from the run store: E passes
+    # its law walk, T1 (for G1) and T2 (for G2, whose mirror T1 is sT2s)
+    # pass their module identities on leg 2 and leg 1
+    u = c.parent.checked_unit() if c.cache.element(e) is not None else None
+    g1 = _solve_leg_system(c, e.left._sparse_cols(), "G1", u if c.cache.module_law(c, c.t1, 2) else None)
+    g2 = _solve_leg_system(c.mirror(), (s * e.right * s)._sparse_cols(), "G2",
+                           u if c.cache.module_law(c, c.t2, 1) else None)
     return ProjectionMaps(g1, s * g2 * s)
 
 
-def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
+def _solve_leg_system(c: CoproductData, ecols: list, name: str, u: Optional[SparseVec]) -> Matrix:
     """G1 from coproduct_13(e_a)(1 (x) E)(1 (x) e_b (x) e_c) against
     coproduct_13(e_a)(1 (x) e_b (x) e_c), with T1 and the columns ecols of
     E's left action on legs (2,3), expanded over leg 3; failures call the map name.
@@ -992,13 +998,30 @@ def _solve_leg_system(c: CoproductData, ecols: list, name: str) -> Matrix:
     Each equation G x = y is one row (x | y) of a single elimination in
     which the x half, the lower columns, pivots first.  A row whose x half
     reduces to zero while its y half does not is an inconsistency, and at
-    full x rank the reduced row of pivot p is (e_p | G e_p)."""
+    full x rank the reduced row of pivot p is (e_p | G e_p).
+
+    Read at the unit triples e_a (x) e_b (x) u, n^2 of them, when the
+    checked unit u is given: `solve_G_maps` gives it when T1 passes its
+    leg-2 module identity, T1(p (x) x) = T1(p (x) u)(1 (x) x), and E its law
+    walk, E = e0 (for G2, in the mirror, T2 its leg-1 identity and E its
+    walk, flipped).  Then both sides at e_a (x) e_b (x) e_c are
+    their values at e_a (x) e_b (x) u times 1 (x) 1 (x) e_c on leg 3, as
+    e0(e_b (x) e_c) = e0(e_b (x) u)(1 (x) e_c): the row of leg-3 index k at
+    the basis triple is the sum over j of the e_k coefficient of e_j e_c
+    times the row of index j at the unit triple.  The rows at the unit
+    triple are in turn combinations of basis-triple rows, as
+    u = sum_c u_c e_c is a combination of basis vectors and the rows are
+    linear in leg 3.  So both systems span the same rows, and the reduced rows,
+    which depend only on the span and the column order, give the same G,
+    rank and failure."""
     n, nn = c.n, c.nn
+    units = [] if u is None else [[((a * n + b) * n + k, v) for k, v in u.items()]
+                                  for a, b in product(range(n), repeat=2)]
     graph = Echelon(Matrix.zero(0, 2 * nn))
-    for idx in range(n ** 3):
+    for x in chain(units, unless_at_unit(lambda: u is not None, ([(idx, ONE)] for idx in range(n ** 3)))):
         rows: Dict[int, Dict[int, Scalar]] = {}
-        for shift, v3 in ((0, apply_on_legs13(c.t1, {idx: ONE}, n)),
-                          (nn, apply_on_legs13(c.t1, _on_legs(ecols, nn, [(idx, ONE)]), n))):
+        for shift, v3 in ((0, apply_on_legs13(c.t1, dict(x), n)),
+                          (nn, apply_on_legs13(c.t1, _on_legs(ecols, nn, x), n))):
             for i, v in v3.items():
                 rows.setdefault(i % n, {})[i // n + shift] = v
         for k in sorted(rows):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import FINITE_INPUTS, conjugated_input
+from test_unit_walks import record_full_walks
 from wmha import antipodes
 from wmha.algebras import (Algebra, Multiplier, as_elements, flip_map,
                            is_isomorphism, validate_algebra)
@@ -384,6 +385,38 @@ def test_zero_antipode_values_fail_antipode_spans():
     got = {r.check_id: (r.status, r.detail)
            for r in check_antipode_identities(c, e, gm, doctored, st)}
     assert got["antipode-spans"] == ("fail", "spans have dims 0 and 0 of 4")
+
+
+def test_antipode_values_outside_the_algebra_are_not_regular(monkeypatch):
+    # A: the span of E11, E12, E13, E23 and E33, an ideal of the upper
+    # triangular 3 x 3 matrices that is non-degenerate and idempotent with
+    # no unit.  E22 multiplies it from both sides, a multiplier of A that is
+    # not an element.  With eps the E11 coefficient, R1(e_a (x) e_b) =
+    # E11 (x) E22 e_b and R2(e_b (x) e_a) = e_b E22 (x) E11 contract to
+    # S(e_a) = E22 for every a: S passes its laws and misses A.  No input
+    # that passes the gate reaches this through the pipeline (CHANGES.md)
+    basis = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3)]
+    index = {ij: k for k, ij in enumerate(basis)}
+    alg = Algebra.from_structure(5, None, [(index[i, j], index[k, l], index[i, l], ONE)
+                                           for i, j in basis for k, l in basis if j == k])
+    checks, unit = validate_algebra(alg, RunCache())
+    all_pass(checks)
+    assert unit is None
+    left, right = {index[2, 3]: {index[2, 3]: ONE}}, {index[1, 2]: {index[1, 2]: ONE}}
+    r1 = Matrix.from_sparse_cols(25, [{k: v for k, v in left.get(b, {}).items()}
+                                      for a in range(5) for b in range(5)])
+    r2 = Matrix.from_sparse_cols(25, [{k * 5: v for k, v in right.get(b, {}).items()}
+                                      for b in range(5) for a in range(5)])
+    c = CoproductData(alg, Matrix.zero(25, 25), Matrix.zero(25, 25))
+    w, checks = compute_antipode(c, r1, r2, [ONE, ZERO, ZERO, ZERO, ZERO])
+    all_pass(checks)
+    assert w.s_matrix is None
+    assert w.not_regular == "antipode does not map the algebra into itself"
+    # the S(e_a) are no elements, so anti-multiplicativity is walked: it
+    # fails where e_a e_b = 0, as S(e_b)S(e_a) = E22
+    sites = record_full_walks(monkeypatch)
+    assert next(antipodes._antimultiplicative_failures(c, w)) == "S(e0 e3) != S(e3)S(e0)"
+    assert sites == ["_antimultiplicative_failures"]
 
 
 def test_r_recovery_fails_thm29_r_ranges():

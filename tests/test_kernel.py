@@ -282,8 +282,10 @@ def test_echelon_examples_with_fractions():
 # before the R-map strips and the source/target legs were read at the unit,
 # 777 while 1 - G1 and 1 - G2 were built three times a run, 697 while each
 # basis product of a sum went through the kernel on its own, a lone unit
-# product included: `Algebra` now sums a product with the leg action
-KERNEL_CALLS = 480
+# product included (`Algebra` now sums a product with the leg action), 480
+# while G1 and G2 were eliminated from the rows of all n^3 basis triples,
+# not from the n^2 unit triples
+KERNEL_CALLS = 418
 
 
 def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):
@@ -304,6 +306,23 @@ def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):
     assert "verdict: pass" in capsys.readouterr().out
     assert calls and 0 not in calls, "a kernel call carries an empty group"
     assert len(calls) <= KERNEL_CALLS
+
+
+# `Echelon.insert` calls of the same run, a row each, the rows of every
+# solvable echelon's matrix included: 380 while G1 and G2 were eliminated
+# from the rows of all n^3 basis triples, which span what the rows of the
+# n^2 unit triples span (`coproducts._solve_leg_system`).  The count
+# repeats under PYTHONHASHSEED 0, 1 and 7
+ECHELON_ROWS = 348
+
+
+def test_echelon_rows_of_a_sparse_run(monkeypatch, capsys):
+    rows = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, vec: rows.append(len(vec)) or real(self, vec))
+    assert main(["verify", "--preset", "pair:2", "--model", "convolution", "--path", "both"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert len(rows) == ECHELON_ROWS
 
 
 # `Scalar.__hash__` calls of the same run: 3,162 while every run-store

@@ -27,17 +27,20 @@ import wmha.algebras
 import wmha.antipodes
 import wmha.coproducts
 from conftest import FINITE_INPUTS, conjugated_input
-from wmha.algebras import Algebra, Multiplier, is_isomorphism, validate_algebra
+from wmha.algebras import Algebra, Multiplier, flip_map, is_isomorphism, validate_algebra
 from wmha.antipodes import (AntipodeWitness, SourceTargetWitness, _absorption_failures,
-                            _anticoproduct_failures, _f_relation_failures, _images_are_legs,
-                            _r_commutation_failures, _sandwich_tables, _source_target_values,
+                            _anticoproduct_failures, _antimultiplicative_failures,
+                            _f_relation_failures, _images_are_legs, _r_commutation_failures,
+                            _remark_failures, _sandwich_tables, _source_target_values,
                             _st_commute_failures, _st_coproduct_failures, _st_inclusion_failures,
-                            _strip_solve, check_antipode_identities, compute_source_target)
-from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSuchIdempotent, RunCache,
-                             ProjectionMaps, check_E_conditions, compute_E, extend_delta,
+                            _strip_solve, _swap_failures, _weak_counit_failures,
+                            check_antipode_identities, compute_source_target, weak_hopf_suite)
+from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSolution, NoSuchIdempotent,
+                             RunCache, ProjectionMaps, check_E_conditions, compute_E, extend_delta,
                              _coassociativity_failures, _e_at_unit, _g_crosscheck_failures, _kron,
                              _homomorphism_failures, _mixed_law_failures,
-                             _module_law_failures, _regular_maps_failures, validate_E)
+                             _module_law_failures, _regular_maps_failures, _solve_leg_system,
+                             solve_G_maps, validate_E)
 from wmha.fileio import witnesses_to_json
 from wmha.groupoids import build_model, preset
 from wmha.linalg import Matrix, Subspace, generalized_inverse, invert
@@ -70,7 +73,8 @@ def _reading_sites():
 
 def record_full_walks(monkeypatch):
     """A list that receives, from now on, the name of each function whose
-    walk runs in full, "_solve_action" for each solve of an E action,
+    walk runs in full ("_solve_leg_system" for each G1/G2 system built from
+    every basis triple), "_solve_action" for each solve of an E action,
     "_sandwich_tables" for each sandwich recovered by stripping,
     "_strip_echelon" for each strip echelon fetched and "_e_leg_multipliers"
     for each build of E's leg vectors in 2n^2 coordinates."""
@@ -157,20 +161,25 @@ def _basis_change(draw, n):
          for i in range(n)])
 
 
+# the presets of dimension at most 3 that `presentations` draws, besides pair:2
+SMALL_PRESETS = ("pair:1", "group:cyclic:2", "group:cyclic:3", "bundle:cyclic:1:2",
+                 "union:pair:1+group:cyclic:2")
+
+
 @st.composite
-def presentations(draw):
-    """A convolution model conjugated by P (`_basis_change`), an element, a
-    list of doctorings (map, how, sparse x), a list of value doctorings
-    (values, index, side, how, sparse x), a sparse change of the S matrix
-    and a sparse z for E := e0(1 + z)e0."""
-    name = draw(st.sampled_from(["pair:1", "group:cyclic:2", "group:cyclic:3",
-                                 "bundle:cyclic:1:2", "union:pair:1+group:cyclic:2", "pair:2"]))
+def presentations(draw, names=SMALL_PRESETS + ("pair:2",), maps=MAPS):
+    """A convolution model of a preset of names conjugated by P
+    (`_basis_change`), an element, a list of doctorings (map of maps, how,
+    sparse x), a list of value doctorings (values, index, side, how,
+    sparse x), a sparse change of the S matrix and a sparse z for
+    E := e0(1 + z)e0."""
+    name = draw(st.sampled_from(names))
     n = len(preset(name).morphisms)
     p = _basis_change(draw, n)
     nn = n * n
     scalars = st.sampled_from([rational(k) for k in (-2, -1, 1, 3)])
     entries = st.tuples(st.integers(0, nn - 1), st.integers(0, nn - 1), scalars)
-    doctorings = draw(st.lists(st.tuples(st.sampled_from(MAPS), st.sampled_from(HOW),
+    doctorings = draw(st.lists(st.tuples(st.sampled_from(maps), st.sampled_from(HOW),
                                          st.lists(entries, min_size=1, max_size=3)), min_size=1, max_size=3))
     small = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), scalars),
                      min_size=1, max_size=2)
@@ -225,10 +234,10 @@ def _raised(run):
         return str(exc)
 
 
-def _walks(alg, maps, counit, x, w, eps):
+def _walks(alg, maps, counit, x, w, eps, unit):
     """Every walk read at the unit, as its failure list (E as its actions
     or the message of its failure), on fresh run caches, with the
-    antipode witness w and the source/target values eps."""
+    antipode witness w, the source/target values eps and the unit of alg."""
     c = CoproductData(alg, maps["t1"], maps["t2"], maps["t3"], maps["t4"])
     e = Multiplier(c.aa, maps["e_left"], maps["e_right"])
     g = ProjectionMaps(maps["g1"], maps["g2"])
@@ -259,7 +268,12 @@ def _walks(alg, maps, counit, x, w, eps):
             "anticoproduct": _raised(lambda: list(_anticoproduct_failures(c, e, w))),
             "absorption": list(_absorption_failures(c, e, w, st_w)),
             "sandwich": _sandwich_tables(c, e),
-            "f-relations": list(_f_relation_failures(c, e, w, anti))}
+            "f-relations": list(_f_relation_failures(c, e, w, anti)),
+            "remark": list(_remark_failures(c, st_w)),
+            "antimultiplicative": list(_antimultiplicative_failures(c, w)),
+            "swap": list(_swap_failures(c, w, st_w)),
+            "weak-hopf": [(r.check_id, r.status, r.detail)
+                          for r in weak_hopf_suite(c, e, st_w, counit, unit)]}
 
 
 @settings(deadline=None, max_examples=100)
@@ -306,9 +320,70 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
         c, ProjectionMaps(maps["g1"], maps["g2"]), w, counit)))
     for which, a, side, how, xm in doctored:
         eps[which][a] = _doctor_value(eps[which][a], side, how, xm)
-    at_unit = _walks(alg, maps, counit, x, w, eps)
+    at_unit = _walks(alg, maps, counit, x, w, eps, u)
     with full_walks():
-        assert _walks(alg, maps, counit, x, w, eps) == at_unit
+        assert _walks(alg, maps, counit, x, w, eps, u) == at_unit
+
+
+def _g_maps(c, e):
+    """G1 and G2 of c's maps and E (`solve_G_maps`) on a fresh run store,
+    or the message of the NoSolution it raises."""
+    try:
+        g = solve_G_maps(CoproductData(c.parent, c.t1, c.t2), e)
+        return g.g1, g.g2
+    except NoSolution as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(presentations(names=SMALL_PRESETS, maps=("t1", "e_left")))
+def test_g_systems_read_at_the_unit_solve_as_the_full_systems(case):
+    # G1 and G2 from the n^2 unit triples against the n^3 basis triples,
+    # first on the honest maps (E moved to e0(1 + z)e0 when z is drawn),
+    # where the reading's premises hold, then with T1 or E's left action
+    # doctored as its first doctoring says
+    name, p, doctorings, _, _, e_shift, _ = case
+    inp, p, q, model = conjugated_input(name, False, p)
+    alg = inp.algebra
+    u = validate_algebra(alg, RunCache())[1]
+    qinv = invert(q, RunCache())
+    c = CoproductData(alg, inp.t1, inp.t2)
+    e = Multiplier(c.aa, qinv * model.oracle_e_left * q, qinv * model.oracle_e_right * q)
+    if e_shift:
+        e = _sandwiched(e, e_shift)
+    key, how, entries = doctorings[0]
+    x = Matrix.from_entries(c.nn, c.nn, {(r, col): v for r, col, v in entries})
+    doctored = (CoproductData(alg, _doctor(c, u, c.t1, how, x), c.t2), e) if key == "t1" else \
+        (c, Multiplier(c.aa, _doctor(c, u, e.left, how, x), e.right))
+    assert RunCache().element(e) is not None
+    for d, f in ((c, e), doctored):
+        got = _g_maps(d, f)
+        with full_walks():
+            assert _g_maps(d, f) == got
+
+
+@pytest.mark.parametrize("name", ["G1", "G2"])
+def test_g_systems_are_read_at_the_unit_only_when_t_passes_its_module_identity(name):
+    # T1 moved at e_(0,0) (x) e_(0,1), outside A (x) W for W the span of the
+    # unit e_(0,0) + e_(1,1) and the last legs of e0(e_b (x) 1): the unit
+    # triples do not see the change and solve for the run's G1, while the
+    # basis triples are inconsistent.  T1 fails its leg-2 module identity,
+    # so G1 is solved from the basis triples.  G2 likewise, with T2 moved
+    # at the flipped entry
+    _, ctx = test_walk_failures._run("convolution")
+    c, e, s = ctx.coproduct, ctx.e, flip_map(ctx.coproduct.n)
+    if name == "G1":
+        d = CoproductData(c.parent, c.t1 + Matrix.from_entries(c.nn, c.nn, {(5, 1): rational(1)}), c.t2)
+        g = _solve_leg_system(d, e.left._sparse_cols(), name, c.parent.checked_unit())
+    else:
+        d = CoproductData(c.parent, c.t1, c.t2 + Matrix.from_entries(c.nn, c.nn, {(5, 4): rational(1)}))
+        g = s * _solve_leg_system(d.mirror(), (s * e.right * s)._sparse_cols(), name,
+                                  c.parent.checked_unit()) * s
+    assert g == (ctx.g.g1 if name == "G1" else ctx.g.g2)
+    with full_walks():
+        full = _g_maps(d, e)
+    assert full == f"defining system for {name} inconsistent"
+    assert _g_maps(d, e) == full
 
 
 # small unital algebras by their products e_i e_j = e_k: Q, Q x Q, Q[x]/x^2,
@@ -371,12 +446,14 @@ def test_strips_read_at_the_unit_solve_as_the_strip_echelon(case):
 def test_strips_are_eliminated_without_a_unit(monkeypatch):
     # the strip reading's one premise is the checked unit: without it the
     # R recovery fetches its strip echelons, and the leg check builds E's
-    # leg vectors in 2n^2 coordinates
+    # leg vectors in 2n^2 coordinates; the G1/G2 systems, whose premises
+    # hold whenever the gate and validate_E pass, are built from every
+    # basis triple
     sites = record_full_walks(monkeypatch)
     with full_walks():
         report, _ = verify_groupoid_model(preset("pair:2"), "convolution", path="both")
     assert report.verdict == PASS
-    assert {"_strip_echelon", "_e_leg_multipliers"} <= set(sites)
+    assert {"_strip_echelon", "_e_leg_multipliers", "_solve_leg_system"} <= set(sites)
 
 
 def test_ill_defined_extensions_raise_through_the_suites():
@@ -483,6 +560,31 @@ def _st_legs_target(ctx):
     return lambda: not _images_are_legs(c, ctx.e, st.eps_s, eps_t, st.image_s, image_t)
 
 
+def _swap_one(kept):
+    """S' = S after the automorphism x -> (1 + e)x(1 - e), e the
+    square-zero e_(0,1): an anti-isomorphism whose square is not 1.  With
+    the run's target values y_a and source values x_a = S' Y S'^-1 (e_a),
+    S'(y_a) = sum_k S'_ka x_k holds and S'(x_a) = sum_k S'_ka y_k fails
+    (kept = "first"); with the run's x_a and y_a = S' X S'^-1 (e_a), the
+    other way round."""
+    def build(ctx):
+        c, w, st = ctx.coproduct, ctx.antipode, ctx.source_target
+        alg, u = c.parent, c.parent.checked_unit()
+        plus, minus = ({**u, 1: u.get(1, rational(0)) + rational(sign)} for sign in (1, -1))
+        conj, conj_inv = (Matrix.from_sparse_cols(c.n, [alg.mul_sparse(alg.mul_sparse(g, {k: rational(1)}), h)
+                                                        for k in range(c.n)])
+                          for g, h in ((plus, minus), (minus, plus)))
+        s, s_inv = w.s_matrix * conj, conj_inv * w.s_matrix_inv
+        run = Matrix.from_sparse_cols(c.n, [c.cache.element(m) for m in
+                                            (st.eps_t if kept == "first" else st.eps_s)])
+        pair = (s * run * s_inv, run) if kept == "first" else (run, s * run * s_inv)
+        values = [[Multiplier.of_element(alg, dict(m.col_sparse(a))) for a in range(c.n)] for m in pair]
+        w2 = AntipodeWitness(w.r1, w.r2, w.s, s, s_inv)
+        st2 = SourceTargetWitness(*values, st.image_s, st.image_t)
+        return lambda: list(_swap_failures(c, w2, st2))
+    return build
+
+
 # inputs that keep the premises of a reading and break one clause of its
 # identity at the unit alone, so the reading must test that clause
 ONE_CLAUSE = {"e-legs-agree": ("function", _legs_agree),
@@ -490,7 +592,9 @@ ONE_CLAUSE = {"e-legs-agree": ("function", _legs_agree),
               "st-legs-target": ("convolution", _st_legs_target),
               "st-coproduct-right": ("convolution", _st_coproduct_right),
               "st-commute": ("convolution", _st_commute),
-              "anticoproduct-right": ("convolution", _anticoproduct_right)}
+              "anticoproduct-right": ("convolution", _anticoproduct_right),
+              "swap-first": ("convolution", _swap_one("second")),
+              "swap-second": ("convolution", _swap_one("first"))}
 
 
 @pytest.mark.parametrize("case", sorted(ONE_CLAUSE))
@@ -501,6 +605,47 @@ def test_one_broken_clause_fails_the_reading_as_the_full_walk(case):
     assert got
     with full_walks():
         assert walk() == got
+
+
+def test_absorption_is_walked_when_s_is_not_an_anti_isomorphism():
+    # S' = S P with P(e_(0,1)) = e_(0,1) + e_(1,0): S' agrees with S on the
+    # diagonal source/target values, so S'(y) = S(y) passes at the unit, but
+    # P is not an automorphism and the S'-images of the values are not the
+    # embedded S'(y), so the walk fails
+    ctx = test_walk_failures._run("convolution")[1]
+    c, w, st = ctx.coproduct, ctx.antipode, ctx.source_target
+    mix = Matrix.identity(c.n) + Matrix.from_entries(c.n, c.n, {(2, 1): rational(1)})
+    assert all(mix.apply_sparse(c.cache.element(m)) == c.cache.element(m) for m in st.eps_s + st.eps_t)
+    s = w.s_matrix * mix
+    w2 = AntipodeWitness(w.r1, w.r2, w.s, s, invert(s, RunCache()))
+    assert not is_isomorphism(c.parent, s, w2.s_matrix_inv, c.parent.opposite())
+    got = list(_absorption_failures(c, ctx.e, w2, st))
+    assert got
+    with full_walks():
+        assert list(_absorption_failures(c, ctx.e, w2, st)) == got
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_one_weak_counit_form_failing_alone_fails_the_reading_as_the_walk(flip):
+    # on the upper triangular 2 x 2 matrices (E11, E12, E22), with
+    # P[a][k] = eps(e_a e_k) for eps = -(1, 1, 1) and coproducts M_b that
+    # keep the first form, L_b P = P M_b^T P, for every b and break the
+    # second, L_b P = P M_b P, at b = E22; flipped, the other way round:
+    # the reading compares both
+    table = SMALL[-1]
+    alg = Algebra.from_structure(3, None, [(i, j, k, rational(1)) for i, j, k in table])
+    assert validate_algebra(alg, RunCache())[1] is not None
+    eps_mul = [[rational(-1 if (a, k) in ((0, 0), (0, 1), (1, 2), (2, 2)) else 0) for k in range(3)]
+               for a in range(3)]
+    coproducts = ([[-1, 0, 0], [0, -1, 1], [0, 1, -1]], [[-1, 1, 0], [1, -1, -1], [0, -1, 1]],
+                  [[-1, 1, 0], [-1, -1, -1], [1, 1, 0]])
+    delta = [{(y * 3 + x if flip else x * 3 + y): rational(v) for x, row in enumerate(m)
+              for y, v in enumerate(row) if v} for m in coproducts]
+    c = CoproductData(alg, Matrix.identity(9), Matrix.identity(9))
+    got = list(_weak_counit_failures(c, eps_mul, delta))
+    assert got and {check_id for check_id, _ in got} == {"weak-hopf-counit" if flip else "weak-hopf-counit-op"}
+    with full_walks():
+        assert list(_weak_counit_failures(c, eps_mul, delta)) == got
 
 
 def test_five_windows_verify_without_a_full_walk(monkeypatch):
@@ -535,14 +680,21 @@ REACHED_BY = {
     "_sandwich_tables": "regular-e-left",
     "_e_leg_multipliers": "source-target-e",
     "_st_inclusion_failures": "source-target-g1",
+    "_remark_failures": "identities-g1",
+    "_antimultiplicative_failures": "identities-s-left",
+    "_weak_counit_failures": "weak-hopf-counit",
+    "_swap_failures": "appendix-eps-t",
 }
 
 
 def test_every_reading_has_a_doctored_case():
     # the strip reading's one premise is the checked unit, which no
-    # doctored witness removes: `test_strips_are_eliminated_without_a_unit`
-    assert set(REACHED_BY) == _reading_sites() | {"_solve_action", "_sandwich_tables",
-                                                  "_e_leg_multipliers"}
+    # doctored witness removes, and the premises of the G1/G2 reading hold
+    # on every input that passes the gate and validate_E, which no case
+    # here doctors: both full paths are reached without a checked unit,
+    # by `test_strips_are_eliminated_without_a_unit`
+    assert set(REACHED_BY) | {"_solve_leg_system"} == \
+        _reading_sites() | {"_solve_action", "_sandwich_tables", "_e_leg_multipliers"}
 
 
 @pytest.mark.parametrize("site, case", sorted(REACHED_BY.items()) + [

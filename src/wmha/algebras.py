@@ -46,11 +46,11 @@ def unless_at_unit(at_unit: Callable[[], bool], walk: Iterator) -> Iterator:
     by associativity, every identity the walk tests; each caller's
     docstring gives the argument.  When it is False, as it is without a
     checked unit, the walk runs unchanged, failures and order included.
-    Two callers read otherwise, also only with a checked unit: the
-    weak-Hopf counit walk, whose at_unit compares the walk's values as
-    matrix identities, and the G1/G2 solve, whose walk yields the basis
-    triples of its system and whose at_unit tells that the unit triples
-    span the same rows."""
+    Four callers read otherwise, also only with a checked unit: the
+    weak-Hopf counit walk, `validate_star` and the star suite, whose
+    at_unit compares the walk's values as matrix identities, and the G1/G2
+    solve, whose walk yields the basis triples of its system and whose
+    at_unit tells that the unit triples span the same rows."""
     if not at_unit():
         yield from walk
 
@@ -302,7 +302,15 @@ def as_elements(a: Algebra, ms: List[Multiplier], store) -> List[Optional[Sparse
 def validate_algebra(a: Algebra, store) -> Tuple[List[CheckResult], Optional[SparseVec]]:
     """The associativity, non-degeneracy and idempotency (A^2 = A) results
     of a, and its unit or None; every span is eliminated through store, the
-    run's `coproducts.RunCache`."""
+    run's `coproducts.RunCache`.
+
+    The unit is solved first: it is the embedded unit multiplier, as local
+    units for the whole basis amount to a unit, and the solve checks
+    u e_j = e_j = e_j u literally.  A unit settles the other two checks by
+    bilinearity alone: x A = 0 gives x = x u = sum_j u_j (x e_j) = 0 (A x = 0
+    likewise), and e_j = e_j u lies in A^2.  So their spans are eliminated
+    only when there is no unit; a unit is never ambiguous, since y e_j = 0
+    for every j gives y = y u = 0."""
     n, labels = a.dim, a.basis_labels
 
     def associativity_failures():
@@ -321,15 +329,12 @@ def validate_algebra(a: Algebra, store) -> Tuple[List[CheckResult], Optional[Spa
                 yield f"nonzero x with {what}"
 
     assoc = _first_failures(associativity_failures(), {"algebra-associative": "structure tensor is associative"})[0]
-    nondeg = _first_failures(degeneracy_failures(), {"algebra-nondegenerate": "product is non-degenerate"})[0]
-    products = store.span(n, (a.mul_basis(i, j) for i, j in product(range(n), repeat=2)))
-    idem = check("algebra-idempotent", products.dim == n,
-                 "products span the algebra", "products do not span the algebra")
-
-    # the unit is the embedded unit multiplier: local units for the whole
-    # basis amount to a unit, and a unit u is never ambiguous, since
-    # y e_j = 0 for every j gives y = y u = 0
     unit = as_elements(a, [Multiplier.unit(a)], store)[0]
+    nondeg = _first_failures(() if unit is not None else degeneracy_failures(),
+                             {"algebra-nondegenerate": "product is non-degenerate"})[0]
+    idem = check("algebra-idempotent", unit is not None or store.span(
+        n, (a.mul_basis(i, j) for i, j in product(range(n), repeat=2))).dim == n,
+        "products span the algebra", "products do not span the algebra")
     a._unit = unit if assoc.status == PASS else None
     return [assoc, nondeg, idem], unit
 
@@ -374,15 +379,29 @@ def star_on(j: Matrix, vec: SparseVec) -> SparseVec:
 def validate_star(j: Matrix, a: Algebra) -> CheckResult:
     """The star-structure result of x* = J conj(x), J the star matrix j, on
     a: it fails at the first pair that breaks anti-multiplicativity, else
-    at involutivity."""
-    if j.rows != a.dim or j.cols != a.dim:
+    at involutivity.
+
+    Read as two matrix identities on a's n x n^2 structure matrix M (its
+    content key), column p n + q the product e_p e_q: the two sides at
+    (p, q) are column p n + q of J conj(M) and of M s (J (x) J), s the flip,
+    as e_q* e_p* = M(J e_q (x) J e_p); involutivity is conj(J) J = I.  They
+    compare the walk's values, so the walk runs on a mismatch.  Like every
+    reading, this one is off without a checked unit."""
+    n = a.dim
+    if j.rows != n or j.cols != n:
         raise DimensionMismatch("star matrix must be square of the algebra dimension")
-    stars = [star_on(j, {p: ONE}) for p in range(a.dim)]
 
     def failures():
-        for p, q in product(range(a.dim), repeat=2):
+        stars = [star_on(j, {p: ONE}) for p in range(n)]
+        for p, q in product(range(n), repeat=2):
             if star_on(j, a.mul_basis(p, q)) != a.mul_sparse(stars[q], stars[p]):
                 yield f"(e{p} e{q})* != e{q}* e{p}*"
-        if j.conj() * j != Matrix.identity(a.dim):
+        if j.conj() * j != Matrix.identity(n):
             yield "star fails involutivity"
-    return _first_failures(failures(), {"star-structure": "star is involutive and anti-multiplicative"})[0]
+
+    def at_unit() -> bool:
+        m = a.content_key()
+        return a.checked_unit() is not None and j * m.conj() == m * flip_map(n) * j.kron(j) \
+            and j.conj() * j == Matrix.identity(n)
+    return _first_failures(unless_at_unit(at_unit, failures()),
+                           {"star-structure": "star is involutive and anti-multiplicative"})[0]

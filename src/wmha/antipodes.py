@@ -901,7 +901,16 @@ def _weak_counit_failures(c: CoproductData, eps_mul: list, delta: List[SparseVec
 def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
                jmat: Matrix, t3: Optional[Matrix],
                t4: Optional[Matrix]) -> List[CheckResult]:
-    """The star-compatible check of the star x* = J conj(x), J = jmat."""
+    """The star-compatible check of the star x* = J conj(x), J = jmat.
+
+    Read as sparse matrix identities, with JJ = J (x) J: as e_x* = JJ e_x on
+    the tensor square, the walk's two sides at each basis vector are the
+    columns of T3 JJ and JJ conj(T1) (T4 JJ and JJ conj(T2)), of
+    J conj(S) conj(J) S and the identity, of JJ conj(E.right) conj(JJ) and
+    E.left, and of JJ conj(Fa.right) conj(JJ) and Fb.left and of
+    JJ conj(Fa.left) conj(JJ) and Fb.right, for (Fa, Fb) = (F1, F3) and
+    (F2, F4).  They compare the walk's values, so the walk runs on a
+    mismatch.  Like every reading, this one is off without a checked unit."""
     n, nn = c.n, c.nn
     jj = jmat.kron(jmat)
 
@@ -947,8 +956,22 @@ def star_suite(c: CoproductData, e: Multiplier, w: AntipodeWitness,
                 if any(star_on(jj, p.apply_sparse(sx)) != dict(q.col_sparse(x))
                        for p, q in ((fa.right, fb.left), (fa.left, fb.right))):
                     yield f"{what} at {_lbl2(c, x)}"
-    return _first_failures(failures(), {"star-compatible": "coproduct is a star-homomorphism; "
-                                        "E* = E; S twisted-involutive; F1* = F3, F2* = F4"})
+
+    def at_unit() -> bool:
+        if c.parent.checked_unit() is None or w.s_matrix is None:
+            return False
+        s, jjc = w.s_matrix, jj.conj()
+        if not (t3 * jj == jj * c.t1.conj() and t4 * jj == jj * c.t2.conj()
+                and jmat * s.conj() * jmat.conj() * s == Matrix.identity(n)
+                and jj * e.right.conj() * jjc == e.left):
+            return False
+        if w.s_matrix_inv is None:
+            return True
+        f1, f2, f3, f4 = _f_multipliers(c, w, e)
+        return all(jj * fa.right.conj() * jjc == fb.left and jj * fa.left.conj() * jjc == fb.right
+                   for fa, fb in ((f1, f3), (f2, f4)))
+    return _first_failures(unless_at_unit(at_unit, failures()), {
+        "star-compatible": "coproduct is a star-homomorphism; E* = E; S twisted-involutive; F1* = F3, F2* = F4"})
 
 
 # ------------------------------------------------- appendix suite

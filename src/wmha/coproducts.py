@@ -154,13 +154,13 @@ class RunCache:
     """Results one verification run computes more than once, in one store
     keyed by the content of their inputs, never by object identity: every
     elimination a run keeps is an entry here.  A key is a tuple led by the
-    name of what it holds: "law", "module", "coproduct", "ranges", "ran",
-    "echelon", "complement" and "ker" from the methods below, "psi", "mu"
-    and "strips" from `CoproductData`, "E" from `compute_E`, "F" from
-    `antipodes._f_multipliers` and "anti" from `antipodes._anti`.  The
-    rest of a key is its inputs: Matrix and Subspace objects and algebra
-    content keys, each hashed once, when it was built, and equal by
-    content, and plain ints and flags.  A hit is the same computation on equal
+    name of what it holds: "law", "element", "module", "coproduct",
+    "ranges", "ran", "echelon", "complement" and "ker" from the methods
+    below, "psi", "mu" and "strips" from `CoproductData`, "E" from
+    `compute_E`, "F" from `antipodes._f_multipliers` and "anti" from
+    `antipodes._anti`.  The rest of a key is its inputs: Matrix and
+    Subspace objects and algebra content keys, each hashed once, when it
+    was built, and equal by content, and plain ints and flags.  A hit is the same computation on equal
     inputs done earlier in the run, so every check still runs and reads
     the same result.  Exceptions are not stored, and stored values are
     never written."""
@@ -221,11 +221,14 @@ class RunCache:
 
     def element(self, m: Multiplier) -> Optional[SparseVec]:
         """x = m.left(1) when m's algebra has a checked unit 1 and m passes
-        its law walk, so that m is Multiplier.of_element(x); else None."""
+        its law walk, so that m is Multiplier.of_element(x); else None.
+        Once per run, under the "element" key beside the "law" one; no
+        caller writes into the x it is handed."""
         u = m.parent.checked_unit()
-        if u is None or self.multiplier_failure(m):
+        if u is None:
             return None
-        return m.left.apply_sparse(u)
+        return self.once(("element",) + _law_key(m)[1:],
+                         lambda: None if self.multiplier_failure(m) else m.left.apply_sparse(u))
 
     def coproduct_at_unit(self, c: "CoproductData") -> bool:
         """Whether T1 and T2 pass their module identities and the

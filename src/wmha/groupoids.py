@@ -334,12 +334,15 @@ def build_model(g: FiniteGroupoid, kind: str) -> GroupoidModel:
     raise InputError(f"unknown model kind {kind!r}")
 
 
-def check_duality_pairing(g: FiniteGroupoid) -> CheckResult:
-    """The duality-pairing result: with <delta_p, lam_q> = [p = q], the two
+def check_duality_pairing(model: GroupoidModel, kind: str) -> CheckResult:
+    """The duality-pairing result of model, the kind model of its groupoid
+    g, against g's other model: with <delta_p, lam_q> = [p = q], the two
     models pair product against coproduct (both ways) and antipode against
-    antipode; it fails at the first failure, in that order."""
-    fun = function_algebra(g)
-    conv = convolution_algebra(g)
+    antipode; it fails at the first failure, in that order.  Only the other
+    model is built."""
+    g = model.groupoid
+    fun = model if kind == "function" else function_algebra(g)
+    conv = model if kind == "convolution" else convolution_algebra(g)
     idx = g.index()
     n = len(g.morphisms)
 

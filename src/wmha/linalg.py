@@ -137,6 +137,10 @@ class Matrix:
         return Matrix(self.cols, self.rows, [list(r.items()) for r in self._sparse_rows()])
 
     def conj(self) -> "Matrix":
+        """The entrywise conjugate: the matrix itself, which is immutable,
+        when no entry has an imaginary part."""
+        if not any(v._b for col in self._columns for _, v in col):
+            return self
         return Matrix(self.rows, self.cols,
                       [[(i, v.conj()) for i, v in col] for col in self._columns])
 

@@ -447,7 +447,7 @@ def verify_groupoid_model(g: FiniteGroupoid, kind: str, path: str = "def114",
         "groupoid-axioms", True, f"{len(g.morphisms)} morphisms, "
         f"{len(g.units)} units"))
     if with_pairing:
-        report.add(check_duality_pairing(g))
+        report.add(check_duality_pairing(model, kind))
     return report, ctx
 
 

@@ -40,6 +40,35 @@ def test_degenerate_square_zero():
     assert unit is None
 
 
+# E11, E12, E13, E23 and E33: an ideal of the upper triangular 3 x 3
+# matrices, so associative, and without a unit (E12 u = E12 needs u22 = 1)
+NON_UNITAL = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_spans_decide_non_degeneracy_and_idempotency_only_without_a_unit(unital, monkeypatch):
+    # a unit u settles both: x A = 0 gives x = x u = 0, and e_j = e_j u lies
+    # in A^2.  Without one, the two non-degeneracy spans and the A^2 span
+    # are eliminated, and this algebra passes them with the same details
+    spans = []
+    store = RunCache()
+    monkeypatch.setattr(store, "span", lambda n, vectors: spans.append(n) or RunCache.span(store, n, vectors))
+    if unital:
+        a = convolution_algebra(preset("pair:2")).algebra
+    else:
+        idx = {ij: k for k, ij in enumerate(NON_UNITAL)}
+        a = Algebra.from_structure(5, [f"E{i + 1}{j + 1}" for i, j in NON_UNITAL],
+                                   [(idx[p], idx[q], idx[p[0], q[1]], ONE)
+                                    for p in NON_UNITAL for q in NON_UNITAL if p[1] == q[0]])
+    checks, unit = validate_algebra(a, store)
+    assert [(r.check_id, r.status, r.detail) for r in checks] == [
+        ("algebra-associative", "pass", "structure tensor is associative"),
+        ("algebra-nondegenerate", "pass", "product is non-degenerate"),
+        ("algebra-idempotent", "pass", "products span the algebra")]
+    assert (unit is not None, a.checked_unit() == unit, len(spans)) == \
+        ((True, True, 0) if unital else (False, True, 3))
+
+
 def test_basis_products_match_groupoid():
     g = preset("pair:2")
     conv = convolution_algebra(g).algebra
@@ -198,13 +227,19 @@ def test_star_rejects_non_involutive_permutation():
     perm = Matrix.permutation([1, 2, 0])  # order three, not an involution
     # on C^3 the cyclic shift is an automorphism: only involutivity fails
     c3 = Algebra.from_structure(3, None, [(i, i, i, ONE) for i in range(3)])
-    got = validate_star(perm, c3)
-    assert (got.status, got.detail) == ("fail", "star fails involutivity")
     # on the group algebra of Z/3 it is not anti-multiplicative either, and
     # that witness is the one reported
     a = cyclic_group_algebra(3)
-    got = validate_star(perm, a)
-    assert (got.status, got.detail) == ("fail", "(e0 e0)* != e0* e0*")
+    # first walked, then, with a checked unit, read as two matrix identities,
+    # each of which sends the check to its walk when it fails
+    for checked in (False, True):
+        if checked:
+            for alg in (c3, a):
+                validate_algebra(alg, RunCache())
+        got = validate_star(perm, c3)
+        assert (got.status, got.detail) == ("fail", "star fails involutivity")
+        got = validate_star(perm, a)
+        assert (got.status, got.detail) == ("fail", "(e0 e0)* != e0* e0*")
 
 
 def test_checked_unit_is_set_by_a_passed_associativity_check():

@@ -98,8 +98,9 @@ def test_counit_oracles():
 
 def test_duality_pairing_on_presets():
     for name in ("pair:2", "group:cyclic:3", "bundle:cyclic:2:3"):
-        got = check_duality_pairing(preset(name))
-        assert (got.check_id, got.status) == ("duality-pairing", "pass"), got.detail
+        for kind in ("function", "convolution"):
+            got = check_duality_pairing(build_model(preset(name), kind), kind)
+            assert (got.check_id, got.status) == ("duality-pairing", "pass"), got.detail
 
 
 def test_local_units_per_model():

@@ -284,8 +284,10 @@ def test_echelon_examples_with_fractions():
 # basis product of a sum went through the kernel on its own, a lone unit
 # product included (`Algebra` now sums a product with the leg action), 480
 # while G1 and G2 were eliminated from the rows of all n^3 basis triples,
-# not from the n^2 unit triples
-KERNEL_CALLS = 418
+# not from the n^2 unit triples, 418 while the gate eliminated the
+# non-degeneracy and A^2 spans of a unital algebra and `RunCache.element`
+# applied each multiplier to the unit on every call
+KERNEL_CALLS = 376
 
 
 def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):
@@ -311,9 +313,11 @@ def test_kernel_traffic_of_a_sparse_run(monkeypatch, capsys):
 # `Echelon.insert` calls of the same run, a row each, the rows of every
 # solvable echelon's matrix included: 380 while G1 and G2 were eliminated
 # from the rows of all n^3 basis triples, which span what the rows of the
-# n^2 unit triples span (`coproducts._solve_leg_system`).  The count
-# repeats under PYTHONHASHSEED 0, 1 and 7
-ECHELON_ROWS = 348
+# n^2 unit triples span (`coproducts._solve_leg_system`), 348 while the
+# gate eliminated the two non-degeneracy spans and the A^2 span, 48 rows,
+# which a unit settles (`algebras.validate_algebra`).  The count repeats
+# under PYTHONHASHSEED 0, 1 and 7
+ECHELON_ROWS = 300
 
 
 def test_echelon_rows_of_a_sparse_run(monkeypatch, capsys):

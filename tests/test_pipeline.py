@@ -10,8 +10,9 @@ from wmha.fileio import model_to_document, parse_document
 from wmha.groupoids import convolution_algebra, function_algebra, preset
 from wmha.pipeline import (StructureInput, verify_groupoid_model,
                            verify_lazy_model, verify_structure)
-from wmha.linalg import BadProjections
+from wmha.linalg import BadProjections, Matrix
 from wmha.report import FAIL, PASS, SKIP, failed, passed
+from wmha.scalars import ONE
 
 
 def convolution_model():
@@ -310,6 +311,31 @@ def test_oracle_unit_mismatch_is_reported():
     report, ctx = verify_structure(inp, path="def114", oracle=oracle)
     assert report.status_of("oracle-witnesses") == FAIL
     assert _detail(report, "oracle-witnesses") == "oracle mismatch: unit"
+
+
+def _doctored_oracle(value):
+    """An oracle witness changed at its first entry."""
+    if isinstance(value, Matrix):
+        return value + Matrix.from_entries(value.rows, value.cols, {(0, 0): ONE})
+    return [value[0] + ONE] + value[1:]
+
+
+@pytest.mark.parametrize("names, detail", [
+    (["oracle_e_left"], "E"), (["oracle_e_right"], "E"), (["oracle_g1"], "G1/G2"),
+    (["oracle_g2"], "G1/G2"), (["oracle_counit"], "counit"), (["oracle_s"], "S"),
+    (["oracle_e_right", "oracle_g2", "oracle_counit", "oracle_s"], "E, G1/G2, counit, S"),
+])
+def test_oracle_witness_mismatches_are_reported(names, detail):
+    # the function model of pair:2 against its own oracles, each named one
+    # changed at its first entry: every mismatch is named, in this order
+    fun = function_algebra(preset("pair:2"))
+    oracle = copy.copy(fun)
+    for name in names:
+        setattr(oracle, name, _doctored_oracle(getattr(fun, name)))
+    report, _ = verify_structure(StructureInput(fun.algebra, fun.t1, fun.t2, fun.t3, fun.t4),
+                                 path="def114", oracle=oracle)
+    assert report.status_of("oracle-witnesses") == FAIL
+    assert _detail(report, "oracle-witnesses") == f"oracle mismatch: {detail}"
 
 
 def test_sampled_local_unit_failure_is_reported(monkeypatch):

@@ -172,15 +172,18 @@ def test_a_raising_build_stores_nothing():
     assert cache.once(("legs",), lambda: "built") == "built"
 
 
-@pytest.mark.parametrize("name, distinct", [("pair:2", 21), ("bundle:cyclic:1:2", 8)])
+@pytest.mark.parametrize("name, distinct", [("pair:2", 18), ("bundle:cyclic:1:2", 8)])
 def test_each_column_space_is_eliminated_once_per_run(name, distinct, monkeypatch):
     # Ran T1, Ran T2, Ran E, Ran T3/T4, Ran(1 - G), the spans of null space
     # bases (Ker T1, Ker T2, the counit system) and every span a check
-    # compares (leg spans, non-degeneracy, A^2, A S(A), the source/target
-    # images, and with a unit the spans in A of the source/target values
-    # and of the slices of E(1 (x) 1), which stand for the legs in 2n^2
-    # coordinates and the principal ideals) of the main, mirror, flipped
-    # and opposite presentations, by content
+    # compares (leg spans, A S(A), the source/target images, and with a
+    # unit the spans in A of the source/target values and of the slices of
+    # E(1 (x) 1), which stand for the legs in 2n^2 coordinates and the
+    # principal ideals) of the main, mirror, flipped and opposite
+    # presentations, by content.  pair:2 made 21 while the gate compared
+    # the non-degeneracy and A^2 spans of a unital algebra, which its unit
+    # settles; on bundle:cyclic:1:2 (dim 2) those spans were one matrix,
+    # the one the antipode identities compare for A S(A), so its count stays
     counts = Counter()
     eliminate = coproducts.column_space
 

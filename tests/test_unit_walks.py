@@ -27,14 +27,16 @@ import wmha.algebras
 import wmha.antipodes
 import wmha.coproducts
 from conftest import FINITE_INPUTS, conjugated_input
-from wmha.algebras import Algebra, Multiplier, flip_map, is_isomorphism, validate_algebra
+from wmha.algebras import (Algebra, Multiplier, flip_map, is_isomorphism, validate_algebra,
+                           validate_star)
 from wmha.antipodes import (AntipodeWitness, SourceTargetWitness, _absorption_failures,
                             _anticoproduct_failures, _antimultiplicative_failures,
                             _f_relation_failures, _images_are_legs, _r_commutation_failures,
                             _remark_failures, _sandwich_tables, _source_target_values,
                             _st_commute_failures, _st_coproduct_failures, _st_inclusion_failures,
                             _strip_solve, _swap_failures, _weak_counit_failures,
-                            check_antipode_identities, compute_source_target, weak_hopf_suite)
+                            check_antipode_identities, compute_source_target, star_suite,
+                            weak_hopf_suite)
 from wmha.coproducts import (CoproductData, IllDefinedExtension, NoSolution, NoSuchIdempotent,
                              RunCache, ProjectionMaps, check_E_conditions, compute_E, extend_delta,
                              _coassociativity_failures, _e_at_unit, _g_crosscheck_failures, _kron,
@@ -171,8 +173,8 @@ def presentations(draw, names=SMALL_PRESETS + ("pair:2",), maps=MAPS):
     """A convolution model of a preset of names conjugated by P
     (`_basis_change`), an element, a list of doctorings (map of maps, how,
     sparse x), a list of value doctorings (values, index, side, how,
-    sparse x), a sparse change of the S matrix and a sparse z for
-    E := e0(1 + z)e0."""
+    sparse x), a sparse change of the S matrix, a sparse z for
+    E := e0(1 + z)e0 and a sparse change of the star matrix."""
     name = draw(st.sampled_from(names))
     n = len(preset(name).morphisms)
     p = _basis_change(draw, n)
@@ -190,7 +192,9 @@ def presentations(draw, names=SMALL_PRESETS + ("pair:2",), maps=MAPS):
                              max_size=1))
     e_shift = dict(draw(st.lists(st.tuples(st.integers(0, nn - 1), scalars), max_size=2)))
     elem = draw(st.lists(st.sampled_from([rational(k) for k in range(-2, 3)]), min_size=n, max_size=n))
-    return name, p, doctorings, values, s_change, e_shift, {i: v for i, v in enumerate(elem) if v}
+    j_change = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), scalars),
+                             max_size=1))
+    return name, p, doctorings, values, s_change, e_shift, {i: v for i, v in enumerate(elem) if v}, j_change
 
 
 def _doctor_value(m, side, how, x):
@@ -234,10 +238,11 @@ def _raised(run):
         return str(exc)
 
 
-def _walks(alg, maps, counit, x, w, eps, unit):
+def _walks(alg, maps, counit, x, w, eps, unit, star):
     """Every walk read at the unit, as its failure list (E as its actions
     or the message of its failure), on fresh run caches, with the
-    antipode witness w, the source/target values eps and the unit of alg."""
+    antipode witness w, the source/target values eps, the unit of alg and
+    the star matrix star."""
     c = CoproductData(alg, maps["t1"], maps["t2"], maps["t3"], maps["t4"])
     e = Multiplier(c.aa, maps["e_left"], maps["e_right"])
     g = ProjectionMaps(maps["g1"], maps["g2"])
@@ -273,13 +278,15 @@ def _walks(alg, maps, counit, x, w, eps, unit):
             "antimultiplicative": list(_antimultiplicative_failures(c, w)),
             "swap": list(_swap_failures(c, w, st_w)),
             "weak-hopf": [(r.check_id, r.status, r.detail)
-                          for r in weak_hopf_suite(c, e, st_w, counit, unit)]}
+                          for r in weak_hopf_suite(c, e, st_w, counit, unit)],
+            "star": [(r.check_id, r.status, r.detail) for r in [validate_star(star, alg)] +
+                     star_suite(c, e, w, star, maps["t3"], maps["t4"])]}
 
 
 @settings(deadline=None, max_examples=100)
 @given(presentations())
 def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
-    name, p, doctorings, values, s_change, e_shift, x = case
+    name, p, doctorings, values, s_change, e_shift, x, j_change = case
     inp, p, q, model = conjugated_input(name, False, p)
     alg = inp.algebra
     u = validate_algebra(alg, RunCache())[1]
@@ -320,9 +327,13 @@ def test_each_walk_read_at_the_unit_yields_the_full_walks_failures(case):
         c, ProjectionMaps(maps["g1"], maps["g2"]), w, counit)))
     for which, a, side, how, xm in doctored:
         eps[which][a] = _doctor_value(eps[which][a], side, how, xm)
-    at_unit = _walks(alg, maps, counit, x, w, eps, u)
+    # the star of the model, conjugated (P is real), changed at an entry
+    star = pinv * model.star_matrix * p
+    for r, col, v in j_change:
+        star = star + Matrix.from_entries(n, n, {(r, col): v})
+    at_unit = _walks(alg, maps, counit, x, w, eps, u, star)
     with full_walks():
-        assert _walks(alg, maps, counit, x, w, eps, u) == at_unit
+        assert _walks(alg, maps, counit, x, w, eps, u, star) == at_unit
 
 
 def _g_maps(c, e):
@@ -335,14 +346,32 @@ def _g_maps(c, e):
         return str(exc)
 
 
+def _off_w(c, e, x):
+    """x after 1 (x) Q, for a Q that kills W, the span of the unit and of
+    the last legs of E(e_b (x) 1): a change of T1 by it vanishes on
+    A (x) W, where the G1 system's unit triples read T1, so only the basis
+    triples see it."""
+    n, u = c.n, c.parent.checked_unit()
+    legs = [u] + [{k % n: v for k, v in e.left.apply_sparse(_kron({b: rational(1)}, u, n)).items()
+                   if k // n == i} for b in range(n) for i in range(n)]
+    # the rows of Q span the annihilator of W
+    killers = RunCache().kernel(Matrix.from_sparse_cols(n, legs).transpose()).rows
+    q = Matrix.from_sparse_cols(n, killers + [{}] * (n - len(killers))).transpose()
+    return x * Matrix.identity(n).kron(q)
+
+
 @settings(deadline=None, max_examples=60)
 @given(presentations(names=SMALL_PRESETS, maps=("t1", "e_left")))
 def test_g_systems_read_at_the_unit_solve_as_the_full_systems(case):
     # G1 and G2 from the n^2 unit triples against the n^3 basis triples,
     # first on the honest maps (E moved to e0(1 + z)e0 when z is drawn),
     # where the reading's premises hold, then with T1 or E's left action
-    # doctored as its first doctoring says
-    name, p, doctorings, _, _, e_shift, _ = case
+    # doctored as its first doctoring says, then with T1 changed by that
+    # doctoring's x off A (x) W (`_off_w`), and T2 likewise in the mirror:
+    # the unit triples then solve for the honest G1 (G2), and only T1's
+    # (T2's) module-law premise sends the solve to the basis triples, where
+    # the change shows
+    name, p, doctorings, _, _, e_shift, _, _ = case
     inp, p, q, model = conjugated_input(name, False, p)
     alg = inp.algebra
     u = validate_algebra(alg, RunCache())[1]
@@ -356,7 +385,11 @@ def test_g_systems_read_at_the_unit_solve_as_the_full_systems(case):
     doctored = (CoproductData(alg, _doctor(c, u, c.t1, how, x), c.t2), e) if key == "t1" else \
         (c, Multiplier(c.aa, _doctor(c, u, e.left, how, x), e.right))
     assert RunCache().element(e) is not None
-    for d, f in ((c, e), doctored):
+    s = flip_map(c.n)
+    off_w = [(CoproductData(alg, c.t1 + _off_w(c, e, x), c.t2), e),
+             (CoproductData(alg, c.t1, c.t2 + s * _off_w(c.mirror(), Multiplier(
+                 c.mirror().aa, s * e.right * s, s * e.left * s), x) * s), e)]
+    for d, f in [(c, e), doctored] + off_w:
         got = _g_maps(d, f)
         with full_walks():
             assert _g_maps(d, f) == got
@@ -585,6 +618,20 @@ def _swap_one(kept):
     return build
 
 
+def _star_f(entry):
+    """The star suite with S^-1 moved at entry: T3/T4, S and E keep their
+    identities and only F1..F4 change.  At (0, 2) the F clauses
+    JJ conj(Fa.right) conj(JJ) = Fb.left fail alone, at (0, 1) the clauses
+    JJ conj(Fa.left) conj(JJ) = Fb.right."""
+    def build(ctx):
+        model, w, n = test_walk_failures._run("convolution")[0], ctx.antipode, ctx.coproduct.n
+        w2 = AntipodeWitness(w.r1, w.r2, w.s, w.s_matrix,
+                             w.s_matrix_inv + Matrix.from_entries(n, n, {entry: rational(1)}))
+        return lambda: [(r.check_id, r.status, r.detail) for r in star_suite(
+            ctx.coproduct, ctx.e, w2, model.star_matrix, ctx.t3, ctx.t4) if r.status != PASS]
+    return build
+
+
 # inputs that keep the premises of a reading and break one clause of its
 # identity at the unit alone, so the reading must test that clause
 ONE_CLAUSE = {"e-legs-agree": ("function", _legs_agree),
@@ -594,7 +641,9 @@ ONE_CLAUSE = {"e-legs-agree": ("function", _legs_agree),
               "st-commute": ("convolution", _st_commute),
               "anticoproduct-right": ("convolution", _anticoproduct_right),
               "swap-first": ("convolution", _swap_one("second")),
-              "swap-second": ("convolution", _swap_one("first"))}
+              "swap-second": ("convolution", _swap_one("first")),
+              "star-f-right-action": ("convolution", _star_f((0, 2))),
+              "star-f-left-action": ("convolution", _star_f((0, 1)))}
 
 
 @pytest.mark.parametrize("case", sorted(ONE_CLAUSE))
@@ -648,6 +697,29 @@ def test_one_weak_counit_form_failing_alone_fails_the_reading_as_the_walk(flip):
         assert list(_weak_counit_failures(c, eps_mul, delta)) == got
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_one_f_identity_failing_alone_fails_the_star_reading_as_the_walk(flip):
+    # on Q x Q with J, S and T1..T4 the identity and S^-1 given as
+    # D = diag(1, 2), E = Y (x) 1 on both sides, Y the square-zero e_0 -> e_1
+    # matrix unit: F1 = E(1 (x) D) and F3 = (1 (x) D)E agree, F2 = E(D (x) 1)
+    # and F4 = (D (x) 1)E do not; flipped, E = 1 (x) Y, the other way round.
+    # T3/T4, S and E keep their identities: the reading compares both pairs
+    alg = Algebra.from_structure(2, None, [(0, 0, 0, rational(1)), (1, 1, 1, rational(1))])
+    assert validate_algebra(alg, RunCache())[1] is not None
+    one, y = Matrix.identity(2), Matrix.from_entries(2, 2, {(0, 1): rational(1)})
+    m = one.kron(y) if flip else y.kron(one)
+    c = CoproductData(alg, Matrix.identity(4), Matrix.identity(4))
+    w = AntipodeWitness(None, None, [], one, Matrix.from_entries(2, 2, {(0, 0): rational(1), (1, 1): rational(2)}))
+
+    def walk():
+        return [(r.check_id, r.status, r.detail) for r in star_suite(
+            c, Multiplier(c.aa, m, m), w, one, Matrix.identity(4), Matrix.identity(4))]
+    got = walk()
+    assert got[0][1:] == ("fail", "F1* != F3 at (e0 (x) e1)" if flip else "F2* != F4 at (e1 (x) e0)")
+    with full_walks():
+        assert walk() == got
+
+
 def test_five_windows_verify_without_a_full_walk(monkeypatch):
     # `wmha verify --preset pair:inf --model function --windows 5`, windows
     # up to dimension 25: every walk of every window is read at the unit
@@ -684,6 +756,8 @@ REACHED_BY = {
     "_antimultiplicative_failures": "identities-s-left",
     "_weak_counit_failures": "weak-hopf-counit",
     "_swap_failures": "appendix-eps-t",
+    "star_suite": "star-t3",
+    "validate_star": "structure-star-product",
 }
 
 

@@ -436,6 +436,28 @@ def test_every_case_is_recorded():
     assert sorted(_recorded()) == sorted({**CASES, **PATCHED})
 
 
+def test_star_suite_compares_e_without_the_f_identities():
+    # with no S^-1 the suite compares no F, so E* = E is tested alone: E
+    # doctored as in "star-e" fails with that case's detail
+    model, ctx = _run("convolution")
+    w = ctx.antipode
+    got = star_suite(ctx.coproduct, _e(ctx, right=_bump(ctx.e.right, 0, 5)),
+                     AntipodeWitness(w.r1, w.r2, w.s, w.s_matrix, None), model.star_matrix, ctx.t3, ctx.t4)
+    assert [[r.check_id, r.status, r.detail] for r in got] == _recorded()["star-e"]
+
+
+def test_star_suite_fails_on_an_antipode_that_is_not_a_matrix():
+    # T3 and T4 supplied while S has no matrix: the star-homomorphism walk
+    # passes and the walk stops at S, with the detail it gave before the
+    # suite was read as matrix identities
+    for kind in ("convolution", "function"):
+        model, ctx = _run(kind)
+        w = ctx.antipode
+        got = star_suite(ctx.coproduct, ctx.e, AntipodeWitness(w.r1, w.r2, w.s, None, None),
+                         model.star_matrix, ctx.t3, ctx.t4)
+        assert [[r.check_id, r.status, r.detail] for r in got] == [["star-compatible", "fail", "star structure present but the antipode is not a matrix"]]
+
+
 # each registry check that no case above drives to fail, with a test that
 # does (the golden certificates pin counit-exists failing on zero maps)
 FAILING_ELSEWHERE = {
